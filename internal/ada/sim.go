@@ -1,12 +1,10 @@
 package ada
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 )
 
 // Run is one complete (or deadlocked) execution rendered as a GEM
@@ -18,28 +16,13 @@ type Run struct {
 }
 
 // ExploreOptions bounds the exploration.
-type ExploreOptions struct {
-	MaxRuns  int // 0 = 100000
-	MaxSteps int // 0 = 10000
-	// Ctx cancels the exploration: the DFS polls it at every node, and a
-	// cancelled context aborts the walk with ctx.Err() after at most one
-	// further run. nil means never cancelled.
-	Ctx context.Context
-}
+type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates interleavings and returns distinct GEM
 // computations. The bool reports truncation by MaxRuns. It is the
 // collect-all form of ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
-	var runs []Run
-	truncated, err := ExploreStream(p, opts, func(r Run) bool {
-		runs = append(runs, r)
-		return true
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return runs, truncated, nil
+	return explore.Collect(ExploreStream, p, opts)
 }
 
 // ExploreStream enumerates the distinct runs like Explore but hands each
@@ -48,94 +31,11 @@ func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 // yield returns false the exploration stops early with truncated ==
 // false and a nil error.
 func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = 100000
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 10000
-	}
-	seen := make(map[string]bool)
-	emitted := 0
-	truncated := false
-	stopped := false
-	var exploreErr error
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-
-	var dfs func(m *machine)
-	dfs = func(m *machine) {
-		if truncated || stopped || exploreErr != nil {
-			return
-		}
-		select {
-		case <-done:
-			exploreErr = opts.Ctx.Err()
-			return
-		default:
-		}
-		if m.steps > opts.MaxSteps {
-			exploreErr = fmt.Errorf("ada: run exceeded %d steps", opts.MaxSteps)
-			return
-		}
-		for {
-			if m.steps > opts.MaxSteps {
-				exploreErr = fmt.Errorf("ada: run exceeded %d steps", opts.MaxSteps)
-				return
-			}
-			eager, _ := m.transitions()
-			if eager == nil {
-				break
-			}
-			if err := m.apply(*eager); err != nil {
-				exploreErr = err
-				return
-			}
-		}
-		_, ts := m.transitions()
-		if len(ts) == 0 {
-			key := m.canonicalKey()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			run, err := m.finish()
-			if err != nil {
-				exploreErr = err
-				return
-			}
-			emitted++
-			if !yield(run) {
-				stopped = true
-				return
-			}
-			if emitted >= opts.MaxRuns {
-				truncated = true
-			}
-			return
-		}
-		for _, t := range ts {
-			next := m.clone()
-			if err := next.apply(t); err != nil {
-				exploreErr = err
-				return
-			}
-			dfs(next)
-			if truncated || stopped || exploreErr != nil {
-				return
-			}
-		}
-	}
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	dfs(m)
-	if exploreErr != nil {
-		return false, exploreErr
-	}
-	return truncated, nil
+	return explore.Run[*machine, transition](m, opts, yield)
 }
 
 type frame struct {
@@ -162,7 +62,6 @@ type taskState struct {
 	frames  []frame
 	rendezv []rendezvous
 	blocked bool // waiting for a rendezvous to complete (caller side)
-	lastEv  int
 }
 
 type caller struct {
@@ -172,22 +71,14 @@ type caller struct {
 	callEv int
 }
 
-type evRec struct {
-	elem   string
-	class  string
-	params core.Params
-}
-
 type machine struct {
+	explore.Log
 	prog   *Program
 	tasks  []taskState
 	byName map[string]int
 	// queues[task][entry] = FIFO of callers
 	queues []map[string][]caller
 
-	events []evRec
-	edges  [][2]int
-	steps  int
 	// ext holds the cells of external shared elements accessed via
 	// Op{Element: …}.
 	ext map[string]int64
@@ -195,6 +86,7 @@ type machine struct {
 
 func newMachine(p *Program) (*machine, error) {
 	m := &machine{
+		Log:    explore.NewLog(len(p.Tasks)),
 		prog:   p,
 		tasks:  make([]taskState, len(p.Tasks)),
 		byName: make(map[string]int, len(p.Tasks)),
@@ -215,7 +107,6 @@ func newMachine(p *Program) (*machine, error) {
 		m.tasks[i] = taskState{
 			vars:   vars,
 			frames: []frame{{block: t.Body}},
-			lastEv: -1,
 		}
 		m.queues[i] = make(map[string][]caller)
 		if err := m.validate(t.Name, t.Body); err != nil {
@@ -270,15 +161,13 @@ func hasEntry(t Task, entry string) bool {
 	return false
 }
 
-func (m *machine) clone() *machine {
+func (m *machine) Clone() *machine {
 	next := &machine{
+		Log:    m.Log.Clone(),
 		prog:   m.prog,
 		tasks:  make([]taskState, len(m.tasks)),
 		byName: m.byName,
 		queues: make([]map[string][]caller, len(m.queues)),
-		events: append([]evRec(nil), m.events...),
-		edges:  append([][2]int(nil), m.edges...),
-		steps:  m.steps,
 		ext:    make(map[string]int64, len(m.ext)),
 	}
 	for k, v := range m.ext {
@@ -290,7 +179,6 @@ func (m *machine) clone() *machine {
 			frames:  make([]frame, len(t.frames)),
 			rendezv: append([]rendezvous(nil), t.rendezv...),
 			blocked: t.blocked,
-			lastEv:  t.lastEv,
 		}
 		for k, v := range t.vars {
 			cp.vars[k] = v
@@ -312,23 +200,6 @@ func (m *machine) clone() *machine {
 		next.queues[i] = nq
 	}
 	return next
-}
-
-func (m *machine) emit(task int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(m.events)
-	m.events = append(m.events, evRec{elem: elem, class: class, params: params})
-	if task >= 0 && m.tasks[task].lastEv >= 0 {
-		m.edges = append(m.edges, [2]int{m.tasks[task].lastEv, idx})
-	}
-	for _, e := range extra {
-		if e >= 0 {
-			m.edges = append(m.edges, [2]int{e, idx})
-		}
-	}
-	if task >= 0 {
-		m.tasks[task].lastEv = idx
-	}
-	return idx
 }
 
 func (m *machine) currentStmt(task int) (Stmt, bool) {
@@ -354,14 +225,15 @@ type transition struct {
 	accept Accept
 }
 
-// transitions partitions schedulable steps for partial-order reduction.
+// Transitions partitions schedulable steps for partial-order reduction.
 // Task-internal steps (assignments to own variables, local ops, replies,
 // loop unrolling, rendezvous completion) commute with every other enabled
 // transition, so one may run eagerly without branching. Entry calls and
 // accepts branch: ADA entry queues are FIFO, so call arrival order is
 // semantically significant, as are accept/select choices and operations
-// at shared external elements.
-func (m *machine) transitions() (eager *transition, branches []transition) {
+// at shared external elements. With full=true the task-internal steps
+// branch too — the unreduced exploration used to validate the reduction.
+func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 	var ts []transition
 	for i := range m.tasks {
 		t := &m.tasks[i]
@@ -374,10 +246,13 @@ func (m *machine) transitions() (eager *transition, branches []transition) {
 		}
 		switch s := st.(type) {
 		case Assign, Reply, Repeat, endAccept:
-			return &transition{kind: "step", task: i}, nil
+			if !full {
+				return transition{kind: "step", task: i}, true, nil
+			}
+			ts = append(ts, transition{kind: "step", task: i})
 		case Op:
-			if s.Element == "" {
-				return &transition{kind: "step", task: i}, nil
+			if s.Element == "" && !full {
+				return transition{kind: "step", task: i}, true, nil
 			}
 			ts = append(ts, transition{kind: "step", task: i})
 		case EntryCall:
@@ -403,11 +278,10 @@ func (m *machine) transitions() (eager *transition, branches []transition) {
 			}
 		}
 	}
-	return nil, ts
+	return transition{}, false, ts
 }
 
-func (m *machine) apply(t transition) error {
-	m.steps++
+func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "accept", "selectaccept":
 		return m.beginRendezvous(t.task, t.accept)
@@ -435,7 +309,7 @@ func (m *machine) beginRendezvous(task int, acc Accept) error {
 	if cl.hasArg {
 		params["v"] = core.Int(cl.arg)
 	}
-	m.emit(task, EntryElement(m.prog.Tasks[task].Name, acc.Entry), "AcceptStart", params, cl.callEv)
+	m.Emit(task, EntryElement(m.prog.Tasks[task].Name, acc.Entry), "AcceptStart", params, cl.callEv)
 	t.rendezv = append(t.rendezv, rendezvous{caller: cl.task, entry: acc.Entry})
 	if acc.Param != "" {
 		if t.args == nil {
@@ -457,7 +331,7 @@ func (m *machine) step(task int) error {
 	switch s := st.(type) {
 	case Assign:
 		t.vars[s.Var] = s.E.eval(env)
-		m.emit(task, VarElement(taskName, s.Var), "Assign",
+		m.Emit(task, VarElement(taskName, s.Var), "Assign",
 			core.Params{"newval": core.Int(t.vars[s.Var])})
 	case Op:
 		params := make(core.Params, len(s.Params)+2)
@@ -477,7 +351,7 @@ func (m *machine) step(task int) error {
 				params["oldval"] = core.Int(m.ext[s.Element])
 			}
 		}
-		m.emit(task, elem, s.Class, params)
+		m.Emit(task, elem, s.Class, params)
 	case Reply:
 		if len(t.rendezv) == 0 {
 			return fmt.Errorf("ada: Reply outside a rendezvous in task %s", taskName)
@@ -494,7 +368,7 @@ func (m *machine) step(task int) error {
 			cl.hasArg = true
 			params["v"] = core.Int(cl.arg)
 		}
-		cl.callEv = m.emit(task, taskName, "Call", params)
+		cl.callEv = m.Emit(task, taskName, "Call", params)
 		m.queues[callee][s.Entry] = append(m.queues[callee][s.Entry], cl)
 		t.blocked = true
 	case Repeat:
@@ -508,12 +382,12 @@ func (m *machine) step(task int) error {
 		if r.hasResult {
 			endParams["result"] = core.Int(r.result)
 		}
-		end := m.emit(task, EntryElement(taskName, r.entry), "AcceptEnd", endParams)
+		end := m.Emit(task, EntryElement(taskName, r.entry), "AcceptEnd", endParams)
 		retParams := core.Params{"entry": core.Str(r.entry)}
 		if r.hasResult {
 			retParams["result"] = core.Int(r.result)
 		}
-		m.emit(r.caller, m.prog.Tasks[r.caller].Name, "Return", retParams, end)
+		m.Emit(r.caller, m.prog.Tasks[r.caller].Name, "Return", retParams, end)
 		m.tasks[r.caller].blocked = false
 		if len(t.rendezv) == 0 {
 			t.args = nil
@@ -524,7 +398,7 @@ func (m *machine) step(task int) error {
 	return nil
 }
 
-func (m *machine) finish() (Run, error) {
+func (m *machine) Finish() (Run, error) {
 	deadlock := false
 	finals := make(map[string]map[string]int64, len(m.tasks))
 	for i := range m.tasks {
@@ -538,43 +412,9 @@ func (m *machine) finish() (Run, error) {
 		}
 		finals[m.prog.Tasks[i].Name] = vars
 	}
-	b := core.NewBuilder()
-	ids := make([]core.EventID, len(m.events))
-	for i, e := range m.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
-	}
-	for _, e := range m.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
-	}
-	comp, err := b.Build()
+	comp, err := m.Build()
 	if err != nil {
 		return Run{}, fmt.Errorf("ada: generated computation invalid: %w", err)
 	}
 	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
-}
-
-func (m *machine) canonicalKey() string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(m.events))
-	for i, e := range m.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(m.edges))
-	for i, e := range m.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, l := range edgeLabels {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -17,6 +17,7 @@ import (
 	"gem/internal/ada"
 	"gem/internal/core"
 	"gem/internal/csp"
+	"gem/internal/explore"
 	"gem/internal/logic"
 	"gem/internal/monitor"
 	"gem/internal/obs"
@@ -206,78 +207,42 @@ func Matrix() []Scenario {
 	return out
 }
 
-func exploreMonitor(p *monitor.Program) ([]*core.Computation, error) {
-	var comps []*core.Computation
-	truncated, err := streamMonitor(p)(func(c *core.Computation) bool {
-		comps = append(comps, c)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if truncated {
-		return nil, fmt.Errorf("check: monitor exploration truncated")
-	}
-	return comps, nil
-}
-
-// streamMonitor adapts monitor.ExploreStream to the scenario streaming
-// shape, rejecting deadlocked runs.
-func streamMonitor(p *monitor.Program) func(yield func(*core.Computation) bool) (bool, error) {
+// stream adapts a simulator's ExploreStream to the scenario streaming
+// shape; run unpacks the language's Run type. Deadlocked runs surface as
+// errors.
+func stream[P, R any](lang Language, p P,
+	exploreStream func(P, explore.Options, func(R) bool) (bool, error),
+	run func(R) (comp *core.Computation, deadlock bool),
+) func(yield func(*core.Computation) bool) (bool, error) {
 	return func(yield func(*core.Computation) bool) (bool, error) {
 		i := 0
 		var deadlock error
-		trunc, err := monitor.ExploreStream(p, monitor.ExploreOptions{MaxRuns: 60000}, func(r monitor.Run) bool {
-			if r.Deadlock {
-				deadlock = fmt.Errorf("check: monitor run %d deadlocked", i)
+		trunc, err := exploreStream(p, explore.Options{MaxRuns: 60000}, func(r R) bool {
+			c, dead := run(r)
+			if dead {
+				deadlock = fmt.Errorf("check: %s run %d deadlocked", lang, i)
 				return false
 			}
 			i++
-			return yield(r.Comp)
+			return yield(c)
 		})
 		if err == nil {
 			err = deadlock
 		}
 		return trunc, err
 	}
+}
+
+func streamMonitor(p *monitor.Program) func(yield func(*core.Computation) bool) (bool, error) {
+	return stream(Monitor, p, monitor.ExploreStream, func(r monitor.Run) (*core.Computation, bool) { return r.Comp, r.Deadlock })
 }
 
 func streamCSP(p *csp.Program) func(yield func(*core.Computation) bool) (bool, error) {
-	return func(yield func(*core.Computation) bool) (bool, error) {
-		i := 0
-		var deadlock error
-		trunc, err := csp.ExploreStream(p, csp.ExploreOptions{MaxRuns: 60000}, func(r csp.Run) bool {
-			if r.Deadlock {
-				deadlock = fmt.Errorf("check: csp run %d deadlocked", i)
-				return false
-			}
-			i++
-			return yield(r.Comp)
-		})
-		if err == nil {
-			err = deadlock
-		}
-		return trunc, err
-	}
+	return stream(CSP, p, csp.ExploreStream, func(r csp.Run) (*core.Computation, bool) { return r.Comp, r.Deadlock })
 }
 
 func streamAda(p *ada.Program) func(yield func(*core.Computation) bool) (bool, error) {
-	return func(yield func(*core.Computation) bool) (bool, error) {
-		i := 0
-		var deadlock error
-		trunc, err := ada.ExploreStream(p, ada.ExploreOptions{MaxRuns: 60000}, func(r ada.Run) bool {
-			if r.Deadlock {
-				deadlock = fmt.Errorf("check: ada run %d deadlocked", i)
-				return false
-			}
-			i++
-			return yield(r.Comp)
-		})
-		if err == nil {
-			err = deadlock
-		}
-		return trunc, err
-	}
+	return stream(Ada, p, ada.ExploreStream, func(r ada.Run) (*core.Computation, bool) { return r.Comp, r.Deadlock })
 }
 
 func oneslotScenario(lang Language) Scenario {
@@ -416,7 +381,14 @@ func Refutations() []Refutation {
 				if err != nil {
 					return nil, nil, verify.Correspondence{}, err
 				}
-				comps, err := exploreMonitor(rw.NewProgram(rw.WritersPriority, w))
+				var comps []*core.Computation
+				truncated, err := streamMonitor(rw.NewProgram(rw.WritersPriority, w))(func(c *core.Computation) bool {
+					comps = append(comps, c)
+					return true
+				})
+				if err == nil && truncated {
+					err = fmt.Errorf("check: monitor exploration truncated")
+				}
 				return problem, comps, rw.MonitorCorrespondence(), err
 			},
 		},

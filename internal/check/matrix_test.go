@@ -37,15 +37,23 @@ func TestScenarioCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix is slow; skipped in -short mode")
 	}
+	// Distinct computations per cell; bench/testdata/expected.json
+	// records the same answers for the benchmark.
+	wantRuns := map[string]int{
+		"one-slot-buffer/monitor": 5, "bounded-buffer/monitor": 10, "readers-writers/monitor": 72,
+		"one-slot-buffer/csp": 1, "bounded-buffer/csp": 4, "readers-writers/csp": 22,
+		"one-slot-buffer/ada": 1, "bounded-buffer/ada": 4, "readers-writers/ada": 22,
+	}
 	for _, s := range Matrix() {
 		s := s
-		t.Run(s.Problem+"/"+string(s.Language), func(t *testing.T) {
+		name := s.Problem + "/" + string(s.Language)
+		t.Run(name, func(t *testing.T) {
 			cell := s.Run()
 			if !cell.Verified {
 				t.Fatalf("cell failed: %v", cell.Err)
 			}
-			if cell.Runs == 0 {
-				t.Error("no computations explored")
+			if cell.Runs != wantRuns[name] {
+				t.Errorf("explored %d computations, want %d", cell.Runs, wantRuns[name])
 			}
 		})
 	}

@@ -1,12 +1,10 @@
 package csp
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 )
 
 // Run is one complete (or deadlocked) execution rendered as a GEM
@@ -18,29 +16,14 @@ type Run struct {
 }
 
 // ExploreOptions bounds the exploration.
-type ExploreOptions struct {
-	MaxRuns  int // cap on distinct runs (0 = 100000)
-	MaxSteps int // per-run step cap (0 = 10000)
-	// Ctx cancels the exploration: the DFS polls it at every node, and a
-	// cancelled context aborts the walk with ctx.Err() after at most one
-	// further run. nil means never cancelled.
-	Ctx context.Context
-}
+type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates the program's executions and returns
 // the distinct GEM computations (distinct as partial orders). The bool
 // reports truncation by MaxRuns. It is the collect-all form of
 // ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
-	var runs []Run
-	truncated, err := ExploreStream(p, opts, func(r Run) bool {
-		runs = append(runs, r)
-		return true
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return runs, truncated, nil
+	return explore.Collect(ExploreStream, p, opts)
 }
 
 // ExploreStream enumerates the distinct runs like Explore but hands each
@@ -49,94 +32,11 @@ func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 // yield returns false the exploration stops early with truncated ==
 // false and a nil error.
 func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = 100000
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 10000
-	}
-	seen := make(map[string]bool)
-	emitted := 0
-	truncated := false
-	stopped := false
-	var exploreErr error
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-
-	var dfs func(m *machine)
-	dfs = func(m *machine) {
-		if truncated || stopped || exploreErr != nil {
-			return
-		}
-		select {
-		case <-done:
-			exploreErr = opts.Ctx.Err()
-			return
-		default:
-		}
-		if m.steps > opts.MaxSteps {
-			exploreErr = fmt.Errorf("csp: run exceeded %d steps", opts.MaxSteps)
-			return
-		}
-		for {
-			if m.steps > opts.MaxSteps {
-				exploreErr = fmt.Errorf("csp: run exceeded %d steps", opts.MaxSteps)
-				return
-			}
-			eager, _ := m.transitions()
-			if eager == nil {
-				break
-			}
-			if err := m.apply(*eager); err != nil {
-				exploreErr = err
-				return
-			}
-		}
-		_, ts := m.transitions()
-		if len(ts) == 0 {
-			key := m.canonicalKey()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			run, err := m.finish()
-			if err != nil {
-				exploreErr = err
-				return
-			}
-			emitted++
-			if !yield(run) {
-				stopped = true
-				return
-			}
-			if emitted >= opts.MaxRuns {
-				truncated = true
-			}
-			return
-		}
-		for _, t := range ts {
-			next := m.clone()
-			if err := next.apply(t); err != nil {
-				exploreErr = err
-				return
-			}
-			dfs(next)
-			if truncated || stopped || exploreErr != nil {
-				return
-			}
-		}
-	}
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	dfs(m)
-	if exploreErr != nil {
-		return false, exploreErr
-	}
-	return truncated, nil
+	return explore.Run[*machine, transition](m, opts, yield)
 }
 
 type frame struct {
@@ -147,23 +47,13 @@ type frame struct {
 type procState struct {
 	vars   map[string]int64
 	frames []frame
-	lastEv int
-}
-
-type evRec struct {
-	elem   string
-	class  string
-	params core.Params
 }
 
 type machine struct {
+	explore.Log
 	prog   *Program
 	procs  []procState
 	byName map[string]int
-
-	events []evRec
-	edges  [][2]int
-	steps  int
 	// ext holds the cells of external shared elements accessed via
 	// Op{Element: …}.
 	ext map[string]int64
@@ -171,6 +61,7 @@ type machine struct {
 
 func newMachine(p *Program) (*machine, error) {
 	m := &machine{
+		Log:    explore.NewLog(len(p.Processes)),
 		prog:   p,
 		procs:  make([]procState, len(p.Processes)),
 		byName: make(map[string]int, len(p.Processes)),
@@ -188,7 +79,6 @@ func newMachine(p *Program) (*machine, error) {
 		m.procs[i] = procState{
 			vars:   vars,
 			frames: []frame{{block: proc.Body}},
-			lastEv: -1,
 		}
 	}
 	for _, proc := range p.Processes {
@@ -231,14 +121,12 @@ func (m *machine) validateStmts(procName string, body []Stmt) error {
 	return nil
 }
 
-func (m *machine) clone() *machine {
+func (m *machine) Clone() *machine {
 	next := &machine{
+		Log:    m.Log.Clone(),
 		prog:   m.prog,
 		procs:  make([]procState, len(m.procs)),
 		byName: m.byName,
-		events: append([]evRec(nil), m.events...),
-		edges:  append([][2]int(nil), m.edges...),
-		steps:  m.steps,
 		ext:    make(map[string]int64, len(m.ext)),
 	}
 	for k, v := range m.ext {
@@ -248,7 +136,6 @@ func (m *machine) clone() *machine {
 		cp := procState{
 			vars:   make(map[string]int64, len(p.vars)),
 			frames: make([]frame, len(p.frames)),
-			lastEv: p.lastEv,
 		}
 		for k, v := range p.vars {
 			cp.vars[k] = v
@@ -257,23 +144,6 @@ func (m *machine) clone() *machine {
 		next.procs[i] = cp
 	}
 	return next
-}
-
-func (m *machine) emit(proc int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(m.events)
-	m.events = append(m.events, evRec{elem: elem, class: class, params: params})
-	if proc >= 0 && m.procs[proc].lastEv >= 0 {
-		m.edges = append(m.edges, [2]int{m.procs[proc].lastEv, idx})
-	}
-	for _, e := range extra {
-		if e >= 0 {
-			m.edges = append(m.edges, [2]int{e, idx})
-		}
-	}
-	if proc >= 0 {
-		m.procs[proc].lastEv = idx
-	}
-	return idx
 }
 
 // offer is a pending communication a process is ready to perform.
@@ -317,13 +187,14 @@ func (m *machine) consumeStmt(proc int) {
 	top.idx++
 }
 
-// transitions partitions schedulable steps for partial-order reduction:
+// Transitions partitions schedulable steps for partial-order reduction:
 // assignments, process-local ops, and Repeat unrolling commute with every
 // other enabled transition (their events, if any, occur at the process's
 // own element), so one of them may run eagerly without branching. The
 // branching choices are communications, alternative selections, and
-// operations at shared external elements.
-func (m *machine) transitions() (eager *transition, branches []transition) {
+// operations at shared external elements. With full=true the local steps
+// branch too — the unreduced exploration used to validate the reduction.
+func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 	var ts []transition
 	var offers []offer
 	for i := range m.procs {
@@ -333,10 +204,13 @@ func (m *machine) transitions() (eager *transition, branches []transition) {
 		}
 		switch s := st.(type) {
 		case Assign, Repeat:
-			return &transition{kind: "local", proc: i}, nil
+			if !full {
+				return transition{kind: "local", proc: i}, true, nil
+			}
+			ts = append(ts, transition{kind: "local", proc: i})
 		case Op:
-			if s.Element == "" {
-				return &transition{kind: "local", proc: i}, nil
+			if s.Element == "" && !full {
+				return transition{kind: "local", proc: i}, true, nil
 			}
 			ts = append(ts, transition{kind: "local", proc: i})
 		case Send:
@@ -390,11 +264,10 @@ func (m *machine) transitions() (eager *transition, branches []transition) {
 			ts = append(ts, transition{kind: "comm", out: o1, inp: o2})
 		}
 	}
-	return nil, ts
+	return transition{}, false, ts
 }
 
-func (m *machine) apply(t transition) error {
-	m.steps++
+func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "local":
 		return m.stepLocal(t.proc)
@@ -437,7 +310,7 @@ func (m *machine) stepLocal(proc int) error {
 				params["oldval"] = core.Int(m.ext[s.Element])
 			}
 		}
-		m.emit(proc, elem, s.Class, params)
+		m.Emit(proc, elem, s.Class, params)
 	case Repeat:
 		for k := 0; k < s.N; k++ {
 			p.frames = append(p.frames, frame{block: s.Body})
@@ -462,11 +335,11 @@ func (m *machine) stepComm(out, inp offer) error {
 	identR := func() core.Params {
 		return core.Params{"v": core.Int(out.value), "proc": core.Str(qName), "partner": core.Str(pName)}
 	}
-	outReq := m.emit(sender, OutElement(pName, qName), "Req", ident())
-	inpReq := m.emit(receiver, InpElement(qName, pName), "Req", identR())
+	outReq := m.Emit(sender, OutElement(pName, qName), "Req", ident())
+	inpReq := m.Emit(receiver, InpElement(qName, pName), "Req", identR())
 	// Simultaneity: each End enabled by both requests.
-	m.emit(sender, OutElement(pName, qName), "End", ident(), inpReq)
-	m.emit(receiver, InpElement(qName, pName), "End", identR(), outReq)
+	m.Emit(sender, OutElement(pName, qName), "End", ident(), inpReq)
+	m.Emit(receiver, InpElement(qName, pName), "End", identR(), outReq)
 
 	if inp.recvVar != "" {
 		m.procs[receiver].vars[inp.recvVar] = out.value
@@ -480,7 +353,7 @@ func (m *machine) stepComm(out, inp offer) error {
 	return nil
 }
 
-func (m *machine) finish() (Run, error) {
+func (m *machine) Finish() (Run, error) {
 	deadlock := false
 	finals := make(map[string]map[string]int64, len(m.procs))
 	for i := range m.procs {
@@ -493,43 +366,9 @@ func (m *machine) finish() (Run, error) {
 		}
 		finals[m.prog.Processes[i].Name] = vars
 	}
-	b := core.NewBuilder()
-	ids := make([]core.EventID, len(m.events))
-	for i, e := range m.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
-	}
-	for _, e := range m.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
-	}
-	comp, err := b.Build()
+	comp, err := m.Build()
 	if err != nil {
 		return Run{}, fmt.Errorf("csp: generated computation invalid: %w", err)
 	}
 	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
-}
-
-func (m *machine) canonicalKey() string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(m.events))
-	for i, e := range m.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(m.edges))
-	for i, e := range m.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, l := range edgeLabels {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -1,12 +1,10 @@
 package monitor
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 )
 
 // Run is one complete (or deadlocked) execution of a monitor program,
@@ -18,21 +16,7 @@ type Run struct {
 }
 
 // ExploreOptions bounds the exhaustive exploration.
-type ExploreOptions struct {
-	// MaxRuns caps the number of distinct runs collected (0 = 100000).
-	MaxRuns int
-	// MaxSteps caps the steps of a single run, guarding against
-	// non-terminating programs (0 = 10000).
-	MaxSteps int
-	// NoReduction disables the partial-order reduction, branching over
-	// every enabled transition. Exponentially slower; used to validate
-	// that the reduction preserves the set of computations.
-	NoReduction bool
-	// Ctx cancels the exploration: the DFS polls it at every node, and a
-	// cancelled context aborts the walk with ctx.Err() after at most one
-	// further run. nil means never cancelled.
-	Ctx context.Context
-}
+type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates the interleavings of the program under
 // Hoare monitor semantics and returns the distinct GEM computations
@@ -41,15 +25,7 @@ type ExploreOptions struct {
 // whether exploration was truncated by MaxRuns. It is the collect-all
 // form of ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
-	var runs []Run
-	truncated, err := ExploreStream(p, opts, func(r Run) bool {
-		runs = append(runs, r)
-		return true
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return runs, truncated, nil
+	return explore.Collect(ExploreStream, p, opts)
 }
 
 // ExploreStream enumerates the distinct runs like Explore but hands each
@@ -59,98 +35,11 @@ func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 // (the DFS order Explore uses). If yield returns false the exploration
 // stops early with truncated == false and a nil error.
 func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = 100000
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 10000
-	}
-	seen := make(map[string]bool)
-	emitted := 0
-	truncated := false
-	stopped := false
-	var exploreErr error
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-
-	var dfs func(m *machine)
-	dfs = func(m *machine) {
-		if truncated || stopped || exploreErr != nil {
-			return
-		}
-		select {
-		case <-done:
-			exploreErr = opts.Ctx.Err()
-			return
-		default:
-		}
-		if m.steps > opts.MaxSteps {
-			exploreErr = fmt.Errorf("monitor: run exceeded %d steps (non-terminating program?)", opts.MaxSteps)
-			return
-		}
-		// Apply invisible transitions eagerly, in place (no branching) —
-		// unless the reduction is disabled for validation runs.
-		if !opts.NoReduction {
-			for {
-				if m.steps > opts.MaxSteps {
-					exploreErr = fmt.Errorf("monitor: run exceeded %d steps (non-terminating program?)", opts.MaxSteps)
-					return
-				}
-				eager, _ := m.transitions(false)
-				if eager == nil {
-					break
-				}
-				if err := m.apply(*eager); err != nil {
-					exploreErr = err
-					return
-				}
-			}
-		}
-		_, branches := m.transitions(opts.NoReduction)
-		if len(branches) == 0 {
-			key := m.canonicalKey()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			run, err := m.finish()
-			if err != nil {
-				exploreErr = err
-				return
-			}
-			emitted++
-			if !yield(run) {
-				stopped = true
-				return
-			}
-			if emitted >= opts.MaxRuns {
-				truncated = true
-			}
-			return
-		}
-		for _, t := range branches {
-			next := m.clone()
-			if err := next.apply(t); err != nil {
-				exploreErr = err
-				return
-			}
-			dfs(next)
-			if truncated || stopped || exploreErr != nil {
-				return
-			}
-		}
-	}
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	dfs(m)
-	if exploreErr != nil {
-		return false, exploreErr
-	}
-	return truncated, nil
+	return explore.Run[*machine, transition](m, opts, yield)
 }
 
 type procStatus int
@@ -174,7 +63,6 @@ type procState struct {
 	frames  []frame
 	args    map[string]int64
 	entry   string
-	lastEv  int
 	// resume bookkeeping
 	resuming bool   // must emit Release+Acq (signalled waiter)
 	signalEv int    // Signal event enabling our Release
@@ -185,13 +73,8 @@ type procState struct {
 // must emit.
 func (p *procState) resumeCond() string { return p.waitCond }
 
-type evRec struct {
-	elem   string
-	class  string
-	params core.Params
-}
-
 type machine struct {
+	explore.Log
 	prog   *Program
 	vars   map[string]int64
 	procs  []procState
@@ -200,10 +83,7 @@ type machine struct {
 	condQ  map[string][]int
 	entryQ []int
 
-	events    []evRec
-	edges     [][2]int
 	lastMonEv int
-	steps     int
 	// ext holds the cells of external shared elements accessed via
 	// Op{Element: …}.
 	ext map[string]int64
@@ -211,6 +91,7 @@ type machine struct {
 
 func newMachine(p *Program) (*machine, error) {
 	m := &machine{
+		Log:       explore.NewLog(len(p.Processes)),
 		prog:      p,
 		vars:      make(map[string]int64, len(p.Monitor.Vars)),
 		procs:     make([]procState, len(p.Processes)),
@@ -226,7 +107,7 @@ func newMachine(p *Program) (*machine, error) {
 		m.condQ[c] = nil
 	}
 	for i := range m.procs {
-		m.procs[i] = procState{status: statusReady, lastEv: -1, signalEv: -1}
+		m.procs[i] = procState{status: statusReady, signalEv: -1}
 	}
 	// Initialization runs to completion before any process step, holding
 	// the monitor conceptually.
@@ -259,8 +140,9 @@ func (m *machine) runInit(body []Stmt, env *evalEnv) error {
 	return nil
 }
 
-func (m *machine) clone() *machine {
+func (m *machine) Clone() *machine {
 	next := &machine{
+		Log:       m.Log.Clone(),
 		prog:      m.prog,
 		vars:      make(map[string]int64, len(m.vars)),
 		procs:     make([]procState, len(m.procs)),
@@ -268,10 +150,7 @@ func (m *machine) clone() *machine {
 		urgent:    append([]int(nil), m.urgent...),
 		condQ:     make(map[string][]int, len(m.condQ)),
 		entryQ:    append([]int(nil), m.entryQ...),
-		events:    append([]evRec(nil), m.events...),
-		edges:     append([][2]int(nil), m.edges...),
 		lastMonEv: m.lastMonEv,
-		steps:     m.steps,
 		ext:       make(map[string]int64, len(m.ext)),
 	}
 	for k, v := range m.ext {
@@ -298,32 +177,13 @@ func (m *machine) clone() *machine {
 	return next
 }
 
-// emit appends an event enabled by the process's previous event plus any
-// extra enablers; it returns the event index.
-func (m *machine) emit(proc int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(m.events)
-	m.events = append(m.events, evRec{elem: elem, class: class, params: params})
-	if proc >= 0 && m.procs[proc].lastEv >= 0 {
-		m.edges = append(m.edges, [2]int{m.procs[proc].lastEv, idx})
-	}
-	for _, e := range extra {
-		if e >= 0 && e != idx {
-			m.edges = append(m.edges, [2]int{e, idx})
-		}
-	}
-	if proc >= 0 {
-		m.procs[proc].lastEv = idx
-	}
-	return idx
-}
-
 // emitInternal emits a monitor-internal event and threads the
 // internal-total-order chain through it.
 func (m *machine) emitInternal(proc int, elem, class string, params core.Params, extra ...int) int {
 	if m.lastMonEv >= 0 {
 		extra = append(extra, m.lastMonEv)
 	}
-	idx := m.emit(proc, elem, class, params, extra...)
+	idx := m.Emit(proc, elem, class, params, extra...)
 	m.lastMonEv = idx
 	return idx
 }
@@ -344,10 +204,10 @@ type transition struct {
 // semantically distinct ones: which queued caller enters the free
 // monitor, and the order of operations at shared external elements.
 //
-// With full=true every enabled transition is collected into branches
-// (eager stays nil) — the unreduced exploration used to validate the
-// reduction.
-func (m *machine) transitions(full bool) (eager *transition, branches []transition) {
+// With full=true every enabled transition is collected into branches —
+// the unreduced exploration used to validate the reduction.
+func (m *machine) Transitions(full bool) (transition, bool, []transition) {
+	var branches []transition
 	for i := range m.procs {
 		p := &m.procs[i]
 		if p.status != statusReady {
@@ -355,7 +215,7 @@ func (m *machine) transitions(full bool) (eager *transition, branches []transiti
 		}
 		if m.holder == i {
 			if !full {
-				return &transition{kind: "step", proc: i}, nil
+				return transition{kind: "step", proc: i}, true, nil
 			}
 			branches = append(branches, transition{kind: "step", proc: i})
 			continue
@@ -367,7 +227,7 @@ func (m *machine) transitions(full bool) (eager *transition, branches []transiti
 					branches = append(branches, transition{kind: "step", proc: i})
 					continue
 				}
-				return &transition{kind: "step", proc: i}, nil
+				return transition{kind: "step", proc: i}, true, nil
 			}
 			branches = append(branches, transition{kind: "step", proc: i})
 		}
@@ -375,7 +235,7 @@ func (m *machine) transitions(full bool) (eager *transition, branches []transiti
 	if m.holder == -1 {
 		if len(m.urgent) > 0 {
 			if !full {
-				return &transition{kind: "urgent", proc: m.urgent[len(m.urgent)-1]}, nil
+				return transition{kind: "urgent", proc: m.urgent[len(m.urgent)-1]}, true, nil
 			}
 			branches = append(branches, transition{kind: "urgent", proc: m.urgent[len(m.urgent)-1]})
 		} else {
@@ -384,11 +244,10 @@ func (m *machine) transitions(full bool) (eager *transition, branches []transiti
 			}
 		}
 	}
-	return nil, branches
+	return transition{}, false, branches
 }
 
-func (m *machine) apply(t transition) error {
-	m.steps++
+func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "grant":
 		return m.applyGrant(t.proc)
@@ -462,7 +321,7 @@ func (m *machine) stepOutside(proc int) error {
 		for name, v := range args {
 			callParams[name] = core.Int(v)
 		}
-		m.emit(proc, m.prog.Processes[proc].Name, "Call", callParams)
+		m.Emit(proc, m.prog.Processes[proc].Name, "Call", callParams)
 		p.status = statusBlockedEntry
 		m.entryQ = append(m.entryQ, proc)
 	case Op:
@@ -481,7 +340,7 @@ func (m *machine) stepOutside(proc int) error {
 				params["oldval"] = core.Int(m.ext[s.Element])
 			}
 		}
-		m.emit(proc, elem, s.Class, params)
+		m.Emit(proc, elem, s.Class, params)
 	default:
 		return fmt.Errorf("monitor: process statement %T not supported", st)
 	}
@@ -599,7 +458,7 @@ func (m *machine) endEntry(proc int, env *evalEnv) error {
 	}
 	m.emitInternal(proc, mon.EntryElement(p.entry), "End", endParams)
 	rel := m.emitInternal(proc, mon.LockElement(), "Rel", core.Params{"proc": procName})
-	m.emit(proc, m.prog.Processes[proc].Name, "Return", params, rel)
+	m.Emit(proc, m.prog.Processes[proc].Name, "Return", params, rel)
 	m.holder = -1
 	p.frames = nil
 	p.args = nil
@@ -607,8 +466,8 @@ func (m *machine) endEntry(proc int, env *evalEnv) error {
 	return nil
 }
 
-// finish builds the Run for a state with no transitions.
-func (m *machine) finish() (Run, error) {
+// Finish builds the Run for a state with no transitions.
+func (m *machine) Finish() (Run, error) {
 	deadlock := false
 	for i := range m.procs {
 		p := &m.procs[i]
@@ -617,15 +476,7 @@ func (m *machine) finish() (Run, error) {
 			deadlock = true
 		}
 	}
-	b := core.NewBuilder()
-	ids := make([]core.EventID, len(m.events))
-	for i, e := range m.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
-	}
-	for _, e := range m.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
-	}
-	comp, err := b.Build()
+	comp, err := m.Build()
 	if err != nil {
 		return Run{}, fmt.Errorf("monitor: generated computation invalid: %w", err)
 	}
@@ -634,33 +485,4 @@ func (m *machine) finish() (Run, error) {
 		finals[k] = v
 	}
 	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
-}
-
-// canonicalKey identifies the run's partial order: events keyed by
-// (element, per-element occurrence index) with sorted edges, so different
-// interleavings of the same computation collapse.
-func (m *machine) canonicalKey() string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(m.events))
-	for i, e := range m.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(m.edges))
-	for i, e := range m.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, l := range edgeLabels {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

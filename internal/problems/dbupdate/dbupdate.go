@@ -23,9 +23,9 @@ package dbupdate
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/logic"
 	"gem/internal/spec"
 )
@@ -94,6 +94,8 @@ type message struct {
 }
 
 type state struct {
+	explore.Log
+	opts    *ExploreOptions
 	clock   []int64
 	applied []version
 	value   []int64
@@ -101,21 +103,11 @@ type state struct {
 	pendingUpdates [][]Update
 	// inflight messages per channel (FIFO).
 	inflight map[[2]int][]message
-
-	events []evRec
-	edges  [][2]int
-	lastEv []int // per site
 }
 
-type evRec struct {
-	elem   string
-	class  string
-	params core.Params
-}
-
-// ExploreOptions bounds the exploration.
+// ExploreOptions bounds the exploration and injects failures.
 type ExploreOptions struct {
-	MaxRuns int // 0 = 100000
+	explore.Options
 	// Mutation flags for failure injection:
 	// DropLastMessage silently loses the last broadcast message.
 	DropLastMessage bool
@@ -130,106 +122,77 @@ func Explore(cfg Config, opts ExploreOptions) ([]Run, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = 100000
-	}
-	seen := make(map[string]bool)
-	var runs []Run
-	truncated := false
-
 	init := &state{
+		Log:            explore.NewLog(cfg.Sites),
+		opts:           &opts,
 		clock:          make([]int64, cfg.Sites),
 		applied:        make([]version, cfg.Sites),
 		value:          make([]int64, cfg.Sites),
 		pendingUpdates: make([][]Update, cfg.Sites),
 		inflight:       make(map[[2]int][]message),
-		lastEv:         make([]int, cfg.Sites),
 	}
-	for i := range init.lastEv {
-		init.lastEv[i] = -1
+	for i := range init.applied {
 		init.applied[i] = version{ts: -1, site: -1}
 	}
 	for _, u := range cfg.Updates {
 		init.pendingUpdates[u.Site] = append(init.pendingUpdates[u.Site], u)
 	}
-
-	totalMessages := 0 // counted per run implicitly; kept for docs
-
-	var dfs func(st *state)
-	dfs = func(st *state) {
-		if truncated {
-			return
-		}
-		type transition struct {
-			kind string // "originate", "deliver"
-			site int
-			ch   [2]int
-		}
-		var ts []transition
-		for i := 0; i < cfg.Sites; i++ {
-			if len(st.pendingUpdates[i]) > 0 {
-				ts = append(ts, transition{kind: "originate", site: i})
-			}
-		}
-		var chans [][2]int
-		for ch, q := range st.inflight {
-			if len(q) > 0 {
-				chans = append(chans, ch)
-			}
-		}
-		sort.Slice(chans, func(a, b int) bool {
-			if chans[a][0] != chans[b][0] {
-				return chans[a][0] < chans[b][0]
-			}
-			return chans[a][1] < chans[b][1]
-		})
-		for _, ch := range chans {
-			ts = append(ts, transition{kind: "deliver", ch: ch})
-		}
-		if len(ts) == 0 {
-			key := canonicalKey(st)
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			run, err := finish(cfg, st)
-			if err != nil {
-				return
-			}
-			runs = append(runs, run)
-			if len(runs) >= opts.MaxRuns {
-				truncated = true
-			}
-			return
-		}
-		for _, t := range ts {
-			next := st.clone()
-			if t.kind == "originate" {
-				next.originate(cfg, t.site, opts)
-			} else {
-				next.deliver(t.ch, opts)
-			}
-			dfs(next)
-			if truncated {
-				return
-			}
-		}
-	}
-	dfs(init)
-	_ = totalMessages
-	return runs, truncated, nil
+	return explore.Collect(explore.Run[*state, transition], init, opts.Options)
 }
 
-func (st *state) clone() *state {
+// transition originates a site's next update or delivers the head of a
+// channel.
+type transition struct {
+	kind string // "originate", "deliver"
+	site int
+	ch   [2]int
+}
+
+// Transitions branches over every originate and every delivery; nothing
+// runs eagerly.
+func (st *state) Transitions(bool) (transition, bool, []transition) {
+	var ts []transition
+	for i, q := range st.pendingUpdates {
+		if len(q) > 0 {
+			ts = append(ts, transition{kind: "originate", site: i})
+		}
+	}
+	var chans [][2]int
+	for ch, q := range st.inflight {
+		if len(q) > 0 {
+			chans = append(chans, ch)
+		}
+	}
+	sort.Slice(chans, func(a, b int) bool {
+		if chans[a][0] != chans[b][0] {
+			return chans[a][0] < chans[b][0]
+		}
+		return chans[a][1] < chans[b][1]
+	})
+	for _, ch := range chans {
+		ts = append(ts, transition{kind: "deliver", ch: ch})
+	}
+	return transition{}, false, ts
+}
+
+func (st *state) Apply(t transition) error {
+	if t.kind == "originate" {
+		st.originate(t.site)
+	} else {
+		st.deliver(t.ch)
+	}
+	return nil
+}
+
+func (st *state) Clone() *state {
 	next := &state{
+		Log:            st.Log.Clone(),
+		opts:           st.opts,
 		clock:          append([]int64(nil), st.clock...),
 		applied:        append([]version(nil), st.applied...),
 		value:          append([]int64(nil), st.value...),
 		pendingUpdates: make([][]Update, len(st.pendingUpdates)),
 		inflight:       make(map[[2]int][]message, len(st.inflight)),
-		events:         append([]evRec(nil), st.events...),
-		edges:          append([][2]int(nil), st.edges...),
-		lastEv:         append([]int(nil), st.lastEv...),
 	}
 	for i, q := range st.pendingUpdates {
 		next.pendingUpdates[i] = append([]Update(nil), q...)
@@ -240,24 +203,7 @@ func (st *state) clone() *state {
 	return next
 }
 
-func (st *state) emit(site int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(st.events)
-	st.events = append(st.events, evRec{elem: elem, class: class, params: params})
-	if site >= 0 && st.lastEv[site] >= 0 {
-		st.edges = append(st.edges, [2]int{st.lastEv[site], idx})
-	}
-	for _, e := range extra {
-		if e >= 0 {
-			st.edges = append(st.edges, [2]int{e, idx})
-		}
-	}
-	if site >= 0 {
-		st.lastEv[site] = idx
-	}
-	return idx
-}
-
-func (st *state) originate(cfg Config, site int, opts ExploreOptions) {
+func (st *state) originate(site int) {
 	u := st.pendingUpdates[site][0]
 	st.pendingUpdates[site] = st.pendingUpdates[site][1:]
 	st.clock[site]++
@@ -265,56 +211,48 @@ func (st *state) originate(cfg Config, site int, opts ExploreOptions) {
 	params := core.Params{
 		"val": core.Int(u.Value), "ts": core.Int(ver.ts), "origin": core.Int(int64(site)),
 	}
-	upd := st.emit(site, SiteElement(site), "Update", params)
-	st.apply(site, ver, u.Value, upd, opts)
+	upd := st.Emit(site, SiteElement(site), "Update", params)
+	st.applyUpdate(site, ver, u.Value, upd)
 	// Broadcast to every other site.
 	for j := 0; j < len(st.clock); j++ {
 		if j == site {
 			continue
 		}
-		send := st.emit(site, ChanElement(site, j), "Send", params.Clone())
+		send := st.Emit(site, ChanElement(site, j), "Send", params.Clone())
 		msg := message{from: site, to: j, ver: ver, val: u.Value, sendEv: send}
-		if opts.DropLastMessage && len(st.pendingUpdates[site]) == 0 && j == len(st.clock)-1 && site != len(st.clock)-1 {
+		if st.opts.DropLastMessage && len(st.pendingUpdates[site]) == 0 && j == len(st.clock)-1 && site != len(st.clock)-1 {
 			continue // lose the message: Send happened, Recv never will
 		}
 		st.inflight[[2]int{site, j}] = append(st.inflight[[2]int{site, j}], msg)
 	}
 }
 
-func (st *state) deliver(ch [2]int, opts ExploreOptions) {
+func (st *state) deliver(ch [2]int) {
 	q := st.inflight[ch]
 	msg := q[0]
 	st.inflight[ch] = q[1:]
 	params := core.Params{
 		"val": core.Int(msg.val), "ts": core.Int(msg.ver.ts), "origin": core.Int(int64(msg.ver.site)),
 	}
-	recv := st.emit(msg.to, ChanElement(msg.from, msg.to), "Recv", params, msg.sendEv)
+	recv := st.Emit(msg.to, ChanElement(msg.from, msg.to), "Recv", params, msg.sendEv)
 	if msg.ver.ts > st.clock[msg.to] {
 		st.clock[msg.to] = msg.ver.ts
 	}
-	if opts.IgnoreVersions || st.applied[msg.to].less(msg.ver) {
-		st.apply(msg.to, msg.ver, msg.val, recv, opts)
+	if st.opts.IgnoreVersions || st.applied[msg.to].less(msg.ver) {
+		st.applyUpdate(msg.to, msg.ver, msg.val, recv)
 	}
 }
 
-func (st *state) apply(site int, ver version, val int64, cause int, _ ExploreOptions) {
+func (st *state) applyUpdate(site int, ver version, val int64, cause int) {
 	st.applied[site] = ver
 	st.value[site] = val
-	st.emit(site, SiteElement(site), "Apply", core.Params{
+	st.Emit(site, SiteElement(site), "Apply", core.Params{
 		"val": core.Int(val), "ts": core.Int(ver.ts), "origin": core.Int(int64(ver.site)),
 	}, cause)
 }
 
-func finish(cfg Config, st *state) (Run, error) {
-	b := core.NewBuilder()
-	ids := make([]core.EventID, len(st.events))
-	for i, e := range st.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
-	}
-	for _, e := range st.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
-	}
-	comp, err := b.Build()
+func (st *state) Finish() (Run, error) {
+	comp, err := st.Build()
 	if err != nil {
 		return Run{}, err
 	}
@@ -326,32 +264,6 @@ func finish(cfg Config, st *state) (Run, error) {
 		}
 	}
 	return Run{Comp: comp, Finals: finals, Converged: converged}, nil
-}
-
-func canonicalKey(st *state) string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(st.events))
-	for i, e := range st.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(st.edges))
-	for i, e := range st.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, l := range edgeLabels {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // Spec builds the GEM specification of the algorithm: site elements

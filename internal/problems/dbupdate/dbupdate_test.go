@@ -1,9 +1,12 @@
 package dbupdate
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/legal"
 	"gem/internal/logic"
 )
@@ -164,5 +167,23 @@ func TestSingleSiteTrivial(t *testing.T) {
 	}
 	if len(runs) != 1 || runs[0].Finals[0] != 3 || !runs[0].Converged {
 		t.Fatalf("single-site run wrong: %+v", runs)
+	}
+}
+
+// TestExplorationBounds: the shared driver's bounds apply to dbupdate
+// too — MaxRuns truncates, MaxSteps and a cancelled context are errors.
+func TestExplorationBounds(t *testing.T) {
+	cfg := stdConfig()
+	runs, truncated, err := Explore(cfg, ExploreOptions{Options: explore.Options{MaxRuns: 2}})
+	if err != nil || !truncated || len(runs) != 2 {
+		t.Fatalf("MaxRuns=2: %d runs, truncated=%v, err=%v", len(runs), truncated, err)
+	}
+	if _, _, err := Explore(cfg, ExploreOptions{Options: explore.Options{MaxSteps: 3}}); err == nil {
+		t.Error("MaxSteps=3 must stop a 6-step schedule")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := Explore(cfg, ExploreOptions{Options: explore.Options{Ctx: ctx}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }
