@@ -219,20 +219,26 @@ func (m *machine) consumeStmt(task int) {
 	top.idx++
 }
 
+// transition is one schedulable step of a task. For "selectaccept" alt
+// is the index of the chosen select alternative; Apply resolves it, so
+// the value stays comparable.
 type transition struct {
-	kind   string // "step", "accept", "selectaccept", "selectelse"
-	task   int
-	accept Accept
+	kind string // "step", "accept", "selectaccept", "selectelse"
+	task int
+	alt  int
 }
 
 // Transitions partitions schedulable steps for partial-order reduction.
 // Task-internal steps (assignments to own variables, local ops, replies,
 // loop unrolling, rendezvous completion) commute with every other enabled
 // transition, so one may run eagerly without branching. Entry calls and
-// accepts branch: ADA entry queues are FIFO, so call arrival order is
-// semantically significant, as are accept/select choices and operations
-// at shared external elements. With full=true the task-internal steps
-// branch too — the unreduced exploration used to validate the reduction.
+// accepts branch: ADA entry queues are FIFO, so the arrival order of
+// calls to the same entry is semantically significant, as are
+// accept/select choices and operations at shared external elements.
+// Independent tells the driver which branches still commute, so its
+// sleep sets can skip the redundant orders. With full=true the
+// task-internal steps branch too — the unreduced exploration used to
+// validate the reduction.
 func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 	var ts []transition
 	for i := range m.tasks {
@@ -259,17 +265,17 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 			ts = append(ts, transition{kind: "step", task: i})
 		case Accept:
 			if len(m.queues[i][s.Entry]) > 0 {
-				ts = append(ts, transition{kind: "accept", task: i, accept: s})
+				ts = append(ts, transition{kind: "accept", task: i})
 			}
 		case Select:
 			env := &evalEnv{vars: t.vars, args: t.args}
 			ready := false
-			for _, alt := range s.Alts {
+			for a, alt := range s.Alts {
 				if alt.Guard != nil && alt.Guard.eval(env) == 0 {
 					continue
 				}
 				if len(m.queues[i][alt.Accept.Entry]) > 0 {
-					ts = append(ts, transition{kind: "selectaccept", task: i, accept: alt.Accept})
+					ts = append(ts, transition{kind: "selectaccept", task: i, alt: a})
 					ready = true
 				}
 			}
@@ -281,10 +287,61 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 	return transition{}, false, ts
 }
 
+// entryRef names one entry queue: task's entry.
+type entryRef struct {
+	task  int
+	entry string
+}
+
+// footprint classifies an enabled transition for Independent: the entry
+// queue a call appends to (task -1 for none) and the external element
+// an operation acts at ("" for none).
+func (m *machine) footprint(t transition) (call entryRef, ext string) {
+	call.task = -1
+	if t.kind != "step" {
+		return call, ""
+	}
+	st, _ := m.currentStmt(t.task)
+	switch s := st.(type) {
+	case EntryCall:
+		return entryRef{task: m.byName[s.Task], entry: s.Entry}, ""
+	case Op:
+		return call, s.Element
+	}
+	return call, ""
+}
+
+// Independent reports whether two enabled transitions commute. Steps of
+// different tasks do, except two calls to the same entry queue, two
+// operations at the same external element, and a call into a task whose
+// transition is its select's else part (the call may ready an
+// alternative and so disable the else). A call and an accept by the
+// callee commute: the accept pops the head of a non-empty queue, the
+// call appends at its tail.
+func (m *machine) Independent(a, b transition) bool {
+	if a.task == b.task {
+		return false
+	}
+	ac, ax := m.footprint(a)
+	bc, bx := m.footprint(b)
+	switch {
+	case ac.task >= 0 && ac == bc, ax != "" && ax == bx:
+		return false
+	case ac.task >= 0 && b.kind == "selectelse" && b.task == ac.task,
+		bc.task >= 0 && a.kind == "selectelse" && a.task == bc.task:
+		return false
+	}
+	return true
+}
+
 func (m *machine) Apply(t transition) error {
 	switch t.kind {
-	case "accept", "selectaccept":
-		return m.beginRendezvous(t.task, t.accept)
+	case "accept":
+		st, _ := m.currentStmt(t.task)
+		return m.beginRendezvous(t.task, st.(Accept))
+	case "selectaccept":
+		st, _ := m.currentStmt(t.task)
+		return m.beginRendezvous(t.task, st.(Select).Alts[t.alt].Accept)
 	case "selectelse":
 		st, _ := m.currentStmt(t.task)
 		sel := st.(Select)

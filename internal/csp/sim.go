@@ -153,19 +153,21 @@ type offer struct {
 	partner int
 	value   int64  // for sends
 	recvVar string // for receives
-	// selecting this offer commits the process to this continuation:
-	branchBody []Stmt // non-nil when the offer comes from an Alt branch
-	isAlt      bool
+	// branch is the index of the Alt branch whose continuation selecting
+	// this offer commits the process to, or -1 outside an Alt
+	branch int
 }
 
-// transition is either a local step or a matched communication.
+// transition is either a local step or a matched communication. Alt
+// branches are named by index and resolved in Apply, so the value stays
+// comparable.
 type transition struct {
 	kind string // "local", "comm", "altlocal"
 	proc int
 	out  offer // for comm: the sender side
 	inp  offer // for comm: the receiver side
-	// altlocal: selecting a pure-boolean Alt branch
-	branchBody []Stmt
+	// altlocal: the index of the selected pure-boolean Alt branch
+	branch int
 }
 
 // currentStmt returns the process's next statement without consuming it.
@@ -192,8 +194,10 @@ func (m *machine) consumeStmt(proc int) {
 // other enabled transition (their events, if any, occur at the process's
 // own element), so one of them may run eagerly without branching. The
 // branching choices are communications, alternative selections, and
-// operations at shared external elements. With full=true the local steps
-// branch too — the unreduced exploration used to validate the reduction.
+// operations at shared external elements; Independent tells the driver
+// which of them still commute, so its sleep sets can skip the redundant
+// orders. With full=true the local steps branch too — the unreduced
+// exploration used to validate the reduction.
 func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 	var ts []transition
 	var offers []offer
@@ -217,35 +221,35 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 			if q, ok := m.byName[s.To]; ok {
 				offers = append(offers, offer{
 					proc: i, send: true, partner: q,
-					value: s.E.eval(m.procs[i].vars),
+					value: s.E.eval(m.procs[i].vars), branch: -1,
 				})
 			}
 		case Recv:
 			if q, ok := m.byName[s.From]; ok {
-				offers = append(offers, offer{proc: i, send: false, partner: q, recvVar: s.Var})
+				offers = append(offers, offer{proc: i, send: false, partner: q, recvVar: s.Var, branch: -1})
 			}
 		case Alt:
-			for _, br := range s.Branches {
+			for b, br := range s.Branches {
 				if br.Guard != nil && br.Guard.eval(m.procs[i].vars) == 0 {
 					continue
 				}
 				switch comm := br.Comm.(type) {
 				case nil:
-					ts = append(ts, transition{kind: "altlocal", proc: i, branchBody: br.Body})
+					ts = append(ts, transition{kind: "altlocal", proc: i, branch: b})
 				case Send:
 					if q, ok := m.byName[comm.To]; ok {
 						offers = append(offers, offer{
 							proc: i, send: true, partner: q,
-							value:      comm.E.eval(m.procs[i].vars),
-							branchBody: br.Body, isAlt: true,
+							value:  comm.E.eval(m.procs[i].vars),
+							branch: b,
 						})
 					}
 				case Recv:
 					if q, ok := m.byName[comm.From]; ok {
 						offers = append(offers, offer{
 							proc: i, send: false, partner: q,
-							recvVar:    comm.Var,
-							branchBody: br.Body, isAlt: true,
+							recvVar: comm.Var,
+							branch:  b,
 						})
 					}
 				}
@@ -267,15 +271,51 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 	return transition{}, false, ts
 }
 
+// footprint lists the processes an enabled transition moves and the
+// external element it acts at ("" for none).
+func (m *machine) footprint(t transition) (p, q int, ext string) {
+	if t.kind == "comm" {
+		return t.out.proc, t.inp.proc, ""
+	}
+	if op, ok := m.mustStmt(t.proc).(Op); ok {
+		ext = op.Element
+	}
+	return t.proc, t.proc, ext
+}
+
+// Independent reports whether two enabled transitions commute: they do
+// when they move disjoint sets of processes and act at no common
+// external element.
+func (m *machine) Independent(a, b transition) bool {
+	ap, aq, ax := m.footprint(a)
+	bp, bq, bx := m.footprint(b)
+	return ap != bp && ap != bq && aq != bp && aq != bq && (ax == "" || ax != bx)
+}
+
+// mustStmt returns the current statement of a process that has one.
+func (m *machine) mustStmt(proc int) Stmt {
+	st, _ := m.currentStmt(proc)
+	return st
+}
+
+// altBody returns the continuation that selecting branch of proc's
+// current Alt commits it to; branch -1 (no Alt) has none.
+func (m *machine) altBody(proc, branch int) []Stmt {
+	if branch < 0 {
+		return nil
+	}
+	return m.mustStmt(proc).(Alt).Branches[branch].Body
+}
+
 func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "local":
 		return m.stepLocal(t.proc)
 	case "altlocal":
+		body := m.altBody(t.proc, t.branch)
 		m.consumeStmt(t.proc)
-		p := &m.procs[t.proc]
-		if len(t.branchBody) > 0 {
-			p.frames = append(p.frames, frame{block: t.branchBody})
+		if len(body) > 0 {
+			m.procs[t.proc].frames = append(m.procs[t.proc].frames, frame{block: body})
 		}
 		return nil
 	case "comm":
@@ -326,6 +366,8 @@ func (m *machine) stepComm(out, inp offer) error {
 	pName := m.prog.Processes[sender].Name
 	qName := m.prog.Processes[receiver].Name
 
+	outBody := m.altBody(sender, out.branch)
+	inpBody := m.altBody(receiver, inp.branch)
 	m.consumeStmt(sender)
 	m.consumeStmt(receiver)
 
@@ -344,11 +386,11 @@ func (m *machine) stepComm(out, inp offer) error {
 	if inp.recvVar != "" {
 		m.procs[receiver].vars[inp.recvVar] = out.value
 	}
-	if out.isAlt && len(out.branchBody) > 0 {
-		m.procs[sender].frames = append(m.procs[sender].frames, frame{block: out.branchBody})
+	if len(outBody) > 0 {
+		m.procs[sender].frames = append(m.procs[sender].frames, frame{block: outBody})
 	}
-	if inp.isAlt && len(inp.branchBody) > 0 {
-		m.procs[receiver].frames = append(m.procs[receiver].frames, frame{block: inp.branchBody})
+	if len(inpBody) > 0 {
+		m.procs[receiver].frames = append(m.procs[receiver].frames, frame{block: inpBody})
 	}
 	return nil
 }

@@ -11,24 +11,40 @@ import (
 	"gem/internal/obs"
 )
 
-// toy is a machine of independent processes; process i takes left[i]
+// toy is a machine of independent processes; process i takes total[i]
 // steps. A step emits an event at the process's own element, so every
-// interleaving yields the same partial order — unless shared is set, when
-// all steps hit one element and each interleaving is its own computation.
-// With eager set, the first enabled step is reported as invisible.
+// interleaving yields the same partial order — unless shared says the
+// step is at the one shared element x, where the order of steps is part
+// of the computation. With eager set, the first enabled step is reported
+// as invisible.
 type toy struct {
 	Log
-	left      []int
-	shared    bool
-	eager     bool
-	finishErr error
+	total, left []int
+	shared      func(proc, k int) bool // is process proc's k-th step at x?
+	eager       bool
+	finishErr   error
+	finishes    *finishLog
 }
+
+// finishLog counts a toy's Finish calls across all its clones.
+type finishLog struct{ calls, unfinished int }
 
 // step is a toy transition: the index of the process that moves.
 type step int
 
 func newToy(steps ...int) *toy {
-	return &toy{Log: NewLog(len(steps)), left: steps}
+	return &toy{Log: NewLog(len(steps)), total: steps, left: append([]int(nil), steps...), finishes: &finishLog{}}
+}
+
+// allShared puts every step at the shared element.
+func allShared(int, int) bool { return true }
+
+// elem is the element of process p's next step.
+func (m *toy) elem(p step) string {
+	if m.shared != nil && m.shared(int(p), m.total[p]-m.left[p]) {
+		return "x"
+	}
+	return fmt.Sprintf("p%d", p)
 }
 
 func (m *toy) Transitions(full bool) (step, bool, []step) {
@@ -45,13 +61,13 @@ func (m *toy) Transitions(full bool) (step, bool, []step) {
 	return 0, false, ts
 }
 
+// Independent: steps commute exactly when they are at different
+// elements (two processes' private elements, or one private and x).
+func (m *toy) Independent(a, b step) bool { return m.elem(a) != m.elem(b) }
+
 func (m *toy) Apply(s step) error {
+	m.Emit(int(s), m.elem(s), "Step", core.Params{"proc": core.Int(int64(s))})
 	m.left[s]--
-	elem := fmt.Sprintf("p%d", s)
-	if m.shared {
-		elem = "x"
-	}
-	m.Emit(int(s), elem, "Step", core.Params{"proc": core.Int(int64(s))})
 	return nil
 }
 
@@ -63,6 +79,12 @@ func (m *toy) Clone() *toy {
 }
 
 func (m *toy) Finish() (*core.Computation, error) {
+	m.finishes.calls++
+	for _, n := range m.left {
+		if n > 0 {
+			m.finishes.unfinished++
+		}
+	}
 	if m.finishErr != nil {
 		return nil, m.finishErr
 	}
@@ -73,28 +95,128 @@ func collect(m *toy, opts Options) ([]*core.Computation, bool, error) {
 	return Collect(Run[*toy, step], m, opts)
 }
 
-func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
+// counters runs f with a fresh obs collector and returns the explore.*
+// counters it recorded.
+func counters(f func()) map[string]int64 {
 	obs.Enable()
 	defer obs.Disable()
-	// Three interleavings of p0;p0 ∥ p1, one partial order.
-	runs, truncated, err := collect(newToy(2, 1), Options{})
-	if err != nil || truncated {
-		t.Fatalf("err=%v truncated=%v", err, truncated)
-	}
-	if len(runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(runs))
-	}
-	c := runs[0]
-	p0 := c.EventsOf(core.Ref("p0", "Step"))
-	p1 := c.EventsOf(core.Ref("p1", "Step"))
-	if !c.Temporal(p0[0], p0[1]) || !c.Concurrent(p0[0], p1[0]) {
-		t.Error("process chaining wrong: want p0 ordered, p0 ∥ p1")
-	}
+	f()
 	got := obs.Snapshot().Counters
-	for name, want := range map[string]int64{"explore.leaves": 3, "explore.emitted": 1, "explore.dedup": 2} {
-		if got[name] != want {
-			t.Errorf("%s = %d, want %d", name, got[name], want)
+	return map[string]int64{
+		"leaves": got["explore.leaves"], "emitted": got["explore.emitted"],
+		"dedup": got["explore.dedup"], "pruned": got["explore.pruned"],
+	}
+}
+
+func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want map[string]int64
+	}{
+		// Sleep sets reach the one partial order of p0;p0 ∥ p1 once: the
+		// two other interleavings are pruned before their leaves.
+		{Options{}, map[string]int64{"leaves": 1, "emitted": 1, "dedup": 0, "pruned": 2}},
+		// Unreduced, all three interleavings reach a leaf; two are
+		// dropped there as duplicates.
+		{Options{NoReduction: true}, map[string]int64{"leaves": 3, "emitted": 1, "dedup": 2, "pruned": 0}},
+	} {
+		var runs []*core.Computation
+		var err error
+		var truncated bool
+		got := counters(func() { runs, truncated, err = collect(newToy(2, 1), tc.opts) })
+		if err != nil || truncated {
+			t.Fatalf("err=%v truncated=%v", err, truncated)
 		}
+		if len(runs) != 1 {
+			t.Fatalf("got %d runs, want 1", len(runs))
+		}
+		c := runs[0]
+		p0 := c.EventsOf(core.Ref("p0", "Step"))
+		p1 := c.EventsOf(core.Ref("p1", "Step"))
+		if !c.Temporal(p0[0], p0[1]) || !c.Concurrent(p0[0], p1[0]) {
+			t.Error("process chaining wrong: want p0 ordered, p0 ∥ p1")
+		}
+		for name, want := range tc.want {
+			if got[name] != want {
+				t.Errorf("NoReduction=%v: explore.%s = %d, want %d", tc.opts.NoReduction, name, got[name], want)
+			}
+		}
+	}
+}
+
+// emittedSeq explores m and renders the emitted runs in emission order.
+func emittedSeq(t *testing.T, m *toy, opts Options) []string {
+	t.Helper()
+	var out []string
+	if _, err := Run[*toy, step](m, opts, func(c *core.Computation) bool {
+		out = append(out, renderComp(c))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// renderComp renders a computation in event-ID order, edges included.
+func renderComp(c *core.Computation) string {
+	var sb strings.Builder
+	for _, e := range c.Events() {
+		fmt.Fprintf(&sb, "%s^%d%v>%v;", e.Element, e.Seq, e.Params, c.Enabled(e.ID))
+	}
+	return sb.String()
+}
+
+// TestSleepSetsKeepTheEmittedSequence: on toys mixing shared and private
+// steps, sleep sets emit exactly the unreduced exploration's runs, in
+// the same order, while reaching fewer leaves.
+func TestSleepSetsKeepTheEmittedSequence(t *testing.T) {
+	patterns := map[string]func(proc, k int) bool{
+		"alternating":  func(p, k int) bool { return (p+k)%2 == 0 },
+		"first-only":   func(_, k int) bool { return k == 0 },
+		"proc-0-and-2": func(p, _ int) bool { return p != 1 },
+		"last-two":     func(p, k int) bool { return k >= 1 && p < 3 },
+	}
+	for name, shared := range patterns {
+		t.Run(name, func(t *testing.T) {
+			mk := func() *toy {
+				m := newToy(2, 1, 2, 1)
+				m.shared = shared
+				return m
+			}
+			var reduced, full []string
+			cr := counters(func() { reduced = emittedSeq(t, mk(), Options{}) })
+			cf := counters(func() { full = emittedSeq(t, mk(), Options{NoReduction: true}) })
+			if strings.Join(reduced, "\n") != strings.Join(full, "\n") {
+				t.Fatalf("emitted sequences differ: reduced %d runs, unreduced %d", len(reduced), len(full))
+			}
+			if cr["leaves"] >= cf["leaves"] || cr["pruned"] == 0 {
+				t.Errorf("sleep sets pruned nothing: reduced %v, unreduced %v", cr, cf)
+			}
+		})
+	}
+}
+
+// TestPrunedNodesAreNeverFinished: a node whose branches are all asleep
+// is not a leaf; Finish is called once per emitted run, always on a
+// terminal state.
+func TestPrunedNodesAreNeverFinished(t *testing.T) {
+	m := newToy(2, 1, 1)
+	var runs []*core.Computation
+	got := counters(func() {
+		var err error
+		if runs, _, err = collect(m, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got["pruned"] == 0 {
+		t.Fatalf("no pruned node: %v", got)
+	}
+	if m.finishes.calls != len(runs) || m.finishes.unfinished != 0 {
+		t.Errorf("Finish called %d times (%d on unfinished states), want %d, 0",
+			m.finishes.calls, m.finishes.unfinished, len(runs))
+	}
+	if got["leaves"] != int64(len(runs)) {
+		t.Errorf("explore.leaves = %d, want one per run (%d)", got["leaves"], len(runs))
 	}
 }
 
@@ -122,7 +244,7 @@ func TestEagerStepsDoNotBranch(t *testing.T) {
 
 func TestDistinctOrdersAtASharedElement(t *testing.T) {
 	m := newToy(1, 1, 1)
-	m.shared = true
+	m.shared = allShared
 	runs, _, err := collect(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +256,7 @@ func TestDistinctOrdersAtASharedElement(t *testing.T) {
 
 func TestMaxRunsTruncates(t *testing.T) {
 	m := newToy(1, 1, 1)
-	m.shared = true
+	m.shared = allShared
 	runs, truncated, err := collect(m, Options{MaxRuns: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +266,23 @@ func TestMaxRunsTruncates(t *testing.T) {
 	}
 }
 
+// TestMaxRunsReachedExactlyIsNotTruncation: a program with exactly
+// MaxRuns distinct runs loses nothing, so it is not truncated.
+func TestMaxRunsReachedExactlyIsNotTruncation(t *testing.T) {
+	m := newToy(1, 1)
+	m.shared = allShared
+	runs, truncated, err := collect(m, Options{MaxRuns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truncated || len(runs) != 2 {
+		t.Fatalf("runs=%d truncated=%v, want 2 runs, not truncated", len(runs), truncated)
+	}
+}
+
 func TestYieldFalseStops(t *testing.T) {
 	m := newToy(1, 1, 1)
-	m.shared = true
+	m.shared = allShared
 	n := 0
 	truncated, err := Run[*toy, step](m, Options{}, func(*core.Computation) bool {
 		n++
@@ -189,7 +325,7 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	m := newToy(1, 1, 1)
-	m.shared = true
+	m.shared = allShared
 	n := 0
 	_, err := Run[*toy, step](m, Options{Ctx: ctx}, func(*core.Computation) bool {
 		n++

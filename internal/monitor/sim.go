@@ -200,9 +200,11 @@ type transition struct {
 // of scheduling: process-local ops and entry calls (events at the
 // process's own element), the monitor holder's internal steps, and the
 // forced urgent resume. One invisible transition may be executed eagerly
-// without branching. The branching choices that remain are exactly the
-// semantically distinct ones: which queued caller enters the free
-// monitor, and the order of operations at shared external elements.
+// without branching. The branching choices that remain are which queued
+// caller enters the free monitor and the order of operations at shared
+// external elements; Independent tells the driver which of them still
+// commute (a grant and another process's external operation, say), so
+// its sleep sets can skip the redundant orders.
 //
 // With full=true every enabled transition is collected into branches —
 // the unreduced exploration used to validate the reduction.
@@ -245,6 +247,38 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 		}
 	}
 	return transition{}, false, branches
+}
+
+// footprint classifies an enabled transition for Independent: whether
+// it acts on the monitor (a grant, the urgent resume or a step of the
+// holder), the external element it operates at ("" for none), and
+// whether it is an entry call, which appends to the entry queue.
+func (m *machine) footprint(t transition) (monitor bool, ext string, call bool) {
+	if t.kind != "step" || m.holder == t.proc {
+		return true, "", false
+	}
+	switch s := m.prog.Processes[t.proc].Body[m.procs[t.proc].bodyIdx].(type) {
+	case Op:
+		return false, s.Element, false
+	case Call:
+		return false, "", true
+	}
+	return false, "", false
+}
+
+// Independent reports whether two enabled transitions commute. Steps of
+// different processes do, unless both act on the monitor, both are
+// operations at the same external element, or both are entry calls
+// (whose order fixes the entry queue's). In particular a grant commutes
+// with another process's operation at an external element or entry
+// call, and operations at different external elements commute.
+func (m *machine) Independent(a, b transition) bool {
+	if a.proc == b.proc {
+		return false
+	}
+	am, ax, ac := m.footprint(a)
+	bm, bx, bc := m.footprint(b)
+	return !(am && bm) && !(ac && bc) && (ax == "" || ax != bx)
 }
 
 func (m *machine) Apply(t transition) error {

@@ -149,7 +149,8 @@ type transition struct {
 }
 
 // Transitions branches over every originate and every delivery; nothing
-// runs eagerly.
+// runs eagerly. Independent lets the driver's sleep sets skip the orders
+// of steps at unrelated sites.
 func (st *state) Transitions(bool) (transition, bool, []transition) {
 	var ts []transition
 	for i, q := range st.pendingUpdates {
@@ -173,6 +174,27 @@ func (st *state) Transitions(bool) (transition, bool, []transition) {
 		ts = append(ts, transition{kind: "deliver", ch: ch})
 	}
 	return transition{}, false, ts
+}
+
+// actsOn is the site whose replica and clock t changes: an originate's
+// own site, a delivery's receiving site.
+func (t transition) actsOn() int {
+	if t.kind == "originate" {
+		return t.site
+	}
+	return t.ch[1]
+}
+
+// Independent reports whether two enabled transitions commute: they do
+// when they act on different sites, unless one originates at the site
+// the other's channel leaves from (the broadcast's Send and the
+// delivery's Recv are events at the same channel element, so their
+// order is part of the computation).
+func (st *state) Independent(a, b transition) bool {
+	feeds := func(o, d transition) bool {
+		return o.kind == "originate" && d.kind == "deliver" && d.ch[0] == o.site
+	}
+	return a.actsOn() != b.actsOn() && !feeds(a, b) && !feeds(b, a)
 }
 
 func (st *state) Apply(t transition) error {

@@ -3,12 +3,14 @@ package dbupdate
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"gem/internal/core"
 	"gem/internal/explore"
 	"gem/internal/legal"
 	"gem/internal/logic"
+	"gem/internal/obs"
 )
 
 func stdConfig() Config {
@@ -186,4 +188,44 @@ func TestExplorationBounds(t *testing.T) {
 	if _, _, err := Explore(cfg, ExploreOptions{Options: explore.Options{Ctx: ctx}}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 	}
+}
+
+// TestReductionPreservesComputations is dbupdate's reduction oracle.
+// Sleep sets are its only reduction (nothing runs eagerly), so the
+// default exploration must emit exactly NoReduction's computations, in
+// the same order, while reaching fewer complete schedules. The second
+// configuration originates twice at one site, so a broadcast can race
+// a delivery on the same channel.
+func TestReductionPreservesComputations(t *testing.T) {
+	for _, cfg := range []Config{
+		stdConfig(),
+		{Sites: 2, Updates: []Update{{Site: 0, Value: 7}, {Site: 0, Value: 8}, {Site: 1, Value: 9}}},
+	} {
+		reductionOracle(t, cfg)
+	}
+}
+
+func reductionOracle(t *testing.T, cfg Config) {
+	explored := func(opts explore.Options) ([]string, int64) {
+		obs.Enable()
+		defer obs.Disable()
+		runs, truncated, err := Explore(cfg, ExploreOptions{Options: opts})
+		if err != nil || truncated {
+			t.Fatalf("truncated=%v err=%v", truncated, err)
+		}
+		var out []string
+		for _, r := range runs {
+			out = append(out, r.Comp.String())
+		}
+		return out, obs.Snapshot().Counters["explore.leaves"]
+	}
+	reduced, reducedLeaves := explored(explore.Options{})
+	full, fullLeaves := explored(explore.Options{NoReduction: true})
+	if strings.Join(reduced, "\n") != strings.Join(full, "\n") {
+		t.Fatalf("%+v: reduced emits %d computations, unreduced %d, or in another order", cfg, len(reduced), len(full))
+	}
+	if reducedLeaves >= fullLeaves {
+		t.Errorf("%+v: sleep sets reached %d leaves, unreduced %d: nothing pruned", cfg, reducedLeaves, fullLeaves)
+	}
+	t.Logf("%+v: %d computations, %d leaves reduced, %d unreduced", cfg, len(full), reducedLeaves, fullLeaves)
 }

@@ -88,6 +88,19 @@ if grep -q 'engine\.lattice\.fallback' "$tracedir/verify.stats"; then
 	grep 'engine\.lattice\.fallback' "$tracedir/verify.stats" >&2
 	exit 1
 fi
+echo "==> exploration redundancy gate: each computation reached once, not once per interleaving"
+# The matrix and its refutations emit 217 distinct computations. Without
+# sleep sets the explorer reached 3,709 complete schedules to find them;
+# with them it reaches 217. An edit to the driver or to a language's
+# Independent method that lets redundant interleavings back in fails
+# here, as does one that loses a computation.
+go run ./cmd/gemverify -j 1 -cache off -stats >/dev/null 2>"$tracedir/explore.stats"
+leaves="$(awk '$1 == "explore.leaves" {print $2}' "$tracedir/explore.stats")"
+emitted="$(awk '$1 == "explore.emitted" {print $2}' "$tracedir/explore.stats")"
+if [ "${emitted:-0}" -ne 217 ] || [ "${leaves:-999999}" -gt 217 ]; then
+	echo "==> FAIL: explore.leaves = ${leaves:-missing}, explore.emitted = ${emitted:-missing}; want 217 and 217" >&2
+	exit 1
+fi
 echo "==> incremental store smoke: warm repeat hits, identical verdicts and SARIF"
 cachedir="$tracedir/cache"
 go run ./cmd/gemverify -engine lattice -j 2 -cache rw -cache-dir "$cachedir" \
