@@ -19,8 +19,9 @@ import (
 // to kill the process before pprof.StopCPUProfile ran, leaving a
 // truncated gzip stream no tool could read. With the signal-aware
 // context the command must instead exit non-zero with an "interrupted"
-// error while the profile and the trace file are complete and
-// parseable.
+// error while both profiles and the trace file are complete and
+// parseable. The heap profile guards a second bug: it used to be
+// written only on the success path, so an interrupted run left none.
 //
 // The subprocess is interrupted partway through the rw matrix. The
 // sleep before the signal is halved on every attempt that completes
@@ -38,8 +39,9 @@ func TestInterruptFlushesProfileAndTrace(t *testing.T) {
 
 	for attempt, sleep := 0, 50*time.Millisecond; attempt < 5; attempt, sleep = attempt+1, sleep/2 {
 		cpu := filepath.Join(dir, "cpu.pprof")
+		mem := filepath.Join(dir, "mem.pprof")
 		trace := filepath.Join(dir, "trace.json")
-		cmd := exec.Command(bin, "-j", "1", "-cpuprofile="+cpu, "-trace="+trace, "rw")
+		cmd := exec.Command(bin, "-j", "1", "-cpuprofile="+cpu, "-memprofile="+mem, "-trace="+trace, "rw")
 		cmd.Stdout = io.Discard
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
@@ -63,36 +65,38 @@ func TestInterruptFlushesProfileAndTrace(t *testing.T) {
 		if !strings.Contains(stderr.String(), "interrupted") {
 			t.Errorf("stderr does not report the interruption:\n%s", stderr.String())
 		}
-		checkCPUProfile(t, cpu)
+		checkProfile(t, "cpu", cpu)
+		checkProfile(t, "heap", mem)
 		checkTraceFile(t, trace)
 		return
 	}
 	t.Fatal("gemcheck finished before every signal attempt; could not exercise the interrupt path")
 }
 
-// checkCPUProfile asserts the profile is a complete gzip stream (pprof
+// checkProfile asserts the profile is a complete gzip stream (pprof
 // profiles are gzipped protobuf); a profile truncated by the old SIGINT
-// handling fails the decode with an unexpected EOF.
-func checkCPUProfile(t *testing.T, path string) {
+// handling fails the decode with an unexpected EOF, and one never
+// written fails the open.
+func checkProfile(t *testing.T, kind, path string) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("cpu profile missing after interrupt: %v", err)
+		t.Fatalf("%s profile missing after interrupt: %v", kind, err)
 	}
 	defer f.Close()
 	zr, err := gzip.NewReader(f)
 	if err != nil {
-		t.Fatalf("cpu profile is not a gzip stream: %v", err)
+		t.Fatalf("%s profile is not a gzip stream: %v", kind, err)
 	}
 	raw, err := io.ReadAll(zr)
 	if err != nil {
-		t.Fatalf("cpu profile is truncated: %v", err)
+		t.Fatalf("%s profile is truncated: %v", kind, err)
 	}
 	if cerr := zr.Close(); cerr != nil {
-		t.Fatalf("cpu profile gzip checksum invalid: %v", cerr)
+		t.Fatalf("%s profile gzip checksum invalid: %v", kind, cerr)
 	}
 	if len(raw) == 0 {
-		t.Fatal("cpu profile is empty")
+		t.Fatalf("%s profile is empty", kind)
 	}
 }
 

@@ -81,12 +81,17 @@ func run(args []string) (err error) {
 		obs.Enable()
 	}
 	// Registered before the CPU profile starts so the LIFO defer order
-	// stops the profile first, then flushes the trace/stats — an
-	// interrupted run still produces a parseable profile and a valid
-	// (truncated) trace.
+	// stops the profile first, then writes the heap profile and flushes
+	// the trace/stats — an interrupted or failing run still produces
+	// parseable profiles and a valid (truncated) trace.
 	defer func() {
 		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
 			err = ferr
+		}
+	}()
+	defer func() {
+		if herr := profiling.WriteHeap(*memprofile); herr != nil && err == nil {
+			err = herr
 		}
 	}()
 	stopCPU, err := profiling.StartCPU(*cpuprofile)
@@ -119,10 +124,7 @@ func run(args []string) (err error) {
 	if ctx.Err() != nil {
 		return fmt.Errorf("interrupted (partial results): %w", context.Cause(ctx))
 	}
-	if err != nil {
-		return err
-	}
-	return profiling.WriteHeap(*memprofile)
+	return err
 }
 
 // prelint runs the gemlint static analyses over a problem specification

@@ -65,9 +65,16 @@ func run(args []string) (err error) {
 	if *trace != "" || *stats {
 		obs.Enable()
 	}
+	// LIFO: the CPU profile stops first, then the heap profile and the
+	// trace/stats are written, on every return path.
 	defer func() {
 		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
 			err = ferr
+		}
+	}()
+	defer func() {
+		if herr := profiling.WriteHeap(*memprofile); herr != nil && err == nil {
+			err = herr
 		}
 	}()
 	stopCPU, err := profiling.StartCPU(*cpuprofile)
@@ -98,7 +105,7 @@ func run(args []string) (err error) {
 			return rerr
 		}
 		fmt.Printf("replayed %d corpus entries of campaign %s: engines agree on all\n", entries, *replay)
-		return profiling.WriteHeap(*memprofile)
+		return nil
 	}
 
 	rep, cerr := mutate.Run(mutate.Config{
@@ -120,9 +127,6 @@ func run(args []string) (err error) {
 		rep.RenderVerbose(os.Stdout)
 	} else {
 		rep.Render(os.Stdout)
-	}
-	if err := profiling.WriteHeap(*memprofile); err != nil {
-		return err
 	}
 	if len(rep.Findings) > 0 {
 		return fmt.Errorf("%d finding(s): engines disagree or a witness failed validation", len(rep.Findings))

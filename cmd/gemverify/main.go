@@ -48,6 +48,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -61,13 +62,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gemverify:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
+// run executes gemverify with the given arguments, writing the matrix
+// and refutation tables to stdout.
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gemverify", flag.ContinueOnError)
 	j := fs.Int("j", runtime.NumCPU(), "checking parallelism (1 = sequential engine)")
 	engineName := fs.String("engine", "auto", "temporal evaluation engine: auto, lattice or seq")
@@ -89,11 +92,17 @@ func run(args []string) (err error) {
 		obs.Enable()
 	}
 	// Registered before the CPU profile starts so the LIFO defer order
-	// stops the profile first, then flushes the trace/stats — both run
-	// even when the context below was cancelled mid-matrix.
+	// stops the profile first, then writes the heap profile and flushes
+	// the trace/stats — all of them run on every return path, including
+	// a failing matrix and a context cancelled mid-matrix.
 	defer func() {
 		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
 			err = ferr
+		}
+	}()
+	defer func() {
+		if herr := profiling.WriteHeap(*memprofile); herr != nil && err == nil {
+			err = herr
 		}
 	}()
 	stopCPU, err := profiling.StartCPU(*cpuprofile)
@@ -113,7 +122,7 @@ func run(args []string) (err error) {
 	if st != nil {
 		opts.Cache = st
 	}
-	cells, merr := check.RunMatrixCells(os.Stdout, opts)
+	cells, merr := check.RunMatrixCells(stdout, opts)
 	// The SARIF log is written even for a failing matrix — the failures
 	// are exactly what it exists to report.
 	if serr := writeSARIF(*sarif, cells); serr != nil && merr == nil {
@@ -122,11 +131,8 @@ func run(args []string) (err error) {
 	if merr != nil {
 		return merr
 	}
-	fmt.Println("\nnegative controls (must be refuted):")
-	if err := check.RunRefutations(os.Stdout, opts); err != nil {
-		return err
-	}
-	return profiling.WriteHeap(*memprofile)
+	fmt.Fprintln(stdout, "\nnegative controls (must be refuted):")
+	return check.RunRefutations(stdout, opts)
 }
 
 // writeSARIF renders the matrix cells as a SARIF log: one GEM017 result

@@ -28,16 +28,7 @@ type ExistsUniqueIn struct {
 
 // Eval implements Formula.
 func (f ExistsUniqueIn) Eval(env *Env) bool {
-	count := 0
-	for _, id := range unionDomain(env, f.Refs) {
-		if f.Body.Eval(env.bind(f.Var, id)) {
-			count++
-			if count > 1 {
-				return false
-			}
-		}
-	}
-	return count == 1
+	return countEvents(env, f.Var, unionDomain(env, f.Refs), f.Body) == 1
 }
 func (f ExistsUniqueIn) String() string {
 	return fmt.Sprintf("(EXISTS1 %s: {%s}) %s", f.Var, refList(f.Refs), f.Body)
@@ -53,12 +44,7 @@ type ForAllIn struct {
 
 // Eval implements Formula.
 func (f ForAllIn) Eval(env *Env) bool {
-	for _, id := range unionDomain(env, f.Refs) {
-		if !f.Body.Eval(env.bind(f.Var, id)) {
-			return false
-		}
-	}
-	return true
+	return !someEvent(env, f.Var, unionDomain(env, f.Refs), f.Body, false)
 }
 func (f ForAllIn) String() string {
 	return fmt.Sprintf("(FORALL %s: {%s}) %s", f.Var, refList(f.Refs), f.Body)

@@ -77,15 +77,7 @@ type Box struct{ F Formula }
 
 // Eval implements Formula.
 func (f Box) Eval(env *Env) bool {
-	if env.Seq == nil {
-		return f.F.Eval(env)
-	}
-	for i := env.Idx; i < len(env.Seq); i++ {
-		if !f.F.Eval(env.at(i)) {
-			return false
-		}
-	}
-	return true
+	return !somePosition(env, f.F, false)
 }
 func (f Box) String() string { return "[](" + f.F.String() + ")" }
 
@@ -95,17 +87,27 @@ type Diamond struct{ F Formula }
 
 // Eval implements Formula.
 func (f Diamond) Eval(env *Env) bool {
-	if env.Seq == nil {
-		return f.F.Eval(env)
-	}
-	for i := env.Idx; i < len(env.Seq); i++ {
-		if f.F.Eval(env.at(i)) {
-			return true
-		}
-	}
-	return false
+	return somePosition(env, f.F, true)
 }
 func (f Diamond) String() string { return "<>(" + f.F.String() + ")" }
+
+// somePosition reports whether f evaluates to want at some position from
+// the current one onward, trying them in order and stopping at the first;
+// outside a sequence the current history is the only position. The
+// position is moved in place and restored on every return path.
+func somePosition(env *Env, f Formula, want bool) bool {
+	if env.Seq == nil {
+		return f.Eval(env) == want
+	}
+	idx, h := env.Idx, env.H
+	found := false
+	for i := idx; i < len(env.Seq) && !found; i++ {
+		env.Idx, env.H = i, env.Seq[i]
+		found = f.Eval(env) == want
+	}
+	env.Idx, env.H = idx, h
+	return found
+}
 
 // HasTemporal reports whether the formula contains a Box or Diamond
 // operator anywhere; such formulae must be checked over history sequences

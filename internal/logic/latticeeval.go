@@ -483,53 +483,51 @@ func (ev *latticeEval) evalImplies(ifF, thenF Formula, env *Env) approx {
 
 // quantEnvs materializes a quantifier node's bound environments and
 // returns its body. Binding domains are history-independent, so the
-// evaluator distributes over them like finite junctions.
+// evaluator distributes over them like finite junctions. The children
+// are alive together — evalUnique and evalAtMostOne evaluate every one
+// before combining, refute and witness recurse into a chosen one — so
+// each owns its binding stack (Env.bind copies it) rather than sharing
+// the parent's backing array.
 func quantEnvs(env *Env, f Formula) (Formula, []*Env) {
-	var envs []*Env
 	switch g := f.(type) {
 	case ForAll:
-		for _, id := range classDomain(env, g.Ref) {
-			envs = append(envs, env.bind(g.Var, id))
-		}
-		return g.Body, envs
+		return g.Body, bindEach(env, g.Var, classDomain(env, g.Ref))
 	case Exists:
-		for _, id := range classDomain(env, g.Ref) {
-			envs = append(envs, env.bind(g.Var, id))
-		}
-		return g.Body, envs
+		return g.Body, bindEach(env, g.Var, classDomain(env, g.Ref))
 	case ExistsUnique:
-		for _, id := range classDomain(env, g.Ref) {
-			envs = append(envs, env.bind(g.Var, id))
-		}
-		return g.Body, envs
+		return g.Body, bindEach(env, g.Var, classDomain(env, g.Ref))
 	case AtMostOne:
-		for _, id := range classDomain(env, g.Ref) {
-			envs = append(envs, env.bind(g.Var, id))
-		}
-		return g.Body, envs
+		return g.Body, bindEach(env, g.Var, classDomain(env, g.Ref))
 	case ForAllIn:
-		for _, id := range unionDomain(env, g.Refs) {
-			envs = append(envs, env.bind(g.Var, id))
-		}
-		return g.Body, envs
+		return g.Body, bindEach(env, g.Var, unionDomain(env, g.Refs))
 	case ExistsUniqueIn:
-		for _, id := range unionDomain(env, g.Refs) {
-			envs = append(envs, env.bind(g.Var, id))
-		}
-		return g.Body, envs
+		return g.Body, bindEach(env, g.Var, unionDomain(env, g.Refs))
 	case ForAllThread:
-		for _, tid := range threadDomain(env, g.Type) {
-			envs = append(envs, env.bindThread(g.Var, tid))
-		}
-		return g.Body, envs
+		return g.Body, bindEachThread(env, g.Var, threadDomain(env, g.Type))
 	case ExistsThread:
-		for _, tid := range threadDomain(env, g.Type) {
-			envs = append(envs, env.bindThread(g.Var, tid))
-		}
-		return g.Body, envs
+		return g.Body, bindEachThread(env, g.Var, threadDomain(env, g.Type))
 	default:
 		panic(fmt.Sprintf("logic: not a quantifier: %s", f))
 	}
+}
+
+// bindEach returns one child environment per event of dom, binding v.
+func bindEach(env *Env, v string, dom []core.EventID) []*Env {
+	envs := make([]*Env, len(dom))
+	for i, id := range dom {
+		envs[i] = env.bind(v, id)
+	}
+	return envs
+}
+
+// bindEachThread returns one child environment per thread of dom,
+// binding v.
+func bindEachThread(env *Env, v string, dom []string) []*Env {
+	envs := make([]*Env, len(dom))
+	for i, tid := range dom {
+		envs[i] = env.bindThread(v, tid)
+	}
+	return envs
 }
 
 // evalQuant folds a quantifier's bound bodies like a junction. The body

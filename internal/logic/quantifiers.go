@@ -49,6 +49,55 @@ func threadDomain(env *Env, threadType string) []string {
 	return out
 }
 
+// someEvent reports whether body evaluates to want with v bound to some
+// event of dom, trying them in order and stopping at the first. v is
+// bound in place: one slot is pushed, overwritten per event and popped
+// on every return path.
+func someEvent(env *Env, v string, dom []core.EventID, body Formula, want bool) bool {
+	slot := env.push(v, false)
+	for _, id := range dom {
+		env.binds[slot].id = id
+		if body.Eval(env) == want {
+			env.pop()
+			return true
+		}
+	}
+	env.pop()
+	return false
+}
+
+// countEvents counts the events of dom satisfying body with v bound to
+// them, stopping at two: the counting quantifiers only distinguish none,
+// one and more than one.
+func countEvents(env *Env, v string, dom []core.EventID, body Formula) int {
+	slot := env.push(v, false)
+	count := 0
+	for _, id := range dom {
+		env.binds[slot].id = id
+		if body.Eval(env) {
+			if count++; count > 1 {
+				break
+			}
+		}
+	}
+	env.pop()
+	return count
+}
+
+// someThread is someEvent for a thread variable.
+func someThread(env *Env, v string, dom []string, body Formula, want bool) bool {
+	slot := env.push(v, true)
+	for _, tid := range dom {
+		env.binds[slot].tid = tid
+		if body.Eval(env) == want {
+			env.pop()
+			return true
+		}
+	}
+	env.pop()
+	return false
+}
+
 // ForAll is universal quantification of an event variable over an event
 // class: (∀ v: Ref) Body.
 type ForAll struct {
@@ -59,12 +108,7 @@ type ForAll struct {
 
 // Eval implements Formula.
 func (f ForAll) Eval(env *Env) bool {
-	for _, id := range classDomain(env, f.Ref) {
-		if !f.Body.Eval(env.bind(f.Var, id)) {
-			return false
-		}
-	}
-	return true
+	return !someEvent(env, f.Var, classDomain(env, f.Ref), f.Body, false)
 }
 func (f ForAll) String() string {
 	return fmt.Sprintf("(FORALL %s: %s) %s", f.Var, f.Ref, f.Body)
@@ -79,12 +123,7 @@ type Exists struct {
 
 // Eval implements Formula.
 func (f Exists) Eval(env *Env) bool {
-	for _, id := range classDomain(env, f.Ref) {
-		if f.Body.Eval(env.bind(f.Var, id)) {
-			return true
-		}
-	}
-	return false
+	return someEvent(env, f.Var, classDomain(env, f.Ref), f.Body, true)
 }
 func (f Exists) String() string {
 	return fmt.Sprintf("(EXISTS %s: %s) %s", f.Var, f.Ref, f.Body)
@@ -100,16 +139,7 @@ type ExistsUnique struct {
 
 // Eval implements Formula.
 func (f ExistsUnique) Eval(env *Env) bool {
-	count := 0
-	for _, id := range classDomain(env, f.Ref) {
-		if f.Body.Eval(env.bind(f.Var, id)) {
-			count++
-			if count > 1 {
-				return false
-			}
-		}
-	}
-	return count == 1
+	return countEvents(env, f.Var, classDomain(env, f.Ref), f.Body) == 1
 }
 func (f ExistsUnique) String() string {
 	return fmt.Sprintf("(EXISTS1 %s: %s) %s", f.Var, f.Ref, f.Body)
@@ -124,16 +154,7 @@ type AtMostOne struct {
 
 // Eval implements Formula.
 func (f AtMostOne) Eval(env *Env) bool {
-	count := 0
-	for _, id := range classDomain(env, f.Ref) {
-		if f.Body.Eval(env.bind(f.Var, id)) {
-			count++
-			if count > 1 {
-				return false
-			}
-		}
-	}
-	return true
+	return countEvents(env, f.Var, classDomain(env, f.Ref), f.Body) <= 1
 }
 func (f AtMostOne) String() string {
 	return fmt.Sprintf("(ATMOST1 %s: %s) %s", f.Var, f.Ref, f.Body)
@@ -149,12 +170,7 @@ type ForAllThread struct {
 
 // Eval implements Formula.
 func (f ForAllThread) Eval(env *Env) bool {
-	for _, tid := range threadDomain(env, f.Type) {
-		if !f.Body.Eval(env.bindThread(f.Var, tid)) {
-			return false
-		}
-	}
-	return true
+	return !someThread(env, f.Var, threadDomain(env, f.Type), f.Body, false)
 }
 func (f ForAllThread) String() string {
 	return fmt.Sprintf("(FORALLTHREAD %s: %s) %s", f.Var, f.Type, f.Body)
@@ -169,12 +185,7 @@ type ExistsThread struct {
 
 // Eval implements Formula.
 func (f ExistsThread) Eval(env *Env) bool {
-	for _, tid := range threadDomain(env, f.Type) {
-		if f.Body.Eval(env.bindThread(f.Var, tid)) {
-			return true
-		}
-	}
-	return false
+	return someThread(env, f.Var, threadDomain(env, f.Type), f.Body, true)
 }
 func (f ExistsThread) String() string {
 	return fmt.Sprintf("(EXISTSTHREAD %s: %s) %s", f.Var, f.Type, f.Body)

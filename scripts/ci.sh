@@ -126,6 +126,12 @@ go build -o "$tracedir/gemmut" ./cmd/gemmut
 "$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache off >"$tracedir/mut.j4.out"
 cmp "$tracedir/mut.j1.out" "$tracedir/mut.j4.out"
 grep -q 'findings: none' "$tracedir/mut.j1.out"
+echo "==> mutation campaign gate: the benchmark's 2000-mutant campaign, zero findings"
+# The campaign the repository benchmark runs. Its three-engine
+# cross-check over thousands of small specs is the broadest oracle an
+# evaluator change has; it takes about half a second.
+"$tracedir/gemmut" -n 2000 -seed 11 -j 2 -cache off >"$tracedir/mut2000.out"
+grep -q 'findings: none' "$tracedir/mut2000.out"
 echo "==> mutation corpus smoke: persisted campaign replays with engine agreement"
 "$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache rw -cache-dir "$tracedir/mutcache" >/dev/null
 "$tracedir/gemmut" -replay gemmut -cache rw -cache-dir "$tracedir/mutcache" | grep -q 'engines agree on all'
