@@ -255,9 +255,9 @@ func BenchmarkE6ProblemSpecs(b *testing.B) {
 
 // BenchmarkE7Matrix runs the full Section 11 verification matrix: three
 // languages × three problems, each exhaustively explored and checked
-// with the sat methodology. j=1 is the sequential pipeline (materialize,
-// then check); higher j streams runs into a sat-check worker pool with
-// the shared history-lattice cache. The engine=seq variant pins the
+// with the sat methodology. Every run is checked as it is explored: at
+// j=1 on the exploring goroutine, at higher j on a sat-check worker pool
+// (fanout.First), with the shared history-lattice cache either way. The engine=seq variant pins the
 // historical sequence cascade; the plain j entries use the default auto
 // engine (lattice fixpoint evaluation where the fragment allows).
 func BenchmarkE7Matrix(b *testing.B) {

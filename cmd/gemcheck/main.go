@@ -7,17 +7,18 @@
 //	gemcheck distributed — dbupdate convergence and Life equivalence (E8)
 //
 // The -j flag (default NumCPU) sets the checking parallelism for the rw
-// matrix; -j1 reproduces the sequential engine exactly. The -engine flag
-// selects the temporal evaluation engine (auto and lattice use the
-// lattice fixpoint engine with lattice-native counterexamples, falling
-// back to sequence enumeration only on inconclusive bounds; seq is the
-// enumeration oracle — all report identical verdicts),
-// and -cpuprofile/-memprofile write pprof
-// profiles for performance work. -trace writes a Chrome trace-event
-// JSON file (load in chrome://tracing or Perfetto) and -stats prints
-// span/counter statistics to stderr. -cache (off, ro or rw; default rw)
-// and -cache-dir control the persistent result store used by the rw
-// matrix; the table is identical with the cache on, off, warm or cold.
+// matrix: -j1 checks each run on the exploring goroutine, -j N on N
+// workers (fanout.First), and the table is the same at every -j. The
+// -engine flag selects the temporal evaluation engine (auto and lattice
+// use the lattice fixpoint engine with lattice-native counterexamples,
+// falling back to sequence enumeration only on inconclusive bounds; seq
+// is the enumeration oracle — all report identical verdicts), and
+// -cpuprofile/-memprofile write pprof profiles for performance work.
+// -trace writes a Chrome trace-event JSON file (load in chrome://tracing
+// or Perfetto) and -stats prints span/counter statistics to stderr.
+// -cache (off, ro or rw; default rw) and -cache-dir control the
+// persistent result store used by the rw matrix; the table is identical
+// with the cache on, off, warm or cold.
 //
 // SIGINT (Ctrl-C) interrupts a long rw matrix cleanly: the exploration
 // and the checking pool stop promptly, the command exits non-zero with
@@ -33,10 +34,10 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"gem/internal/core"
+	"gem/internal/fanout"
 	"gem/internal/history"
 	"gem/internal/lint"
 	"gem/internal/logic"
@@ -201,12 +202,13 @@ func histories() error {
 }
 
 // rwMatrix checks every Readers/Writers monitor variant against the
-// property set. With j > 1 each workload's runs are streamed out of the
-// simulator into a pool of property-checking workers; the aggregated
-// booleans are order-independent, so the table is identical at any j.
-// A cancelled ctx stops the exploration and the workers promptly; the
-// caller reports the interruption. cache, when non-nil, serves property
-// verdicts from the persistent store; the table is identical either way.
+// property set, each run as the simulator emits it (fanout.First): on
+// the exploring goroutine with j = 1, on a pool of j property-checking
+// workers otherwise. The aggregated booleans are order-independent, so
+// the table is identical at any j. A cancelled ctx stops the
+// exploration and the workers promptly; the caller reports the
+// interruption. cache, when non-nil, serves property verdicts from the
+// persistent store; the table is identical either way.
 func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.VerdictCache) error {
 	// Pre-flight: the Readers/Writers problem specification itself must
 	// be statically well-formed before any variant is explored.
@@ -215,7 +217,6 @@ func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.Verdi
 	} else if err := prelint("readers/writers", s); err != nil {
 		return err
 	}
-	done := logic.Done(ctx)
 	// holds evaluates one property under its own span so the trace and
 	// -stats attribute engine time per property, like the restriction
 	// spans in legal.Check.
@@ -231,38 +232,27 @@ func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.Verdi
 		var meViol, rpViol, wpViol, sharing atomic.Bool
 		total := 0
 		for _, w := range workloads {
-			runs := make(chan *core.Computation, 16)
-			var wg sync.WaitGroup
-			for k := 0; k < logic.Workers(j, 16); k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for comp := range runs {
-						if logic.Cancelled(done) {
-							continue // drain so the producer never blocks
-						}
-						if !holds("property rw/mutual-exclusion", rw.MutualExclusionProp(), comp) {
-							meViol.Store(true)
-						}
-						if !holds("property rw/readers-priority", rw.ReadersPriorityProp(), comp) {
-							rpViol.Store(true)
-						}
-						if !holds("property rw/writers-priority", rw.WritersPriorityProp(), comp) {
-							wpViol.Store(true)
-						}
-						if logic.HoldsAtFull(rw.ReadsOverlap(), comp) == nil {
-							sharing.Store(true)
-						}
-					}
-				}()
-			}
-			_, err := monitor.ExploreStream(rw.NewProgram(v, w), monitor.ExploreOptions{Ctx: ctx}, func(r monitor.Run) bool {
-				total++
-				runs <- r.Comp
-				return true
+			var err error
+			_, _, runs := fanout.First(ctx, j, func(yield func(*core.Computation) bool) {
+				_, err = monitor.ExploreStream(rw.NewProgram(v, w), monitor.ExploreOptions{Ctx: ctx}, func(r monitor.Run) bool {
+					return yield(r.Comp)
+				})
+			}, func(_ int, comp *core.Computation) (struct{}, bool) {
+				if !holds("property rw/mutual-exclusion", rw.MutualExclusionProp(), comp) {
+					meViol.Store(true)
+				}
+				if !holds("property rw/readers-priority", rw.ReadersPriorityProp(), comp) {
+					rpViol.Store(true)
+				}
+				if !holds("property rw/writers-priority", rw.WritersPriorityProp(), comp) {
+					wpViol.Store(true)
+				}
+				if logic.HoldsAtFull(rw.ReadsOverlap(), comp) == nil {
+					sharing.Store(true)
+				}
+				return struct{}{}, true
 			})
-			close(runs)
-			wg.Wait()
+			total += runs
 			if err != nil {
 				return err
 			}

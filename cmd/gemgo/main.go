@@ -34,9 +34,8 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"gem/internal/fanout"
 	"gem/internal/gofront"
 	"gem/internal/lint"
 	"gem/internal/obs"
@@ -113,40 +112,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Analyze packages concurrently; results land in the slot of their
 	// input position so output never depends on scheduling.
 	results := make([]pkgResult, len(dirs))
-	workers := *jobs
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(dirs) {
-					return
-				}
-				res, err := gofront.AnalyzeDir(dirs[i])
-				if err != nil {
-					results[i] = pkgResult{errMsg: fmt.Sprintf("%s: %v", dirs[i], err)}
-					continue
-				}
-				// The race pass runs per model, after extraction; its
-				// findings merge into the package's diagnostic stream.
-				for _, m := range res.Models {
-					res.Diags = append(res.Diags, race.Check(m)...)
-				}
-				lint.SortFileDiagnostics(res.Diags)
-				results[i] = pkgResult{res: res}
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.First(nil, *jobs, fanout.Range(len(dirs)), func(i, _ int) (struct{}, bool) {
+		results[i] = analyzePackage(dirs[i])
+		return struct{}{}, true
+	})
 
 	exit := 0
 	worsen := func(code int) {
@@ -203,4 +172,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return exit
+}
+
+func analyzePackage(dir string) pkgResult {
+	res, err := gofront.AnalyzeDir(dir)
+	if err != nil {
+		return pkgResult{errMsg: fmt.Sprintf("%s: %v", dir, err)}
+	}
+	// The race pass runs per model, after extraction; its findings merge
+	// into the package's diagnostic stream.
+	for _, m := range res.Models {
+		res.Diags = append(res.Diags, race.Check(m)...)
+	}
+	lint.SortFileDiagnostics(res.Diags)
+	return pkgResult{res: res}
 }

@@ -31,10 +31,9 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/analyze"
+	"gem/internal/fanout"
 	"gem/internal/lint"
 	"gem/internal/obs"
 )
@@ -99,26 +98,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// input position, so output order never depends on scheduling.
 	files := fs.Args()
 	results := make([]fileResult, len(files))
-	workers := runtime.NumCPU()
-	if workers > len(files) {
-		workers = len(files)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(files) {
-					return
-				}
-				results[i] = analyzeFile(files[i], *deep)
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.First(nil, runtime.NumCPU(), fanout.Range(len(files)), func(i, _ int) (struct{}, bool) {
+		results[i] = analyzeFile(files[i], *deep)
+		return struct{}{}, true
+	})
 
 	exit := 0
 	worsen := func(code int) {

@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -35,13 +36,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gemmut:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
+// run executes gemmut with the given arguments, writing the campaign or
+// replay report to stdout.
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gemmut", flag.ContinueOnError)
 	n := fs.Int("n", 2000, "mutants to generate")
 	seed := fs.Int64("seed", 0, "campaign seed (same seed, same campaign)")
@@ -104,7 +107,7 @@ func run(args []string) (err error) {
 		if rerr != nil {
 			return rerr
 		}
-		fmt.Printf("replayed %d corpus entries of campaign %s: engines agree on all\n", entries, *replay)
+		fmt.Fprintf(stdout, "replayed %d corpus entries of campaign %s: engines agree on all\n", entries, *replay)
 		return nil
 	}
 
@@ -124,9 +127,9 @@ func run(args []string) (err error) {
 		return cerr
 	}
 	if *verbose {
-		rep.RenderVerbose(os.Stdout)
+		rep.RenderVerbose(stdout)
 	} else {
-		rep.Render(os.Stdout)
+		rep.Render(stdout)
 	}
 	if len(rep.Findings) > 0 {
 		return fmt.Errorf("%d finding(s): engines disagree or a witness failed validation", len(rep.Findings))

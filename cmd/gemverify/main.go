@@ -4,11 +4,12 @@
 // explored and checked against its GEM problem specification with the
 // Section 9 sat methodology. Exits non-zero if any cell fails.
 //
-// The -j flag (default NumCPU) sets the checking parallelism: runs are
-// streamed out of the simulators into a pool of sat-check workers that
-// share each computation's memoized history lattice. -j1 reproduces the
-// sequential engine exactly; any -j reports the same verdicts and the
-// same first-failure computation index.
+// The -j flag (default NumCPU) sets the checking parallelism: each run
+// is checked as the simulators emit it, on the exploring goroutine at
+// -j1 and on a pool of N sat-check workers at -j N (fanout.First), and
+// every check of a computation shares its memoized history lattice.
+// Any -j reports the same verdicts, run counts and first-failure
+// computation indices.
 //
 // The -engine flag selects the temporal evaluation engine: auto (the
 // default) evaluates every temporal restriction with the lattice

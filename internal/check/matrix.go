@@ -11,13 +11,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"gem/internal/ada"
 	"gem/internal/core"
 	"gem/internal/csp"
 	"gem/internal/explore"
+	"gem/internal/fanout"
 	"gem/internal/logic"
 	"gem/internal/monitor"
 	"gem/internal/obs"
@@ -30,12 +30,12 @@ import (
 
 // Options configures how scenarios are executed.
 type Options struct {
-	// Parallelism is the checking worker count. With a value > 1 each
-	// scenario streams computations out of the simulator into a pool of
-	// sat-check workers (exploration overlaps checking); 0 or 1 runs the
-	// historical sequential pipeline: materialize every run, then check
-	// them one at a time. Verdicts and first-failure indices are
-	// identical either way.
+	// Parallelism is the checking worker count. Each scenario checks
+	// every computation as the simulator emits it: 0 or 1 checks it on
+	// the exploring goroutine, a value > 1 hands it to a pool of
+	// sat-check workers, so exploration overlaps checking (fanout.First).
+	// Verdicts, run counts and first-failure indices are identical at
+	// every value.
 	Parallelism int
 	// Engine selects the temporal evaluation engine (auto, lattice or
 	// seq) for every sat check. All engines report the same verdicts
@@ -53,11 +53,6 @@ type Options struct {
 	// a miss. Verdicts are identical with and without it.
 	Cache logic.VerdictCache
 }
-
-// streamBatch is how many computations the streaming producer groups
-// per channel send; see verify.CheckStream for why batches beat
-// per-item sends.
-const streamBatch = 16
 
 func firstOpt(opts []Options) Options {
 	if len(opts) > 0 {
@@ -101,10 +96,13 @@ type Cell struct {
 	Elapsed  time.Duration
 }
 
-// Run executes the scenario. With Options.Parallelism > 1 the simulator
-// streams runs through a channel into a pool of sat-check workers;
-// otherwise runs are materialized and checked sequentially, exactly as
-// the original engine did.
+// Run executes the scenario: every computation is checked as it is
+// explored, on Options.Parallelism workers. At every parallelism the
+// first computation in exploration order that fails decides the cell
+// and stops the exploration, so a failing cell reports the same error
+// and Runs = index+1 at every -j. An exploration error (a deadlocked
+// run) or a truncation is reported only when no earlier computation
+// failed.
 func (s Scenario) Run(opts ...Options) Cell {
 	opt := firstOpt(opts)
 	start := time.Now()
@@ -114,88 +112,35 @@ func (s Scenario) Run(opts ...Options) Cell {
 	}
 	ctx, sp := obs.StartSpan(opt.Ctx, name)
 	defer sp.End()
-	done := logic.Done(ctx)
-	// interrupted wraps the cell when the context was cancelled mid-run:
-	// whatever verdict the partial work reached is not a verdict on the
-	// scenario.
-	interrupted := func(cell Cell) Cell {
-		if logic.Cancelled(done) && cell.Err == nil {
-			cell.Verified = false
-			cell.Err = fmt.Errorf("check: %s/%s interrupted: %w", s.Problem, s.Language, opt.Ctx.Err())
-		}
-		return cell
-	}
 	problem, corr, err := s.Setup()
 	if err != nil {
 		return Cell{Scenario: s, Err: err, Elapsed: time.Since(start)}
 	}
-	if logic.Workers(opt.Parallelism, 2) <= 1 {
-		var comps []*core.Computation
-		truncated, err := s.Stream(func(c *core.Computation) bool {
-			comps = append(comps, c)
-			return !logic.Cancelled(done)
-		})
-		if err == nil && truncated && !logic.Cancelled(done) {
-			err = fmt.Errorf("check: %s exploration truncated", s.Language)
-		}
-		if err != nil {
-			return Cell{Scenario: s, Err: err, Elapsed: time.Since(start)}
-		}
-		idx, res := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache})
-		cell := Cell{Scenario: s, Runs: len(comps), Elapsed: time.Since(start)}
-		if idx >= 0 {
-			cell.Err = fmt.Errorf("computation %d: %w", idx, res.Error())
-			return cell
-		}
-		cell.Verified = true
-		return interrupted(cell)
-	}
-
-	// Parallel pipeline: the producer goroutine explores while the
-	// checking pool consumes, with computations grouped into batches so
-	// channel synchronization is off the per-run hot path. A failure
-	// stops the producer early; runs below the failing index are still
-	// checked, so the verdict and first-failure index match the
-	// sequential pipeline's.
-	ch := make(chan []verify.Indexed, 4*opt.Parallelism)
-	var stopFlag atomic.Bool
-	var produced int
-	var prodTrunc bool
-	var prodErr error
-	go func() {
-		defer close(ch)
-		batch := make([]verify.Indexed, 0, streamBatch)
-		trunc, err := s.Stream(func(c *core.Computation) bool {
-			if stopFlag.Load() || logic.Cancelled(done) {
-				return false
-			}
-			batch = append(batch, verify.Indexed{Index: produced, Comp: c})
-			produced++
-			if len(batch) == streamBatch {
-				ch <- batch
-				batch = make([]verify.Indexed, 0, streamBatch)
-			}
-			return true
-		})
-		if len(batch) > 0 {
-			ch <- batch
-		}
-		prodTrunc, prodErr = trunc, err
-	}()
-	idx, res := verify.CheckStream(problem, ch, func() { stopFlag.Store(true) },
-		corr, logic.CheckOptions{Parallelism: opt.Parallelism, Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache})
-	cell := Cell{Scenario: s, Runs: produced, Elapsed: time.Since(start)}
+	copts := logic.CheckOptions{Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache}
+	var truncated bool
+	var serr error
+	idx, res, runs := fanout.First(ctx, opt.Parallelism, func(yield func(*core.Computation) bool) {
+		truncated, serr = s.Stream(yield)
+	}, func(_ int, c *core.Computation) (verify.Result, bool) {
+		r := verify.Check(problem, c, corr, copts)
+		return r, r.Sat()
+	})
+	cell := Cell{Scenario: s, Runs: runs, Elapsed: time.Since(start)}
 	switch {
 	case idx >= 0:
 		cell.Err = fmt.Errorf("computation %d: %w", idx, res.Error())
-	case prodErr != nil:
-		cell.Err = prodErr
-	case prodTrunc && !logic.Cancelled(done):
+	case serr != nil:
+		cell.Err = serr
+	case logic.Cancelled(logic.Done(ctx)):
+		// Whatever the partial work reached is not a verdict on the
+		// scenario.
+		cell.Err = fmt.Errorf("check: %s/%s interrupted: %w", s.Problem, s.Language, opt.Ctx.Err())
+	case truncated:
 		cell.Err = fmt.Errorf("check: %s exploration truncated", s.Language)
 	default:
 		cell.Verified = true
 	}
-	return interrupted(cell)
+	return cell
 }
 
 // Matrix returns the nine scenarios of the paper's Section 11 claim.
@@ -322,8 +267,8 @@ func rwScenario(lang Language) Scenario {
 }
 
 // RunMatrix executes every scenario and prints a table; it returns an
-// error if any cell fails. Pass Options{Parallelism: n} to use the
-// parallel streaming engine.
+// error if any cell fails. Pass Options{Parallelism: n} to check on n
+// workers.
 func RunMatrix(w io.Writer, opts ...Options) error {
 	_, err := RunMatrixCells(w, opts...)
 	return err

@@ -1,12 +1,17 @@
 package check
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
+	"gem/internal/core"
 	"gem/internal/history"
 	"gem/internal/legal"
 	"gem/internal/logic"
+	"gem/internal/problems/rw"
+	"gem/internal/spec"
 	"gem/internal/thread"
 	"gem/internal/verify"
 )
@@ -82,15 +87,13 @@ func TestRefutationParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestLegalParallelDeterminism: legal.Check fans restrictions out to a
-// pool; the violation list must be identical to the sequential one, and
-// one legality check must enumerate the history lattice at most once
-// even though several restrictions consult it.
+// TestLegalParallelDeterminism: one legality check of a refuted
+// computation must enumerate the history lattice at most once even
+// though several restrictions consult it.
 func TestLegalParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutant exploration is slow; skipped in -short mode")
 	}
-	withProcs(t, 4)
 	r := Refutations()[0] // writers-priority monitor vs readers-priority spec
 	problem, comps, corr, err := r.Build()
 	if err != nil {
@@ -100,35 +103,84 @@ func TestLegalParallelDeterminism(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("mutant not refuted")
 	}
-	check := func(par int) []string {
-		// Project afresh so each check starts with a cold lattice cache.
-		proj, err := verify.Project(comps[idx], corr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		thread.Apply(proj.Comp, problem.Threads()...)
-		before := history.LatticeBuilds()
-		res := legal.Check(problem, proj.Comp, legal.Options{Check: logic.CheckOptions{Parallelism: par}})
-		if d := history.LatticeBuilds() - before; d > 1 {
-			t.Errorf("par %d: lattice enumerated %d times in one legality check, want at most 1", par, d)
-		}
-		var out []string
-		for _, v := range res.Violations {
-			out = append(out, v.String())
-		}
-		return out
+	// Project afresh so the check starts with a cold lattice cache.
+	proj, err := verify.Project(comps[idx], corr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := check(1)
-	if len(seq) == 0 {
+	thread.Apply(proj.Comp, problem.Threads()...)
+	before := history.LatticeBuilds()
+	res := legal.Check(problem, proj.Comp, legal.Options{})
+	if d := history.LatticeBuilds() - before; d > 1 {
+		t.Errorf("lattice enumerated %d times in one legality check, want at most 1", d)
+	}
+	if len(res.Violations) == 0 {
 		t.Fatal("expected violations on the refuted computation")
 	}
-	par := check(4)
-	if len(seq) != len(par) {
-		t.Fatalf("violation counts differ: sequential %d, parallel %d", len(seq), len(par))
+}
+
+// TestFailingCellDeterminism: a failing cell reports the same run count
+// and the same error at every parallelism, and on every schedule. The
+// first computation in exploration order that fails decides the cell
+// and stops the exploration (Runs = its index + 1), and an exploration
+// error after it is not reported in its place.
+func TestFailingCellDeterminism(t *testing.T) {
+	withProcs(t, 4)
+	setup := func() (*spec.Spec, verify.Correspondence, error) {
+		problem, err := rw.ProblemSpec([]string{"r1", "r2", "w1"}, true)
+		return problem, rw.MonitorCorrespondence(), err
 	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("violation %d differs:\nsequential: %s\nparallel:   %s", i, seq[i], par[i])
-		}
+	writersPriority := streamMonitor(rw.NewProgram(rw.WritersPriority, rw.Workload{Readers: 2, Writers: 1}))
+	var comps []*core.Computation
+	if _, err := writersPriority(func(c *core.Computation) bool {
+		comps = append(comps, c)
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
+	cases := []struct {
+		name   string
+		stream func(yield func(*core.Computation) bool) (bool, error)
+	}{
+		{"writers-priority monitor", writersPriority},
+		{"deadlock after the failure", func(yield func(*core.Computation) bool) (bool, error) {
+			for _, c := range comps {
+				if !yield(c) {
+					break
+				}
+			}
+			return false, fmt.Errorf("check: monitor run %d deadlocked", len(comps))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Scenario{Problem: "readers-writers", Language: Monitor, Setup: setup, Stream: tc.stream}
+			want := ""
+			for _, j := range []int{1, 2, 4} {
+				for trial := 0; trial < 5; trial++ {
+					cell := s.Run(Options{Parallelism: j})
+					if cell.Verified || cell.Err == nil {
+						t.Fatalf("-j %d: cell verified, want a failure", j)
+					}
+					got := cell.Err.Error()
+					if cell.Runs != 7 || !strings.HasPrefix(got, "computation 6: ") {
+						t.Fatalf("-j %d trial %d: Runs %d, error %q; want Runs 7 and computation 6",
+							j, trial, cell.Runs, firstLine(got))
+					}
+					if want == "" {
+						want = got
+					} else if got != want {
+						t.Fatalf("-j %d trial %d: error differs:\n%s\nwant:\n%s", j, trial, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+func firstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }

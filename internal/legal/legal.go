@@ -11,8 +11,6 @@ package legal
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/core"
 	"gem/internal/logic"
@@ -219,17 +217,15 @@ func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 }
 
 // restrictionCounterexamples checks every explicit restriction against
-// the computation, in parallel when opts.Check.Parallelism > 1. Results
-// are indexed by restriction, so violations are always collected in
-// declaration order — a parallel check reports the same violations, in
-// the same order, with the same first-failure restriction index as the
-// sequential one. All restrictions share the computation's memoized
-// history lattice, which is enumerated at most once. Restrictions with a
-// non-nil pre entry were already refuted by the lint pre-pass and are
-// not evaluated (they count against the violation budget in order, like
-// a found violation); restrictions with a true hold entry were proved to
-// hold by the fast-path guard and are not evaluated either (their result
-// stays nil, exactly the verdict the enumeration would reach).
+// the computation in declaration order, stopping at the violation
+// budget (later restrictions are never evaluated). All restrictions
+// share the computation's memoized history lattice, which is enumerated
+// at most once. Restrictions with a non-nil pre entry were already
+// refuted by the lint pre-pass and are not evaluated (they count
+// against the violation budget in order, like a found violation);
+// restrictions with a true hold entry were proved to hold by the
+// fast-path guard and are not evaluated either (their result stays nil,
+// exactly the verdict the enumeration would reach).
 func restrictionCounterexamples(s *spec.Spec, c *core.Computation, opts Options, pre []*Violation, hold []bool) []*logic.Counterexample {
 	rs := s.Restrictions()
 	cxs := make([]*logic.Counterexample, len(rs))
@@ -254,52 +250,22 @@ func restrictionCounterexamples(s *spec.Spec, c *core.Computation, opts Options,
 	// from "holds" in the returned slice, so callers that must tell the
 	// difference consult ctx.Err(), as with every partial result here.
 	done := logic.Done(opts.Check.Ctx)
-	w := logic.Workers(opts.Check.Parallelism, len(rs))
-	if w <= 1 {
-		// Sequential path: stop at the violation budget like the historical
-		// code did (later restrictions are simply never evaluated).
-		budget := opts.MaxViolations
-		found := 0
-		for i := range rs {
-			if logic.Cancelled(done) {
+	budget := opts.MaxViolations
+	found := 0
+	for i := range rs {
+		if logic.Cancelled(done) {
+			break
+		}
+		if !skip(i) && !holds(i) {
+			cxs[i] = eval(i, opts.Check)
+		}
+		if cxs[i] != nil || skip(i) {
+			found++
+			if budget > 0 && found >= budget {
 				break
 			}
-			if !skip(i) && !holds(i) {
-				cxs[i] = eval(i, opts.Check)
-			}
-			if cxs[i] != nil || skip(i) {
-				found++
-				if budget > 0 && found >= budget {
-					break
-				}
-			}
 		}
-		return cxs
 	}
-	inner := opts.Check
-	inner.Parallelism = 1
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if logic.Cancelled(done) {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= len(rs) {
-					return
-				}
-				if skip(i) || holds(i) {
-					continue
-				}
-				cxs[i] = eval(i, inner)
-			}
-		}()
-	}
-	wg.Wait()
 	return cxs
 }
 

@@ -66,11 +66,11 @@ type CheckOptions struct {
 	// checks all valid history sequences.
 	LinearOnly bool
 	// Parallelism is the worker count used when independent checks are
-	// fanned out: HoldsAll and HoldsEvery across formulas/computations,
-	// legal.Check across restrictions, verify.CheckAll across
-	// computations. 0 or 1 checks sequentially (exactly the historical
-	// behavior); parallel runs report the same verdicts and the same
-	// first (lowest-index) counterexample.
+	// fanned out through fanout.First: HoldsAll and HoldsEvery across
+	// formulas/computations, verify.CheckAll across computations. 0 or 1
+	// checks sequentially; parallel runs report the same verdicts and the
+	// same first (lowest-index) counterexample. A single formula or
+	// legality check is never split across workers.
 	Parallelism int
 	// Engine selects the temporal evaluation strategy (auto, lattice or
 	// seq). Every engine reports the same verdicts; counterexamples are
@@ -80,9 +80,9 @@ type CheckOptions struct {
 	// The zero value is EngineAuto.
 	Engine Engine
 	// Ctx carries cancellation and the observability span context
-	// through the engines: the parallel fan-outs (FirstFailure and the
-	// streaming checkers) poll it and stop promptly once it is
-	// cancelled, and spans opened under it nest in the emitted trace.
+	// through the engines: the fan-outs (fanout.First) poll it and stop
+	// promptly once it is cancelled, and spans opened under it nest in
+	// the emitted trace.
 	// nil means context.Background(): never cancelled. Individual
 	// formula evaluations are not interrupted mid-enumeration, so
 	// cancellation latency is bounded by one unit of work.

@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/core"
+	"gem/internal/fanout"
 	"gem/internal/gemlang"
 	"gem/internal/legal"
 	"gem/internal/logic"
@@ -19,9 +18,8 @@ import (
 )
 
 // The campaign driver: generate N mutants deterministically, dedup on
-// (spec hash × computation fingerprint), fan the unique mutants across a
-// worker pool (the same atomic-claim idiom as legal's parallel
-// restriction check) with per-mutant cancellation, check each under all
+// (spec hash × computation fingerprint), fan the unique mutants out
+// (fanout.First) with per-mutant cancellation, check each under all
 // three engines, shrink every failure, and persist the shrunk corpus.
 //
 // Engine agreement is the campaign's verification target: a mutant on
@@ -171,55 +169,20 @@ func Run(cfg Config) (*Report, error) {
 	genSpan.End()
 	rep.Unique = len(rep.Results)
 
-	// Checking + shrinking: workers claim mutants via an atomic counter
-	// and write into the indexed results slice, so scheduling never
-	// affects the report.
-	workers := logic.Workers(cfg.Parallelism, rep.Unique)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var findingsMu sync.Mutex
-	var findings []Finding
-	addFinding := func(f Finding) {
-		findingsMu.Lock()
-		findings = append(findings, f)
-		findingsMu.Unlock()
-	}
-	work := func() {
-		defer wg.Done()
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1) - 1)
-			if i >= rep.Unique {
-				return
-			}
-			checkMutant(ctx, cfg, rep.Results[i], addFinding)
-		}
-	}
-	if workers <= 1 {
-		wg.Add(1)
-		work()
-	} else {
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go work()
-		}
-	}
-	wg.Wait()
+	// Checking + shrinking: each mutant's result and findings land in
+	// its own slot, and the findings are concatenated in generation
+	// order, so scheduling never affects the report.
+	findings := make([][]Finding, rep.Unique)
+	fanout.First(ctx, cfg.Parallelism, fanout.Range(rep.Unique), func(i, _ int) (struct{}, bool) {
+		findings[i] = checkMutant(ctx, cfg, rep.Results[i])
+		return struct{}{}, true
+	})
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
-
-	// Findings are collected concurrently; order them by mutant index
-	// (then kind) for the deterministic report.
-	sort.Slice(findings, func(a, b int) bool {
-		if findings[a].Index != findings[b].Index {
-			return findings[a].Index < findings[b].Index
-		}
-		return findings[a].Kind < findings[b].Kind
-	})
-	rep.Findings = findings
+	for _, fs := range findings {
+		rep.Findings = append(rep.Findings, fs...)
+	}
 	for _, r := range rep.Results {
 		if r.Legal {
 			rep.Legal++
@@ -240,10 +203,11 @@ func asRejected(err error, out **Rejected) bool {
 }
 
 // checkMutant runs one mutant through the engine matrix, records the
-// agreed verdict, and shrinks failures. Each mutant gets its own
-// cancellable context: when the campaign budget expires mid-check, the
-// engines' enumerations stop at the next cancellation point.
-func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Finding)) {
+// agreed verdict, shrinks failures, and returns its findings. Each
+// mutant gets its own cancellable context: when the campaign budget
+// expires mid-check, the engines' enumerations stop at the next
+// cancellation point.
+func checkMutant(ctx context.Context, cfg Config, r *Result) (findings []Finding) {
 	m := r.Mutant
 	mctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -255,10 +219,9 @@ func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Fin
 	for ei, eng := range engines {
 		res := legal.Check(m.Spec, m.Comp, legal.Options{
 			Check: logic.CheckOptions{
-				Engine:      eng,
-				Ctx:         mctx,
-				Cache:       cfg.Cache,
-				Parallelism: 1,
+				Engine: eng,
+				Ctx:    mctx,
+				Cache:  cfg.Cache,
 			},
 		})
 		results[ei] = res
@@ -266,7 +229,7 @@ func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Fin
 		for _, v := range res.Violations {
 			if v.Cx != nil {
 				if err := v.Cx.Verify(); err != nil {
-					addFinding(Finding{
+					findings = append(findings, Finding{
 						Index: m.Index, Seed: m.Seed, Op: m.Op, Provenance: m.Provenance,
 						Kind:   "bad-witness",
 						Detail: fmt.Sprintf("engine %s: witness for %s/%s fails Verify: %v", eng, v.Owner, v.Restriction, err),
@@ -276,13 +239,13 @@ func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Fin
 		}
 	}
 	if mctx.Err() != nil {
-		return // partial verdicts are never compared
+		return findings // partial verdicts are never compared
 	}
 	r.Legal = verdicts[0].Legal
 	r.Blame = verdicts[0].Blame
 	for _, v := range verdicts[1:] {
 		if v.Legal != verdicts[0].Legal || !equalStrings(v.Blame, verdicts[0].Blame) {
-			addFinding(Finding{
+			findings = append(findings, Finding{
 				Index: m.Index, Seed: m.Seed, Op: m.Op, Provenance: m.Provenance,
 				Kind:   "engine-disagreement",
 				Detail: disagreementDetail(verdicts),
@@ -303,7 +266,7 @@ func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Fin
 		}
 	}
 	if target < 0 {
-		return
+		return findings
 	}
 	sh, err := Shrink(m.Spec, m.Comp, results[target].Violations[0], logic.CheckOptions{
 		Engine: engines[target],
@@ -312,16 +275,16 @@ func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Fin
 	})
 	if err != nil {
 		if mctx.Err() != nil {
-			return
+			return findings
 		}
-		addFinding(Finding{
+		return append(findings, Finding{
 			Index: m.Index, Seed: m.Seed, Op: m.Op, Provenance: m.Provenance,
 			Kind:   "shrink-failure",
 			Detail: err.Error(),
 		})
-		return
 	}
 	r.Shrunk = sh
+	return findings
 }
 
 // blame renders a result's violations as the engine-agreement literature
@@ -490,7 +453,7 @@ func Replay(st *store.Store, name string, cache logic.VerdictCache) (int, error)
 		}
 		for _, eng := range engines {
 			res := legal.Check(sp, c, legal.Options{
-				Check: logic.CheckOptions{Engine: eng, Cache: cache, Parallelism: 1},
+				Check: logic.CheckOptions{Engine: eng, Cache: cache},
 			})
 			if res.Legal() {
 				return 0, fmt.Errorf("mutate: corpus entry %s (op %s) is legal under engine %s", k, entry.Op, eng)

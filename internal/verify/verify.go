@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"gem/internal/core"
+	"gem/internal/fanout"
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/obs"
@@ -356,104 +356,14 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 // with deterministic first-failure semantics: the reported index and
 // result are the ones the sequential run finds. Cancelling opts.Ctx
 // stops the fan-out promptly with the best failure found so far (see
-// logic.FirstFailure); callers distinguish "all sat" from "interrupted"
-// via ctx.Err().
+// fanout.First); callers distinguish "all sat" from "interrupted" via
+// ctx.Err().
 func CheckAll(problem *spec.Spec, comps []*core.Computation, corr Correspondence, opts logic.CheckOptions) (int, Result) {
-	inner := opts
-	inner.Parallelism = 1
-	idx, res := logic.FirstFailure(opts.Ctx, len(comps), opts.Parallelism, func(i int) (Result, bool) {
-		r := Check(problem, comps[i], corr, inner)
+	idx, res, _ := fanout.First(opts.Ctx, opts.Parallelism, fanout.Range(len(comps)), func(i, _ int) (Result, bool) {
+		r := Check(problem, comps[i], corr, opts)
 		return r, r.Sat()
 	})
-	if idx < 0 {
-		return -1, Result{}
-	}
 	return idx, res
-}
-
-// Indexed pairs a computation with its position in the exploration
-// order, for streaming checks.
-type Indexed struct {
-	Index int
-	Comp  *core.Computation
-}
-
-// CheckStream runs the sat check over computations arriving on ch (e.g.
-// streamed from a simulator while exploration is still in progress)
-// using opts.Parallelism workers. The channel carries batches rather
-// than single computations so one channel operation amortizes over
-// several checks: per-item sends put a contended synchronization point
-// between every pair of cheap sat checks, the same pathology chunked
-// dispatch fixes in logic.FirstFailure. It drains the channel
-// completely and returns the lowest failing index and its result, or
-// (-1, ok-result) when every computation satisfies the problem. When a
-// failure is found, stop (if non-nil) is called once to let the
-// producer cut exploration short; computations with a lower index are
-// still checked, so the verdict and first-failure index equal the
-// sequential run's over the same stream prefix.
-//
-// Cancelling opts.Ctx also fires stop once and makes the workers drain
-// the remaining batches without checking them (the producer may have
-// batches in flight; abandoning the channel would wedge it). The best
-// failure found before cancellation is still returned.
-func CheckStream(problem *spec.Spec, ch <-chan []Indexed, stop func(), corr Correspondence, opts logic.CheckOptions) (int, Result) {
-	inner := opts
-	inner.Parallelism = 1
-	w := logic.Workers(opts.Parallelism, 1<<30)
-	done := logic.Done(opts.Ctx)
-	var (
-		mu      sync.Mutex
-		bestIdx = -1
-		bestRes Result
-		stopped bool
-		wg      sync.WaitGroup
-	)
-	halt := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if !stopped && stop != nil {
-			stopped = true
-			stop()
-		}
-	}
-	fail := func(i int, r Result) {
-		mu.Lock()
-		if bestIdx < 0 || i < bestIdx {
-			bestIdx, bestRes = i, r
-		}
-		mu.Unlock()
-		halt()
-	}
-	skip := func(i int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return bestIdx >= 0 && i > bestIdx
-	}
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for batch := range ch {
-				if logic.Cancelled(done) {
-					halt()
-					continue // keep draining so the producer can finish
-				}
-				for _, item := range batch {
-					if skip(item.Index) {
-						continue
-					}
-					if r := Check(problem, item.Comp, corr, inner); !r.Sat() {
-						fail(item.Index, r)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if bestIdx < 0 {
-		return -1, Result{}
-	}
-	return bestIdx, bestRes
 }
 
 func whereMatches(e *core.Event, where core.Params) bool {

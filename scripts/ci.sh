@@ -24,6 +24,8 @@ else
 fi
 echo "==> go build ./..."
 go build ./...
+echo "==> bench module: vet and test (its own module, built against the library's API)"
+(cd bench && go vet . && go test .)
 echo "==> gemlint -deep examples/specs"
 go run ./cmd/gemlint -deep examples/specs/*.gem
 echo "==> observability smoke: -stats/-trace produce valid trace-event JSON"
@@ -75,6 +77,11 @@ cmp "$tracedir/race.j1.out" "$tracedir/race.j4.out"
 grep -q 'GEM018' "$tracedir/race.j1.out"
 grep -q 'GEM019' "$tracedir/race.j1.out"
 grep -q 'GEM020' "$tracedir/race.j1.out"
+echo "==> gemcheck rw: -j1 and -j4 output byte-identical"
+go build -o "$tracedir/gemcheck" ./cmd/gemcheck
+"$tracedir/gemcheck" -j 1 -cache off rw >"$tracedir/rw.j1.out"
+"$tracedir/gemcheck" -j 4 -cache off rw >"$tracedir/rw.j4.out"
+cmp "$tracedir/rw.j1.out" "$tracedir/rw.j4.out"
 echo "==> lattice engine gate: full matrix under forced -engine lattice, no silent seq fallback"
 # -cache off keeps this gate hermetic: a warm store would serve the
 # verdicts from disk and the engine.lattice spans below would vanish.
