@@ -9,121 +9,110 @@
 //
 // Usage:
 //
-//	gemc [-format] [-lint] [-deep] [-trace=FILE] [-stats] FILE.gem
+//	gemc [-format] [-lint] [-deep] [-trace FILE] [-stats] FILE.gem
 //
-// -trace writes a Chrome trace-event JSON file and -stats prints
-// span/counter statistics to stderr. Because gemc accepts its flags in
-// any position, -trace must use the -trace=FILE form.
+// -trace and -stats are internal/cli's, shared with the other gem
+// tools: -trace writes a Chrome trace-event JSON file and -stats prints
+// span/counter statistics to stderr.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
 	"gem/internal/analyze"
+	"gem/internal/cli"
 	"gem/internal/gemlang"
 	"gem/internal/lint"
-	"gem/internal/obs"
 	"gem/internal/spec"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "gemc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) (err error) {
-	fs := flag.NewFlagSet("gemc", flag.ContinueOnError)
+func run(args []string, stdout, stderr io.Writer) error {
+	t := cli.New("gemc", stderr, 0)
+	fs := t.FS
 	fs.SetOutput(io.Discard)
 	format := fs.Bool("format", false, "re-emit the specification as canonical GEM source")
 	lintFlag := fs.Bool("lint", false, "run the gemlint static analyses; errors fail the compile")
 	deepFlag := fs.Bool("deep", false, "run the deep semantic analyses too (implies -lint)")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (use -trace=FILE)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
 	usage := func() error {
 		var b strings.Builder
-		fmt.Fprintln(&b, "usage: gemc [-format] [-lint] [-deep] [-trace=FILE] [-stats] FILE.gem")
+		fmt.Fprintln(&b, "usage: gemc [-format] [-lint] [-deep] [-trace FILE] [-stats] FILE.gem")
 		fs.SetOutput(&b)
 		fs.PrintDefaults()
 		fs.SetOutput(io.Discard)
 		return fmt.Errorf("%s", strings.TrimRight(b.String(), "\n"))
 	}
-	// gemc flags and the file argument compose in any order: pull the
-	// flag-shaped arguments forward before parsing (the stdlib parser
-	// stops at the first positional). This is why value-carrying flags
-	// must use the -flag=value form — a detached value would be taken
-	// for the file argument.
-	var flags, pos []string
-	for _, a := range args {
-		if strings.HasPrefix(a, "-") && a != "-" {
-			flags = append(flags, a)
-		} else {
-			pos = append(pos, a)
+	// The flag package stops at the first positional argument; parse
+	// again after each one, so flags may follow the file too.
+	var files []string
+	for rest := args; ; {
+		if err := fs.Parse(rest); err != nil {
+			return usage()
 		}
+		if fs.NArg() == 0 {
+			break
+		}
+		files = append(files, fs.Arg(0))
+		rest = fs.Args()[1:]
 	}
-	if err := fs.Parse(append(flags, pos...)); err != nil {
+	if len(files) != 1 {
 		return usage()
 	}
-	if fs.NArg() != 1 {
-		return usage()
-	}
-	if *trace != "" || *stats {
-		obs.Enable()
-		defer func() {
-			if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
-				err = ferr
-			}
-		}()
-	}
-	file := fs.Arg(0)
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return err
-	}
-	s, err := gemlang.Parse(string(src))
-	if err != nil {
-		return err
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if *lintFlag || *deepFlag {
-		var diags []lint.Diagnostic
-		if *deepFlag {
-			res, err := analyze.AnalyzeSource(string(src))
-			if err != nil {
-				return err
-			}
-			diags = res.All()
-		} else {
-			res, err := lint.AnalyzeSource(string(src))
-			if err != nil {
-				return err
-			}
-			diags = res.Diags
+	file := files[0]
+	return t.Run(func() error {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return err
 		}
-		lint.Print(stdout, file, diags)
-		errs := 0
-		for _, d := range diags {
-			if d.Severity >= lint.SeverityError {
-				errs++
+		s, err := gemlang.Parse(string(src))
+		if err != nil {
+			return err
+		}
+		if err := s.Validate(); err != nil {
+			return err
+		}
+		if *lintFlag || *deepFlag {
+			var diags []lint.Diagnostic
+			if *deepFlag {
+				res, err := analyze.AnalyzeSource(string(src))
+				if err != nil {
+					return err
+				}
+				diags = res.All()
+			} else {
+				res, err := lint.AnalyzeSource(string(src))
+				if err != nil {
+					return err
+				}
+				diags = res.Diags
+			}
+			lint.Print(stdout, file, diags)
+			errs := 0
+			for _, d := range diags {
+				if d.Severity >= lint.SeverityError {
+					errs++
+				}
+			}
+			if errs > 0 {
+				return fmt.Errorf("lint: %d error(s) in %s", errs, file)
 			}
 		}
-		if errs > 0 {
-			return fmt.Errorf("lint: %d error(s) in %s", errs, file)
+		if *format {
+			fmt.Fprint(stdout, gemlang.Format(s))
+			return nil
 		}
-	}
-	if *format {
-		fmt.Fprint(stdout, gemlang.Format(s))
+		dump(s, stdout)
 		return nil
-	}
-	dump(s, stdout)
-	return nil
+	})
 }
 
 func dump(s *spec.Spec, w io.Writer) {

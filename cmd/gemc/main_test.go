@@ -1,14 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gem/internal/cli/clitest"
 )
 
-func runQuiet(args ...string) error { return run(args, io.Discard) }
+func runQuiet(args ...string) error { return run(args, io.Discard, io.Discard) }
 
 func TestRunOnShippedSpec(t *testing.T) {
 	if err := runQuiet("../../examples/specs/readerswriters.gem"); err != nil {
@@ -74,19 +77,37 @@ func TestRunOnBoundedBufferSpec(t *testing.T) {
 // TestFlagsComposeInAnyOrder is the regression test for the historical
 // ad-hoc argument handling, which recognized -format only as the first
 // argument. Flags must now compose in any order, including after the
-// file argument.
+// file argument. A value flag may be detached from its value on either
+// side of the file: gemc once moved flag-shaped arguments ahead of the
+// file, so `gemc spec.gem -trace out.json` wrote the trace over the spec.
 func TestFlagsComposeInAnyOrder(t *testing.T) {
-	const file = "../../examples/specs/boundedbuffer.gem"
+	src, err := os.ReadFile("../../examples/specs/boundedbuffer.gem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	file := filepath.Join(dir, "boundedbuffer.gem")
+	if err := os.WriteFile(file, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := filepath.Join(dir, "before.json")
+	after := filepath.Join(dir, "after.json")
 	orders := [][]string{
 		{"-format", "-lint", file},
 		{"-lint", "-format", file},
 		{file, "-format", "-lint"},
 		{"-lint", file, "-format"},
+		{file, "-format", "-lint", "-trace", after},
+		{"-format", "-trace", before, "-lint", file},
 	}
 	var want string
 	for i, args := range orders {
 		var b strings.Builder
-		if err := run(args, &b); err != nil {
+		err := run(args, &b, io.Discard)
+		if got, rerr := os.ReadFile(file); rerr != nil || string(got) != string(src) {
+			t.Fatalf("run(%v) overwrote the spec file (read error %v)", args, rerr)
+		}
+		if err != nil {
 			t.Fatalf("run(%v): %v", args, err)
 		}
 		if i == 0 {
@@ -99,6 +120,31 @@ func TestFlagsComposeInAnyOrder(t *testing.T) {
 		if b.String() != want {
 			t.Errorf("run(%v) output differs from run(%v)", args, orders[0])
 		}
+	}
+	for _, trace := range []string{before, after} {
+		data, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatalf("trace not written: %v", err)
+		}
+		if !json.Valid(data) || !strings.Contains(string(data), "traceEvents") {
+			t.Errorf("%s is not a trace-event file:\n%s", trace, data)
+		}
+	}
+}
+
+// TestFlagSurface pins gemc's flags and their defaults.
+func TestFlagSurface(t *testing.T) {
+	err := runQuiet()
+	if err == nil {
+		t.Fatal("no arguments must fail with the usage")
+	}
+	want := `-deep=
+-format=
+-lint=
+-stats=
+-trace=`
+	if got := clitest.Surface(err.Error()); got != want {
+		t.Errorf("flags:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -116,7 +162,7 @@ RESTRICTION "bwd": PREREQ(b.Go -> a.Go) ;
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	err := run([]string{"-lint", bad}, &b)
+	err := run([]string{"-lint", bad}, &b, io.Discard)
 	if err == nil {
 		t.Fatal("-lint must fail on a prerequisite cycle")
 	}

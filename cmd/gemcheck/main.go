@@ -6,19 +6,11 @@
 //	gemcheck rw          — the Readers/Writers variant × property matrix (E4)
 //	gemcheck distributed — dbupdate convergence and Life equivalence (E8)
 //
-// The -j flag (default NumCPU) sets the checking parallelism for the rw
-// matrix: -j1 checks each run on the exploring goroutine, -j N on N
-// workers (fanout.First), and the table is the same at every -j. The
-// -engine flag selects the temporal evaluation engine (auto and lattice
-// use the lattice fixpoint engine with lattice-native counterexamples,
-// falling back to sequence enumeration only on inconclusive bounds; seq
-// is the enumeration oracle — all report identical verdicts), and
-// -cpuprofile/-memprofile write pprof profiles for performance work.
-// -trace writes a Chrome trace-event JSON file (load in chrome://tracing
-// or Perfetto) and -stats prints span/counter statistics to stderr.
-// -cache (off, ro or rw; default rw) and -cache-dir control the
-// persistent result store used by the rw matrix; the table is identical
-// with the cache on, off, warm or cold.
+// The flags gemcheck shares with the other gem tools (-j, -engine,
+// -cache, -cache-dir, -cpuprofile, -memprofile, -trace, -stats) are
+// declared once in internal/cli and described in the README's "Tools"
+// section. -j, -engine and the result store serve the rw matrix, whose
+// table is the same at every setting of them.
 //
 // SIGINT (Ctrl-C) interrupts a long rw matrix cleanly: the exploration
 // and the checking pool stop promptly, the command exits non-zero with
@@ -28,14 +20,13 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
 	"sync/atomic"
 
+	"gem/internal/cli"
 	"gem/internal/core"
 	"gem/internal/fanout"
 	"gem/internal/history"
@@ -46,86 +37,44 @@ import (
 	"gem/internal/problems/dbupdate"
 	"gem/internal/problems/life"
 	"gem/internal/problems/rw"
-	"gem/internal/profiling"
 	"gem/internal/spec"
-	"gem/internal/store"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "gemcheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
-	fs := flag.NewFlagSet("gemcheck", flag.ContinueOnError)
-	j := fs.Int("j", runtime.NumCPU(), "checking parallelism (1 = sequential engine)")
-	engineName := fs.String("engine", "auto", "temporal evaluation engine: auto, lattice or seq")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
-	cacheMode := fs.String("cache", "rw", "persistent result store: off, ro or rw")
-	cacheDir := fs.String("cache-dir", "", "result store directory (default $GEM_CACHE_DIR, else the user cache dir)")
-	if err := fs.Parse(args); err != nil {
+// run executes gemcheck with the given arguments, writing the artifact
+// to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	t := cli.New("gemcheck", stderr, cli.Checks|cli.Engine)
+	if err := t.FS.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
+	if t.FS.NArg() != 1 {
 		return fmt.Errorf("usage: gemcheck [-j N] [-engine E] {access|histories|rw|distributed}")
 	}
-	engine, err := logic.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
-	if *trace != "" || *stats {
-		obs.Enable()
-	}
-	// Registered before the CPU profile starts so the LIFO defer order
-	// stops the profile first, then writes the heap profile and flushes
-	// the trace/stats — an interrupted or failing run still produces
-	// parseable profiles and a valid (truncated) trace.
-	defer func() {
-		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
-			err = ferr
+	return t.RunContext(func(ctx context.Context) error {
+		switch t.FS.Arg(0) {
+		case "access":
+			return accessTable(stdout)
+		case "histories":
+			return histories(stdout)
+		case "rw":
+			// Only rw opens the store: opening trims the cache directory.
+			_, cache, err := t.OpenStore()
+			if err != nil {
+				return err
+			}
+			return rwMatrix(ctx, stdout, t.J, t.Engine, cache)
+		case "distributed":
+			return distributed(stdout)
 		}
-	}()
-	defer func() {
-		if herr := profiling.WriteHeap(*memprofile); herr != nil && err == nil {
-			err = herr
-		}
-	}()
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSig()
-	switch fs.Arg(0) {
-	case "access":
-		err = accessTable()
-	case "histories":
-		err = histories()
-	case "rw":
-		st, serr := store.OpenFromFlags(*cacheMode, *cacheDir, os.Stderr)
-		if serr != nil {
-			return serr
-		}
-		var cache logic.VerdictCache
-		if st != nil {
-			cache = st
-		}
-		err = rwMatrix(ctx, *j, engine, cache)
-	case "distributed":
-		err = distributed()
-	default:
-		return fmt.Errorf("unknown check %q", fs.Arg(0))
-	}
-	if ctx.Err() != nil {
-		return fmt.Errorf("interrupted (partial results): %w", context.Cause(ctx))
-	}
-	return err
+		return fmt.Errorf("unknown check %q", t.FS.Arg(0))
+	})
 }
 
 // prelint runs the gemlint static analyses over a problem specification
@@ -144,7 +93,7 @@ func prelint(name string, s *spec.Spec) error {
 }
 
 // accessTable reproduces the paper's Section 4 allowed-enable table.
-func accessTable() error {
+func accessTable(w io.Writer) error {
 	u := core.NewUniverse()
 	elems := []string{"EL1", "EL2", "EL3", "EL4", "EL5", "EL6"}
 	for _, e := range elems {
@@ -157,7 +106,7 @@ func accessTable() error {
 	if err := u.Validate(); err != nil {
 		return err
 	}
-	fmt.Println("An event in:   May enable any event in:")
+	fmt.Fprintln(w, "An event in:   May enable any event in:")
 	for _, src := range elems {
 		var targets []string
 		for _, dst := range elems {
@@ -165,14 +114,14 @@ func accessTable() error {
 				targets = append(targets, dst)
 			}
 		}
-		fmt.Printf("  %-10s   %v\n", src, targets)
+		fmt.Fprintf(w, "  %-10s   %v\n", src, targets)
 	}
 	return nil
 }
 
 // histories reproduces the paper's Section 7 enumeration for the diamond
 // computation e1 ⊳ e2, e1 ⊳ e3, e2 ⊳ e4, e3 ⊳ e4.
-func histories() error {
+func histories(w io.Writer) error {
 	b := core.NewBuilder()
 	ids := make([]core.EventID, 4)
 	for i := range ids {
@@ -186,17 +135,17 @@ func histories() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("histories (prefixes):")
+	fmt.Fprintln(w, "histories (prefixes):")
 	history.Enumerate(c, 0, func(h history.History) bool {
-		fmt.Printf("  %s\n", h)
+		fmt.Fprintf(w, "  %s\n", h)
 		return true
 	})
-	fmt.Println("maximal valid history sequences:")
+	fmt.Fprintln(w, "maximal valid history sequences:")
 	history.EnumerateComplete(c, 0, func(s history.Sequence) bool {
-		fmt.Printf("  %s\n", s)
+		fmt.Fprintf(w, "  %s\n", s)
 		return true
 	})
-	fmt.Printf("linear extensions only: %d (vhs admit the simultaneous concurrent step)\n",
+	fmt.Fprintf(w, "linear extensions only: %d (vhs admit the simultaneous concurrent step)\n",
 		history.EnumerateLinear(c, 0, func(history.Sequence) bool { return true }))
 	return nil
 }
@@ -209,7 +158,7 @@ func histories() error {
 // exploration and the workers promptly; the caller reports the
 // interruption. cache, when non-nil, serves property verdicts from the
 // persistent store; the table is identical either way.
-func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.VerdictCache) error {
+func rwMatrix(ctx context.Context, w io.Writer, j int, engine logic.Engine, cache logic.VerdictCache) error {
 	// Pre-flight: the Readers/Writers problem specification itself must
 	// be statically well-formed before any variant is explored.
 	if s, err := rw.ProblemSpec([]string{"r1", "r2", "w1"}, true); err != nil {
@@ -227,7 +176,7 @@ func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.Verdi
 		return cx == nil
 	}
 	workloads := []rw.Workload{{Readers: 2, Writers: 1}, {Readers: 1, Writers: 2}}
-	fmt.Printf("%-25s %6s %7s %7s %7s %8s\n", "VARIANT", "RUNS", "MUTEX", "R-PRIO", "W-PRIO", "SHARING")
+	fmt.Fprintf(w, "%-25s %6s %7s %7s %7s %8s\n", "VARIANT", "RUNS", "MUTEX", "R-PRIO", "W-PRIO", "SHARING")
 	for _, v := range rw.Variants() {
 		var meViol, rpViol, wpViol, sharing atomic.Bool
 		total := 0
@@ -257,14 +206,14 @@ func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.Verdi
 				return err
 			}
 		}
-		fmt.Printf("%-25s %6d %7v %7v %7v %8v\n", v, total,
+		fmt.Fprintf(w, "%-25s %6d %7v %7v %7v %8v\n", v, total,
 			!meViol.Load(), !rpViol.Load(), !wpViol.Load(), sharing.Load())
 	}
 	return nil
 }
 
 // distributed runs the two distributed applications.
-func distributed() error {
+func distributed(w io.Writer) error {
 	cfg := dbupdate.Config{Sites: 3, Updates: []dbupdate.Update{{Site: 0, Value: 7}, {Site: 1, Value: 9}}}
 	if err := prelint("dbupdate", dbupdate.Spec(cfg)); err != nil {
 		return err
@@ -279,7 +228,7 @@ func distributed() error {
 			converged++
 		}
 	}
-	fmt.Printf("dbupdate: %d schedules explored, %d converged\n", len(runs), converged)
+	fmt.Fprintf(w, "dbupdate: %d schedules explored, %d converged\n", len(runs), converged)
 	if converged != len(runs) {
 		return fmt.Errorf("dbupdate diverged on %d schedules", len(runs)-converged)
 	}
@@ -299,7 +248,7 @@ func distributed() error {
 			matched++
 		}
 	}
-	fmt.Printf("life: %d/%d async schedules matched the synchronous reference over %d generations\n",
+	fmt.Fprintf(w, "life: %d/%d async schedules matched the synchronous reference over %d generations\n",
 		matched, seeds, gens)
 	if matched != seeds {
 		return fmt.Errorf("life diverged")

@@ -28,17 +28,14 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
+	"gem/internal/cli"
 	"gem/internal/fanout"
 	"gem/internal/gofront"
 	"gem/internal/lint"
-	"gem/internal/obs"
 	"gem/internal/race"
 )
 
@@ -53,125 +50,50 @@ type pkgResult struct {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("gemgo", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array (alias for -format=json)")
-	format := fs.String("format", "", "output format: text, json, or sarif (default text)")
-	dump := fs.Bool("dump-spec", false, "print the extracted GEM model for each root function instead of diagnosing")
-	codes := fs.Bool("codes", false, "print the shared GEM code registry (code, severity, summary) and exit")
-	jobs := fs.Int("j", runtime.NumCPU(), "number of packages to analyze in parallel")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
-	fs.Usage = func() {
+	t := cli.New("gemgo", stderr, cli.Diagnostics|cli.Jobs)
+	dump := t.FS.Bool("dump-spec", false, "print the extracted GEM model for each root function instead of diagnosing")
+	t.FS.Usage = func() {
 		fmt.Fprintln(stderr, "usage: gemgo [-dump-spec] [-format=text|json|sarif] [-j N] PACKAGES... | gemgo -codes")
-		fs.PrintDefaults()
+		t.FS.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *codes {
-		lint.PrintRegistry(stdout)
-		return 0
-	}
-	if fs.NArg() == 0 {
-		fs.Usage()
-		return 2
-	}
-	switch *format {
-	case "":
-		if *jsonOut {
-			*format = "json"
-		} else {
-			*format = "text"
+	return t.Diagnose(args, stdout, func() int {
+		dirs, err := gofront.ExpandPatterns(t.FS.Args())
+		if err != nil {
+			t.Warn(err)
+			return 2
 		}
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "gemgo: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-
-	if *trace != "" || *stats {
-		obs.Enable()
-		defer func() {
-			if err := obs.Flush(*trace, *stats, stderr); err != nil {
-				fmt.Fprintf(stderr, "gemgo: %v\n", err)
+		if len(dirs) == 0 {
+			t.Warn("no packages matched")
+			return 2
+		}
+		// Analyze packages concurrently; results land in the slot of
+		// their input position so output never depends on scheduling.
+		results := make([]pkgResult, len(dirs))
+		fanout.First(nil, t.J, fanout.Range(len(dirs)), func(i, _ int) (struct{}, bool) {
+			results[i] = analyzePackage(dirs[i])
+			return struct{}{}, true
+		})
+		status := 0
+		var all []lint.FileDiagnostic
+		for _, r := range results {
+			if r.errMsg != "" {
+				t.Warn(r.errMsg)
+				status = 2
+				continue
 			}
-		}()
-	}
-
-	dirs, err := gofront.ExpandPatterns(fs.Args())
-	if err != nil {
-		fmt.Fprintf(stderr, "gemgo: %v\n", err)
-		return 2
-	}
-	if len(dirs) == 0 {
-		fmt.Fprintln(stderr, "gemgo: no packages matched")
-		return 2
-	}
-
-	// Analyze packages concurrently; results land in the slot of their
-	// input position so output never depends on scheduling.
-	results := make([]pkgResult, len(dirs))
-	fanout.First(nil, *jobs, fanout.Range(len(dirs)), func(i, _ int) (struct{}, bool) {
-		results[i] = analyzePackage(dirs[i])
-		return struct{}{}, true
-	})
-
-	exit := 0
-	worsen := func(code int) {
-		if code > exit {
-			exit = code
-		}
-	}
-	var all []lint.FileDiagnostic
-	for _, r := range results {
-		if r.errMsg != "" {
-			fmt.Fprintf(stderr, "gemgo: %s\n", r.errMsg)
-			worsen(2)
-			continue
+			if *dump {
+				for _, m := range r.res.Models {
+					gofront.DumpSpec(stdout, m)
+				}
+				continue
+			}
+			all = append(all, r.res.Diags...)
 		}
 		if *dump {
-			for _, m := range r.res.Models {
-				gofront.DumpSpec(stdout, m)
-			}
-			continue
+			return status
 		}
-		for _, d := range r.res.Diags {
-			all = append(all, d)
-			if d.Severity >= lint.SeverityError {
-				worsen(2)
-			} else {
-				worsen(1)
-			}
-		}
-	}
-	if *dump {
-		return exit
-	}
-	lint.SortFileDiagnostics(all)
-
-	switch *format {
-	case "text":
-		for _, d := range all {
-			fmt.Fprintf(stdout, "%s:%s\n", d.File, d.Diagnostic)
-		}
-	case "json":
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if all == nil {
-			all = []lint.FileDiagnostic{}
-		}
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintf(stderr, "gemgo: %v\n", err)
-			worsen(2)
-		}
-	case "sarif":
-		if err := lint.WriteSARIFAs(stdout, "gemgo", all); err != nil {
-			fmt.Fprintf(stderr, "gemgo: %v\n", err)
-			worsen(2)
-		}
-	}
-	return exit
+		return t.Report(stdout, all, status)
+	})
 }
 
 func analyzePackage(dir string) pkgResult {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gem/internal/cli/clitest"
 )
 
 const (
@@ -183,5 +186,34 @@ func TestRunMissingDir(t *testing.T) {
 	var out, errb strings.Builder
 	if got := run([]string{t.TempDir() + "/absent"}, &out, &errb); got != 2 {
 		t.Fatalf("exit = %d, want 2", got)
+	}
+}
+
+// TestTraceWriteFailureExits2: a -trace file that cannot be written is
+// an error (exit 2), even for a clean package.
+func TestTraceWriteFailureExits2(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "missing", "trace.json")
+	var out, errb strings.Builder
+	if got := run([]string{"-trace", trace, filepath.Join(fixtures, "clean_gem013_paired")}, &out, &errb); got != 2 {
+		t.Fatalf("exit = %d, want 2; stderr: %s", got, errb.String())
+	}
+	if !strings.Contains(errb.String(), "trace.json") {
+		t.Errorf("stderr does not name the trace file: %s", errb.String())
+	}
+}
+
+// TestFlagSurface pins gemgo's flags and their defaults.
+func TestFlagSurface(t *testing.T) {
+	var usage strings.Builder
+	run([]string{"-h"}, io.Discard, &usage)
+	want := `-codes=
+-dump-spec=
+-format=
+-j=NumCPU
+-json=
+-stats=
+-trace=`
+	if got := clitest.Surface(usage.String()); got != want {
+		t.Errorf("flags:\n%s\nwant:\n%s", got, want)
 	}
 }

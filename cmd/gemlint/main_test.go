@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gem/internal/cli/clitest"
 )
 
 const cleanSpec = `SPEC clean
@@ -70,6 +73,35 @@ func TestRunNoArgsIsUsageError(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "usage:") {
 		t.Fatalf("expected usage on stderr, got: %s", errb.String())
+	}
+}
+
+// TestTraceWriteFailureExits2: a -trace file that cannot be written is
+// an error (exit 2), even when every file is clean.
+func TestTraceWriteFailureExits2(t *testing.T) {
+	clean := writeSpec(t, "clean.gem", cleanSpec)
+	trace := filepath.Join(t.TempDir(), "missing", "trace.json")
+	var out, errb strings.Builder
+	if got := run([]string{"-trace", trace, clean}, &out, &errb); got != 2 {
+		t.Fatalf("exit = %d, want 2; stderr: %s", got, errb.String())
+	}
+	if !strings.Contains(errb.String(), "trace.json") {
+		t.Errorf("stderr does not name the trace file: %s", errb.String())
+	}
+}
+
+// TestFlagSurface pins gemlint's flags and their defaults.
+func TestFlagSurface(t *testing.T) {
+	var usage strings.Builder
+	run([]string{"-h"}, io.Discard, &usage)
+	want := `-codes=
+-deep=
+-format=
+-json=
+-stats=
+-trace=`
+	if got := clitest.Surface(usage.String()); got != want {
+		t.Errorf("flags:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -21,22 +21,16 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"runtime"
 
-	"gem/internal/logic"
+	"gem/internal/cli"
 	"gem/internal/mutate"
-	"gem/internal/obs"
-	"gem/internal/profiling"
-	"gem/internal/store"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "gemmut:", err)
 		os.Exit(1)
 	}
@@ -44,95 +38,65 @@ func main() {
 
 // run executes gemmut with the given arguments, writing the campaign or
 // replay report to stdout.
-func run(args []string, stdout io.Writer) (err error) {
-	fs := flag.NewFlagSet("gemmut", flag.ContinueOnError)
-	n := fs.Int("n", 2000, "mutants to generate")
-	seed := fs.Int64("seed", 0, "campaign seed (same seed, same campaign)")
-	j := fs.Int("j", runtime.NumCPU(), "checking parallelism (1 = sequential)")
-	budget := fs.Duration("budget", 0, "wall-time budget (0 = unlimited); exceeding it aborts with partial results")
-	name := fs.String("name", "gemmut", "campaign name for the persisted manifest")
-	replay := fs.String("replay", "", "replay the named campaign's corpus from the store instead of mutating")
-	verbose := fs.Bool("v", false, "also list every shrunk failure")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
-	cacheMode := fs.String("cache", "rw", "persistent result store: off, ro or rw")
-	cacheDir := fs.String("cache-dir", "", "result store directory (default $GEM_CACHE_DIR, else the user cache dir)")
-	if err := fs.Parse(args); err != nil {
+func run(args []string, stdout, stderr io.Writer) error {
+	t := cli.New("gemmut", stderr, cli.Checks)
+	n := t.FS.Int("n", 2000, "mutants to generate")
+	seed := t.FS.Int64("seed", 0, "campaign seed (same seed, same campaign)")
+	budget := t.FS.Duration("budget", 0, "wall-time budget (0 = unlimited); exceeding it aborts with partial results")
+	name := t.FS.String("name", "gemmut", "campaign name for the persisted manifest")
+	replay := t.FS.String("replay", "", "replay the named campaign's corpus from the store instead of mutating")
+	verbose := t.FS.Bool("v", false, "also list every shrunk failure")
+	if err := t.FS.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
+	if t.FS.NArg() != 0 {
 		return fmt.Errorf("usage: gemmut [-n N] [-seed S] [-j N] [-budget D] [-replay NAME]")
 	}
-	if *trace != "" || *stats {
-		obs.Enable()
+	// mutate.Config reads N <= 0 as its default, so a typo would
+	// silently run a full campaign.
+	if *n < 1 {
+		return fmt.Errorf("usage: -n %d: want at least 1 mutant", *n)
 	}
-	// LIFO: the CPU profile stops first, then the heap profile and the
-	// trace/stats are written, on every return path.
-	defer func() {
-		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
-			err = ferr
+	return t.RunContext(func(ctx context.Context) error {
+		if *budget > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *budget)
+			defer cancel()
 		}
-	}()
-	defer func() {
-		if herr := profiling.WriteHeap(*memprofile); herr != nil && err == nil {
-			err = herr
+		st, cache, err := t.OpenStore()
+		if err != nil {
+			return err
 		}
-	}()
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSig()
-	if *budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *budget)
-		defer cancel()
-	}
-
-	st, serr := store.OpenFromFlags(*cacheMode, *cacheDir, os.Stderr)
-	if serr != nil {
-		return serr
-	}
-	var cache logic.VerdictCache
-	if st != nil {
-		cache = st
-	}
-
-	if *replay != "" {
-		entries, rerr := mutate.Replay(st, *replay, cache)
-		if rerr != nil {
-			return rerr
+		if *replay != "" {
+			entries, err := mutate.Replay(st, *replay, cache)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "replayed %d corpus entries of campaign %s: engines agree on all\n", entries, *replay)
+			return nil
 		}
-		fmt.Fprintf(stdout, "replayed %d corpus entries of campaign %s: engines agree on all\n", entries, *replay)
+		rep, err := mutate.Run(mutate.Config{
+			N:           *n,
+			Seed:        *seed,
+			Parallelism: t.J,
+			Ctx:         ctx,
+			Cache:       cache,
+			Store:       st,
+			Name:        *name,
+		})
+		// An exceeded -budget cancels only this context, not the one
+		// the harness checks.
+		if err := cli.Interrupted(ctx, err); err != nil {
+			return err
+		}
+		if *verbose {
+			rep.RenderVerbose(stdout)
+		} else {
+			rep.Render(stdout)
+		}
+		if len(rep.Findings) > 0 {
+			return fmt.Errorf("%d finding(s): engines disagree or a witness failed validation", len(rep.Findings))
+		}
 		return nil
-	}
-
-	rep, cerr := mutate.Run(mutate.Config{
-		N:           *n,
-		Seed:        *seed,
-		Parallelism: *j,
-		Ctx:         ctx,
-		Cache:       cache,
-		Store:       st,
-		Name:        *name,
 	})
-	if ctx.Err() != nil {
-		return fmt.Errorf("interrupted (partial results): %w", context.Cause(ctx))
-	}
-	if cerr != nil {
-		return cerr
-	}
-	if *verbose {
-		rep.RenderVerbose(stdout)
-	} else {
-		rep.Render(stdout)
-	}
-	if len(rep.Findings) > 0 {
-		return fmt.Errorf("%d finding(s): engines disagree or a witness failed validation", len(rep.Findings))
-	}
-	return nil
 }

@@ -2,16 +2,15 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files from current gemverify output")
+	"gem/internal/cli/clitest"
+)
 
 // timeColumn matches the per-cell TIME column, the only part of the
 // report that varies between runs.
@@ -29,26 +28,6 @@ func maskTime(out string) string {
 	return strings.Join(lines, "\n")
 }
 
-// compareGolden checks got against testdata/name, or rewrites the file
-// under -update.
-func compareGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-	}
-}
-
 // TestMatrixGolden: the full matrix and its negative controls, checked
 // from scratch, print the same report at any parallelism — cell run
 // counts, verdicts and the refuted computation indices — modulo TIME.
@@ -56,10 +35,10 @@ func TestMatrixGolden(t *testing.T) {
 	for _, j := range []string{"1", "4"} {
 		t.Run("j"+j, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run([]string{"-j", j, "-cache", "off"}, &out); err != nil {
+			if err := run([]string{"-j", j, "-cache", "off"}, &out, io.Discard); err != nil {
 				t.Fatalf("gemverify -j %s: %v\n%s", j, err, out.String())
 			}
-			compareGolden(t, "matrix.golden", maskTime(out.String()))
+			clitest.Golden(t, "matrix.golden", maskTime(out.String()))
 		})
 	}
 }
@@ -68,14 +47,14 @@ func TestMatrixGolden(t *testing.T) {
 // with one gemverify run and no results.
 func TestVerifiedMatrixSARIF(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "matrix.sarif")
-	if err := run([]string{"-j", "1", "-cache", "off", "-sarif", path}, io.Discard); err != nil {
+	if err := run([]string{"-j", "1", "-cache", "off", "-sarif", path}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("gemverify -sarif: %v", err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, "verified.sarif.golden", string(got))
+	clitest.Golden(t, "verified.sarif.golden", string(got))
 }
 
 // TestUsageErrors: malformed flags fail before any work.
@@ -85,8 +64,26 @@ func TestUsageErrors(t *testing.T) {
 		{"-j", "abc"},
 		{"-cache", "sometimes"},
 	} {
-		if err := run(args, io.Discard); err == nil {
+		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("gemverify %v must fail", args)
 		}
+	}
+}
+
+// TestFlagSurface pins gemverify's flags and their defaults.
+func TestFlagSurface(t *testing.T) {
+	var usage strings.Builder
+	run([]string{"-h"}, io.Discard, &usage)
+	want := `-cache=rw
+-cache-dir=
+-cpuprofile=
+-engine=auto
+-j=NumCPU
+-memprofile=
+-sarif=
+-stats=
+-trace=`
+	if got := clitest.Surface(usage.String()); got != want {
+		t.Errorf("flags:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -372,17 +372,25 @@ func Refutations() []Refutation {
 
 // RunRefutations executes the negative controls: each must be refuted on
 // at least one computation. Parallel runs report the same (lowest)
-// refuting computation index as sequential ones.
+// refuting computation index as sequential ones. A cancelled run stops
+// with an interrupted error.
 func RunRefutations(w io.Writer, opts ...Options) error {
-	opt := firstOpt(opts)
+	return runRefutations(w, Refutations(), firstOpt(opts))
+}
+
+// runRefutations is RunRefutations over the controls refs.
+func runRefutations(w io.Writer, refs []Refutation, opt Options) error {
 	done := logic.Done(opt.Ctx)
 	var firstErr error
-	for _, r := range Refutations() {
+	interrupted := func() error {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("check: refutations interrupted: %w", opt.Ctx.Err())
+		}
+		return firstErr
+	}
+	for _, r := range refs {
 		if logic.Cancelled(done) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("check: refutations interrupted: %w", opt.Ctx.Err())
-			}
-			break
+			return interrupted()
 		}
 		problem, comps, corr, err := r.Build()
 		if err != nil {
@@ -394,6 +402,11 @@ func RunRefutations(w io.Writer, opts ...Options) error {
 		}
 		idx, _ := verify.CheckAll(problem, comps, corr,
 			logic.CheckOptions{Parallelism: opt.Parallelism, Engine: opt.Engine, Ctx: opt.Ctx, Cache: opt.Cache})
+		// A cancelled CheckAll may stop before the refuting computation,
+		// so its -1 is no verdict.
+		if logic.Cancelled(done) {
+			return interrupted()
+		}
 		if idx < 0 {
 			fmt.Fprintf(w, "%-55s NOT refuted (%d computations) — matrix broken\n", r.Name, len(comps))
 			if firstErr == nil {

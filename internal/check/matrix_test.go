@@ -2,8 +2,13 @@ package check
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"gem/internal/core"
+	"gem/internal/spec"
+	"gem/internal/verify"
 )
 
 // TestMatrixAllVerified runs the full Section 11 matrix: three languages
@@ -68,5 +73,28 @@ func TestRefutationsAllRefuted(t *testing.T) {
 	t.Logf("\n%s", buf.String())
 	if got := strings.Count(buf.String(), "refuted as expected"); got != 2 {
 		t.Errorf("refuted controls = %d, want 2:\n%s", got, buf.String())
+	}
+}
+
+// TestRefutationInterrupted: a control whose check is cancelled before
+// its refuting computation reports the interruption, not a broken
+// matrix. CheckAll returns -1 both when nothing fails and when it gives
+// up, so only the context tells the two apart.
+func TestRefutationInterrupted(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		control := Refutations()[1]
+		cancelling := Refutation{Name: control.Name, Build: func() (*spec.Spec, []*core.Computation, verify.Correspondence, error) {
+			defer cancel()
+			return control.Build()
+		}}
+		var buf bytes.Buffer
+		err := runRefutations(&buf, []Refutation{cancelling, control}, Options{Parallelism: par, Ctx: ctx})
+		if err == nil || !strings.Contains(err.Error(), "interrupted") {
+			t.Errorf("-j %d: error = %v, want an interruption", par, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-j %d: an interrupted control printed a verdict:\n%s", par, buf.String())
+		}
 	}
 }

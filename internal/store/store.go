@@ -308,8 +308,9 @@ func EnvBudget(warn io.Writer) int64 {
 	return n
 }
 
-// OpenFromFlags implements the -cache/-cache-dir flag pair shared by
-// gemcheck and gemverify: parse the mode, resolve the directory (the
+// OpenFromFlags implements the -cache/-cache-dir flag pair that
+// internal/cli declares for gemverify, gemcheck and gemmut (the bench
+// harness calls it too): parse the mode, resolve the directory (the
 // flag value, else DefaultDir), open, and Trim a read-write store to the
 // EnvBudget. An unknown mode is an error — that's a flag typo. An
 // unusable cache directory is not: the store is an accelerator, never a

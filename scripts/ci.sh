@@ -33,7 +33,16 @@ tracedir="$(mktemp -d)"
 trap 'rm -rf "$tracedir"' EXIT
 go run ./cmd/gemlint -deep -stats -trace "$tracedir/lint.json" examples/specs/*.gem >/dev/null 2>"$tracedir/lint.stats"
 go run ./cmd/gemcheck -j 2 -cache off -stats -trace "$tracedir/check.json" rw >/dev/null 2>"$tracedir/check.stats"
-go run ./cmd/tracecheck -min-spans 1 "$tracedir/lint.json" "$tracedir/check.json"
+go run ./cmd/gemverify -j 2 -cache off -trace "$tracedir/verify.json" >/dev/null
+go run ./cmd/gemmut -n 250 -seed 7 -cache off -trace "$tracedir/mut.json" >/dev/null
+go run ./cmd/gemgo -trace "$tracedir/gemgo.json" internal/gofront/testdata/src/clean_gem013_paired >/dev/null
+# gemc with -trace detached and after the spec: it once wrote the trace
+# over the spec, so it runs on a copy and the copy must survive intact.
+cp examples/specs/boundedbuffer.gem "$tracedir/spec.gem"
+go run ./cmd/gemc "$tracedir/spec.gem" -trace "$tracedir/gemc.json" >/dev/null
+cmp examples/specs/boundedbuffer.gem "$tracedir/spec.gem"
+go run ./cmd/tracecheck -min-spans 1 "$tracedir/lint.json" "$tracedir/check.json" \
+	"$tracedir/verify.json" "$tracedir/mut.json" "$tracedir/gemgo.json" "$tracedir/gemc.json"
 grep -q '== spans ==' "$tracedir/check.stats"
 echo "==> gemgo fixture corpora: defects report exactly their code, cleans report nothing"
 go build -o "$tracedir/gemgo" ./cmd/gemgo
