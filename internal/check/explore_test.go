@@ -11,10 +11,12 @@ import (
 	"gem/internal/core"
 	"gem/internal/csp"
 	"gem/internal/explore"
+	"gem/internal/logic"
 	"gem/internal/monitor"
 	"gem/internal/problems/boundedbuf"
 	"gem/internal/problems/oneslot"
 	"gem/internal/problems/rw"
+	"gem/internal/verify"
 )
 
 // TestRefutationIndices pins which computation refutes each negative
@@ -30,6 +32,43 @@ func TestRefutationIndices(t *testing.T) {
 	for _, want := range []string{"(computation 6 of 66)", "(computation 0 of 10)"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("refutation report lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestRefutationVerdictVectors pins every computation's verdict in each
+// negative control, not only the first failure: a kernel bug that
+// misses one of several violations leaves the first index, and so
+// TestRefutationIndices, unchanged.
+func TestRefutationVerdictVectors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("checks every refutation computation; skipped in -short mode")
+	}
+	want := map[string]struct {
+		failing []int
+		of      int
+	}{
+		"writers-priority-monitor vs readers-priority-spec": {[]int{6, 25}, 66},
+		"unguarded-deposit vs capacity-spec":                {[]int{0, 3}, 10},
+	}
+	for _, r := range Refutations() {
+		w, ok := want[r.Name]
+		if !ok {
+			t.Errorf("refutation %q has no pinned verdict vector", r.Name)
+			continue
+		}
+		problem, comps, corr, err := r.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		var failing []int
+		for i, c := range comps {
+			if !verify.Check(problem, c, corr, logic.CheckOptions{}).Sat() {
+				failing = append(failing, i)
+			}
+		}
+		if fmt.Sprint(failing) != fmt.Sprint(w.failing) || len(comps) != w.of {
+			t.Errorf("%s: computations %v of %d fail, want %v of %d", r.Name, failing, len(comps), w.failing, w.of)
 		}
 	}
 }

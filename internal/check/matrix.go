@@ -47,10 +47,10 @@ type Options struct {
 	// cell instead of a verdict. nil means never cancelled.
 	Ctx context.Context
 	// Cache, when non-nil, is the persistent result store threaded into
-	// every sat check: restriction verdicts, fast-path guard vectors,
-	// and (when the value also implements verify.SatCache) whole-check
-	// sat records are looked up before evaluating and written behind on
-	// a miss. Verdicts are identical with and without it.
+	// every sat check: restriction verdicts and (when the value also
+	// implements verify.SatCache) whole-check sat records are looked up
+	// before evaluating and written behind on a miss. Verdicts are
+	// identical with and without it.
 	Cache logic.VerdictCache
 }
 

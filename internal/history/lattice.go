@@ -20,7 +20,6 @@ type Lattice struct {
 
 	histOnce  sync.Once
 	histories []History
-	built     atomic.Bool // set once histories is populated (enumerated or hydrated)
 
 	pairsOnce sync.Once
 	sups      [][]int32 // sups[i] = ascending indices j with histories[i] ⊑ histories[j]
@@ -63,16 +62,9 @@ func (l *Lattice) Histories() []History {
 		obs.Count("lattice.builds", 1)
 		obs.Count("lattice.histories", int64(len(l.histories)))
 		obs.SetMax("lattice.max_histories", int64(len(l.histories)))
-		l.built.Store(true)
 	})
 	return l.histories
 }
-
-// Enumerated reports whether the history enumeration has been populated
-// — by Histories itself or by Hydrate. The persistent store uses it to
-// persist lattices only after they have actually been built, and to
-// skip re-persisting hydrated ones.
-func (l *Lattice) Enumerated() bool { return l.built.Load() }
 
 // Pairs calls fn with every ordered pair h1 ⊑ h2 of histories (including
 // h1 = h2), in the same nested enumeration order a direct double loop

@@ -119,25 +119,6 @@ type Options struct {
 	// of Prelint: Prelint short-circuits restrictions proven to fail,
 	// FastPath ones proven to hold.
 	FastPath bool
-	// Guards, when non-nil and FastPath is set, persists the fast-path
-	// guard vector across processes: a hit skips re-deriving the guards
-	// and re-evaluating them on the computation. Entries are keyed by
-	// spec hash and computation fingerprint (internal/store satisfies
-	// this structurally), so they are exactly as valid as a fresh
-	// fastPathHolds run; a miss, a corrupt entry, or a length mismatch
-	// falls back to computing and writing behind.
-	Guards GuardCache
-}
-
-// GuardCache persists per-restriction fast-path guard vectors (the
-// []bool fastPathHolds computes). LookupGuards returns the cached vector
-// and whether it was found; a found nil vector is meaningful ("no guard
-// fires for this spec/computation") and is distinct from a miss.
-// Implementations must be safe for concurrent use and must degrade
-// internal failures to a miss.
-type GuardCache interface {
-	LookupGuards(s *spec.Spec, c *core.Computation) ([]bool, bool)
-	StoreGuards(s *spec.Spec, c *core.Computation, hold []bool)
 }
 
 // Check verifies that the computation is legal with respect to the
@@ -172,18 +153,7 @@ func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 	}
 	var hold []bool
 	if opts.FastPath {
-		cached := false
-		if opts.Guards != nil {
-			if g, ok := opts.Guards.LookupGuards(s, c); ok && (g == nil || len(g) == len(rs)) {
-				hold, cached = g, true
-			}
-		}
-		if !cached {
-			hold = fastPathHolds(s, c, rs)
-			if opts.Guards != nil {
-				opts.Guards.StoreGuards(s, c, hold)
-			}
-		}
+		hold = fastPathHolds(s, c, rs)
 		if obs.Enabled() {
 			for _, h := range hold {
 				if h {

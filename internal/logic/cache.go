@@ -1,6 +1,10 @@
 package logic
 
-import "gem/internal/core"
+import (
+	"context"
+
+	"gem/internal/core"
+)
 
 // VerdictCache is a persistent restriction-verdict store consulted by
 // Holds before evaluating and written behind on a miss. Implementations
@@ -10,6 +14,9 @@ import "gem/internal/core"
 // entries. The interface lives here (and is satisfied structurally) so
 // logic does not import the store.
 //
+// Lookup's ctx is the caller's (CheckOptions.Ctx), so a lookup's span
+// nests under the evaluation that made it.
+//
 // Contract: Lookup must return (verdict, true) only for an entry written
 // by Store with the same key on a semantically identical evaluation —
 // the returned counterexample must be either nil (the formula held) or a
@@ -18,7 +25,7 @@ import "gem/internal/core"
 // internal failure (missing, corrupt, truncated, version-skewed entry)
 // to a miss, never a wrong verdict.
 type VerdictCache interface {
-	Lookup(f Formula, c *core.Computation, engine Engine) (*Counterexample, bool)
+	Lookup(ctx context.Context, f Formula, c *core.Computation, engine Engine) (*Counterexample, bool)
 	Store(f Formula, c *core.Computation, engine Engine, cx *Counterexample)
 }
 

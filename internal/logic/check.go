@@ -116,7 +116,7 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 	if cache := opts.Cache; cache != nil {
 		opts.Cache = nil
 		if opts.Cacheable() {
-			if cx, ok := cache.Lookup(f, c, opts.Engine); ok {
+			if cx, ok := cache.Lookup(opts.Ctx, f, c, opts.Engine); ok {
 				return cx
 			}
 			cx := Holds(f, c, opts)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -17,8 +18,8 @@ import (
 )
 
 // specHashes memoizes gemlang.HashSpec per live spec pointer: whole-spec
-// hashes key sat and guard records and are requested once per checked
-// computation, but a spec's canonical rendering never changes.
+// hashes key sat records and are requested once per checked computation,
+// but a spec's canonical rendering never changes.
 var specHashes sync.Map // *spec.Spec → string
 
 func hashSpec(sp *spec.Spec) string {
@@ -53,25 +54,15 @@ func satKey(problem *spec.Spec, c *core.Computation, corrKey string, engine logi
 	return key("sat", engineVersionStr, engine.String(), hashSpec(problem), corrKey, core.Fingerprint(c))
 }
 
-func guardsKey(sp *spec.Spec, c *core.Computation) string {
-	return key("guards", engineVersionStr, hashSpec(sp), core.Fingerprint(c))
-}
-
-func latticeKey(fp string) string {
-	return key("lattice", strconv.Itoa(history.LatticeFormatVersion), fp)
-}
-
 // Lookup implements logic.VerdictCache: it serves a previously persisted
 // restriction verdict for (f, c, engine), rehydrating the failing
 // witness against the live computation. Any decode or validation failure
-// is a miss. On a miss it also probes the lattice artifact once per
-// computation, so the evaluation about to run starts from the persisted
-// history enumeration instead of rebuilding it.
-func (s *Store) Lookup(f logic.Formula, c *core.Computation, engine logic.Engine) (*logic.Counterexample, bool) {
+// is a miss.
+func (s *Store) Lookup(ctx context.Context, f logic.Formula, c *core.Computation, engine logic.Engine) (*logic.Counterexample, bool) {
 	if s == nil || s.mode == Off {
 		return nil, false
 	}
-	_, sp := obs.StartSpan(nil, "store.lookup")
+	_, sp := obs.StartSpan(ctx, "store.lookup")
 	defer sp.End()
 	if payload, ok := s.read(verdictKey(f, c, engine), kindVerdict); ok {
 		if cx, err := decodeVerdict(payload, f, c); err == nil {
@@ -80,58 +71,27 @@ func (s *Store) Lookup(f logic.Formula, c *core.Computation, engine logic.Engine
 		}
 	}
 	s.miss()
-	s.hydrateLattice(c)
 	return nil, false
 }
 
 // Store implements logic.VerdictCache's write-behind: it persists the
-// verdict just computed for (f, c, engine), and piggybacks the lattice
-// artifact if this computation's lattice was enumerated during the
-// evaluation.
+// verdict just computed for (f, c, engine).
 func (s *Store) Store(f logic.Formula, c *core.Computation, engine logic.Engine, cx *logic.Counterexample) {
 	if s == nil || s.mode != ReadWrite {
 		return
 	}
 	s.write(verdictKey(f, c, engine), kindVerdict, encodeVerdict(cx))
-	s.persistLattice(c)
-}
-
-// LookupGuards implements legal.GuardCache.
-func (s *Store) LookupGuards(sp *spec.Spec, c *core.Computation) ([]bool, bool) {
-	if s == nil || s.mode == Off {
-		return nil, false
-	}
-	payload, ok := s.read(guardsKey(sp, c), kindGuards)
-	if !ok {
-		s.miss()
-		return nil, false
-	}
-	hold, err := decodeGuards(payload)
-	if err != nil {
-		s.miss()
-		return nil, false
-	}
-	s.hit()
-	return hold, true
-}
-
-// StoreGuards implements legal.GuardCache.
-func (s *Store) StoreGuards(sp *spec.Spec, c *core.Computation, hold []bool) {
-	if s == nil || s.mode != ReadWrite {
-		return
-	}
-	s.write(guardsKey(sp, c), kindGuards, encodeGuards(hold))
 }
 
 // LookupSat implements verify.SatCache: a hit means a prior complete,
 // uncancelled run proved this exact (problem, correspondence, program
 // computation, engine) combination sat. This is the warm fast path — it
 // skips projection, thread labelling, and the whole legality check.
-func (s *Store) LookupSat(problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) bool {
+func (s *Store) LookupSat(ctx context.Context, problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) bool {
 	if s == nil || s.mode == Off {
 		return false
 	}
-	_, sp := obs.StartSpan(nil, "store.sat")
+	_, sp := obs.StartSpan(ctx, "store.sat")
 	defer sp.End()
 	payload, ok := s.read(satKey(problem, c, corrKey, engine), kindSat)
 	if !ok || len(payload) != 1 || payload[0] != 1 {
@@ -149,69 +109,6 @@ func (s *Store) StoreSat(problem *spec.Spec, c *core.Computation, corrKey string
 		return
 	}
 	s.write(satKey(problem, c, corrKey, engine), kindSat, []byte{1})
-}
-
-// latticeState tracks, per computation, whether the lattice artifact was
-// already probed and whether the on-disk copy is current. It lives in
-// the computation's Derived cache, but is created OUTSIDE the calls that
-// use it — Derived holds the computation mutex during build, so the
-// probe I/O and Hydrate run strictly after the tiny allocation below.
-type latticeState struct {
-	probed    sync.Once
-	persisted bool // guarded by probed/once semantics + persistMu
-	persistMu sync.Mutex
-}
-
-func latState(c *core.Computation) *latticeState {
-	return c.Derived("store.lattice", func() any { return new(latticeState) }).(*latticeState)
-}
-
-// hydrateLattice seeds the computation's shared history lattice from the
-// persisted artifact, at most once per computation per process. Called
-// on the verdict-miss path, before the engines enumerate.
-func (s *Store) hydrateLattice(c *core.Computation) {
-	st := latState(c)
-	lat := history.Shared(c)
-	fp := core.Fingerprint(c)
-	st.probed.Do(func() {
-		if lat.Enumerated() {
-			return
-		}
-		payload, ok := s.read(latticeKey(fp), kindLattice)
-		if !ok {
-			s.miss()
-			return
-		}
-		if err := lat.Hydrate(payload); err != nil {
-			s.miss()
-			return
-		}
-		s.hit()
-		st.persistMu.Lock()
-		st.persisted = true
-		st.persistMu.Unlock()
-	})
-}
-
-// persistLattice writes the lattice artifact behind, once, if the
-// evaluation actually enumerated it (never forcing an enumeration just
-// to persist one).
-func (s *Store) persistLattice(c *core.Computation) {
-	if s == nil || s.mode != ReadWrite {
-		return
-	}
-	lat := history.Shared(c)
-	if !lat.Enumerated() {
-		return
-	}
-	st := latState(c)
-	st.persistMu.Lock()
-	defer st.persistMu.Unlock()
-	if st.persisted {
-		return
-	}
-	st.persisted = true
-	s.write(latticeKey(core.Fingerprint(c)), kindLattice, lat.Encode())
 }
 
 // ---- verdict payload codec ----
@@ -370,49 +267,4 @@ func matchFormula(f logic.Formula, wantHash string) logic.Formula {
 		return matchFormula(g.F, wantHash)
 	}
 	return nil
-}
-
-// ---- guards payload codec ----
-
-// Guard payload: uvarint length, then the bits packed LSB-first. Length
-// zero round-trips as a nil vector ("no guard fires").
-func encodeGuards(hold []bool) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(hold)))
-	var cur byte
-	for i, h := range hold {
-		if h {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			out = append(out, cur)
-			cur = 0
-		}
-	}
-	if len(hold)%8 != 0 {
-		out = append(out, cur)
-	}
-	return out
-}
-
-func decodeGuards(payload []byte) ([]bool, error) {
-	n, sz := binary.Uvarint(payload)
-	if sz <= 0 || n > uint64(len(payload))*8 {
-		return nil, errCorrupt
-	}
-	rest := payload[sz:]
-	if uint64(len(rest)) != (n+7)/8 {
-		return nil, errCorrupt
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	hold := make([]bool, n)
-	for i := range hold {
-		hold[i] = rest[i/8]&(1<<(i%8)) != 0
-	}
-	// Bits past n must be clear, so distinct payloads stay distinct.
-	if tail := n % 8; tail != 0 && rest[len(rest)-1]>>tail != 0 {
-		return nil, errCorrupt
-	}
-	return hold, nil
 }

@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"gem/internal/core"
-	"gem/internal/history"
 	"gem/internal/logic"
 )
 
 // FuzzDecodeRecord pins the store's robustness contract: arbitrary bytes
 // fed to the record decoders never panic and always degrade to a miss
-// (an error or a rejected payload), across every decoding layer — the
-// record framing, the verdict payload, the guard payload, and the
-// lattice artifact.
+// (an error or a rejected payload), across both decoding layers — the
+// record framing and the verdict payload. Sat, corpus and manifest
+// payloads have no decoder of their own: a sat record is the one byte
+// LookupSat compares, and corpus and manifest payloads are opaque to the
+// store (internal/mutate owns their codec).
 func FuzzDecodeRecord(f *testing.F) {
 	comp := randComp(rand.New(rand.NewSource(42)), 5)
 	formula := logic.And{
@@ -26,11 +27,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(verdict)
 	f.Add(verdict[:len(verdict)/2])
 	f.Add(encodeRecord(kindVerdict, encodeVerdict(nil)))
-	f.Add(encodeRecord(kindGuards, encodeGuards([]bool{true, false, true})))
 	f.Add(encodeRecord(kindSat, []byte{1}))
-	lat := history.Shared(comp)
-	lat.Histories()
-	f.Add(encodeRecord(kindLattice, lat.Encode()))
+	f.Add(encodeRecord(kindCorpus, []byte("corpus entry")))
+	f.Add(encodeRecord(kindManifest, []byte("manifest")))
 	f.Add([]byte{})
 	f.Add([]byte("GEMS"))
 
@@ -51,16 +50,13 @@ func FuzzDecodeRecord(f *testing.F) {
 					t.Fatal("decoded verdict not bound to the live computation")
 				}
 			}
-		case kindGuards:
-			if hold, err := decodeGuards(payload); err == nil && hold != nil && len(hold) == 0 {
-				t.Fatal("decodeGuards returned a non-nil empty vector")
-			}
-		case kindLattice:
-			fresh := randComp(rand.New(rand.NewSource(42)), 5)
-			_ = history.Shared(fresh).Hydrate(payload)
+		case kindSat, kindCorpus, kindManifest:
+			// No payload decoder: reaching here without a panic is the
+			// whole contract.
 		default:
-			// Unknown kinds are fine at the framing layer; the store's
-			// read() rejects them by kind mismatch.
+			// Unknown kinds, the two retired ones included, are fine at
+			// the framing layer; the store's read() rejects them by kind
+			// mismatch.
 		}
 	})
 }

@@ -20,11 +20,14 @@ const (
 	recordVersion = 1
 )
 
-// The record kinds.
+// The record kinds. A kind is the suffix of its record files, so a
+// retired kind keeps its number: renumbering the kinds after it would
+// orphan every record of theirs. Files of a retired kind are never read
+// again, and Trim evicts them first.
 const (
 	kindVerdict byte = 1 + iota
-	kindGuards
-	kindLattice
+	_                // 2: fast-path guard vectors, retired
+	_                // 3: history lattices, retired
 	kindSat
 	kindCorpus
 	kindManifest

@@ -1,17 +1,19 @@
 // Package store implements the persistent, content-addressed result
 // cache behind incremental checking: an on-disk map from (canonical spec
-// hash × computation fingerprint × engine × versions) to restriction
-// verdict records, fast-path guard vectors, whole-check sat records, and
-// serialized history-lattice artifacts. Keys are content hashes of
-// canonical forms (gemlang.HashFormula/HashSpec, core.Fingerprint), so
-// invalidation is automatic and restriction-granular: editing one
-// restriction of a spec changes only that restriction's formula hash,
-// and every other restriction keeps hitting.
+// hash × computation fingerprint × engine × versions) to two layers of
+// check results, whole-check sat records and per-restriction verdict
+// records, plus gemmut's corpus and manifest records (corpus.go). Keys
+// are content hashes of canonical forms (gemlang.HashFormula/HashSpec,
+// core.Fingerprint), so invalidation is automatic and
+// restriction-granular: editing one restriction of a spec changes only
+// that restriction's formula hash, and every other restriction keeps
+// hitting. Results that cost less to recompute than to read, such as
+// fast-path guards and history lattices, are not persisted.
 //
-// The Store satisfies logic.VerdictCache, legal.GuardCache, and
-// verify.SatCache structurally — those packages define the interfaces,
-// this package implements them without importing them, so the engine
-// layers stay store-free.
+// The Store satisfies logic.VerdictCache and verify.SatCache
+// structurally — those packages define the interfaces, this package
+// implements them without importing them, so the engine layers stay
+// store-free.
 //
 // Robustness rules: corrupt, truncated, or version-skewed records decode
 // to a miss, never a wrong verdict (every record carries a magic,

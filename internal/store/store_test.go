@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,17 +9,14 @@ import (
 	"testing"
 
 	"gem/internal/core"
-	"gem/internal/history"
-	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/verify"
 )
 
-// The store must satisfy the three engine-layer cache interfaces it
+// The store must satisfy the two engine-layer cache interfaces it
 // claims to implement structurally.
 var (
 	_ logic.VerdictCache = (*Store)(nil)
-	_ legal.GuardCache   = (*Store)(nil)
 	_ verify.SatCache    = (*Store)(nil)
 )
 
@@ -164,7 +162,7 @@ func TestVerdictRoundTripAcrossHandles(t *testing.T) {
 		if core.Fingerprint(c1) != core.Fingerprint(c2) {
 			t.Fatal("identical builds fingerprint differently")
 		}
-		got, ok := s2.Lookup(f, c2, logic.EngineAuto)
+		got, ok := s2.Lookup(context.Background(), f, c2, logic.EngineAuto)
 		if !ok {
 			t.Fatalf("case %d: fresh handle missed a just-written verdict", i)
 		}
@@ -275,27 +273,8 @@ func TestVerdictFormulaMismatchIsMiss(t *testing.T) {
 	if err := os.WriteFile(target, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Lookup(other, c, logic.EngineAuto); ok {
+	if _, ok := s.Lookup(context.Background(), other, c, logic.EngineAuto); ok {
 		t.Fatal("verdict for a different formula was served")
-	}
-}
-
-// Guard vectors round-trip, including the nil ("no guard fires") case.
-func TestGuardsRoundTrip(t *testing.T) {
-	for _, hold := range [][]bool{nil, {true}, {false, true, false}, make([]bool, 17)} {
-		payload := encodeGuards(hold)
-		got, err := decodeGuards(payload)
-		if err != nil {
-			t.Fatalf("decodeGuards(%v): %v", hold, err)
-		}
-		if len(got) != len(hold) {
-			t.Fatalf("guards %v round-tripped to %v", hold, got)
-		}
-		for i := range hold {
-			if got[i] != hold[i] {
-				t.Fatalf("guards %v round-tripped to %v", hold, got)
-			}
-		}
 	}
 }
 
@@ -331,43 +310,6 @@ func TestConcurrentStoreTraffic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// The lattice artifact must hydrate a fresh computation's shared lattice
-// without re-enumerating.
-func TestLatticePersistAndHydrate(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *core.Computation { return randComp(rand.New(rand.NewSource(21)), 6) }
-	c1 := mk()
-	f := logic.Box{F: logic.ForAll{Var: "e", Ref: core.Ref("", "X"), Body: logic.Occurred{Var: "e"}}}
-	// Evaluate through the cache: the miss path probes (no artifact yet),
-	// the evaluation enumerates, the write-behind persists.
-	logic.Holds(f, c1, logic.CheckOptions{Cache: s, Engine: logic.EngineLattice})
-	if !history.Shared(c1).Enumerated() {
-		t.Skip("engine did not enumerate the lattice for this formula")
-	}
-
-	c2 := mk()
-	s2, err := Open(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force a verdict miss for a *different* formula so the lookup path
-	// hydrates, then evaluation uses the hydrated lattice.
-	f2 := logic.Diamond{F: logic.ForAll{Var: "e", Ref: core.Ref("", "Y"), Body: logic.Occurred{Var: "e"}}}
-	want := cxString(logic.Holds(f2, mk(), logic.CheckOptions{}))
-	builds := history.LatticeBuilds()
-	got := cxString(logic.Holds(f2, c2, logic.CheckOptions{Cache: s2, Engine: logic.EngineLattice}))
-	if got != want {
-		t.Fatalf("hydrated-lattice verdict differs: want %s, got %s", want, got)
-	}
-	if history.Shared(c2).Enumerated() && history.LatticeBuilds() != builds {
-		t.Error("warm evaluation re-enumerated a persisted lattice")
-	}
 }
 
 // Trim must evict oldest-first down to the budget and count evictions.
@@ -408,12 +350,22 @@ func TestNilStoreIsInert(t *testing.T) {
 		t.Fatal("Off mode returned a non-nil store")
 	}
 	c := randComp(rand.New(rand.NewSource(2)), 4)
-	if _, ok := s.Lookup(logic.TrueF{}, c, logic.EngineAuto); ok {
+	if _, ok := s.Lookup(context.Background(), logic.TrueF{}, c, logic.EngineAuto); ok {
 		t.Error("nil store hit")
 	}
 	s.Store(logic.TrueF{}, c, logic.EngineAuto, nil)
 	s.Trim(0)
 	if st := s.Stats(); st != (Stats{}) {
 		t.Errorf("nil store counted traffic: %+v", st)
+	}
+}
+
+// Record kinds name the record files, so retiring a kind must not
+// renumber the others: a renumbered kind would orphan every record of
+// it in existing stores.
+func TestRecordKindsKeepTheirNumbers(t *testing.T) {
+	if kindVerdict != 1 || kindSat != 4 || kindCorpus != 5 || kindManifest != 6 {
+		t.Errorf("kinds verdict/sat/corpus/manifest = %d/%d/%d/%d, want 1/4/5/6",
+			kindVerdict, kindSat, kindCorpus, kindManifest)
 	}
 }

@@ -16,6 +16,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -109,11 +110,12 @@ func writeSortedParams(sb *strings.Builder, p core.Params) {
 // engine) combination satisfied the problem, and StoreSat records one.
 // Only sat == true is ever stored — failures are recomputed so their
 // counterexamples stay fresh — which makes a hit sufficient to return a
-// passing Result without projecting at all. Implementations
-// (internal/store) must be safe for concurrent use and degrade internal
-// failures to a miss.
+// passing Result without projecting at all. LookupSat's ctx is the
+// caller's (logic.CheckOptions.Ctx), so a lookup's span nests under the
+// check that made it. Implementations (internal/store) must be safe for
+// concurrent use and degrade internal failures to a miss.
 type SatCache interface {
-	LookupSat(problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) bool
+	LookupSat(ctx context.Context, problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) bool
 	StoreSat(problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine)
 }
 
@@ -307,9 +309,8 @@ func (r Result) Error() error {
 // engine) key short-circuits the whole check — no projection, no
 // legality pass; the returned Result is the passing zero Result (nil
 // Projection), which callers must treat as sat-only. On a miss the
-// check runs normally — restriction verdicts flowing through
-// opts.Cache, guard vectors through the GuardCache — and a passing,
-// uncancelled result is written behind.
+// check runs normally, with restriction verdicts flowing through
+// opts.Cache, and a passing, uncancelled result is written behind.
 func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts logic.CheckOptions) Result {
 	obs.Count("sat.checks", 1)
 	var sat SatCache
@@ -318,7 +319,7 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 		if s, ok := opts.Cache.(SatCache); ok {
 			sat = s
 			corrKey = corr.CanonicalKey()
-			if sat.LookupSat(problem, c, corrKey, opts.Engine) {
+			if sat.LookupSat(opts.Ctx, problem, c, corrKey, opts.Engine) {
 				return Result{}
 			}
 		}
@@ -332,13 +333,7 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 	// restrictions the lint analyzer proved statically unsatisfiable;
 	// FastPath skips enumeration for restrictions the deep analyzer's
 	// emptiness guards prove to hold on this projection.
-	lopts := legal.Options{Check: opts, Prelint: true, FastPath: true}
-	if opts.Cache != nil {
-		if g, ok := opts.Cache.(legal.GuardCache); ok && opts.Cacheable() {
-			lopts.Guards = g
-		}
-	}
-	res := legal.Check(problem, proj.Comp, lopts)
+	res := legal.Check(problem, proj.Comp, legal.Options{Check: opts, Prelint: true, FastPath: true})
 	r := Result{Projection: proj, Legality: res}
 	// Write the sat record only for a genuine, complete pass: a
 	// cancelled context can truncate legal.Check into an empty (passing-

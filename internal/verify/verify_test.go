@@ -1,12 +1,15 @@
 package verify
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"gem/internal/core"
 	"gem/internal/logic"
+	"gem/internal/obs"
 	"gem/internal/spec"
+	"gem/internal/store"
 )
 
 // tinyProblem: users ping a service; problem events Ping -> Served.
@@ -107,6 +110,61 @@ func TestCheckSatAndRefute(t *testing.T) {
 	}
 	if bad.Error() == nil {
 		t.Error("Error must describe the refutation")
+	}
+}
+
+// The store's spans open under the caller's context, so a trace shows
+// each lookup inside the check that made it rather than as a root of its
+// own. The checks run twice against one read-write store: the first
+// pass misses and writes, the second hits the sat record; the failing
+// computation misses the sat layer on both passes and reaches the
+// verdict layer.
+func TestStoreSpansNestUnderCaller(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problem := tinyProblem(t)
+	obs.Enable()
+	defer obs.Disable()
+	const root = "caller"
+	ctx, sp := obs.StartSpan(context.Background(), root)
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range []*core.Computation{tinyProgram(t, 5, 5), tinyProgram(t, 5, 9)} {
+			Check(problem, c, tinyCorr(), logic.CheckOptions{Ctx: ctx, Cache: st})
+		}
+	}
+	sp.End()
+
+	spans := obs.Snapshot().Spans
+	parent := make(map[string]string) // each span name has one parent in this run
+	tid := int32(-1)
+	for _, s := range spans {
+		parent[s.Name] = s.Parent
+		if s.Name == root {
+			tid = s.Tid
+		}
+	}
+	under := func(s obs.SpanRec) bool {
+		for p, hops := s.Parent, 0; p != "" && hops < len(spans); p, hops = parent[p], hops+1 {
+			if p == root {
+				return true
+			}
+		}
+		return false
+	}
+	seen := map[string]int{}
+	for _, s := range spans {
+		if s.Name != "store.sat" && s.Name != "store.lookup" {
+			continue
+		}
+		seen[s.Name]++
+		if !under(s) || s.Tid != tid {
+			t.Errorf("%s span has parent %q on track %d, want it under %q on track %d", s.Name, s.Parent, s.Tid, root, tid)
+		}
+	}
+	if seen["store.sat"] != 4 || seen["store.lookup"] == 0 {
+		t.Errorf("store spans seen %v, want 4 store.sat and at least one store.lookup", seen)
 	}
 }
 

@@ -117,6 +117,29 @@ if [ "${emitted:-0}" -ne 217 ] || [ "${leaves:-999999}" -gt 217 ]; then
 	echo "==> FAIL: explore.leaves = ${leaves:-missing}, explore.emitted = ${emitted:-missing}; want 217 and 217" >&2
 	exit 1
 fi
+echo "==> store write gate: a priming run writes the two check layers only, a warm rerun nothing"
+# A -j 1 priming run of the matrix and its refutations writes 1,400
+# records: 1,253 per-restriction verdicts and 147 whole-check sat
+# records. It wrote 1,640 while the store also kept fast-path guard
+# vectors and history lattices (120 each), which cost less to recompute
+# than to read; a record layer that creeps back fails here. A rerun is
+# served from those records and must write none. At -j 4 the
+# refutations' speculative checks past the first failure write a
+# varying number of records more, so the gate runs at -j 1, where both
+# counts repeat.
+storedir="$tracedir/writegate"
+go run ./cmd/gemverify -j 1 -cache rw -cache-dir "$storedir" -stats >/dev/null 2>"$tracedir/prime.stats"
+writes="$(awk '$1 == "store.write" {print $2}' "$tracedir/prime.stats")"
+if [ "${writes:-0}" -ne 1400 ]; then
+	echo "==> FAIL: priming run store.write = ${writes:-missing}; want 1400" >&2
+	exit 1
+fi
+go run ./cmd/gemverify -j 1 -cache rw -cache-dir "$storedir" -stats >/dev/null 2>"$tracedir/rerun.stats"
+if grep -q '^store\.write ' "$tracedir/rerun.stats"; then
+	echo "==> FAIL: warm rerun wrote to the store:" >&2
+	grep '^store\.write ' "$tracedir/rerun.stats" >&2
+	exit 1
+fi
 echo "==> incremental store smoke: warm repeat hits, identical verdicts and SARIF"
 cachedir="$tracedir/cache"
 go run ./cmd/gemverify -engine lattice -j 2 -cache rw -cache-dir "$cachedir" \
