@@ -54,22 +54,6 @@ func (r *Result) All() []lint.Diagnostic {
 	return out
 }
 
-// Errors returns the error-severity diagnostics of All.
-func (r *Result) Errors() []lint.Diagnostic { return r.bySeverity(lint.SeverityError) }
-
-// Warnings returns the warning-severity diagnostics of All.
-func (r *Result) Warnings() []lint.Diagnostic { return r.bySeverity(lint.SeverityWarning) }
-
-func (r *Result) bySeverity(s lint.Severity) []lint.Diagnostic {
-	var out []lint.Diagnostic
-	for _, d := range r.All() {
-		if d.Severity == s {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // GuardFor returns the fast-path guard computed for the named
 // restriction.
 func (r *Result) GuardFor(owner, name string) (Guard, bool) {

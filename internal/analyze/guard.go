@@ -6,6 +6,7 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/logic"
+	"gem/internal/thread"
 )
 
 // This file implements the emptiness-guard calculus: a syntactic analysis
@@ -275,7 +276,7 @@ func (gs guardSet) emptyOn(c *core.Computation) bool {
 		for _, e := range c.Events() {
 			for _, tid := range e.Threads {
 				for _, t := range gs.threads {
-					if logic.ThreadTypeOf(tid) == t {
+					if thread.TypeOf(tid) == t {
 						return false
 					}
 				}

@@ -266,17 +266,11 @@ func rwScenario(lang Language) Scenario {
 	return s
 }
 
-// RunMatrix executes every scenario and prints a table; it returns an
-// error if any cell fails. Pass Options{Parallelism: n} to check on n
-// workers.
-func RunMatrix(w io.Writer, opts ...Options) error {
-	_, err := RunMatrixCells(w, opts...)
-	return err
-}
-
-// RunMatrixCells is RunMatrix returning the executed cells as well, in
-// matrix order, so front ends (gemverify -sarif) can render the outcomes
-// in other formats. An interrupted matrix returns the cells that ran.
+// RunMatrixCells executes every scenario, prints a table and returns the
+// executed cells in matrix order, so front ends (gemverify -sarif) can
+// render the outcomes in other formats; the error is non-nil if any cell
+// fails. Pass Options{Parallelism: n} to check on n workers. An
+// interrupted matrix returns the cells that ran.
 func RunMatrixCells(w io.Writer, opts ...Options) ([]Cell, error) {
 	opt := firstOpt(opts)
 	done := logic.Done(opt.Ctx)

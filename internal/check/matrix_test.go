@@ -18,7 +18,7 @@ func TestMatrixAllVerified(t *testing.T) {
 		t.Skip("full matrix is slow; skipped in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := RunMatrix(&buf); err != nil {
+	if _, err := RunMatrixCells(&buf); err != nil {
 		t.Fatalf("matrix failed: %v\n%s", err, buf.String())
 	}
 	out := buf.String()

@@ -236,9 +236,6 @@ func (b *Builder) Thread(id EventID, tid string) {
 	}
 }
 
-// NumEvents returns the number of events created so far.
-func (b *Builder) NumEvents() int { return len(b.events) }
-
 // Build derives the temporal order and validates that it is a strict
 // partial order (irreflexive ⇔ the combined graph is acyclic). On success
 // the builder should not be reused.

@@ -8,6 +8,7 @@ func TestUniverseClone(t *testing.T) {
 	u := NewUniverse()
 	u.AddElement("A")
 	u.AddElement("B")
+	u.AddElement("C")
 	u.AddGroup("G", "A")
 	u.AddPort("G", "A", "Start")
 	cp := u.Clone()
@@ -18,7 +19,8 @@ func TestUniverseClone(t *testing.T) {
 	if !cp.Access("B", "A") {
 		t.Error("clone should reflect its own additions")
 	}
-	if len(cp.Ports("G")) != 1 {
+	// C stays outside G, so only the cloned port lets it reach A.
+	if !cp.MayEnable("C", "A", "Start") || cp.MayEnable("C", "A", "Stop") {
 		t.Error("ports must be cloned")
 	}
 }

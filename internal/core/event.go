@@ -6,9 +6,6 @@ import "fmt"
 // starting at 0, in builder insertion order.
 type EventID int
 
-// NoEvent is the sentinel for "no event".
-const NoEvent EventID = -1
-
 // Event is a unique atomic occurrence within a computation. Per the paper,
 // every event belongs to exactly one element, carries data parameters, and
 // may be labelled with thread identifiers.

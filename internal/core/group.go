@@ -54,19 +54,6 @@ func (u *Universe) AddElement(name string) {
 	u.elements[name] = true
 }
 
-// HasElement reports whether the element is declared.
-func (u *Universe) HasElement(name string) bool { return u.elements[name] }
-
-// ElementNames returns all declared element names, sorted.
-func (u *Universe) ElementNames() []string {
-	out := make([]string, 0, len(u.elements))
-	for e := range u.elements {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AddGroup declares a group with the given direct members (element or group
 // names). Members may be declared before or after the group itself;
 // Validate checks referential integrity.
@@ -90,41 +77,6 @@ func (u *Universe) AddPort(group, element, class string) {
 		u.groups[group] = g
 	}
 	g.ports = append(g.ports, Port{Element: element, Class: class})
-}
-
-// HasGroup reports whether the group is declared (the root group always
-// is).
-func (u *Universe) HasGroup(name string) bool {
-	_, ok := u.groups[name]
-	return ok
-}
-
-// GroupNames returns all declared group names (excluding the root), sorted.
-func (u *Universe) GroupNames() []string {
-	out := make([]string, 0, len(u.groups))
-	for g := range u.groups {
-		if g != RootGroup {
-			out = append(out, g)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Members returns the direct members of a group.
-func (u *Universe) Members(group string) []string {
-	if g, ok := u.groups[group]; ok {
-		return g.members
-	}
-	return nil
-}
-
-// Ports returns the ports of a group.
-func (u *Universe) Ports(group string) []Port {
-	if g, ok := u.groups[group]; ok {
-		return g.ports
-	}
-	return nil
 }
 
 // Validate checks referential integrity: every group member names a

@@ -194,31 +194,6 @@ func TestValidateErrors(t *testing.T) {
 	})
 }
 
-func TestUniverseAccessors(t *testing.T) {
-	u := paperUniverse(t)
-	if !u.HasElement("EL1") || u.HasElement("EL9") {
-		t.Error("HasElement wrong")
-	}
-	if !u.HasGroup("G1") || u.HasGroup("G9") {
-		t.Error("HasGroup wrong")
-	}
-	if got := len(u.ElementNames()); got != 6 {
-		t.Errorf("ElementNames count = %d", got)
-	}
-	if got := len(u.GroupNames()); got != 4 {
-		t.Errorf("GroupNames count = %d (root must be excluded)", got)
-	}
-	if got := u.Members("G1"); len(got) != 2 {
-		t.Errorf("Members(G1) = %v", got)
-	}
-	if got := u.Members("nope"); got != nil {
-		t.Errorf("Members of unknown group = %v", got)
-	}
-	if got := u.Ports("G1"); got != nil {
-		t.Errorf("Ports(G1) = %v, want none", got)
-	}
-}
-
 // TestOverlappingGroups exercises the paper's claim that groups may
 // overlap: EL3 belongs to both G1 and G3 and mediates between them.
 func TestOverlappingGroups(t *testing.T) {

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -102,7 +103,7 @@ func (p Params) String() string {
 	for k := range p {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	var sb strings.Builder
 	sb.WriteByte('(')
 	for i, k := range keys {
@@ -115,12 +116,4 @@ func (p Params) String() string {
 	}
 	sb.WriteByte(')')
 	return sb.String()
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -1,6 +1,8 @@
 package csp
 
 import (
+	"slices"
+
 	"gem/internal/core"
 	"gem/internal/logic"
 	"gem/internal/spec"
@@ -165,13 +167,13 @@ func addExternalElements(s *spec.Spec, p *Program) {
 		for c := range classes[elem] {
 			classNames = append(classNames, c)
 		}
-		sortStrings(classNames)
+		slices.Sort(classNames)
 		for _, c := range classNames {
 			var paramNames []string
 			for prm := range classes[elem][c] {
 				paramNames = append(paramNames, prm)
 			}
-			sortStrings(paramNames)
+			slices.Sort(paramNames)
 			ec := spec.EventClassDecl{Name: c}
 			for _, prm := range paramNames {
 				typ := "INTEGER"
@@ -191,14 +193,6 @@ func addExternalElements(s *spec.Spec, p *Program) {
 			}
 		}
 		s.AddElement(decl)
-	}
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
 

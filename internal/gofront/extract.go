@@ -534,9 +534,9 @@ func (x *extractor) bindParams(params *ast.FieldList, args []ast.Expr) func() {
 		return func() {}
 	}
 	type saved struct {
-		obj  types.Object
-		key  objKey
-		had  bool
+		obj types.Object
+		key objKey
+		had bool
 	}
 	var undo []saved
 	i := 0

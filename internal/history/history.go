@@ -21,11 +21,6 @@ type History struct {
 	set order.Bitset
 }
 
-// Empty returns the empty history of c.
-func Empty(c *core.Computation) History {
-	return History{c: c, set: order.NewBitset(c.NumEvents())}
-}
-
 // Full returns the complete computation as a history.
 func Full(c *core.Computation) History {
 	return History{c: c, set: c.FullHistory()}
@@ -39,15 +34,6 @@ func FromSet(c *core.Computation, set order.Bitset) (History, error) {
 		return History{}, fmt.Errorf("history: set %s is not prefix-closed", set)
 	}
 	return History{c: c, set: set.Clone()}, nil
-}
-
-// FromEvents builds a history from the down-closure of the given events.
-func FromEvents(c *core.Computation, ids ...core.EventID) History {
-	seed := order.NewBitset(c.NumEvents())
-	for _, id := range ids {
-		seed.Set(int(id))
-	}
-	return History{c: c, set: order.DownClosure(c.Preds(), seed)}
 }
 
 // Computation returns the computation this history is a prefix of.
@@ -65,24 +51,8 @@ func (h History) Len() int { return h.set.Count() }
 // IsFull reports whether the history is the complete computation.
 func (h History) IsFull() bool { return h.set.Count() == h.c.NumEvents() }
 
-// Equal reports whether two histories contain the same events.
-func (h History) Equal(other History) bool { return h.set.Equal(other.set) }
-
 // PrefixOf reports h ⊑ other.
 func (h History) PrefixOf(other History) bool { return h.set.SubsetOf(other.set) }
-
-// Extend returns a new history with the additional events included. It
-// reports an error if the result would not be prefix-closed.
-func (h History) Extend(ids ...core.EventID) (History, error) {
-	next := h.set.Clone()
-	for _, id := range ids {
-		next.Set(int(id))
-	}
-	if !order.IsIdeal(h.c.Preds(), next) {
-		return History{}, fmt.Errorf("history: extension by %v is not prefix-closed", ids)
-	}
-	return History{c: h.c, set: next}, nil
-}
 
 // New implements the paper's new(e): e occurred and no event has observably
 // followed it — there is no e' in the history with e ⇒ e'.
@@ -115,17 +85,6 @@ func (h History) At(id core.EventID, class core.ClassRef) bool {
 		}
 	}
 	return true
-}
-
-// Frontier returns the events that could individually extend the history
-// (the minimal events of the complement), in id order.
-func (h History) Frontier() []core.EventID {
-	mins := order.MinimalOutside(h.c.Reach(), h.c.Preds(), h.set)
-	out := make([]core.EventID, len(mins))
-	for i, v := range mins {
-		out[i] = core.EventID(v)
-	}
-	return out
 }
 
 // String renders the history as the set of event names.

@@ -2,7 +2,6 @@ package history
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,6 +28,22 @@ func diamond(t *testing.T) (*core.Computation, [4]core.EventID) {
 		t.Fatal(err)
 	}
 	return c, ids
+}
+
+// prefix returns the history made of the given events and all their
+// temporal predecessors, built through FromSet.
+func prefix(t *testing.T, c *core.Computation, ids ...core.EventID) History {
+	t.Helper()
+	set := order.NewBitset(c.NumEvents())
+	for _, id := range ids {
+		set.Set(int(id))
+		set.OrWith(c.Preds()[int(id)])
+	}
+	h, err := FromSet(c, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestPaperHistories reproduces the Section 7 enumeration (experiment E2):
@@ -63,7 +78,7 @@ func TestHistoryConstructionAndPredicates(t *testing.T) {
 	c, ids := diamond(t)
 	e1, e2, e3, e4 := ids[0], ids[1], ids[2], ids[3]
 
-	empty := Empty(c)
+	empty := prefix(t, c)
 	if empty.Len() != 0 || empty.IsFull() {
 		t.Error("empty history wrong")
 	}
@@ -72,9 +87,9 @@ func TestHistoryConstructionAndPredicates(t *testing.T) {
 		t.Error("full history wrong")
 	}
 
-	h := FromEvents(c, e2) // down-closure: {e1, e2}
+	h := prefix(t, c, e2) // down-closure: {e1, e2}
 	if !h.Has(e1) || !h.Has(e2) || h.Has(e3) || h.Len() != 2 {
-		t.Errorf("FromEvents closure = %v", h.Set().Members())
+		t.Errorf("closure = %v", h.Set().Members())
 	}
 
 	// new(e2) in {e1,e2}: nothing followed e2 yet.
@@ -109,11 +124,11 @@ func TestHistoryAtControlPoint(t *testing.T) {
 	e1, e2 := ids[0], ids[1]
 	classE := core.Ref("EL2", "E")
 
-	h1 := FromEvents(c, e1) // {e1}: e1 has not enabled EL2.E yet
+	h1 := prefix(t, c, e1) // {e1}: e1 has not enabled EL2.E yet
 	if !h1.At(e1, classE) {
 		t.Error("e1 at EL2.E should hold in {e1}")
 	}
-	h2 := FromEvents(c, e2) // {e1, e2}: e1 has enabled e2
+	h2 := prefix(t, c, e2) // {e1, e2}: e1 has enabled e2
 	if h2.At(e1, classE) {
 		t.Error("e1 at EL2.E must fail once e2 occurred")
 	}
@@ -140,61 +155,33 @@ func TestFromSetRejectsNonPrefix(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	c, ids := diamond(t)
-	h := FromEvents(c, ids[0])
-	h2, err := h.Extend(ids[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h2.Has(ids[1]) || h2.Len() != 2 {
-		t.Error("Extend failed")
-	}
-	if h.Has(ids[1]) {
-		t.Error("Extend must not mutate the receiver")
-	}
-	if _, err := h.Extend(ids[3]); err == nil {
-		t.Error("extending past missing predecessors must fail")
-	}
-}
-
 func TestPrefixAndEqual(t *testing.T) {
 	c, ids := diamond(t)
-	h1 := FromEvents(c, ids[0])
-	h2 := FromEvents(c, ids[1])
+	h1 := prefix(t, c, ids[0])
+	h2 := prefix(t, c, ids[1])
 	if !h1.PrefixOf(h2) || h2.PrefixOf(h1) {
 		t.Error("prefix relation wrong")
 	}
-	if !h1.Equal(FromEvents(c, ids[0])) || h1.Equal(h2) {
+	// Equal histories are prefixes of each other.
+	if same := prefix(t, c, ids[0]); !h1.PrefixOf(same) || !same.PrefixOf(h1) {
 		t.Error("equality wrong")
-	}
-}
-
-func TestFrontier(t *testing.T) {
-	c, ids := diamond(t)
-	h := FromEvents(c, ids[0])
-	if got := h.Frontier(); !reflect.DeepEqual(got, []core.EventID{ids[1], ids[2]}) {
-		t.Errorf("Frontier({e1}) = %v", got)
-	}
-	if got := Full(c).Frontier(); len(got) != 0 {
-		t.Errorf("full history has frontier %v", got)
 	}
 }
 
 func TestHistoryString(t *testing.T) {
 	c, ids := diamond(t)
-	h := FromEvents(c, ids[0])
+	h := prefix(t, c, ids[0])
 	if got := h.String(); !strings.Contains(got, "EL1.E^0") {
 		t.Errorf("String = %q", got)
 	}
-	if got := Empty(c).String(); got != "{}" {
+	if got := prefix(t, c).String(); got != "{}" {
 		t.Errorf("empty String = %q", got)
 	}
 }
 
 // Property: every enumerated history is prefix-closed, and for every
-// history, every frontier event is Potential and extending by it yields a
-// history.
+// history, every frontier event (one outside it whose predecessors are
+// all in it) is Potential and extending by it yields a history.
 func TestQuickHistoriesArePrefixClosed(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randomComputation(seed, 7)
@@ -204,12 +191,14 @@ func TestQuickHistoriesArePrefixClosed(t *testing.T) {
 				ok = false
 				return false
 			}
-			for _, id := range h.Frontier() {
-				if !h.Potential(id) {
+			for _, v := range order.MinimalOutsideAppend(c.Reach(), c.Preds(), h.Set(), nil) {
+				if !h.Potential(core.EventID(v)) {
 					ok = false
 					return false
 				}
-				if _, err := h.Extend(id); err != nil {
+				next := h.Set().Clone()
+				next.Set(v)
+				if _, err := FromSet(c, next); err != nil {
 					ok = false
 					return false
 				}

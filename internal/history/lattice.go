@@ -54,7 +54,7 @@ func (l *Lattice) Histories() []History {
 		latticeBuilds.Add(1)
 		_, sp := obs.StartSpan(nil, "lattice.build")
 		order.IdealsPre(l.c.Reach(), l.c.Preds(), 0, func(ideal order.Bitset) bool {
-			// Ideals never mutates an emitted set, so it is safe to retain.
+			// IdealsPre never mutates an emitted set, so it is safe to retain.
 			l.histories = append(l.histories, History{c: l.c, set: ideal})
 			return true
 		})

@@ -16,24 +16,23 @@ type Sequence []History
 // monotonically increasing, and any two events first occurring in the same
 // history are potentially concurrent. The concurrency condition is decided
 // by a clique test of the step's delta against the computation's memoized
-// per-event concurrency rows, with the delta held in a pooled scratch set;
-// only on failure is the pairwise loop replayed to name the offending
-// events.
+// per-event concurrency rows, with the delta held in one scratch set
+// reused across steps; only on failure is the pairwise loop replayed to
+// name the offending events.
 func (s Sequence) Validate() error {
 	if len(s) < 2 {
 		return nil
 	}
 	c := s[1].Computation()
 	rows := c.Concurrency()
-	delta := getScratch(c.NumEvents())
-	defer putScratch(delta)
+	delta := order.NewBitset(c.NumEvents())
 	for i := 1; i < len(s); i++ {
 		if !s[i-1].PrefixOf(s[i]) {
 			return fmt.Errorf("history: step %d is not monotone", i)
 		}
 		delta.CopyFrom(s[i].Set())
 		delta.AndNotWith(s[i-1].Set())
-		if !order.IsClique(rows, *delta) {
+		if !order.IsClique(rows, delta) {
 			members := delta.Members()
 			for a := 0; a < len(members); a++ {
 				for b := a + 1; b < len(members); b++ {
@@ -51,10 +50,6 @@ func (s Sequence) Validate() error {
 
 // IsValid reports whether the sequence is a valid history sequence.
 func (s Sequence) IsValid() bool { return s.Validate() == nil }
-
-// Tail returns the suffix s[i:]. Per the paper's tail-closure property, a
-// tail of a vhs is a vhs.
-func (s Sequence) Tail(i int) Sequence { return s[i:] }
 
 // IsComplete reports whether the sequence starts at the empty history and
 // ends at the full computation — i.e. it describes an entire execution.

@@ -44,7 +44,7 @@ func TestPaperVHS(t *testing.T) {
 
 func TestVHSValidateRejectsNonMonotone(t *testing.T) {
 	c, ids := diamond(t)
-	s := Sequence{FromEvents(c, ids[1]), FromEvents(c, ids[0])}
+	s := Sequence{prefix(t, c, ids[1]), prefix(t, c, ids[0])}
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "monotone") {
 		t.Errorf("want monotonicity error, got %v", err)
 	}
@@ -54,7 +54,7 @@ func TestVHSValidateRejectsOrderedSimultaneousStep(t *testing.T) {
 	c, ids := diamond(t)
 	// Jump from {} to {e1, e2}: e1 ⇒ e2, so they cannot first occur in the
 	// same history.
-	s := Sequence{Empty(c), FromEvents(c, ids[1])}
+	s := Sequence{prefix(t, c), prefix(t, c, ids[1])}
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "ordered") {
 		t.Errorf("want concurrency violation, got %v", err)
 	}
@@ -64,11 +64,7 @@ func TestVHSAcceptsConcurrentStep(t *testing.T) {
 	c, ids := diamond(t)
 	// {e1} -> {e1, e2, e3}: e2 and e3 are concurrent, legal simultaneous
 	// occurrence ("at the same time" in the paper).
-	h13, err := FromEvents(c, ids[0]).Extend(ids[1], ids[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Sequence{Empty(c), FromEvents(c, ids[0]), h13}
+	s := Sequence{prefix(t, c), prefix(t, c, ids[0]), prefix(t, c, ids[1], ids[2])}
 	if err := s.Validate(); err != nil {
 		t.Errorf("concurrent simultaneous step should be valid: %v", err)
 	}
@@ -83,7 +79,7 @@ func TestVHSTailClosure(t *testing.T) {
 	c, _ := diamond(t)
 	EnumerateComplete(c, 0, func(s Sequence) bool {
 		for i := range s {
-			if err := s.Tail(i).Validate(); err != nil {
+			if err := s[i:].Validate(); err != nil {
 				t.Errorf("tail %d of %v invalid: %v", i, s, err)
 			}
 		}
@@ -96,7 +92,7 @@ func TestVHSIsComplete(t *testing.T) {
 	if (Sequence{}).IsComplete() {
 		t.Error("empty sequence is not complete")
 	}
-	if (Sequence{Empty(c)}).IsComplete() {
+	if (Sequence{prefix(t, c)}).IsComplete() {
 		t.Error("sequence not reaching full computation is not complete")
 	}
 	if (Sequence{Full(c)}).IsComplete() {

@@ -14,7 +14,14 @@ func dynSpec(t *testing.T) *spec.Spec {
 	s := spec.New("dynamic")
 	s.AddElement(&spec.ElementDecl{Name: "inner", Events: []spec.EventClassDecl{{Name: "Use"}}})
 	s.AddElement(&spec.ElementDecl{Name: "joiner", Events: []spec.EventClassDecl{{Name: "Act"}}})
-	s.AddElement(spec.AdminElementDecl())
+	params := []spec.ParamDecl{{Name: "group", Type: "NAME"}, {Name: "member", Type: "NAME"}}
+	s.AddElement(&spec.ElementDecl{
+		Name: core.AdminElement,
+		Events: []spec.EventClassDecl{
+			{Name: core.AddMemberClass, Params: params},
+			{Name: core.RemoveMemberClass, Params: params},
+		},
+	})
 	s.AddGroup(&spec.GroupDecl{Name: "G", Members: []string{"inner"}})
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

@@ -16,11 +16,16 @@ import (
 func bufferSpec(t *testing.T) *spec.Spec {
 	t.Helper()
 	s := spec.New("buffer-spec")
-	slot, err := spec.VariableType().Instantiate("slot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddElement(slot)
+	// The paper's Variable element (Section 8.2), declared literally.
+	s.AddElement(&spec.ElementDecl{
+		Name:     "slot",
+		TypeName: "Variable",
+		Events: []spec.EventClassDecl{
+			{Name: "Assign", Params: []spec.ParamDecl{{Name: "newval", Type: "VALUE"}}},
+			{Name: "Getval", Params: []spec.ParamDecl{{Name: "oldval", Type: "VALUE"}}},
+		},
+		Restrictions: []spec.Restriction{{Name: "slot.reads-last-assign", F: spec.ReadsLastAssign("slot")}},
+	})
 	s.AddElement(&spec.ElementDecl{
 		Name:   "producer",
 		Events: []spec.EventClassDecl{{Name: "Produce", Params: []spec.ParamDecl{{Name: "v", Type: "INTEGER"}}}},

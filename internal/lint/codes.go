@@ -95,10 +95,6 @@ var registry = []CodeInfo{
 	{CodeAddWaitRace, "WaitGroup.Add concurrent with Wait on the same WaitGroup", SeverityWarning},
 }
 
-// Registry returns the shared code table, ordered by code. The returned
-// slice must not be modified.
-func Registry() []CodeInfo { return registry }
-
 // Info returns the registry row for a code.
 func Info(c Code) (CodeInfo, bool) {
 	for _, ci := range registry {

@@ -144,15 +144,10 @@ type Result struct {
 }
 
 // Errors returns the error-severity diagnostics.
-func (r *Result) Errors() []Diagnostic { return r.bySeverity(SeverityError) }
-
-// Warnings returns the warning-severity diagnostics.
-func (r *Result) Warnings() []Diagnostic { return r.bySeverity(SeverityWarning) }
-
-func (r *Result) bySeverity(s Severity) []Diagnostic {
+func (r *Result) Errors() []Diagnostic {
 	var out []Diagnostic
 	for _, d := range r.Diags {
-		if d.Severity == s {
+		if d.Severity == SeverityError {
 			out = append(out, d)
 		}
 	}

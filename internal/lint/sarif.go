@@ -95,17 +95,12 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// WriteSARIF renders the diagnostics as a SARIF 2.1.0 log with one run,
-// attributed to gemlint. Only the rules that actually fired are listed,
-// sorted by id; results keep the input order (callers sort with
-// SortDiagnostics first).
-func WriteSARIF(w io.Writer, diags []FileDiagnostic) error {
-	return WriteSARIFAs(w, "gemlint", diags)
-}
-
-// WriteSARIFAs is WriteSARIF with an explicit tool name in the driver
-// block — gemgo emits the same log format under its own name. Rule
-// descriptions come from the shared code registry.
+// WriteSARIFAs renders the diagnostics as a SARIF 2.1.0 log with one
+// run, attributed to the named tool in the driver block (gemlint and
+// gemgo emit the same log format under their own names). Only the rules
+// that actually fired are listed, sorted by id, with descriptions from
+// the shared code registry; results keep the input order (callers sort
+// with SortDiagnostics first).
 func WriteSARIFAs(w io.Writer, tool string, diags []FileDiagnostic) error {
 	fired := map[Code]bool{}
 	results := make([]sarifResult, 0, len(diags))

@@ -37,7 +37,7 @@ func TestSARIFCorpus(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := lint.WriteSARIF(&sb, all); err != nil {
+	if err := lint.WriteSARIFAs(&sb, "gemlint", all); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()
@@ -79,7 +79,7 @@ func TestSARIFZeroPosition(t *testing.T) {
 			Pos: lint.Pos{Line: 7}}},
 	}
 	var sb strings.Builder
-	if err := lint.WriteSARIF(&sb, diags); err != nil {
+	if err := lint.WriteSARIFAs(&sb, "gemlint", diags); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()
@@ -119,14 +119,14 @@ func TestSARIFDeterministic(t *testing.T) {
 			Severity: lint.SeverityWarning, Subject: "element x", Message: "unused"}},
 	}
 	var one, two strings.Builder
-	if err := lint.WriteSARIF(&one, diags); err != nil {
+	if err := lint.WriteSARIFAs(&one, "gemlint", diags); err != nil {
 		t.Fatal(err)
 	}
-	if err := lint.WriteSARIF(&two, diags); err != nil {
+	if err := lint.WriteSARIFAs(&two, "gemlint", diags); err != nil {
 		t.Fatal(err)
 	}
 	if one.String() != two.String() {
-		t.Error("WriteSARIF output is not deterministic")
+		t.Error("WriteSARIFAs output is not deterministic")
 	}
 	if !strings.Contains(one.String(), `"version": "2.1.0"`) {
 		t.Error("SARIF output missing version 2.1.0")

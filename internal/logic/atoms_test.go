@@ -6,6 +6,8 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/history"
+	"gem/internal/order"
+	"gem/internal/thread"
 )
 
 // diamondComp builds the Section 7 diamond with parameters so parameter
@@ -39,7 +41,13 @@ func envWith(c *core.Computation, h history.History, binds map[string]core.Event
 
 func TestAtomicPredicates(t *testing.T) {
 	c, ids := diamondComp(t)
-	h := history.FromEvents(c, ids[1]) // {e1, e2}
+	set := order.NewBitset(c.NumEvents())
+	set.Set(int(ids[0]))
+	set.Set(int(ids[1]))
+	h, err := history.FromSet(c, set) // {e1, e2}
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := envWith(c, h, map[string]core.EventID{
 		"e1": ids[0], "e2": ids[1], "e3": ids[2], "e4": ids[3],
 	})
@@ -120,17 +128,17 @@ func TestThreadPredicates(t *testing.T) {
 	y := b.Event("Y", "Start", nil)
 	z := b.Event("X", "Req", nil)
 	b.Enable(x, y)
-	b.Thread(x, ThreadID("pi", 1))
-	b.Thread(y, ThreadID("pi", 1))
-	b.Thread(z, ThreadID("pi", 2))
+	b.Thread(x, thread.ID("pi", 1))
+	b.Thread(y, thread.ID("pi", 1))
+	b.Thread(z, thread.ID("pi", 2))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := NewEnv(history.Full(c)).
 		bind("x", x).bind("y", y).bind("z", z).
-		bindThread("t1", ThreadID("pi", 1)).
-		bindThread("t2", ThreadID("pi", 2))
+		bindThread("t1", thread.ID("pi", 1)).
+		bindThread("t2", thread.ID("pi", 2))
 
 	if !(OnThread{X: "x", T: "t1"}).Eval(env) {
 		t.Error("x should be on thread pi#1")
@@ -143,19 +151,6 @@ func TestThreadPredicates(t *testing.T) {
 	}
 	if (ThreadsDistinct{T1: "t1", T2: "t1"}).Eval(env) {
 		t.Error("t1 equals itself")
-	}
-}
-
-func TestThreadIDHelpers(t *testing.T) {
-	tid := ThreadID("piRW", 3)
-	if tid != "piRW#3" {
-		t.Errorf("ThreadID = %q", tid)
-	}
-	if got := ThreadTypeOf(tid); got != "piRW" {
-		t.Errorf("ThreadTypeOf = %q", got)
-	}
-	if got := ThreadTypeOf("bare"); got != "bare" {
-		t.Errorf("ThreadTypeOf(bare) = %q", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/history"
+	"gem/internal/thread"
 )
 
 // These tests pin the binding stack behind Env: quantifiers bind their
@@ -92,8 +93,8 @@ func TestEventAndThreadNamespaces(t *testing.T) {
 	b := core.NewBuilder()
 	r1 := b.Event("X", "Req", nil)
 	r2 := b.Event("X", "Req", nil)
-	b.Thread(r1, ThreadID("pi", 1))
-	b.Thread(r2, ThreadID("pi", 2))
+	b.Thread(r1, thread.ID("pi", 1))
+	b.Thread(r2, thread.ID("pi", 2))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +123,8 @@ func TestEarlyReturnPopsBinding(t *testing.T) {
 	b := core.NewBuilder()
 	e1 := b.Event("B", "E", nil)
 	e2 := b.Event("B", "E", nil)
-	b.Thread(e1, ThreadID("pi", 1))
-	b.Thread(e2, ThreadID("pi", 2))
+	b.Thread(e1, thread.ID("pi", 1))
+	b.Thread(e2, thread.ID("pi", 2))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

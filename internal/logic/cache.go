@@ -28,12 +28,3 @@ type VerdictCache interface {
 	Lookup(ctx context.Context, f Formula, c *core.Computation, engine Engine) (*Counterexample, bool)
 	Store(f Formula, c *core.Computation, engine Engine, cx *Counterexample)
 }
-
-// Cacheable reports whether the options describe an evaluation whose
-// verdict may be served from (or written to) a persistent cache: the
-// full GEM semantics, with no enumeration budgets and no LinearOnly
-// ablation — those options change what is checked, so their verdicts
-// must never alias the unbudgeted ones.
-func (o CheckOptions) Cacheable() bool {
-	return o.MaxSequences == 0 && o.MaxHistories == 0 && !o.LinearOnly
-}

@@ -6,6 +6,7 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/history"
+	"gem/internal/thread"
 )
 
 // variableComputation builds the paper's Variable element: a sequence of
@@ -142,8 +143,8 @@ func TestThreadQuantifiers(t *testing.T) {
 	b := core.NewBuilder()
 	x := b.Event("X", "Req", nil)
 	y := b.Event("X", "Req", nil)
-	b.Thread(x, ThreadID("pi", 1))
-	b.Thread(y, ThreadID("pi", 2))
+	b.Thread(x, thread.ID("pi", 1))
+	b.Thread(y, thread.ID("pi", 2))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestHoldsAllReportsIndex(t *testing.T) {
 	}
 }
 
-func TestLinearOnlyOption(t *testing.T) {
+func TestLinearExtensionsMissSimultaneousStep(t *testing.T) {
 	c, _ := diamondComp(t)
 	// A formula distinguishing vhs from linear semantics: "eventually
 	// exactly one of e2/e3 has occurred". True on every linear extension
@@ -252,11 +253,22 @@ func TestLinearOnlyOption(t *testing.T) {
 		Or{occ2, occ3},
 		Not{F: And{occ2, occ3}},
 	}}
-	if cx := Holds(f, c, CheckOptions{LinearOnly: true}); cx != nil {
-		t.Errorf("under linear semantics the formula holds: %v", cx.Error())
+	holdsOn := func(enumerate func(*core.Computation, int, func(history.Sequence) bool) int) bool {
+		ok := true
+		enumerate(c, 0, func(s history.Sequence) bool {
+			ok = f.Eval(NewSeqEnv(s, 0))
+			return ok
+		})
+		return ok
+	}
+	if !holdsOn(history.EnumerateLinear) {
+		t.Error("under linear semantics the formula holds")
+	}
+	if holdsOn(history.EnumerateComplete) {
+		t.Error("under full vhs semantics the simultaneous step refutes it")
 	}
 	if cx := Holds(f, c, CheckOptions{}); cx == nil {
-		t.Error("under full vhs semantics the simultaneous step refutes it")
+		t.Error("Holds checks every valid history sequence, so the simultaneous step refutes it")
 	}
 }
 

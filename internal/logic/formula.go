@@ -11,6 +11,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gem/internal/core"
@@ -118,7 +119,7 @@ func (e *Env) Bindings() string {
 			parts = append(parts, fmt.Sprintf("%s=%s", b.name, e.C.Event(b.id).Name()))
 		}
 	}
-	sortStrings(parts)
+	slices.Sort(parts)
 	return strings.Join(parts, ", ")
 }
 
@@ -144,12 +145,4 @@ func mustThread(env *Env, name string) string {
 		panic(fmt.Sprintf("logic: unbound thread variable %q", name))
 	}
 	return b.tid
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -141,124 +141,8 @@ func ParseEngine(s string) (Engine, error) {
 	}
 }
 
-// SequenceInsensitive reports whether the formula's truth over all
-// complete valid history sequences is determined by the history lattice
-// alone — i.e. the lattice engine's lower bound is exact for it, so its
-// verdict (pass and fail alike) provably equals the sequence
-// enumerator's. It is a thin syntactic wrapper over the same per-node
-// exactness rules the evaluator applies; the evaluator itself can decide
-// strictly more (data-dependent single-binding quantifiers, and definite
-// failures via the upper bound on any shape), so a false answer here does
-// not mean the engine will fall back — it means the fallback is possible.
-func SequenceInsensitive(f Formula) bool { return exactLower(f) }
-
 // immediate reports that the formula reads only the current history.
 func immediate(f Formula) bool { return !HasTemporal(f) }
-
-// exactLower reports that the engine's lower rules are exact for f,
-// judged syntactically (binding domains unknown, so quantifiers are
-// treated as multi-binding). The evaluator recomputes the same analysis
-// per node with domain sizes in hand.
-func exactLower(f Formula) bool {
-	if immediate(f) {
-		return true
-	}
-	switch g := f.(type) {
-	case Box:
-		return exactLower(g.F)
-	case Diamond:
-		return immediate(g.F)
-	case Not:
-		return exactUpper(g.F)
-	case And:
-		for _, sub := range g {
-			if !exactLower(sub) {
-				return false
-			}
-		}
-		return true
-	case Or:
-		nonImm := 0
-		for _, sub := range g {
-			if !exactLower(sub) {
-				return false
-			}
-			if !immediate(sub) {
-				nonImm++
-			}
-		}
-		return nonImm <= 1
-	case Implies:
-		return exactUpper(g.If) && exactLower(g.Then) &&
-			(immediate(g.If) || immediate(g.Then))
-	case ForAll:
-		return exactLower(g.Body)
-	case ForAllThread:
-		return exactLower(g.Body)
-	case ForAllIn:
-		return exactLower(g.Body)
-	case Exists, ExistsThread:
-		// lower(∃x φ) = ∪ₓ lower(φₓ) requires one binding to witness φ in
-		// every sequence, but different sequences may use different
-		// witnesses: not exact for non-immediate bodies over multi-binding
-		// domains (immediate ones were accepted above; the evaluator also
-		// accepts domains of ≤ 1 binding).
-		return false
-	default:
-		// Iff, ExistsUnique, AtMostOne, ExistsUniqueIn mix polarities or
-		// count across bindings: beyond their immediate forms (handled
-		// above) the evaluator bounds them soundly but inexactly.
-		return false
-	}
-}
-
-// exactUpper reports that the engine's upper rules are exact for f,
-// judged syntactically like exactLower.
-func exactUpper(f Formula) bool {
-	if immediate(f) {
-		return true
-	}
-	switch g := f.(type) {
-	case Box:
-		return immediate(g.F)
-	case Diamond:
-		return exactUpper(g.F)
-	case Not:
-		return exactLower(g.F)
-	case Or:
-		for _, sub := range g {
-			if !exactUpper(sub) {
-				return false
-			}
-		}
-		return true
-	case And:
-		nonImm := 0
-		for _, sub := range g {
-			if !exactUpper(sub) {
-				return false
-			}
-			if !immediate(sub) {
-				nonImm++
-			}
-		}
-		return nonImm <= 1
-	case Implies:
-		return exactLower(g.If) && exactUpper(g.Then)
-	case Exists:
-		return exactUpper(g.Body)
-	case ExistsThread:
-		return exactUpper(g.Body)
-	case ForAll:
-		return false // ∩ over several non-immediate bindings is not exact
-	case ForAllThread:
-		return false
-	case ForAllIn:
-		return false
-	default:
-		return false
-	}
-}
 
 // approx is one node's evaluation result: sound lower/upper satisfaction
 // sets plus whether each bound is exact. The bitsets are owned by the

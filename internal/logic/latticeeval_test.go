@@ -3,7 +3,6 @@ package logic
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +20,124 @@ import (
 // the lattice engine extracts its own violating sequence, and the seq
 // engine serves as the verdict oracle.
 
-// TestSequenceInsensitiveShapes pins the exported syntactic predicate:
+// SequenceInsensitive is the syntactic oracle of the lattice engine's
+// exactness rules. It reports whether the formula's truth over all
+// complete valid history sequences is determined by the history lattice
+// alone — i.e. the lattice engine's lower bound is exact for it, so its
+// verdict (pass and fail alike) provably equals the sequence
+// enumerator's. It is a thin syntactic wrapper over the same per-node
+// exactness rules the evaluator applies; the evaluator itself can decide
+// strictly more (data-dependent single-binding quantifiers, and definite
+// failures via the upper bound on any shape), so a false answer here does
+// not mean the engine will fall back — it means the fallback is possible.
+func SequenceInsensitive(f Formula) bool { return exactLower(f) }
+
+// exactLower reports that the engine's lower rules are exact for f,
+// judged syntactically (binding domains unknown, so quantifiers are
+// treated as multi-binding). The evaluator recomputes the same analysis
+// per node with domain sizes in hand.
+func exactLower(f Formula) bool {
+	if immediate(f) {
+		return true
+	}
+	switch g := f.(type) {
+	case Box:
+		return exactLower(g.F)
+	case Diamond:
+		return immediate(g.F)
+	case Not:
+		return exactUpper(g.F)
+	case And:
+		for _, sub := range g {
+			if !exactLower(sub) {
+				return false
+			}
+		}
+		return true
+	case Or:
+		nonImm := 0
+		for _, sub := range g {
+			if !exactLower(sub) {
+				return false
+			}
+			if !immediate(sub) {
+				nonImm++
+			}
+		}
+		return nonImm <= 1
+	case Implies:
+		return exactUpper(g.If) && exactLower(g.Then) &&
+			(immediate(g.If) || immediate(g.Then))
+	case ForAll:
+		return exactLower(g.Body)
+	case ForAllThread:
+		return exactLower(g.Body)
+	case ForAllIn:
+		return exactLower(g.Body)
+	case Exists, ExistsThread:
+		// lower(∃x φ) = ∪ₓ lower(φₓ) requires one binding to witness φ in
+		// every sequence, but different sequences may use different
+		// witnesses: not exact for non-immediate bodies over multi-binding
+		// domains (immediate ones were accepted above; the evaluator also
+		// accepts domains of ≤ 1 binding).
+		return false
+	default:
+		// Iff, ExistsUnique, AtMostOne, ExistsUniqueIn mix polarities or
+		// count across bindings: beyond their immediate forms (handled
+		// above) the evaluator bounds them soundly but inexactly.
+		return false
+	}
+}
+
+// exactUpper reports that the engine's upper rules are exact for f,
+// judged syntactically like exactLower.
+func exactUpper(f Formula) bool {
+	if immediate(f) {
+		return true
+	}
+	switch g := f.(type) {
+	case Box:
+		return immediate(g.F)
+	case Diamond:
+		return exactUpper(g.F)
+	case Not:
+		return exactLower(g.F)
+	case Or:
+		for _, sub := range g {
+			if !exactUpper(sub) {
+				return false
+			}
+		}
+		return true
+	case And:
+		nonImm := 0
+		for _, sub := range g {
+			if !exactUpper(sub) {
+				return false
+			}
+			if !immediate(sub) {
+				nonImm++
+			}
+		}
+		return nonImm <= 1
+	case Implies:
+		return exactLower(g.If) && exactUpper(g.Then)
+	case Exists:
+		return exactUpper(g.Body)
+	case ExistsThread:
+		return exactUpper(g.Body)
+	case ForAll:
+		return false // ∩ over several non-immediate bindings is not exact
+	case ForAllThread:
+		return false
+	case ForAllIn:
+		return false
+	default:
+		return false
+	}
+}
+
+// TestSequenceInsensitiveShapes pins the syntactic predicate above:
 // the shapes whose lower bound is exact by the per-node rules alone (no
 // binding-domain knowledge). The evaluator applies the same rules per
 // node — plus data-dependent single-binding relaxations — so a false
@@ -418,31 +534,5 @@ func TestParseEngineRoundTrip(t *testing.T) {
 	}
 	if got := Engine(99).String(); got != "engine(99)" {
 		t.Errorf("out-of-range String = %q", got)
-	}
-}
-
-// TestLatticeEngineBudgetsBypass: enumeration budgets and the LinearOnly
-// ablation change the checked semantics, so the lattice engine must not
-// engage under them — the option structs must behave exactly as before.
-func TestLatticeEngineBudgetsBypass(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := randomComp(rng, 6)
-	formula := Box{F: Diamond{F: Occurred{Var: "e"}}}
-	bound := ForAll{Var: "e", Ref: core.Ref("", "X"), Body: formula}
-	for _, opts := range []CheckOptions{
-		{Engine: EngineLattice, MaxSequences: 3},
-		{Engine: EngineLattice, MaxHistories: 3},
-		{Engine: EngineLattice, LinearOnly: true},
-	} {
-		seq := opts
-		seq.Engine = EngineSeq
-		got := Holds(bound, c, opts)
-		want := Holds(bound, c, seq)
-		if (got == nil) != (want == nil) {
-			t.Errorf("budgeted check diverged between engines under %+v", opts)
-		}
-		if got != nil && want != nil && !reflect.DeepEqual(got.History, want.History) {
-			t.Errorf("budgeted counterexample diverged under %+v", opts)
-		}
 	}
 }

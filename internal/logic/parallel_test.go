@@ -53,12 +53,4 @@ func TestLatticeBuiltOncePerCheck(t *testing.T) {
 	if d := history.LatticeBuilds() - before; d != 1 {
 		t.Errorf("lattice enumerated %d times across 4 restrictions, want 1", d)
 	}
-	// A bounded check bypasses the cache and must not enumerate it.
-	before = history.LatticeBuilds()
-	if cx := Holds(inv, c, CheckOptions{MaxHistories: 3}); cx != nil {
-		t.Fatalf("bounded check failed: %v", cx.Error())
-	}
-	if d := history.LatticeBuilds() - before; d != 0 {
-		t.Errorf("bounded check built the shared lattice %d times, want 0", d)
-	}
 }

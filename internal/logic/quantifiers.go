@@ -2,28 +2,10 @@ package logic
 
 import (
 	"fmt"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/thread"
 )
-
-// ThreadSep separates a thread type from its instance number in thread
-// identifiers (e.g. "piRW#3" is instance 3 of thread type piRW).
-const ThreadSep = "#"
-
-// ThreadID builds the canonical thread-instance identifier for a thread
-// type and instance number.
-func ThreadID(threadType string, n int) string {
-	return fmt.Sprintf("%s%s%d", threadType, ThreadSep, n)
-}
-
-// ThreadTypeOf returns the thread type of an instance identifier.
-func ThreadTypeOf(tid string) string {
-	if i := strings.LastIndex(tid, ThreadSep); i >= 0 {
-		return tid[:i]
-	}
-	return tid
-}
 
 // classDomain returns the events of the computation matching the class
 // reference. Quantifier domains are all events of the computation;
@@ -40,7 +22,7 @@ func threadDomain(env *Env, threadType string) []string {
 	seen := make(map[string]bool)
 	for _, e := range env.C.Events() {
 		for _, tid := range e.Threads {
-			if !seen[tid] && ThreadTypeOf(tid) == threadType {
+			if !seen[tid] && thread.TypeOf(tid) == threadType {
 				seen[tid] = true
 				out = append(out, tid)
 			}

@@ -121,17 +121,6 @@ func (e Bin) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.L, binOpNames[e.Op], e.R)
 }
 
-// Not negates a boolean expression.
-type Not struct{ E Expr }
-
-func (e Not) eval(env *evalEnv) int64 {
-	if e.E.eval(env) != 0 {
-		return 0
-	}
-	return 1
-}
-func (e Not) String() string { return "~" + e.E.String() }
-
 // QueueNonEmpty tests whether processes are waiting on a condition — the
 // paper's "IF queue(readqueue)".
 type QueueNonEmpty struct{ Cond string }

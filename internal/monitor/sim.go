@@ -49,7 +49,6 @@ const (
 	statusBlockedEntry
 	statusWaiting
 	statusUrgent
-	statusDone
 )
 
 type frame struct {

@@ -392,8 +392,6 @@ func TestExprEvaluation(t *testing.T) {
 		{Bin{Op: OpGe, L: IntLit(2), R: IntLit(3)}, 0},
 		{Bin{Op: OpAnd, L: IntLit(1), R: IntLit(0)}, 0},
 		{Bin{Op: OpOr, L: IntLit(1), R: IntLit(0)}, 1},
-		{Not{E: IntLit(0)}, 1},
-		{Not{E: IntLit(3)}, 0},
 		{QueueNonEmpty{Cond: "c"}, 0}, // nil machine: empty
 	}
 	for _, tt := range tests {
@@ -407,9 +405,6 @@ func TestExprStrings(t *testing.T) {
 	e := Bin{Op: OpAdd, L: VarRef("x"), R: IntLit(1)}
 	if e.String() != "(x + 1)" {
 		t.Errorf("String = %q", e.String())
-	}
-	if (Not{E: VarRef("b")}).String() != "~b" {
-		t.Error("Not rendering wrong")
 	}
 	if (QueueNonEmpty{Cond: "q"}).String() != "queue(q)" {
 		t.Error("queue rendering wrong")

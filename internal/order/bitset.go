@@ -28,9 +28,6 @@ func NewBitset(n int) Bitset {
 	return Bitset{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Cap reports the capacity the set was created with.
-func (b Bitset) Cap() int { return b.n }
-
 // Set adds i to the set. It panics if i is out of range, since that always
 // indicates a logic error in the caller.
 func (b Bitset) Set(i int) {
@@ -64,16 +61,6 @@ func (b Bitset) Count() int {
 		total += bits.OnesCount64(w)
 	}
 	return total
-}
-
-// Empty reports whether the set has no members.
-func (b Bitset) Empty() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns an independent copy of the set.
@@ -142,19 +129,6 @@ func (b Bitset) FlipAll() {
 	if tail := b.n % wordBits; tail != 0 && len(b.words) > 0 {
 		b.words[len(b.words)-1] &= (1 << uint(tail)) - 1
 	}
-}
-
-// Equal reports whether the two sets have the same members.
-func (b Bitset) Equal(other Bitset) bool {
-	if b.n != other.n {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SubsetOf reports whether every member of b is a member of other.

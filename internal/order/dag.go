@@ -22,9 +22,6 @@ func NewDAG(n int) *DAG {
 	return &DAG{n: n, adj: make([][]int, n)}
 }
 
-// N returns the number of vertices.
-func (d *DAG) N() int { return d.n }
-
 // AddEdge adds a directed edge from u to v. Duplicate edges are ignored.
 func (d *DAG) AddEdge(u, v int) {
 	if u < 0 || u >= d.n || v < 0 || v >= d.n {
@@ -37,10 +34,6 @@ func (d *DAG) AddEdge(u, v int) {
 	}
 	d.adj[u] = append(d.adj[u], v)
 }
-
-// Successors returns the direct successors of u. The returned slice must
-// not be modified.
-func (d *DAG) Successors(u int) []int { return d.adj[u] }
 
 // TopoSort returns a topological ordering of the vertices, or ErrCycle.
 func (d *DAG) TopoSort() ([]int, error) {
@@ -191,31 +184,6 @@ func Antichains(candidates []int, cmp func(u, v int) bool, fn func(chain []int) 
 	}
 	rec(0)
 	return count
-}
-
-// CoveringEdges returns the covering (immediate, transitively reduced)
-// relation of the strict partial order given by reach: u covers v when
-// u -> v and there is no w with u -> w -> v.
-func CoveringEdges(reach []Bitset) [][2]int {
-	n := len(reach)
-	var out [][2]int
-	for u := 0; u < n; u++ {
-		reach[u].ForEach(func(v int) bool {
-			immediate := true
-			reach[u].ForEach(func(w int) bool {
-				if w != v && reach[w].Has(v) {
-					immediate = false
-					return false
-				}
-				return true
-			})
-			if immediate {
-				out = append(out, [2]int{u, v})
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // ReachesDFS reports whether v is strictly reachable from u by on-demand

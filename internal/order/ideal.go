@@ -1,22 +1,17 @@
 package order
 
-// Ideals enumerates every order ideal (downward-closed subset, including
-// the empty set) of the strict partial order whose reachability sets are
-// reach. In GEM terms these are exactly the histories of a computation.
-// fn receives each ideal as a Bitset that is reused between calls; clone it
-// if retained. Enumeration stops early if fn returns false or after limit
-// ideals when limit > 0. Returns the number of ideals produced.
+// IdealsPre enumerates every order ideal (downward-closed subset,
+// including the empty set) of the strict partial order whose
+// reachability and predecessor sets are reach and preds
+// (core.Computation keeps both directions). In GEM terms these are
+// exactly the histories of a computation. fn receives each ideal as a
+// Bitset that is reused between calls; clone it if retained. Enumeration
+// stops early if fn returns false or after limit ideals when limit > 0.
+// Returns the number of ideals produced.
 //
-// The enumeration walks the lattice of ideals by repeatedly adding minimal
-// elements of the complement, deduplicating via a visited set, so each
-// ideal is produced exactly once.
-func Ideals(reach []Bitset, limit int, fn func(ideal Bitset) bool) int {
-	return IdealsPre(reach, Invert(reach), limit, fn)
-}
-
-// IdealsPre is Ideals with the predecessor sets supplied by the caller,
-// avoiding the Invert when they are already at hand (core.Computation
-// keeps both directions).
+// The enumeration walks the lattice of ideals by repeatedly adding
+// minimal elements of the complement, deduplicating via a visited set,
+// so each ideal is produced exactly once.
 func IdealsPre(reach, preds []Bitset, limit int, fn func(ideal Bitset) bool) int {
 	n := len(reach)
 	seen := make(map[string]bool)
@@ -54,15 +49,11 @@ func IdealsPre(reach, preds []Bitset, limit int, fn func(ideal Bitset) bool) int
 	return count
 }
 
-// MinimalOutside returns the elements not in cur all of whose predecessors
-// are in cur — i.e. the events that could individually extend the ideal.
-func MinimalOutside(reach []Bitset, preds []Bitset, cur Bitset) []int {
-	return MinimalOutsideAppend(reach, preds, cur, nil)
-}
-
-// MinimalOutsideAppend is MinimalOutside appending into buf, so hot
-// enumeration loops can reuse one buffer per recursion depth instead of
-// allocating a fresh slice per visited ideal.
+// MinimalOutsideAppend appends to buf the elements not in cur all of
+// whose predecessors are in cur — i.e. the events that could
+// individually extend the ideal. Hot enumeration loops reuse one buffer
+// per recursion depth instead of allocating a fresh slice per visited
+// ideal.
 func MinimalOutsideAppend(reach []Bitset, preds []Bitset, cur Bitset, buf []int) []int {
 	n := len(reach)
 	for v := 0; v < n; v++ {
@@ -71,17 +62,6 @@ func MinimalOutsideAppend(reach []Bitset, preds []Bitset, cur Bitset, buf []int)
 		}
 	}
 	return buf
-}
-
-// DownClosure returns the downward closure of the given set under the
-// partial order (the set plus all predecessors of its members).
-func DownClosure(preds []Bitset, set Bitset) Bitset {
-	out := set.Clone()
-	set.ForEach(func(v int) bool {
-		out.OrWith(preds[v])
-		return true
-	})
-	return out
 }
 
 // IsIdeal reports whether the set is downward closed under the partial

@@ -13,7 +13,7 @@ func TestIdealsDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ideals []string
-	n := Ideals(reach, 0, func(ideal Bitset) bool {
+	n := IdealsPre(reach, Invert(reach), 0, func(ideal Bitset) bool {
 		ideals = append(ideals, ideal.String())
 		return true
 	})
@@ -39,14 +39,14 @@ func TestIdealsLimitAndEarlyStop(t *testing.T) {
 		reach[i] = NewBitset(6)
 	}
 	// Empty order: 2^6 = 64 ideals.
-	if n := Ideals(reach, 0, func(Bitset) bool { return true }); n != 64 {
+	if n := IdealsPre(reach, Invert(reach), 0, func(Bitset) bool { return true }); n != 64 {
 		t.Errorf("got %d ideals, want 64", n)
 	}
-	if n := Ideals(reach, 10, func(Bitset) bool { return true }); n != 10 {
+	if n := IdealsPre(reach, Invert(reach), 10, func(Bitset) bool { return true }); n != 10 {
 		t.Errorf("limit: got %d ideals, want 10", n)
 	}
 	calls := 0
-	Ideals(reach, 0, func(Bitset) bool { calls++; return calls < 5 })
+	IdealsPre(reach, Invert(reach), 0, func(Bitset) bool { calls++; return calls < 5 })
 	if calls != 5 {
 		t.Errorf("early stop after %d calls, want 5", calls)
 	}
@@ -60,7 +60,7 @@ func TestMinimalOutside(t *testing.T) {
 	preds := Invert(reach)
 	h := NewBitset(4)
 	h.Set(0)
-	got := MinimalOutside(reach, preds, h)
+	got := MinimalOutsideAppend(reach, preds, h, nil)
 	if !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("after {e1}, extendable = %v, want [1 2]", got)
 	}
@@ -68,7 +68,7 @@ func TestMinimalOutside(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		full.Set(i)
 	}
-	if got := MinimalOutside(reach, preds, full); got != nil {
+	if got := MinimalOutsideAppend(reach, preds, full, nil); got != nil {
 		t.Errorf("full history should have no extensions, got %v", got)
 	}
 }
@@ -84,7 +84,11 @@ func TestDownClosureAndIsIdeal(t *testing.T) {
 	if IsIdeal(preds, s) {
 		t.Error("{e4} should not be an ideal")
 	}
-	closed := DownClosure(preds, s)
+	closed := s.Clone()
+	s.ForEach(func(v int) bool {
+		closed.OrWith(preds[v])
+		return true
+	})
 	if got := closed.Members(); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
 		t.Errorf("closure of {e4} = %v, want all", got)
 	}
@@ -106,7 +110,7 @@ func TestQuickIdealsMatchBruteForce(t *testing.T) {
 		}
 		preds := Invert(reach)
 		allClosed := true
-		got := Ideals(reach, 0, func(ideal Bitset) bool {
+		got := IdealsPre(reach, preds, 0, func(ideal Bitset) bool {
 			if !IsIdeal(preds, ideal) {
 				allClosed = false
 				return false

@@ -347,31 +347,3 @@ func payloadIntegrity(elem string) logic.Formula {
 		},
 	}
 }
-
-// ConvergenceFormula builds the functional-correctness restriction: at
-// the full history, the last Apply at every pair of sites carries the
-// same value. Check with logic.HoldsAtFull.
-func ConvergenceFormula(cfg Config) logic.Formula {
-	lastApply := func(v string, site int) logic.Formula {
-		return logic.Not{F: logic.Exists{
-			Var: v + "_later", Ref: core.Ref(SiteElement(site), "Apply"),
-			Body: logic.ElemOrdered{X: v, Y: v + "_later"},
-		}}
-	}
-	var out logic.And
-	for i := 0; i < cfg.Sites; i++ {
-		for j := i + 1; j < cfg.Sites; j++ {
-			out = append(out, logic.ForAll{
-				Var: "_ai", Ref: core.Ref(SiteElement(i), "Apply"),
-				Body: logic.ForAll{
-					Var: "_aj", Ref: core.Ref(SiteElement(j), "Apply"),
-					Body: logic.Implies{
-						If:   logic.And{lastApply("_ai", i), lastApply("_aj", j)},
-						Then: logic.ParamCmp{X: "_ai", P: "val", Op: logic.OpEq, Y: "_aj", Q: "val"},
-					},
-				},
-			})
-		}
-	}
-	return out
-}

@@ -171,12 +171,6 @@ func AsyncRun(start Board, gens int, seed int64) (Run, error) {
 	return asyncRun(start, gens, seed, true)
 }
 
-// asyncRunStale is the failure-injection mutant: a cell computes one
-// neighbour report early, breaking the generation barrier.
-func asyncRunStale(start Board, gens int, seed int64) (Run, error) {
-	return asyncRun(start, gens, seed, false)
-}
-
 func asyncRun(start Board, gens int, seed int64, barrier bool) (Run, error) {
 	rng := rand.New(rand.NewSource(seed))
 	w, h := start.Width(), start.Height()

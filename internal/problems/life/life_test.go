@@ -188,3 +188,9 @@ func TestBoardHelpers(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// asyncRunStale is the failure-injection mutant: a cell computes one
+// neighbour report early, breaking the generation barrier.
+func asyncRunStale(start Board, gens int, seed int64) (Run, error) {
+	return asyncRun(start, gens, seed, false)
+}

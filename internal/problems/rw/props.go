@@ -128,31 +128,3 @@ func ReadsOverlap() logic.Formula {
 		},
 	}
 }
-
-// Expected reports which properties each variant must satisfy (on every
-// legal computation) and whether reader sharing must be reachable (on
-// some computation).
-type Expected struct {
-	MutualExclusion bool
-	ReadersPriority bool
-	WritersPriority bool
-	AllowsSharing   bool
-}
-
-// ExpectedFor returns the ground truth for a variant.
-func ExpectedFor(v Variant) Expected {
-	switch v {
-	case ReadersPriority:
-		return Expected{MutualExclusion: true, ReadersPriority: true, AllowsSharing: true}
-	case WritersPriority:
-		return Expected{MutualExclusion: true, WritersPriority: true, AllowsSharing: true}
-	case MutexOnly:
-		return Expected{MutualExclusion: true}
-	case WeakPriority:
-		return Expected{MutualExclusion: true, AllowsSharing: true}
-	case SerialReadersPriority:
-		return Expected{MutualExclusion: true, ReadersPriority: true}
-	default:
-		return Expected{}
-	}
-}

@@ -5,42 +5,9 @@ import (
 	"gem/internal/logic"
 )
 
-// This file provides the paper's stock element types, ready to
-// instantiate: the generic Variable (Section 8.2) and its typed
-// refinement (Section 6).
-
-// VariableType returns the paper's Variable element type: Assign/Getval
-// event classes plus the restriction that a Getval yields the value last
-// assigned (and that some Assign precedes any Getval).
-func VariableType() ElementType {
-	return ElementType{
-		Name: "Variable",
-		Events: []EventClassDecl{
-			{Name: "Assign", Params: []ParamDecl{{Name: "newval", Type: "VALUE"}}},
-			{Name: "Getval", Params: []ParamDecl{{Name: "oldval", Type: "VALUE"}}},
-		},
-		Restrictions: func(name string, _ map[string]string) []Restriction {
-			return []Restriction{{
-				Name: name + ".reads-last-assign",
-				F:    ReadsLastAssign(name),
-			}}
-		},
-	}
-}
-
-// TypedVariableType returns the paper's TypedVariable(t) refinement of
-// Variable: same structure, with the parameter type recorded as t.
-func TypedVariableType() ElementType {
-	base := VariableType()
-	t := base
-	t.Name = "TypedVariable"
-	t.Params = []string{"t"}
-	t.Events = []EventClassDecl{
-		{Name: "Assign", Params: []ParamDecl{{Name: "newval", Type: "t"}}},
-		{Name: "Getval", Params: []ParamDecl{{Name: "oldval", Type: "t"}}},
-	}
-	return t
-}
+// This file provides the restriction of the paper's stock Variable
+// element type (Section 8.2). The type itself, and its Section 6
+// refinements, are declared in gemlang source.
 
 // ReadsLastAssign builds the paper's Variable restriction for the named
 // element: for every Assign a and Getval g at the element with a before g
@@ -63,36 +30,6 @@ func ReadsLastAssign(element string) logic.Formula {
 				If:   logic.And{logic.ElemOrdered{X: "_a", Y: "_g"}, noIntervening},
 				Then: logic.ParamCmp{X: "_a", P: "newval", Op: logic.OpEq, Y: "_g", Q: "oldval"},
 			},
-		},
-	}
-}
-
-// GetvalNeedsAssign builds the companion restriction that every Getval is
-// preceded by at least one Assign (so reads are never undefined).
-func GetvalNeedsAssign(element string) logic.Formula {
-	return logic.ForAll{
-		Var: "_g", Ref: core.Ref(element, "Getval"),
-		Body: logic.Exists{
-			Var: "_a", Ref: core.Ref(element, "Assign"),
-			Body: logic.ElemOrdered{X: "_a", Y: "_g"},
-		},
-	}
-}
-
-func portOf(element, class string) core.Port {
-	return core.Port{Element: element, Class: class}
-}
-
-// AdminElementDecl declares the dynamic group-structure admin element
-// (core.AdminElement) with its AddMember/RemoveMember event classes. Add
-// it to a specification to permit dynamic group changes in computations.
-func AdminElementDecl() *ElementDecl {
-	params := []ParamDecl{{Name: "group", Type: "NAME"}, {Name: "member", Type: "NAME"}}
-	return &ElementDecl{
-		Name: core.AdminElement,
-		Events: []EventClassDecl{
-			{Name: core.AddMemberClass, Params: params},
-			{Name: core.RemoveMemberClass, Params: params},
 		},
 	}
 }

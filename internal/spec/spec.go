@@ -1,9 +1,10 @@
 // Package spec implements GEM specifications: element and group
-// declarations with their event classes and explicit restrictions, thread
-// types, and the GEM type-description facility (element/group types with
-// parameters and refinement). A Spec is the IR the legality checker and
-// the verification machinery consume; the gemlang package parses the
-// paper's concrete syntax into this IR.
+// declarations with their event classes and explicit restrictions, and
+// thread types. A Spec is the IR the legality checker and the
+// verification machinery consume; the gemlang package parses the paper's
+// concrete syntax into this IR, expanding the GEM type-description
+// facility (element/group types with parameters and refinement) by text
+// substitution as it goes.
 package spec
 
 import (

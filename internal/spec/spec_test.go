@@ -9,14 +9,24 @@ import (
 	"gem/internal/thread"
 )
 
+// variableDecl declares the paper's Variable element (Section 8.2) under
+// the given name: Assign/Getval and the reads-last-assign restriction.
+func variableDecl(name string) *ElementDecl {
+	return &ElementDecl{
+		Name:     name,
+		TypeName: "Variable",
+		Events: []EventClassDecl{
+			{Name: "Assign", Params: []ParamDecl{{Name: "newval", Type: "VALUE"}}},
+			{Name: "Getval", Params: []ParamDecl{{Name: "oldval", Type: "VALUE"}}},
+		},
+		Restrictions: []Restriction{{Name: name + ".reads-last-assign", F: ReadsLastAssign(name)}},
+	}
+}
+
 func sampleSpec(t *testing.T) *Spec {
 	t.Helper()
 	s := New("sample")
-	varDecl, err := VariableType().Instantiate("Var")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddElement(varDecl)
+	s.AddElement(variableDecl("Var"))
 	s.AddElement(&ElementDecl{
 		Name: "control",
 		Events: []EventClassDecl{
@@ -90,7 +100,7 @@ func TestSpecUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !u.HasElement("Var") || !u.HasGroup("db") {
+	if !u.Contained("Var", "db") || !u.Contained("control", "db") {
 		t.Error("universe missing declarations")
 	}
 	if !u.Access("Var", "control") {
@@ -137,131 +147,27 @@ func TestSpecValidateErrors(t *testing.T) {
 	})
 }
 
-func TestVariableTypeInstantiation(t *testing.T) {
-	d, err := VariableType().Instantiate("Counter")
-	if err != nil {
-		t.Fatal(err)
+// TestReadsLastAssign checks the Variable restriction against the element
+// it names: a read of the last assigned value holds, a stale read fails.
+func TestReadsLastAssign(t *testing.T) {
+	read := func(element string, got int64) *core.Computation {
+		b := core.NewBuilder()
+		b.Event(element, "Assign", core.Params{"newval": core.Int(5)})
+		b.Event(element, "Getval", core.Params{"oldval": core.Int(got)})
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	if d.Name != "Counter" || d.TypeName != "Variable" {
-		t.Errorf("decl = %+v", d)
+	f := ReadsLastAssign("Counter")
+	if cx := logic.Holds(f, read("Counter", 5), logic.CheckOptions{}); cx != nil {
+		t.Errorf("faithful read refuted: %v", cx)
 	}
-	if len(d.Events) != 2 || len(d.Restrictions) != 1 {
-		t.Errorf("events=%d restrictions=%d", len(d.Events), len(d.Restrictions))
+	if cx := logic.Holds(f, read("Counter", 9), logic.CheckOptions{}); cx == nil {
+		t.Error("stale read at the named element must be refuted")
 	}
-	if d.Restrictions[0].Name != "Counter.reads-last-assign" {
-		t.Errorf("restriction name = %s", d.Restrictions[0].Name)
-	}
-
-	// The restriction must actually reference the instance's element.
-	b := core.NewBuilder()
-	b.Event("Counter", "Assign", core.Params{"newval": core.Int(5)})
-	b.Event("Counter", "Getval", core.Params{"oldval": core.Int(9)})
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cx := logic.Holds(d.Restrictions[0].F, c, logic.CheckOptions{}); cx == nil {
-		t.Error("stale read at the instance element must be refuted")
-	}
-}
-
-func TestTypedVariableRefinement(t *testing.T) {
-	tv := TypedVariableType()
-	d, err := tv.Instantiate("Var", "INTEGER")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Events[0].Params[0].Type != "INTEGER" {
-		t.Errorf("parameter type not substituted: %+v", d.Events[0].Params)
-	}
-	if _, err := tv.Instantiate("Var"); err == nil {
-		t.Error("arity mismatch must be rejected")
-	}
-}
-
-func TestElementTypeRefine(t *testing.T) {
-	base := VariableType()
-	refined := base.Refine("LoggedVariable",
-		[]EventClassDecl{{Name: "Log"}},
-		func(name string, _ map[string]string) []Restriction {
-			return []Restriction{{Name: name + ".extra", F: logic.TrueF{}}}
-		})
-	d, err := refined.Instantiate("LV")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Events) != 3 {
-		t.Errorf("refined events = %d, want 3", len(d.Events))
-	}
-	if len(d.Restrictions) != 2 {
-		t.Errorf("refined restrictions = %d, want 2 (base + extra)", len(d.Restrictions))
-	}
-	if d.TypeName != "LoggedVariable" {
-		t.Errorf("TypeName = %s", d.TypeName)
-	}
-}
-
-func TestGroupTypeInstantiate(t *testing.T) {
-	gt := GroupType{
-		Name:    "Monitor",
-		Members: []string{"lock", "entry"},
-		Ports:   []PortTemplate{{Element: "lock", Class: "Req"}},
-		Restrictions: func(name string, _ map[string]string) []Restriction {
-			return []Restriction{{Name: name + ".r", F: logic.TrueF{}}}
-		},
-	}
-	inst, err := gt.Instantiate("rw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Decl.Name != "rw" || inst.Decl.TypeName != "Monitor" {
-		t.Errorf("group decl = %+v", inst.Decl)
-	}
-	if got := inst.MemberNames["lock"]; got != "rw.lock" {
-		t.Errorf("member name = %s, want rw.lock", got)
-	}
-	if len(inst.Decl.Ports) != 1 || inst.Decl.Ports[0].Element != "rw.lock" {
-		t.Errorf("ports = %v", inst.Decl.Ports)
-	}
-	if len(inst.Decl.Restrictions) != 1 {
-		t.Errorf("restrictions = %d", len(inst.Decl.Restrictions))
-	}
-}
-
-func TestGroupTypePortMustReferenceMember(t *testing.T) {
-	gt := GroupType{
-		Name:    "Bad",
-		Members: []string{"a"},
-		Ports:   []PortTemplate{{Element: "ghost", Class: "X"}},
-	}
-	if _, err := gt.Instantiate("g"); err == nil {
-		t.Error("port referencing a non-member must fail")
-	}
-}
-
-func TestGroupTypeCustomMemberName(t *testing.T) {
-	gt := GroupType{
-		Name:       "Flat",
-		Members:    []string{"shared"},
-		MemberName: func(_, member string) string { return member },
-	}
-	inst, err := gt.Instantiate("g1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Decl.Members[0] != "shared" {
-		t.Errorf("custom member naming ignored: %v", inst.Decl.Members)
-	}
-}
-
-func TestGetvalNeedsAssign(t *testing.T) {
-	b := core.NewBuilder()
-	b.Event("V", "Getval", core.Params{"oldval": core.Int(0)})
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cx := logic.Holds(GetvalNeedsAssign("V"), c, logic.CheckOptions{}); cx == nil {
-		t.Error("Getval without a prior Assign must be refuted")
+	if cx := logic.Holds(f, read("Other", 9), logic.CheckOptions{}); cx != nil {
+		t.Errorf("a stale read at another element is none of its business: %v", cx)
 	}
 }

@@ -145,14 +145,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Dir returns the store's root directory ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 func (s *Store) path(key string, kind byte) string {
 	return filepath.Join(s.dir, layoutDir, key[:2], fmt.Sprintf("%s-%d", key, kind))
 }

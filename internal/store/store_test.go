@@ -328,7 +328,7 @@ func TestTrimEvicts(t *testing.T) {
 		t.Error("Trim evicted nothing")
 	}
 	left := 0
-	filepath.WalkDir(s.Dir(), func(path string, d os.DirEntry, err error) error {
+	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
 			left++
 		}

@@ -33,9 +33,9 @@ type Instance struct {
 	Events []core.EventID
 }
 
-// ID builds the canonical thread-instance identifier. It matches the
-// convention used by the logic package's thread quantifiers
-// (type + "#" + n).
+// ID builds the canonical thread-instance identifier, type + "#" + n.
+// TypeOf parses it back; the logic package's thread quantifiers group
+// instances by it.
 func ID(threadType string, n int) string {
 	return fmt.Sprintf("%s#%d", threadType, n)
 }
@@ -143,7 +143,7 @@ func Validate(c *core.Computation, types ...Type) error {
 	}
 	for _, e := range c.Events() {
 		for _, tid := range e.Threads {
-			typ := typeOf(tid)
+			typ := TypeOf(tid)
 			if !declared[typ] {
 				continue // labels of undeclared types are out of scope
 			}
@@ -162,35 +162,8 @@ func Validate(c *core.Computation, types ...Type) error {
 	return nil
 }
 
-// InstancesOf returns the identifiers of all instances of the named thread
-// type present in the computation, in first-appearance order.
-func InstancesOf(c *core.Computation, name string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range c.Events() {
-		for _, tid := range e.Threads {
-			if typeOf(tid) == name && !seen[tid] {
-				seen[tid] = true
-				out = append(out, tid)
-			}
-		}
-	}
-	return out
-}
-
-// EventsOn returns the events labelled with the given thread instance, in
-// id order.
-func EventsOn(c *core.Computation, tid string) []core.EventID {
-	var out []core.EventID
-	for _, e := range c.Events() {
-		if e.HasThread(tid) {
-			out = append(out, e.ID)
-		}
-	}
-	return out
-}
-
-func typeOf(tid string) string {
+// TypeOf returns the thread type of an instance identifier built by ID.
+func TypeOf(tid string) string {
 	for i := len(tid) - 1; i >= 0; i-- {
 		if tid[i] == '#' {
 			return tid[:i]

@@ -131,9 +131,6 @@ func TestAlternativePathsShareCounter(t *testing.T) {
 	if insts[0].ID != "piRW#1" || insts[1].ID != "piRW#2" {
 		t.Errorf("alternative instances = %s, %s", insts[0].ID, insts[1].ID)
 	}
-	if got := InstancesOf(c, "piRW"); len(got) != 2 {
-		t.Errorf("InstancesOf = %v", got)
-	}
 }
 
 func TestValidateAcceptsApplied(t *testing.T) {
@@ -177,27 +174,15 @@ func TestValidateIgnoresUndeclaredTypes(t *testing.T) {
 	}
 }
 
-func TestEventsOn(t *testing.T) {
-	c, chains := rwChain(t)
-	Apply(c, rwType())
-	got := EventsOn(c, "piRW#1")
-	if !reflect.DeepEqual(got, chains[0]) {
-		t.Errorf("EventsOn = %v, want %v", got, chains[0])
-	}
-	if got := EventsOn(c, "nope#1"); got != nil {
-		t.Errorf("EventsOn(unknown) = %v", got)
-	}
-}
-
 func TestIDAndTypeOf(t *testing.T) {
 	if ID("pi", 7) != "pi#7" {
 		t.Errorf("ID = %q", ID("pi", 7))
 	}
-	if typeOf("pi#7") != "pi" {
-		t.Errorf("typeOf = %q", typeOf("pi#7"))
+	if TypeOf("pi#7") != "pi" {
+		t.Errorf("TypeOf = %q", TypeOf("pi#7"))
 	}
-	if typeOf("bare") != "bare" {
-		t.Errorf("typeOf(bare) = %q", typeOf("bare"))
+	if TypeOf("bare") != "bare" {
+		t.Errorf("TypeOf(bare) = %q", TypeOf("bare"))
 	}
 }
 

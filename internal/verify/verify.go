@@ -315,7 +315,7 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 	obs.Count("sat.checks", 1)
 	var sat SatCache
 	var corrKey string
-	if opts.Cache != nil && opts.Cacheable() {
+	if opts.Cache != nil {
 		if s, ok := opts.Cache.(SatCache); ok {
 			sat = s
 			corrKey = corr.CanonicalKey()

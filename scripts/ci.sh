@@ -10,6 +10,13 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet ./..."
 go vet ./...
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "==> FAIL: gofmt would reformat these files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck ./..."
 	staticcheck ./...
