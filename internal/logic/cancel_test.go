@@ -3,6 +3,8 @@ package logic
 import (
 	"context"
 	"testing"
+
+	"gem/internal/core"
 )
 
 // TestHoldsAllCancelled: the restriction fan-out built on fanout.First
@@ -12,21 +14,22 @@ import (
 func TestHoldsAllCancelled(t *testing.T) {
 	withProcs(t, 4)
 	c, _ := diamondComp(t)
+	comps := []*core.Computation{c}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fs := []Formula{TrueF{}, FalseF{}, TrueF{}}
 	for _, par := range []int{1, 4} {
-		idx, cx := HoldsAll(fs, c, CheckOptions{Parallelism: par, Ctx: ctx})
-		if idx != -1 || cx != nil {
-			t.Errorf("par %d: cancelled HoldsAll = (%d, %v), want (-1, nil)", par, idx, cx)
+		ci, fi, cx := HoldsEvery(fs, comps, CheckOptions{Parallelism: par, Ctx: ctx})
+		if ci != -1 || fi != -1 || cx != nil {
+			t.Errorf("par %d: cancelled HoldsEvery = (%d, %d, %v), want (-1, -1, nil)", par, ci, fi, cx)
 		}
 	}
 	// Sanity: the same check without cancellation finds the failure at
 	// the same index for every parallelism.
 	for _, par := range []int{1, 4} {
-		idx, cx := HoldsAll(fs, c, CheckOptions{Parallelism: par})
-		if idx != 1 || cx == nil {
-			t.Errorf("par %d: HoldsAll = (%d, %v), want (1, cx)", par, idx, cx)
+		ci, fi, cx := HoldsEvery(fs, comps, CheckOptions{Parallelism: par})
+		if ci != 0 || fi != 1 || cx == nil {
+			t.Errorf("par %d: HoldsEvery = (%d, %d, %v), want (0, 1, cx)", par, ci, fi, cx)
 		}
 	}
 }

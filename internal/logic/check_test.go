@@ -228,16 +228,19 @@ func TestHoldsInvariantSemantics(t *testing.T) {
 	}
 }
 
+// TestHoldsAllReportsIndex: checking all of several restrictions
+// against one computation reports the index of the first that fails.
 func TestHoldsAllReportsIndex(t *testing.T) {
 	c, _ := diamondComp(t)
+	comps := []*core.Computation{c}
 	fs := []Formula{TrueF{}, FalseF{}, TrueF{}}
-	idx, cx := HoldsAll(fs, c, CheckOptions{})
-	if idx != 1 || cx == nil {
-		t.Errorf("HoldsAll = (%d, %v), want (1, counterexample)", idx, cx)
+	ci, fi, cx := HoldsEvery(fs, comps, CheckOptions{})
+	if ci != 0 || fi != 1 || cx == nil {
+		t.Errorf("HoldsEvery = (%d, %d, %v), want (0, 1, counterexample)", ci, fi, cx)
 	}
-	idx, cx = HoldsAll([]Formula{TrueF{}}, c, CheckOptions{})
-	if idx != -1 || cx != nil {
-		t.Errorf("all-pass HoldsAll = (%d, %v)", idx, cx)
+	ci, fi, cx = HoldsEvery([]Formula{TrueF{}}, comps, CheckOptions{})
+	if ci != -1 || fi != -1 || cx != nil {
+		t.Errorf("all-pass HoldsEvery = (%d, %d, %v)", ci, fi, cx)
 	}
 }
 

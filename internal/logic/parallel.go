@@ -29,20 +29,6 @@ func Cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// HoldsAll checks several restrictions, returning the first
-// counterexample, annotated with its index, or (-1, nil) if all hold.
-// With opts.Parallelism > 1 the restrictions are checked concurrently
-// with deterministic first-failure semantics: the reported index and
-// counterexample are the ones the sequential run finds. Cancellation of
-// opts.Ctx stops the fan-out promptly (see fanout.First).
-func HoldsAll(fs []Formula, c *core.Computation, opts CheckOptions) (int, *Counterexample) {
-	idx, cx, _ := fanout.First(opts.Ctx, opts.Parallelism, fanout.Range(len(fs)), func(i, _ int) (*Counterexample, bool) {
-		cx := Holds(fs[i], c, opts)
-		return cx, cx == nil
-	})
-	return idx, cx
-}
-
 // HoldsEvery checks every restriction against every computation, fanning
 // the (computation, formula) pairs out to a worker pool. It returns the
 // indices of the first failure in (computation-major, formula-minor)

@@ -47,8 +47,8 @@ func TestLatticeBuiltOncePerCheck(t *testing.T) {
 		Then: Box{F: Exists{Var: "y", Ref: core.Ref("EL1", "E"), Body: Occurred{Var: "y"}}},
 	}}
 	before := history.LatticeBuilds()
-	if idx, cx := HoldsAll([]Formula{inv, pairs, inv, pairs}, c, CheckOptions{}); idx >= 0 {
-		t.Fatalf("restrictions should hold, failed at %d: %v", idx, cx.Error())
+	if _, fi, cx := HoldsEvery([]Formula{inv, pairs, inv, pairs}, []*core.Computation{c}, CheckOptions{}); fi >= 0 {
+		t.Fatalf("restrictions should hold, failed at %d: %v", fi, cx.Error())
 	}
 	if d := history.LatticeBuilds() - before; d != 1 {
 		t.Errorf("lattice enumerated %d times across 4 restrictions, want 1", d)

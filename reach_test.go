@@ -36,7 +36,6 @@ var testOnlyAllowlist = map[string]string{
 	"internal/order.DAG.ReachesDFS":      "the DFS arm of BenchmarkAblationClosureVsDFS",
 	"internal/core.Computation.Elements": "used by BenchmarkAblationClosureVsDFS",
 
-	"internal/logic.HoldsAll":   "runs BenchmarkE4MonitorRW, which scripts/bench.sh gates",
 	"internal/logic.HoldsEvery": "runs BenchmarkE4MonitorRW, which scripts/bench.sh gates",
 
 	"internal/problems/rw.BuildComputation":         "fixture of the root E3 benchmark and of tests in several packages",
