@@ -73,7 +73,7 @@ func BenchmarkE2Histories(b *testing.B) {
 		bd := core.NewBuilder()
 		ids := make([]core.EventID, 4)
 		for k := range ids {
-			ids[k] = bd.Event(fmt.Sprintf("EL%d", k+1), "E", nil)
+			ids[k] = bd.Event(fmt.Sprintf("EL%d", k+1), "E", core.Params{})
 		}
 		bd.Enable(ids[0], ids[1])
 		bd.Enable(ids[0], ids[2])
@@ -89,7 +89,7 @@ func BenchmarkE2Histories(b *testing.B) {
 		if got := history.CountComplete(c); got != 3 {
 			b.Fatalf("vhs = %d, want 3", got)
 		}
-		if got := history.EnumerateLinear(c, 0, func(history.Sequence) bool { return true }); got != 2 {
+		if got := history.EnumerateLinear(c, func(history.Sequence) bool { return true }); got != 2 {
 			b.Fatalf("linear extensions = %d, want 2", got)
 		}
 	}
@@ -376,8 +376,8 @@ func BenchmarkE10VhsVsLinear(b *testing.B) {
 	build := func(chains int) *core.Computation {
 		bd := core.NewBuilder()
 		for k := 0; k < chains; k++ {
-			a := bd.Event(fmt.Sprintf("A%d", k), "E", nil)
-			c := bd.Event(fmt.Sprintf("B%d", k), "E", nil)
+			a := bd.Event(fmt.Sprintf("A%d", k), "E", core.Params{})
+			c := bd.Event(fmt.Sprintf("B%d", k), "E", core.Params{})
 			bd.Enable(a, c)
 		}
 		c, err := bd.Build()
@@ -391,9 +391,9 @@ func BenchmarkE10VhsVsLinear(b *testing.B) {
 	// each sequence, as the sequence engine does: Holds would decide this
 	// formula on the history lattice without enumerating either set.
 	f := logic.Box{F: logic.Diamond{F: logic.TrueF{}}}
-	holdsOn := func(enumerate func(*core.Computation, int, func(history.Sequence) bool) int) bool {
+	holdsOn := func(enumerate func(*core.Computation, func(history.Sequence) bool) int) bool {
 		ok := true
-		enumerate(c, 0, func(s history.Sequence) bool {
+		enumerate(c, func(s history.Sequence) bool {
 			ok = f.Eval(logic.NewSeqEnv(s, 0))
 			return ok
 		})
@@ -416,7 +416,7 @@ func BenchmarkE10VhsVsLinear(b *testing.B) {
 	b.Run("counts", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vhs := history.CountComplete(c)
-			lin := history.EnumerateLinear(c, 0, func(history.Sequence) bool { return true })
+			lin := history.EnumerateLinear(c, func(history.Sequence) bool { return true })
 			if vhs <= lin {
 				b.Fatalf("vhs=%d should exceed linear=%d", vhs, lin)
 			}
@@ -436,8 +436,8 @@ func BenchmarkSweepHistories(b *testing.B) {
 		b.Run(fmt.Sprintf("chains=%d", chains), func(b *testing.B) {
 			bd := core.NewBuilder()
 			for k := 0; k < chains; k++ {
-				a := bd.Event(fmt.Sprintf("A%d", k), "E", nil)
-				c := bd.Event(fmt.Sprintf("B%d", k), "E", nil)
+				a := bd.Event(fmt.Sprintf("A%d", k), "E", core.Params{})
+				c := bd.Event(fmt.Sprintf("B%d", k), "E", core.Params{})
 				bd.Enable(a, c)
 			}
 			c, err := bd.Build()

@@ -125,7 +125,7 @@ func histories(w io.Writer) error {
 	b := core.NewBuilder()
 	ids := make([]core.EventID, 4)
 	for i := range ids {
-		ids[i] = b.Event(fmt.Sprintf("EL%d", i+1), "e"+fmt.Sprint(i+1), nil)
+		ids[i] = b.Event(fmt.Sprintf("EL%d", i+1), "e"+fmt.Sprint(i+1), core.Params{})
 	}
 	b.Enable(ids[0], ids[1])
 	b.Enable(ids[0], ids[2])
@@ -136,17 +136,17 @@ func histories(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, "histories (prefixes):")
-	history.Enumerate(c, 0, func(h history.History) bool {
+	history.Enumerate(c, func(h history.History) bool {
 		fmt.Fprintf(w, "  %s\n", h)
 		return true
 	})
 	fmt.Fprintln(w, "maximal valid history sequences:")
-	history.EnumerateComplete(c, 0, func(s history.Sequence) bool {
+	history.EnumerateComplete(c, func(s history.Sequence) bool {
 		fmt.Fprintf(w, "  %s\n", s)
 		return true
 	})
 	fmt.Fprintf(w, "linear extensions only: %d (vhs admit the simultaneous concurrent step)\n",
-		history.EnumerateLinear(c, 0, func(history.Sequence) bool { return true }))
+		history.EnumerateLinear(c, func(history.Sequence) bool { return true }))
 	return nil
 }
 

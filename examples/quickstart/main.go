@@ -56,17 +56,22 @@ func run() error {
 	fmt.Println("compiled specification:", spec.Name)
 
 	// 2. Build a computation: the writer assigns 5 then 7; the reader
-	// reads between the two assignments and uses the value.
-	b := core.NewBuilder()
-	work := b.Event("writer", "Work", nil)
-	a1 := b.Event("Var", "Assign", core.Params{"newval": core.Int(5)})
-	g := b.Event("Var", "Getval", core.Params{"oldval": core.Int(5)})
-	use := b.Event("reader", "Use", core.Params{"v": core.Int(5)})
-	a2 := b.Event("Var", "Assign", core.Params{"newval": core.Int(7)})
-	b.Enable(work, a1) // the writer's work enables the first assignment
-	b.Enable(a1, a2)   // and its own second assignment
-	b.Enable(g, use)   // the read enables the reader's use
-	c, err := b.Build()
+	// reads between the two assignments and uses the value. build takes
+	// the value the read reports.
+	var work, a1, g, use, a2 core.EventID
+	build := func(read int64) (*core.Computation, error) {
+		b := core.NewBuilder()
+		work = b.Event("writer", "Work", core.Params{})
+		a1 = b.Event("Var", "Assign", core.NewParams(core.P("newval", core.Int(5))))
+		g = b.Event("Var", "Getval", core.NewParams(core.P("oldval", core.Int(read))))
+		use = b.Event("reader", "Use", core.NewParams(core.P("v", core.Int(5))))
+		a2 = b.Event("Var", "Assign", core.NewParams(core.P("newval", core.Int(7))))
+		b.Enable(work, a1) // the writer's work enables the first assignment
+		b.Enable(a1, a2)   // and its own second assignment
+		b.Enable(g, use)   // the read enables the reader's use
+		return b.Build()
+	}
+	c, err := build(5)
 	if err != nil {
 		return err
 	}
@@ -87,9 +92,13 @@ func run() error {
 	res := legal.Check(spec, c, legal.Options{})
 	fmt.Printf("\nlegal(C, σ) = %v\n", res.Legal())
 
-	// ...and a stale read is refuted.
-	c.Event(g).Params["oldval"] = core.Int(99)
-	res = legal.Check(spec, c, legal.Options{})
+	// ...and a stale read is refuted. A built computation is immutable,
+	// so the corrupt read is a second computation.
+	stale, err := build(99)
+	if err != nil {
+		return err
+	}
+	res = legal.Check(spec, stale, legal.Options{})
 	fmt.Printf("after corrupting the read: legal(C, σ) = %v\n", res.Legal())
 	if res.Legal() {
 		return fmt.Errorf("quickstart: corruption not detected")

@@ -362,11 +362,11 @@ func (m *machine) beginRendezvous(task int, acc Accept) error {
 	m.queues[task][acc.Entry] = q[1:]
 
 	t := &m.tasks[task]
-	params := core.Params{"caller": core.Str(m.prog.Tasks[cl.task].Name)}
+	params := append(make([]core.Param, 0, 2), core.P("caller", core.Str(m.prog.Tasks[cl.task].Name)))
 	if cl.hasArg {
-		params["v"] = core.Int(cl.arg)
+		params = append(params, core.P("v", core.Int(cl.arg)))
 	}
-	m.Emit(task, EntryElement(m.prog.Tasks[task].Name, acc.Entry), "AcceptStart", params, cl.callEv)
+	m.Emit(task, EntryElement(m.prog.Tasks[task].Name, acc.Entry), "AcceptStart", core.NewParams(params...), cl.callEv)
 	t.rendezv = append(t.rendezv, rendezvous{caller: cl.task, entry: acc.Entry})
 	if acc.Param != "" {
 		if t.args == nil {
@@ -389,23 +389,24 @@ func (m *machine) step(task int) error {
 	case Assign:
 		t.vars[s.Var] = s.E.eval(env)
 		m.Emit(task, VarElement(taskName, s.Var), "Assign",
-			core.Params{"newval": core.Int(t.vars[s.Var])})
+			core.NewParams(core.P("newval", core.Int(t.vars[s.Var]))))
 	case Op:
-		params := make(core.Params, len(s.Params)+2)
+		list := make([]core.Param, 0, 4)
 		for k, e := range s.Params {
-			params[k] = core.Int(e.eval(env))
+			list = append(list, core.P(k, core.Int(e.eval(env))))
 		}
 		elem := taskName
 		if s.Element != "" {
 			elem = s.Element
-			params["proc"] = core.Str(taskName)
-			switch s.Class {
-			case "Assign":
-				if v, ok := params["newval"]; ok {
-					m.ext[s.Element] = v.I
-				}
-			case "Getval":
-				params["oldval"] = core.Int(m.ext[s.Element])
+			list = append(list, core.P("proc", core.Str(taskName)))
+			if s.Class == "Getval" {
+				list = append(list, core.P("oldval", core.Int(m.ext[s.Element])))
+			}
+		}
+		params := core.NewParams(list...)
+		if s.Element != "" && s.Class == "Assign" {
+			if v, ok := params.Get("newval"); ok {
+				m.ext[s.Element] = v.I
 			}
 		}
 		m.Emit(task, elem, s.Class, params)
@@ -418,14 +419,14 @@ func (m *machine) step(task int) error {
 		r.hasResult = true
 	case EntryCall:
 		callee := m.byName[s.Task]
-		params := core.Params{"task": core.Str(s.Task), "entry": core.Str(s.Entry)}
+		params := append(make([]core.Param, 0, 3), core.P("task", core.Str(s.Task)), core.P("entry", core.Str(s.Entry)))
 		cl := caller{task: task}
 		if s.Arg != nil {
 			cl.arg = s.Arg.eval(env)
 			cl.hasArg = true
-			params["v"] = core.Int(cl.arg)
+			params = append(params, core.P("v", core.Int(cl.arg)))
 		}
-		cl.callEv = m.Emit(task, taskName, "Call", params)
+		cl.callEv = m.Emit(task, taskName, "Call", core.NewParams(params...))
 		m.queues[callee][s.Entry] = append(m.queues[callee][s.Entry], cl)
 		t.blocked = true
 	case Repeat:
@@ -435,16 +436,14 @@ func (m *machine) step(task int) error {
 	case endAccept:
 		r := t.rendezv[len(t.rendezv)-1]
 		t.rendezv = t.rendezv[:len(t.rendezv)-1]
-		endParams := core.Params{"caller": core.Str(m.prog.Tasks[r.caller].Name)}
+		endParams := append(make([]core.Param, 0, 2), core.P("caller", core.Str(m.prog.Tasks[r.caller].Name)))
+		retParams := append(make([]core.Param, 0, 2), core.P("entry", core.Str(r.entry)))
 		if r.hasResult {
-			endParams["result"] = core.Int(r.result)
+			endParams = append(endParams, core.P("result", core.Int(r.result)))
+			retParams = append(retParams, core.P("result", core.Int(r.result)))
 		}
-		end := m.Emit(task, EntryElement(taskName, r.entry), "AcceptEnd", endParams)
-		retParams := core.Params{"entry": core.Str(r.entry)}
-		if r.hasResult {
-			retParams["result"] = core.Int(r.result)
-		}
-		m.Emit(r.caller, m.prog.Tasks[r.caller].Name, "Return", retParams, end)
+		end := m.Emit(task, EntryElement(taskName, r.entry), "AcceptEnd", core.NewParams(endParams...))
+		m.Emit(r.caller, m.prog.Tasks[r.caller].Name, "Return", core.NewParams(retParams...), end)
 		m.tasks[r.caller].blocked = false
 		if len(t.rendezv) == 0 {
 			t.args = nil

@@ -64,7 +64,9 @@ func TestRendezvousBasics(t *testing.T) {
 		t.Error("rendezvous ordering broken")
 	}
 	// Argument rides on both Call and AcceptStart.
-	if c.Event(call[0]).Params["v"] != core.Int(42) || c.Event(start[0]).Params["v"] != core.Int(42) {
+	callV, _ := c.Event(call[0]).Params.Get("v")
+	startV, _ := c.Event(start[0]).Params.Get("v")
+	if callV != core.Int(42) || startV != core.Int(42) {
 		t.Error("argument transfer broken")
 	}
 }
@@ -110,7 +112,7 @@ func TestReplyCarriesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	ret := runs[0].Comp.EventsOf(core.Ref("asker", "Return"))
-	if got := runs[0].Comp.Event(ret[0]).Params["result"]; got != core.Int(7) {
+	if got, _ := runs[0].Comp.Event(ret[0]).Params.Get("result"); got != core.Int(7) {
 		t.Errorf("result = %v, want 7", got)
 	}
 }
@@ -340,7 +342,7 @@ func TestSpecRefutesForgedAccept(t *testing.T) {
 	prog := serverProgram()
 	s := Spec(prog)
 	b := core.NewBuilder()
-	b.Event(EntryElement("server", "Put"), "AcceptStart", core.Params{"v": core.Int(1)})
+	b.Event(EntryElement("server", "Put"), "AcceptStart", core.NewParams(core.P("v", core.Int(1))))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -355,10 +357,12 @@ func TestSpecRefutesCorruptedArgument(t *testing.T) {
 	prog := serverProgram()
 	s := Spec(prog)
 	b := core.NewBuilder()
-	call := b.Event("client", "Call", core.Params{
-		"task": core.Str("server"), "entry": core.Str("Put"), "v": core.Int(42),
-	})
-	acc := b.Event(EntryElement("server", "Put"), "AcceptStart", core.Params{"v": core.Int(7)})
+	call := b.Event("client", "Call", core.NewParams(
+		core.P("task", core.Str("server")),
+		core.P("entry", core.Str("Put")),
+		core.P("v", core.Int(42)),
+	))
+	acc := b.Event(EntryElement("server", "Put"), "AcceptStart", core.NewParams(core.P("v", core.Int(7))))
 	b.Enable(call, acc)
 	c, err := b.Build()
 	if err != nil {
@@ -410,7 +414,7 @@ func TestExternalSharedElement(t *testing.T) {
 		if len(gets) != 1 {
 			t.Fatalf("gets = %d", len(gets))
 		}
-		if got := r.Comp.Event(gets[0]).Params["oldval"]; got != core.Int(5) {
+		if got, _ := r.Comp.Event(gets[0]).Params.Get("oldval"); got != core.Int(5) {
 			t.Errorf("read %v, want 5 (ordered by the rendezvous)", got)
 		}
 	}

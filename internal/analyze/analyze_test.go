@@ -133,7 +133,7 @@ func TestGuardHoldsOn(t *testing.T) {
 	}
 
 	b := core.NewBuilder()
-	b.Event("a", "Go", nil)
+	b.Event("a", "Go", core.Params{})
 	withEvent, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestGuardHoldsOn(t *testing.T) {
 		t.Error("thread guard should hold with no pi-labelled events")
 	}
 	b2 := core.NewBuilder()
-	id := b2.Event("a", "Go", nil)
+	id := b2.Event("a", "Go", core.Params{})
 	b2.Thread(id, thread.ID("pi", 1))
 	labelled, err := b2.Build()
 	if err != nil {

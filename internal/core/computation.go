@@ -143,15 +143,12 @@ func (c *Computation) Concurrent(a, b EventID) bool {
 // O(|set|²) Temporal queries.
 func (c *Computation) Concurrency() []order.Bitset {
 	return c.Derived("core.concurrency", func() any {
-		n := len(c.events)
-		rows := make([]order.Bitset, n)
-		for e := 0; e < n; e++ {
-			row := order.NewBitset(n)
+		rows := order.NewRows(len(c.events))
+		for e, row := range rows {
 			row.Fill()
 			row.Clear(e)
 			row.AndNotWith(c.reach[e])
 			row.AndNotWith(c.preds[e])
-			rows[e] = row
 		}
 		return rows
 	}).([]order.Bitset)
@@ -195,31 +192,42 @@ func (c *Computation) String() string {
 // Builder assembles a Computation. Events are appended per element in
 // element order; enable edges may reference any previously created events.
 type Builder struct {
-	events  []*Event
-	byElem  map[string][]EventID
+	events  []Event
+	seq     map[string]int // number of events per element so far
 	enables [][2]EventID
 }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	return &Builder{byElem: make(map[string][]EventID)}
+	return &Builder{seq: make(map[string]int)}
+}
+
+// Grow makes room for n more events, so a caller that knows how many
+// events it will add allocates them once and Build keeps that array.
+func (b *Builder) Grow(n int) {
+	if n > cap(b.events)-len(b.events) {
+		events := make([]Event, len(b.events), len(b.events)+n)
+		copy(events, b.events)
+		b.events = events
+	}
 }
 
 // Event appends a new event at the named element with the given class and
 // parameters, returning its id. Successive events at the same element are
 // ordered by creation order (their Seq is the per-element occurrence
-// index).
+// index). The event keeps params itself: Params is immutable, so every
+// computation built from one list shares it.
 func (b *Builder) Event(element, class string, params Params) EventID {
 	id := EventID(len(b.events))
-	ev := &Event{
+	seq := b.seq[element]
+	b.seq[element] = seq + 1
+	b.events = append(b.events, Event{
 		ID:      id,
 		Element: element,
 		Class:   class,
-		Seq:     len(b.byElem[element]),
-		Params:  params.Clone(),
-	}
-	b.events = append(b.events, ev)
-	b.byElem[element] = append(b.byElem[element], id)
+		Seq:     seq,
+		Params:  params,
+	})
 	return id
 }
 
@@ -230,7 +238,7 @@ func (b *Builder) Enable(src, dst EventID) {
 
 // Thread labels the event with a thread-instance identifier.
 func (b *Builder) Thread(id EventID, tid string) {
-	ev := b.events[int(id)]
+	ev := &b.events[int(id)]
 	if !ev.HasThread(tid) {
 		ev.Threads = append(ev.Threads, tid)
 	}
@@ -239,10 +247,15 @@ func (b *Builder) Thread(id EventID, tid string) {
 // Build derives the temporal order and validates that it is a strict
 // partial order (irreflexive ⇔ the combined graph is acyclic). On success
 // the builder should not be reused.
+//
+// Each part of the computation is one allocation whatever its number of
+// events: the events, the per-element event lists, the enable lists and
+// the reach and pred rows. Explorers hold thousands of computations at
+// once, and every object in them is one the collector marks on every
+// cycle.
 func (b *Builder) Build() (*Computation, error) {
 	n := len(b.events)
-	dag := order.NewDAG(n)
-	adj := make([][]EventID, n)
+	outdeg := make([]int, n)
 	for _, e := range b.enables {
 		src, dst := int(e[0]), int(e[1])
 		if src < 0 || src >= n || dst < 0 || dst >= n {
@@ -251,24 +264,63 @@ func (b *Builder) Build() (*Computation, error) {
 		if src == dst {
 			return nil, fmt.Errorf("core: event %d cannot enable itself", src)
 		}
-		dag.AddEdge(src, dst)
+		outdeg[src]++
+	}
+	// Each source's list is a window of flat, capped at its length once
+	// filled, so no append can run into its neighbour's.
+	flat := make([]EventID, len(b.enables))
+	adj := make([][]EventID, n)
+	off := 0
+	for src, d := range outdeg {
+		adj[src] = flat[off : off : off+d]
+		off += d
+	}
+	dag := order.NewDAG(n)
+	for _, e := range b.enables {
+		src := int(e[0])
+		dag.AddEdge(src, int(e[1]))
 		if !containsID(adj[src], e[1]) {
 			adj[src] = append(adj[src], e[1])
 		}
 	}
-	// Element order: consecutive events at the same element.
-	for _, ids := range b.byElem {
-		for i := 1; i < len(ids); i++ {
-			dag.AddEdge(int(ids[i-1]), int(ids[i]))
+	for src, targets := range adj {
+		adj[src] = targets[:len(targets):len(targets)]
+	}
+	// Element order: each event follows the previous one at its element.
+	// The per-element lists are windows of one array, like adj.
+	byElem := make(map[string][]EventID, len(b.seq))
+	perElem := make([]EventID, n)
+	off = 0
+	for elem, k := range b.seq {
+		byElem[elem] = perElem[off : off : off+k]
+		off += k
+	}
+	for i := range b.events {
+		e := &b.events[i]
+		ids := byElem[e.Element]
+		if e.Seq > 0 {
+			dag.AddEdge(int(ids[e.Seq-1]), i)
 		}
+		byElem[e.Element] = append(ids, e.ID)
 	}
 	reach, err := dag.TransitiveClosure()
 	if err != nil {
 		return nil, fmt.Errorf("core: temporal order is not irreflexive: %w", err)
 	}
+	events := b.events
+	if cap(events) > n {
+		// Copy the events out of the builder's grown array so the
+		// computation keeps exactly n of them.
+		events = make([]Event, n)
+		copy(events, b.events)
+	}
+	ptrs := make([]*Event, n)
+	for i := range events {
+		ptrs[i] = &events[i]
+	}
 	return &Computation{
-		events:  b.events,
-		byElem:  b.byElem,
+		events:  ptrs,
+		byElem:  byElem,
 		enables: adj,
 		reach:   reach,
 		preds:   order.Invert(reach),

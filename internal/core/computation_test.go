@@ -15,7 +15,7 @@ func buildDiamond(t *testing.T) (*Computation, [4]EventID) {
 	b := NewBuilder()
 	var ids [4]EventID
 	for i := 0; i < 4; i++ {
-		ids[i] = b.Event("EL"+string(rune('1'+i)), "E", nil)
+		ids[i] = b.Event("EL"+string(rune('1'+i)), "E", Params{})
 	}
 	b.Enable(ids[0], ids[1])
 	b.Enable(ids[0], ids[2])
@@ -53,8 +53,8 @@ func TestElementOrderForcesSequence(t *testing.T) {
 	// Two causally-unconnected assignments at the same variable element
 	// must still be temporally ordered — the paper's Var example.
 	b := NewBuilder()
-	a1 := b.Event("Var", "Assign", Params{"newval": Int(1)})
-	a2 := b.Event("Var", "Assign", Params{"newval": Int(2)})
+	a1 := b.Event("Var", "Assign", NewParams(P("newval", Int(1))))
+	a2 := b.Event("Var", "Assign", NewParams(P("newval", Int(2))))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +75,8 @@ func TestElementOrderForcesSequence(t *testing.T) {
 
 func TestElemBeforeDifferentElements(t *testing.T) {
 	b := NewBuilder()
-	x := b.Event("X", "E", nil)
-	y := b.Event("Y", "E", nil)
+	x := b.Event("X", "E", Params{})
+	y := b.Event("Y", "E", Params{})
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestElemBeforeDifferentElements(t *testing.T) {
 
 func TestBuildRejectsCycle(t *testing.T) {
 	b := NewBuilder()
-	x := b.Event("X", "E", nil)
-	y := b.Event("Y", "E", nil)
+	x := b.Event("X", "E", Params{})
+	y := b.Event("Y", "E", Params{})
 	b.Enable(x, y)
 	b.Enable(y, x)
 	if _, err := b.Build(); err == nil {
@@ -102,7 +102,7 @@ func TestBuildRejectsCycle(t *testing.T) {
 
 func TestBuildRejectsSelfEnable(t *testing.T) {
 	b := NewBuilder()
-	x := b.Event("X", "E", nil)
+	x := b.Event("X", "E", Params{})
 	b.Enable(x, x)
 	if _, err := b.Build(); err == nil {
 		t.Fatal("self-enable must be rejected (enable is irreflexive)")
@@ -112,8 +112,8 @@ func TestBuildRejectsSelfEnable(t *testing.T) {
 func TestBuildRejectsEnableElementOrderCycle(t *testing.T) {
 	// x1 =>el x2 at element X; enabling x2 |> x1 creates a temporal cycle.
 	b := NewBuilder()
-	x1 := b.Event("X", "E", nil)
-	x2 := b.Event("X", "E", nil)
+	x1 := b.Event("X", "E", Params{})
+	x2 := b.Event("X", "E", Params{})
 	b.Enable(x2, x1)
 	if _, err := b.Build(); err == nil {
 		t.Fatal("enable edge against element order must be rejected")
@@ -122,7 +122,7 @@ func TestBuildRejectsEnableElementOrderCycle(t *testing.T) {
 
 func TestBuildRejectsUnknownEventInEdge(t *testing.T) {
 	b := NewBuilder()
-	x := b.Event("X", "E", nil)
+	x := b.Event("X", "E", Params{})
 	b.Enable(x, EventID(5))
 	if _, err := b.Build(); err == nil {
 		t.Fatal("dangling enable edge must be rejected")
@@ -170,8 +170,8 @@ func TestEnablersAndEnabled(t *testing.T) {
 
 func TestDuplicateEnableEdgeDeduped(t *testing.T) {
 	b := NewBuilder()
-	x := b.Event("X", "E", nil)
-	y := b.Event("Y", "E", nil)
+	x := b.Event("X", "E", Params{})
+	y := b.Event("Y", "E", Params{})
 	b.Enable(x, y)
 	b.Enable(x, y)
 	c, err := b.Build()
@@ -185,7 +185,7 @@ func TestDuplicateEnableEdgeDeduped(t *testing.T) {
 
 func TestThreadsOnEvents(t *testing.T) {
 	b := NewBuilder()
-	x := b.Event("X", "E", nil)
+	x := b.Event("X", "E", Params{})
 	b.Thread(x, "pi-1")
 	b.Thread(x, "pi-1") // duplicate ignored
 	b.Thread(x, "pi-2")
@@ -204,8 +204,8 @@ func TestThreadsOnEvents(t *testing.T) {
 
 func TestEventNameNotation(t *testing.T) {
 	b := NewBuilder()
-	b.Event("Var", "Assign", nil)
-	a2 := b.Event("Var", "Assign", Params{"newval": Int(3)})
+	b.Event("Var", "Assign", Params{})
+	a2 := b.Event("Var", "Assign", NewParams(P("newval", Int(3))))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestQuickTemporalOrderMatchesReference(t *testing.T) {
 		for i := 0; i < n; i++ {
 			el := rng.Intn(nelem)
 			elemOf[i] = el
-			ids[i] = b.Event("EL"+string(rune('A'+el)), "E", nil)
+			ids[i] = b.Event("EL"+string(rune('A'+el)), "E", Params{})
 		}
 		// Forward-only enable edges keep the graph acyclic (element order
 		// also runs forward in creation order).
@@ -327,7 +327,7 @@ func TestQuickConcurrencyRowsMatchConcurrent(t *testing.T) {
 		b := NewBuilder()
 		ids := make([]EventID, n)
 		for i := 0; i < n; i++ {
-			ids[i] = b.Event("EL"+string(rune('A'+rng.Intn(3))), "E", nil)
+			ids[i] = b.Event("EL"+string(rune('A'+rng.Intn(3))), "E", Params{})
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {

@@ -10,8 +10,8 @@ import (
 func buildTwoEventComp(t *testing.T) *Computation {
 	t.Helper()
 	b := NewBuilder()
-	a := b.Event("e", "A", nil)
-	c := b.Event("e", "B", nil)
+	a := b.Event("e", "A", Params{})
+	c := b.Event("e", "B", Params{})
 	b.Enable(a, c)
 	comp, err := b.Build()
 	if err != nil {

@@ -89,8 +89,8 @@ func ChangeEvent(e *Event) (group, member string, add, ok bool) {
 	default:
 		return "", "", false, false
 	}
-	g, gok := e.Params["group"]
-	m, mok := e.Params["member"]
+	g, gok := e.Params.Get("group")
+	m, mok := e.Params.Get("member")
 	if !gok || !mok || g.Kind != KindString || m.Kind != KindString {
 		return "", "", false, false
 	}

@@ -48,13 +48,13 @@ func TestAddRemoveMember(t *testing.T) {
 
 func TestChangeEvent(t *testing.T) {
 	good := &Event{Element: AdminElement, Class: AddMemberClass,
-		Params: Params{"group": Str("G"), "member": Str("A")}}
+		Params: NewParams(P("group", Str("G")), P("member", Str("A")))}
 	g, m, add, ok := ChangeEvent(good)
 	if !ok || g != "G" || m != "A" || !add {
 		t.Errorf("ChangeEvent = (%q, %q, %v, %v)", g, m, add, ok)
 	}
 	rem := &Event{Element: AdminElement, Class: RemoveMemberClass,
-		Params: Params{"group": Str("G"), "member": Str("A")}}
+		Params: NewParams(P("group", Str("G")), P("member", Str("A")))}
 	if _, _, add, ok := ChangeEvent(rem); !ok || add {
 		t.Error("remove event wrong")
 	}
@@ -65,7 +65,7 @@ func TestChangeEvent(t *testing.T) {
 		t.Error("unknown class is not a change event")
 	}
 	if _, _, _, ok := ChangeEvent(&Event{Element: AdminElement, Class: AddMemberClass,
-		Params: Params{"group": Str("G")}}); ok {
+		Params: NewParams(P("group", Str("G")))}); ok {
 		t.Error("missing member param must be rejected")
 	}
 }
@@ -78,10 +78,10 @@ func TestUniverseAt(t *testing.T) {
 	static.AddGroup("G", "inner")
 
 	b := NewBuilder()
-	before := b.Event("joiner", "Try", nil)
+	before := b.Event("joiner", "Try", Params{})
 	addEv := b.Event(AdminElement, AddMemberClass,
-		Params{"group": Str("G"), "member": Str("joiner")})
-	after := b.Event("joiner", "Try", nil)
+		NewParams(P("group", Str("G")), P("member", Str("joiner"))))
+	after := b.Event("joiner", "Try", Params{})
 	b.Enable(before, addEv)
 	b.Enable(addEv, after)
 	c, err := b.Build()
@@ -117,8 +117,8 @@ func TestUniverseAtMalformed(t *testing.T) {
 	static.AddElement(AdminElement)
 	static.AddElement("x")
 	b := NewBuilder()
-	bad := b.Event(AdminElement, AddMemberClass, nil) // missing params
-	tgt := b.Event("x", "E", nil)
+	bad := b.Event(AdminElement, AddMemberClass, Params{}) // missing params
+	tgt := b.Event("x", "E", Params{})
 	b.Enable(bad, tgt)
 	c, err := b.Build()
 	if err != nil {
@@ -138,8 +138,8 @@ func TestUniverseAtAppliesOnlyCausalPast(t *testing.T) {
 
 	b := NewBuilder()
 	// Change event concurrent with the probe: must NOT apply.
-	b.Event(AdminElement, AddMemberClass, Params{"group": Str("G"), "member": Str("joiner")})
-	probe := b.Event("joiner", "Try", nil)
+	b.Event(AdminElement, AddMemberClass, NewParams(P("group", Str("G")), P("member", Str("joiner"))))
+	probe := b.Event("joiner", "Try", Params{})
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -41,15 +41,11 @@ func Fingerprint(c *Computation) string {
 			writeStr(e.Element)
 			writeStr(e.Class)
 			writeUint(uint64(e.Seq))
-			names := make([]string, 0, len(e.Params))
-			for name := range e.Params {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			writeUint(uint64(len(names)))
-			for _, name := range names {
-				v := e.Params[name]
-				writeStr(name)
+			writeUint(uint64(e.Params.Len()))
+			for i := 0; i < e.Params.Len(); i++ {
+				p := e.Params.At(i)
+				v := p.Value
+				writeStr(p.Name)
 				writeUint(uint64(v.Kind))
 				switch v.Kind {
 				case KindInt:

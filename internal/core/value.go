@@ -79,40 +79,73 @@ func (v Value) Less(other Value) bool {
 	}
 }
 
-// Params is a set of named parameter values attached to an event.
-type Params map[string]Value
-
-// Clone returns an independent copy.
-func (p Params) Clone() Params {
-	if p == nil {
-		return nil
-	}
-	out := make(Params, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
+// Param is one named parameter value.
+type Param struct {
+	Name  string
+	Value Value
 }
 
-// String renders parameters deterministically for diagnostics.
+// P returns the parameter name = v.
+func P(name string, v Value) Param { return Param{Name: name, Value: v} }
+
+// Params is the immutable list of named parameter values attached to an
+// event, sorted by name with unique names. The zero value is the empty
+// list. No method hands out the backing array, so one list can be shared
+// by reference: every computation built from an explored run carries the
+// list its simulator emitted, without copying it.
+type Params struct {
+	list []Param
+}
+
+// NewParams returns ps sorted by name, in a private copy. When a name
+// appears more than once, the later value wins, as in a map assignment.
+func NewParams(ps ...Param) Params {
+	if len(ps) == 0 {
+		return Params{}
+	}
+	list := make([]Param, len(ps))
+	copy(list, ps)
+	slices.SortStableFunc(list, func(a, b Param) int { return strings.Compare(a.Name, b.Name) })
+	out := list[:0]
+	for i, p := range list {
+		if i+1 < len(list) && list[i+1].Name == p.Name {
+			continue
+		}
+		out = append(out, p)
+	}
+	return Params{list: out}
+}
+
+// Get returns the value of the named parameter and whether it is set.
+func (p Params) Get(name string) (Value, bool) {
+	for _, q := range p.list {
+		if q.Name == name {
+			return q.Value, true
+		}
+	}
+	return Value{}, false
+}
+
+// Len returns the number of parameters.
+func (p Params) Len() int { return len(p.list) }
+
+// At returns the i'th parameter in name order.
+func (p Params) At(i int) Param { return p.list[i] }
+
+// String renders the parameters in name order for diagnostics.
 func (p Params) String() string {
-	if len(p) == 0 {
+	if len(p.list) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	var sb strings.Builder
 	sb.WriteByte('(')
-	for i, k := range keys {
+	for i, q := range p.list {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(k)
+		sb.WriteString(q.Name)
 		sb.WriteByte('=')
-		sb.WriteString(p[k].String())
+		sb.WriteString(q.Value.String())
 	}
 	sb.WriteByte(')')
 	return sb.String()

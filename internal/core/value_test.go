@@ -83,21 +83,36 @@ func TestValueLessQuick(t *testing.T) {
 	}
 }
 
-func TestParamsCloneIndependent(t *testing.T) {
-	p := Params{"x": Int(1)}
-	q := p.Clone()
-	q["x"] = Int(2)
-	if p["x"] != Int(1) {
-		t.Error("Clone must not alias")
+// TestNewParamsSortedPrivateCopy pins the constructor's contract: the
+// list is sorted by name, a repeated name keeps its later value as a map
+// assignment would, and the caller's slice is copied, not kept.
+func TestNewParamsSortedPrivateCopy(t *testing.T) {
+	in := []Param{P("x", Int(1)), P("b", Str("first")), P("a", Bool(true)), P("b", Str("last"))}
+	p := NewParams(in...)
+	in[0] = P("x", Int(99))
+	want := []Param{P("a", Bool(true)), P("b", Str("last")), P("x", Int(1))}
+	if p.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", p.Len(), len(want))
 	}
-	var nilP Params
-	if nilP.Clone() != nil {
-		t.Error("nil Params clones to nil")
+	for i, w := range want {
+		if got := p.At(i); got != w {
+			t.Errorf("At(%d) = %v, want %v", i, got, w)
+		}
+	}
+	if v, ok := p.Get("x"); !ok || v != Int(1) {
+		t.Errorf("Get(x) = %v, %v; want 1, true (the caller's later write must not show)", v, ok)
+	}
+	if v, ok := p.Get("missing"); ok || !v.IsZero() {
+		t.Errorf("Get(missing) = %v, %v; want zero, false", v, ok)
+	}
+	var zero Params
+	if zero.Len() != 0 || NewParams().Len() != 0 {
+		t.Error("the zero value and NewParams() must be empty")
 	}
 }
 
 func TestParamsStringDeterministic(t *testing.T) {
-	p := Params{"b": Int(2), "a": Int(1), "c": Str("x")}
+	p := NewParams(P("b", Int(2)), P("a", Int(1)), P("c", Str("x")))
 	want := `(a=1, b=2, c="x")`
 	for i := 0; i < 10; i++ {
 		if got := p.String(); got != want {

@@ -333,21 +333,22 @@ func (m *machine) stepLocal(proc int) error {
 	case Assign:
 		p.vars[s.Var] = s.E.eval(p.vars)
 	case Op:
-		params := make(core.Params, len(s.Params)+2)
+		list := make([]core.Param, 0, 4)
 		for k, e := range s.Params {
-			params[k] = core.Int(e.eval(p.vars))
+			list = append(list, core.P(k, core.Int(e.eval(p.vars))))
 		}
 		elem := m.prog.Processes[proc].Name
 		if s.Element != "" {
 			elem = s.Element
-			params["proc"] = core.Str(m.prog.Processes[proc].Name)
-			switch s.Class {
-			case "Assign":
-				if v, ok := params["newval"]; ok {
-					m.ext[s.Element] = v.I
-				}
-			case "Getval":
-				params["oldval"] = core.Int(m.ext[s.Element])
+			list = append(list, core.P("proc", core.Str(m.prog.Processes[proc].Name)))
+			if s.Class == "Getval" {
+				list = append(list, core.P("oldval", core.Int(m.ext[s.Element])))
+			}
+		}
+		params := core.NewParams(list...)
+		if s.Element != "" && s.Class == "Assign" {
+			if v, ok := params.Get("newval"); ok {
+				m.ext[s.Element] = v.I
 			}
 		}
 		m.Emit(proc, elem, s.Class, params)
@@ -371,17 +372,15 @@ func (m *machine) stepComm(out, inp offer) error {
 	m.consumeStmt(sender)
 	m.consumeStmt(receiver)
 
-	ident := func() core.Params {
-		return core.Params{"v": core.Int(out.value), "proc": core.Str(pName), "partner": core.Str(qName)}
-	}
-	identR := func() core.Params {
-		return core.Params{"v": core.Int(out.value), "proc": core.Str(qName), "partner": core.Str(pName)}
-	}
-	outReq := m.Emit(sender, OutElement(pName, qName), "Req", ident())
-	inpReq := m.Emit(receiver, InpElement(qName, pName), "Req", identR())
+	// Each side's Req and End carry the same parameters, so they share
+	// one list.
+	ident := core.NewParams(core.P("v", core.Int(out.value)), core.P("proc", core.Str(pName)), core.P("partner", core.Str(qName)))
+	identR := core.NewParams(core.P("v", core.Int(out.value)), core.P("proc", core.Str(qName)), core.P("partner", core.Str(pName)))
+	outReq := m.Emit(sender, OutElement(pName, qName), "Req", ident)
+	inpReq := m.Emit(receiver, InpElement(qName, pName), "Req", identR)
 	// Simultaneity: each End enabled by both requests.
-	m.Emit(sender, OutElement(pName, qName), "End", ident(), inpReq)
-	m.Emit(receiver, InpElement(qName, pName), "End", identR(), outReq)
+	m.Emit(sender, OutElement(pName, qName), "End", ident, inpReq)
+	m.Emit(receiver, InpElement(qName, pName), "End", identR, outReq)
 
 	if inp.recvVar != "" {
 		m.procs[receiver].vars[inp.recvVar] = out.value

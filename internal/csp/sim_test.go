@@ -54,11 +54,14 @@ func TestPingCommunication(t *testing.T) {
 		t.Error("requests should be concurrent")
 	}
 	// The received value rides on inp.End.
-	if got := c.Event(inpEnd[0]).Params["v"]; got != core.Int(42) {
+	if got, _ := c.Event(inpEnd[0]).Params.Get("v"); got != core.Int(42) {
 		t.Errorf("inp.End v = %v", got)
 	}
 	got := c.EventsOf(core.Ref("Q", "Got"))
-	if len(got) != 1 || c.Event(got[0]).Params["v"] != core.Int(42) {
+	if len(got) != 1 {
+		t.Fatalf("Got events = %v, want one:\n%s", got, c)
+	}
+	if v, _ := c.Event(got[0]).Params.Get("v"); v != core.Int(42) {
 		t.Errorf("Got event wrong:\n%s", c)
 	}
 }
@@ -200,7 +203,7 @@ func TestRepeatUnrolls(t *testing.T) {
 	}
 	// Tick params must be 1, 2, 3 in element order.
 	for k, id := range ticks {
-		if got := runs[0].Comp.Event(id).Params["i"]; got != core.Int(int64(k+1)) {
+		if got, _ := runs[0].Comp.Event(id).Params.Get("i"); got != core.Int(int64(k+1)) {
 			t.Errorf("tick %d param = %v", k, got)
 		}
 	}
@@ -234,10 +237,10 @@ func TestValueCorruptionDetectedBySpec(t *testing.T) {
 	prog := pingProgram()
 	s := Spec(prog)
 	b := core.NewBuilder()
-	or := b.Event(OutElement("P", "Q"), "Req", core.Params{"v": core.Int(42)})
-	ir := b.Event(InpElement("Q", "P"), "Req", nil)
-	oe := b.Event(OutElement("P", "Q"), "End", nil)
-	ie := b.Event(InpElement("Q", "P"), "End", core.Params{"v": core.Int(7)}) // corrupted
+	or := b.Event(OutElement("P", "Q"), "Req", core.NewParams(core.P("v", core.Int(42))))
+	ir := b.Event(InpElement("Q", "P"), "Req", core.Params{})
+	oe := b.Event(OutElement("P", "Q"), "End", core.Params{})
+	ie := b.Event(InpElement("Q", "P"), "End", core.NewParams(core.P("v", core.Int(7)))) // corrupted
 	b.Enable(or, oe)
 	b.Enable(ir, oe)
 	b.Enable(or, ie)
@@ -256,10 +259,10 @@ func TestMissingCrossEnableDetectedBySpec(t *testing.T) {
 	prog := pingProgram()
 	s := Spec(prog)
 	b := core.NewBuilder()
-	or := b.Event(OutElement("P", "Q"), "Req", core.Params{"v": core.Int(42)})
-	ir := b.Event(InpElement("Q", "P"), "Req", nil)
-	oe := b.Event(OutElement("P", "Q"), "End", nil)
-	ie := b.Event(InpElement("Q", "P"), "End", core.Params{"v": core.Int(42)})
+	or := b.Event(OutElement("P", "Q"), "Req", core.NewParams(core.P("v", core.Int(42))))
+	ir := b.Event(InpElement("Q", "P"), "Req", core.Params{})
+	oe := b.Event(OutElement("P", "Q"), "End", core.Params{})
+	ie := b.Event(InpElement("Q", "P"), "End", core.NewParams(core.P("v", core.Int(42))))
 	b.Enable(or, oe) // missing ir |> oe: simultaneity broken
 	b.Enable(or, ie)
 	b.Enable(ir, ie)
@@ -327,7 +330,7 @@ func TestExternalSharedElement(t *testing.T) {
 			t.Fatalf("external-element run illegal: %v", res.Error())
 		}
 		gets := r.Comp.EventsOf(core.Ref("shared", "Getval"))
-		if got := r.Comp.Event(gets[0]).Params["oldval"]; got != core.Int(9) {
+		if got, _ := r.Comp.Event(gets[0]).Params.Get("oldval"); got != core.Int(9) {
 			t.Errorf("read %v, want 9", got)
 		}
 	}

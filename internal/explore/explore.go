@@ -9,11 +9,14 @@
 // trace is reached about once instead of once per interleaving.
 // Computations are distinct as partial orders: completed runs are still
 // deduplicated at the leaves by the Log's canonical key, which is
-// coarser than trace equivalence.
+// coarser than trace equivalence. The walk remembers each key by its
+// SHA-256 digest, not the key itself, so the dedup set costs 32 bytes per
+// run instead of a string as long as the run's events and edges.
 package explore
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 
@@ -90,7 +93,7 @@ func Run[M Machine[M, T, R], T comparable, R any](m M, opts Options, yield func(
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 10000
 	}
-	w := &walker[M, T, R]{opts: opts, yield: yield, seen: make(map[string]struct{})}
+	w := &walker[M, T, R]{opts: opts, yield: yield, seen: make(map[[sha256.Size]byte]struct{})}
 	if opts.Ctx != nil {
 		w.done = opts.Ctx.Done()
 	}
@@ -124,7 +127,7 @@ type walker[M Machine[M, T, R], T comparable, R any] struct {
 	opts  Options
 	yield func(R) bool
 	done  <-chan struct{}
-	seen  map[string]struct{}
+	seen  map[[sha256.Size]byte]struct{} // digests of emitted runs' keys
 
 	leaves, emitted, dedup, pruned int
 	truncated, stopped             bool
@@ -207,7 +210,7 @@ func independentOf[M Machine[M, T, R], T comparable, R any](m M, sleep []T, t T,
 // leaf emits m's run unless its partial order was already emitted.
 func (w *walker[M, T, R]) leaf(m M) {
 	w.leaves++
-	key := m.Key()
+	key := sha256.Sum256([]byte(m.Key()))
 	if _, dup := w.seen[key]; dup {
 		w.dedup++
 		return

@@ -66,7 +66,7 @@ func (m *toy) Transitions(full bool) (step, bool, []step) {
 func (m *toy) Independent(a, b step) bool { return m.elem(a) != m.elem(b) }
 
 func (m *toy) Apply(s step) error {
-	m.Emit(int(s), m.elem(s), "Step", core.Params{"proc": core.Int(int64(s))})
+	m.Emit(int(s), m.elem(s), "Step", core.NewParams(core.P("proc", core.Int(int64(s)))))
 	m.left[s]--
 	return nil
 }
@@ -340,11 +340,11 @@ func TestContextCancellation(t *testing.T) {
 func TestLogCloneIsIndependent(t *testing.T) {
 	a := NewLog(1)
 	for i := 0; i < 3; i++ { // leaves spare capacity behind a's events
-		a.Emit(0, "p", "A", nil)
+		a.Emit(0, "p", "A", core.Params{})
 	}
 	b := a.Clone()
-	a.Emit(0, "p", "B", nil)
-	b.Emit(0, "p", "C", nil)
+	a.Emit(0, "p", "B", core.Params{})
+	b.Emit(0, "p", "C", core.Params{})
 	if strings.Contains(b.Key(), ":B") || strings.Contains(a.Key(), ":C") {
 		t.Fatalf("clones share emitted events:\na=%s\nb=%s", a.Key(), b.Key())
 	}

@@ -66,12 +66,12 @@ func (l *Log) Emit(proc int, elem, class string, params core.Params, extra ...in
 // Build renders the log as a GEM computation.
 func (l *Log) Build() (*core.Computation, error) {
 	b := core.NewBuilder()
-	ids := make([]core.EventID, len(l.events))
-	for i, e := range l.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
+	b.Grow(len(l.events))
+	for _, e := range l.events {
+		b.Event(e.elem, e.class, e.params) // ids follow emission order
 	}
 	for _, e := range l.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
+		b.Enable(core.EventID(e[0]), core.EventID(e[1]))
 	}
 	return b.Build()
 }

@@ -132,12 +132,12 @@ END
 	}
 	build := func(stale bool) *core.Computation {
 		b := core.NewBuilder()
-		b.Event("V", "Assign", core.Params{"newval": core.Int(1)})
+		b.Event("V", "Assign", core.NewParams(core.P("newval", core.Int(1))))
 		got := core.Int(1)
 		if stale {
 			got = core.Int(9)
 		}
-		b.Event("V", "Getval", core.Params{"oldval": got})
+		b.Event("V", "Getval", core.NewParams(core.P("oldval", got)))
 		c, err := b.Build()
 		if err != nil {
 			t.Fatal(err)

@@ -144,8 +144,8 @@ func TestParseAbbreviations(t *testing.T) {
 // parser and evaluates it on a real computation.
 func TestParsedFormulaEvaluates(t *testing.T) {
 	b := core.NewBuilder()
-	s := b.Event("Sender", "Send", core.Params{"par1": core.Int(42)})
-	r := b.Event("Receiver", "Receive", core.Params{"par2": core.Int(42)})
+	s := b.Event("Sender", "Send", core.NewParams(core.P("par1", core.Int(42))))
+	r := b.Event("Receiver", "Receive", core.NewParams(core.P("par2", core.Int(42))))
 	b.Enable(s, r)
 	c, err := b.Build()
 	if err != nil {
@@ -277,9 +277,9 @@ func TestCountFIFOSemanticEvaluation(t *testing.T) {
 	// Two deposits, one fetch, capacity 1: COUNT(0..1) violated at the
 	// history with both deposits; FIFO holds.
 	b := core.NewBuilder()
-	b.Event("buffer", "Deposit", core.Params{"item": core.Int(11)})
-	b.Event("buffer", "Fetch", core.Params{"item": core.Int(11)})
-	b.Event("buffer", "Deposit", core.Params{"item": core.Int(12)})
+	b.Event("buffer", "Deposit", core.NewParams(core.P("item", core.Int(11))))
+	b.Event("buffer", "Fetch", core.NewParams(core.P("item", core.Int(11))))
+	b.Event("buffer", "Deposit", core.NewParams(core.P("item", core.Int(12))))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

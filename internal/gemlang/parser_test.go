@@ -71,12 +71,12 @@ func TestParsedVariableRestrictionSemantics(t *testing.T) {
 	}
 	build := func(stale bool) *core.Computation {
 		b := core.NewBuilder()
-		b.Event("Var", "Assign", core.Params{"newval": core.Int(1)})
+		b.Event("Var", "Assign", core.NewParams(core.P("newval", core.Int(1))))
 		got := core.Int(1)
 		if stale {
 			got = core.Int(99)
 		}
-		b.Event("Var", "Getval", core.Params{"oldval": got})
+		b.Event("Var", "Getval", core.NewParams(core.P("oldval", got)))
 		c, err := b.Build()
 		if err != nil {
 			t.Fatal(err)

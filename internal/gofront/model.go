@@ -123,7 +123,7 @@ func buildModel(pkg *Package, raw *rawModel) (*Model, error) {
 
 	b := core.NewBuilder()
 	for i, op := range m.Ops {
-		m.EventOf[i] = b.Event(m.Gors[op.G].Name, m.classOf(op), nil)
+		m.EventOf[i] = b.Event(m.Gors[op.G].Name, m.classOf(op), core.Params{})
 	}
 	m.addEnables(b)
 	comp, err := b.Build()

@@ -105,12 +105,11 @@ func (h History) String() string {
 }
 
 // Enumerate calls fn with every history of c (every prefix-closed subset,
-// including the empty one). Stops early if fn returns false or, when
-// limit > 0, after limit histories. Returns the number produced. The
-// History passed to fn owns its set; callers must not modify it but may
-// retain it.
-func Enumerate(c *core.Computation, limit int, fn func(h History) bool) int {
-	n := order.IdealsPre(c.Reach(), c.Preds(), limit, func(ideal order.Bitset) bool {
+// including the empty one). Stops early if fn returns false. Returns the
+// number produced. The History passed to fn owns its set; callers must
+// not modify it but may retain it.
+func Enumerate(c *core.Computation, fn func(h History) bool) int {
+	n := order.IdealsPre(c.Reach(), c.Preds(), func(ideal order.Bitset) bool {
 		return fn(History{c: c, set: ideal})
 	})
 	obs.Count("histories.enumerated", int64(n))
@@ -119,5 +118,5 @@ func Enumerate(c *core.Computation, limit int, fn func(h History) bool) int {
 
 // Count returns the total number of histories of c.
 func Count(c *core.Computation) int {
-	return Enumerate(c, 0, func(History) bool { return true })
+	return Enumerate(c, func(History) bool { return true })
 }

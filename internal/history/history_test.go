@@ -17,7 +17,7 @@ func diamond(t *testing.T) (*core.Computation, [4]core.EventID) {
 	b := core.NewBuilder()
 	var ids [4]core.EventID
 	for i := 0; i < 4; i++ {
-		ids[i] = b.Event("EL"+string(rune('1'+i)), "E", nil)
+		ids[i] = b.Event("EL"+string(rune('1'+i)), "E", core.Params{})
 	}
 	b.Enable(ids[0], ids[1])
 	b.Enable(ids[0], ids[2])
@@ -52,7 +52,7 @@ func prefix(t *testing.T, c *core.Computation, ids ...core.EventID) History {
 func TestPaperHistories(t *testing.T) {
 	c, ids := diamond(t)
 	var got []string
-	n := Enumerate(c, 0, func(h History) bool {
+	n := Enumerate(c, func(h History) bool {
 		got = append(got, h.Set().String())
 		return true
 	})
@@ -185,8 +185,9 @@ func TestHistoryString(t *testing.T) {
 func TestQuickHistoriesArePrefixClosed(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randomComputation(seed, 7)
-		ok := true
-		Enumerate(c, 200, func(h History) bool {
+		ok, seen := true, 0
+		Enumerate(c, func(h History) bool {
+			seen++
 			if !order.IsIdeal(c.Preds(), h.Set()) {
 				ok = false
 				return false
@@ -203,7 +204,7 @@ func TestQuickHistoriesArePrefixClosed(t *testing.T) {
 					return false
 				}
 			}
-			return true
+			return seen < 200
 		})
 		return ok
 	}
@@ -220,7 +221,7 @@ func randomComputation(seed int64, maxN int) *core.Computation {
 	b := core.NewBuilder()
 	ids := make([]core.EventID, n)
 	for i := 0; i < n; i++ {
-		ids[i] = b.Event("EL"+string(rune('A'+rng.Intn(3))), "E", nil)
+		ids[i] = b.Event("EL"+string(rune('A'+rng.Intn(3))), "E", core.Params{})
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

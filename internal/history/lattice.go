@@ -53,7 +53,7 @@ func (l *Lattice) Histories() []History {
 	l.histOnce.Do(func() {
 		latticeBuilds.Add(1)
 		_, sp := obs.StartSpan(nil, "lattice.build")
-		order.IdealsPre(l.c.Reach(), l.c.Preds(), 0, func(ideal order.Bitset) bool {
+		order.IdealsPre(l.c.Reach(), l.c.Preds(), func(ideal order.Bitset) bool {
 			// IdealsPre never mutates an emitted set, so it is safe to retain.
 			l.histories = append(l.histories, History{c: l.c, set: ideal})
 			return true

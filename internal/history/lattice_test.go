@@ -43,7 +43,7 @@ func TestLatticeBuildOnce(t *testing.T) {
 func TestLatticeMatchesEnumerate(t *testing.T) {
 	c, _ := diamond(t)
 	var raw []string
-	Enumerate(c, 0, func(h History) bool {
+	Enumerate(c, func(h History) bool {
 		raw = append(raw, h.Set().String())
 		return true
 	})
@@ -109,7 +109,7 @@ func TestQuickEnumerateCompleteMatchesLattice(t *testing.T) {
 	if err := quickCheckSeeds(t, 40, func(seed int64) bool {
 		c := randomComputation(seed, 6)
 		inSeqs := make(map[string]bool)
-		EnumerateComplete(c, 0, func(s Sequence) bool {
+		EnumerateComplete(c, func(s Sequence) bool {
 			for _, h := range s {
 				inSeqs[h.Set().Key()] = true
 			}

@@ -78,9 +78,8 @@ func (s Sequence) String() string {
 // concurrent events whose predecessors are already present. fn receives
 // each complete sequence; the slice and its histories are owned by the
 // callback (they are freshly allocated per sequence). Enumeration stops
-// early when fn returns false or, when limit > 0, after limit sequences.
-// Returns the number produced.
-func EnumerateComplete(c *core.Computation, limit int, fn func(s Sequence) bool) int {
+// early when fn returns false. Returns the number produced.
+func EnumerateComplete(c *core.Computation, fn func(s Sequence) bool) int {
 	n := c.NumEvents()
 	count := 0
 	stop := false
@@ -104,7 +103,7 @@ func EnumerateComplete(c *core.Computation, limit int, fn func(s Sequence) bool)
 			for i, s := range seq {
 				out[i] = History{c: c, set: s}
 			}
-			if !fn(out) || (limit > 0 && count >= limit) {
+			if !fn(out) {
 				stop = true
 			}
 			return
@@ -134,9 +133,9 @@ func EnumerateComplete(c *core.Computation, limit int, fn func(s Sequence) bool)
 // sequences. This is the interleaving semantics many other models use; GEM
 // admits the larger vhs set (simultaneous concurrent steps). Used by the
 // E10 ablation.
-func EnumerateLinear(c *core.Computation, limit int, fn func(s Sequence) bool) int {
+func EnumerateLinear(c *core.Computation, fn func(s Sequence) bool) int {
 	n := c.NumEvents()
-	count := order.LinearExtensions(c.Reach(), limit, func(ext []int) bool {
+	count := order.LinearExtensions(c.Reach(), func(ext []int) bool {
 		seq := make(Sequence, 0, n+1)
 		set := order.NewBitset(n)
 		seq = append(seq, History{c: c, set: set.Clone()})
@@ -152,5 +151,5 @@ func EnumerateLinear(c *core.Computation, limit int, fn func(s Sequence) bool) i
 
 // CountComplete returns the number of maximal valid history sequences.
 func CountComplete(c *core.Computation) int {
-	return EnumerateComplete(c, 0, func(Sequence) bool { return true })
+	return EnumerateComplete(c, func(Sequence) bool { return true })
 }

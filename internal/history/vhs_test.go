@@ -13,7 +13,7 @@ import (
 func TestPaperVHS(t *testing.T) {
 	c, _ := diamond(t)
 	var seqs []Sequence
-	n := EnumerateComplete(c, 0, func(s Sequence) bool {
+	n := EnumerateComplete(c, func(s Sequence) bool {
 		seqs = append(seqs, s)
 		return true
 	})
@@ -77,7 +77,7 @@ func TestVHSAcceptsConcurrentStep(t *testing.T) {
 // enumerated sequences: every tail of a vhs is a vhs.
 func TestVHSTailClosure(t *testing.T) {
 	c, _ := diamond(t)
-	EnumerateComplete(c, 0, func(s Sequence) bool {
+	EnumerateComplete(c, func(s Sequence) bool {
 		for i := range s {
 			if err := s[i:].Validate(); err != nil {
 				t.Errorf("tail %d of %v invalid: %v", i, s, err)
@@ -103,7 +103,7 @@ func TestVHSIsComplete(t *testing.T) {
 
 func TestEnumerateLinear(t *testing.T) {
 	c, _ := diamond(t)
-	n := EnumerateLinear(c, 0, func(s Sequence) bool {
+	n := EnumerateLinear(c, func(s Sequence) bool {
 		if err := s.Validate(); err != nil {
 			t.Errorf("linear sequence invalid: %v", err)
 		}
@@ -124,11 +124,12 @@ func TestEnumerateLinear(t *testing.T) {
 
 func TestEnumerateCompleteLimit(t *testing.T) {
 	c, _ := diamond(t)
-	if n := EnumerateComplete(c, 2, func(Sequence) bool { return true }); n != 2 {
+	calls := 0
+	if n := EnumerateComplete(c, func(Sequence) bool { calls++; return calls < 2 }); n != 2 {
 		t.Errorf("limited enumeration produced %d, want 2", n)
 	}
-	calls := 0
-	EnumerateComplete(c, 0, func(Sequence) bool { calls++; return false })
+	calls = 0
+	EnumerateComplete(c, func(Sequence) bool { calls++; return false })
 	if calls != 1 {
 		t.Errorf("early stop after %d calls, want 1", calls)
 	}
@@ -139,18 +140,20 @@ func TestEnumerateCompleteLimit(t *testing.T) {
 func TestQuickVHSProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randomComputation(seed, 6)
-		ok := true
-		vhsCount := EnumerateComplete(c, 500, func(s Sequence) bool {
+		ok, seen := true, 0
+		vhsCount := EnumerateComplete(c, func(s Sequence) bool {
+			seen++
 			if s.Validate() != nil || !s.IsComplete() {
 				ok = false
 				return false
 			}
-			return true
+			return seen < 500
 		})
 		if !ok {
 			return false
 		}
-		linCount := EnumerateLinear(c, 500, func(Sequence) bool { return true })
+		lin := 0
+		linCount := EnumerateLinear(c, func(Sequence) bool { lin++; return lin < 500 })
 		if vhsCount < 500 && linCount < 500 && linCount > vhsCount {
 			return false
 		}

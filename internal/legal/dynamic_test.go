@@ -31,12 +31,12 @@ func dynSpec(t *testing.T) *spec.Spec {
 
 func addMember(b *core.Builder, group, member string) core.EventID {
 	return b.Event(core.AdminElement, core.AddMemberClass,
-		core.Params{"group": core.Str(group), "member": core.Str(member)})
+		core.NewParams(core.P("group", core.Str(group)), core.P("member", core.Str(member))))
 }
 
 func removeMember(b *core.Builder, group, member string) core.EventID {
 	return b.Event(core.AdminElement, core.RemoveMemberClass,
-		core.Params{"group": core.Str(group), "member": core.Str(member)})
+		core.NewParams(core.P("group", core.Str(group)), core.P("member", core.Str(member))))
 }
 
 // TestDynamicJoinEnablesAccess: the joiner may enable events inside the
@@ -47,8 +47,8 @@ func TestDynamicJoinEnablesAccess(t *testing.T) {
 	// Legal: join first, then enable.
 	b := core.NewBuilder()
 	join := addMember(b, "G", "joiner")
-	act := b.Event("joiner", "Act", nil)
-	use := b.Event("inner", "Use", nil)
+	act := b.Event("joiner", "Act", core.Params{})
+	use := b.Event("inner", "Use", core.Params{})
 	b.Enable(join, act)
 	b.Enable(act, use)
 	c, err := b.Build()
@@ -61,8 +61,8 @@ func TestDynamicJoinEnablesAccess(t *testing.T) {
 
 	// Illegal: enable before joining.
 	b2 := core.NewBuilder()
-	act2 := b2.Event("joiner", "Act", nil)
-	use2 := b2.Event("inner", "Use", nil)
+	act2 := b2.Event("joiner", "Act", core.Params{})
+	use2 := b2.Event("inner", "Use", core.Params{})
 	b2.Enable(act2, use2)
 	join2 := addMember(b2, "G", "joiner")
 	b2.Enable(use2, join2) // join strictly after the illegal enable
@@ -86,8 +86,8 @@ func TestDynamicLeaveRevokesAccess(t *testing.T) {
 	b := core.NewBuilder()
 	join := addMember(b, "G", "joiner")
 	leave := removeMember(b, "G", "joiner")
-	act := b.Event("joiner", "Act", nil)
-	use := b.Event("inner", "Use", nil)
+	act := b.Event("joiner", "Act", core.Params{})
+	use := b.Event("inner", "Use", core.Params{})
 	b.Enable(join, leave)
 	b.Enable(leave, act)
 	b.Enable(act, use)
@@ -107,8 +107,8 @@ func TestDynamicConcurrentChangeInvisible(t *testing.T) {
 	s := dynSpec(t)
 	b := core.NewBuilder()
 	addMember(b, "G", "joiner") // concurrent with the action below
-	act := b.Event("joiner", "Act", nil)
-	use := b.Event("inner", "Use", nil)
+	act := b.Event("joiner", "Act", core.Params{})
+	use := b.Event("inner", "Use", core.Params{})
 	b.Enable(act, use)
 	c, err := b.Build()
 	if err != nil {
@@ -124,8 +124,8 @@ func TestDynamicConcurrentChangeInvisible(t *testing.T) {
 func TestStaticComputationsUnaffected(t *testing.T) {
 	s := dynSpec(t)
 	b := core.NewBuilder()
-	b.Event("inner", "Use", nil)
-	b.Event("joiner", "Act", nil)
+	b.Event("inner", "Use", core.Params{})
+	b.Event("joiner", "Act", core.Params{})
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func randomComputation(t *testing.T, s *spec.Spec, rng *rand.Rand) *core.Computa
 			p := pairs[rng.Intn(len(pairs))]
 			el, cl = p.Element, p.Class
 		}
-		ids = append(ids, b.Event(el, cl, nil))
+		ids = append(ids, b.Event(el, cl, core.Params{}))
 	}
 	for i := 1; i < len(ids); i++ {
 		for j := 0; j < i; j++ {

@@ -102,8 +102,6 @@ type Options struct {
 	// SkipRestrictions limits the check to structural legality (event
 	// declarations, enable edges, threads).
 	SkipRestrictions bool
-	// MaxViolations stops after this many violations (0 = collect all).
-	MaxViolations int
 	// Prelint runs the gemlint static analyzer over the specification (a
 	// memoized, computation-independent pass) and short-circuits the
 	// restrictions it proved statically unsatisfiable whenever the
@@ -125,22 +123,13 @@ type Options struct {
 // specification.
 func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 	var res Result
-	add := func(v Violation) bool {
-		res.Violations = append(res.Violations, v)
-		return opts.MaxViolations == 0 || len(res.Violations) < opts.MaxViolations
-	}
+	add := func(v Violation) { res.Violations = append(res.Violations, v) }
 
-	if !checkEvents(s, c, add) {
-		return res
-	}
-	if !checkEnables(s, c, add) {
-		return res
-	}
+	checkEvents(s, c, add)
+	checkEnables(s, c, add)
 	if len(s.Threads()) > 0 {
 		if err := thread.Validate(c, s.Threads()...); err != nil {
-			if !add(Violation{Kind: ThreadViolation, Message: err.Error()}) {
-				return res
-			}
+			add(Violation{Kind: ThreadViolation, Message: err.Error()})
 		}
 	}
 	if opts.SkipRestrictions {
@@ -165,35 +154,28 @@ func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 	for i, cx := range restrictionCounterexamples(s, c, opts, pre, hold) {
 		if pre != nil && pre[i] != nil {
 			obs.Count("prelint.shortcircuit", 1)
-			if !add(*pre[i]) {
-				return res
-			}
+			add(*pre[i])
 			continue
 		}
 		if cx != nil {
-			v := Violation{
+			add(Violation{
 				Kind:        RestrictionViolation,
 				Message:     cx.Error(),
 				Restriction: rs[i].Name,
 				Owner:       rs[i].Owner,
 				Cx:          cx,
-			}
-			if !add(v) {
-				return res
-			}
+			})
 		}
 	}
 	return res
 }
 
 // restrictionCounterexamples checks every explicit restriction against
-// the computation in declaration order, stopping at the violation
-// budget (later restrictions are never evaluated). All restrictions
-// share the computation's memoized history lattice, which is enumerated
-// at most once. Restrictions with a non-nil pre entry were already
-// refuted by the lint pre-pass and are not evaluated (they count
-// against the violation budget in order, like a found violation);
-// restrictions with a true hold entry were proved to hold by the
+// the computation in declaration order. All restrictions share the
+// computation's memoized history lattice, which is enumerated at most
+// once. Restrictions with a non-nil pre entry were already refuted by
+// the lint pre-pass and are not evaluated; restrictions with a true
+// hold entry were proved to hold by the
 // fast-path guard and are not evaluated either (their result stays nil,
 // exactly the verdict the enumeration would reach).
 func restrictionCounterexamples(s *spec.Spec, c *core.Computation, opts Options, pre []*Violation, hold []bool) []*logic.Counterexample {
@@ -220,8 +202,6 @@ func restrictionCounterexamples(s *spec.Spec, c *core.Computation, opts Options,
 	// from "holds" in the returned slice, so callers that must tell the
 	// difference consult ctx.Err(), as with every partial result here.
 	done := logic.Done(opts.Check.Ctx)
-	budget := opts.MaxViolations
-	found := 0
 	for i := range rs {
 		if logic.Cancelled(done) {
 			break
@@ -229,56 +209,44 @@ func restrictionCounterexamples(s *spec.Spec, c *core.Computation, opts Options,
 		if !skip(i) && !holds(i) {
 			cxs[i] = eval(i, opts.Check)
 		}
-		if cxs[i] != nil || skip(i) {
-			found++
-			if budget > 0 && found >= budget {
-				break
-			}
-		}
 	}
 	return cxs
 }
 
-func checkEvents(s *spec.Spec, c *core.Computation, add func(Violation) bool) bool {
+func checkEvents(s *spec.Spec, c *core.Computation, add func(Violation)) {
 	for _, e := range c.Events() {
 		d, ok := s.Element(e.Element)
 		if !ok {
-			if !add(Violation{
+			add(Violation{
 				Kind:    UndeclaredElement,
 				Message: fmt.Sprintf("event %s occurs at undeclared element %s", e.Name(), e.Element),
-			}) {
-				return false
-			}
+			})
 			continue
 		}
 		ec, ok := d.EventDecl(e.Class)
 		if !ok {
-			if !add(Violation{
+			add(Violation{
 				Kind:    UndeclaredClass,
 				Message: fmt.Sprintf("event %s has undeclared class %s at element %s", e.Name(), e.Class, e.Element),
-			}) {
-				return false
-			}
+			})
 			continue
 		}
-		for p := range e.Params {
-			if !ec.HasParam(p) {
-				if !add(Violation{
+		for i := 0; i < e.Params.Len(); i++ {
+			if p := e.Params.At(i).Name; !ec.HasParam(p) {
+				add(Violation{
 					Kind:    UndeclaredParam,
 					Message: fmt.Sprintf("event %s carries undeclared parameter %s", e.Name(), p),
-				}) {
-					return false
-				}
+				})
 			}
 		}
 	}
-	return true
 }
 
-func checkEnables(s *spec.Spec, c *core.Computation, add func(Violation) bool) bool {
+func checkEnables(s *spec.Spec, c *core.Computation, add func(Violation)) {
 	static, err := s.Universe()
 	if err != nil {
-		return add(Violation{Kind: IllegalEnable, Message: "invalid group structure: " + err.Error()})
+		add(Violation{Kind: IllegalEnable, Message: "invalid group structure: " + err.Error()})
+		return
 	}
 	dynamic := core.HasDynamicChanges(c)
 	for _, e := range c.Events() {
@@ -289,21 +257,19 @@ func checkEnables(s *spec.Spec, c *core.Computation, add func(Violation) bool) b
 			// footnote: structure changes are themselves events).
 			u, err = core.UniverseAt(static, c, e.ID)
 			if err != nil {
-				return add(Violation{Kind: IllegalEnable, Message: err.Error()})
+				add(Violation{Kind: IllegalEnable, Message: err.Error()})
+				return
 			}
 		}
 		for _, succ := range c.Enabled(e.ID) {
 			tgt := c.Event(succ)
 			if !u.MayEnable(e.Element, tgt.Element, tgt.Class) {
-				if !add(Violation{
+				add(Violation{
 					Kind: IllegalEnable,
 					Message: fmt.Sprintf("%s may not enable %s: no access from %s to %s",
 						e.Name(), tgt.Name(), e.Element, tgt.Element),
-				}) {
-					return false
-				}
+				})
 			}
 		}
 	}
-	return true
 }

@@ -1,6 +1,7 @@
 package legal
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,10 +53,10 @@ func bufferSpec(t *testing.T) *spec.Spec {
 func legalComputation(t *testing.T) *core.Computation {
 	t.Helper()
 	b := core.NewBuilder()
-	p := b.Event("producer", "Produce", core.Params{"v": core.Int(7)})
-	a := b.Event("slot", "Assign", core.Params{"newval": core.Int(7)})
-	g := b.Event("slot", "Getval", core.Params{"oldval": core.Int(7)})
-	cons := b.Event("consumer", "Consume", core.Params{"v": core.Int(7)})
+	p := b.Event("producer", "Produce", core.NewParams(core.P("v", core.Int(7))))
+	a := b.Event("slot", "Assign", core.NewParams(core.P("newval", core.Int(7))))
+	g := b.Event("slot", "Getval", core.NewParams(core.P("oldval", core.Int(7))))
+	cons := b.Event("consumer", "Consume", core.NewParams(core.P("v", core.Int(7))))
 	b.Enable(p, a)
 	b.Enable(a, g)
 	b.Enable(g, cons)
@@ -81,7 +82,7 @@ func TestLegalComputationPasses(t *testing.T) {
 func TestUndeclaredElement(t *testing.T) {
 	s := bufferSpec(t)
 	b := core.NewBuilder()
-	b.Event("ghost", "X", nil)
+	b.Event("ghost", "X", core.Params{})
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestUndeclaredElement(t *testing.T) {
 func TestUndeclaredClass(t *testing.T) {
 	s := bufferSpec(t)
 	b := core.NewBuilder()
-	b.Event("slot", "Mystery", nil)
+	b.Event("slot", "Mystery", core.Params{})
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestUndeclaredClass(t *testing.T) {
 func TestUndeclaredParam(t *testing.T) {
 	s := bufferSpec(t)
 	b := core.NewBuilder()
-	b.Event("slot", "Assign", core.Params{"newval": core.Int(1), "sneaky": core.Int(2)})
+	b.Event("slot", "Assign", core.NewParams(core.P("newval", core.Int(1)), core.P("sneaky", core.Int(2))))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +118,38 @@ func TestUndeclaredParam(t *testing.T) {
 	res := Check(s, c, Options{SkipRestrictions: true})
 	if res.Legal() || res.Violations[0].Kind != UndeclaredParam {
 		t.Errorf("want undeclared-param violation, got %v", res.Violations)
+	}
+}
+
+// TestUndeclaredParamsInNameOrder pins the violations of an event that
+// carries several undeclared parameters: one per parameter, in name
+// order, on every check.
+func TestUndeclaredParamsInNameOrder(t *testing.T) {
+	s := bufferSpec(t)
+	b := core.NewBuilder()
+	b.Event("slot", "Assign", core.NewParams(
+		core.P("zeta", core.Int(3)),
+		core.P("newval", core.Int(1)),
+		core.P("alpha", core.Int(2)),
+		core.P("mu", core.Int(4)),
+	))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"event slot.Assign^0 carries undeclared parameter alpha",
+		"event slot.Assign^0 carries undeclared parameter mu",
+		"event slot.Assign^0 carries undeclared parameter zeta",
+	}
+	for i := 0; i < 20; i++ {
+		var got []string
+		for _, v := range Check(s, c, Options{SkipRestrictions: true}).Violations {
+			got = append(got, v.Message)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("check %d: violations %q, want %q", i, got, want)
+		}
 	}
 }
 
@@ -146,8 +179,8 @@ func TestRestrictionViolationReported(t *testing.T) {
 	s := bufferSpec(t)
 	// Stale read: Getval returns 9 after Assign(7).
 	b := core.NewBuilder()
-	a := b.Event("slot", "Assign", core.Params{"newval": core.Int(7)})
-	g := b.Event("slot", "Getval", core.Params{"oldval": core.Int(9)})
+	a := b.Event("slot", "Assign", core.NewParams(core.P("newval", core.Int(7))))
+	g := b.Event("slot", "Getval", core.NewParams(core.P("oldval", core.Int(9))))
 	b.Enable(a, g)
 	c, err := b.Build()
 	if err != nil {
@@ -173,8 +206,8 @@ func TestRestrictionViolationReported(t *testing.T) {
 func TestRestrictionViolationWitnessVerifies(t *testing.T) {
 	s := bufferSpec(t)
 	b := core.NewBuilder()
-	a := b.Event("slot", "Assign", core.Params{"newval": core.Int(7)})
-	g := b.Event("slot", "Getval", core.Params{"oldval": core.Int(9)})
+	a := b.Event("slot", "Assign", core.NewParams(core.P("newval", core.Int(7))))
+	g := b.Event("slot", "Getval", core.NewParams(core.P("oldval", core.Int(9))))
 	b.Enable(a, g)
 	c, err := b.Build()
 	if err != nil {
@@ -199,8 +232,8 @@ func TestRestrictionViolationWitnessVerifies(t *testing.T) {
 func TestSkipRestrictions(t *testing.T) {
 	s := bufferSpec(t)
 	b := core.NewBuilder()
-	a := b.Event("slot", "Assign", core.Params{"newval": core.Int(7)})
-	g := b.Event("slot", "Getval", core.Params{"oldval": core.Int(9)})
+	a := b.Event("slot", "Assign", core.NewParams(core.P("newval", core.Int(7))))
+	g := b.Event("slot", "Getval", core.NewParams(core.P("oldval", core.Int(9))))
 	b.Enable(a, g)
 	c, err := b.Build()
 	if err != nil {
@@ -209,22 +242,6 @@ func TestSkipRestrictions(t *testing.T) {
 	res := Check(s, c, Options{SkipRestrictions: true})
 	if !res.Legal() {
 		t.Errorf("structural check should pass: %v", res.Error())
-	}
-}
-
-func TestMaxViolations(t *testing.T) {
-	s := bufferSpec(t)
-	b := core.NewBuilder()
-	b.Event("ghost1", "X", nil)
-	b.Event("ghost2", "X", nil)
-	b.Event("ghost3", "X", nil)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Check(s, c, Options{MaxViolations: 2})
-	if len(res.Violations) != 2 {
-		t.Errorf("got %d violations, want 2 (capped)", len(res.Violations))
 	}
 }
 

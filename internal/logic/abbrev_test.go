@@ -12,9 +12,9 @@ import (
 func chainComputation(t *testing.T, wire bool) *core.Computation {
 	t.Helper()
 	b := core.NewBuilder()
-	a := b.Event("P", "A", nil)
-	bb := b.Event("P", "B", nil)
-	cc := b.Event("P", "C", nil)
+	a := b.Event("P", "A", core.Params{})
+	bb := b.Event("P", "B", core.Params{})
+	cc := b.Event("P", "C", core.Params{})
 	if wire {
 		b.Enable(a, bb)
 		b.Enable(bb, cc)
@@ -46,9 +46,9 @@ func TestPrereqRefutesDoubleEnable(t *testing.T) {
 	// One Signal enabling two Releases violates "each Signal can enable
 	// only one Release" (the paper's Monitor example).
 	b := core.NewBuilder()
-	sig := b.Event("Cond", "Signal", nil)
-	r1 := b.Event("P1", "Release", nil)
-	r2 := b.Event("P2", "Release", nil)
+	sig := b.Event("Cond", "Signal", core.Params{})
+	r1 := b.Event("P1", "Release", core.Params{})
+	r2 := b.Event("P2", "Release", core.Params{})
 	b.Enable(sig, r1)
 	b.Enable(sig, r2)
 	c, err := b.Build()
@@ -63,9 +63,9 @@ func TestPrereqRefutesDoubleEnable(t *testing.T) {
 
 func TestPrereqRefutesTwoEnablers(t *testing.T) {
 	b := core.NewBuilder()
-	s1 := b.Event("C1", "Signal", nil)
-	s2 := b.Event("C2", "Signal", nil)
-	r := b.Event("P", "Release", nil)
+	s1 := b.Event("C1", "Signal", core.Params{})
+	s2 := b.Event("C2", "Signal", core.Params{})
+	r := b.Event("P", "Release", core.Params{})
 	b.Enable(s1, r)
 	b.Enable(s2, r)
 	c, err := b.Build()
@@ -82,9 +82,9 @@ func TestNDPrereq(t *testing.T) {
 	// CSP-style: an End event enabled by exactly one of {Req?, Req!}.
 	build := func(both bool) *core.Computation {
 		b := core.NewBuilder()
-		in := b.Event("In", "Req", nil)
-		out := b.Event("Out", "Req", nil)
-		end := b.Event("In", "End", nil)
+		in := b.Event("In", "Req", core.Params{})
+		out := b.Event("Out", "Req", core.Params{})
+		end := b.Event("In", "End", core.Params{})
 		b.Enable(in, end)
 		if both {
 			b.Enable(out, end)
@@ -108,10 +108,10 @@ func TestNDPrereq(t *testing.T) {
 func TestForkAndJoin(t *testing.T) {
 	// Fork: A enables B and C. Join: B and C enable D.
 	b := core.NewBuilder()
-	a := b.Event("P", "A", nil)
-	bb := b.Event("Q", "B", nil)
-	cc := b.Event("R", "C", nil)
-	d := b.Event("S", "D", nil)
+	a := b.Event("P", "A", core.Params{})
+	bb := b.Event("Q", "B", core.Params{})
+	cc := b.Event("R", "C", core.Params{})
+	d := b.Event("S", "D", core.Params{})
 	b.Enable(a, bb)
 	b.Enable(a, cc)
 	b.Enable(bb, d)
@@ -138,8 +138,8 @@ func TestForkAndJoin(t *testing.T) {
 func TestUnionQuantifierDedup(t *testing.T) {
 	// Overlapping refs must not double-count an event.
 	b := core.NewBuilder()
-	x := b.Event("X", "E", nil)
-	y := b.Event("Y", "F", nil)
+	x := b.Event("X", "E", core.Params{})
+	y := b.Event("Y", "F", core.Params{})
 	b.Enable(x, y)
 	c, err := b.Build()
 	if err != nil {

@@ -18,7 +18,7 @@ func diamondComp(t *testing.T) (*core.Computation, [4]core.EventID) {
 	b := core.NewBuilder()
 	var ids [4]core.EventID
 	for i := 0; i < 4; i++ {
-		ids[i] = b.Event("EL"+string(rune('1'+i)), "E", core.Params{"val": core.Int(int64(i + 1))})
+		ids[i] = b.Event("EL"+string(rune('1'+i)), "E", core.NewParams(core.P("val", core.Int(int64(i+1)))))
 	}
 	b.Enable(ids[0], ids[1])
 	b.Enable(ids[0], ids[2])
@@ -124,9 +124,9 @@ func TestCmpOps(t *testing.T) {
 
 func TestThreadPredicates(t *testing.T) {
 	b := core.NewBuilder()
-	x := b.Event("X", "Req", nil)
-	y := b.Event("Y", "Start", nil)
-	z := b.Event("X", "Req", nil)
+	x := b.Event("X", "Req", core.Params{})
+	y := b.Event("Y", "Start", core.Params{})
+	z := b.Event("X", "Req", core.Params{})
 	b.Enable(x, y)
 	b.Thread(x, thread.ID("pi", 1))
 	b.Thread(y, thread.ID("pi", 1))

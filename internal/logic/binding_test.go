@@ -27,9 +27,9 @@ import (
 // Y2, and pass the formula.
 func TestSiblingEnvironmentsOwnTheirBindings(t *testing.T) {
 	b := core.NewBuilder()
-	b.Event("B", "Y", nil)
-	x := b.Event("A", "X", nil)
-	y2 := b.Event("C", "Y", nil)
+	b.Event("B", "Y", core.Params{})
+	x := b.Event("A", "X", core.Params{})
+	y2 := b.Event("C", "Y", core.Params{})
 	b.Enable(x, y2)
 	c, err := b.Build()
 	if err != nil {
@@ -61,8 +61,8 @@ func TestSiblingEnvironmentsOwnTheirBindings(t *testing.T) {
 // Checked under every engine, wrapped in □ so the temporal engines run.
 func TestShadowedVariableResolvesInnermost(t *testing.T) {
 	b := core.NewBuilder()
-	b.Event("P", "A", nil)
-	b.Event("Q", "B", nil)
+	b.Event("P", "A", core.Params{})
+	b.Event("Q", "B", core.Params{})
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestShadowedVariableResolvesInnermost(t *testing.T) {
 // may share a name, under either nesting.
 func TestEventAndThreadNamespaces(t *testing.T) {
 	b := core.NewBuilder()
-	r1 := b.Event("X", "Req", nil)
-	r2 := b.Event("X", "Req", nil)
+	r1 := b.Event("X", "Req", core.Params{})
+	r2 := b.Event("X", "Req", core.Params{})
 	b.Thread(r1, thread.ID("pi", 1))
 	b.Thread(r2, thread.ID("pi", 2))
 	c, err := b.Build()
@@ -121,8 +121,8 @@ func TestEventAndThreadNamespaces(t *testing.T) {
 // unbound again for the formula's next conjunct or disjunct.
 func TestEarlyReturnPopsBinding(t *testing.T) {
 	b := core.NewBuilder()
-	e1 := b.Event("B", "E", nil)
-	e2 := b.Event("B", "E", nil)
+	e1 := b.Event("B", "E", core.Params{})
+	e2 := b.Event("B", "E", core.Params{})
 	b.Thread(e1, thread.ID("pi", 1))
 	b.Thread(e2, thread.ID("pi", 2))
 	c, err := b.Build()

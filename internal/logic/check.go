@@ -244,7 +244,7 @@ func holdsOnHistories(f Formula, c *core.Computation) *Counterexample {
 
 func holdsOnSequences(f Formula, c *core.Computation) *Counterexample {
 	var cx *Counterexample
-	history.EnumerateComplete(c, 0, func(s history.Sequence) bool {
+	history.EnumerateComplete(c, func(s history.Sequence) bool {
 		if !f.Eval(NewSeqEnv(s, 0)) {
 			cx = &Counterexample{Formula: f, History: s[0], Seq: s, Comp: c}
 			return false

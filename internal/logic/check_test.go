@@ -15,14 +15,14 @@ import (
 func variableComputation(t *testing.T, faithful bool) *core.Computation {
 	t.Helper()
 	b := core.NewBuilder()
-	b.Event("Var", "Assign", core.Params{"newval": core.Int(1)})
-	b.Event("Var", "Getval", core.Params{"oldval": core.Int(1)})
-	b.Event("Var", "Assign", core.Params{"newval": core.Int(2)})
+	b.Event("Var", "Assign", core.NewParams(core.P("newval", core.Int(1))))
+	b.Event("Var", "Getval", core.NewParams(core.P("oldval", core.Int(1))))
+	b.Event("Var", "Assign", core.NewParams(core.P("newval", core.Int(2))))
 	got := core.Int(2)
 	if !faithful {
 		got = core.Int(1) // stale read
 	}
-	b.Event("Var", "Getval", core.Params{"oldval": got})
+	b.Event("Var", "Getval", core.NewParams(core.P("oldval", got)))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestVariableRestrictionRefutesStaleRead(t *testing.T) {
 func TestMessagePassingRestriction(t *testing.T) {
 	build := func(recvVal int64) *core.Computation {
 		b := core.NewBuilder()
-		s := b.Event("Sender", "Send", core.Params{"par1": core.Int(42)})
-		r := b.Event("Receiver", "Receive", core.Params{"par2": core.Int(recvVal)})
+		s := b.Event("Sender", "Send", core.NewParams(core.P("par1", core.Int(42))))
+		r := b.Event("Receiver", "Receive", core.NewParams(core.P("par2", core.Int(recvVal))))
 		b.Enable(s, r)
 		c, err := b.Build()
 		if err != nil {
@@ -141,8 +141,8 @@ func TestQuantifiers(t *testing.T) {
 
 func TestThreadQuantifiers(t *testing.T) {
 	b := core.NewBuilder()
-	x := b.Event("X", "Req", nil)
-	y := b.Event("X", "Req", nil)
+	x := b.Event("X", "Req", core.Params{})
+	y := b.Event("X", "Req", core.Params{})
 	b.Thread(x, thread.ID("pi", 1))
 	b.Thread(y, thread.ID("pi", 2))
 	c, err := b.Build()
@@ -256,9 +256,9 @@ func TestLinearExtensionsMissSimultaneousStep(t *testing.T) {
 		Or{occ2, occ3},
 		Not{F: And{occ2, occ3}},
 	}}
-	holdsOn := func(enumerate func(*core.Computation, int, func(history.Sequence) bool) int) bool {
+	holdsOn := func(enumerate func(*core.Computation, func(history.Sequence) bool) int) bool {
 		ok := true
-		enumerate(c, 0, func(s history.Sequence) bool {
+		enumerate(c, func(s history.Sequence) bool {
 			ok = f.Eval(NewSeqEnv(s, 0))
 			return ok
 		})

@@ -23,7 +23,7 @@ func randomComp(rng *rand.Rand, maxN int) *core.Computation {
 	for i := 0; i < n; i++ {
 		elem := string(rune('A' + rng.Intn(3)))
 		class := string(rune('X' + rng.Intn(2)))
-		ids[i] = b.Event(elem, class, core.Params{"v": core.Int(int64(rng.Intn(3)))})
+		ids[i] = b.Event(elem, class, core.NewParams(core.P("v", core.Int(int64(rng.Intn(3))))))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -67,7 +67,7 @@ func randImmediate(rng *rand.Rand) Formula {
 // bruteForce decides the formula by enumerating every complete vhs.
 func bruteForce(f Formula, c *core.Computation) bool {
 	holds := true
-	history.EnumerateComplete(c, 0, func(s history.Sequence) bool {
+	history.EnumerateComplete(c, func(s history.Sequence) bool {
 		if !f.Eval(NewSeqEnv(s, 0)) {
 			holds = false
 			return false

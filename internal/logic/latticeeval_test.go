@@ -436,8 +436,8 @@ func TestQuickEngineAgreement(t *testing.T) {
 func twoConcurrentComp(t *testing.T) *core.Computation {
 	t.Helper()
 	b := core.NewBuilder()
-	b.Event("A", "X", nil)
-	b.Event("B", "Y", nil)
+	b.Event("A", "X", core.Params{})
+	b.Event("B", "Y", core.Params{})
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,11 @@ func (m *machine) runInit(body []Stmt, env *evalEnv) error {
 		case Assign:
 			m.vars[s.Var] = s.E.eval(env)
 			m.emitInternal(-1, m.prog.Monitor.VarElement(s.Var), "Assign",
-				core.Params{"newval": core.Int(m.vars[s.Var]), "proc": core.Str("init"), "entry": core.Str("init")})
+				core.NewParams(
+					core.P("newval", core.Int(m.vars[s.Var])),
+					core.P("proc", core.Str("init")),
+					core.P("entry", core.Str("init")),
+				))
 		case If:
 			branch := s.Else
 			if s.Cond.eval(env) != 0 {
@@ -308,12 +312,12 @@ func (m *machine) applyGrant(proc int) error {
 		return fmt.Errorf("monitor: unknown entry %q", p.entry)
 	}
 	procName := m.prog.Processes[proc].Name
-	m.emitInternal(proc, m.prog.Monitor.LockElement(), "Acq", core.Params{"proc": core.Str(procName)})
-	beginParams := core.Params{"proc": core.Str(procName)}
+	m.emitInternal(proc, m.prog.Monitor.LockElement(), "Acq", core.NewParams(core.P("proc", core.Str(procName))))
+	begin := append(make([]core.Param, 0, 4), core.P("proc", core.Str(procName)))
 	for name, v := range p.args {
-		beginParams[name] = core.Int(v)
+		begin = append(begin, core.P(name, core.Int(v)))
 	}
-	m.emitInternal(proc, m.prog.Monitor.EntryElement(p.entry), "Begin", beginParams)
+	m.emitInternal(proc, m.prog.Monitor.EntryElement(p.entry), "Begin", core.NewParams(begin...))
 	p.frames = []frame{{block: entry.Body}}
 	p.status = statusReady
 	return nil
@@ -326,7 +330,7 @@ func (m *machine) applyUrgentResume() error {
 	p := &m.procs[proc]
 	p.status = statusReady
 	m.emitInternal(proc, m.prog.Monitor.LockElement(), "Acq",
-		core.Params{"proc": core.Str(m.prog.Processes[proc].Name)})
+		core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name))))
 	return nil
 }
 
@@ -350,30 +354,30 @@ func (m *machine) stepOutside(proc int) error {
 		}
 		p.entry = s.Entry
 		p.args = args
-		callParams := core.Params{"entry": core.Str(s.Entry)}
+		call := append(make([]core.Param, 0, 4), core.P("entry", core.Str(s.Entry)))
 		for name, v := range args {
-			callParams[name] = core.Int(v)
+			call = append(call, core.P(name, core.Int(v)))
 		}
-		m.Emit(proc, m.prog.Processes[proc].Name, "Call", callParams)
+		m.Emit(proc, m.prog.Processes[proc].Name, "Call", core.NewParams(call...))
 		p.status = statusBlockedEntry
 		m.entryQ = append(m.entryQ, proc)
 	case Op:
-		params := make(core.Params, len(s.Params)+2)
+		params := make([]core.Param, 0, 4)
 		for k, v := range s.Params {
-			params[k] = core.Int(v)
+			params = append(params, core.P(k, core.Int(v)))
 		}
 		elem := m.prog.Processes[proc].Name
 		if s.Element != "" {
 			elem = s.Element
-			params["proc"] = core.Str(m.prog.Processes[proc].Name)
+			params = append(params, core.P("proc", core.Str(m.prog.Processes[proc].Name)))
 			switch s.Class {
 			case "Assign":
 				m.ext[s.Element] = s.Params["newval"]
 			case "Getval":
-				params["oldval"] = core.Int(m.ext[s.Element])
+				params = append(params, core.P("oldval", core.Int(m.ext[s.Element])))
 			}
 		}
-		m.Emit(proc, elem, s.Class, params)
+		m.Emit(proc, elem, s.Class, core.NewParams(params...))
 	default:
 		return fmt.Errorf("monitor: process statement %T not supported", st)
 	}
@@ -387,10 +391,9 @@ func (m *machine) stepInside(proc int) error {
 	if p.resuming {
 		mon := m.prog.Monitor
 		procName := m.prog.Processes[proc].Name
-		rel := m.emitInternal(proc, mon.CondElement(p.resumeCond()), "Release",
-			core.Params{"proc": core.Str(procName)}, p.signalEv)
-		m.emitInternal(proc, mon.LockElement(), "Acq",
-			core.Params{"proc": core.Str(procName)}, rel)
+		by := core.NewParams(core.P("proc", core.Str(procName)))
+		rel := m.emitInternal(proc, mon.CondElement(p.resumeCond()), "Release", by, p.signalEv)
+		m.emitInternal(proc, mon.LockElement(), "Acq", by, rel)
 		p.resuming = false
 		p.signalEv = -1
 		return nil
@@ -405,11 +408,11 @@ func (m *machine) stepInside(proc int) error {
 		case Assign:
 			m.vars[s.Var] = s.E.eval(env)
 			m.emitInternal(proc, m.prog.Monitor.VarElement(s.Var), "Assign",
-				core.Params{
-					"newval": core.Int(m.vars[s.Var]),
-					"proc":   core.Str(m.prog.Processes[proc].Name),
-					"entry":  core.Str(p.entry),
-				})
+				core.NewParams(
+					core.P("newval", core.Int(m.vars[s.Var])),
+					core.P("proc", core.Str(m.prog.Processes[proc].Name)),
+					core.P("entry", core.Str(p.entry)),
+				))
 			return nil
 		case If:
 			branch := s.Else
@@ -428,9 +431,9 @@ func (m *machine) stepInside(proc int) error {
 			}
 		case Wait:
 			mon := m.prog.Monitor
-			procName := core.Str(m.prog.Processes[proc].Name)
-			w := m.emitInternal(proc, mon.CondElement(s.Cond), "Wait", core.Params{"proc": procName})
-			m.emitInternal(proc, mon.LockElement(), "Rel", core.Params{"proc": procName}, w)
+			by := core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name)))
+			w := m.emitInternal(proc, mon.CondElement(s.Cond), "Wait", by)
+			m.emitInternal(proc, mon.LockElement(), "Rel", by, w)
 			m.condQ[s.Cond] = append(m.condQ[s.Cond], proc)
 			p.status = statusWaiting
 			p.waitCond = s.Cond
@@ -439,7 +442,7 @@ func (m *machine) stepInside(proc int) error {
 		case Signal:
 			mon := m.prog.Monitor
 			sig := m.emitInternal(proc, mon.CondElement(s.Cond), "Signal",
-				core.Params{"proc": core.Str(m.prog.Processes[proc].Name)})
+				core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name))))
 			if q := m.condQ[s.Cond]; len(q) > 0 {
 				waiter := q[0]
 				m.condQ[s.Cond] = q[1:]
@@ -477,21 +480,20 @@ func (m *machine) endEntry(proc int, env *evalEnv) error {
 	p := &m.procs[proc]
 	mon := m.prog.Monitor
 	entry, _ := mon.EntryNamed(p.entry)
-	params := core.Params{"entry": core.Str(p.entry)}
-	if entry.Result != nil {
-		params["result"] = core.Int(entry.Result.eval(env))
-	}
 	procName := core.Str(m.prog.Processes[proc].Name)
-	endParams := core.Params{"proc": procName}
+	ret := append(make([]core.Param, 0, 2), core.P("entry", core.Str(p.entry)))
+	end := append(make([]core.Param, 0, 4), core.P("proc", procName))
 	for name, v := range p.args {
-		endParams[name] = core.Int(v)
+		end = append(end, core.P(name, core.Int(v)))
 	}
-	if r, ok := params["result"]; ok {
-		endParams["result"] = r
+	if entry.Result != nil {
+		result := core.P("result", core.Int(entry.Result.eval(env)))
+		ret = append(ret, result)
+		end = append(end, result)
 	}
-	m.emitInternal(proc, mon.EntryElement(p.entry), "End", endParams)
-	rel := m.emitInternal(proc, mon.LockElement(), "Rel", core.Params{"proc": procName})
-	m.Emit(proc, m.prog.Processes[proc].Name, "Return", params, rel)
+	m.emitInternal(proc, mon.EntryElement(p.entry), "End", core.NewParams(end...))
+	rel := m.emitInternal(proc, mon.LockElement(), "Rel", core.NewParams(core.P("proc", procName)))
+	m.Emit(proc, m.prog.Processes[proc].Name, "Return", core.NewParams(ret...), rel)
 	m.holder = -1
 	p.frames = nil
 	p.args = nil

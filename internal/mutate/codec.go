@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"gem/internal/core"
 )
@@ -28,15 +27,11 @@ func EncodeComputation(c *core.Computation) []byte {
 	for _, e := range c.Events() {
 		str(e.Element)
 		str(e.Class)
-		names := make([]string, 0, len(e.Params))
-		for name := range e.Params {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		out = binary.AppendUvarint(out, uint64(len(names)))
-		for _, name := range names {
-			str(name)
-			v := e.Params[name]
+		out = binary.AppendUvarint(out, uint64(e.Params.Len()))
+		for j := 0; j < e.Params.Len(); j++ {
+			p := e.Params.At(j)
+			str(p.Name)
+			v := p.Value
 			out = append(out, byte(v.Kind))
 			switch v.Kind {
 			case core.KindInt:
@@ -72,7 +67,9 @@ func EncodeComputation(c *core.Computation) []byte {
 
 // DecodeComputation rebuilds a computation from EncodeComputation's
 // output. Arbitrary input never panics: malformed bytes return an
-// error. Thread labels come from the encoding verbatim.
+// error, and so do parameter names that are not strictly increasing,
+// which the encoder never writes. Thread labels come from the encoding
+// verbatim.
 func DecodeComputation(data []byte) (*core.Computation, error) {
 	pos := 0
 	uv := func() (uint64, error) {
@@ -115,14 +112,14 @@ func DecodeComputation(data []byte) (*core.Computation, error) {
 		if err != nil || nParams > uint64(len(data)) {
 			return nil, errBadComp
 		}
-		var params core.Params
-		if nParams > 0 {
-			params = make(core.Params, nParams)
-		}
+		var params []core.Param
 		for j := uint64(0); j < nParams; j++ {
 			name, err := str()
 			if err != nil {
 				return nil, err
+			}
+			if j > 0 && name <= params[j-1].Name {
+				return nil, errBadComp
 			}
 			if pos >= len(data) {
 				return nil, errBadComp
@@ -136,24 +133,24 @@ func DecodeComputation(data []byte) (*core.Computation, error) {
 					return nil, errBadComp
 				}
 				pos += n
-				params[name] = core.Int(v)
+				params = append(params, core.P(name, core.Int(v)))
 			case core.KindString:
 				s, err := str()
 				if err != nil {
 					return nil, err
 				}
-				params[name] = core.Str(s)
+				params = append(params, core.P(name, core.Str(s)))
 			case core.KindBool:
 				if pos >= len(data) {
 					return nil, errBadComp
 				}
-				params[name] = core.Bool(data[pos] == 1)
+				params = append(params, core.P(name, core.Bool(data[pos] == 1)))
 				pos++
 			default:
 				return nil, fmt.Errorf("mutate: unknown value kind %d", kind)
 			}
 		}
-		id := b.Event(element, class, params)
+		id := b.Event(element, class, core.NewParams(params...))
 		nThreads, err := uv()
 		if err != nil || nThreads > uint64(len(data)) {
 			return nil, errBadComp

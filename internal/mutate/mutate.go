@@ -23,7 +23,6 @@ package mutate
 
 import (
 	"fmt"
-	"sort"
 
 	"gem/internal/core"
 	"gem/internal/logic"
@@ -540,7 +539,7 @@ type eventIR struct {
 func irOf(c *core.Computation) compIR {
 	var ir compIR
 	for _, e := range c.Events() {
-		ir.events = append(ir.events, eventIR{element: e.Element, class: e.Class, params: e.Params.Clone()})
+		ir.events = append(ir.events, eventIR{element: e.Element, class: e.Class, params: e.Params})
 	}
 	for _, e := range c.Events() {
 		for _, dst := range c.Enabled(e.ID) {
@@ -654,15 +653,10 @@ func perturbParam(ir *compIR, r *rng) (string, error) {
 	}
 	var cands []slot
 	for i, e := range ir.events {
-		names := make([]string, 0, len(e.params))
-		for name, v := range e.params {
-			if v.Kind == core.KindInt {
-				names = append(names, name)
+		for j := 0; j < e.params.Len(); j++ {
+			if p := e.params.At(j); p.Value.Kind == core.KindInt {
+				cands = append(cands, slot{event: i, name: p.Name})
 			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			cands = append(cands, slot{event: i, name: name})
 		}
 	}
 	if len(cands) == 0 {
@@ -673,7 +667,12 @@ func perturbParam(ir *compIR, r *rng) (string, error) {
 	if r.intn(2) == 0 {
 		delta = -delta
 	}
-	old := ir.events[c.event].params[c.name]
-	ir.events[c.event].params[c.name] = core.Int(old.I + delta)
+	e := &ir.events[c.event]
+	old, _ := e.params.Get(c.name)
+	list := make([]core.Param, 0, e.params.Len()+1)
+	for j := 0; j < e.params.Len(); j++ {
+		list = append(list, e.params.At(j))
+	}
+	e.params = core.NewParams(append(list, core.P(c.name, core.Int(old.I+delta)))...)
 	return fmt.Sprintf("perturbed %s.%s %d -> %d", ir.eventName(c.event), c.name, old.I, old.I+delta), nil
 }

@@ -102,24 +102,24 @@ func DefaultSeeds() ([]Seed, error) {
 
 // readChain appends u1's six-event read transaction observing value v.
 func readChain(b *core.Builder, v int64) (first, end, last core.EventID) {
-	r := b.Event("u1", "Read", nil)
-	rq := b.Event("db.control", "ReqRead", nil)
-	st := b.Event("db.control", "StartRead", nil)
-	gv := b.Event("db.data", "Getval", core.Params{"oldval": core.Int(v)})
-	en := b.Event("db.control", "EndRead", core.Params{"info": core.Int(v)})
-	fi := b.Event("u1", "FinishRead", core.Params{"info": core.Int(v)})
+	r := b.Event("u1", "Read", core.Params{})
+	rq := b.Event("db.control", "ReqRead", core.Params{})
+	st := b.Event("db.control", "StartRead", core.Params{})
+	gv := b.Event("db.data", "Getval", core.NewParams(core.P("oldval", core.Int(v))))
+	en := b.Event("db.control", "EndRead", core.NewParams(core.P("info", core.Int(v))))
+	fi := b.Event("u1", "FinishRead", core.NewParams(core.P("info", core.Int(v))))
 	link(b, r, rq, st, gv, en, fi)
 	return r, en, fi
 }
 
 // writeChain appends u1's six-event write transaction assigning v.
 func writeChain(b *core.Builder, v int64) (first, end, last core.EventID) {
-	w := b.Event("u1", "Write", core.Params{"info": core.Int(v)})
-	rq := b.Event("db.control", "ReqWrite", core.Params{"info": core.Int(v)})
-	st := b.Event("db.control", "StartWrite", core.Params{"info": core.Int(v)})
-	as := b.Event("db.data", "Assign", core.Params{"newval": core.Int(v)})
-	en := b.Event("db.control", "EndWrite", nil)
-	fi := b.Event("u1", "FinishWrite", nil)
+	w := b.Event("u1", "Write", core.NewParams(core.P("info", core.Int(v))))
+	rq := b.Event("db.control", "ReqWrite", core.NewParams(core.P("info", core.Int(v))))
+	st := b.Event("db.control", "StartWrite", core.NewParams(core.P("info", core.Int(v))))
+	as := b.Event("db.data", "Assign", core.NewParams(core.P("newval", core.Int(v))))
+	en := b.Event("db.control", "EndWrite", core.Params{})
+	fi := b.Event("u1", "FinishWrite", core.Params{})
 	link(b, w, rq, st, as, en, fi)
 	return w, en, fi
 }
@@ -162,12 +162,12 @@ func rwReadThenWrite(sp *spec.Spec) (*core.Computation, error) {
 func rwWriteThenRead(sp *spec.Spec) (*core.Computation, error) {
 	b := core.NewBuilder()
 	_, en, _ := writeChain(b, 7)
-	r := b.Event("u1", "Read", nil)
-	rq := b.Event("db.control", "ReqRead", nil)
-	st := b.Event("db.control", "StartRead", nil)
-	gv := b.Event("db.data", "Getval", core.Params{"oldval": core.Int(7)})
-	en2 := b.Event("db.control", "EndRead", core.Params{"info": core.Int(7)})
-	fi2 := b.Event("u1", "FinishRead", core.Params{"info": core.Int(7)})
+	r := b.Event("u1", "Read", core.Params{})
+	rq := b.Event("db.control", "ReqRead", core.Params{})
+	st := b.Event("db.control", "StartRead", core.Params{})
+	gv := b.Event("db.data", "Getval", core.NewParams(core.P("oldval", core.Int(7))))
+	en2 := b.Event("db.control", "EndRead", core.NewParams(core.P("info", core.Int(7))))
+	fi2 := b.Event("u1", "FinishRead", core.NewParams(core.P("info", core.Int(7))))
 	link(b, r, rq, st, gv, en2, fi2)
 	b.Enable(en, st)
 	return finish(b, sp)
@@ -180,10 +180,10 @@ func toyComp(sp *spec.Spec, n int) (*core.Computation, error) {
 	var prevFetch core.EventID = -1
 	for i := 0; i < n; i++ {
 		item := core.Int(int64(i + 1))
-		p := b.Event("prod", "Produce", core.Params{"item": item})
-		d := b.Event("buffer", "Deposit", core.Params{"item": item})
-		f := b.Event("buffer", "Fetch", core.Params{"item": item})
-		c := b.Event("cons", "Consume", core.Params{"item": item})
+		p := b.Event("prod", "Produce", core.NewParams(core.P("item", item)))
+		d := b.Event("buffer", "Deposit", core.NewParams(core.P("item", item)))
+		f := b.Event("buffer", "Fetch", core.NewParams(core.P("item", item)))
+		c := b.Event("cons", "Consume", core.NewParams(core.P("item", item)))
 		link(b, p, d, f, c)
 		if prevFetch >= 0 {
 			b.Enable(prevFetch, d)

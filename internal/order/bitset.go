@@ -28,6 +28,19 @@ func NewBitset(n int) Bitset {
 	return Bitset{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// NewRows returns n empty sets of capacity n, the rows of a relation over
+// n elements, backed by one array: a relation costs two allocations
+// whatever its size.
+func NewRows(n int) []Bitset {
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, n*w)
+	rows := make([]Bitset, n)
+	for i := range rows {
+		rows[i] = Bitset{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return rows
+}
+
 // Set adds i to the set. It panics if i is out of range, since that always
 // indicates a logic error in the caller.
 func (b Bitset) Set(i int) {

@@ -3,6 +3,7 @@ package order
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCycle is returned when a supposed DAG contains a cycle. In GEM terms a
@@ -11,15 +12,21 @@ import (
 var ErrCycle = errors.New("order: graph contains a cycle")
 
 // DAG is a directed graph over vertices 0..n-1 expected to be acyclic.
-// Edges are stored as adjacency lists.
+// Edges are kept in one flat list and indexed by source on first query
+// (compressed sparse rows), so a graph costs a few allocations, not one
+// per vertex.
 type DAG struct {
-	n   int
-	adj [][]int
+	n     int
+	edges [][2]int
+	// v's successors are succ[start[v]:start[v+1]], in insertion order
+	// without duplicates; start is nil until index runs.
+	start []int
+	succ  []int
 }
 
 // NewDAG creates a graph with n vertices and no edges.
 func NewDAG(n int) *DAG {
-	return &DAG{n: n, adj: make([][]int, n)}
+	return &DAG{n: n}
 }
 
 // AddEdge adds a directed edge from u to v. Duplicate edges are ignored.
@@ -27,37 +34,70 @@ func (d *DAG) AddEdge(u, v int) {
 	if u < 0 || u >= d.n || v < 0 || v >= d.n {
 		panic(fmt.Sprintf("order: AddEdge(%d,%d) out of range [0,%d)", u, v, d.n))
 	}
-	for _, w := range d.adj[u] {
-		if w == v {
-			return
-		}
+	d.edges = append(d.edges, [2]int{u, v})
+	d.start = nil
+}
+
+// successors returns v's direct successors.
+func (d *DAG) successors(v int) []int {
+	if d.start == nil {
+		d.index()
 	}
-	d.adj[u] = append(d.adj[u], v)
+	return d.succ[d.start[v]:d.start[v+1]]
+}
+
+// index sorts the edges into per-source rows of succ by counting, then
+// drops repeated edges in place.
+func (d *DAG) index() {
+	start := make([]int, d.n+1)
+	for _, e := range d.edges {
+		start[e[0]]++
+	}
+	for v := 1; v <= d.n; v++ {
+		start[v] += start[v-1]
+	}
+	succ := make([]int, len(d.edges))
+	for i := len(d.edges) - 1; i >= 0; i-- {
+		u := d.edges[i][0]
+		start[u]--
+		succ[start[u]] = d.edges[i][1]
+	}
+	kept, from := 0, 0
+	for v := 0; v < d.n; v++ {
+		to := start[v+1]
+		start[v] = kept
+		for _, w := range succ[from:to] {
+			if !slices.Contains(succ[start[v]:kept], w) {
+				succ[kept] = w
+				kept++
+			}
+		}
+		from = to
+	}
+	start[d.n] = kept
+	d.start, d.succ = start, succ[:kept]
 }
 
 // TopoSort returns a topological ordering of the vertices, or ErrCycle.
 func (d *DAG) TopoSort() ([]int, error) {
 	indeg := make([]int, d.n)
-	for _, succs := range d.adj {
-		for _, v := range succs {
-			indeg[v]++
+	for v := 0; v < d.n; v++ {
+		for _, w := range d.successors(v) {
+			indeg[w]++
 		}
 	}
-	queue := make([]int, 0, d.n)
+	// out doubles as the FIFO queue: out[head:] is still to be expanded.
+	out := make([]int, 0, d.n)
 	for v := 0; v < d.n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			out = append(out, v)
 		}
 	}
-	out := make([]int, 0, d.n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		out = append(out, v)
-		for _, w := range d.adj[v] {
+	for head := 0; head < len(out); head++ {
+		for _, w := range d.successors(out[head]) {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				out = append(out, w)
 			}
 		}
 	}
@@ -71,32 +111,28 @@ func (d *DAG) TopoSort() ([]int, error) {
 // strictly reachable from v (v itself is excluded unless v lies on a cycle,
 // in which case ErrCycle is returned). Computed in reverse topological
 // order so each vertex's reach set is the union of its successors' sets.
+// The rows share one array (NewRows).
 func (d *DAG) TransitiveClosure() ([]Bitset, error) {
 	topo, err := d.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-	reach := make([]Bitset, d.n)
+	reach := NewRows(d.n)
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
-		r := NewBitset(d.n)
-		for _, w := range d.adj[v] {
-			r.Set(w)
-			r.OrWith(reach[w])
+		for _, w := range d.successors(v) {
+			reach[v].Set(w)
+			reach[v].OrWith(reach[w])
 		}
-		reach[v] = r
 	}
 	return reach, nil
 }
 
 // Invert returns preds, where preds[v] is the set of vertices that reach v,
-// given the forward reach sets.
+// given the forward reach sets. The rows share one array (NewRows).
 func Invert(reach []Bitset) []Bitset {
 	n := len(reach)
-	preds := make([]Bitset, n)
-	for v := 0; v < n; v++ {
-		preds[v] = NewBitset(n)
-	}
+	preds := NewRows(n)
 	for u := 0; u < n; u++ {
 		reach[u].ForEach(func(v int) bool {
 			preds[v].Set(u)
@@ -109,9 +145,9 @@ func Invert(reach []Bitset) []Bitset {
 // LinearExtensions enumerates every linear extension of the partial order
 // whose strict reachability is reach, invoking fn with each complete
 // ordering. The callback's slice is reused between invocations; copy it if
-// retained. If fn returns false or limit (>0) extensions have been
-// produced, enumeration stops. Returns the number of extensions produced.
-func LinearExtensions(reach []Bitset, limit int, fn func(ext []int) bool) int {
+// retained. If fn returns false, enumeration stops. Returns the number of
+// extensions produced.
+func LinearExtensions(reach []Bitset, fn func(ext []int) bool) int {
 	n := len(reach)
 	preds := Invert(reach)
 	placed := NewBitset(n)
@@ -121,10 +157,7 @@ func LinearExtensions(reach []Bitset, limit int, fn func(ext []int) bool) int {
 	rec = func() bool {
 		if len(ext) == n {
 			count++
-			if !fn(ext) {
-				return false
-			}
-			return limit <= 0 || count < limit
+			return fn(ext)
 		}
 		for v := 0; v < n; v++ {
 			if placed.Has(v) {
@@ -201,7 +234,7 @@ func (d *DAG) ReachesDFS(u, v int) bool {
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range d.adj[x] {
+		for _, w := range d.successors(x) {
 			if w == v {
 				return true
 			}

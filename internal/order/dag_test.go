@@ -61,7 +61,7 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 	d := NewDAG(2)
 	d.AddEdge(0, 1)
 	d.AddEdge(0, 1)
-	if got := len(d.adj[0]); got != 1 {
+	if got := len(d.successors(0)); got != 1 {
 		t.Errorf("duplicate edge stored: %d successors", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestLinearExtensionsDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	var exts [][]int
-	n := LinearExtensions(reach, 0, func(ext []int) bool {
+	n := LinearExtensions(reach, func(ext []int) bool {
 		cp := make([]int, len(ext))
 		copy(cp, ext)
 		exts = append(exts, cp)
@@ -125,16 +125,17 @@ func TestLinearExtensionsDiamond(t *testing.T) {
 }
 
 func TestLinearExtensionsLimit(t *testing.T) {
-	// Antichain of 5 vertices: 5! = 120 extensions; limit caps it.
+	// Antichain of 5 vertices: 5! = 120 extensions; the callback caps it.
 	reach := make([]Bitset, 5)
 	for i := range reach {
 		reach[i] = NewBitset(5)
 	}
-	n := LinearExtensions(reach, 7, func([]int) bool { return true })
+	calls := 0
+	n := LinearExtensions(reach, func([]int) bool { calls++; return calls < 7 })
 	if n != 7 {
 		t.Errorf("limited enumeration produced %d, want 7", n)
 	}
-	n = LinearExtensions(reach, 0, func([]int) bool { return true })
+	n = LinearExtensions(reach, func([]int) bool { return true })
 	if n != 120 {
 		t.Errorf("full enumeration produced %d, want 120", n)
 	}
@@ -146,7 +147,7 @@ func TestLinearExtensionsEarlyStop(t *testing.T) {
 		reach[i] = NewBitset(4)
 	}
 	calls := 0
-	LinearExtensions(reach, 0, func([]int) bool {
+	LinearExtensions(reach, func([]int) bool {
 		calls++
 		return calls < 3
 	})
@@ -242,8 +243,9 @@ func TestQuickLinearExtensionsRespectOrder(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok := true
-		LinearExtensions(reach, 50, func(ext []int) bool {
+		ok, seen := true, 0
+		LinearExtensions(reach, func(ext []int) bool {
+			seen++
 			pos := make([]int, n)
 			for i, v := range ext {
 				pos[v] = i
@@ -257,7 +259,7 @@ func TestQuickLinearExtensionsRespectOrder(t *testing.T) {
 					return true
 				})
 			}
-			return ok
+			return ok && seen < 50
 		})
 		return ok
 	}

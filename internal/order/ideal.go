@@ -6,13 +6,12 @@ package order
 // (core.Computation keeps both directions). In GEM terms these are
 // exactly the histories of a computation. fn receives each ideal as a
 // Bitset that is reused between calls; clone it if retained. Enumeration
-// stops early if fn returns false or after limit ideals when limit > 0.
-// Returns the number of ideals produced.
+// stops early if fn returns false. Returns the number of ideals produced.
 //
 // The enumeration walks the lattice of ideals by repeatedly adding
 // minimal elements of the complement, deduplicating via a visited set,
 // so each ideal is produced exactly once.
-func IdealsPre(reach, preds []Bitset, limit int, fn func(ideal Bitset) bool) int {
+func IdealsPre(reach, preds []Bitset, fn func(ideal Bitset) bool) int {
 	n := len(reach)
 	seen := make(map[string]bool)
 	count := 0
@@ -29,7 +28,7 @@ func IdealsPre(reach, preds []Bitset, limit int, fn func(ideal Bitset) bool) int
 		}
 		seen[key] = true
 		count++
-		if !fn(cur) || (limit > 0 && count >= limit) {
+		if !fn(cur) {
 			stop = true
 			return
 		}

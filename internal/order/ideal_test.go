@@ -13,7 +13,7 @@ func TestIdealsDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ideals []string
-	n := IdealsPre(reach, Invert(reach), 0, func(ideal Bitset) bool {
+	n := IdealsPre(reach, Invert(reach), func(ideal Bitset) bool {
 		ideals = append(ideals, ideal.String())
 		return true
 	})
@@ -39,16 +39,13 @@ func TestIdealsLimitAndEarlyStop(t *testing.T) {
 		reach[i] = NewBitset(6)
 	}
 	// Empty order: 2^6 = 64 ideals.
-	if n := IdealsPre(reach, Invert(reach), 0, func(Bitset) bool { return true }); n != 64 {
+	if n := IdealsPre(reach, Invert(reach), func(Bitset) bool { return true }); n != 64 {
 		t.Errorf("got %d ideals, want 64", n)
 	}
-	if n := IdealsPre(reach, Invert(reach), 10, func(Bitset) bool { return true }); n != 10 {
-		t.Errorf("limit: got %d ideals, want 10", n)
-	}
 	calls := 0
-	IdealsPre(reach, Invert(reach), 0, func(Bitset) bool { calls++; return calls < 5 })
-	if calls != 5 {
-		t.Errorf("early stop after %d calls, want 5", calls)
+	n := IdealsPre(reach, Invert(reach), func(Bitset) bool { calls++; return calls < 5 })
+	if calls != 5 || n != 5 {
+		t.Errorf("early stop after %d calls, %d ideals counted, want 5", calls, n)
 	}
 }
 
@@ -110,7 +107,7 @@ func TestQuickIdealsMatchBruteForce(t *testing.T) {
 		}
 		preds := Invert(reach)
 		allClosed := true
-		got := IdealsPre(reach, preds, 0, func(ideal Bitset) bool {
+		got := IdealsPre(reach, preds, func(ideal Bitset) bool {
 			if !IsIdeal(preds, ideal) {
 				allClosed = false
 				return false

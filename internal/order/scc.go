@@ -37,8 +37,8 @@ func (d *DAG) SCC() [][]int {
 		onStack[root] = true
 		for len(work) > 0 {
 			f := &work[len(work)-1]
-			if f.ei < len(d.adj[f.v]) {
-				w := d.adj[f.v][f.ei]
+			if succ := d.successors(f.v); f.ei < len(succ) {
+				w := succ[f.ei]
 				f.ei++
 				if index[w] == unvisited {
 					index[w], low[w] = next, next

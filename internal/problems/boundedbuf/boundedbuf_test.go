@@ -49,13 +49,13 @@ func TestProblemSpecRefutesOverflow(t *testing.T) {
 	// Two deposits before any fetch: #Deposit - #Fetch reaches 2 > 1.
 	b := core.NewBuilder()
 	for i := 1; i <= 2; i++ {
-		p := b.Event(ProducerName(i), "Produce", core.Params{"item": core.Int(ItemValue(i, 1))})
-		d := b.Event(BufferElement, "Deposit", core.Params{"item": core.Int(ItemValue(i, 1))})
+		p := b.Event(ProducerName(i), "Produce", core.NewParams(core.P("item", core.Int(ItemValue(i, 1)))))
+		d := b.Event(BufferElement, "Deposit", core.NewParams(core.P("item", core.Int(ItemValue(i, 1)))))
 		b.Enable(p, d)
 	}
 	for i := 1; i <= 2; i++ {
-		f := b.Event(BufferElement, "Fetch", core.Params{"item": core.Int(ItemValue(i, 1))})
-		cons := b.Event(ConsumerName(1), "Consume", core.Params{"item": core.Int(ItemValue(i, 1))})
+		f := b.Event(BufferElement, "Fetch", core.NewParams(core.P("item", core.Int(ItemValue(i, 1)))))
+		cons := b.Event(ConsumerName(1), "Consume", core.NewParams(core.P("item", core.Int(ItemValue(i, 1)))))
 		b.Enable(f, cons)
 	}
 	c, err := b.Build()
@@ -85,17 +85,17 @@ func TestProblemSpecRefutesReordering(t *testing.T) {
 	}
 	// Deposit 11 then 21, but fetch 21 first: FIFO violated.
 	b := core.NewBuilder()
-	p1 := b.Event(ProducerName(1), "Produce", core.Params{"item": core.Int(11)})
-	d1 := b.Event(BufferElement, "Deposit", core.Params{"item": core.Int(11)})
+	p1 := b.Event(ProducerName(1), "Produce", core.NewParams(core.P("item", core.Int(11))))
+	d1 := b.Event(BufferElement, "Deposit", core.NewParams(core.P("item", core.Int(11))))
 	b.Enable(p1, d1)
-	f1 := b.Event(BufferElement, "Fetch", core.Params{"item": core.Int(21)})
-	c1 := b.Event(ConsumerName(1), "Consume", core.Params{"item": core.Int(21)})
+	f1 := b.Event(BufferElement, "Fetch", core.NewParams(core.P("item", core.Int(21))))
+	c1 := b.Event(ConsumerName(1), "Consume", core.NewParams(core.P("item", core.Int(21))))
 	b.Enable(f1, c1)
-	p2 := b.Event(ProducerName(2), "Produce", core.Params{"item": core.Int(21)})
-	d2 := b.Event(BufferElement, "Deposit", core.Params{"item": core.Int(21)})
+	p2 := b.Event(ProducerName(2), "Produce", core.NewParams(core.P("item", core.Int(21))))
+	d2 := b.Event(BufferElement, "Deposit", core.NewParams(core.P("item", core.Int(21))))
 	b.Enable(p2, d2)
-	f2 := b.Event(BufferElement, "Fetch", core.Params{"item": core.Int(11)})
-	c2 := b.Event(ConsumerName(1), "Consume", core.Params{"item": core.Int(11)})
+	f2 := b.Event(BufferElement, "Fetch", core.NewParams(core.P("item", core.Int(11))))
+	c2 := b.Event(ConsumerName(1), "Consume", core.NewParams(core.P("item", core.Int(11))))
 	b.Enable(f2, c2)
 	c, err := b.Build()
 	if err != nil {

@@ -20,22 +20,22 @@ import (
 // guards.
 func MonitorCorrespondence(capacity int) verify.Correspondence {
 	rules := []verify.Rule{
-		{Match: core.Ref("", "Call"), Where: core.Params{"entry": core.Str("deposit")},
+		{Match: core.Ref("", "Call"), Where: core.NewParams(core.P("entry", core.Str("deposit"))),
 			Element: "%s", Class: "Produce", KeyParam: "@element", Chain: "produce", Stage: 0,
 			CopyParams: map[string]string{"item": "v"}},
 	}
 	for k := 0; k < capacity; k++ {
 		rules = append(rules, verify.Rule{
 			Match:   core.Ref(fmt.Sprintf("%s.s%d", MonitorName, k), "Assign"),
-			Where:   core.Params{"entry": core.Str("deposit")},
+			Where:   core.NewParams(core.P("entry", core.Str("deposit"))),
 			Element: BufferElement, Class: "Deposit", KeyParam: "proc", Chain: "produce", Stage: 1,
 			CopyParams: map[string]string{"item": "newval"}})
 	}
 	rules = append(rules,
-		verify.Rule{Match: core.Ref(MonitorName+".tmp", "Assign"), Where: core.Params{"entry": core.Str("fetch")},
+		verify.Rule{Match: core.Ref(MonitorName+".tmp", "Assign"), Where: core.NewParams(core.P("entry", core.Str("fetch"))),
 			Element: BufferElement, Class: "Fetch", KeyParam: "proc", Chain: "consume", Stage: 0,
 			CopyParams: map[string]string{"item": "newval"}},
-		verify.Rule{Match: core.Ref("", "Return"), Where: core.Params{"entry": core.Str("fetch")},
+		verify.Rule{Match: core.Ref("", "Return"), Where: core.NewParams(core.P("entry", core.Str("fetch"))),
 			Element: "%s", Class: "Consume", KeyParam: "@element", Chain: "consume", Stage: 1,
 			CopyParams: map[string]string{"item": "result"}},
 	)
@@ -78,7 +78,7 @@ func CSPCorrespondence(w Workload) verify.Correspondence {
 // the replied value).
 func AdaCorrespondence() verify.Correspondence {
 	return verify.Correspondence{Rules: []verify.Rule{
-		{Match: core.Ref("", "Call"), Where: core.Params{"entry": core.Str("Put")},
+		{Match: core.Ref("", "Call"), Where: core.NewParams(core.P("entry", core.Str("Put"))),
 			Element: "%s", Class: "Produce", KeyParam: "@element", Chain: "produce", Stage: 0,
 			CopyParams: map[string]string{"item": "v"}},
 		{Match: core.Ref(BufferTask+".Put", "AcceptStart"),
@@ -87,7 +87,7 @@ func AdaCorrespondence() verify.Correspondence {
 		{Match: core.Ref(BufferTask+".Get", "AcceptEnd"),
 			Element: BufferElement, Class: "Fetch", KeyParam: "caller", Chain: "consume", Stage: 0,
 			CopyParams: map[string]string{"item": "result"}},
-		{Match: core.Ref("", "Return"), Where: core.Params{"entry": core.Str("Get")},
+		{Match: core.Ref("", "Return"), Where: core.NewParams(core.P("entry", core.Str("Get"))),
 			Element: "%s", Class: "Consume", KeyParam: "@element", Chain: "consume", Stage: 1,
 			CopyParams: map[string]string{"item": "result"}},
 	}}

@@ -132,9 +132,9 @@ func BuildComputation(s *spec.Spec, w Workload) (*core.Computation, error) {
 	fetchOne := func() {
 		it := queue[0]
 		queue = queue[1:]
-		f := b.Event(BufferElement, "Fetch", core.Params{"item": core.Int(it.val)})
+		f := b.Event(BufferElement, "Fetch", core.NewParams(core.P("item", core.Int(it.val))))
 		b.Enable(it.dep, f)
-		cons := b.Event(ConsumerName(consumer+1), "Consume", core.Params{"item": core.Int(it.val)})
+		cons := b.Event(ConsumerName(consumer+1), "Consume", core.NewParams(core.P("item", core.Int(it.val))))
 		b.Enable(f, cons)
 		fetched++
 		if fetched%w.ItemsPerConsumer() == 0 {
@@ -147,8 +147,8 @@ func BuildComputation(s *spec.Spec, w Workload) (*core.Computation, error) {
 				fetchOne()
 			}
 			val := ItemValue(i, k)
-			p := b.Event(ProducerName(i), "Produce", core.Params{"item": core.Int(val)})
-			d := b.Event(BufferElement, "Deposit", core.Params{"item": core.Int(val)})
+			p := b.Event(ProducerName(i), "Produce", core.NewParams(core.P("item", core.Int(val))))
+			d := b.Event(BufferElement, "Deposit", core.NewParams(core.P("item", core.Int(val))))
 			b.Enable(p, d)
 			queue = append(queue, pending{val: val, dep: d})
 		}

@@ -230,9 +230,11 @@ func (st *state) originate(site int) {
 	st.pendingUpdates[site] = st.pendingUpdates[site][1:]
 	st.clock[site]++
 	ver := version{ts: st.clock[site], site: site}
-	params := core.Params{
-		"val": core.Int(u.Value), "ts": core.Int(ver.ts), "origin": core.Int(int64(site)),
-	}
+	params := core.NewParams(
+		core.P("val", core.Int(u.Value)),
+		core.P("ts", core.Int(ver.ts)),
+		core.P("origin", core.Int(int64(site))),
+	)
 	upd := st.Emit(site, SiteElement(site), "Update", params)
 	st.applyUpdate(site, ver, u.Value, upd)
 	// Broadcast to every other site.
@@ -240,7 +242,7 @@ func (st *state) originate(site int) {
 		if j == site {
 			continue
 		}
-		send := st.Emit(site, ChanElement(site, j), "Send", params.Clone())
+		send := st.Emit(site, ChanElement(site, j), "Send", params)
 		msg := message{from: site, to: j, ver: ver, val: u.Value, sendEv: send}
 		if st.opts.DropLastMessage && len(st.pendingUpdates[site]) == 0 && j == len(st.clock)-1 && site != len(st.clock)-1 {
 			continue // lose the message: Send happened, Recv never will
@@ -253,9 +255,11 @@ func (st *state) deliver(ch [2]int) {
 	q := st.inflight[ch]
 	msg := q[0]
 	st.inflight[ch] = q[1:]
-	params := core.Params{
-		"val": core.Int(msg.val), "ts": core.Int(msg.ver.ts), "origin": core.Int(int64(msg.ver.site)),
-	}
+	params := core.NewParams(
+		core.P("val", core.Int(msg.val)),
+		core.P("ts", core.Int(msg.ver.ts)),
+		core.P("origin", core.Int(int64(msg.ver.site))),
+	)
 	recv := st.Emit(msg.to, ChanElement(msg.from, msg.to), "Recv", params, msg.sendEv)
 	if msg.ver.ts > st.clock[msg.to] {
 		st.clock[msg.to] = msg.ver.ts
@@ -268,9 +272,11 @@ func (st *state) deliver(ch [2]int) {
 func (st *state) applyUpdate(site int, ver version, val int64, cause int) {
 	st.applied[site] = ver
 	st.value[site] = val
-	st.Emit(site, SiteElement(site), "Apply", core.Params{
-		"val": core.Int(val), "ts": core.Int(ver.ts), "origin": core.Int(int64(ver.site)),
-	}, cause)
+	st.Emit(site, SiteElement(site), "Apply", core.NewParams(
+		core.P("val", core.Int(val)),
+		core.P("ts", core.Int(ver.ts)),
+		core.P("origin", core.Int(int64(ver.site))),
+	), cause)
 }
 
 func (st *state) Finish() (Run, error) {

@@ -135,9 +135,11 @@ func TestWinnerIsVersionMaximal(t *testing.T) {
 		for i := 0; i < cfg.Sites; i++ {
 			for _, id := range r.Comp.EventsOf(core.Ref(SiteElement(i), "Apply")) {
 				e := r.Comp.Event(id)
-				ts, origin := e.Params["ts"].I, e.Params["origin"].I
-				if ts > maxTS || (ts == maxTS && origin > maxOrigin) {
-					maxTS, maxOrigin, maxVal = ts, origin, e.Params["val"].I
+				ts, _ := e.Params.Get("ts")
+				origin, _ := e.Params.Get("origin")
+				if ts.I > maxTS || (ts.I == maxTS && origin.I > maxOrigin) {
+					val, _ := e.Params.Get("val")
+					maxTS, maxOrigin, maxVal = ts.I, origin.I, val.I
 				}
 			}
 		}

@@ -207,13 +207,15 @@ func asyncRun(start Board, gens int, seed int64, barrier bool) (Run, error) {
 		for x := 0; x < w; x++ {
 			pos := [2]int{x, y}
 			cell := cells[pos]
-			emit(cell, CellElement(x, y), "Compute", core.Params{
-				"gen": core.Int(0), "alive": core.Bool(cell.alive),
-			})
+			emit(cell, CellElement(x, y), "Compute", core.NewParams(
+				core.P("gen", core.Int(0)),
+				core.P("alive", core.Bool(cell.alive)),
+			))
 			for _, n := range neighbours(start, x, y) {
-				send := emit(cell, ChanElement(x, y, n[0], n[1]), "Send", core.Params{
-					"gen": core.Int(0), "alive": core.Bool(cell.alive),
-				})
+				send := emit(cell, ChanElement(x, y, n[0], n[1]), "Send", core.NewParams(
+					core.P("gen", core.Int(0)),
+					core.P("alive", core.Bool(cell.alive)),
+				))
 				inflight = append(inflight, message{from: pos, to: n, gen: 0, alive: cell.alive, sendEv: int(send)})
 			}
 		}
@@ -254,14 +256,16 @@ func asyncRun(start Board, gens int, seed int64, barrier bool) (Run, error) {
 				cell.alive = live == 3
 			}
 			cell.gen++
-			emit(cell, CellElement(pos[0], pos[1]), "Compute", core.Params{
-				"gen": core.Int(int64(cell.gen)), "alive": core.Bool(cell.alive),
-			})
+			emit(cell, CellElement(pos[0], pos[1]), "Compute", core.NewParams(
+				core.P("gen", core.Int(int64(cell.gen))),
+				core.P("alive", core.Bool(cell.alive)),
+			))
 			if cell.gen < gens {
 				for _, n := range neighbours(start, pos[0], pos[1]) {
-					send := emit(cell, ChanElement(pos[0], pos[1], n[0], n[1]), "Send", core.Params{
-						"gen": core.Int(int64(cell.gen)), "alive": core.Bool(cell.alive),
-					})
+					send := emit(cell, ChanElement(pos[0], pos[1], n[0], n[1]), "Send", core.NewParams(
+						core.P("gen", core.Int(int64(cell.gen))),
+						core.P("alive", core.Bool(cell.alive)),
+					))
 					inflight = append(inflight, message{from: pos, to: n, gen: cell.gen, alive: cell.alive, sendEv: int(send)})
 				}
 			}
@@ -280,9 +284,10 @@ func asyncRun(start Board, gens int, seed int64, barrier bool) (Run, error) {
 		}
 		inflight = append(inflight[:mi], inflight[mi+1:]...)
 		cell := cells[ch.to]
-		emit(cell, ChanElement(ch.from[0], ch.from[1], ch.to[0], ch.to[1]), "Recv", core.Params{
-			"gen": core.Int(int64(ch.gen)), "alive": core.Bool(ch.alive),
-		}, core.EventID(ch.sendEv))
+		emit(cell, ChanElement(ch.from[0], ch.from[1], ch.to[0], ch.to[1]), "Recv", core.NewParams(
+			core.P("gen", core.Int(int64(ch.gen))),
+			core.P("alive", core.Bool(ch.alive)),
+		), core.EventID(ch.sendEv))
 		cell.received[ch.gen]++
 		if ch.alive {
 			cell.liveCount[ch.gen]++

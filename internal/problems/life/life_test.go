@@ -126,9 +126,9 @@ func TestAsyncCellsDriftButStayCausal(t *testing.T) {
 		}
 		for _, a := range events {
 			for _, b := range events {
-				ga := run.Comp.Event(a).Params["gen"].I
-				gb := run.Comp.Event(b).Params["gen"].I
-				if ga >= gb+2 && run.Comp.Concurrent(a, b) {
+				ga, _ := run.Comp.Event(a).Params.Get("gen")
+				gb, _ := run.Comp.Event(b).Params.Get("gen")
+				if ga.I >= gb.I+2 && run.Comp.Concurrent(a, b) {
 					drifted = true
 				}
 			}

@@ -41,13 +41,13 @@ func TestAlternationRefutesDoubleDeposit(t *testing.T) {
 	// D D F F at the buffer element: violates alternation (and capacity).
 	b := core.NewBuilder()
 	for i := 1; i <= 2; i++ {
-		p := b.Event(boundedbuf.ProducerName(i), "Produce", core.Params{"item": core.Int(boundedbuf.ItemValue(i, 1))})
-		d := b.Event(boundedbuf.BufferElement, "Deposit", core.Params{"item": core.Int(boundedbuf.ItemValue(i, 1))})
+		p := b.Event(boundedbuf.ProducerName(i), "Produce", core.NewParams(core.P("item", core.Int(boundedbuf.ItemValue(i, 1)))))
+		d := b.Event(boundedbuf.BufferElement, "Deposit", core.NewParams(core.P("item", core.Int(boundedbuf.ItemValue(i, 1)))))
 		b.Enable(p, d)
 	}
 	for i := 1; i <= 2; i++ {
-		f := b.Event(boundedbuf.BufferElement, "Fetch", core.Params{"item": core.Int(boundedbuf.ItemValue(i, 1))})
-		cons := b.Event(boundedbuf.ConsumerName(1), "Consume", core.Params{"item": core.Int(boundedbuf.ItemValue(i, 1))})
+		f := b.Event(boundedbuf.BufferElement, "Fetch", core.NewParams(core.P("item", core.Int(boundedbuf.ItemValue(i, 1)))))
+		cons := b.Event(boundedbuf.ConsumerName(1), "Consume", core.NewParams(core.P("item", core.Int(boundedbuf.ItemValue(i, 1)))))
 		b.Enable(f, cons)
 	}
 	c, err := b.Build()

@@ -3,6 +3,7 @@ package rw
 import (
 	"testing"
 
+	"gem/internal/core"
 	"gem/internal/history"
 	"gem/internal/logic"
 )
@@ -51,6 +52,45 @@ func TestHoldsAllocationCeiling(t *testing.T) {
 		t.Logf("%s: %.0f allocations per Holds", tt.name, allocs)
 		if allocs > tt.ceiling {
 			t.Errorf("%s: %.0f allocations per Holds, ceiling %.0f", tt.name, allocs, tt.ceiling)
+		}
+	}
+}
+
+// TestBuildAllocationCeiling pins what building one computation
+// allocates, from a prepared list of events over four elements. Each
+// part of a built computation (its events, per-element lists, enable
+// lists, reach rows and pred rows) is one allocation, and the builder's
+// own slices grow by doubling, so going from 8 to 64 events adds a few
+// allocations per doubling, not one or more per event. The per-event
+// layout this replaced made 84 and 550.
+func TestBuildAllocationCeiling(t *testing.T) {
+	elements := []string{"a", "b", "c", "d"}
+	for _, tt := range []struct {
+		events  int
+		ceiling float64
+	}{
+		{8, 32},
+		{64, 41},
+	} {
+		params := make([]core.Params, tt.events)
+		for i := range params {
+			params[i] = core.NewParams(core.P("i", core.Int(int64(i))))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			b := core.NewBuilder()
+			for i, p := range params {
+				b.Event(elements[i%len(elements)], "Step", p)
+			}
+			for i := 1; i < tt.events; i++ {
+				b.Enable(core.EventID(i-1), core.EventID(i))
+			}
+			if _, err := b.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d events: %.0f allocations per build", tt.events, allocs)
+		if allocs > tt.ceiling {
+			t.Errorf("%d events: %.0f allocations per build, ceiling %.0f", tt.events, allocs, tt.ceiling)
 		}
 	}
 }

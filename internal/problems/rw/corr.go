@@ -21,7 +21,7 @@ func MonitorCorrespondence() verify.Correspondence {
 	mon := MonitorName
 	return verify.Correspondence{Rules: []verify.Rule{
 		// read chain
-		{Match: core.Ref("", "Call"), Where: core.Params{"entry": core.Str("StartRead")},
+		{Match: core.Ref("", "Call"), Where: core.NewParams(core.P("entry", core.Str("StartRead"))),
 			Element: "%s", Class: "Read", KeyParam: "@element", Chain: "read", Stage: 0},
 		{Match: core.Ref(mon+".StartRead", "Begin"),
 			Element: "db.control", Class: "ReqRead", KeyParam: "proc", Chain: "read", Stage: 1},
@@ -32,10 +32,10 @@ func MonitorCorrespondence() verify.Correspondence {
 			CopyParams: map[string]string{"oldval": "oldval"}},
 		{Match: core.Ref(mon+".EndRead", "Begin"),
 			Element: "db.control", Class: "EndRead", KeyParam: "proc", Chain: "read", Stage: 4},
-		{Match: core.Ref("", "Return"), Where: core.Params{"entry": core.Str("EndRead")},
+		{Match: core.Ref("", "Return"), Where: core.NewParams(core.P("entry", core.Str("EndRead"))),
 			Element: "%s", Class: "FinishRead", KeyParam: "@element", Chain: "read", Stage: 5},
 		// write chain
-		{Match: core.Ref("", "Call"), Where: core.Params{"entry": core.Str("StartWrite")},
+		{Match: core.Ref("", "Call"), Where: core.NewParams(core.P("entry", core.Str("StartWrite"))),
 			Element: "%s", Class: "Write", KeyParam: "@element", Chain: "write", Stage: 0},
 		{Match: core.Ref(mon+".StartWrite", "Begin"),
 			Element: "db.control", Class: "ReqWrite", KeyParam: "proc", Chain: "write", Stage: 1},
@@ -46,7 +46,7 @@ func MonitorCorrespondence() verify.Correspondence {
 			CopyParams: map[string]string{"newval": "newval"}},
 		{Match: core.Ref(mon+".EndWrite", "Begin"),
 			Element: "db.control", Class: "EndWrite", KeyParam: "proc", Chain: "write", Stage: 4},
-		{Match: core.Ref("", "Return"), Where: core.Params{"entry": core.Str("EndWrite")},
+		{Match: core.Ref("", "Return"), Where: core.NewParams(core.P("entry", core.Str("EndWrite"))),
 			Element: "%s", Class: "FinishWrite", KeyParam: "@element", Chain: "write", Stage: 5},
 	}}
 }
@@ -62,18 +62,18 @@ func CSPCorrespondence(w Workload) verify.Correspondence {
 		outE := csp.OutElement(name, ControllerName)
 		inpE := csp.InpElement(ControllerName, name)
 		rules = append(rules,
-			verify.Rule{Match: core.Ref(outE, "Req"), Where: core.Params{"v": core.Int(msgStartRead)},
+			verify.Rule{Match: core.Ref(outE, "Req"), Where: core.NewParams(core.P("v", core.Int(msgStartRead))),
 				Element: "%s", Class: "Read", KeyParam: "proc", Chain: "read", Stage: 0},
-			verify.Rule{Match: core.Ref(inpE, "Req"), Where: core.Params{"v": core.Int(msgStartRead)},
+			verify.Rule{Match: core.Ref(inpE, "Req"), Where: core.NewParams(core.P("v", core.Int(msgStartRead))),
 				Element: "db.control", Class: "ReqRead", KeyParam: "partner", Chain: "read", Stage: 1, Relaxed: true},
-			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.Params{"v": core.Int(msgStartRead)},
+			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.NewParams(core.P("v", core.Int(msgStartRead))),
 				Element: "db.control", Class: "StartRead", KeyParam: "partner", Chain: "read", Stage: 2},
-			verify.Rule{Match: core.Ref(DataElement, "Getval"), Where: core.Params{"proc": core.Str(name)},
+			verify.Rule{Match: core.Ref(DataElement, "Getval"), Where: core.NewParams(core.P("proc", core.Str(name))),
 				Element: "db.data", Class: "Getval", KeyParam: "proc", Chain: "read", Stage: 3, Relaxed: true,
 				CopyParams: map[string]string{"oldval": "oldval"}},
-			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.Params{"v": core.Int(msgEndRead)},
+			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.NewParams(core.P("v", core.Int(msgEndRead))),
 				Element: "db.control", Class: "EndRead", KeyParam: "partner", Chain: "read", Stage: 4},
-			verify.Rule{Match: core.Ref(outE, "End"), Where: core.Params{"v": core.Int(msgEndRead)},
+			verify.Rule{Match: core.Ref(outE, "End"), Where: core.NewParams(core.P("v", core.Int(msgEndRead))),
 				Element: "%s", Class: "FinishRead", KeyParam: "proc", Chain: "read", Stage: 5, Relaxed: true},
 		)
 	}
@@ -82,18 +82,18 @@ func CSPCorrespondence(w Workload) verify.Correspondence {
 		outE := csp.OutElement(name, ControllerName)
 		inpE := csp.InpElement(ControllerName, name)
 		rules = append(rules,
-			verify.Rule{Match: core.Ref(outE, "Req"), Where: core.Params{"v": core.Int(msgStartWrite)},
+			verify.Rule{Match: core.Ref(outE, "Req"), Where: core.NewParams(core.P("v", core.Int(msgStartWrite))),
 				Element: "%s", Class: "Write", KeyParam: "proc", Chain: "write", Stage: 0},
-			verify.Rule{Match: core.Ref(inpE, "Req"), Where: core.Params{"v": core.Int(msgStartWrite)},
+			verify.Rule{Match: core.Ref(inpE, "Req"), Where: core.NewParams(core.P("v", core.Int(msgStartWrite))),
 				Element: "db.control", Class: "ReqWrite", KeyParam: "partner", Chain: "write", Stage: 1, Relaxed: true},
-			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.Params{"v": core.Int(msgStartWrite)},
+			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.NewParams(core.P("v", core.Int(msgStartWrite))),
 				Element: "db.control", Class: "StartWrite", KeyParam: "partner", Chain: "write", Stage: 2},
-			verify.Rule{Match: core.Ref(DataElement, "Assign"), Where: core.Params{"proc": core.Str(name)},
+			verify.Rule{Match: core.Ref(DataElement, "Assign"), Where: core.NewParams(core.P("proc", core.Str(name))),
 				Element: "db.data", Class: "Assign", KeyParam: "proc", Chain: "write", Stage: 3, Relaxed: true,
 				CopyParams: map[string]string{"newval": "newval"}},
-			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.Params{"v": core.Int(msgEndWrite)},
+			verify.Rule{Match: core.Ref(inpE, "End"), Where: core.NewParams(core.P("v", core.Int(msgEndWrite))),
 				Element: "db.control", Class: "EndWrite", KeyParam: "partner", Chain: "write", Stage: 4},
-			verify.Rule{Match: core.Ref(outE, "End"), Where: core.Params{"v": core.Int(msgEndWrite)},
+			verify.Rule{Match: core.Ref(outE, "End"), Where: core.NewParams(core.P("v", core.Int(msgEndWrite))),
 				Element: "%s", Class: "FinishWrite", KeyParam: "proc", Chain: "write", Stage: 5, Relaxed: true},
 		)
 	}
@@ -106,7 +106,7 @@ func AdaCorrespondence() verify.Correspondence {
 	ctrl := ControllerName
 	return verify.Correspondence{Rules: []verify.Rule{
 		// read chain
-		{Match: core.Ref("", "Call"), Where: core.Params{"entry": core.Str("StartRead")},
+		{Match: core.Ref("", "Call"), Where: core.NewParams(core.P("entry", core.Str("StartRead"))),
 			Element: "%s", Class: "Read", KeyParam: "@element", Chain: "read", Stage: 0},
 		{Match: core.Ref(ctrl+".StartRead", "AcceptStart"),
 			Element: "db.control", Class: "ReqRead", KeyParam: "caller", Chain: "read", Stage: 1},
@@ -117,10 +117,10 @@ func AdaCorrespondence() verify.Correspondence {
 			CopyParams: map[string]string{"oldval": "oldval"}},
 		{Match: core.Ref(ctrl+".EndRead", "AcceptStart"),
 			Element: "db.control", Class: "EndRead", KeyParam: "caller", Chain: "read", Stage: 4},
-		{Match: core.Ref("", "Return"), Where: core.Params{"entry": core.Str("EndRead")},
+		{Match: core.Ref("", "Return"), Where: core.NewParams(core.P("entry", core.Str("EndRead"))),
 			Element: "%s", Class: "FinishRead", KeyParam: "@element", Chain: "read", Stage: 5},
 		// write chain
-		{Match: core.Ref("", "Call"), Where: core.Params{"entry": core.Str("StartWrite")},
+		{Match: core.Ref("", "Call"), Where: core.NewParams(core.P("entry", core.Str("StartWrite"))),
 			Element: "%s", Class: "Write", KeyParam: "@element", Chain: "write", Stage: 0},
 		{Match: core.Ref(ctrl+".StartWrite", "AcceptStart"),
 			Element: "db.control", Class: "ReqWrite", KeyParam: "caller", Chain: "write", Stage: 1},
@@ -131,7 +131,7 @@ func AdaCorrespondence() verify.Correspondence {
 			CopyParams: map[string]string{"newval": "newval"}},
 		{Match: core.Ref(ctrl+".EndWrite", "AcceptStart"),
 			Element: "db.control", Class: "EndWrite", KeyParam: "caller", Chain: "write", Stage: 4},
-		{Match: core.Ref("", "Return"), Where: core.Params{"entry": core.Str("EndWrite")},
+		{Match: core.Ref("", "Return"), Where: core.NewParams(core.P("entry", core.Str("EndWrite"))),
 			Element: "%s", Class: "FinishWrite", KeyParam: "@element", Chain: "write", Stage: 5},
 	}}
 }

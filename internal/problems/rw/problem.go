@@ -185,21 +185,21 @@ func BuildComputation(s *spec.Spec, txs []Transaction) (*core.Computation, error
 	for _, tx := range txs {
 		user := tx.User
 		if tx.Write {
-			w := b.Event(user, "Write", core.Params{"info": core.Int(tx.Value)})
-			rq := b.Event("db.control", "ReqWrite", core.Params{"info": core.Int(tx.Value)})
-			st := b.Event("db.control", "StartWrite", core.Params{"info": core.Int(tx.Value)})
-			as := b.Event("db.data", "Assign", core.Params{"newval": core.Int(tx.Value)})
-			en := b.Event("db.control", "EndWrite", nil)
-			fi := b.Event(user, "FinishWrite", nil)
+			w := b.Event(user, "Write", core.NewParams(core.P("info", core.Int(tx.Value))))
+			rq := b.Event("db.control", "ReqWrite", core.NewParams(core.P("info", core.Int(tx.Value))))
+			st := b.Event("db.control", "StartWrite", core.NewParams(core.P("info", core.Int(tx.Value))))
+			as := b.Event("db.data", "Assign", core.NewParams(core.P("newval", core.Int(tx.Value))))
+			en := b.Event("db.control", "EndWrite", core.Params{})
+			fi := b.Event(user, "FinishWrite", core.Params{})
 			chain(b, w, rq, st, as, en, fi)
 			value = tx.Value
 		} else {
-			r := b.Event(user, "Read", nil)
-			rq := b.Event("db.control", "ReqRead", nil)
-			st := b.Event("db.control", "StartRead", nil)
-			gv := b.Event("db.data", "Getval", core.Params{"oldval": core.Int(value)})
-			en := b.Event("db.control", "EndRead", core.Params{"info": core.Int(value)})
-			fi := b.Event(user, "FinishRead", core.Params{"info": core.Int(value)})
+			r := b.Event(user, "Read", core.Params{})
+			rq := b.Event("db.control", "ReqRead", core.Params{})
+			st := b.Event("db.control", "StartRead", core.Params{})
+			gv := b.Event("db.data", "Getval", core.NewParams(core.P("oldval", core.Int(value))))
+			en := b.Event("db.control", "EndRead", core.NewParams(core.P("info", core.Int(value))))
+			fi := b.Event(user, "FinishRead", core.NewParams(core.P("info", core.Int(value))))
 			chain(b, r, rq, st, gv, en, fi)
 		}
 	}

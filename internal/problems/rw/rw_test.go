@@ -64,18 +64,18 @@ func TestProblemSpecRefutesMutualExclusionViolation(t *testing.T) {
 	// StartWrite with no intervening EndRead — a history with both active
 	// exists.
 	b := core.NewBuilder()
-	r := b.Event("u1", "Read", nil)
-	rq := b.Event("db.control", "ReqRead", nil)
-	st := b.Event("db.control", "StartRead", nil)
-	w := b.Event("u2", "Write", core.Params{"info": core.Int(5)})
-	wq := b.Event("db.control", "ReqWrite", core.Params{"info": core.Int(5)})
-	sw := b.Event("db.control", "StartWrite", core.Params{"info": core.Int(5)})
-	as := b.Event("db.data", "Assign", core.Params{"newval": core.Int(5)})
-	ew := b.Event("db.control", "EndWrite", nil)
-	fw := b.Event("u2", "FinishWrite", nil)
-	gv := b.Event("db.data", "Getval", core.Params{"oldval": core.Int(5)})
-	er := b.Event("db.control", "EndRead", core.Params{"info": core.Int(5)})
-	fr := b.Event("u1", "FinishRead", core.Params{"info": core.Int(5)})
+	r := b.Event("u1", "Read", core.Params{})
+	rq := b.Event("db.control", "ReqRead", core.Params{})
+	st := b.Event("db.control", "StartRead", core.Params{})
+	w := b.Event("u2", "Write", core.NewParams(core.P("info", core.Int(5))))
+	wq := b.Event("db.control", "ReqWrite", core.NewParams(core.P("info", core.Int(5))))
+	sw := b.Event("db.control", "StartWrite", core.NewParams(core.P("info", core.Int(5))))
+	as := b.Event("db.data", "Assign", core.NewParams(core.P("newval", core.Int(5))))
+	ew := b.Event("db.control", "EndWrite", core.Params{})
+	fw := b.Event("u2", "FinishWrite", core.Params{})
+	gv := b.Event("db.data", "Getval", core.NewParams(core.P("oldval", core.Int(5))))
+	er := b.Event("db.control", "EndRead", core.NewParams(core.P("info", core.Int(5))))
+	fr := b.Event("u1", "FinishRead", core.NewParams(core.P("info", core.Int(5))))
 	chain(b, r, rq, st, gv, er, fr)
 	chain(b, w, wq, sw, as, ew, fw)
 	c, err := b.Build()
@@ -106,18 +106,18 @@ func TestProblemSpecRefutesPriorityViolation(t *testing.T) {
 	// Both requests pending, then the write is serviced first: ReqRead,
 	// ReqWrite, StartWrite, ..., StartRead — violates readers priority.
 	b := core.NewBuilder()
-	r := b.Event("u1", "Read", nil)
-	rq := b.Event("db.control", "ReqRead", nil)
-	w := b.Event("u2", "Write", core.Params{"info": core.Int(5)})
-	wq := b.Event("db.control", "ReqWrite", core.Params{"info": core.Int(5)})
-	sw := b.Event("db.control", "StartWrite", core.Params{"info": core.Int(5)})
-	as := b.Event("db.data", "Assign", core.Params{"newval": core.Int(5)})
-	ew := b.Event("db.control", "EndWrite", nil)
-	fw := b.Event("u2", "FinishWrite", nil)
-	st := b.Event("db.control", "StartRead", nil)
-	gv := b.Event("db.data", "Getval", core.Params{"oldval": core.Int(5)})
-	er := b.Event("db.control", "EndRead", core.Params{"info": core.Int(5)})
-	fr := b.Event("u1", "FinishRead", core.Params{"info": core.Int(5)})
+	r := b.Event("u1", "Read", core.Params{})
+	rq := b.Event("db.control", "ReqRead", core.Params{})
+	w := b.Event("u2", "Write", core.NewParams(core.P("info", core.Int(5))))
+	wq := b.Event("db.control", "ReqWrite", core.NewParams(core.P("info", core.Int(5))))
+	sw := b.Event("db.control", "StartWrite", core.NewParams(core.P("info", core.Int(5))))
+	as := b.Event("db.data", "Assign", core.NewParams(core.P("newval", core.Int(5))))
+	ew := b.Event("db.control", "EndWrite", core.Params{})
+	fw := b.Event("u2", "FinishWrite", core.Params{})
+	st := b.Event("db.control", "StartRead", core.Params{})
+	gv := b.Event("db.data", "Getval", core.NewParams(core.P("oldval", core.Int(5))))
+	er := b.Event("db.control", "EndRead", core.NewParams(core.P("info", core.Int(5))))
+	fr := b.Event("u1", "FinishRead", core.NewParams(core.P("info", core.Int(5))))
 	chain(b, r, rq, st, gv, er, fr)
 	chain(b, w, wq, sw, as, ew, fw)
 	// Force the writer's start after the read request in the temporal
@@ -165,10 +165,28 @@ func TestProblemSpecRefutesStaleRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the read: report a value that was never the last assign.
-	for _, id := range c.EventsOf(core.Ref("db.data", "Getval")) {
-		c.Event(id).Params["oldval"] = core.Int(999)
+	// A built computation is immutable, so rebuild it with the bad read.
+	b := core.NewBuilder()
+	for _, e := range c.Events() {
+		params := e.Params
+		if e.Element == "db.data" && e.Class == "Getval" {
+			params = core.NewParams(core.P("oldval", core.Int(999)))
+		}
+		b.Event(e.Element, e.Class, params)
+		for _, tid := range e.Threads {
+			b.Thread(e.ID, tid)
+		}
 	}
-	res := legal.Check(s, c, legal.Options{})
+	for _, e := range c.Events() {
+		for _, dst := range c.Enabled(e.ID) {
+			b.Enable(e.ID, dst)
+		}
+	}
+	stale, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := legal.Check(s, stale, legal.Options{})
 	if res.Legal() {
 		t.Fatal("stale read must violate the Variable restriction")
 	}
@@ -274,7 +292,7 @@ func TestReadsSeeLastWrite(t *testing.T) {
 		}
 		// Every Getval must report 0, 101, or 102.
 		for _, id := range r.Comp.EventsOf(core.Ref(DataElement, "Getval")) {
-			got := r.Comp.Event(id).Params["oldval"]
+			got, _ := r.Comp.Event(id).Params.Get("oldval")
 			if got != core.Int(0) && got != core.Int(101) && got != core.Int(102) {
 				t.Errorf("read saw impossible value %v", got)
 			}

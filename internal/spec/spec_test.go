@@ -152,8 +152,8 @@ func TestSpecValidateErrors(t *testing.T) {
 func TestReadsLastAssign(t *testing.T) {
 	read := func(element string, got int64) *core.Computation {
 		b := core.NewBuilder()
-		b.Event(element, "Assign", core.Params{"newval": core.Int(5)})
-		b.Event(element, "Getval", core.Params{"oldval": core.Int(got)})
+		b.Event(element, "Assign", core.NewParams(core.P("newval", core.Int(5))))
+		b.Event(element, "Getval", core.NewParams(core.P("oldval", core.Int(got))))
 		c, err := b.Build()
 		if err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ func randComp(rng *rand.Rand, maxN int) *core.Computation {
 	for i := 0; i < n; i++ {
 		elem := string(rune('A' + rng.Intn(3)))
 		class := string(rune('X' + rng.Intn(2)))
-		ids[i] = b.Event(elem, class, core.Params{"v": core.Int(int64(rng.Intn(3)))})
+		ids[i] = b.Event(elem, class, core.NewParams(core.P("v", core.Int(int64(rng.Intn(3))))))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

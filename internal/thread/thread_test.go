@@ -17,12 +17,12 @@ func rwChain(t *testing.T) (*core.Computation, [2][]core.EventID) {
 	var chains [2][]core.EventID
 	for u := 0; u < 2; u++ {
 		user := "u" + string(rune('1'+u))
-		read := b.Event(user, "Read", nil)
-		req := b.Event("control", "ReqRead", nil)
-		start := b.Event("control", "StartRead", nil)
-		get := b.Event("data", "Getval", nil)
-		end := b.Event("control", "EndRead", nil)
-		fin := b.Event(user, "FinishRead", nil)
+		read := b.Event(user, "Read", core.Params{})
+		req := b.Event("control", "ReqRead", core.Params{})
+		start := b.Event("control", "StartRead", core.Params{})
+		get := b.Event("data", "Getval", core.Params{})
+		end := b.Event("control", "EndRead", core.Params{})
+		fin := b.Event(user, "FinishRead", core.Params{})
 		ids := []core.EventID{read, req, start, get, end, fin}
 		for i := 1; i < len(ids); i++ {
 			b.Enable(ids[i-1], ids[i])
@@ -79,9 +79,9 @@ func TestThreadStopsWhenPathBreaks(t *testing.T) {
 	// Read -> ReqRead, but ReqRead enables something off-path: the thread
 	// stops there.
 	b := core.NewBuilder()
-	read := b.Event("u", "Read", nil)
-	req := b.Event("control", "ReqRead", nil)
-	other := b.Event("control", "Unrelated", nil)
+	read := b.Event("u", "Read", core.Params{})
+	req := b.Event("control", "ReqRead", core.Params{})
+	other := b.Event("control", "Unrelated", core.Params{})
 	b.Enable(read, req)
 	b.Enable(req, other)
 	c, err := b.Build()
@@ -112,11 +112,11 @@ func TestAlternativePathsShareCounter(t *testing.T) {
 	// One read chain and one write chain; piRW alternatives share the
 	// instance counter, so ids are piRW#1 and piRW#2.
 	b := core.NewBuilder()
-	read := b.Event("u", "Read", nil)
-	reqR := b.Event("control", "ReqRead", nil)
+	read := b.Event("u", "Read", core.Params{})
+	reqR := b.Event("control", "ReqRead", core.Params{})
 	b.Enable(read, reqR)
-	write := b.Event("u", "Write", nil)
-	reqW := b.Event("control", "ReqWrite", nil)
+	write := b.Event("u", "Write", core.Params{})
+	reqW := b.Event("control", "ReqWrite", core.Params{})
 	b.Enable(write, reqW)
 	c, err := b.Build()
 	if err != nil {

@@ -79,7 +79,10 @@ func (corr Correspondence) CanonicalKey() string {
 	var sb strings.Builder
 	for _, r := range corr.Rules {
 		fmt.Fprintf(&sb, "rule|%s|", r.Match)
-		writeSortedParams(&sb, r.Where)
+		for i := 0; i < r.Where.Len(); i++ {
+			w := r.Where.At(i)
+			fmt.Fprintf(&sb, "%s=%s;", w.Name, w.Value)
+		}
 		fmt.Fprintf(&sb, "|%s|%s|", r.Element, r.Class)
 		keys := make([]string, 0, len(r.CopyParams))
 		for k := range r.CopyParams {
@@ -92,17 +95,6 @@ func (corr Correspondence) CanonicalKey() string {
 		fmt.Fprintf(&sb, "|%s|%s|%d|%t\n", r.KeyParam, r.Chain, r.Stage, r.Relaxed)
 	}
 	return sb.String()
-}
-
-func writeSortedParams(sb *strings.Builder, p core.Params) {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(sb, "%s=%s;", k, p[k])
-	}
 }
 
 // SatCache persists successful sat checks: LookupSat reports whether a
@@ -152,7 +144,7 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 			case "@element":
 				key = e.Element
 			default:
-				v, ok := e.Params[r.KeyParam]
+				v, ok := e.Params.Get(r.KeyParam)
 				if !ok || v.Kind != core.KindString {
 					return nil, fmt.Errorf("verify: event %s lacks string key parameter %q", e.Name(), r.KeyParam)
 				}
@@ -200,6 +192,7 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 	// Build the projected computation in the globally sorted order (which
 	// fixes each problem element's order).
 	b := core.NewBuilder()
+	b.Grow(len(hits))
 	origin := make(map[core.EventID]core.EventID, len(hits))
 	type stageEv struct {
 		stage   int
@@ -211,13 +204,13 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 	groups := make(map[txKey][]stageEv)
 	var groupOrder []txKey
 	for _, h := range hits {
-		params := core.Params{}
+		params := make([]core.Param, 0, 4)
 		for problemParam, progParam := range h.rule.CopyParams {
-			if v, ok := c.Event(h.prog).Params[progParam]; ok {
-				params[problemParam] = v
+			if v, ok := c.Event(h.prog).Params.Get(progParam); ok {
+				params = append(params, core.P(problemParam, v))
 			}
 		}
-		id := b.Event(h.elem, h.class, params)
+		id := b.Event(h.elem, h.class, core.NewParams(params...))
 		origin[id] = h.prog
 		k := txKey{h.rule.Chain, h.key}
 		if _, ok := groups[k]; !ok {
@@ -362,8 +355,9 @@ func CheckAll(problem *spec.Spec, comps []*core.Computation, corr Correspondence
 }
 
 func whereMatches(e *core.Event, where core.Params) bool {
-	for k, v := range where {
-		if e.Params[k] != v {
+	for i := 0; i < where.Len(); i++ {
+		w := where.At(i)
+		if v, _ := e.Params.Get(w.Name); v != w.Value {
 			return false
 		}
 	}

@@ -46,9 +46,9 @@ func tinyProblem(t *testing.T) *spec.Spec {
 func tinyProgram(t *testing.T, v1, v2 int64) *core.Computation {
 	t.Helper()
 	b := core.NewBuilder()
-	req := b.Event("u1", "Request", core.Params{"v": core.Int(v1), "proc": core.Str("u1")})
-	noise := b.Event("internal", "Tick", nil)
-	done := b.Event("worker", "Done", core.Params{"v": core.Int(v2), "proc": core.Str("u1")})
+	req := b.Event("u1", "Request", core.NewParams(core.P("v", core.Int(v1)), core.P("proc", core.Str("u1"))))
+	noise := b.Event("internal", "Tick", core.Params{})
+	done := b.Event("worker", "Done", core.NewParams(core.P("v", core.Int(v2)), core.P("proc", core.Str("u1"))))
 	b.Enable(req, noise)
 	b.Enable(noise, done)
 	c, err := b.Build()
@@ -86,7 +86,7 @@ func TestProjectBasics(t *testing.T) {
 	if !proj.Comp.EnablesDirect(ping[0], served[0]) {
 		t.Error("chain stages must be wired with an enable edge")
 	}
-	if proj.Comp.Event(ping[0]).Params["v"] != core.Int(5) {
+	if v, _ := proj.Comp.Event(ping[0]).Params.Get("v"); v != core.Int(5) {
 		t.Error("CopyParams failed")
 	}
 	// Origin maps back to program events.
@@ -206,8 +206,8 @@ func TestProjectErrors(t *testing.T) {
 	})
 	t.Run("concurrent events on one element", func(t *testing.T) {
 		b := core.NewBuilder()
-		b.Event("a", "X", nil)
-		b.Event("b", "X", nil)
+		b.Event("a", "X", core.Params{})
+		b.Event("b", "X", core.Params{})
 		c, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -221,8 +221,8 @@ func TestProjectErrors(t *testing.T) {
 	})
 	t.Run("stage order violation", func(t *testing.T) {
 		b := core.NewBuilder()
-		done := b.Event("worker", "Done", core.Params{"proc": core.Str("u1")})
-		req := b.Event("u1", "Request", core.Params{"proc": core.Str("u1")})
+		done := b.Event("worker", "Done", core.NewParams(core.P("proc", core.Str("u1"))))
+		req := b.Event("u1", "Request", core.NewParams(core.P("proc", core.Str("u1"))))
 		b.Enable(done, req) // reversed causality
 		c, err := b.Build()
 		if err != nil {
@@ -235,7 +235,7 @@ func TestProjectErrors(t *testing.T) {
 	})
 	t.Run("missing head stage", func(t *testing.T) {
 		b := core.NewBuilder()
-		b.Event("worker", "Done", core.Params{"proc": core.Str("u1")})
+		b.Event("worker", "Done", core.NewParams(core.P("proc", core.Str("u1"))))
 		c, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +249,7 @@ func TestProjectErrors(t *testing.T) {
 		// A transaction still in flight (later stages absent) projects
 		// fine — it is simply an incomplete chain.
 		b := core.NewBuilder()
-		b.Event("u1", "Request", core.Params{"proc": core.Str("u1")})
+		b.Event("u1", "Request", core.NewParams(core.P("proc", core.Str("u1"))))
 		c, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -268,8 +268,8 @@ func TestProjectRelaxedStage(t *testing.T) {
 	// Two concurrent events in one chain: forbidden normally, allowed
 	// with Relaxed (but never in inverse order).
 	b := core.NewBuilder()
-	b.Event("u1", "Request", core.Params{"proc": core.Str("u1")})
-	b.Event("worker", "Done", core.Params{"proc": core.Str("u1")})
+	b.Event("u1", "Request", core.NewParams(core.P("proc", core.Str("u1"))))
+	b.Event("worker", "Done", core.NewParams(core.P("proc", core.Str("u1"))))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +294,10 @@ func TestProjectRepeatedTransactions(t *testing.T) {
 	// One process runs the chain twice; occurrence pairing must produce
 	// two transactions.
 	b := core.NewBuilder()
-	r1 := b.Event("u1", "Request", core.Params{"v": core.Int(1), "proc": core.Str("u1")})
-	d1 := b.Event("worker", "Done", core.Params{"v": core.Int(1), "proc": core.Str("u1")})
-	r2 := b.Event("u1", "Request", core.Params{"v": core.Int(2), "proc": core.Str("u1")})
-	d2 := b.Event("worker", "Done", core.Params{"v": core.Int(2), "proc": core.Str("u1")})
+	r1 := b.Event("u1", "Request", core.NewParams(core.P("v", core.Int(1)), core.P("proc", core.Str("u1"))))
+	d1 := b.Event("worker", "Done", core.NewParams(core.P("v", core.Int(1)), core.P("proc", core.Str("u1"))))
+	r2 := b.Event("u1", "Request", core.NewParams(core.P("v", core.Int(2)), core.P("proc", core.Str("u1"))))
+	d2 := b.Event("worker", "Done", core.NewParams(core.P("v", core.Int(2)), core.P("proc", core.Str("u1"))))
 	b.Enable(r1, d1)
 	b.Enable(d1, r2)
 	b.Enable(r2, d2)
@@ -337,14 +337,14 @@ func TestProjectElementTemplate(t *testing.T) {
 
 func TestWhereFilter(t *testing.T) {
 	b := core.NewBuilder()
-	b.Event("u1", "Request", core.Params{"v": core.Int(1), "kind": core.Str("ping"), "proc": core.Str("u1")})
-	b.Event("u1", "Request", core.Params{"v": core.Int(2), "kind": core.Str("other"), "proc": core.Str("u1")})
+	b.Event("u1", "Request", core.NewParams(core.P("v", core.Int(1)), core.P("kind", core.Str("ping")), core.P("proc", core.Str("u1"))))
+	b.Event("u1", "Request", core.NewParams(core.P("v", core.Int(2)), core.P("kind", core.Str("other")), core.P("proc", core.Str("u1"))))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	corr := Correspondence{Rules: []Rule{
-		{Match: core.Ref("u1", "Request"), Where: core.Params{"kind": core.Str("ping")},
+		{Match: core.Ref("u1", "Request"), Where: core.NewParams(core.P("kind", core.Str("ping"))),
 			Element: "u1", Class: "Ping", Chain: "ping", Stage: 0},
 	}}
 	proj, err := Project(c, corr)

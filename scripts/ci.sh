@@ -124,7 +124,7 @@ if [ "${emitted:-0}" -ne 217 ] || [ "${leaves:-999999}" -gt 217 ]; then
 	echo "==> FAIL: explore.leaves = ${leaves:-missing}, explore.emitted = ${emitted:-missing}; want 217 and 217" >&2
 	exit 1
 fi
-echo "==> store write gate: a priming run writes the two check layers only, a warm rerun nothing"
+echo "==> store write gate: a priming run writes the two check layers only, under unchanged keys; a warm rerun nothing"
 # A -j 1 priming run of the matrix and its refutations writes 1,400
 # records: 1,253 per-restriction verdicts and 147 whole-check sat
 # records. It wrote 1,640 while the store also kept fast-path guard
@@ -139,6 +139,16 @@ go run ./cmd/gemverify -j 1 -cache rw -cache-dir "$storedir" -stats >/dev/null 2
 writes="$(awk '$1 == "store.write" {print $2}' "$tracedir/prime.stats")"
 if [ "${writes:-0}" -ne 1400 ]; then
 	echo "==> FAIL: priming run store.write = ${writes:-missing}; want 1400" >&2
+	exit 1
+fi
+# The record file names are the store's keys: computation fingerprints,
+# spec hashes and sat keys. A change that moves any of them silently
+# orphans every store on disk, so the sorted names must hash to this
+# value. When a key really must change, update it here and say why in
+# CHANGES.md.
+keys="$(find "$storedir" -type f | sed 's|.*/||' | sort | sha256sum | cut -d' ' -f1)"
+if [ "$keys" != 24a091d5401d21fedc3c823d5560058209699334a70619bef9bcdc0703627478 ]; then
+	echo "==> FAIL: the priming run's record names hash to $keys; the store keys moved" >&2
 	exit 1
 fi
 go run ./cmd/gemverify -j 1 -cache rw -cache-dir "$storedir" -stats >/dev/null 2>"$tracedir/rerun.stats"
