@@ -6,11 +6,11 @@
 //	gemcheck rw          — the Readers/Writers variant × property matrix (E4)
 //	gemcheck distributed — dbupdate convergence and Life equivalence (E8)
 //
-// The flags gemcheck shares with the other gem tools (-j, -engine,
-// -cache, -cache-dir, -cpuprofile, -memprofile, -trace, -stats) are
-// declared once in internal/cli and described in the README's "Tools"
-// section. -j, -engine and the result store serve the rw matrix, whose
-// table is the same at every setting of them.
+// The flags gemcheck shares with the other gem tools (-j, -cache,
+// -cache-dir, -cpuprofile, -memprofile, -trace, -stats) are declared once
+// in internal/cli and described in the README's "Tools" section. -j and
+// the result store serve the rw matrix, whose table is the same at every
+// setting of them.
 //
 // SIGINT (Ctrl-C) interrupts a long rw matrix cleanly: the exploration
 // and the checking pool stop promptly, the command exits non-zero with
@@ -50,12 +50,12 @@ func main() {
 // run executes gemcheck with the given arguments, writing the artifact
 // to stdout.
 func run(args []string, stdout, stderr io.Writer) error {
-	t := cli.New("gemcheck", stderr, cli.Checks|cli.Engine)
+	t := cli.New("gemcheck", stderr, cli.Checks)
 	if err := t.FS.Parse(args); err != nil {
 		return err
 	}
 	if t.FS.NArg() != 1 {
-		return fmt.Errorf("usage: gemcheck [-j N] [-engine E] {access|histories|rw|distributed}")
+		return fmt.Errorf("usage: gemcheck [-j N] {access|histories|rw|distributed}")
 	}
 	return t.RunContext(func(ctx context.Context) error {
 		switch t.FS.Arg(0) {
@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			return rwMatrix(ctx, stdout, t.J, t.Engine, cache)
+			return rwMatrix(ctx, stdout, t.J, cache)
 		case "distributed":
 			return distributed(stdout)
 		}
@@ -158,7 +158,7 @@ func histories(w io.Writer) error {
 // exploration and the workers promptly; the caller reports the
 // interruption. cache, when non-nil, serves property verdicts from the
 // persistent store; the table is identical either way.
-func rwMatrix(ctx context.Context, w io.Writer, j int, engine logic.Engine, cache logic.VerdictCache) error {
+func rwMatrix(ctx context.Context, w io.Writer, j int, cache logic.VerdictCache) error {
 	// Pre-flight: the Readers/Writers problem specification itself must
 	// be statically well-formed before any variant is explored.
 	if s, err := rw.ProblemSpec([]string{"r1", "r2", "w1"}, true); err != nil {
@@ -171,7 +171,7 @@ func rwMatrix(ctx context.Context, w io.Writer, j int, engine logic.Engine, cach
 	// spans in legal.Check.
 	holds := func(name string, f logic.Formula, comp *core.Computation) bool {
 		pctx, sp := obs.StartSpan(ctx, name)
-		cx := logic.Holds(f, comp, logic.CheckOptions{Engine: engine, Ctx: pctx, Cache: cache})
+		cx := logic.Holds(f, comp, logic.CheckOptions{Ctx: pctx, Cache: cache})
 		sp.End()
 		return cx == nil
 	}

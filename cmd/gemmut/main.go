@@ -2,18 +2,20 @@
 // computation seeds: generate N deterministic mutants (drop a
 // restriction, negate or weaken a formula node, widen a port, permute
 // prerequisites, perturb the enable relation), check every unique mutant
-// under the auto, lattice, and seq engines, delta-debug each failure to
+// with the production checker, judge each of its restrictions again with
+// the reference evaluator in internal/oracle, delta-debug each failure to
 // a 1-minimal counterexample, and persist the shrunk corpus through the
 // result store.
 //
 //	gemmut                       — 2000 mutants, seed 0
 //	gemmut -n 500 -seed 7 -j 4   — fixed-seed campaign on 4 workers
-//	gemmut -replay gemmut        — re-check a persisted corpus
+//	gemmut -replay gemmut        — re-check a persisted corpus against the oracle
 //
 // The stdout report is a pure function of (-seed, -n): byte-identical
 // across -j values and cache temperatures, so CI can diff campaigns.
-// Engine disagreements, witnesses failing Verify, and shrink validation
-// failures are findings — the command exits non-zero when any occur.
+// A restriction production and the oracle judge differently or the
+// oracle refuses, a witness failing Verify, and a shrink validation
+// failure are findings — the command exits non-zero when any occur.
 // -budget bounds wall time; an exceeded budget (like SIGINT) exits
 // non-zero with partial results, since a truncated campaign is not
 // comparable to a complete one.
@@ -72,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "replayed %d corpus entries of campaign %s: engines agree on all\n", entries, *replay)
+			fmt.Fprintf(stdout, "replayed %d corpus entries of campaign %s: production and oracle agree on all\n", entries, *replay)
 			return nil
 		}
 		rep, err := mutate.Run(mutate.Config{
@@ -95,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rep.Render(stdout)
 		}
 		if len(rep.Findings) > 0 {
-			return fmt.Errorf("%d finding(s): engines disagree or a witness failed validation", len(rep.Findings))
+			return fmt.Errorf("%d finding(s): production and oracle disagree or a witness failed validation", len(rep.Findings))
 		}
 		return nil
 	})

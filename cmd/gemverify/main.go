@@ -4,12 +4,11 @@
 // explored and checked against its GEM problem specification with the
 // Section 9 sat methodology. Exits non-zero if any cell fails.
 //
-// The flags gemverify shares with the other gem tools (-j, -engine,
-// -cache, -cache-dir, -cpuprofile, -memprofile, -trace, -stats) are
-// declared once in internal/cli and described in the README's "Tools"
-// section. Every -j, -engine and -cache setting reports the same
-// verdicts, and every -j the same run counts and first-failure
-// computation indices.
+// The flags gemverify shares with the other gem tools (-j, -cache,
+// -cache-dir, -cpuprofile, -memprofile, -trace, -stats) are declared once
+// in internal/cli and described in the README's "Tools" section. Every -j
+// and -cache setting reports the same verdicts, and every -j the same run
+// counts and first-failure computation indices.
 //
 // -sarif writes the matrix outcome as a SARIF log: one GEM017 result per
 // failed cell, an empty result set for a fully verified matrix.
@@ -42,7 +41,7 @@ func main() {
 // run executes gemverify with the given arguments, writing the matrix
 // and refutation tables to stdout.
 func run(args []string, stdout, stderr io.Writer) error {
-	t := cli.New("gemverify", stderr, cli.Checks|cli.Engine)
+	t := cli.New("gemverify", stderr, cli.Checks)
 	sarif := t.FS.String("sarif", "", "write the matrix outcome as SARIF to this file")
 	if err := t.FS.Parse(args); err != nil {
 		return err
@@ -52,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		opts := check.Options{Parallelism: t.J, Engine: t.Engine, Ctx: ctx, Cache: cache}
+		opts := check.Options{Parallelism: t.J, Ctx: ctx, Cache: cache}
 		cells, err := check.RunMatrixCells(stdout, opts)
 		// The SARIF log is written even for a failing matrix — the
 		// failures are exactly what it exists to report.

@@ -57,10 +57,10 @@ func TestVerifiedMatrixSARIF(t *testing.T) {
 	clitest.Golden(t, "verified.sarif.golden", string(got))
 }
 
-// TestUsageErrors: malformed flags fail before any work.
+// TestUsageErrors: malformed and undefined flags fail before any work.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-engine", "warp"},
+		{"-engine", "lattice"},
 		{"-j", "abc"},
 		{"-cache", "sometimes"},
 	} {
@@ -77,7 +77,6 @@ func TestFlagSurface(t *testing.T) {
 	want := `-cache=rw
 -cache-dir=
 -cpuprofile=
--engine=auto
 -j=NumCPU
 -memprofile=
 -sarif=

@@ -1,27 +1,59 @@
 package check
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
+	"gem/internal/core"
 	"gem/internal/logic"
+	"gem/internal/oracle"
+	"gem/internal/spec"
 	"gem/internal/verify"
 )
 
-// Spec-level counter-verification of the lattice fixpoint engine: every
-// shipped problem specification, checked over its exhaustively explored
-// solutions and over the failing mutants, must report identical verdicts
-// under the sequence and lattice engines, and every engine's
-// counterexample must independently falsify its restriction. Witness
-// identity is NOT required: the lattice engine extracts its own failing
-// sequence from the history lattice, while seq reports the first one in
-// enumeration order.
+// Spec-level counter-verification of the checker: every shipped problem
+// specification, checked over its exhaustively explored solutions and
+// over the failing mutants, must judge every restriction of every
+// projected computation as the oracle (internal/oracle) does, and every
+// counterexample must independently falsify its restriction. The oracle
+// refuses a computation with too many complete sequences for it to
+// enumerate — the readers/writers projections' temporal restrictions —
+// and those are counted, never passed.
 
-// TestMatrixEngineAgreement runs all nine matrix cells under the seq,
-// lattice and auto engines and requires the same verdict and run count
-// from each.
+// againstOracle judges every restriction of problem on the projection of
+// res with the oracle and fails t on each one the check judged
+// differently. It returns how many restrictions the oracle judged and
+// how many it refused as too large.
+func againstOracle(t *testing.T, problem *spec.Spec, res verify.Result) (judged, refused int) {
+	t.Helper()
+	violated := map[string]bool{}
+	for _, v := range res.Legality.Violations {
+		violated[v.Owner+"/"+v.Restriction] = true
+		if v.Cx != nil {
+			if err := v.Cx.Verify(); err != nil {
+				t.Errorf("bogus counterexample for %s: %v", v.Restriction, err)
+			}
+		}
+	}
+	for _, r := range problem.Restrictions() {
+		key := r.Owner + "/" + r.Name
+		holds, err := oracle.Holds(r.F, res.Projection.Comp)
+		switch {
+		case err != nil && strings.Contains(err.Error(), "more than"):
+			refused++
+		case err != nil:
+			t.Fatalf("oracle on %s: %v", key, err)
+		case holds == violated[key]:
+			t.Errorf("restriction %s: check violated=%v, oracle holds=%v", key, violated[key], holds)
+		default:
+			judged++
+		}
+	}
+	return judged, refused
+}
+
+// TestMatrixEngineAgreement runs all nine matrix cells and checks every
+// projected computation of each against the oracle.
 func TestMatrixEngineAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive matrix cells are slow; skipped in -short mode")
@@ -29,27 +61,40 @@ func TestMatrixEngineAgreement(t *testing.T) {
 	for _, s := range Matrix() {
 		s := s
 		t.Run(s.Problem+"/"+string(s.Language), func(t *testing.T) {
-			seq := s.Run(Options{Parallelism: 1, Engine: logic.EngineSeq})
-			if !seq.Verified {
-				t.Fatalf("cell unexpectedly failing under seq engine: %v", seq.Err)
+			cell := s.Run(Options{Parallelism: 1})
+			if !cell.Verified {
+				t.Fatalf("cell unexpectedly failing: %v", cell.Err)
 			}
-			for _, engine := range []logic.Engine{logic.EngineLattice, logic.EngineAuto} {
-				cell := s.Run(Options{Parallelism: 1, Engine: engine})
-				if cell.Verified != seq.Verified {
-					t.Errorf("engine %s verdict %v, seq %v (%v)", engine, cell.Verified, seq.Verified, cell.Err)
-				}
-				if cell.Runs != seq.Runs {
-					t.Errorf("engine %s checked %d runs, seq %d", engine, cell.Runs, seq.Runs)
-				}
+			problem, corr, err := s.Setup()
+			if err != nil {
+				t.Fatal(err)
 			}
+			runs, judged, refused := 0, 0, 0
+			if _, err := s.Stream(func(c *core.Computation) bool {
+				runs++
+				j, r := againstOracle(t, problem, verify.Check(problem, c, corr, logic.CheckOptions{}))
+				judged, refused = judged+j, refused+r
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if runs != cell.Runs {
+				t.Errorf("streamed %d runs, the cell checked %d", runs, cell.Runs)
+			}
+			if judged == 0 {
+				t.Fatal("the oracle judged no restriction")
+			}
+			if refused > 0 && s.Problem != "readers-writers" {
+				t.Errorf("the oracle refused %d restriction checks", refused)
+			}
+			t.Logf("%d runs: %d restriction checks judged by the oracle, %d refused", runs, judged, refused)
 		})
 	}
 }
 
-// TestRefutationEngineAgreement: the failing mutants are refuted at the
-// same computation index, blaming the same restrictions, under every
-// engine — and each engine's counterexample is genuine: its witness
-// falsifies the restriction formula (Counterexample.Verify).
+// TestRefutationEngineAgreement: each failing mutant is refuted at its
+// pinned computation, and every restriction of every computation of it
+// is judged as the oracle judges it, with genuine counterexamples.
 func TestRefutationEngineAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutant explorations are slow; skipped in -short mode")
@@ -61,37 +106,18 @@ func TestRefutationEngineAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqIdx, seqRes := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Engine: logic.EngineSeq})
-			if seqIdx < 0 {
-				t.Fatal("mutant not refuted under seq engine")
+			if idx, _ := verify.CheckAll(problem, comps, corr, logic.CheckOptions{}); idx < 0 {
+				t.Fatal("mutant not refuted")
 			}
-			for _, engine := range []logic.Engine{logic.EngineSeq, logic.EngineLattice, logic.EngineAuto} {
-				idx, res := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Engine: engine})
-				if idx != seqIdx {
-					t.Fatalf("engine %s refutes at index %d, seq at %d", engine, idx, seqIdx)
-				}
-				if got, want := blamed(res), blamed(seqRes); got != want {
-					t.Errorf("engine %s blames %q, seq blames %q", engine, got, want)
-				}
-				for _, v := range res.Legality.Violations {
-					if err := v.Cx.Verify(); err != nil {
-						t.Errorf("engine %s reported a bogus counterexample for %s: %v",
-							engine, v.Restriction, err)
-					}
-				}
+			judged, refused := 0, 0
+			for _, c := range comps {
+				j, r := againstOracle(t, problem, verify.Check(problem, c, corr, logic.CheckOptions{}))
+				judged, refused = judged+j, refused+r
 			}
+			if judged == 0 {
+				t.Fatal("the oracle judged no restriction")
+			}
+			t.Logf("%d computations: %d restriction checks judged by the oracle, %d refused", len(comps), judged, refused)
 		})
 	}
-}
-
-// blamed renders the restriction-level blame of a refutation — which
-// restrictions of which owners failed — without the witness text, which
-// legitimately differs across engines.
-func blamed(res verify.Result) string {
-	var parts []string
-	for _, v := range res.Legality.Violations {
-		parts = append(parts, fmt.Sprintf("%s:%s/%s", v.Kind, v.Owner, v.Restriction))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
 }

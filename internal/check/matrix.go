@@ -37,10 +37,6 @@ type Options struct {
 	// Verdicts, run counts and first-failure indices are identical at
 	// every value.
 	Parallelism int
-	// Engine selects the temporal evaluation engine (auto, lattice or
-	// seq) for every sat check. All engines report the same verdicts
-	// and counterexamples; the zero value is logic.EngineAuto.
-	Engine logic.Engine
 	// Ctx carries cancellation (and the span context) into exploration
 	// and checking: a cancelled context stops the simulator and the
 	// check workers promptly, and the scenario reports an interrupted
@@ -116,7 +112,7 @@ func (s Scenario) Run(opts ...Options) Cell {
 	if err != nil {
 		return Cell{Scenario: s, Err: err, Elapsed: time.Since(start)}
 	}
-	copts := logic.CheckOptions{Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache}
+	copts := logic.CheckOptions{Ctx: ctx, Cache: opt.Cache}
 	var truncated bool
 	var serr error
 	idx, res, runs := fanout.First(ctx, opt.Parallelism, func(yield func(*core.Computation) bool) {
@@ -395,7 +391,7 @@ func runRefutations(w io.Writer, refs []Refutation, opt Options) error {
 			continue
 		}
 		idx, _ := verify.CheckAll(problem, comps, corr,
-			logic.CheckOptions{Parallelism: opt.Parallelism, Engine: opt.Engine, Ctx: opt.Ctx, Cache: opt.Cache})
+			logic.CheckOptions{Parallelism: opt.Parallelism, Ctx: opt.Ctx, Cache: opt.Cache})
 		// A cancelled CheckAll may stop before the refuting computation,
 		// so its -1 is no verdict.
 		if logic.Cancelled(done) {

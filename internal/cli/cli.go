@@ -38,8 +38,6 @@ const (
 	// or rw; default rw) with -cache-dir (default $GEM_CACHE_DIR, else
 	// the user cache dir), which select the persistent result store.
 	Checks
-	// Engine is -engine: auto (the default), lattice or seq.
-	Engine
 	// Diagnostics is -format=text|json|sarif, its alias -json, and
 	// -codes, which prints the GEM code registry.
 	Diagnostics
@@ -51,16 +49,14 @@ type Tool struct {
 	FS *flag.FlagSet
 	// J is -j.
 	J int
-	// Engine is -engine, parsed when Run starts.
-	Engine logic.Engine
 
 	name string
 	// stderr receives flag errors, usage, store warnings and -stats.
 	stderr io.Writer
 
-	trace, cpuprofile, memprofile, engine string
-	cacheMode, cacheDir, format           string
-	stats, json, codes                    bool
+	trace, cpuprofile, memprofile string
+	cacheMode, cacheDir, format   string
+	stats, json, codes            bool
 }
 
 // New declares the flag set of the command name: -trace, -stats and
@@ -80,9 +76,6 @@ func New(name string, stderr io.Writer, flags Flags) *Tool {
 		fs.StringVar(&t.cacheMode, "cache", "rw", "persistent result store: off, ro or rw")
 		fs.StringVar(&t.cacheDir, "cache-dir", "", "result store directory; if empty, $GEM_CACHE_DIR, else the user cache dir")
 	}
-	if flags&Engine != 0 {
-		fs.StringVar(&t.engine, "engine", "auto", "temporal evaluation engine: auto, lattice or seq")
-	}
 	if flags&Diagnostics != 0 {
 		fs.StringVar(&t.format, "format", "", "output format: text, json or sarif; if empty, text")
 		fs.BoolVar(&t.json, "json", false, "emit diagnostics as a JSON array (alias for -format=json)")
@@ -91,17 +84,14 @@ func New(name string, stderr io.Writer, flags Flags) *Tool {
 	return t
 }
 
-// Run runs body between the shared set-up and teardown. Set-up parses
-// -engine, resolves -format, starts obs recording when -trace or -stats
+// Run runs body between the shared set-up and teardown. Set-up resolves
+// -format, starts obs recording when -trace or -stats
 // asks for it, and starts the CPU profile; a flag a tool did not take
 // reads as its default. Teardown runs on every return path, in this
 // order: stop the CPU profile, write the heap profile, flush the trace
 // and stats. A teardown error replaces a nil error from body and never
 // masks an earlier one.
 func (t *Tool) Run(body func() error) (err error) {
-	if t.Engine, err = logic.ParseEngine(t.engine); err != nil {
-		return err
-	}
 	switch t.format {
 	case "":
 		t.format = "text"

@@ -18,7 +18,7 @@ import (
 // parse returns a tool with every shared flag, parsed from args.
 func parse(t *testing.T, args ...string) *Tool {
 	t.Helper()
-	tool := New("test", io.Discard, Checks|Engine|Diagnostics)
+	tool := New("test", io.Discard, Checks|Diagnostics)
 	if err := tool.FS.Parse(args); err != nil {
 		t.Fatal(err)
 	}

@@ -7,21 +7,41 @@ import (
 	"gem/internal/core"
 	"gem/internal/gofront"
 	"gem/internal/legal"
-	"gem/internal/logic"
+	"gem/internal/oracle"
+	"gem/internal/spec"
 )
 
-var engines = map[string]logic.Engine{
-	"auto":    logic.EngineAuto,
-	"lattice": logic.EngineLattice,
-	"seq":     logic.EngineSeq,
+// requireOracleAgrees fails t on each restriction of sp that the oracle
+// judges on c differently from the check's result res.
+func requireOracleAgrees(t *testing.T, name string, sp *spec.Spec, c *core.Computation, res legal.Result) {
+	t.Helper()
+	violated := map[string]bool{}
+	for _, v := range res.Violations {
+		violated[v.Owner+"/"+v.Restriction] = true
+		if v.Cx != nil {
+			if err := v.Cx.Verify(); err != nil {
+				t.Errorf("%s: bogus counterexample for %s: %v", name, v.Restriction, err)
+			}
+		}
+	}
+	for _, r := range sp.Restrictions() {
+		key := r.Owner + "/" + r.Name
+		holds, err := oracle.Holds(r.F, c)
+		if err != nil {
+			t.Fatalf("%s: oracle on %s: %v", name, key, err)
+		}
+		if holds == violated[key] {
+			t.Errorf("%s: restriction %s: check violated=%v, oracle holds=%v", name, key, violated[key], holds)
+		}
+	}
 }
 
 // TestExtractedModelsLegalAllEngines: every extracted model — including
 // the defective ones — must be legal with respect to its own extracted
-// spec under every engine. Defects surface as GEM013–GEM016
-// diagnostics, never as legality failures, because restrictions are
-// gated off whenever their pairing is incomplete or an enable edge had
-// to be dropped.
+// spec, and the oracle must judge each restriction as the check does.
+// Defects surface as GEM013–GEM016 diagnostics, never as legality
+// failures, because restrictions are gated off whenever their pairing is
+// incomplete or an enable edge had to be dropped.
 func TestExtractedModelsLegalAllEngines(t *testing.T) {
 	for _, dir := range fixtureDirs(t) {
 		name := filepath.Base(dir)
@@ -37,14 +57,11 @@ func TestExtractedModelsLegalAllEngines(t *testing.T) {
 				if err := m.Spec.Validate(); err != nil {
 					t.Fatalf("%s: invalid spec: %v", m.Name, err)
 				}
-				for ename, engine := range engines {
-					r := legal.Check(m.Spec, m.Comp, legal.Options{
-						Check: logic.CheckOptions{Engine: engine},
-					})
-					if !r.Legal() {
-						t.Errorf("%s: not legal under %s engine: %v", m.Name, ename, r.Error())
-					}
+				r := legal.Check(m.Spec, m.Comp, legal.Options{})
+				if !r.Legal() {
+					t.Errorf("%s: not legal: %v", m.Name, r.Error())
 				}
+				requireOracleAgrees(t, m.Name, m.Spec, m.Comp, r)
 			}
 		})
 	}
@@ -79,8 +96,8 @@ func rebuildWithoutEdge(t *testing.T, m *gofront.Model, drop [2]core.EventID) *c
 
 // TestEngineAgreementOnMutatedComputation drops the send→recv pairing
 // edge from the clean rendezvous model: the rendezvous restriction must
-// now fail, every engine must agree, and each engine's counterexample
-// must be a genuine falsifying witness (Counterexample.Verify).
+// now fail, the oracle must agree, and the counterexample must be a
+// genuine falsifying witness (Counterexample.Verify).
 func TestEngineAgreementOnMutatedComputation(t *testing.T) {
 	res, err := gofront.AnalyzeDir(filepath.Join("testdata", "src", "clean_gem013_paired"))
 	if err != nil {
@@ -97,27 +114,15 @@ func TestEngineAgreementOnMutatedComputation(t *testing.T) {
 	// first in the deterministic candidate order).
 	mutated := rebuildWithoutEdge(t, m, m.Enables[len(m.Enables)-1])
 
-	for ename, engine := range engines {
-		r := legal.Check(m.Spec, mutated, legal.Options{
-			Check: logic.CheckOptions{Engine: engine},
-		})
-		if r.Legal() {
-			t.Errorf("%s engine: mutated computation unexpectedly legal", ename)
-			continue
-		}
-		found := false
-		for _, v := range r.Violations {
-			if v.Restriction == "rendezvous_ch" {
-				found = true
-			}
-			if v.Cx != nil {
-				if err := v.Cx.Verify(); err != nil {
-					t.Errorf("%s engine: bogus counterexample for %s: %v", ename, v.Restriction, err)
-				}
-			}
-		}
-		if !found {
-			t.Errorf("%s engine: rendezvous_ch did not fail; violations: %v", ename, r.Violations)
+	r := legal.Check(m.Spec, mutated, legal.Options{})
+	found := false
+	for _, v := range r.Violations {
+		if v.Restriction == "rendezvous_ch" {
+			found = true
 		}
 	}
+	if !found {
+		t.Errorf("rendezvous_ch did not fail; violations: %v", r.Violations)
+	}
+	requireOracleAgrees(t, m.Name, m.Spec, mutated, r)
 }

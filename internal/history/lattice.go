@@ -10,9 +10,9 @@ import (
 )
 
 // Lattice is the memoized history lattice of a computation: the full
-// enumeration of its histories, plus the ⊑ (prefix) relation between
-// them, computed at most once and shared by every restriction checked
-// against the computation. A computation's event set and temporal order
+// enumeration of its histories, plus the vhs step relation between them,
+// computed at most once and shared by every restriction checked against
+// the computation. A computation's event set and temporal order
 // are immutable, so the lattice never changes; before this cache existed
 // every checked formula re-ran the exponential ideal enumeration.
 type Lattice struct {
@@ -20,9 +20,6 @@ type Lattice struct {
 
 	histOnce  sync.Once
 	histories []History
-
-	pairsOnce sync.Once
-	sups      [][]int32 // sups[i] = ascending indices j with histories[i] ⊑ histories[j]
 
 	stepsOnce sync.Once
 	steps     [][]int32 // steps[i] = ascending indices j one vhs step above histories[i]
@@ -41,7 +38,7 @@ func LatticeBuilds() int64 { return latticeBuilds.Load() }
 
 // Shared returns the computation's lattice cache, creating the (empty)
 // cache on first use. Enumeration itself is deferred to the first call
-// of Histories or Pairs. Safe for concurrent use.
+// of Histories. Safe for concurrent use.
 func Shared(c *core.Computation) *Lattice {
 	return c.Derived("history.lattice", func() any { return &Lattice{c: c} }).(*Lattice)
 }
@@ -64,31 +61,6 @@ func (l *Lattice) Histories() []History {
 		obs.SetMax("lattice.max_histories", int64(len(l.histories)))
 	})
 	return l.histories
-}
-
-// Pairs calls fn with every ordered pair h1 ⊑ h2 of histories (including
-// h1 = h2), in the same nested enumeration order a direct double loop
-// over Histories would visit, stopping early if fn returns false. The
-// subset relation is computed once and memoized.
-func (l *Lattice) Pairs(fn func(h1, h2 History) bool) {
-	hs := l.Histories()
-	l.pairsOnce.Do(func() {
-		l.sups = make([][]int32, len(hs))
-		for i, h1 := range hs {
-			for j, h2 := range hs {
-				if h1.set.SubsetOf(h2.set) {
-					l.sups[i] = append(l.sups[i], int32(j))
-				}
-			}
-		}
-	})
-	for i := range hs {
-		for _, j := range l.sups[i] {
-			if !fn(hs[i], hs[j]) {
-				return
-			}
-		}
-	}
 }
 
 // Steps returns the valid-history-sequence step relation of the lattice:

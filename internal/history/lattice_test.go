@@ -7,7 +7,7 @@ import (
 	"gem/internal/core"
 )
 
-// TestLatticeBuildOnce: repeated Histories/Pairs calls on one computation
+// TestLatticeBuildOnce: repeated Histories/Steps calls on one computation
 // perform exactly one raw ideal enumeration.
 func TestLatticeBuildOnce(t *testing.T) {
 	c, _ := diamond(t)
@@ -17,16 +17,8 @@ func TestLatticeBuildOnce(t *testing.T) {
 		if got := len(l.Histories()); got != 6 {
 			t.Fatalf("Histories len = %d, want 6", got)
 		}
-		n := 0
-		l.Pairs(func(h1, h2 History) bool {
-			if !h1.Set().SubsetOf(h2.Set()) {
-				t.Fatalf("Pairs emitted non-pair %s ⋢ %s", h1, h2)
-			}
-			n++
-			return true
-		})
-		if n == 0 {
-			t.Fatal("Pairs visited nothing")
+		if got := len(l.Steps()); got != 6 {
+			t.Fatalf("Steps len = %d, want 6", got)
 		}
 	}
 	if Shared(c) != l {
@@ -55,48 +47,6 @@ func TestLatticeMatchesEnumerate(t *testing.T) {
 		if h.Set().String() != raw[i] {
 			t.Errorf("history %d: cached %s, raw %s", i, h.Set().String(), raw[i])
 		}
-	}
-}
-
-// TestLatticePairsOrder: Pairs visits exactly the pairs the direct nested
-// loop over Histories visits, in the same order.
-func TestLatticePairsOrder(t *testing.T) {
-	c, _ := diamond(t)
-	l := Shared(c)
-	hs := l.Histories()
-	var want [][2]string
-	for _, h1 := range hs {
-		for _, h2 := range hs {
-			if h1.Set().SubsetOf(h2.Set()) {
-				want = append(want, [2]string{h1.Set().String(), h2.Set().String()})
-			}
-		}
-	}
-	var got [][2]string
-	l.Pairs(func(h1, h2 History) bool {
-		got = append(got, [2]string{h1.Set().String(), h2.Set().String()})
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Pairs visited %d pairs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("pair %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestLatticePairsEarlyStop: a false return stops the iteration.
-func TestLatticePairsEarlyStop(t *testing.T) {
-	c, _ := diamond(t)
-	n := 0
-	Shared(c).Pairs(func(h1, h2 History) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Errorf("visited %d pairs after early stop, want 3", n)
 	}
 }
 

@@ -48,9 +48,6 @@ func (s Sequence) Validate() error {
 	return nil
 }
 
-// IsValid reports whether the sequence is a valid history sequence.
-func (s Sequence) IsValid() bool { return s.Validate() == nil }
-
 // IsComplete reports whether the sequence starts at the empty history and
 // ends at the full computation — i.e. it describes an entire execution.
 func (s Sequence) IsComplete() bool {

@@ -7,7 +7,7 @@ import (
 	"gem/internal/analyze"
 	"gem/internal/core"
 	"gem/internal/legal"
-	"gem/internal/logic"
+	"gem/internal/oracle"
 	"gem/internal/problems/rw"
 	"gem/internal/spec"
 	"gem/internal/thread"
@@ -15,8 +15,7 @@ import (
 
 // fastPathVariants are the option sets whose verdicts and violation sets
 // must all coincide with the plain dynamic check: the guard fast-path
-// alone, combined with the prelint short-circuit, and under both the
-// sequence and lattice temporal engines.
+// alone, and combined with the prelint short-circuit.
 func fastPathVariants() []struct {
 	name string
 	opts legal.Options
@@ -27,17 +26,31 @@ func fastPathVariants() []struct {
 	}{
 		{"fastpath", legal.Options{FastPath: true}},
 		{"fastpath+prelint", legal.Options{FastPath: true, Prelint: true}},
-		{"fastpath/seq", legal.Options{FastPath: true, Check: logic.CheckOptions{Engine: logic.EngineSeq}}},
-		{"fastpath/lattice", legal.Options{FastPath: true, Check: logic.CheckOptions{Engine: logic.EngineLattice}}},
 	}
 }
 
 // checkFastPathAgreement asserts the guard fast-path is verdict-preserving:
 // every variant produces the plain check's verdict and failing-restriction
-// set exactly.
+// set exactly. The plain check itself must judge every restriction as
+// the oracle does.
 func checkFastPathAgreement(t *testing.T, name string, s *spec.Spec, c *core.Computation) legal.Result {
 	t.Helper()
 	plain := legal.Check(s, c, legal.Options{})
+	violated := map[string]bool{}
+	for _, v := range plain.Violations {
+		if v.Kind == legal.RestrictionViolation {
+			violated[v.Owner+"/"+v.Restriction] = true
+		}
+	}
+	for _, r := range s.Restrictions() {
+		holds, err := oracle.Holds(r.F, c)
+		if err != nil {
+			t.Fatalf("%s: oracle refused %s/%s: %v", name, r.Owner, r.Name, err)
+		}
+		if key := r.Owner + "/" + r.Name; holds == violated[key] {
+			t.Fatalf("%s: restriction %s: check violated=%v, oracle holds=%v", name, key, violated[key], holds)
+		}
+	}
 	pk := violationKeys(plain)
 	for _, v := range fastPathVariants() {
 		got := legal.Check(s, c, v.opts)

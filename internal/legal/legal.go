@@ -59,12 +59,10 @@ type Violation struct {
 	// element/group for RestrictionViolation.
 	Restriction string
 	Owner       string
-	// Cx carries the failing witness for RestrictionViolation. Its shape
-	// depends on which engine found it — the lattice engine extracts a
-	// complete valid history sequence from the lattice, the sequence
-	// cascade reports the first failure in enumeration order, and the
-	// history-pair reduction reports a two-history fragment — but every
-	// witness falsifies the restriction (logic.Counterexample.Verify).
+	// Cx carries the failing witness for RestrictionViolation: a complete
+	// valid history sequence for a temporal restriction, a single history
+	// otherwise. Every witness falsifies the restriction
+	// (logic.Counterexample.Verify).
 	Cx *logic.Counterexample
 }
 

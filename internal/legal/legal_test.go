@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"gem/internal/core"
-	"gem/internal/logic"
+	"gem/internal/oracle"
 	"gem/internal/spec"
 	"gem/internal/thread"
 )
@@ -199,10 +199,9 @@ func TestRestrictionViolationReported(t *testing.T) {
 	}
 }
 
-// TestRestrictionViolationWitnessVerifies: whichever engine finds a
-// restriction violation, the attached counterexample must independently
-// falsify the restriction formula — lattice-extracted witnesses are held
-// to the same standard as enumerated ones.
+// TestRestrictionViolationWitnessVerifies: the attached counterexample
+// independently falsifies the restriction formula, and the oracle judges
+// every restriction as the check does.
 func TestRestrictionViolationWitnessVerifies(t *testing.T) {
 	s := bufferSpec(t)
 	b := core.NewBuilder()
@@ -213,18 +212,27 @@ func TestRestrictionViolationWitnessVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []logic.Engine{logic.EngineAuto, logic.EngineSeq, logic.EngineLattice} {
-		res := Check(s, c, Options{Check: logic.CheckOptions{Engine: engine}})
-		if res.Legal() {
-			t.Fatalf("engine %s misses the stale read", engine)
+	res := Check(s, c, Options{})
+	if res.Legal() {
+		t.Fatal("the check misses the stale read")
+	}
+	violated := map[string]bool{}
+	for _, v := range res.Violations {
+		if v.Kind != RestrictionViolation {
+			continue
 		}
-		for _, v := range res.Violations {
-			if v.Kind != RestrictionViolation {
-				continue
-			}
-			if err := v.Cx.Verify(); err != nil {
-				t.Errorf("engine %s reported a bogus witness for %s: %v", engine, v.Restriction, err)
-			}
+		violated[v.Restriction] = true
+		if err := v.Cx.Verify(); err != nil {
+			t.Errorf("bogus witness for %s: %v", v.Restriction, err)
+		}
+	}
+	for _, r := range s.Restrictions() {
+		holds, err := oracle.Holds(r.F, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if holds == violated[r.Name] {
+			t.Errorf("restriction %s: check violated=%v, oracle holds=%v", r.Name, violated[r.Name], holds)
 		}
 	}
 }

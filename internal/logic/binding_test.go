@@ -1,12 +1,13 @@
-package logic
+package logic_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
 	"gem/internal/core"
 	"gem/internal/history"
+	"gem/internal/logic"
+	"gem/internal/oracle"
 	"gem/internal/thread"
 )
 
@@ -16,7 +17,21 @@ import (
 // binder, event and thread variables are separate namespaces, and the
 // lattice engine's sibling environments each own their bindings. A
 // stack that gets any of these wrong still passes most formulas, so each
-// test below is built to make one such mistake change a verdict.
+// test below is built to make one such mistake change an outcome, and
+// the verdicts are the oracle's (internal/oracle), which binds variables
+// its own way.
+
+// requireOracleVerdict fails t unless the oracle judges f on c as want.
+func requireOracleVerdict(t *testing.T, f logic.Formula, c *core.Computation, want bool) {
+	t.Helper()
+	holds, err := oracle.Holds(f, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if holds != want {
+		t.Fatalf("oracle: %s holds = %v, production %v", f, holds, want)
+	}
+}
 
 // TestSiblingEnvironmentsOwnTheirBindings: the lattice engine keeps one
 // child environment per binding of ∀y alive at once. Y1 is unconstrained
@@ -35,30 +50,30 @@ func TestSiblingEnvironmentsOwnTheirBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	someX := Exists{Var: "x", Ref: core.Ref("", "X"), Body: Occurred{Var: "x"}}
-	f := Or{
-		And{someX, Not{F: someX}},
-		ForAll{Var: "y", Ref: core.Ref("", "Y"), Body: Box{F: Implies{If: Occurred{Var: "y"}, Then: someX}}},
+	someX := logic.Exists{Var: "x", Ref: core.Ref("", "X"), Body: logic.Occurred{Var: "x"}}
+	f := logic.Or{
+		logic.And{someX, logic.Not{F: someX}},
+		logic.ForAll{Var: "y", Ref: core.Ref("", "Y"), Body: logic.Box{F: logic.Implies{If: logic.Occurred{Var: "y"}, Then: someX}}},
 	}
-	cx, decided := latticeDecide(context.Background(), f, c)
-	switch {
-	case !decided:
+	cx, decided := logic.LatticeDecide(f, c)
+	if !decided {
 		t.Fatalf("lattice engine left %s undecided", f)
-	case cx == nil:
-		t.Fatalf("lattice engine passed %s; y=Y1 falsifies it", f)
-	case !requireLatticeWitness(t, cx):
+	}
+	requireOracleVerdict(t, f, c, cx == nil)
+	if !logic.RequireLatticeWitness(t, cx) {
 		t.Fatal("lattice counterexample is not a valid witness")
 	}
-	if cx := Holds(f, c, CheckOptions{Engine: EngineSeq}); cx == nil {
-		t.Fatalf("sequence engine passed %s; y=Y1 falsifies it", f)
-	} else if err := cx.Verify(); err != nil {
+	cx = logic.Holds(f, c, logic.CheckOptions{})
+	if err := cx.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	requireOracleVerdict(t, f, c, cx == nil)
 }
 
 // TestShadowedVariableResolvesInnermost: inside ∃x:B the name x is the B
 // event; once that quantifier returns, x is the outer A event again.
-// Checked under every engine, wrapped in □ so the temporal engines run.
+// Checked at the full history and wrapped in □, so the temporal engine
+// runs too.
 func TestShadowedVariableResolvesInnermost(t *testing.T) {
 	b := core.NewBuilder()
 	b.Event("P", "A", core.Params{})
@@ -68,20 +83,14 @@ func TestShadowedVariableResolvesInnermost(t *testing.T) {
 		t.Fatal(err)
 	}
 	aRef, bRef := core.Ref("", "A"), core.Ref("", "B")
-	f := ForAll{Var: "x", Ref: aRef, Body: And{
-		Exists{Var: "x", Ref: bRef, Body: InClass{Var: "x", Ref: bRef}},
-		InClass{Var: "x", Ref: aRef},
+	f := logic.ForAll{Var: "x", Ref: aRef, Body: logic.And{
+		logic.Exists{Var: "x", Ref: bRef, Body: logic.InClass{Var: "x", Ref: bRef}},
+		logic.InClass{Var: "x", Ref: aRef},
 	}}
-	if !f.Eval(NewEnv(history.Full(c))) {
-		t.Errorf("%s should hold", f)
-	}
-	for _, engine := range []Engine{EngineAuto, EngineLattice, EngineSeq} {
-		if cx := Holds(Box{F: f}, c, CheckOptions{Engine: engine}); cx != nil {
-			t.Errorf("engine %s: %v", engine, cx.Error())
-		}
-	}
+	requireOracleVerdict(t, f, c, f.Eval(logic.NewEnv(history.Full(c))))
+	requireOracleVerdict(t, logic.Box{F: f}, c, logic.Holds(logic.Box{F: f}, c, logic.CheckOptions{}) == nil)
 
-	env := NewEnv(history.Full(c)).bind("x", c.EventsOf(aRef)[0]).bind("x", c.EventsOf(bRef)[0])
+	env := logic.NewEnv(history.Full(c)).BindEvent("x", c.EventsOf(aRef)[0]).BindEvent("x", c.EventsOf(bRef)[0])
 	if got := env.Bindings(); got != "x=Q.B^0" {
 		t.Errorf("Bindings = %q, want only the innermost x", got)
 	}
@@ -99,18 +108,16 @@ func TestEventAndThreadNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := NewEnv(history.Full(c))
+	env := logic.NewEnv(history.Full(c))
 	req := core.Ref("X", "Req")
-	on := OnThread{X: "t", T: "t"}
-	for _, f := range []Formula{
-		ForAllThread{Var: "t", Type: "pi", Body: Exists{Var: "t", Ref: req, Body: on}},
-		ForAll{Var: "t", Ref: req, Body: ExistsThread{Var: "t", Type: "pi", Body: on}},
+	on := logic.OnThread{X: "t", T: "t"}
+	for _, f := range []logic.Formula{
+		logic.ForAllThread{Var: "t", Type: "pi", Body: logic.Exists{Var: "t", Ref: req, Body: on}},
+		logic.ForAll{Var: "t", Ref: req, Body: logic.ExistsThread{Var: "t", Type: "pi", Body: on}},
 	} {
-		if !f.Eval(env) {
-			t.Errorf("%s should hold", f)
-		}
+		requireOracleVerdict(t, f, c, f.Eval(env))
 	}
-	if got, want := env.bind("t", r1).bindThread("t", "pi#2").Bindings(), "t=X.Req^0, t=pi#2"; got != want {
+	if got, want := env.BindEvent("t", r1).BindThread("t", "pi#2").Bindings(), "t=X.Req^0, t=pi#2"; got != want {
 		t.Errorf("Bindings = %q, want %q", got, want)
 	}
 }
@@ -118,7 +125,8 @@ func TestEventAndThreadNamespaces(t *testing.T) {
 // TestEarlyReturnPopsBinding: a quantifier that stops early — ∃ at its
 // first true body, ∀ at its first false one, a counting quantifier at
 // its second match — must still pop its binding, so the variable is
-// unbound again for the formula's next conjunct or disjunct.
+// unbound again for the formula's next conjunct or disjunct. The oracle
+// refuses each formula for the same unbound variable.
 func TestEarlyReturnPopsBinding(t *testing.T) {
 	b := core.NewBuilder()
 	e1 := b.Event("B", "E", core.Params{})
@@ -131,29 +139,32 @@ func TestEarlyReturnPopsBinding(t *testing.T) {
 	}
 	ref := core.Ref("", "E")
 	refs := []core.ClassRef{ref}
-	useY := Occurred{Var: "y"}
-	useT := Exists{Var: "e", Ref: ref, Body: OnThread{X: "e", T: "t"}}
+	useY := logic.Occurred{Var: "y"}
+	useT := logic.Exists{Var: "e", Ref: ref, Body: logic.OnThread{X: "e", T: "t"}}
 	for _, tt := range []struct {
-		f       Formula
+		f       logic.Formula
 		unbound string
 	}{
-		{And{Exists{Var: "y", Ref: ref, Body: TrueF{}}, useY}, "event"},
-		{Or{ForAll{Var: "y", Ref: ref, Body: FalseF{}}, useY}, "event"},
-		{Or{ExistsUnique{Var: "y", Ref: ref, Body: TrueF{}}, useY}, "event"},
-		{Or{AtMostOne{Var: "y", Ref: ref, Body: TrueF{}}, useY}, "event"},
-		{Or{ForAllIn{Var: "y", Refs: refs, Body: FalseF{}}, useY}, "event"},
-		{Or{ExistsUniqueIn{Var: "y", Refs: refs, Body: TrueF{}}, useY}, "event"},
-		{Or{ForAllThread{Var: "t", Type: "pi", Body: FalseF{}}, useT}, "thread"},
-		{And{ExistsThread{Var: "t", Type: "pi", Body: TrueF{}}, useT}, "thread"},
+		{logic.And{logic.Exists{Var: "y", Ref: ref, Body: logic.TrueF{}}, useY}, "event"},
+		{logic.Or{logic.ForAll{Var: "y", Ref: ref, Body: logic.FalseF{}}, useY}, "event"},
+		{logic.Or{logic.ExistsUnique{Var: "y", Ref: ref, Body: logic.TrueF{}}, useY}, "event"},
+		{logic.Or{logic.AtMostOne{Var: "y", Ref: ref, Body: logic.TrueF{}}, useY}, "event"},
+		{logic.Or{logic.ForAllIn{Var: "y", Refs: refs, Body: logic.FalseF{}}, useY}, "event"},
+		{logic.Or{logic.ExistsUniqueIn{Var: "y", Refs: refs, Body: logic.TrueF{}}, useY}, "event"},
+		{logic.Or{logic.ForAllThread{Var: "t", Type: "pi", Body: logic.FalseF{}}, useT}, "thread"},
+		{logic.And{logic.ExistsThread{Var: "t", Type: "pi", Body: logic.TrueF{}}, useT}, "thread"},
 	} {
 		t.Run(tt.f.String(), func(t *testing.T) {
+			if _, err := oracle.Holds(tt.f, c); err == nil || !strings.Contains(err.Error(), "unbound "+tt.unbound+" variable") {
+				t.Errorf("oracle: err = %v, want an unbound %s variable", err, tt.unbound)
+			}
 			defer func() {
 				r := recover()
 				if msg, _ := r.(string); !strings.Contains(msg, "unbound "+tt.unbound+" variable") {
 					t.Errorf("got panic %v, want an unbound %s variable", r, tt.unbound)
 				}
 			}()
-			tt.f.Eval(NewEnv(history.Full(c)))
+			tt.f.Eval(logic.NewEnv(history.Full(c)))
 		})
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // VerdictCache is a persistent restriction-verdict store consulted by
 // Holds before evaluating and written behind on a miss. Implementations
-// (internal/store) key entries by the formula's canonical content hash,
-// the computation fingerprint, and the engine — restriction-granular, so
+// (internal/store) key entries by the formula's canonical content hash
+// and the computation fingerprint — restriction-granular, so
 // editing one restriction of a spec invalidates only that restriction's
 // entries. The interface lives here (and is satisfied structurally) so
 // logic does not import the store.
@@ -25,6 +25,6 @@ import (
 // internal failure (missing, corrupt, truncated, version-skewed entry)
 // to a miss, never a wrong verdict.
 type VerdictCache interface {
-	Lookup(ctx context.Context, f Formula, c *core.Computation, engine Engine) (*Counterexample, bool)
-	Store(f Formula, c *core.Computation, engine Engine, cx *Counterexample)
+	Lookup(ctx context.Context, f Formula, c *core.Computation) (*Counterexample, bool)
+	Store(f Formula, c *core.Computation, cx *Counterexample)
 }

@@ -12,8 +12,8 @@ import (
 // Counterexample describes where and why a restriction failed.
 type Counterexample struct {
 	Formula Formula
-	History history.History   // the violating history (first history of the sequence tail for temporal failures)
-	Seq     history.Sequence  // the violating sequence, when checked over sequences
+	History history.History   // the violating history (the first history of Seq for temporal failures)
+	Seq     history.Sequence  // the violating complete sequence, for temporal failures
 	Comp    *core.Computation // the computation being checked
 }
 
@@ -30,13 +30,11 @@ func (cx *Counterexample) Error() string {
 }
 
 // Verify re-checks the counterexample independently of the engine that
-// produced it: the formula must evaluate to false on the reported
-// witness (the sequence when present, the single history otherwise).
-// Witnesses differ across engines — the sequence and lattice engines
-// report complete valid history sequences, the invariant reduction a
-// single history, the pair reduction a two-history fragment — but all of
-// them must falsify the formula; the engine-agreement suites assert this
-// in place of witness identity.
+// produced it. A temporal failure's witness is a complete valid history
+// sequence, from the empty history to the full computation, at whose
+// first position the formula is false. Any other failure's witness is a
+// single history at which the formula is false: a history of the
+// invariant reduction, or the full history of a structural check.
 func (cx *Counterexample) Verify() error {
 	if cx == nil {
 		return nil
@@ -47,15 +45,20 @@ func (cx *Counterexample) Verify() error {
 		}
 		return nil
 	}
+	if err := cx.Seq.Validate(); err != nil {
+		return fmt.Errorf("logic: counterexample sequence is not valid: %w", err)
+	}
+	if !cx.Seq.IsComplete() {
+		return fmt.Errorf("logic: counterexample sequence of %d histories is not complete", len(cx.Seq))
+	}
 	if cx.Formula.Eval(NewSeqEnv(cx.Seq, 0)) {
 		return fmt.Errorf("logic: counterexample sequence satisfies %s", cx.Formula)
 	}
 	return nil
 }
 
-// CheckOptions configure how a check runs: its parallelism, engine,
-// context and verdict cache. Every setting checks the full GEM
-// semantics, so all of them report the same verdicts.
+// CheckOptions configure how a check runs: its parallelism, context and
+// verdict cache. None of them changes a verdict.
 type CheckOptions struct {
 	// Parallelism is the worker count used when independent checks are
 	// fanned out through fanout.First: verify.CheckAll across
@@ -64,15 +67,8 @@ type CheckOptions struct {
 	// same verdicts and the same first (lowest-index) counterexample. A
 	// single formula or legality check is never split across workers.
 	Parallelism int
-	// Engine selects the temporal evaluation strategy (auto, lattice or
-	// seq). Every engine reports the same verdicts; counterexamples are
-	// always genuine falsifying witnesses (Counterexample.Verify) but may
-	// differ in shape across engines — the lattice engine extracts its
-	// own violating sequence instead of re-running the sequence cascade.
-	// The zero value is EngineAuto.
-	Engine Engine
 	// Ctx carries cancellation and the observability span context
-	// through the engines: the fan-outs (fanout.First) poll it and stop
+	// through the checks: the fan-outs (fanout.First) poll it and stop
 	// promptly once it is cancelled, and spans opened under it nest in
 	// the emitted trace.
 	// nil means context.Background(): never cancelled. Individual
@@ -105,15 +101,15 @@ type CheckOptions struct {
 func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 	if cache := opts.Cache; cache != nil {
 		opts.Cache = nil
-		if cx, ok := cache.Lookup(opts.Ctx, f, c, opts.Engine); ok {
+		if cx, ok := cache.Lookup(opts.Ctx, f, c); ok {
 			return cx
 		}
 		cx := Holds(f, c, opts)
 		// A cancelled context may have truncated the evaluation (the
-		// engines poll it between units of work); a truncated "pass" is
+		// checks poll it between units of work); a truncated "pass" is
 		// not a verdict, so skip the write-behind entirely.
 		if !Cancelled(Done(opts.Ctx)) {
-			cache.Store(f, c, opts.Engine, cx)
+			cache.Store(f, c, cx)
 		}
 		return cx
 	}
@@ -130,54 +126,26 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 	}
 	switch {
 	case HasTemporal(f):
-		// The lattice fixpoint engine (latticeeval.go) bounds every
-		// temporal formula over the history lattice instead of the
-		// exponentially larger sequence set, decides most of them (pass
-		// and fail alike, extracting its own violating sequence on
-		// failure), and reports "inconclusive" for the rest.
-		//
-		// A forced EngineLattice routes every temporal formula through
-		// the fixpoint evaluator first; only an inconclusive outcome
-		// (observable as the engine.lattice.fallback counter) delegates
-		// to the sequence strategies.
-		if opts.Engine == EngineLattice {
-			if cx, decided := latticeAttempt(opts.Ctx, f, c); decided {
-				return cx
-			}
-			seq := opts
-			seq.Engine = EngineSeq
-			return Holds(f, c, seq)
-		}
 		// □p for immediate p is an invariant: it holds on every valid
 		// history sequence iff p holds at every history (every history
 		// occurs in some complete sequence, and every sequence member is
 		// a history). Deciding it over histories avoids enumerating the
 		// exponentially larger sequence set, exactly — and avoids the
-		// lattice engine's step-DAG bitsets, so auto keeps it first.
+		// lattice engine's step-DAG bitsets, so it comes first.
 		if box, ok := f.(Box); ok && !HasTemporal(box.F) {
 			_, sp := obs.StartSpan(opts.Ctx, "engine.histories")
 			cx := holdsOnHistories(box.F, c)
 			sp.End()
 			return cx
 		}
-		// EngineAuto: a decided lattice run (either verdict) settles the
-		// check; only inconclusive bounds fall through to the strategies
-		// below.
-		if opts.Engine != EngineSeq {
-			if cx, decided := latticeAttempt(opts.Ctx, f, c); decided {
-				return cx
-			}
-		}
-		// □φ where φ's only temporal subformulas are positive □ of
-		// immediate bodies (e.g. the paper's priority restriction
-		// □(pending → □(served-ordering))) reduces exactly to a check
-		// over pairs of histories h1 ⊑ h2: immediate parts of φ read h1,
-		// inner □ bodies must hold at every h2 ⊇ h1. Every such pair
-		// occurs in some complete valid history sequence and vice versa.
-		if box, ok := f.(Box); ok && pairCheckable(box.F, true) {
-			_, sp := obs.StartSpan(opts.Ctx, "engine.pairs")
-			cx := holdsOnHistoryPairs(box.F, c)
-			sp.End()
+		// The lattice fixpoint engine (latticeeval.go) bounds every
+		// temporal formula over the history lattice instead of the
+		// exponentially larger sequence set, decides most of them (pass
+		// and fail alike, extracting its own violating sequence on
+		// failure), and reports "inconclusive" for the rest. Only an
+		// inconclusive bound, counted on engine.lattice.fallback, goes on
+		// to the definition: every complete sequence, one by one.
+		if cx, decided := latticeAttempt(opts.Ctx, f, c); decided {
 			return cx
 		}
 		_, sp := obs.StartSpan(opts.Ctx, "engine.seq")
@@ -203,7 +171,7 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 // decided pass, engine.lattice.cex for a decided failure (the witness
 // extraction also times itself under the nested engine.lattice.cex
 // span), and engine.lattice.fallback for an inconclusive outcome — the
-// only case that still delegates to another engine stage.
+// only case that goes on to sequence enumeration.
 func latticeAttempt(ctx context.Context, f Formula, c *core.Computation) (*Counterexample, bool) {
 	cctx, sp := obs.StartSpan(ctx, "engine.lattice")
 	cx, decided := latticeDecide(cctx, f, c)
@@ -247,77 +215,6 @@ func holdsOnSequences(f Formula, c *core.Computation) *Counterexample {
 	history.EnumerateComplete(c, func(s history.Sequence) bool {
 		if !f.Eval(NewSeqEnv(s, 0)) {
 			cx = &Counterexample{Formula: f, History: s[0], Seq: s, Comp: c}
-			return false
-		}
-		return true
-	})
-	return cx
-}
-
-// pairCheckable reports whether the formula's temporal subformulas are
-// exactly positive-polarity Box operators with immediate bodies, and no
-// Diamond occurs. For such formulas □f is decidable over history pairs.
-func pairCheckable(f Formula, positive bool) bool {
-	switch g := f.(type) {
-	case Box:
-		return positive && !HasTemporal(g.F)
-	case Diamond:
-		return false
-	case Not:
-		return pairCheckable(g.F, !positive)
-	case And:
-		for _, sub := range g {
-			if !pairCheckable(sub, positive) {
-				return false
-			}
-		}
-		return true
-	case Or:
-		for _, sub := range g {
-			if !pairCheckable(sub, positive) {
-				return false
-			}
-		}
-		return true
-	case Implies:
-		return pairCheckable(g.If, !positive) && pairCheckable(g.Then, positive)
-	case Iff:
-		// Both polarities occur on both sides.
-		return !HasTemporal(g.A) && !HasTemporal(g.B)
-	case ForAll:
-		return pairCheckable(g.Body, positive)
-	case Exists:
-		return pairCheckable(g.Body, positive)
-	case ExistsUnique:
-		return !HasTemporal(g.Body)
-	case AtMostOne:
-		return !HasTemporal(g.Body)
-	case ForAllThread:
-		return pairCheckable(g.Body, positive)
-	case ExistsThread:
-		return pairCheckable(g.Body, positive)
-	case ForAllIn:
-		return pairCheckable(g.Body, positive)
-	case ExistsUniqueIn:
-		return !HasTemporal(g.Body)
-	default:
-		return !HasTemporal(f)
-	}
-}
-
-// holdsOnHistoryPairs decides □f over all valid history sequences by
-// evaluating f on every pair h1 ⊑ h2, presented to the evaluator as the
-// two-history sequence (h1, h2): immediate parts of f read h1, inner □
-// bodies are required at both h1 and h2. Sound and complete for
-// pairCheckable formulas.
-func holdsOnHistoryPairs(f Formula, c *core.Computation) *Counterexample {
-	// The ⊑ pair relation is memoized on the computation alongside the
-	// lattice itself.
-	var cx *Counterexample
-	history.Shared(c).Pairs(func(h1, h2 history.History) bool {
-		seq := history.Sequence{h1, h2}
-		if !f.Eval(NewSeqEnv(seq, 0)) {
-			cx = &Counterexample{Formula: Box{F: f}, History: h1, Seq: seq, Comp: c}
 			return false
 		}
 		return true

@@ -6,6 +6,7 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/history"
+	"gem/internal/order"
 	"gem/internal/thread"
 )
 
@@ -343,5 +344,42 @@ func TestEnvBindings(t *testing.T) {
 	}
 	if id, ok := env2.Lookup("x"); !ok || id != ids[0] {
 		t.Error("Lookup failed")
+	}
+}
+
+// TestVerifyRejectsFragment: a temporal witness must be a complete valid
+// history sequence. A two-history fragment that falsifies the formula —
+// the shape the deleted history-pair reduction reported — fails Verify,
+// as does a step that adds ordered events together; the complete
+// sequence through the same histories passes.
+func TestVerifyRejectsFragment(t *testing.T) {
+	c, ids := diamondComp(t)
+	at := func(members ...core.EventID) history.History {
+		set := order.NewBitset(c.NumEvents())
+		for _, id := range members {
+			set.Set(int(id))
+		}
+		h, err := history.FromSet(c, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// □(no event has occurred): false wherever an event has.
+	f := Box{F: Not{F: Exists{Var: "x", Ref: core.Ref("", "E"), Body: Occurred{Var: "x"}}}}
+	witness := func(seq history.Sequence) *Counterexample {
+		return &Counterexample{Formula: f, History: seq[0], Seq: seq, Comp: c}
+	}
+	fragment := history.Sequence{at(ids[0]), at(ids[0], ids[1])}
+	if err := witness(fragment).Verify(); err == nil || !strings.Contains(err.Error(), "not complete") {
+		t.Errorf("two-history fragment: Verify = %v, want an incomplete-sequence error", err)
+	}
+	jump := history.Sequence{at(), at(ids[0], ids[1]), history.Full(c)}
+	if err := witness(jump).Verify(); err == nil || !strings.Contains(err.Error(), "not valid") {
+		t.Errorf("step adding e1 ⇒ e2 together: Verify = %v, want an invalid-sequence error", err)
+	}
+	complete := history.Sequence{at(), at(ids[0]), at(ids[0], ids[1]), at(ids[0], ids[1], ids[2]), history.Full(c)}
+	if err := witness(complete).Verify(); err != nil {
+		t.Errorf("complete falsifying sequence: Verify = %v", err)
 	}
 }

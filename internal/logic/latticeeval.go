@@ -12,8 +12,8 @@ import (
 
 // This file implements the lattice fixpoint evaluation engine for temporal
 // restrictions. GEM semantics quantifies a temporal restriction over all
-// complete valid history sequences, and the sequence engine checks that
-// literally — exponentially many sequences, each re-evaluating the formula
+// complete valid history sequences, and sequence enumeration
+// (holdsOnSequences) checks that literally — exponentially many sequences, each re-evaluating the formula
 // at every position. But the histories of a computation form a finite
 // lattice (history.Lattice), complete sequences are exactly the maximal
 // paths of its vhs step DAG (Lattice.Steps), and this codebase's temporal
@@ -71,17 +71,17 @@ import (
 //	                                  maximal step path is a witness)
 //	lowExact ∧ ¬lower(F)[∅]  → FAIL  (extract a violating path by
 //	                                  structural recursion, see refute)
-//	otherwise                → inconclusive; Holds falls back to the
-//	                                  sequence strategies (observable as
+//	otherwise                → inconclusive; Holds falls back to
+//	                                  sequence enumeration (observable as
 //	                                  the engine.lattice.fallback counter)
 //
 // On the failure sides the engine extracts a concrete complete valid
 // history sequence violating F by walking the step DAG — through the
 // complement of the relevant bound sets — and re-verifies it with one
 // ordinary sequence evaluation before reporting it, so a reported witness
-// is always genuine even if a bound rule were wrong. The sequence engine
-// is thereby reduced to a test oracle: agreement suites compare verdicts
-// and witness validity, not witness identity.
+// is always genuine even if a bound rule were wrong. The verdicts
+// themselves are checked from outside by internal/oracle, which shares no
+// code with this engine.
 //
 // The □/◇ reachability and fixpoint passes run in one sweep over
 // Lattice.EvalOrder (decreasing history size), since every step successor
@@ -89,57 +89,6 @@ import (
 // delta-pool pattern of Sequence.Validate): every node returns its two
 // bitsets to the free list once the parent has folded them in, so an
 // evaluation allocates O(formula depth) bitsets, not O(formula size).
-
-// Engine selects the evaluation strategy Holds uses for temporal
-// restrictions.
-type Engine int
-
-const (
-	// EngineAuto picks the cheapest sound strategy per formula: the
-	// □-invariant reduction, then the lattice engine whenever its bounds
-	// decide the formula (which they do for the entire language on the
-	// failure-by-upper side and for the exact fragment on both sides),
-	// then the history-pair reduction, then sequence enumeration. The
-	// default.
-	EngineAuto Engine = iota
-	// EngineSeq forces the sequence-based strategies (invariant and pair
-	// reductions plus enumeration) — the engine's historical behavior,
-	// kept as the agreement-test oracle.
-	EngineSeq
-	// EngineLattice forces the lattice fixpoint evaluator for every
-	// temporal formula, including counterexample extraction on failure;
-	// it falls back to the sequence engine only when the bounds are
-	// inconclusive (recorded on the engine.lattice.fallback counter).
-	EngineLattice
-)
-
-// String implements flag.Value-style rendering.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineSeq:
-		return "seq"
-	case EngineLattice:
-		return "lattice"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
-// ParseEngine parses an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "seq":
-		return EngineSeq, nil
-	case "lattice":
-		return EngineLattice, nil
-	default:
-		return EngineAuto, fmt.Errorf("logic: unknown engine %q (want auto, lattice or seq)", s)
-	}
-}
 
 // immediate reports that the formula reads only the current history.
 func immediate(f Formula) bool { return !HasTemporal(f) }
@@ -157,7 +106,7 @@ type approx struct {
 // It returns (nil, true) when f certainly holds on every complete valid
 // history sequence, (cx, true) with a verified violating sequence when f
 // certainly fails, and (nil, false) when the bounds are inconclusive —
-// the caller then falls back to the sequence strategies. ctx only carries
+// the caller then falls back to sequence enumeration. ctx only carries
 // the observability span for counterexample extraction.
 func latticeDecide(ctx context.Context, f Formula, c *core.Computation) (*Counterexample, bool) {
 	ev := newLatticeEval(c)

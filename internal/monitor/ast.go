@@ -253,3 +253,19 @@ func (m *Monitor) VarElement(v string) string { return m.Name + "." + v }
 
 // CondElement returns the element name of a condition variable.
 func (m *Monitor) CondElement(c string) string { return m.Name + "." + c }
+
+// elementNames maps "lock" and each entry, variable and condition name
+// of m to the name of its element, so a simulator builds each name once.
+func elementNames(m *Monitor) map[string]string {
+	names := map[string]string{"lock": m.LockElement()}
+	for _, e := range m.Entries {
+		names[e.Name] = m.EntryElement(e.Name)
+	}
+	for _, v := range m.Vars {
+		names[v] = m.VarElement(v)
+	}
+	for _, c := range m.Conds {
+		names[c] = m.CondElement(c)
+	}
+	return names
+}

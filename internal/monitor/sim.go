@@ -74,7 +74,11 @@ func (p *procState) resumeCond() string { return p.waitCond }
 
 type machine struct {
 	explore.Log
-	prog   *Program
+	prog *Program
+	// elem names the elements of the monitor's lock, entries, variables
+	// and conditions, built once per exploration and shared by its
+	// clones, so every event at an element carries one shared string.
+	elem   map[string]string
 	vars   map[string]int64
 	procs  []procState
 	holder int
@@ -92,6 +96,7 @@ func newMachine(p *Program) (*machine, error) {
 	m := &machine{
 		Log:       explore.NewLog(len(p.Processes)),
 		prog:      p,
+		elem:      elementNames(p.Monitor),
 		vars:      make(map[string]int64, len(p.Monitor.Vars)),
 		procs:     make([]procState, len(p.Processes)),
 		holder:    -1,
@@ -117,12 +122,21 @@ func newMachine(p *Program) (*machine, error) {
 	return m, nil
 }
 
+// element returns the element name of the monitor's lock ("lock") or of
+// one of its entries, variables or conditions.
+func (m *machine) element(x string) string {
+	if name, ok := m.elem[x]; ok {
+		return name
+	}
+	return m.prog.Monitor.Name + "." + x
+}
+
 func (m *machine) runInit(body []Stmt, env *evalEnv) error {
 	for _, st := range body {
 		switch s := st.(type) {
 		case Assign:
 			m.vars[s.Var] = s.E.eval(env)
-			m.emitInternal(-1, m.prog.Monitor.VarElement(s.Var), "Assign",
+			m.emitInternal(-1, m.element(s.Var), "Assign",
 				core.NewParams(
 					core.P("newval", core.Int(m.vars[s.Var])),
 					core.P("proc", core.Str("init")),
@@ -147,6 +161,7 @@ func (m *machine) Clone() *machine {
 	next := &machine{
 		Log:       m.Log.Clone(),
 		prog:      m.prog,
+		elem:      m.elem,
 		vars:      make(map[string]int64, len(m.vars)),
 		procs:     make([]procState, len(m.procs)),
 		holder:    m.holder,
@@ -312,12 +327,12 @@ func (m *machine) applyGrant(proc int) error {
 		return fmt.Errorf("monitor: unknown entry %q", p.entry)
 	}
 	procName := m.prog.Processes[proc].Name
-	m.emitInternal(proc, m.prog.Monitor.LockElement(), "Acq", core.NewParams(core.P("proc", core.Str(procName))))
+	m.emitInternal(proc, m.element("lock"), "Acq", core.NewParams(core.P("proc", core.Str(procName))))
 	begin := append(make([]core.Param, 0, 4), core.P("proc", core.Str(procName)))
 	for name, v := range p.args {
 		begin = append(begin, core.P(name, core.Int(v)))
 	}
-	m.emitInternal(proc, m.prog.Monitor.EntryElement(p.entry), "Begin", core.NewParams(begin...))
+	m.emitInternal(proc, m.element(p.entry), "Begin", core.NewParams(begin...))
 	p.frames = []frame{{block: entry.Body}}
 	p.status = statusReady
 	return nil
@@ -329,7 +344,7 @@ func (m *machine) applyUrgentResume() error {
 	m.holder = proc
 	p := &m.procs[proc]
 	p.status = statusReady
-	m.emitInternal(proc, m.prog.Monitor.LockElement(), "Acq",
+	m.emitInternal(proc, m.element("lock"), "Acq",
 		core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name))))
 	return nil
 }
@@ -389,11 +404,10 @@ func (m *machine) stepOutside(proc int) error {
 func (m *machine) stepInside(proc int) error {
 	p := &m.procs[proc]
 	if p.resuming {
-		mon := m.prog.Monitor
 		procName := m.prog.Processes[proc].Name
 		by := core.NewParams(core.P("proc", core.Str(procName)))
-		rel := m.emitInternal(proc, mon.CondElement(p.resumeCond()), "Release", by, p.signalEv)
-		m.emitInternal(proc, mon.LockElement(), "Acq", by, rel)
+		rel := m.emitInternal(proc, m.element(p.resumeCond()), "Release", by, p.signalEv)
+		m.emitInternal(proc, m.element("lock"), "Acq", by, rel)
 		p.resuming = false
 		p.signalEv = -1
 		return nil
@@ -407,7 +421,7 @@ func (m *machine) stepInside(proc int) error {
 		switch s := st.(type) {
 		case Assign:
 			m.vars[s.Var] = s.E.eval(env)
-			m.emitInternal(proc, m.prog.Monitor.VarElement(s.Var), "Assign",
+			m.emitInternal(proc, m.element(s.Var), "Assign",
 				core.NewParams(
 					core.P("newval", core.Int(m.vars[s.Var])),
 					core.P("proc", core.Str(m.prog.Processes[proc].Name)),
@@ -430,18 +444,16 @@ func (m *machine) stepInside(proc int) error {
 				p.frames = append(p.frames, frame{block: s.Body})
 			}
 		case Wait:
-			mon := m.prog.Monitor
 			by := core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name)))
-			w := m.emitInternal(proc, mon.CondElement(s.Cond), "Wait", by)
-			m.emitInternal(proc, mon.LockElement(), "Rel", by, w)
+			w := m.emitInternal(proc, m.element(s.Cond), "Wait", by)
+			m.emitInternal(proc, m.element("lock"), "Rel", by, w)
 			m.condQ[s.Cond] = append(m.condQ[s.Cond], proc)
 			p.status = statusWaiting
 			p.waitCond = s.Cond
 			m.holder = -1
 			return nil
 		case Signal:
-			mon := m.prog.Monitor
-			sig := m.emitInternal(proc, mon.CondElement(s.Cond), "Signal",
+			sig := m.emitInternal(proc, m.element(s.Cond), "Signal",
 				core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name))))
 			if q := m.condQ[s.Cond]; len(q) > 0 {
 				waiter := q[0]
@@ -478,8 +490,7 @@ func (m *machine) nextStmt(proc int) (Stmt, bool) {
 
 func (m *machine) endEntry(proc int, env *evalEnv) error {
 	p := &m.procs[proc]
-	mon := m.prog.Monitor
-	entry, _ := mon.EntryNamed(p.entry)
+	entry, _ := m.prog.Monitor.EntryNamed(p.entry)
 	procName := core.Str(m.prog.Processes[proc].Name)
 	ret := append(make([]core.Param, 0, 2), core.P("entry", core.Str(p.entry)))
 	end := append(make([]core.Param, 0, 4), core.P("proc", procName))
@@ -491,8 +502,8 @@ func (m *machine) endEntry(proc int, env *evalEnv) error {
 		ret = append(ret, result)
 		end = append(end, result)
 	}
-	m.emitInternal(proc, mon.EntryElement(p.entry), "End", core.NewParams(end...))
-	rel := m.emitInternal(proc, mon.LockElement(), "Rel", core.NewParams(core.P("proc", procName)))
+	m.emitInternal(proc, m.element(p.entry), "End", core.NewParams(end...))
+	rel := m.emitInternal(proc, m.element("lock"), "Rel", core.NewParams(core.P("proc", procName)))
 	m.Emit(proc, m.prog.Processes[proc].Name, "Return", core.NewParams(ret...), rel)
 	m.holder = -1
 	p.frames = nil

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"gem/internal/core"
 	"gem/internal/fanout"
@@ -13,23 +13,22 @@ import (
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/obs"
+	"gem/internal/oracle"
 	"gem/internal/spec"
 	"gem/internal/store"
 )
 
 // The campaign driver: generate N mutants deterministically, dedup on
 // (spec hash × computation fingerprint), fan the unique mutants out
-// (fanout.First) with per-mutant cancellation, check each under all
-// three engines, shrink every failure, and persist the shrunk corpus.
+// (fanout.First) with per-mutant cancellation, check each with the
+// production checker, judge each of its restrictions again with the
+// oracle, shrink every failure, and persist the shrunk corpus.
 //
-// Engine agreement is the campaign's verification target: a mutant on
-// which auto, lattice, and seq disagree — different legality verdict,
-// different blamed restrictions, or a witness that fails Verify — is a
-// finding. Mutants that are merely illegal are the expected outcome and
-// become corpus entries.
-
-// engines is the verdict matrix every mutant is checked under.
-var engines = []logic.Engine{logic.EngineAuto, logic.EngineLattice, logic.EngineSeq}
+// Agreement with the oracle (internal/oracle), which shares no code with
+// the production checker, is the campaign's verification target: a
+// restriction the two judge differently, a restriction the oracle
+// refuses, or a witness that fails Verify is a finding. Mutants that are
+// merely illegal are the expected outcome and become corpus entries.
 
 // Config parameterizes a campaign.
 type Config struct {
@@ -46,22 +45,16 @@ type Config struct {
 	Name        string             // manifest name (default "gemmut")
 }
 
-// EngineVerdict is one engine's view of one mutant.
-type EngineVerdict struct {
-	Engine string
-	Legal  bool
-	Blame  []string // sorted "kind:owner/restriction" strings
-}
-
-// Finding is a campaign-level verification failure: the engines
-// disagreed, a witness failed Verify, or shrinking could not re-validate
-// a failure. A campaign of a correct checker reports none.
+// Finding is a campaign-level verification failure: production and the
+// oracle judged a restriction differently, the oracle refused one, a
+// witness failed Verify, or shrinking could not re-validate a failure. A
+// campaign of a correct checker reports none.
 type Finding struct {
 	Index      int
 	Seed       string
 	Op         Op
 	Provenance string
-	Kind       string // "engine-disagreement", "bad-witness", "shrink-failure"
+	Kind       string // "oracle-disagreement", "oracle-refused", "bad-witness", "shrink-failure"
 	Detail     string
 }
 
@@ -71,7 +64,6 @@ type Result struct {
 	SpecHash    string
 	Fingerprint string
 	Legal       bool
-	Blame       []string // the agreed blame (auto engine's view)
 	Shrunk      *ShrinkResult
 	CorpusKey   string // set when a shrunk entry was persisted
 }
@@ -202,135 +194,109 @@ func asRejected(err error, out **Rejected) bool {
 	return ok
 }
 
-// checkMutant runs one mutant through the engine matrix, records the
-// agreed verdict, shrinks failures, and returns its findings. Each
-// mutant gets its own cancellable context: when the campaign budget
-// expires mid-check, the engines' enumerations stop at the next
-// cancellation point.
+// checkMutant checks one mutant with the production checker, judges
+// each of its restrictions again with the oracle, shrinks its first
+// violation, and returns its findings. Each mutant gets its own
+// cancellable context: when the campaign budget expires mid-check, the
+// checker's enumerations stop at the next cancellation point.
 func checkMutant(ctx context.Context, cfg Config, r *Result) (findings []Finding) {
 	m := r.Mutant
 	mctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	_, span := obs.StartSpan(mctx, "mutate.check")
 	defer span.End()
-
-	verdicts := make([]EngineVerdict, len(engines))
-	results := make([]legal.Result, len(engines))
-	for ei, eng := range engines {
-		res := legal.Check(m.Spec, m.Comp, legal.Options{
-			Check: logic.CheckOptions{
-				Engine: eng,
-				Ctx:    mctx,
-				Cache:  cfg.Cache,
-			},
+	add := func(kind, detail string) {
+		findings = append(findings, Finding{
+			Index: m.Index, Seed: m.Seed, Op: m.Op, Provenance: m.Provenance,
+			Kind: kind, Detail: detail,
 		})
-		results[ei] = res
-		verdicts[ei] = EngineVerdict{Engine: eng.String(), Legal: res.Legal(), Blame: blame(res)}
-		for _, v := range res.Violations {
-			if v.Cx != nil {
-				if err := v.Cx.Verify(); err != nil {
-					findings = append(findings, Finding{
-						Index: m.Index, Seed: m.Seed, Op: m.Op, Provenance: m.Provenance,
-						Kind:   "bad-witness",
-						Detail: fmt.Sprintf("engine %s: witness for %s/%s fails Verify: %v", eng, v.Owner, v.Restriction, err),
-					})
-				}
+	}
+
+	opts := logic.CheckOptions{Ctx: mctx, Cache: cfg.Cache}
+	res := legal.Check(m.Spec, m.Comp, legal.Options{Check: opts})
+	for _, v := range res.Violations {
+		if v.Cx != nil {
+			if err := v.Cx.Verify(); err != nil {
+				add("bad-witness", fmt.Sprintf("witness for %s/%s fails Verify: %v", v.Owner, v.Restriction, err))
 			}
 		}
 	}
 	if mctx.Err() != nil {
-		return findings // partial verdicts are never compared
+		return findings // a partial verdict is never compared
 	}
-	r.Legal = verdicts[0].Legal
-	r.Blame = verdicts[0].Blame
-	for _, v := range verdicts[1:] {
-		if v.Legal != verdicts[0].Legal || !equalStrings(v.Blame, verdicts[0].Blame) {
-			findings = append(findings, Finding{
-				Index: m.Index, Seed: m.Seed, Op: m.Op, Provenance: m.Provenance,
-				Kind:   "engine-disagreement",
-				Detail: disagreementDetail(verdicts),
-			})
-			break
-		}
+	r.Legal = res.Legal()
+	for _, g := range againstOracle(m.Spec, m.Comp, res) {
+		add(g.kind, g.detail)
 	}
-
-	// Shrink the first violation of the auto run (declaration order, so
-	// the choice is deterministic). On an engine disagreement the auto
-	// view may be "legal" — shrink the first engine that saw a failure so
-	// the finding still carries a minimized witness.
-	target := -1
-	for ei := range results {
-		if len(results[ei].Violations) > 0 {
-			target = ei
-			break
-		}
-	}
-	if target < 0 {
+	if len(res.Violations) == 0 {
 		return findings
 	}
-	sh, err := Shrink(m.Spec, m.Comp, results[target].Violations[0], logic.CheckOptions{
-		Engine: engines[target],
-		Ctx:    mctx,
-		Cache:  cfg.Cache,
-	})
+
+	// Shrink the first violation (declaration order, so the choice is
+	// deterministic), and have the oracle confirm that the shrunk
+	// computation still violates the restriction.
+	v := res.Violations[0]
+	sh, err := Shrink(m.Spec, m.Comp, v, opts)
 	if err != nil {
-		if mctx.Err() != nil {
-			return findings
+		if mctx.Err() == nil {
+			add("shrink-failure", err.Error())
 		}
-		return append(findings, Finding{
-			Index: m.Index, Seed: m.Seed, Op: m.Op, Provenance: m.Provenance,
-			Kind:   "shrink-failure",
-			Detail: err.Error(),
-		})
+		return findings
 	}
 	r.Shrunk = sh
+	if f := findRestriction(m.Spec, v.Owner, v.Restriction); f != nil {
+		switch holds, err := oracle.Holds(f, sh.Comp); {
+		case err != nil:
+			add("oracle-refused", fmt.Sprintf("shrunk witness of %s/%s: %v", v.Owner, v.Restriction, err))
+		case holds:
+			add("oracle-disagreement", fmt.Sprintf("shrunk witness of %s/%s: production violated, oracle holds", v.Owner, v.Restriction))
+		}
+	}
 	return findings
 }
 
-// blame renders a result's violations as the engine-agreement literature
-// string: sorted kind:owner/restriction labels. Messages are excluded —
-// engines word the same failure differently.
+// gap is one restriction that production and the oracle judge
+// differently, or that the oracle refuses.
+type gap struct{ kind, detail string }
+
+// againstOracle judges every restriction of sp on c with the oracle and
+// compares each verdict with production's result res.
+func againstOracle(sp *spec.Spec, c *core.Computation, res legal.Result) []gap {
+	violated := map[string]bool{}
+	for _, v := range res.Violations {
+		if v.Kind == legal.RestrictionViolation {
+			violated[v.Owner+"/"+v.Restriction] = true
+		}
+	}
+	verdict := func(holds bool) string {
+		if holds {
+			return "holds"
+		}
+		return "violated"
+	}
+	var gaps []gap
+	for _, r := range sp.Restrictions() {
+		name := r.Owner + "/" + r.Name
+		holds, err := oracle.Holds(r.F, c)
+		switch {
+		case err != nil:
+			gaps = append(gaps, gap{"oracle-refused", fmt.Sprintf("restriction %s: %v", name, err)})
+		case holds == violated[name]:
+			gaps = append(gaps, gap{"oracle-disagreement", fmt.Sprintf("restriction %s: production %s, oracle %s",
+				name, verdict(!violated[name]), verdict(holds))})
+		}
+	}
+	return gaps
+}
+
+// blame renders a result's violations as sorted kind:owner/restriction
+// labels. Messages are excluded: they render witnesses, not verdicts.
 func blame(res legal.Result) []string {
 	out := make([]string, 0, len(res.Violations))
 	for _, v := range res.Violations {
 		out = append(out, fmt.Sprintf("%s:%s/%s", v.Kind, v.Owner, v.Restriction))
 	}
-	sort.Strings(out)
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func disagreementDetail(vs []EngineVerdict) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		verdict := "legal"
-		if !v.Legal {
-			verdict = "illegal[" + joinComma(v.Blame) + "]"
-		}
-		parts[i] = v.Engine + "=" + verdict
-	}
-	return joinComma(parts)
-}
-
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -409,18 +375,19 @@ func persistCorpus(cfg Config, rep *Report) {
 	for k := range keys {
 		man.Keys = append(man.Keys, k)
 	}
-	sort.Strings(man.Keys)
+	slices.Sort(man.Keys)
 	if payload, err := json.Marshal(man); err == nil {
 		cfg.Store.PutManifest(rep.Name, payload)
 	}
 }
 
 // Replay loads the named campaign's corpus from the store and re-checks
-// every entry: the decoded computation must still be illegal under all
-// three engines, with the persisted (owner, restriction) among the
-// blamed set for restriction entries. It returns the number of entries
-// replayed; any divergence is an error — the corpus is a regression
-// suite for engine agreement.
+// every entry: the decoded computation must still be illegal, with the
+// persisted (owner, restriction) among the blamed set for restriction
+// entries, and the oracle must judge every restriction of the entry's
+// spec as production does. It returns the number of entries replayed;
+// any divergence is an error — the corpus is a regression suite for the
+// checker against the oracle.
 func Replay(st *store.Store, name string, cache logic.VerdictCache) (int, error) {
 	payload, ok := st.GetManifest(name)
 	if !ok {
@@ -447,32 +414,21 @@ func Replay(st *store.Store, name string, cache logic.VerdictCache) (int, error)
 		if err != nil {
 			return 0, fmt.Errorf("mutate: corpus entry %s: %w", k, err)
 		}
-		want := ""
-		if entry.Kind == legal.RestrictionViolation.String() {
-			want = fmt.Sprintf("%s:%s/%s", entry.Kind, entry.Owner, entry.Restriction)
+		res := legal.Check(sp, c, legal.Options{Check: logic.CheckOptions{Cache: cache}})
+		if res.Legal() {
+			return 0, fmt.Errorf("mutate: corpus entry %s (op %s) is legal", k, entry.Op)
 		}
-		for _, eng := range engines {
-			res := legal.Check(sp, c, legal.Options{
-				Check: logic.CheckOptions{Engine: eng, Cache: cache},
-			})
-			if res.Legal() {
-				return 0, fmt.Errorf("mutate: corpus entry %s (op %s) is legal under engine %s", k, entry.Op, eng)
+		if entry.Kind == legal.RestrictionViolation.String() {
+			want := fmt.Sprintf("%s:%s/%s", entry.Kind, entry.Owner, entry.Restriction)
+			if !slices.Contains(blame(res), want) {
+				return 0, fmt.Errorf("mutate: corpus entry %s blames %v, want %s", k, blame(res), want)
 			}
-			if want != "" && !containsString(blame(res), want) {
-				return 0, fmt.Errorf("mutate: corpus entry %s: engine %s blames %v, want %s", k, eng, blame(res), want)
-			}
+		}
+		if gaps := againstOracle(sp, c, res); len(gaps) > 0 {
+			return 0, fmt.Errorf("mutate: corpus entry %s: %s: %s", k, gaps[0].kind, gaps[0].detail)
 		}
 	}
 	return len(man.Keys), nil
-}
-
-func containsString(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }
 
 // Render writes the deterministic campaign report: summary, per-operator
@@ -498,7 +454,7 @@ func (rep *Report) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "corpus: %d shrunk witnesses\n", shrunk)
 	if len(rep.Findings) == 0 {
-		fmt.Fprintln(w, "findings: none (engines agree on every mutant)")
+		fmt.Fprintln(w, "findings: none (production agrees with the oracle on every mutant)")
 	} else {
 		fmt.Fprintln(w, "findings:")
 		for _, f := range rep.Findings {

@@ -2,9 +2,11 @@ package mutate
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/gemlang"
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/store"
@@ -41,9 +43,9 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// The three engines must agree on every mutant, every witness must pass
-// Verify, and every failure must shrink — zero findings on a healthy
-// checker. This is the in-tree version of the CI campaign gate.
+// Production must agree with the oracle on every restriction of every
+// mutant, every witness must pass Verify, and every failure must shrink —
+// zero findings on a healthy checker.
 func TestCampaignEngineAgreement(t *testing.T) {
 	rep := runCampaign(t, 4, nil, 200)
 	for _, f := range rep.Findings {
@@ -110,7 +112,7 @@ func TestShrinkIdempotent(t *testing.T) {
 }
 
 // Corpus round trip: a campaign persisted through the store replays with
-// full engine agreement, and the warm store serves hits.
+// production agreeing with the oracle, and the warm store serves hits.
 func TestCampaignCorpusReplay(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.ReadWrite)
 	if err != nil {
@@ -149,5 +151,69 @@ func TestCampaignCorpusReplay(t *testing.T) {
 	}
 	if st.Stats().Hits <= before {
 		t.Fatal("warm rerun recorded no additional store hits")
+	}
+}
+
+// TestBenchmarkCampaign runs the campaign the repository benchmark runs,
+// seed 11 with 2,000 mutants: production must agree with the oracle on
+// every restriction of every unique mutant, and the campaign's counts
+// must not move.
+func TestBenchmarkCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 2,000-mutant campaign; skipped in -short mode")
+	}
+	rep, err := Run(Config{N: 2000, Seed: 11, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rep.Findings {
+		t.Errorf("finding on mutant %d [%s]: %s: %s", f.Index, f.Op, f.Kind, f.Detail)
+	}
+	shrunk := 0
+	for _, r := range rep.Results {
+		if r.Shrunk != nil {
+			shrunk++
+		}
+	}
+	if rep.Unique != 583 || rep.Legal != 348 || rep.Illegal != 235 || shrunk != 235 {
+		t.Errorf("unique=%d legal=%d illegal=%d shrunk=%d, want 583, 348, 235 and 235",
+			rep.Unique, rep.Legal, rep.Illegal, shrunk)
+	}
+}
+
+// TestAgainstOracleReportsGaps: a production verdict the oracle does not
+// share is an oracle-disagreement naming the restriction and both
+// verdicts, and a restriction the oracle cannot judge is oracle-refused.
+func TestAgainstOracleReportsGaps(t *testing.T) {
+	sp, err := gemlang.Parse(`SPEC S
+
+ELEMENT E
+  EVENTS
+    A
+END
+
+RESTRICTION "seen": ((FORALL a: E.A) [] (occurred(a))) ;
+RESTRICTION "loose": ((FORALL a: E.A) occurred(a)) ;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := core.NewBuilder()
+	b.Event("E", "A", core.Params{})
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both restrictions fail on the one-event computation: □occurred(a)
+	// is false at ∅, and so is the invariant occurred(a).
+	res := legal.Check(sp, c, legal.Options{})
+	if gaps := againstOracle(sp, c, res); len(gaps) != 0 {
+		t.Fatalf("production and oracle agree, got %v", gaps)
+	}
+	res.Violations = res.Violations[:1]
+	gaps := againstOracle(sp, c, res)
+	if len(gaps) != 1 || gaps[0].kind != "oracle-disagreement" ||
+		!strings.Contains(gaps[0].detail, "S/loose: production holds, oracle violated") {
+		t.Fatalf("dropped violation: got %v", gaps)
 	}
 }

@@ -7,10 +7,11 @@
 // ddmin shrinker that delta-debugs every failing computation down to a
 // minimal counterexample re-validated via logic.Counterexample.Verify.
 //
-// Mutation grows the engine-agreement corpus: every mutant is checked
-// under the auto, lattice, and seq engines, and any verdict or blame
-// disagreement is a campaign finding — the same campaign-at-scale shape
-// the cat/herd tooling uses against memory models. Mutants that are
+// Mutation grows the surface on which the checker is compared with the
+// oracle (internal/oracle): every restriction of every mutant is judged
+// by both, and any disagreement is a campaign finding — the same
+// campaign-at-scale shape the cat/herd tooling uses against memory
+// models. Mutants that are
 // merely illegal (the expected outcome for most operators) are corpus
 // entries, not findings.
 //

@@ -32,9 +32,8 @@ func hashSpec(sp *spec.Spec) string {
 }
 
 // key derives a record key: the hex SHA-256 of the NUL-joined parts.
-// Every key embeds a record-type tag and the relevant format/engine
-// versions, so version bumps make old records unreachable rather than
-// mis-read.
+// Every key embeds a record-type tag and the engine version, so a
+// version bump makes old records unreachable rather than mis-read.
 func key(parts ...string) string {
 	h := sha256.New()
 	for _, p := range parts {
@@ -46,25 +45,25 @@ func key(parts ...string) string {
 
 var engineVersionStr = strconv.Itoa(EngineVersion)
 
-func verdictKey(f logic.Formula, c *core.Computation, engine logic.Engine) string {
-	return key("verdict", engineVersionStr, engine.String(), gemlang.HashFormula(f), core.Fingerprint(c))
+func verdictKey(f logic.Formula, c *core.Computation) string {
+	return key("verdict", engineVersionStr, gemlang.HashFormula(f), core.Fingerprint(c))
 }
 
-func satKey(problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) string {
-	return key("sat", engineVersionStr, engine.String(), hashSpec(problem), corrKey, core.Fingerprint(c))
+func satKey(problem *spec.Spec, c *core.Computation, corrKey string) string {
+	return key("sat", engineVersionStr, hashSpec(problem), corrKey, core.Fingerprint(c))
 }
 
 // Lookup implements logic.VerdictCache: it serves a previously persisted
-// restriction verdict for (f, c, engine), rehydrating the failing
+// restriction verdict for (f, c), rehydrating the failing
 // witness against the live computation. Any decode or validation failure
 // is a miss.
-func (s *Store) Lookup(ctx context.Context, f logic.Formula, c *core.Computation, engine logic.Engine) (*logic.Counterexample, bool) {
+func (s *Store) Lookup(ctx context.Context, f logic.Formula, c *core.Computation) (*logic.Counterexample, bool) {
 	if s == nil || s.mode == Off {
 		return nil, false
 	}
 	_, sp := obs.StartSpan(ctx, "store.lookup")
 	defer sp.End()
-	if payload, ok := s.read(verdictKey(f, c, engine), kindVerdict); ok {
+	if payload, ok := s.read(verdictKey(f, c), kindVerdict); ok {
 		if cx, err := decodeVerdict(payload, f, c); err == nil {
 			s.hit()
 			return cx, true
@@ -75,25 +74,25 @@ func (s *Store) Lookup(ctx context.Context, f logic.Formula, c *core.Computation
 }
 
 // Store implements logic.VerdictCache's write-behind: it persists the
-// verdict just computed for (f, c, engine).
-func (s *Store) Store(f logic.Formula, c *core.Computation, engine logic.Engine, cx *logic.Counterexample) {
+// verdict just computed for (f, c).
+func (s *Store) Store(f logic.Formula, c *core.Computation, cx *logic.Counterexample) {
 	if s == nil || s.mode != ReadWrite {
 		return
 	}
-	s.write(verdictKey(f, c, engine), kindVerdict, encodeVerdict(cx))
+	s.write(verdictKey(f, c), kindVerdict, encodeVerdict(cx))
 }
 
 // LookupSat implements verify.SatCache: a hit means a prior complete,
 // uncancelled run proved this exact (problem, correspondence, program
-// computation, engine) combination sat. This is the warm fast path — it
+// computation) combination sat. This is the warm fast path — it
 // skips projection, thread labelling, and the whole legality check.
-func (s *Store) LookupSat(ctx context.Context, problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) bool {
+func (s *Store) LookupSat(ctx context.Context, problem *spec.Spec, c *core.Computation, corrKey string) bool {
 	if s == nil || s.mode == Off {
 		return false
 	}
 	_, sp := obs.StartSpan(ctx, "store.sat")
 	defer sp.End()
-	payload, ok := s.read(satKey(problem, c, corrKey, engine), kindSat)
+	payload, ok := s.read(satKey(problem, c, corrKey), kindSat)
 	if !ok || len(payload) != 1 || payload[0] != 1 {
 		s.miss()
 		return false
@@ -104,11 +103,11 @@ func (s *Store) LookupSat(ctx context.Context, problem *spec.Spec, c *core.Compu
 
 // StoreSat implements verify.SatCache. Only sat — failures are never
 // recorded, so refutations recompute and keep their counterexamples.
-func (s *Store) StoreSat(problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) {
+func (s *Store) StoreSat(problem *spec.Spec, c *core.Computation, corrKey string) {
 	if s == nil || s.mode != ReadWrite {
 		return
 	}
-	s.write(satKey(problem, c, corrKey, engine), kindSat, []byte{1})
+	s.write(satKey(problem, c, corrKey), kindSat, []byte{1})
 }
 
 // ---- verdict payload codec ----
@@ -155,8 +154,8 @@ func appendSet(out []byte, set order.Bitset) []byte {
 // and computation. It validates everything: sets must be in-range,
 // strictly increasing, and prefix-closed (history.FromSet), and the
 // recorded failing formula must match the live formula or one of the
-// subformulas the engines can attribute a failure to (And conjuncts,
-// recursively, and □ bodies — mirroring the dispatch in logic.Holds).
+// subformulas logic.Holds can attribute a failure to (And conjuncts,
+// recursively, and □ bodies — mirroring its dispatch).
 // Any mismatch is an error, which the caller treats as a miss.
 func decodeVerdict(payload []byte, f logic.Formula, c *core.Computation) (*logic.Counterexample, error) {
 	if len(payload) == 0 {

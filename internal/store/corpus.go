@@ -1,8 +1,8 @@
 package store
 
 // The mutation-corpus record layer: campaign manifests and shrunk
-// counterexamples persisted by cmd/gemmut so the engine-agreement suite
-// can replay a campaign's corpus without regenerating it. Payloads are
+// counterexamples persisted by cmd/gemmut, so gemmut -replay can check a
+// campaign's corpus against the oracle without regenerating it. Payloads are
 // opaque to the store (internal/mutate owns the codec); the store
 // contributes addressing, framing, integrity checking, and hit/miss
 // accounting, exactly as for verdict records.

@@ -36,11 +36,12 @@ import (
 	"gem/internal/obs"
 )
 
-// EngineVersion names the semantic version of the checking engines baked
-// into every verdict and sat key. Bump it whenever an engine's verdict
+// EngineVersion names the semantic version of the checking engine baked
+// into every verdict and sat key. Bump it whenever the engine's verdict
 // or witness semantics change: old records become unreachable (different
-// keys) instead of serving stale verdicts.
-const EngineVersion = 1
+// keys) instead of serving stale verdicts. Version 2 retired the
+// history-pair reduction, whose passes could be wrong.
+const EngineVersion = 2
 
 // layoutDir is the directory-layout version; records live under
 // <dir>/v1/<first two hex of key>/<key>-<kind>.

@@ -48,8 +48,8 @@ func randComp(rng *rand.Rand, maxN int) *core.Computation {
 
 // randFormula builds a random restriction over the X/Y classes with
 // enough shape diversity to hit every engine stage: the □-invariant
-// reduction, the pair reduction, the lattice engine, and the sequence
-// cascade (via temporal disjunctions and ∃ with temporal bodies).
+// reduction, the lattice engine, and sequence enumeration (via temporal
+// disjunctions and ∃ with temporal bodies).
 func randFormula(rng *rand.Rand) logic.Formula {
 	ref := core.Ref("", "X")
 	if rng.Intn(2) == 0 {
@@ -162,7 +162,7 @@ func TestVerdictRoundTripAcrossHandles(t *testing.T) {
 		if core.Fingerprint(c1) != core.Fingerprint(c2) {
 			t.Fatal("identical builds fingerprint differently")
 		}
-		got, ok := s2.Lookup(context.Background(), f, c2, logic.EngineAuto)
+		got, ok := s2.Lookup(context.Background(), f, c2)
 		if !ok {
 			t.Fatalf("case %d: fresh handle missed a just-written verdict", i)
 		}
@@ -262,18 +262,18 @@ func TestVerdictFormulaMismatchIsMiss(t *testing.T) {
 	}
 	// Graft the FALSE record onto TRUE's key: lookup must reject it.
 	other := logic.TrueF{}
-	data, err := os.ReadFile(s.path(verdictKey(fail, c, logic.EngineAuto), kindVerdict))
+	data, err := os.ReadFile(s.path(verdictKey(fail, c), kindVerdict))
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := s.path(verdictKey(other, c, logic.EngineAuto), kindVerdict)
+	target := s.path(verdictKey(other, c), kindVerdict)
 	if err := os.MkdirAll(filepath.Dir(target), 0o777); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(target, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Lookup(context.Background(), other, c, logic.EngineAuto); ok {
+	if _, ok := s.Lookup(context.Background(), other, c); ok {
 		t.Fatal("verdict for a different formula was served")
 	}
 }
@@ -350,10 +350,10 @@ func TestNilStoreIsInert(t *testing.T) {
 		t.Fatal("Off mode returned a non-nil store")
 	}
 	c := randComp(rand.New(rand.NewSource(2)), 4)
-	if _, ok := s.Lookup(context.Background(), logic.TrueF{}, c, logic.EngineAuto); ok {
+	if _, ok := s.Lookup(context.Background(), logic.TrueF{}, c); ok {
 		t.Error("nil store hit")
 	}
-	s.Store(logic.TrueF{}, c, logic.EngineAuto, nil)
+	s.Store(logic.TrueF{}, c, nil)
 	s.Trim(0)
 	if st := s.Stats(); st != (Stats{}) {
 		t.Errorf("nil store counted traffic: %+v", st)

@@ -74,7 +74,7 @@ type Correspondence struct {
 // sorted by key), so equal correspondences — however their maps were
 // built — produce equal strings. The persistent store folds it into the
 // sat-record key: a sat verdict is a function of the problem spec, the
-// program computation, the correspondence, and the engine.
+// program computation, the correspondence, and the engine version.
 func (corr Correspondence) CanonicalKey() string {
 	var sb strings.Builder
 	for _, r := range corr.Rules {
@@ -98,8 +98,8 @@ func (corr Correspondence) CanonicalKey() string {
 }
 
 // SatCache persists successful sat checks: LookupSat reports whether a
-// prior run recorded that this (problem, correspondence, computation,
-// engine) combination satisfied the problem, and StoreSat records one.
+// prior run recorded that this (problem, correspondence, computation)
+// combination satisfied the problem, and StoreSat records one.
 // Only sat == true is ever stored — failures are recomputed so their
 // counterexamples stay fresh — which makes a hit sufficient to return a
 // passing Result without projecting at all. LookupSat's ctx is the
@@ -107,8 +107,8 @@ func (corr Correspondence) CanonicalKey() string {
 // check that made it. Implementations (internal/store) must be safe for
 // concurrent use and degrade internal failures to a miss.
 type SatCache interface {
-	LookupSat(ctx context.Context, problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine) bool
-	StoreSat(problem *spec.Spec, c *core.Computation, corrKey string, engine logic.Engine)
+	LookupSat(ctx context.Context, problem *spec.Spec, c *core.Computation, corrKey string) bool
+	StoreSat(problem *spec.Spec, c *core.Computation, corrKey string)
 }
 
 // Projection is the result of projecting a program computation.
@@ -293,13 +293,13 @@ func (r Result) Error() error {
 // Check runs the paper's sat check for one program computation: project
 // onto the significant objects, label the problem's threads, and check
 // every restriction of the problem specification on the projection.
-// Failing restrictions carry engine-produced counterexamples: under the
-// default engine a failure is refuted inside the lattice fixpoint
-// engine, with the witness sequence extracted from the history lattice
-// rather than recomputed by sequence enumeration.
+// Failing restrictions carry counterexamples: a temporal failure is
+// mostly refuted inside the lattice fixpoint engine, with the witness
+// sequence extracted from the history lattice rather than recomputed by
+// sequence enumeration.
 // With opts.Cache set to a store that also implements SatCache, a
-// recorded sat for this exact (problem, correspondence, computation,
-// engine) key short-circuits the whole check — no projection, no
+// recorded sat for this exact (problem, correspondence, computation)
+// key short-circuits the whole check — no projection, no
 // legality pass; the returned Result is the passing zero Result (nil
 // Projection), which callers must treat as sat-only. On a miss the
 // check runs normally, with restriction verdicts flowing through
@@ -312,7 +312,7 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 		if s, ok := opts.Cache.(SatCache); ok {
 			sat = s
 			corrKey = corr.CanonicalKey()
-			if sat.LookupSat(opts.Ctx, problem, c, corrKey, opts.Engine) {
+			if sat.LookupSat(opts.Ctx, problem, c, corrKey) {
 				return Result{}
 			}
 		}
@@ -332,7 +332,7 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 	// cancelled context can truncate legal.Check into an empty (passing-
 	// looking) partial result, which must never be persisted.
 	if sat != nil && r.Sat() && !logic.Cancelled(logic.Done(opts.Ctx)) {
-		sat.StoreSat(problem, c, corrKey, opts.Engine)
+		sat.StoreSat(problem, c, corrKey)
 	}
 	return r
 }

@@ -29,10 +29,6 @@ var testOnlyAllowlist = map[string]string{
 	"internal/ada.Spec":     "reference spec of the ADA rendezvous primitive (E5)",
 	"internal/ada.Explore":  "explores ADA programs for the E5 reference-spec checks",
 
-	"internal/history.Sequence.Validate":   "the vhs oracle the history and logic tests check witnesses against",
-	"internal/history.Sequence.IsValid":    "the vhs oracle the history and logic tests check witnesses against",
-	"internal/history.Sequence.IsComplete": "the vhs oracle the history and logic tests check witnesses against",
-
 	"internal/order.DAG.ReachesDFS":      "the DFS arm of BenchmarkAblationClosureVsDFS",
 	"internal/core.Computation.Elements": "used by BenchmarkAblationClosureVsDFS",
 

@@ -37,9 +37,10 @@ if grep -q 'BenchmarkE14WarmStore/cold' "$txt" && grep -q 'BenchmarkE14WarmStore
 	compares="-compare BenchmarkE14WarmStore/cold,BenchmarkE14WarmStore/warm>=5"
 fi
 # Same in-run claim for the mutation campaign (E16): the warm store must
-# serve the per-restriction verdicts the campaign's engine matrix keeps
-# re-requesting. The bound is looser than E14's — campaigns also pay for
-# generation, dedup, and shrinking, which the store cannot skip.
+# serve the per-restriction verdicts the campaign's checks and shrinks
+# keep re-requesting. The bound is looser than E14's — campaigns also pay
+# for generation, dedup, shrinking and the uncached oracle, which the
+# store cannot skip.
 if grep -q 'BenchmarkE16Campaign/cold' "$txt" && grep -q 'BenchmarkE16Campaign/warm' "$txt"; then
 	compares="$compares -compare BenchmarkE16Campaign/cold,BenchmarkE16Campaign/warm>=2"
 fi
