@@ -16,6 +16,7 @@ import (
 	"gem/internal/check"
 	"gem/internal/core"
 	"gem/internal/csp"
+	"gem/internal/fanout"
 	"gem/internal/gofront"
 	"gem/internal/history"
 	"gem/internal/legal"
@@ -123,16 +124,23 @@ func BenchmarkE3RWSpec(b *testing.B) {
 // exploration of the paper's ReadersWriters monitor (2 readers, 1
 // writer) with the priority, mutual-exclusion, and sharing properties
 // checked on every computation; the writers-priority mutant must fail.
-// The j sub-benchmarks exercise the parallel check engine
-// (logic.HoldsEvery fans (computation, property) pairs out to a worker
-// pool); j=1 is the sequential engine.
+// The j sub-benchmarks fan the (computation, property) pairs out to a
+// worker pool through fanout.First; j=1 checks them sequentially.
 func BenchmarkE4MonitorRW(b *testing.B) {
 	w := rw.Workload{Readers: 2, Writers: 1}
 	me, rp := rw.MutualExclusionProp(), rw.ReadersPriorityProp()
 	for _, j := range []int{1, 4} {
 		j := j
 		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			opts := logic.CheckOptions{Parallelism: j}
+			// holdsEvery reports whether every property holds on every
+			// computation, stopping at the first failure.
+			holdsEvery := func(fs []logic.Formula, comps []*core.Computation) bool {
+				u, _, _ := fanout.First(nil, j, fanout.Range(len(comps)*len(fs)), func(i, _ int) (*logic.Counterexample, bool) {
+					cx := logic.Holds(fs[i%len(fs)], comps[i/len(fs)], logic.CheckOptions{})
+					return cx, cx == nil
+				})
+				return u < 0
+			}
 			for i := 0; i < b.N; i++ {
 				runs, _, err := monitor.Explore(rw.NewProgram(rw.ReadersPriority, w), monitor.ExploreOptions{})
 				if err != nil {
@@ -142,7 +150,7 @@ func BenchmarkE4MonitorRW(b *testing.B) {
 				for k, r := range runs {
 					comps[k] = r.Comp
 				}
-				if ci, _, _ := logic.HoldsEvery([]logic.Formula{me, rp}, comps, opts); ci >= 0 {
+				if !holdsEvery([]logic.Formula{me, rp}, comps) {
 					b.Fatal("paper monitor must satisfy ME and readers priority")
 				}
 				// The mutant must be refuted at least once.
@@ -154,7 +162,7 @@ func BenchmarkE4MonitorRW(b *testing.B) {
 				for k, r := range mutantRuns {
 					mutants[k] = r.Comp
 				}
-				if ci, _, _ := logic.HoldsEvery([]logic.Formula{rp}, mutants, opts); ci < 0 {
+				if holdsEvery([]logic.Formula{rp}, mutants) {
 					b.Fatal("writers-priority mutant must be refuted")
 				}
 			}
@@ -531,8 +539,9 @@ func BenchmarkSweepMonitorExploration(b *testing.B) {
 //
 // The seq sub-benchmark enumerates complete sequences until one fails;
 // lattice is Holds, which extracts the witness from the history lattice.
-// E12 in EXPERIMENTS.md records the ratio; scripts/bench.sh bounds the
-// lattice entry once a baseline record exists.
+// E12 in EXPERIMENTS.md records the ratio; the allocations of the
+// lattice arm's refutations are pinned by
+// internal/problems/rw's TestCounterexampleAllocationCeiling.
 func BenchmarkE12FailingSpecs(b *testing.B) {
 	if testing.Short() {
 		b.Skip("readers=3 exploration takes ~13s; skipped in -short mode")
@@ -632,6 +641,8 @@ func BenchmarkE12FailingSpecs(b *testing.B) {
 // whole-check sat layer and skips projection, legality, and temporal
 // evaluation entirely. Exploration runs once outside the timer for both
 // arms, so the ratio isolates exactly what the store accelerates.
+// internal/check's TestWarmStoreSkipsChecking requires the warm pass to
+// hit once per computation and build no lattice.
 func BenchmarkE14WarmStore(b *testing.B) {
 	var sc check.Scenario
 	for _, s := range check.Matrix() {
@@ -771,7 +782,8 @@ func BenchmarkAblationClosureVsDFS(b *testing.B) {
 // checking, judging with the oracle, ddmin shrinking, corpus persistence)
 // against a cold store versus a warm one where every restriction verdict
 // is served from disk. The oracle is not cached, so it runs in both arms.
-// scripts/bench.sh asserts the warm/cold speedup via benchjson -compare.
+// internal/mutate's TestCampaignCorpusReplay requires a warm rerun to miss
+// nothing and to write only its corpus entries and manifest.
 func BenchmarkE16Campaign(b *testing.B) {
 	runCampaign := func(b *testing.B, st *store.Store) {
 		rep, err := mutate.Run(mutate.Config{

@@ -15,16 +15,12 @@
 //	        produce, transitively, under the access relation (error);
 //	GEM012  subsumed/redundant restriction (warning).
 //
-// The same run computes per-restriction emptiness Guards that the
-// legality checker's fast path (legal.Options.FastPath) consults to skip
-// enumeration on computations where a restriction is decided statically;
-// the skip is verdict-preserving (see guard.go for the soundness
-// argument).
+// The analysis only reports: gemlint -deep and gemc -deep print its
+// diagnostics, and no verdict of the sat check depends on it.
 package analyze
 
 import (
 	"fmt"
-	"sync"
 
 	"gem/internal/gemlang"
 	"gem/internal/lint"
@@ -40,8 +36,6 @@ type Result struct {
 	Lint *lint.Result
 	// Deep holds the GEM009–GEM012 diagnostics, canonically sorted.
 	Deep []lint.Diagnostic
-
-	guards map[string]Guard // owner+"\x00"+name -> fast-path guard
 }
 
 // All returns the shallow and deep diagnostics merged in canonical
@@ -53,17 +47,6 @@ func (r *Result) All() []lint.Diagnostic {
 	lint.SortDiagnostics(out)
 	return out
 }
-
-// GuardFor returns the fast-path guard computed for the named
-// restriction.
-func (r *Result) GuardFor(owner, name string) (Guard, bool) {
-	g, ok := r.guards[owner+"\x00"+name]
-	return g, ok
-}
-
-// Analyze runs the deep analysis over the specification IR. Diagnostics
-// carry no positions; use AnalyzeSource for position-annotated output.
-func Analyze(s *spec.Spec) *Result { return AnalyzeMarked(s, nil) }
 
 // AnalyzeSource parses GEM source and deep-analyzes it, attaching source
 // positions to the diagnostics.
@@ -81,29 +64,14 @@ func AnalyzeMarked(s *spec.Spec, marks *gemlang.SourceMap) *Result {
 	lr := lint.AnalyzeMarked(s, marks)
 	_, sp := obs.StartSpan(nil, "analyze.deep")
 	defer sp.End()
-	a := &deepAnalysis{s: s, marks: marks, res: &Result{Lint: lr, guards: make(map[string]Guard)}}
+	a := &deepAnalysis{s: s, marks: marks, res: &Result{Lint: lr}}
 	g := buildPairGraph(s, lr)
 	a.checkUnreachable(g, lr)
 	a.checkContradiction(g)
 	a.checkDeadlock(g, lr)
 	a.checkRedundant(lr)
-	a.computeGuards()
 	lint.SortDiagnostics(a.res.Deep)
 	return a.res
-}
-
-var specCache sync.Map // *spec.Spec -> *Result
-
-// ForSpec memoizes Analyze per Spec value; the legality checker's fast
-// path calls it once per computation checked, so the analysis must be
-// free after the first call.
-func ForSpec(s *spec.Spec) *Result {
-	if r, ok := specCache.Load(s); ok {
-		return r.(*Result)
-	}
-	r := Analyze(s)
-	specCache.Store(s, r)
-	return r
 }
 
 // deepAnalysis carries the shared state of one AnalyzeMarked run.
@@ -186,13 +154,4 @@ func (a *deepAnalysis) guardUnsatisfiable(g *pairGraph, gs guardSet) bool {
 		}
 	}
 	return true
-}
-
-// computeGuards derives the verify fast-path guard for every
-// restriction.
-func (a *deepAnalysis) computeGuards() {
-	for _, r := range a.s.Restrictions() {
-		g := Guard{Owner: r.Owner, Name: r.Name, alts: validGuards(r.F)}
-		a.res.guards[r.Owner+"\x00"+r.Name] = g
-	}
 }

@@ -25,8 +25,8 @@ func TestShippedSpecsDeepClean(t *testing.T) {
 		name string
 		res  *analyze.Result
 	}{
-		{"boundedbuf", analyze.Analyze(bufSpec)},
-		{"rw", analyze.Analyze(rwSpec)},
+		{"boundedbuf", analyze.AnalyzeMarked(bufSpec, nil)},
+		{"rw", analyze.AnalyzeMarked(rwSpec, nil)},
 	} {
 		if len(tc.res.Deep) != 0 {
 			t.Errorf("%s: deep analyzer flagged a shipped spec: %v", tc.name, tc.res.Deep)
@@ -34,22 +34,9 @@ func TestShippedSpecsDeepClean(t *testing.T) {
 	}
 }
 
-// TestForSpecMemoized: the fast path calls ForSpec once per computation;
-// repeated calls must return the identical cached result.
-func TestForSpecMemoized(t *testing.T) {
-	s, err := boundedbuf.ProblemSpec(boundedbuf.Workload{
-		Producers: 1, Consumers: 1, ItemsPerProducer: 1, Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if analyze.ForSpec(s) != analyze.ForSpec(s) {
-		t.Error("ForSpec did not memoize the analysis result")
-	}
-}
-
 // BenchmarkDeepAnalyze measures a full deep analysis of the bounded
 // buffer problem spec (graph build, producibility fixpoint, deadlock
-// SCC, redundancy scan, guard computation).
+// SCC, redundancy scan).
 func BenchmarkDeepAnalyze(b *testing.B) {
 	s, err := boundedbuf.ProblemSpec(boundedbuf.Workload{
 		Producers: 2, Consumers: 2, ItemsPerProducer: 4, Capacity: 3})
@@ -59,7 +46,7 @@ func BenchmarkDeepAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := analyze.Analyze(s); len(res.Deep) != 0 {
+		if res := analyze.AnalyzeMarked(s, nil); len(res.Deep) != 0 {
 			b.Fatalf("unexpected deep diagnostics: %v", res.Deep)
 		}
 	}

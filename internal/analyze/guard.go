@@ -6,7 +6,6 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/logic"
-	"gem/internal/thread"
 )
 
 // This file implements the emptiness-guard calculus: a syntactic analysis
@@ -19,14 +18,10 @@ import (
 // over a class with no events is true and an Exists is false regardless
 // of the body, in every env sharing that computation.
 //
-// The calculus is used twice:
-//
-//   - validGuards feeds the verify fast-path: when a computation is
-//     empty on some valid guard, the restriction holds — enumeration can
-//     be skipped with the verdict preserved exactly.
-//   - falseGuards feeds GEM009: when every class of some false guard is
-//     statically unproducible, the restriction is false on every legal
-//     computation, so the specification admits none.
+// GEM009 is its one client: when every class of some false guard is
+// statically unproducible, the restriction is false on every legal
+// computation, so the specification admits none. falseGuards recurses
+// into validGuards through negations and implications.
 
 // maxGuardAlts caps the alternatives tracked per formula; the cross
 // products below (And for valid, Or for false) are the only growth
@@ -238,52 +233,6 @@ func falseGuards(f logic.Formula) []guardSet {
 	default:
 		return nil
 	}
-}
-
-// Guard is the statically computed fast-path condition for one
-// restriction: when HoldsOn reports true for a computation, the
-// restriction is satisfied on that computation and enumeration may be
-// skipped with the verdict preserved.
-type Guard struct {
-	Owner string
-	Name  string
-	alts  []guardSet
-}
-
-// Decisive reports whether the guard has any alternative at all (an
-// indecisive guard never fires).
-func (g Guard) Decisive() bool { return len(g.alts) > 0 }
-
-// HoldsOn reports whether some alternative guard is empty on the
-// computation: all guarded classes have no events and no event carries a
-// label of a guarded thread type.
-func (g Guard) HoldsOn(c *core.Computation) bool {
-	for _, alt := range g.alts {
-		if alt.emptyOn(c) {
-			return true
-		}
-	}
-	return false
-}
-
-func (gs guardSet) emptyOn(c *core.Computation) bool {
-	for _, ref := range gs.refs {
-		if len(c.EventsOf(ref)) > 0 {
-			return false
-		}
-	}
-	if len(gs.threads) > 0 {
-		for _, e := range c.Events() {
-			for _, tid := range e.Threads {
-				for _, t := range gs.threads {
-					if thread.TypeOf(tid) == t {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
 }
 
 func (gs guardSet) String() string {

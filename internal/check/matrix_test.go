@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/history"
+	"gem/internal/logic"
 	"gem/internal/spec"
+	"gem/internal/store"
 	"gem/internal/verify"
 )
 
@@ -61,6 +64,54 @@ func TestScenarioCells(t *testing.T) {
 				t.Errorf("explored %d computations, want %d", cell.Runs, wantRuns[name])
 			}
 		})
+	}
+}
+
+// TestWarmStoreSkipsChecking: checking the readers-writers/monitor
+// cell's computations a second time against the store the first pass
+// filled serves every one from the whole-check sat layer: one hit each,
+// no miss, no write, and no history lattice built. This is what makes a
+// warm rerun of an unchanged spec cheap (experiment E14).
+func TestWarmStoreSkipsChecking(t *testing.T) {
+	var sc Scenario
+	for _, s := range Matrix() {
+		if s.Problem == "readers-writers" && s.Language == Monitor {
+			sc = s
+		}
+	}
+	problem, corr, err := sc.Setup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var comps []*core.Computation
+	if truncated, err := sc.Stream(func(c *core.Computation) bool {
+		comps = append(comps, c)
+		return true
+	}); err != nil || truncated {
+		t.Fatalf("exploration: truncated=%v err=%v", truncated, err)
+	}
+	if len(comps) != 72 {
+		t.Fatalf("explored %d computations, want 72", len(comps))
+	}
+	st, err := store.Open(t.TempDir(), store.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx, res := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Cache: st}); idx >= 0 {
+		t.Fatalf("cold pass: computation %d: %v", idx, res.Error())
+	}
+	cold := st.Stats()
+	builds := history.LatticeBuilds()
+	if idx, res := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Cache: st}); idx >= 0 {
+		t.Fatalf("warm pass: computation %d: %v", idx, res.Error())
+	}
+	warm := st.Stats()
+	if d := history.LatticeBuilds() - builds; d != 0 {
+		t.Errorf("warm pass built %d history lattices, want 0", d)
+	}
+	hits, misses, writes := warm.Hits-cold.Hits, warm.Misses-cold.Misses, warm.Writes-cold.Writes
+	if hits != 72 || misses != 0 || writes != 0 {
+		t.Errorf("warm pass: %d hits, %d misses, %d writes; want 72, 0 and 0", hits, misses, writes)
 	}
 }
 

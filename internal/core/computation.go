@@ -103,19 +103,6 @@ func (c *Computation) EnablesDirect(a, b EventID) bool {
 // modified.
 func (c *Computation) Enabled(a EventID) []EventID { return c.enables[int(a)] }
 
-// Enablers returns the ids of events that directly enable b.
-func (c *Computation) Enablers(b EventID) []EventID {
-	var out []EventID
-	for src, targets := range c.enables {
-		for _, t := range targets {
-			if t == b {
-				out = append(out, EventID(src))
-			}
-		}
-	}
-	return out
-}
-
 // ElemBefore reports whether a precedes b in the element order (same
 // element, lower occurrence index).
 func (c *Computation) ElemBefore(a, b EventID) bool {

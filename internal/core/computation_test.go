@@ -157,14 +157,29 @@ func TestEventAccessors(t *testing.T) {
 
 func TestEnablersAndEnabled(t *testing.T) {
 	c, ids := buildDiamond(t)
-	if got := c.Enablers(ids[3]); !reflect.DeepEqual(got, []EventID{ids[1], ids[2]}) {
-		t.Errorf("Enablers(e4) = %v", got)
+	// enablers inverts Enabled: the events that directly enable b.
+	enablers := func(b EventID) []EventID {
+		var out []EventID
+		for _, e := range c.Events() {
+			for _, succ := range c.Enabled(e.ID) {
+				if succ == b {
+					out = append(out, e.ID)
+				}
+			}
+		}
+		return out
+	}
+	if got := enablers(ids[3]); !reflect.DeepEqual(got, []EventID{ids[1], ids[2]}) {
+		t.Errorf("enablers(e4) = %v", got)
 	}
 	if got := c.Enabled(ids[0]); !reflect.DeepEqual(got, []EventID{ids[1], ids[2]}) {
 		t.Errorf("Enabled(e1) = %v", got)
 	}
-	if got := c.Enablers(ids[0]); got != nil {
-		t.Errorf("Enablers(e1) = %v, want none", got)
+	if got := enablers(ids[0]); got != nil {
+		t.Errorf("enablers(e1) = %v, want none", got)
+	}
+	if got := c.Enabled(ids[3]); len(got) != 0 {
+		t.Errorf("Enabled(e4) = %v, want none", got)
 	}
 }
 

@@ -59,10 +59,10 @@ type Violation struct {
 	// element/group for RestrictionViolation.
 	Restriction string
 	Owner       string
-	// Cx carries the failing witness for RestrictionViolation: a complete
-	// valid history sequence for a temporal restriction, a single history
-	// otherwise. Every witness falsifies the restriction
-	// (logic.Counterexample.Verify).
+	// Cx carries the failing witness of a RestrictionViolation, and is
+	// never nil for that kind: a complete valid history sequence for a
+	// temporal restriction, a single history otherwise. Every witness
+	// falsifies the restriction (logic.Counterexample.Verify).
 	Cx *logic.Counterexample
 }
 
@@ -100,25 +100,12 @@ type Options struct {
 	// SkipRestrictions limits the check to structural legality (event
 	// declarations, enable edges, threads).
 	SkipRestrictions bool
-	// Prelint runs the gemlint static analyzer over the specification (a
-	// memoized, computation-independent pass) and short-circuits the
-	// restrictions it proved statically unsatisfiable whenever the
-	// computation activates them, skipping their history enumeration.
-	// The verdict and the set of failing restrictions are exactly the
-	// dynamic check's; only the violation messages differ.
-	Prelint bool
-	// FastPath consults the deep analyzer's per-restriction emptiness
-	// guards (analyze.ForSpec, memoized): a restriction whose guard holds
-	// on the computation — the classes and thread types that could
-	// falsify it are absent — is statically satisfied, so its history
-	// enumeration is skipped with the verdict preserved exactly. The dual
-	// of Prelint: Prelint short-circuits restrictions proven to fail,
-	// FastPath ones proven to hold.
-	FastPath bool
 }
 
 // Check verifies that the computation is legal with respect to the
-// specification.
+// specification. Every explicit restriction is evaluated by logic.Holds
+// in declaration order; all of them share the computation's memoized
+// history lattice, which is enumerated at most once.
 func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 	var res Result
 	add := func(v Violation) { res.Violations = append(res.Violations, v) }
@@ -133,82 +120,40 @@ func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 	if opts.SkipRestrictions {
 		return res
 	}
-	rs := s.Restrictions()
-	var pre []*Violation
-	if opts.Prelint {
-		pre = prelintViolations(s, c, rs)
-	}
-	var hold []bool
-	if opts.FastPath {
-		hold = fastPathHolds(s, c, rs)
+	// Cancellation stops the loop and leaves the remaining restrictions
+	// unchecked — indistinguishable from "holds" in the result, so
+	// callers that must tell the difference consult ctx.Err(), as with
+	// every partial result here.
+	done := logic.Done(opts.Check.Ctx)
+	for _, r := range s.Restrictions() {
+		if logic.Cancelled(done) {
+			break
+		}
+		// Each restriction runs under its own span, so the trace and the
+		// per-restriction stats table attribute each engine stage's time
+		// to the restriction shape that incurred it. The name is only
+		// built when the collector is on, keeping the disabled path
+		// allocation-free.
+		name := ""
 		if obs.Enabled() {
-			for _, h := range hold {
-				if h {
-					obs.Count("fastpath.hits", 1)
-				}
-			}
+			name = "restriction " + r.Owner + "/" + r.Name
 		}
-	}
-	for i, cx := range restrictionCounterexamples(s, c, opts, pre, hold) {
-		if pre != nil && pre[i] != nil {
-			obs.Count("prelint.shortcircuit", 1)
-			add(*pre[i])
-			continue
-		}
+		inner := opts.Check
+		ctx, sp := obs.StartSpan(inner.Ctx, name)
+		inner.Ctx = ctx
+		cx := logic.Holds(r.F, c, inner)
+		sp.End()
 		if cx != nil {
 			add(Violation{
 				Kind:        RestrictionViolation,
 				Message:     cx.Error(),
-				Restriction: rs[i].Name,
-				Owner:       rs[i].Owner,
+				Restriction: r.Name,
+				Owner:       r.Owner,
 				Cx:          cx,
 			})
 		}
 	}
 	return res
-}
-
-// restrictionCounterexamples checks every explicit restriction against
-// the computation in declaration order. All restrictions share the
-// computation's memoized history lattice, which is enumerated at most
-// once. Restrictions with a non-nil pre entry were already refuted by
-// the lint pre-pass and are not evaluated; restrictions with a true
-// hold entry were proved to hold by the
-// fast-path guard and are not evaluated either (their result stays nil,
-// exactly the verdict the enumeration would reach).
-func restrictionCounterexamples(s *spec.Spec, c *core.Computation, opts Options, pre []*Violation, hold []bool) []*logic.Counterexample {
-	rs := s.Restrictions()
-	cxs := make([]*logic.Counterexample, len(rs))
-	skip := func(i int) bool { return pre != nil && pre[i] != nil }
-	holds := func(i int) bool { return hold != nil && hold[i] }
-	// eval runs one restriction under its own span, so the trace and the
-	// per-restriction stats table attribute each engine stage's time to
-	// the restriction shape that incurred it. The name is only built when
-	// the collector is on, keeping the disabled path allocation-free.
-	eval := func(i int, inner logic.CheckOptions) *logic.Counterexample {
-		name := ""
-		if obs.Enabled() {
-			name = "restriction " + rs[i].Owner + "/" + rs[i].Name
-		}
-		ctx, sp := obs.StartSpan(inner.Ctx, name)
-		inner.Ctx = ctx
-		cx := logic.Holds(rs[i].F, c, inner)
-		sp.End()
-		return cx
-	}
-	// Cancellation leaves the remaining entries nil — indistinguishable
-	// from "holds" in the returned slice, so callers that must tell the
-	// difference consult ctx.Err(), as with every partial result here.
-	done := logic.Done(opts.Check.Ctx)
-	for i := range rs {
-		if logic.Cancelled(done) {
-			break
-		}
-		if !skip(i) && !holds(i) {
-			cxs[i] = eval(i, opts.Check)
-		}
-	}
-	return cxs
 }
 
 func checkEvents(s *spec.Spec, c *core.Computation, add func(Violation)) {

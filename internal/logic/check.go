@@ -62,8 +62,7 @@ func (cx *Counterexample) Verify() error {
 type CheckOptions struct {
 	// Parallelism is the worker count used when independent checks are
 	// fanned out through fanout.First: verify.CheckAll across
-	// computations (and HoldsEvery across (computation, formula)
-	// pairs). 0 or 1 checks sequentially; parallel runs report the
+	// computations. 0 or 1 checks sequentially; parallel runs report the
 	// same verdicts and the same first (lowest-index) counterexample. A
 	// single formula or legality check is never split across workers.
 	Parallelism int

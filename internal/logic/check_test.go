@@ -229,19 +229,27 @@ func TestHoldsInvariantSemantics(t *testing.T) {
 	}
 }
 
-// TestHoldsAllReportsIndex: checking all of several restrictions
-// against one computation reports the index of the first that fails.
-func TestHoldsAllReportsIndex(t *testing.T) {
+// TestLatticeBuiltOncePerCheck: checking several □ restrictions against
+// one computation, one Holds call each, enumerates the history lattice
+// exactly once.
+func TestLatticeBuiltOncePerCheck(t *testing.T) {
 	c, _ := diamondComp(t)
-	comps := []*core.Computation{c}
-	fs := []Formula{TrueF{}, FalseF{}, TrueF{}}
-	ci, fi, cx := HoldsEvery(fs, comps, CheckOptions{})
-	if ci != 0 || fi != 1 || cx == nil {
-		t.Errorf("HoldsEvery = (%d, %d, %v), want (0, 1, counterexample)", ci, fi, cx)
+	inv := Box{F: Implies{
+		If:   Exists{Var: "x", Ref: core.Ref("EL4", "E"), Body: Occurred{Var: "x"}},
+		Then: Exists{Var: "y", Ref: core.Ref("EL2", "E"), Body: Occurred{Var: "y"}},
+	}}
+	pairs := Box{F: Implies{
+		If:   Exists{Var: "x", Ref: core.Ref("EL1", "E"), Body: Occurred{Var: "x"}},
+		Then: Box{F: Exists{Var: "y", Ref: core.Ref("EL1", "E"), Body: Occurred{Var: "y"}}},
+	}}
+	before := history.LatticeBuilds()
+	for i, f := range []Formula{inv, pairs, inv, pairs} {
+		if cx := Holds(f, c, CheckOptions{}); cx != nil {
+			t.Fatalf("restriction %d should hold: %v", i, cx.Error())
+		}
 	}
-	ci, fi, cx = HoldsEvery([]Formula{TrueF{}}, comps, CheckOptions{})
-	if ci != -1 || fi != -1 || cx != nil {
-		t.Errorf("all-pass HoldsEvery = (%d, %d, %v)", ci, fi, cx)
+	if d := history.LatticeBuilds() - before; d != 1 {
+		t.Errorf("lattice enumerated %d times across 4 restrictions, want 1", d)
 	}
 }
 

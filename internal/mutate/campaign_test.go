@@ -140,8 +140,10 @@ func TestCampaignCorpusReplay(t *testing.T) {
 	}
 
 	// A warm rerun of the identical campaign must reproduce the identical
-	// report while serving verdicts from the store.
-	before := st.Stats().Hits
+	// report while serving every verdict from the store (experiment E16):
+	// no miss, and no write but the corpus entries and the manifest it
+	// persists again.
+	before := st.Stats()
 	rep2 := runCampaign(t, 2, st, 150)
 	var b1, b2 bytes.Buffer
 	rep.Render(&b1)
@@ -149,8 +151,21 @@ func TestCampaignCorpusReplay(t *testing.T) {
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatalf("warm rerun changed the report:\n--- cold ---\n%s\n--- warm ---\n%s", b1.String(), b2.String())
 	}
-	if st.Stats().Hits <= before {
-		t.Fatal("warm rerun recorded no additional store hits")
+	after := st.Stats()
+	corpus := map[string]bool{}
+	for _, r := range rep2.Results {
+		if r.CorpusKey != "" {
+			corpus[r.CorpusKey] = true
+		}
+	}
+	hits, misses, writes := after.Hits-before.Hits, after.Misses-before.Misses, after.Writes-before.Writes
+	t.Logf("warm rerun: %d hits, %d misses, %d writes, %d corpus entries", hits, misses, writes, len(corpus))
+	if len(corpus) != 28 {
+		t.Errorf("warm rerun persisted %d corpus entries, want 28", len(corpus))
+	}
+	if hits == 0 || misses != 0 || writes != int64(len(corpus))+1 {
+		t.Errorf("warm rerun: %d hits, %d misses, %d writes; want hits, no miss and %d writes (the corpus entries and the manifest)",
+			hits, misses, writes, len(corpus)+1)
 	}
 }
 

@@ -7,9 +7,8 @@
 // The collector is disabled by default. Every entry point then reduces
 // to a single atomic load and performs no allocation, so the engines
 // stay instrumented permanently without taxing production runs: the
-// disabled-path cost of a span is one branch, and benchmark deltas
-// (scripts/bench.sh asserts BenchmarkE4MonitorRW/j1 against the
-// previous record) keep that claim honest.
+// disabled-path cost of a span is one branch, and
+// TestDisabledAllocationFree keeps that claim honest.
 //
 // Span parentage travels through context.Context, the same channel the
 // engines use for cancellation (logic.CheckOptions.Ctx): a stage that
@@ -156,7 +155,7 @@ func acquireTid() int32 {
 }
 
 // Count adds delta to the named counter (total histories enumerated,
-// prelint short-circuits, …). No-op when disabled.
+// sat checks run, …). No-op when disabled.
 func Count(name string, delta int64) {
 	if !enabled.Load() {
 		return

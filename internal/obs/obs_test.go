@@ -171,7 +171,7 @@ func TestWriteStatsDeterministicShape(t *testing.T) {
 		eng.End()
 		sp.End()
 	}
-	Count("fastpath.hits", 3)
+	Count("sat.checks", 3)
 	SetMax("lattice.max_histories", 42)
 
 	var one strings.Builder
@@ -181,7 +181,7 @@ func TestWriteStatsDeterministicShape(t *testing.T) {
 	out := one.String()
 	for _, want := range []string{
 		"== spans ==", "== per-restriction engine time ==", "== counters ==",
-		"restriction a/r1", "engine.seq", "fastpath.hits", "lattice.max_histories",
+		"restriction a/r1", "engine.seq", "sat.checks", "lattice.max_histories",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)

@@ -6,6 +6,9 @@ import (
 	"gem/internal/core"
 	"gem/internal/history"
 	"gem/internal/logic"
+	"gem/internal/monitor"
+	"gem/internal/thread"
+	"gem/internal/verify"
 )
 
 // TestHoldsAllocationCeiling pins what one check of a readers/writers
@@ -52,6 +55,66 @@ func TestHoldsAllocationCeiling(t *testing.T) {
 		t.Logf("%s: %.0f allocations per Holds", tt.name, allocs)
 		if allocs > tt.ceiling {
 			t.Errorf("%s: %.0f allocations per Holds, ceiling %.0f", tt.name, allocs, tt.ceiling)
+		}
+	}
+}
+
+// TestCounterexampleAllocationCeiling pins what refuting each of
+// experiment E12's three failing formulas allocates on a readers=3
+// projection: the counterexample path a user runs while debugging a
+// broken spec, the lattice engine's bounds plus the witness it extracts
+// from a warmed history lattice. The first run the readers-priority
+// monitor explores refutes all three.
+func TestCounterexampleAllocationCeiling(t *testing.T) {
+	problem, err := ProblemSpec([]string{"r1", "r2", "r3", "w1"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c *core.Computation
+	_, err = monitor.ExploreStream(NewProgram(ReadersPriority, Workload{Readers: 3, Writers: 1}), monitor.ExploreOptions{}, func(r monitor.Run) bool {
+		proj, err := verify.Project(r.Comp, MonitorCorrespondence())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = proj.Comp
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thread.Apply(c, problem.Threads()...)
+	writeDone := logic.Exists{Var: "fw", Ref: core.Ref("", "FinishWrite"), Body: logic.Occurred{Var: "fw"}}
+	for _, tt := range []struct {
+		name    string
+		f       logic.Formula
+		ceiling float64
+	}{
+		{"reads-finish-first", logic.Box{F: logic.Implies{
+			If: logic.And{
+				logic.Exists{Var: "rq", Ref: core.Ref("db.control", "ReqWrite"), Body: logic.Occurred{Var: "rq"}},
+				logic.Not{F: writeDone},
+			},
+			Then: logic.Diamond{F: logic.And{
+				logic.Exists{Var: "fr", Ref: core.Ref("", "FinishRead"), Body: logic.New{Var: "fr"}},
+				logic.Not{F: writeDone},
+			}},
+		}}, 1767},
+		{"exists-box", logic.Exists{Var: "sw", Ref: core.Ref("db.control", "StartWrite"),
+			Body: logic.Box{F: logic.Occurred{Var: "sw"}}}, 21},
+		{"temporal-or", logic.Or{
+			logic.Box{F: logic.Exists{Var: "g", Ref: core.Ref("db.data", "Getval"), Body: logic.Occurred{Var: "g"}}},
+			logic.Box{F: logic.Exists{Var: "a", Ref: core.Ref("db.data", "Assign"), Body: logic.Occurred{Var: "a"}}},
+		}, 549},
+	} {
+		if logic.Holds(tt.f, c, logic.CheckOptions{}) == nil {
+			t.Fatalf("%s: not refuted on the first readers=3 projection", tt.name)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			logic.Holds(tt.f, c, logic.CheckOptions{})
+		})
+		t.Logf("%s: %.0f allocations per refuting Holds", tt.name, allocs)
+		if allocs > tt.ceiling {
+			t.Errorf("%s: %.0f allocations per refuting Holds, ceiling %.0f", tt.name, allocs, tt.ceiling)
 		}
 	}
 }

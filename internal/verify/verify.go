@@ -293,6 +293,9 @@ func (r Result) Error() error {
 // Check runs the paper's sat check for one program computation: project
 // onto the significant objects, label the problem's threads, and check
 // every restriction of the problem specification on the projection.
+// The judgement is dynamic throughout: no static analysis of the
+// specification decides a restriction here (gemlint, gemc and gemcheck's
+// pre-flight lint report those analyses instead).
 // Failing restrictions carry counterexamples: a temporal failure is
 // mostly refuted inside the lattice fixpoint engine, with the witness
 // sequence extracted from the history lattice rather than recomputed by
@@ -322,11 +325,7 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 		return Result{ProjectionErr: err}
 	}
 	thread.Apply(proj.Comp, problem.Threads()...)
-	// Static pre-passes, both verdict-preserving: Prelint short-circuits
-	// restrictions the lint analyzer proved statically unsatisfiable;
-	// FastPath skips enumeration for restrictions the deep analyzer's
-	// emptiness guards prove to hold on this projection.
-	res := legal.Check(problem, proj.Comp, legal.Options{Check: opts, Prelint: true, FastPath: true})
+	res := legal.Check(problem, proj.Comp, legal.Options{Check: opts})
 	r := Result{Projection: proj, Legality: res}
 	// Write the sat record only for a genuine, complete pass: a
 	// cancelled context can truncate legal.Check into an empty (passing-
