@@ -19,8 +19,9 @@ type Run struct {
 type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates interleavings and returns distinct GEM
-// computations. The bool reports truncation by MaxRuns. It is the
-// collect-all form of ExploreStream.
+// computations (distinct as partial orders: the walk completes one
+// interleaving per computation, see explore.Machine). The bool reports
+// truncation by MaxRuns. It is the collect-all form of ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 	return explore.Collect(ExploreStream, p, opts)
 }

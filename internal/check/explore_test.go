@@ -3,7 +3,6 @@ package check
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"gem/internal/core"
 	"gem/internal/csp"
 	"gem/internal/explore"
+	"gem/internal/explore/exploretest"
 	"gem/internal/logic"
 	"gem/internal/monitor"
 	"gem/internal/problems/boundedbuf"
@@ -89,53 +89,31 @@ func TestReadersPriorityVariantRuns(t *testing.T) {
 	}
 }
 
-// canonicalComp renders a computation's partial order as a canonical
-// string (events keyed by element+occurrence, edges sorted).
-func canonicalComp(c *core.Computation) string {
-	labels := make([]string, c.NumEvents())
-	for _, e := range c.Events() {
-		labels[e.ID] = fmt.Sprintf("%s^%d:%s%s", e.Element, e.Seq, e.Class, e.Params)
-	}
-	lines := append([]string(nil), labels...)
-	for _, e := range c.Events() {
-		for _, succ := range c.Enabled(e.ID) {
-			lines = append(lines, labels[e.ID]+">"+labels[succ])
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-// computations explores with the given options and returns the set of
-// partial orders reached.
+// computations explores p with the given options and returns the
+// computations of its runs, in order.
 func computations[P, R any](t *testing.T, p P, exploreFn func(P, explore.Options) ([]R, bool, error),
-	comp func(R) *core.Computation, opts explore.Options) map[string]bool {
+	comp func(R) *core.Computation, opts explore.Options) []*core.Computation {
 	t.Helper()
 	runs, truncated, err := exploreFn(p, opts)
 	if err != nil || truncated {
 		t.Fatalf("truncated=%v err=%v", truncated, err)
 	}
-	out := make(map[string]bool, len(runs))
-	for _, r := range runs {
-		out[canonicalComp(comp(r))] = true
+	out := make([]*core.Computation, len(runs))
+	for i, r := range runs {
+		out[i] = comp(r)
 	}
 	return out
 }
 
-// reductionOracle checks that reduced and unreduced exploration of p
-// reach exactly the same computations.
+// reductionOracle checks that the reduced exploration of p emits each
+// computation the unreduced exploration reaches exactly once.
 func reductionOracle[P, R any](p P, exploreFn func(P, explore.Options) ([]R, bool, error),
 	comp func(R) *core.Computation) func(*testing.T) {
 	return func(t *testing.T) {
 		reduced := computations(t, p, exploreFn, comp, explore.Options{MaxRuns: 60000})
 		full := computations(t, p, exploreFn, comp, explore.Options{MaxRuns: 60000, NoReduction: true})
-		if len(reduced) != len(full) {
-			t.Fatalf("reduced explores %d computations, unreduced %d", len(reduced), len(full))
-		}
-		for k := range full {
-			if !reduced[k] {
-				t.Fatalf("computation missing from reduced exploration:\n%s", k)
-			}
+		if err := exploretest.SameComputations(reduced, full, false); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -19,8 +19,9 @@ type Run struct {
 type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates the program's executions and returns
-// the distinct GEM computations (distinct as partial orders). The bool
-// reports truncation by MaxRuns. It is the collect-all form of
+// the distinct GEM computations (distinct as partial orders: the walk
+// completes one execution per computation, see explore.Machine). The
+// bool reports truncation by MaxRuns. It is the collect-all form of
 // ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 	return explore.Collect(ExploreStream, p, opts)

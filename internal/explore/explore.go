@@ -2,21 +2,17 @@
 // Monitor, CSP and ADA simulators and the distributed-database
 // algorithm. A language supplies only its operational semantics as a
 // Machine; the driver walks the schedules depth first and hands each
-// distinct computation to the caller. Two partial-order reductions keep
-// the walk small: invisible transitions run eagerly without branching,
-// and sleep sets (Godefroid 1996) prune a branch whenever an earlier
-// path of the walk already covered an equivalent interleaving, so each
-// trace is reached about once instead of once per interleaving.
-// Computations are distinct as partial orders: completed runs are still
-// deduplicated at the leaves by the Log's canonical key, which is
-// coarser than trace equivalence. The walk remembers each key by its
-// SHA-256 digest, not the key itself, so the dedup set costs 32 bytes per
-// run instead of a string as long as the run's events and edges.
+// computation to the caller. Two partial-order reductions keep the walk
+// small: invisible transitions run eagerly without branching, and sleep
+// sets (Godefroid 1996) prune a branch whenever an earlier path of the
+// walk already covered an equivalent interleaving, so each trace is
+// completed once instead of once per interleaving. The Machine contract
+// makes different traces different computations, so the runs the walk
+// emits are distinct as partial orders without being compared.
 package explore
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"slices"
 
@@ -25,15 +21,16 @@ import (
 
 // Options bounds an exploration.
 type Options struct {
-	// MaxRuns caps the number of distinct runs collected (0 = 100000).
+	// MaxRuns caps the number of runs emitted (0 = 100000).
 	MaxRuns int
 	// MaxSteps caps the steps of a single run, guarding against
 	// non-terminating programs (0 = 10000).
 	MaxSteps int
 	// NoReduction disables both partial-order reductions, eager steps and
-	// sleep sets, branching over every enabled transition. Exponentially
-	// slower; used to validate that the reductions preserve the set of
-	// computations.
+	// sleep sets, branching over every enabled transition, and emits every
+	// schedule it completes, so a computation comes out once per
+	// interleaving. Exponentially slower; used to validate that the
+	// reductions emit each computation exactly once.
 	NoReduction bool
 	// Ctx cancels the exploration: the DFS polls it at every node, and a
 	// cancelled context aborts the walk with ctx.Err() after at most one
@@ -48,6 +45,15 @@ type Options struct {
 // branch can be recognised among a later state's branches. A transition
 // value must therefore name the same step for as long as its process
 // does not move.
+//
+// Run never compares runs: every run the reduced walk completes must be
+// a different computation. Sleep sets complete at most one run per trace
+// of Independent (Godefroid 1996), so this holds when the machine takes
+// its eager steps in a fixed order and branches only over choices its
+// computation records: a grant is the lock's next Acq event, a match or
+// an accept is a pair of events at shared elements, and an external
+// operation is an event at its element. Two different traces then give
+// two different computations.
 type Machine[M any, T comparable, R any] interface {
 	// Transitions lists the schedulable steps. Unless full is set, the
 	// machine may return one invisible transition as eager (ok true): a
@@ -60,32 +66,31 @@ type Machine[M any, T comparable, R any] interface {
 	Transitions(full bool) (eager T, ok bool, branches []T)
 	// Independent reports whether a and b, both enabled in the current
 	// state, are steps of different processes that commute: either order
-	// reaches the same state and the same Key, and neither disables the
-	// other. It may answer false whenever in doubt; a false answer costs
-	// only pruning, a wrong true answer loses computations.
+	// reaches the same state and the same computation, and neither
+	// disables the other. It may answer false whenever in doubt; a false
+	// answer costs only pruning, a wrong true answer loses computations.
 	Independent(a, b T) bool
 	// Apply executes one transition in place.
 	Apply(t T) error
 	// Clone returns an independent copy of the state.
 	Clone() M
-	// Key identifies the run's partial order; see Log.Key.
-	Key() string
 	// Finish renders a state with no transitions as a run.
 	Finish() (R, error)
 }
 
-// Run enumerates the distinct runs reachable from m in deterministic DFS
-// order, handing each to yield as soon as its terminal state is reached.
-// It reports whether the exploration was truncated by MaxRuns, that is
-// whether a distinct run beyond the first MaxRuns was reached. If yield
-// returns false the exploration stops early with truncated == false and
-// a nil error. Each call records the explore.leaves, explore.emitted,
-// explore.dedup and explore.pruned counters once.
+// Run enumerates the runs reachable from m in deterministic DFS order,
+// handing each to yield as soon as its terminal state is reached. It
+// reports whether the exploration was truncated by MaxRuns, that is
+// whether a run beyond the first MaxRuns was reached. If yield returns
+// false the exploration stops early with truncated == false and a nil
+// error. Each call records the explore.leaves, explore.emitted and
+// explore.pruned counters once.
 //
-// Sleep sets never change what is emitted: a path is pruned only when
-// an equivalent path precedes it in DFS order, so the first interleaving
-// of every partial order is still reached, and the runs come out in the
-// same order, with the same event IDs, as they would without sleep sets.
+// Sleep sets never change which runs come out, or where: a path is
+// pruned only when an equivalent path precedes it in DFS order, so the
+// first interleaving of every partial order is still reached, and each
+// run comes out in the order, and with the event IDs, in which the walk
+// without sleep sets first reaches its computation.
 func Run[M Machine[M, T, R], T comparable, R any](m M, opts Options, yield func(R) bool) (truncated bool, err error) {
 	if opts.MaxRuns == 0 {
 		opts.MaxRuns = 100000
@@ -93,14 +98,13 @@ func Run[M Machine[M, T, R], T comparable, R any](m M, opts Options, yield func(
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 10000
 	}
-	w := &walker[M, T, R]{opts: opts, yield: yield, seen: make(map[[sha256.Size]byte]struct{})}
+	w := &walker[M, T, R]{opts: opts, yield: yield}
 	if opts.Ctx != nil {
 		w.done = opts.Ctx.Done()
 	}
 	w.dfs(m, 0, nil)
 	obs.Count("explore.leaves", int64(w.leaves))
 	obs.Count("explore.emitted", int64(w.emitted))
-	obs.Count("explore.dedup", int64(w.dedup))
 	obs.Count("explore.pruned", int64(w.pruned))
 	if w.err != nil {
 		return false, w.err
@@ -127,11 +131,10 @@ type walker[M Machine[M, T, R], T comparable, R any] struct {
 	opts  Options
 	yield func(R) bool
 	done  <-chan struct{}
-	seen  map[[sha256.Size]byte]struct{} // digests of emitted runs' keys
 
-	leaves, emitted, dedup, pruned int
-	truncated, stopped             bool
-	err                            error
+	leaves, emitted, pruned int
+	truncated, stopped      bool
+	err                     error
 }
 
 // dfs explores from m, which has taken steps transitions so far. sleep
@@ -207,19 +210,13 @@ func independentOf[M Machine[M, T, R], T comparable, R any](m M, sleep []T, t T,
 	return dst
 }
 
-// leaf emits m's run unless its partial order was already emitted.
+// leaf emits m's run.
 func (w *walker[M, T, R]) leaf(m M) {
 	w.leaves++
-	key := sha256.Sum256([]byte(m.Key()))
-	if _, dup := w.seen[key]; dup {
-		w.dedup++
-		return
-	}
 	if w.emitted >= w.opts.MaxRuns {
 		w.truncated = true
 		return
 	}
-	w.seen[key] = struct{}{}
 	run, err := m.Finish()
 	if err != nil {
 		w.err = err

@@ -1,4 +1,4 @@
-package explore
+package explore_test
 
 import (
 	"context"
@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore"
+	"gem/internal/explore/exploretest"
 	"gem/internal/obs"
 )
 
@@ -18,7 +20,7 @@ import (
 // of the computation. With eager set, the first enabled step is reported
 // as invisible.
 type toy struct {
-	Log
+	explore.Log
 	total, left []int
 	shared      func(proc, k int) bool // is process proc's k-th step at x?
 	eager       bool
@@ -33,7 +35,7 @@ type finishLog struct{ calls, unfinished int }
 type step int
 
 func newToy(steps ...int) *toy {
-	return &toy{Log: NewLog(len(steps)), total: steps, left: append([]int(nil), steps...), finishes: &finishLog{}}
+	return &toy{Log: explore.NewLog(len(steps)), total: steps, left: append([]int(nil), steps...), finishes: &finishLog{}}
 }
 
 // allShared puts every step at the shared element.
@@ -91,8 +93,8 @@ func (m *toy) Finish() (*core.Computation, error) {
 	return m.Build()
 }
 
-func collect(m *toy, opts Options) ([]*core.Computation, bool, error) {
-	return Collect(Run[*toy, step], m, opts)
+func collect(m *toy, opts explore.Options) ([]*core.Computation, bool, error) {
+	return explore.Collect(explore.Run[*toy, step], m, opts)
 }
 
 // counters runs f with a fresh obs collector and returns the explore.*
@@ -103,22 +105,21 @@ func counters(f func()) map[string]int64 {
 	f()
 	got := obs.Snapshot().Counters
 	return map[string]int64{
-		"leaves": got["explore.leaves"], "emitted": got["explore.emitted"],
-		"dedup": got["explore.dedup"], "pruned": got["explore.pruned"],
+		"leaves": got["explore.leaves"], "emitted": got["explore.emitted"], "pruned": got["explore.pruned"],
 	}
 }
 
 func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
 	for _, tc := range []struct {
-		opts Options
+		opts explore.Options
 		want map[string]int64
 	}{
 		// Sleep sets reach the one partial order of p0;p0 ∥ p1 once: the
 		// two other interleavings are pruned before their leaves.
-		{Options{}, map[string]int64{"leaves": 1, "emitted": 1, "dedup": 0, "pruned": 2}},
-		// Unreduced, all three interleavings reach a leaf; two are
-		// dropped there as duplicates.
-		{Options{NoReduction: true}, map[string]int64{"leaves": 3, "emitted": 1, "dedup": 2, "pruned": 0}},
+		{explore.Options{}, map[string]int64{"leaves": 1, "emitted": 1, "pruned": 2}},
+		// Unreduced, all three interleavings reach a leaf, and each is
+		// emitted.
+		{explore.Options{NoReduction: true}, map[string]int64{"leaves": 3, "emitted": 3, "pruned": 0}},
 	} {
 		var runs []*core.Computation
 		var err error
@@ -127,8 +128,13 @@ func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
 		if err != nil || truncated {
 			t.Fatalf("err=%v truncated=%v", err, truncated)
 		}
-		if len(runs) != 1 {
-			t.Fatalf("got %d runs, want 1", len(runs))
+		if int64(len(runs)) != tc.want["emitted"] {
+			t.Fatalf("NoReduction=%v: got %d runs, want %d", tc.opts.NoReduction, len(runs), tc.want["emitted"])
+		}
+		for _, c := range runs {
+			if exploretest.Key(c) != exploretest.Key(runs[0]) {
+				t.Fatalf("NoReduction=%v: interleavings of one partial order differ:\n%s\n%s", tc.opts.NoReduction, c, runs[0])
+			}
 		}
 		c := runs[0]
 		p0 := c.EventsOf(core.Ref("p0", "Step"))
@@ -144,31 +150,10 @@ func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
 	}
 }
 
-// emittedSeq explores m and renders the emitted runs in emission order.
-func emittedSeq(t *testing.T, m *toy, opts Options) []string {
-	t.Helper()
-	var out []string
-	if _, err := Run[*toy, step](m, opts, func(c *core.Computation) bool {
-		out = append(out, renderComp(c))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// renderComp renders a computation in event-ID order, edges included.
-func renderComp(c *core.Computation) string {
-	var sb strings.Builder
-	for _, e := range c.Events() {
-		fmt.Fprintf(&sb, "%s^%d%v>%v;", e.Element, e.Seq, e.Params, c.Enabled(e.ID))
-	}
-	return sb.String()
-}
-
 // TestSleepSetsKeepTheEmittedSequence: on toys mixing shared and private
-// steps, sleep sets emit exactly the unreduced exploration's runs, in
-// the same order, while reaching fewer leaves.
+// steps, sleep sets emit each computation of the unreduced exploration
+// once, in the order and with the event IDs of its first occurrence
+// there, while reaching fewer leaves.
 func TestSleepSetsKeepTheEmittedSequence(t *testing.T) {
 	patterns := map[string]func(proc, k int) bool{
 		"alternating":  func(p, k int) bool { return (p+k)%2 == 0 },
@@ -178,16 +163,21 @@ func TestSleepSetsKeepTheEmittedSequence(t *testing.T) {
 	}
 	for name, shared := range patterns {
 		t.Run(name, func(t *testing.T) {
-			mk := func() *toy {
+			explored := func(opts explore.Options) ([]*core.Computation, map[string]int64) {
 				m := newToy(2, 1, 2, 1)
 				m.shared = shared
-				return m
+				var runs []*core.Computation
+				var err error
+				got := counters(func() { runs, _, err = collect(m, opts) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return runs, got
 			}
-			var reduced, full []string
-			cr := counters(func() { reduced = emittedSeq(t, mk(), Options{}) })
-			cf := counters(func() { full = emittedSeq(t, mk(), Options{NoReduction: true}) })
-			if strings.Join(reduced, "\n") != strings.Join(full, "\n") {
-				t.Fatalf("emitted sequences differ: reduced %d runs, unreduced %d", len(reduced), len(full))
+			reduced, cr := explored(explore.Options{})
+			full, cf := explored(explore.Options{NoReduction: true})
+			if err := exploretest.SameComputations(reduced, full, true); err != nil {
+				t.Fatal(err)
 			}
 			if cr["leaves"] >= cf["leaves"] || cr["pruned"] == 0 {
 				t.Errorf("sleep sets pruned nothing: reduced %v, unreduced %v", cr, cf)
@@ -204,7 +194,7 @@ func TestPrunedNodesAreNeverFinished(t *testing.T) {
 	var runs []*core.Computation
 	got := counters(func() {
 		var err error
-		if runs, _, err = collect(m, Options{}); err != nil {
+		if runs, _, err = collect(m, explore.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -225,7 +215,7 @@ func TestEagerStepsDoNotBranch(t *testing.T) {
 	defer obs.Disable()
 	m := newToy(2, 1)
 	m.eager = true
-	if runs, _, err := collect(m, Options{}); err != nil || len(runs) != 1 {
+	if runs, _, err := collect(m, explore.Options{}); err != nil || len(runs) != 1 {
 		t.Fatalf("runs=%d err=%v, want 1 run", len(runs), err)
 	}
 	if got := obs.Snapshot().Counters["explore.leaves"]; got != 1 {
@@ -234,8 +224,8 @@ func TestEagerStepsDoNotBranch(t *testing.T) {
 	obs.Enable()
 	m = newToy(2, 1)
 	m.eager = true
-	if runs, _, err := collect(m, Options{NoReduction: true}); err != nil || len(runs) != 1 {
-		t.Fatalf("runs=%d err=%v, want 1 run", len(runs), err)
+	if runs, _, err := collect(m, explore.Options{NoReduction: true}); err != nil || len(runs) != 3 {
+		t.Fatalf("runs=%d err=%v, want a run per interleaving, 3", len(runs), err)
 	}
 	if got := obs.Snapshot().Counters["explore.leaves"]; got != 3 {
 		t.Errorf("unreduced exploration reached %d leaves, want 3", got)
@@ -245,19 +235,23 @@ func TestEagerStepsDoNotBranch(t *testing.T) {
 func TestDistinctOrdersAtASharedElement(t *testing.T) {
 	m := newToy(1, 1, 1)
 	m.shared = allShared
-	runs, _, err := collect(m, Options{})
+	runs, _, err := collect(m, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 6 {
-		t.Fatalf("got %d runs, want 3! = 6", len(runs))
+	keys := map[string]bool{}
+	for _, c := range runs {
+		keys[exploretest.Key(c)] = true
+	}
+	if len(runs) != 6 || len(keys) != 6 {
+		t.Fatalf("got %d runs of %d computations, want 3! = 6 of each", len(runs), len(keys))
 	}
 }
 
 func TestMaxRunsTruncates(t *testing.T) {
 	m := newToy(1, 1, 1)
 	m.shared = allShared
-	runs, truncated, err := collect(m, Options{MaxRuns: 2})
+	runs, truncated, err := collect(m, explore.Options{MaxRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +265,7 @@ func TestMaxRunsTruncates(t *testing.T) {
 func TestMaxRunsReachedExactlyIsNotTruncation(t *testing.T) {
 	m := newToy(1, 1)
 	m.shared = allShared
-	runs, truncated, err := collect(m, Options{MaxRuns: 2})
+	runs, truncated, err := collect(m, explore.Options{MaxRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +278,7 @@ func TestYieldFalseStops(t *testing.T) {
 	m := newToy(1, 1, 1)
 	m.shared = allShared
 	n := 0
-	truncated, err := Run[*toy, step](m, Options{}, func(*core.Computation) bool {
+	truncated, err := explore.Run[*toy, step](m, explore.Options{}, func(*core.Computation) bool {
 		n++
 		return false
 	})
@@ -294,13 +288,13 @@ func TestYieldFalseStops(t *testing.T) {
 }
 
 func TestMaxStepsIsAnError(t *testing.T) {
-	_, _, err := collect(newToy(5), Options{MaxSteps: 3})
+	_, _, err := collect(newToy(5), explore.Options{MaxSteps: 3})
 	if err == nil || !strings.Contains(err.Error(), "exceeded 3 steps") {
 		t.Fatalf("err = %v, want the step-cap error", err)
 	}
 	m := newToy(5)
 	m.eager = true
-	if _, _, err := collect(m, Options{MaxSteps: 3}); err == nil {
+	if _, _, err := collect(m, explore.Options{MaxSteps: 3}); err == nil {
 		t.Fatal("eager steps must count against MaxSteps")
 	}
 }
@@ -309,7 +303,7 @@ func TestFinishErrorReachesCaller(t *testing.T) {
 	boom := errors.New("boom")
 	m := newToy(1, 1)
 	m.finishErr = boom
-	runs, truncated, err := collect(m, Options{})
+	runs, truncated, err := collect(m, explore.Options{})
 	if !errors.Is(err, boom) || truncated || len(runs) != 0 {
 		t.Fatalf("runs=%d truncated=%v err=%v, want the Finish error", len(runs), truncated, err)
 	}
@@ -318,7 +312,7 @@ func TestFinishErrorReachesCaller(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := collect(newToy(1, 1), Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, _, err := collect(newToy(1, 1), explore.Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 
@@ -327,7 +321,7 @@ func TestContextCancellation(t *testing.T) {
 	m := newToy(1, 1, 1)
 	m.shared = allShared
 	n := 0
-	_, err := Run[*toy, step](m, Options{Ctx: ctx}, func(*core.Computation) bool {
+	_, err := explore.Run[*toy, step](m, explore.Options{Ctx: ctx}, func(*core.Computation) bool {
 		n++
 		cancel()
 		return true
@@ -338,21 +332,23 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestLogCloneIsIndependent(t *testing.T) {
-	a := NewLog(1)
+	a := explore.NewLog(1)
 	for i := 0; i < 3; i++ { // leaves spare capacity behind a's events
 		a.Emit(0, "p", "A", core.Params{})
 	}
 	b := a.Clone()
 	a.Emit(0, "p", "B", core.Params{})
 	b.Emit(0, "p", "C", core.Params{})
-	if strings.Contains(b.Key(), ":B") || strings.Contains(a.Key(), ":C") {
-		t.Fatalf("clones share emitted events:\na=%s\nb=%s", a.Key(), b.Key())
-	}
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumEvents() != 4 {
-		t.Errorf("clone built %d events, want 4", c.NumEvents())
+	for _, tc := range []struct {
+		log  *explore.Log
+		last string
+	}{{&a, "B"}, {&b, "C"}} {
+		c, err := tc.log.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.NumEvents() != 4 || c.Events()[3].Class != tc.last {
+			t.Fatalf("clones share emitted events: want A A A %s, got\n%s", tc.last, c)
+		}
 	}
 }

@@ -1,8 +1,11 @@
-// Package exploretest checks a machine's Independent relation against
-// the machine's own semantics. The languages' tests run it on their
-// programs: a wrong "independent" answer would let the explorer's sleep
-// sets prune computations, and this finds it directly rather than
-// through a missing run.
+// Package exploretest holds what the explorer's tests check runs with:
+// Key, the canonical rendering of a computation's partial order, and
+// Commutes, which checks a machine's Independent relation against the
+// machine's own semantics. A wrong "independent" answer would let the
+// explorer's sleep sets prune computations, and Commutes finds it
+// directly rather than through a missing run; the reduction tests count
+// the runs of reduced and unreduced explorations by Key, so a run
+// emitted twice fails them too.
 package exploretest
 
 import (
@@ -10,6 +13,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"gem/internal/core"
 	"gem/internal/explore"
 )
 
@@ -22,14 +26,21 @@ const (
 	horizon = 40
 )
 
+// machine is an explore.Machine whose event log builds a computation,
+// as every machine that embeds explore.Log does.
+type machine[M any, T comparable, R any] interface {
+	explore.Machine[M, T, R]
+	Build() (*core.Computation, error)
+}
+
 // Commutes follows walks seeded random schedules of m to their end and,
 // at every state on the way, checks each pair of enabled transitions
 // that m calls independent: the relation must be symmetric, neither
 // transition may disable the other, and the two orders must reach
-// states that nothing tells apart — the same Key with the same
+// states that nothing tells apart — logs of the same Key with the same
 // transitions enabled, and so on along a random continuation applied to
 // both. It returns the first violation.
-func Commutes[M explore.Machine[M, T, R], T comparable, R any](m M, walks int) error {
+func Commutes[M machine[M, T, R], T comparable, R any](m M, walks int) error {
 	rng := rand.New(rand.NewSource(1))
 	for w := 0; w < walks; w++ {
 		s := m.Clone()
@@ -57,13 +68,13 @@ func Commutes[M explore.Machine[M, T, R], T comparable, R any](m M, walks int) e
 }
 
 // enabled lists every transition enabled in s, unreduced.
-func enabled[M explore.Machine[M, T, R], T comparable, R any](s M) []T {
+func enabled[M machine[M, T, R], T comparable, R any](s M) []T {
 	_, _, ts := s.Clone().Transitions(true)
 	return ts
 }
 
 // commute checks one pair of transitions enabled in s.
-func commute[M explore.Machine[M, T, R], T comparable, R any](s M, a, b T, rng *rand.Rand) error {
+func commute[M machine[M, T, R], T comparable, R any](s M, a, b T, rng *rand.Rand) error {
 	ab, ba := s.Independent(a, b), s.Independent(b, a)
 	if ab != ba {
 		return fmt.Errorf("Independent(%+v, %+v) = %v, but %v the other way round", a, b, ab, ba)
@@ -100,7 +111,15 @@ func commute[M explore.Machine[M, T, R], T comparable, R any](s M, a, b T, rng *
 		}
 	}
 	// Logs only grow, so one comparison at the end covers every step.
-	if ends[0].Key() != ends[1].Key() {
+	var keys [2]string
+	for i, end := range ends {
+		c, err := end.Build()
+		if err != nil {
+			return err
+		}
+		keys[i] = Key(c)
+	}
+	if keys[0] != keys[1] {
 		return fmt.Errorf("independent %+v and %+v reach different computations in either order", a, b)
 	}
 	return nil

@@ -1,16 +1,10 @@
 package explore
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"gem/internal/core"
-)
+import "gem/internal/core"
 
 // Log is a run's event log: events in emission order and the enables
 // between them, with each process's events chained in program order.
-// Machines embed it, which gives them Emit, Key and Build.
+// Machines embed it, which gives them Emit and Build.
 type Log struct {
 	events []event
 	edges  [][2]int
@@ -74,33 +68,4 @@ func (l *Log) Build() (*core.Computation, error) {
 		b.Enable(core.EventID(e[0]), core.EventID(e[1]))
 	}
 	return b.Build()
-}
-
-// Key identifies the run's partial order: events keyed by (element,
-// per-element occurrence index) with sorted edges, so different
-// interleavings of the same computation collapse.
-func (l *Log) Key() string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(l.events))
-	for i, e := range l.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, s := range sorted {
-		sb.WriteString(s)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(l.edges))
-	for i, e := range l.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, s := range edgeLabels {
-		sb.WriteString(s)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

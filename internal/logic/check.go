@@ -2,6 +2,7 @@ package logic
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"gem/internal/core"
@@ -34,10 +35,11 @@ func (cx *Counterexample) Error() string {
 // sequence, from the empty history to the full computation, at whose
 // first position the formula is false. Any other failure's witness is a
 // single history at which the formula is false: a history of the
-// invariant reduction, or the full history of a structural check.
+// invariant reduction, or the full history of a structural check. A nil
+// counterexample witnesses nothing, so it fails.
 func (cx *Counterexample) Verify() error {
 	if cx == nil {
-		return nil
+		return errors.New("logic: no counterexample")
 	}
 	if cx.Seq == nil {
 		if cx.Formula.Eval(NewEnv(cx.History)) {

@@ -347,19 +347,20 @@ func TestEnvBindings(t *testing.T) {
 	if !strings.Contains(s, "x=EL1.E^0") || !strings.Contains(s, "t=pi#1") {
 		t.Errorf("Bindings = %q", s)
 	}
-	if _, ok := env.Lookup("x"); ok {
+	if env.lookup("x", false) != nil {
 		t.Error("bind must not mutate the parent env")
 	}
-	if id, ok := env2.Lookup("x"); !ok || id != ids[0] {
-		t.Error("Lookup failed")
+	if b := env2.lookup("x", false); b == nil || b.id != ids[0] {
+		t.Error("lookup failed")
 	}
 }
 
 // TestVerifyRejectsFragment: a temporal witness must be a complete valid
 // history sequence. A two-history fragment that falsifies the formula —
 // the shape the deleted history-pair reduction reported — fails Verify,
-// as does a step that adds ordered events together; the complete
-// sequence through the same histories passes.
+// as does a step that adds ordered events together, and so does a nil
+// counterexample, which witnesses nothing; the complete sequence through
+// the same histories passes.
 func TestVerifyRejectsFragment(t *testing.T) {
 	c, ids := diamondComp(t)
 	at := func(members ...core.EventID) history.History {
@@ -385,6 +386,10 @@ func TestVerifyRejectsFragment(t *testing.T) {
 	jump := history.Sequence{at(), at(ids[0], ids[1]), history.Full(c)}
 	if err := witness(jump).Verify(); err == nil || !strings.Contains(err.Error(), "not valid") {
 		t.Errorf("step adding e1 ⇒ e2 together: Verify = %v, want an invalid-sequence error", err)
+	}
+	var missing *Counterexample
+	if err := missing.Verify(); err == nil {
+		t.Error("nil counterexample: Verify = nil, want an error")
 	}
 	complete := history.Sequence{at(), at(ids[0]), at(ids[0], ids[1]), at(ids[0], ids[1], ids[2]), history.Full(c)}
 	if err := witness(complete).Verify(); err != nil {

@@ -56,14 +56,6 @@ func NewSeqEnv(s history.Sequence, idx int) *Env {
 	return &Env{C: s[idx].Computation(), Seq: s, Idx: idx, H: s[idx]}
 }
 
-// Lookup returns the event bound to an event variable.
-func (e *Env) Lookup(name string) (core.EventID, bool) {
-	if b := e.lookup(name, false); b != nil {
-		return b.id, true
-	}
-	return 0, false
-}
-
 // lookup returns the innermost binding of name in the given namespace.
 func (e *Env) lookup(name string, thread bool) *binding {
 	for i := len(e.binds) - 1; i >= 0; i-- {

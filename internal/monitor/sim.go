@@ -20,10 +20,10 @@ type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates the interleavings of the program under
 // Hoare monitor semantics and returns the distinct GEM computations
-// reached (distinct as partial orders: interleavings that differ only in
-// the order of concurrent events collapse). The second result reports
-// whether exploration was truncated by MaxRuns. It is the collect-all
-// form of ExploreStream.
+// reached (distinct as partial orders: the walk completes one of the
+// interleavings that differ only in the order of concurrent events, see
+// explore.Machine). The second result reports whether exploration was
+// truncated by MaxRuns. It is the collect-all form of ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 	return explore.Collect(ExploreStream, p, opts)
 }

@@ -1,12 +1,10 @@
 package monitor
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore/exploretest"
 	"gem/internal/legal"
 )
 
@@ -420,27 +418,9 @@ func TestUndefinedVariablePanics(t *testing.T) {
 	VarRef("ghost").eval(&evalEnv{vars: map[string]int64{}})
 }
 
-// canonicalComp renders a computation's partial order as a canonical
-// string (events keyed by element+occurrence, edges sorted).
-func canonicalComp(c *core.Computation) string {
-	labels := make([]string, c.NumEvents())
-	for _, e := range c.Events() {
-		labels[e.ID] = fmt.Sprintf("%s^%d:%s%s", e.Element, e.Seq, e.Class, e.Params)
-	}
-	var lines []string
-	lines = append(lines, append([]string(nil), labels...)...)
-	for _, e := range c.Events() {
-		for _, succ := range c.Enabled(e.ID) {
-			lines = append(lines, labels[e.ID]+">"+labels[succ])
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 // TestReductionPreservesComputations validates the partial-order
-// reduction: on small programs the reduced and unreduced explorations
-// produce exactly the same set of computations (as partial orders).
+// reduction: on small programs the reduced exploration emits each
+// computation (as a partial order) of the unreduced one exactly once.
 func TestReductionPreservesComputations(t *testing.T) {
 	programs := map[string]*Program{
 		"counter-3":   counterProgram(3),
@@ -463,7 +443,7 @@ func TestReductionPreservesComputations(t *testing.T) {
 	for name, prog := range programs {
 		prog := prog
 		t.Run(name, func(t *testing.T) {
-			collect := func(noReduction bool) map[string]bool {
+			collect := func(noReduction bool) []*core.Computation {
 				runs, truncated, err := Explore(prog, ExploreOptions{NoReduction: noReduction, MaxRuns: 60000})
 				if err != nil {
 					t.Fatal(err)
@@ -471,21 +451,14 @@ func TestReductionPreservesComputations(t *testing.T) {
 				if truncated {
 					t.Fatal("truncated")
 				}
-				out := make(map[string]bool, len(runs))
-				for _, r := range runs {
-					out[canonicalComp(r.Comp)] = true
+				out := make([]*core.Computation, len(runs))
+				for i, r := range runs {
+					out[i] = r.Comp
 				}
 				return out
 			}
-			reduced := collect(false)
-			full := collect(true)
-			if len(reduced) != len(full) {
-				t.Fatalf("reduced explores %d computations, unreduced %d", len(reduced), len(full))
-			}
-			for k := range full {
-				if !reduced[k] {
-					t.Fatalf("computation missing from reduced exploration:\n%s", k)
-				}
+			if err := exploretest.SameComputations(collect(false), collect(true), false); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

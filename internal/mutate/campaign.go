@@ -215,10 +215,11 @@ func checkMutant(ctx context.Context, cfg Config, r *Result) (findings []Finding
 	opts := logic.CheckOptions{Ctx: mctx, Cache: cfg.Cache}
 	res := legal.Check(m.Spec, m.Comp, legal.Options{Check: opts})
 	for _, v := range res.Violations {
-		if v.Cx != nil {
-			if err := v.Cx.Verify(); err != nil {
-				add("bad-witness", fmt.Sprintf("witness for %s/%s fails Verify: %v", v.Owner, v.Restriction, err))
-			}
+		if v.Kind != legal.RestrictionViolation {
+			continue
+		}
+		if err := v.Cx.Verify(); err != nil {
+			add("bad-witness", fmt.Sprintf("witness for %s/%s fails Verify: %v", v.Owner, v.Restriction, err))
 		}
 	}
 	if mctx.Err() != nil {

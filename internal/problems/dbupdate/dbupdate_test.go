@@ -3,11 +3,11 @@ package dbupdate
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"gem/internal/core"
 	"gem/internal/explore"
+	"gem/internal/explore/exploretest"
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/obs"
@@ -194,8 +194,9 @@ func TestExplorationBounds(t *testing.T) {
 
 // TestReductionPreservesComputations is dbupdate's reduction oracle.
 // Sleep sets are its only reduction (nothing runs eagerly), so the
-// default exploration must emit exactly NoReduction's computations, in
-// the same order, while reaching fewer complete schedules. The second
+// default exploration must emit each computation NoReduction reaches
+// exactly once, in the order and with the event IDs of its first
+// occurrence there, while reaching fewer complete schedules. The second
 // configuration originates twice at one site, so a broadcast can race
 // a delivery on the same channel.
 func TestReductionPreservesComputations(t *testing.T) {
@@ -208,28 +209,28 @@ func TestReductionPreservesComputations(t *testing.T) {
 }
 
 func reductionOracle(t *testing.T, cfg Config) {
-	explored := func(opts explore.Options) ([]string, int64) {
+	explored := func(opts explore.Options) ([]*core.Computation, int64) {
 		obs.Enable()
 		defer obs.Disable()
 		runs, truncated, err := Explore(cfg, ExploreOptions{Options: opts})
 		if err != nil || truncated {
 			t.Fatalf("truncated=%v err=%v", truncated, err)
 		}
-		var out []string
-		for _, r := range runs {
-			out = append(out, r.Comp.String())
+		out := make([]*core.Computation, len(runs))
+		for i, r := range runs {
+			out[i] = r.Comp
 		}
 		return out, obs.Snapshot().Counters["explore.leaves"]
 	}
 	reduced, reducedLeaves := explored(explore.Options{})
 	full, fullLeaves := explored(explore.Options{NoReduction: true})
-	if strings.Join(reduced, "\n") != strings.Join(full, "\n") {
-		t.Fatalf("%+v: reduced emits %d computations, unreduced %d, or in another order", cfg, len(reduced), len(full))
+	if err := exploretest.SameComputations(reduced, full, true); err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
 	}
 	if reducedLeaves >= fullLeaves {
 		t.Errorf("%+v: sleep sets reached %d leaves, unreduced %d: nothing pruned", cfg, reducedLeaves, fullLeaves)
 	}
-	t.Logf("%+v: %d computations, %d leaves reduced, %d unreduced", cfg, len(full), reducedLeaves, fullLeaves)
+	t.Logf("%+v: %d computations, %d leaves reduced, %d unreduced", cfg, len(reduced), reducedLeaves, fullLeaves)
 }
 
 // ConvergenceFormula builds the functional-correctness restriction: at

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gem/internal/explore/exploretest"
 	"gem/internal/monitor"
 )
 
@@ -16,8 +17,12 @@ import (
 // carried its own parameter map and every computation allocated per
 // event, and 224 k objects while every monitor event carried its own copy
 // of its element name; a layout that brings any of these back fails
-// here. The race detector changes allocation sizes, so the test does not
-// build under -race.
+// here. It also bounds what the exploration allocates on the way: 598 MB
+// in 3.54 M allocations while every leaf rendered and hashed a canonical
+// key of its run to drop repeats that sleep sets never reach, so a run
+// key brought back into the explorer fails here too. The 3,480 runs must
+// be 3,480 different computations. The race detector changes allocation
+// sizes, so the test does not build under -race.
 func TestExploredHeapCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores 3,480 runs")
@@ -25,6 +30,9 @@ func TestExploredHeapCeiling(t *testing.T) {
 	const (
 		maxMB      = 110
 		maxObjects = 290_000
+
+		maxAllocMB = 380
+		maxAllocs  = 800_000
 	)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -44,12 +52,26 @@ func TestExploredHeapCeiling(t *testing.T) {
 	}
 	mb := float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
 	objects := after.HeapObjects - before.HeapObjects
-	t.Logf("retained runs: %.1f MB in %d heap objects", mb, objects)
+	allocMB := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("retained runs: %.1f MB in %d heap objects; exploring allocated %.1f MB in %d allocations", mb, objects, allocMB, allocs)
 	if mb > maxMB {
 		t.Errorf("retained runs take %.1f MB, ceiling %d MB", mb, maxMB)
 	}
 	if objects > maxObjects {
 		t.Errorf("retained runs take %d heap objects, ceiling %d", objects, maxObjects)
 	}
-	runtime.KeepAlive(runs)
+	if allocMB > maxAllocMB {
+		t.Errorf("exploring allocated %.1f MB, ceiling %d MB", allocMB, maxAllocMB)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("exploring made %d allocations, ceiling %d", allocs, maxAllocs)
+	}
+	keys := make(map[string]bool, len(runs))
+	for _, r := range runs {
+		keys[exploretest.Key(r.Comp)] = true
+	}
+	if len(keys) != len(runs) {
+		t.Errorf("%d runs are %d different computations", len(runs), len(keys))
+	}
 }

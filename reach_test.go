@@ -51,9 +51,13 @@ var testOnlyAllowlist = map[string]string{
 // the initialisers of blank package-level variables, and fails on each
 // package-level declaration or method under cmd/ or internal/ left
 // unmarked. A reached declaration reaches everything it names, and a
-// reached named type reaches those of its methods whose names match a
-// method of some interface, since a call through an interface names no
-// concrete method.
+// reached named type reaches each of its methods that a call through an
+// interface may run, since such a call names no concrete method: one
+// named like a method of an interface that the type or a pointer to it
+// implements. Generic types, and interfaces declared inside generic
+// declarations, keep a coarser rule, because go/types cannot tell what
+// implements them: any interface method of the same name reaches the
+// method.
 func TestNoTestOnlyCode(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go command to list the packages with")
@@ -111,9 +115,14 @@ type program struct {
 	fset  *token.FileSet
 	decls map[types.Object]*declaration
 	blank []*declaration // blank variables of packages linked into a main
-	// methodNames holds the method names of every interface the packages
-	// declare or import.
-	methodNames map[string]bool
+	// interfaces maps a method name to the interfaces the packages
+	// declare or import that have a method of that name.
+	interfaces map[string][]*types.Interface
+	// genericNames holds the method names of the interfaces declared
+	// inside generic types and functions. Such an interface may mention
+	// the type parameters, and a call through a type parameter names no
+	// concrete method, so the name alone reaches these methods.
+	genericNames map[string]bool
 }
 
 // listedPackage is the part of `go list -json` output the pass reads.
@@ -159,10 +168,12 @@ func loadProgram(t *testing.T, root string, nested ...string) *program {
 		listed = append(listed, goList(t, filepath.Join(root, dir), ".")...)
 	}
 	p := &program{
-		fset:        token.NewFileSet(),
-		decls:       map[types.Object]*declaration{},
-		methodNames: map[string]bool{"Error": true},
+		fset:         token.NewFileSet(),
+		decls:        map[types.Object]*declaration{},
+		interfaces:   map[string][]*types.Interface{},
+		genericNames: map[string]bool{},
 	}
+	p.addInterface(types.Universe.Lookup("error").Type(), false)
 	exports := map[string]string{}
 	gc := importer.ForCompiler(p.fset, "gc", func(path string) (io.ReadCloser, error) {
 		if file, ok := exports[path]; ok {
@@ -242,7 +253,8 @@ func loadProgram(t *testing.T, root string, nested ...string) *program {
 		seen[pkg] = true
 		for _, name := range pkg.Scope().Names() {
 			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
-				p.addInterface(tn.Type())
+				named, ok := tn.Type().(*types.Named)
+				p.addInterface(tn.Type(), ok && named.TypeParams().Len() > 0)
 			}
 		}
 		std = append(std, pkg.Imports()...)
@@ -250,12 +262,49 @@ func loadProgram(t *testing.T, root string, nested ...string) *program {
 	return p
 }
 
-func (p *program) addInterface(t types.Type) {
+func (p *program) addInterface(t types.Type, generic bool) {
 	if it, ok := t.Underlying().(*types.Interface); ok {
 		for i := 0; i < it.NumMethods(); i++ {
-			p.methodNames[it.Method(i).Name()] = true
+			name := it.Method(i).Name()
+			if generic {
+				p.genericNames[name] = true
+			} else {
+				p.interfaces[name] = append(p.interfaces[name], it)
+			}
 		}
 	}
+}
+
+// isGeneric reports whether decl declares a generic type or function, or
+// a method of a generic type.
+func isGeneric(decl ast.Decl, info *types.Info) bool {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		sig := info.Defs[d.Name].Type().(*types.Signature)
+		return sig.TypeParams().Len() > 0 || sig.RecvTypeParams().Len() > 0
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			if ts, ok := spec.(*ast.TypeSpec); ok && ts.TypeParams != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// reachesThroughInterface reports whether a call through an interface
+// may run m, a method of the named type.
+func (p *program) reachesThroughInterface(named *types.Named, m *types.Func) bool {
+	its := p.interfaces[m.Name()]
+	if p.genericNames[m.Name()] || named.TypeParams().Len() > 0 && len(its) > 0 {
+		return true
+	}
+	for _, it := range its {
+		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // collect records one package's declarations and interface method names.
@@ -264,13 +313,14 @@ func (p *program) collect(dir string, isMain, linked bool, files []*ast.File, in
 		p.decls[obj] = &declaration{obj: obj, node: node, info: info, pkg: dir, key: dir + "." + name, root: root && linked}
 	}
 	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				p.addInterface(info.Types[it].Type)
-			}
-			return true
-		})
 		for _, decl := range f.Decls {
+			generic := isGeneric(decl, info)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					p.addInterface(info.Types[it].Type, generic)
+				}
+				return true
+			})
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				obj := info.Defs[d.Name]
@@ -353,7 +403,7 @@ func (p *program) reach(allow map[string]string) map[*declaration]bool {
 			continue
 		}
 		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); p.methodNames[m.Name()] {
+			if m := named.Method(i); p.reachesThroughInterface(named, m) {
 				mark(m)
 			}
 		}
