@@ -20,8 +20,10 @@ type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates interleavings and returns distinct GEM
 // computations (distinct as partial orders: the walk completes one
-// interleaving per computation, see explore.Machine). The bool reports
-// truncation by MaxRuns. It is the collect-all form of ExploreStream.
+// interleaving per trace, and compares the runs whose select choices or
+// queued calls the events may not record; see explore.Machine). The bool
+// reports truncation by MaxRuns. It is the collect-all form of
+// ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 	return explore.Collect(ExploreStream, p, opts)
 }
@@ -335,6 +337,13 @@ func (m *machine) Independent(a, b transition) bool {
 	return true
 }
 
+// Apply executes one transition. The events do not record every choice
+// a select makes, so Apply marks the run Unrecorded (see
+// explore.Machine) when a task resolves a select that has an else part,
+// whose taking emits nothing and depends on when calls arrive, or
+// accepts an entry that another open alternative also accepts, with the
+// same AcceptStart. Key marks a run that leaves two calls queued on one
+// entry, whose order no event records.
 func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "accept":
@@ -342,8 +351,13 @@ func (m *machine) Apply(t transition) error {
 		return m.beginRendezvous(t.task, st.(Accept))
 	case "selectaccept":
 		st, _ := m.currentStmt(t.task)
-		return m.beginRendezvous(t.task, st.(Select).Alts[t.alt].Accept)
+		sel := st.(Select)
+		if sel.Else != nil || m.sameEntryOpen(t.task, sel, t.alt) {
+			m.Unrecorded()
+		}
+		return m.beginRendezvous(t.task, sel.Alts[t.alt].Accept)
 	case "selectelse":
+		m.Unrecorded()
 		st, _ := m.currentStmt(t.task)
 		sel := st.(Select)
 		m.consumeStmt(t.task)
@@ -354,6 +368,31 @@ func (m *machine) Apply(t transition) error {
 	default:
 		return m.step(t.task)
 	}
+}
+
+// sameEntryOpen reports whether an open alternative of sel other than alt
+// accepts alt's entry.
+func (m *machine) sameEntryOpen(task int, sel Select, alt int) bool {
+	env := &evalEnv{vars: m.tasks[task].vars, args: m.tasks[task].args}
+	for a, other := range sel.Alts {
+		if a != alt && other.Accept.Entry == sel.Alts[alt].Accept.Entry && (other.Guard == nil || other.Guard.eval(env) != 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// Key marks the run Unrecorded if it leaves two calls queued on one
+// entry, then renders it as explore.Log.Key does.
+func (m *machine) Key() (string, bool, error) {
+	for _, q := range m.queues {
+		for _, cs := range q {
+			if len(cs) > 1 {
+				m.Unrecorded()
+			}
+		}
+	}
+	return m.Log.Key()
 }
 
 func (m *machine) beginRendezvous(task int, acc Accept) error {

@@ -137,4 +137,49 @@ func TestReductionPreservesComputations(t *testing.T) {
 	t.Run("csp/readers-writers", reductionOracle(rw.NewCSPProgram(rww), csp.Explore, cspComp))
 	t.Run("ada/one-slot-buffer", reductionOracle(oneslot.NewAdaProgram(one), ada.Explore, adaComp))
 	t.Run("ada/bounded-buffer", reductionOracle(boundedbuf.NewAdaProgram(bb), ada.Explore, adaComp))
+
+	// Programs whose choices their computations do not record: the walk
+	// completes each of their computations once per choice, and the
+	// reduced walk must still emit it once.
+	busy := []ada.Stmt{ada.Op{Class: "Busy"}}
+	ping := ada.EntryCall{Task: "server", Entry: "Ping"}
+	t.Run("ada/two-unserved-callers", reductionOracle(&ada.Program{Tasks: []ada.Task{
+		{Name: "server", Entries: []string{"Ping"}, Body: busy},
+		{Name: "a", Body: []ada.Stmt{ping}},
+		{Name: "b", Body: []ada.Stmt{ping}},
+	}}, ada.Explore, adaComp))
+	t.Run("ada/select-same-entry", reductionOracle(&ada.Program{Tasks: []ada.Task{
+		{Name: "server", Entries: []string{"Ping"}, Body: []ada.Stmt{ada.Select{Alts: []ada.SelectAlt{
+			{Accept: ada.Accept{Entry: "Ping", Body: busy}},
+			{Accept: ada.Accept{Entry: "Ping", Body: busy}},
+		}}}},
+		{Name: "a", Body: []ada.Stmt{ping}},
+	}}, ada.Explore, adaComp))
+	t.Run("ada/select-else-race", reductionOracle(&ada.Program{Tasks: []ada.Task{
+		{Name: "server", Entries: []string{"Ping"}, Body: []ada.Stmt{
+			ada.Select{Alts: []ada.SelectAlt{{Accept: ada.Accept{Entry: "Ping"}}}, Else: []ada.Stmt{}},
+			ada.Accept{Entry: "Ping"},
+		}},
+		{Name: "a", Body: []ada.Stmt{ping}},
+	}}, ada.Explore, adaComp))
+	op := []csp.Stmt{csp.Op{Class: "A"}}
+	recv := csp.Recv{From: "p", Var: "x"}
+	sendOne := csp.Process{Name: "p", Body: []csp.Stmt{csp.Send{To: "q", E: csp.IntLit(1)}}}
+	t.Run("csp/equal-boolean-branches", reductionOracle(&csp.Program{Processes: []csp.Process{
+		{Name: "q", Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{{Body: op}, {Body: op}}}}},
+	}}, csp.Explore, cspComp))
+	t.Run("csp/two-receives-from-one-sender", reductionOracle(&csp.Program{Processes: []csp.Process{
+		sendOne,
+		{Name: "q", Vars: []string{"x", "y"}, Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{
+			{Comm: recv},
+			{Comm: csp.Recv{From: "p", Var: "y"}},
+		}}}},
+	}}, csp.Explore, cspComp))
+	t.Run("csp/boolean-branch-then-receive", reductionOracle(&csp.Program{Processes: []csp.Process{
+		sendOne,
+		{Name: "q", Vars: []string{"x"}, Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{
+			{Comm: recv},
+			{Body: []csp.Stmt{recv}},
+		}}}},
+	}}, csp.Explore, cspComp))
 }

@@ -20,9 +20,10 @@ type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates the program's executions and returns
 // the distinct GEM computations (distinct as partial orders: the walk
-// completes one execution per computation, see explore.Machine). The
-// bool reports truncation by MaxRuns. It is the collect-all form of
-// ExploreStream.
+// completes one execution per trace, and after a guarded alternative
+// whose choice the events may not record it compares the runs; see
+// explore.Machine). The bool reports truncation by MaxRuns. It is the
+// collect-all form of ExploreStream.
 func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 	return explore.Collect(ExploreStream, p, opts)
 }
@@ -308,11 +309,52 @@ func (m *machine) altBody(proc, branch int) []Stmt {
 	return m.mustStmt(proc).(Alt).Branches[branch].Body
 }
 
+// markUnrecorded marks the run Unrecorded if proc, selecting branch of
+// its current Alt (-1: no Alt), makes a choice its events may not
+// record: another open branch could lead to the same events. A branch
+// without a communication emits nothing when selected, so it may match
+// any other; two that communicate with one partner in one direction may
+// emit the same Req and End.
+func (m *machine) markUnrecorded(proc, branch int) {
+	if branch < 0 {
+		return
+	}
+	branches := m.mustStmt(proc).(Alt).Branches
+	chosen := branches[branch].Comm
+	for i, br := range branches {
+		if i == branch || br.Guard != nil && br.Guard.eval(m.procs[proc].vars) == 0 {
+			continue
+		}
+		if !distinctComm(chosen, br.Comm) {
+			m.Unrecorded()
+			return
+		}
+	}
+}
+
+// distinctComm reports whether two Alt branches' communications always
+// emit different events: both exist and differ in direction or partner.
+func distinctComm(a, b Stmt) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	as, aSend := a.(Send)
+	bs, bSend := b.(Send)
+	switch {
+	case aSend != bSend:
+		return true
+	case aSend:
+		return as.To != bs.To
+	}
+	return a.(Recv).From != b.(Recv).From
+}
+
 func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "local":
 		return m.stepLocal(t.proc)
 	case "altlocal":
+		m.markUnrecorded(t.proc, t.branch)
 		body := m.altBody(t.proc, t.branch)
 		m.consumeStmt(t.proc)
 		if len(body) > 0 {
@@ -368,6 +410,8 @@ func (m *machine) stepComm(out, inp offer) error {
 	pName := m.prog.Processes[sender].Name
 	qName := m.prog.Processes[receiver].Name
 
+	m.markUnrecorded(sender, out.branch)
+	m.markUnrecorded(receiver, inp.branch)
 	outBody := m.altBody(sender, out.branch)
 	inpBody := m.altBody(receiver, inp.branch)
 	m.consumeStmt(sender)

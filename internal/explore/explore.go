@@ -6,13 +6,16 @@
 // small: invisible transitions run eagerly without branching, and sleep
 // sets (Godefroid 1996) prune a branch whenever an earlier path of the
 // walk already covered an equivalent interleaving, so each trace is
-// completed once instead of once per interleaving. The Machine contract
-// makes different traces different computations, so the runs the walk
-// emits are distinct as partial orders without being compared.
+// completed once instead of once per interleaving. Different traces are
+// different computations unless a machine took a choice its events do
+// not record; the machine marks such runs, and the driver compares those
+// alone at the leaves, so the runs it emits are distinct as partial
+// orders.
 package explore
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 
@@ -27,10 +30,11 @@ type Options struct {
 	// non-terminating programs (0 = 10000).
 	MaxSteps int
 	// NoReduction disables both partial-order reductions, eager steps and
-	// sleep sets, branching over every enabled transition, and emits every
-	// schedule it completes, so a computation comes out once per
-	// interleaving. Exponentially slower; used to validate that the
-	// reductions emit each computation exactly once.
+	// sleep sets, branching over every enabled transition, and the
+	// comparison of marked runs, so it emits every schedule it completes
+	// and a computation comes out once per interleaving. Exponentially
+	// slower; used to validate that the reduced walk emits each
+	// computation exactly once.
 	NoReduction bool
 	// Ctx cancels the exploration: the DFS polls it at every node, and a
 	// cancelled context aborts the walk with ctx.Err() after at most one
@@ -46,14 +50,20 @@ type Options struct {
 // value must therefore name the same step for as long as its process
 // does not move.
 //
-// Run never compares runs: every run the reduced walk completes must be
-// a different computation. Sleep sets complete at most one run per trace
-// of Independent (Godefroid 1996), so this holds when the machine takes
-// its eager steps in a fixed order and branches only over choices its
-// computation records: a grant is the lock's next Acq event, a match or
-// an accept is a pair of events at shared elements, and an external
-// operation is an event at its element. Two different traces then give
-// two different computations.
+// Run compares only the runs a machine marks. Sleep sets complete at
+// most one run per trace of Independent (Godefroid 1996), and the
+// machine takes its eager steps in a fixed order, so two runs of the
+// reduced walk give one computation only through a choice the events do
+// not record: which of two steps a process took, or in which order two
+// dependent steps ran, with the same events either way. Most choices are
+// recorded: a grant is the lock's next Acq event, a match or an accept is
+// a pair of events at shared elements, and an external operation is an
+// event at its element. A machine marks each run that takes a choice
+// that may not be (Log.Unrecorded). It decides by what every run of the
+// same computation sees alike, such as the choosing process's own state,
+// so that all the runs of a repeated computation are marked. Run emits
+// the first marked run of each computation and drops the later ones; it
+// emits unmarked runs without comparing them.
 type Machine[M any, T comparable, R any] interface {
 	// Transitions lists the schedulable steps. Unless full is set, the
 	// machine may return one invisible transition as eager (ok true): a
@@ -67,13 +77,19 @@ type Machine[M any, T comparable, R any] interface {
 	// Independent reports whether a and b, both enabled in the current
 	// state, are steps of different processes that commute: either order
 	// reaches the same state and the same computation, and neither
-	// disables the other. It may answer false whenever in doubt; a false
-	// answer costs only pruning, a wrong true answer loses computations.
+	// disables the other. A wrong true answer loses computations. A false
+	// answer for two steps whose order the computation records costs only
+	// pruning; for two whose order it does not record, the walk completes
+	// that computation once per order, so the machine must mark those
+	// runs (see above).
 	Independent(a, b T) bool
 	// Apply executes one transition in place.
 	Apply(t T) error
 	// Clone returns an independent copy of the state.
 	Clone() M
+	// Key reports whether the run is marked and, if it is, renders its
+	// computation; see Log.Key.
+	Key() (key string, marked bool, err error)
 	// Finish renders a state with no transitions as a run.
 	Finish() (R, error)
 }
@@ -83,8 +99,8 @@ type Machine[M any, T comparable, R any] interface {
 // reports whether the exploration was truncated by MaxRuns, that is
 // whether a run beyond the first MaxRuns was reached. If yield returns
 // false the exploration stops early with truncated == false and a nil
-// error. Each call records the explore.leaves, explore.emitted and
-// explore.pruned counters once.
+// error. Each call records the explore.leaves, explore.emitted,
+// explore.dedup and explore.pruned counters once.
 //
 // Sleep sets never change which runs come out, or where: a path is
 // pruned only when an equivalent path precedes it in DFS order, so the
@@ -98,13 +114,14 @@ func Run[M Machine[M, T, R], T comparable, R any](m M, opts Options, yield func(
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 10000
 	}
-	w := &walker[M, T, R]{opts: opts, yield: yield}
+	w := &walker[M, T, R]{opts: opts, yield: yield, seen: make(map[[sha256.Size]byte]bool)}
 	if opts.Ctx != nil {
 		w.done = opts.Ctx.Done()
 	}
 	w.dfs(m, 0, nil)
 	obs.Count("explore.leaves", int64(w.leaves))
 	obs.Count("explore.emitted", int64(w.emitted))
+	obs.Count("explore.dedup", int64(w.dedup))
 	obs.Count("explore.pruned", int64(w.pruned))
 	if w.err != nil {
 		return false, w.err
@@ -131,10 +148,11 @@ type walker[M Machine[M, T, R], T comparable, R any] struct {
 	opts  Options
 	yield func(R) bool
 	done  <-chan struct{}
+	seen  map[[sha256.Size]byte]bool // digests of emitted marked runs' keys
 
-	leaves, emitted, pruned int
-	truncated, stopped      bool
-	err                     error
+	leaves, emitted, dedup, pruned int
+	truncated, stopped             bool
+	err                            error
 }
 
 // dfs explores from m, which has taken steps transitions so far. sleep
@@ -210,12 +228,25 @@ func independentOf[M Machine[M, T, R], T comparable, R any](m M, sleep []T, t T,
 	return dst
 }
 
-// leaf emits m's run.
+// leaf emits m's run unless m is marked and its computation was already
+// emitted.
 func (w *walker[M, T, R]) leaf(m M) {
 	w.leaves++
+	digest, marked, err := w.digest(m)
+	if err != nil {
+		w.err = err
+		return
+	}
+	if marked && w.seen[digest] {
+		w.dedup++
+		return
+	}
 	if w.emitted >= w.opts.MaxRuns {
 		w.truncated = true
 		return
+	}
+	if marked {
+		w.seen[digest] = true
 	}
 	run, err := m.Finish()
 	if err != nil {
@@ -226,4 +257,18 @@ func (w *walker[M, T, R]) leaf(m M) {
 	if !w.yield(run) {
 		w.stopped = true
 	}
+}
+
+// digest returns the SHA-256 of a marked run's key; the walk remembers
+// runs by it, at 32 bytes each instead of a string as long as the run.
+// Under NoReduction no run counts as marked.
+func (w *walker[M, T, R]) digest(m M) (d [sha256.Size]byte, marked bool, err error) {
+	if w.opts.NoReduction {
+		return d, false, nil
+	}
+	key, marked, err := m.Key()
+	if marked {
+		d = sha256.Sum256([]byte(key))
+	}
+	return d, marked, err
 }

@@ -24,8 +24,11 @@ type toy struct {
 	total, left []int
 	shared      func(proc, k int) bool // is process proc's k-th step at x?
 	eager       bool
-	finishErr   error
-	finishes    *finishLog
+	// dependent makes every two steps dependent, so the walk completes
+	// every interleaving; mark marks each run Unrecorded.
+	dependent, mark bool
+	finishErr       error
+	finishes        *finishLog
 }
 
 // finishLog counts a toy's Finish calls across all its clones.
@@ -65,9 +68,12 @@ func (m *toy) Transitions(full bool) (step, bool, []step) {
 
 // Independent: steps commute exactly when they are at different
 // elements (two processes' private elements, or one private and x).
-func (m *toy) Independent(a, b step) bool { return m.elem(a) != m.elem(b) }
+func (m *toy) Independent(a, b step) bool { return !m.dependent && m.elem(a) != m.elem(b) }
 
 func (m *toy) Apply(s step) error {
+	if m.mark {
+		m.Unrecorded()
+	}
 	m.Emit(int(s), m.elem(s), "Step", core.NewParams(core.P("proc", core.Int(int64(s)))))
 	m.left[s]--
 	return nil
@@ -105,7 +111,8 @@ func counters(f func()) map[string]int64 {
 	f()
 	got := obs.Snapshot().Counters
 	return map[string]int64{
-		"leaves": got["explore.leaves"], "emitted": got["explore.emitted"], "pruned": got["explore.pruned"],
+		"leaves": got["explore.leaves"], "emitted": got["explore.emitted"], "dedup": got["explore.dedup"],
+		"pruned": got["explore.pruned"],
 	}
 }
 
@@ -116,10 +123,10 @@ func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
 	}{
 		// Sleep sets reach the one partial order of p0;p0 ∥ p1 once: the
 		// two other interleavings are pruned before their leaves.
-		{explore.Options{}, map[string]int64{"leaves": 1, "emitted": 1, "pruned": 2}},
+		{explore.Options{}, map[string]int64{"leaves": 1, "emitted": 1, "dedup": 0, "pruned": 2}},
 		// Unreduced, all three interleavings reach a leaf, and each is
 		// emitted.
-		{explore.Options{NoReduction: true}, map[string]int64{"leaves": 3, "emitted": 3, "pruned": 0}},
+		{explore.Options{NoReduction: true}, map[string]int64{"leaves": 3, "emitted": 3, "dedup": 0, "pruned": 0}},
 	} {
 		var runs []*core.Computation
 		var err error
@@ -132,7 +139,7 @@ func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
 			t.Fatalf("NoReduction=%v: got %d runs, want %d", tc.opts.NoReduction, len(runs), tc.want["emitted"])
 		}
 		for _, c := range runs {
-			if exploretest.Key(c) != exploretest.Key(runs[0]) {
+			if explore.Key(c) != explore.Key(runs[0]) {
 				t.Fatalf("NoReduction=%v: interleavings of one partial order differ:\n%s\n%s", tc.opts.NoReduction, c, runs[0])
 			}
 		}
@@ -184,6 +191,53 @@ func TestSleepSetsKeepTheEmittedSequence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMarkedRunsAreCompared: when Independent calls every two steps
+// dependent, the walk completes all three interleavings of p0;p0 ∥ p1,
+// one computation. Unmarked, each comes out, as Machine warns; marked,
+// the first comes out and the other two are dropped, unless NoReduction
+// is set.
+func TestMarkedRunsAreCompared(t *testing.T) {
+	for _, tc := range []struct {
+		mark bool
+		opts explore.Options
+		want map[string]int64
+	}{
+		{false, explore.Options{}, map[string]int64{"leaves": 3, "emitted": 3, "dedup": 0, "pruned": 0}},
+		{true, explore.Options{}, map[string]int64{"leaves": 3, "emitted": 1, "dedup": 2, "pruned": 0}},
+		{true, explore.Options{NoReduction: true}, map[string]int64{"leaves": 3, "emitted": 3, "dedup": 0, "pruned": 0}},
+	} {
+		m := newToy(2, 1)
+		m.dependent, m.mark = true, tc.mark
+		var runs []*core.Computation
+		got := counters(func() {
+			var err error
+			if runs, _, err = collect(m, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for name, want := range tc.want {
+			if got[name] != want {
+				t.Errorf("mark=%v NoReduction=%v: explore.%s = %d, want %d", tc.mark, tc.opts.NoReduction, name, got[name], want)
+			}
+		}
+		if m.finishes.calls != len(runs) {
+			t.Errorf("mark=%v: Finish called %d times for %d runs", tc.mark, m.finishes.calls, len(runs))
+		}
+		if tc.mark && !tc.opts.NoReduction && runs[0].String() != firstInterleaving(t) {
+			t.Errorf("the first interleaving was not the one emitted:\n%s", runs[0])
+		}
+	}
+}
+
+// firstInterleaving is the first interleaving of p0;p0 ∥ p1 in DFS order.
+func firstInterleaving(t *testing.T) string {
+	runs, _, err := collect(newToy(2, 1), explore.Options{NoReduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs[0].String()
 }
 
 // TestPrunedNodesAreNeverFinished: a node whose branches are all asleep
@@ -241,7 +295,7 @@ func TestDistinctOrdersAtASharedElement(t *testing.T) {
 	}
 	keys := map[string]bool{}
 	for _, c := range runs {
-		keys[exploretest.Key(c)] = true
+		keys[explore.Key(c)] = true
 	}
 	if len(runs) != 6 || len(keys) != 6 {
 		t.Fatalf("got %d runs of %d computations, want 3! = 6 of each", len(runs), len(keys))

@@ -1,11 +1,11 @@
 // Package exploretest holds what the explorer's tests check runs with:
-// Key, the canonical rendering of a computation's partial order, and
-// Commutes, which checks a machine's Independent relation against the
-// machine's own semantics. A wrong "independent" answer would let the
-// explorer's sleep sets prune computations, and Commutes finds it
-// directly rather than through a missing run; the reduction tests count
-// the runs of reduced and unreduced explorations by Key, so a run
-// emitted twice fails them too.
+// SameComputations, which compares a reduced exploration with the
+// unreduced one through explore.Key, and Commutes, which checks a
+// machine's Independent relation against the machine's own semantics. A
+// wrong "independent" answer would let the explorer's sleep sets prune
+// computations, and Commutes finds it directly rather than through a
+// missing run; the reduction tests count the runs of reduced and
+// unreduced explorations by key, so a run emitted twice fails them too.
 package exploretest
 
 import (
@@ -37,9 +37,9 @@ type machine[M any, T comparable, R any] interface {
 // at every state on the way, checks each pair of enabled transitions
 // that m calls independent: the relation must be symmetric, neither
 // transition may disable the other, and the two orders must reach
-// states that nothing tells apart — logs of the same Key with the same
-// transitions enabled, and so on along a random continuation applied to
-// both. It returns the first violation.
+// states that nothing tells apart — logs of the same explore.Key with
+// the same transitions enabled, and so on along a random continuation
+// applied to both. It returns the first violation.
 func Commutes[M machine[M, T, R], T comparable, R any](m M, walks int) error {
 	rng := rand.New(rand.NewSource(1))
 	for w := 0; w < walks; w++ {
@@ -117,7 +117,7 @@ func commute[M machine[M, T, R], T comparable, R any](s M, a, b T, rng *rand.Ran
 		if err != nil {
 			return err
 		}
-		keys[i] = Key(c)
+		keys[i] = explore.Key(c)
 	}
 	if keys[0] != keys[1] {
 		return fmt.Errorf("independent %+v and %+v reach different computations in either order", a, b)

@@ -2,46 +2,23 @@ package exploretest
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 )
-
-// Key renders c's partial order canonically: one line per event,
-// element^occurrence:class params, and one per enable edge between two
-// such labels, sorted. Computations that differ only in the order their
-// concurrent events were built in, and so in their event IDs, share a
-// key; any difference in events, parameters, element order or enables
-// shows in it. The explorer compares no runs, so the tests compare runs
-// through this key.
-func Key(c *core.Computation) string {
-	labels := make([]string, c.NumEvents())
-	for _, e := range c.Events() {
-		labels[e.ID] = fmt.Sprintf("%s^%d:%s%s", e.Element, e.Seq, e.Class, e.Params)
-	}
-	lines := append([]string(nil), labels...)
-	for _, e := range c.Events() {
-		for _, succ := range c.Enabled(e.ID) {
-			lines = append(lines, labels[e.ID]+">"+labels[succ])
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
 
 // SameComputations reports the first way in which reduced, the runs of
 // a reduced exploration, differ from full, the runs of the unreduced
 // exploration of the same program, which come out once per
 // interleaving. reduced must hold each computation of full exactly
-// once, by Key, and nothing else. With ordered set it must also hold
-// them in the order full first reaches them, each built as full first
-// built it: the same String, so the same event IDs.
+// once, by explore.Key, and nothing else. With ordered set it must also
+// hold them in the order full first reaches them, each built as full
+// first built it: the same String, so the same event IDs.
 func SameComputations(reduced, full []*core.Computation, ordered bool) error {
 	index := map[string]int{} // Key → position among first occurrences
 	var first []*core.Computation
 	for _, c := range full {
-		k := Key(c)
+		k := explore.Key(c)
 		if _, ok := index[k]; !ok {
 			index[k] = len(first)
 			first = append(first, c)
@@ -49,7 +26,7 @@ func SameComputations(reduced, full []*core.Computation, ordered bool) error {
 	}
 	emitted := map[string]bool{}
 	for i, c := range reduced {
-		k := Key(c)
+		k := explore.Key(c)
 		j, ok := index[k]
 		switch {
 		case !ok:

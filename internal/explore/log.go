@@ -1,14 +1,20 @@
 package explore
 
-import "gem/internal/core"
+import (
+	"fmt"
+
+	"gem/internal/core"
+)
 
 // Log is a run's event log: events in emission order and the enables
 // between them, with each process's events chained in program order.
-// Machines embed it, which gives them Emit and Build.
+// Machines embed it, which gives them Emit, Unrecorded, Key and Build.
 type Log struct {
 	events []event
 	edges  [][2]int
 	last   []int // per process: index of its latest event, -1 before any
+	// unrecorded: the run took a choice its computation may not record
+	unrecorded bool
 }
 
 type event struct {
@@ -34,6 +40,8 @@ func (l *Log) Clone() Log {
 		events: l.events[:len(l.events):len(l.events)],
 		edges:  l.edges[:len(l.edges):len(l.edges)],
 		last:   append([]int(nil), l.last...),
+
+		unrecorded: l.unrecorded,
 	}
 }
 
@@ -68,4 +76,22 @@ func (l *Log) Build() (*core.Computation, error) {
 		b.Enable(core.EventID(e[0]), core.EventID(e[1]))
 	}
 	return b.Build()
+}
+
+// Unrecorded marks the run as having taken a choice that its events may
+// not record, so that another run of the walk may give the same
+// computation (see Machine).
+func (l *Log) Unrecorded() { l.unrecorded = true }
+
+// Key reports whether the run is marked Unrecorded and, if it is,
+// renders its computation (see Key).
+func (l *Log) Key() (key string, marked bool, err error) {
+	if !l.unrecorded {
+		return "", false, nil
+	}
+	c, err := l.Build()
+	if err != nil {
+		return "", false, fmt.Errorf("explore: keying a marked run: %w", err)
+	}
+	return Key(c), true, nil
 }

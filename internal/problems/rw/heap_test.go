@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"gem/internal/explore/exploretest"
+	"gem/internal/explore"
 	"gem/internal/monitor"
 )
 
@@ -69,7 +69,7 @@ func TestExploredHeapCeiling(t *testing.T) {
 	}
 	keys := make(map[string]bool, len(runs))
 	for _, r := range runs {
-		keys[exploretest.Key(r.Comp)] = true
+		keys[explore.Key(r.Comp)] = true
 	}
 	if len(keys) != len(runs) {
 		t.Errorf("%d runs are %d different computations", len(runs), len(keys))

@@ -119,11 +119,13 @@ echo "==> exploration redundancy gate: each computation reached once, not once p
 # sleep sets the explorer reached 3,709 complete schedules to find them;
 # with them it reaches 217. gemcheck rw explores five monitor variants
 # on two workloads, 420 computations, which the matrix does not cover,
-# and gemcheck distributed the 6 of dbupdate. The explorer compares no
-# runs, so leaves and emitted differ only where MaxRuns stops a walk,
-# and a computation reached twice shows as one run too many. An edit to
-# the explorer or to a language's Independent method that lets redundant
-# interleavings back in fails here, as does one that loses a computation.
+# and gemcheck distributed the 6 of dbupdate. The explorer compares
+# only runs that take a choice their events may not record, and no
+# shipped program takes one, so leaves and emitted differ only where
+# MaxRuns stops a walk, and a computation reached twice shows as one
+# leaf too many, dropped or not. An edit to the explorer or to a
+# language's Independent method that lets redundant interleavings back
+# in fails here, as does one that loses a computation.
 explore_gate() { # explore_gate WANT COMMAND...: COMMAND -stats must show WANT runs
 	want="$1"
 	shift
