@@ -22,12 +22,18 @@
 // computation — instead of running the diagnostics. -codes prints the
 // shared GEM001–GEM020 code registry and exits.
 //
+// Imports are read from the export data of the go command of GOROOT,
+// which compiles each into its build cache on first use. A package
+// with type errors, an import that could not be read among them, is a
+// load failure: its extraction could miss events.
+//
 // Exit status: 0 when every package is clean, 1 when warnings were
 // reported but no errors, 2 on errors — including packages that fail to
-// parse.
+// parse or type-check.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -46,7 +52,7 @@ func main() {
 // pkgResult is the outcome of analyzing one package directory.
 type pkgResult struct {
 	res    *gofront.Result
-	errMsg string // load failure (exit 2)
+	errMsg string // load or type-check failure (exit 2)
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -98,6 +104,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func analyzePackage(dir string) pkgResult {
 	res, err := gofront.AnalyzeDir(dir)
+	if err == nil && len(res.Pkg.TypeErrs) > 0 {
+		err = errors.Join(res.Pkg.TypeErrs...)
+	}
 	if err != nil {
 		return pkgResult{errMsg: fmt.Sprintf("%s: %v", dir, err)}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -186,6 +187,37 @@ func TestRunMissingDir(t *testing.T) {
 	var out, errb strings.Builder
 	if got := run([]string{t.TempDir() + "/absent"}, &out, &errb); got != 2 {
 		t.Fatalf("exit = %d, want 2", got)
+	}
+}
+
+// TestRunFailedImportExits2: a package with an import no module
+// provides is a load failure even though nothing it extracts is
+// defective: stderr names the import, and the exit status is 2.
+func TestRunFailedImportExits2(t *testing.T) {
+	dir := t.TempDir()
+	src := `package main
+
+import (
+	"sync"
+
+	_ "gem/internal/absent"
+)
+
+func main() {
+	var mu sync.Mutex
+	mu.Lock()
+	mu.Unlock()
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb strings.Builder
+	if got := run([]string{dir}, &out, &errb); got != 2 {
+		t.Fatalf("exit = %d, want 2; stdout: %s stderr: %s", got, out.String(), errb.String())
+	}
+	if !strings.Contains(errb.String(), dir) || !strings.Contains(errb.String(), "gem/internal/absent") {
+		t.Errorf("stderr does not name the package and the failed import: %s", errb.String())
 	}
 }
 

@@ -383,7 +383,11 @@ func (m *machine) sameEntryOpen(task int, sel Select, alt int) bool {
 }
 
 // Key marks the run Unrecorded if it leaves two calls queued on one
-// entry, then renders it as explore.Log.Key does.
+// entry, then renders it as explore.Log.Key does, with whether it
+// deadlocked: a choice the events do not record can end two runs of one
+// computation differently (a select that accepts a call at once leaves
+// a later accept waiting; one that takes its else part first does not).
+// Final variables stay out of the key, because no verdict reads them.
 func (m *machine) Key() (string, bool, error) {
 	for _, q := range m.queues {
 		for _, cs := range q {
@@ -392,7 +396,21 @@ func (m *machine) Key() (string, bool, error) {
 			}
 		}
 	}
-	return m.Log.Key()
+	key, marked, err := m.Log.Key()
+	if marked && m.deadlocked() {
+		key += "\ndeadlock"
+	}
+	return key, marked, err
+}
+
+// deadlocked reports whether a task is left blocked or unfinished.
+func (m *machine) deadlocked() bool {
+	for i := range m.tasks {
+		if _, unfinished := m.currentStmt(i); unfinished || m.tasks[i].blocked {
+			return true
+		}
+	}
+	return false
 }
 
 func (m *machine) beginRendezvous(task int, acc Accept) error {
@@ -495,13 +513,8 @@ func (m *machine) step(task int) error {
 }
 
 func (m *machine) Finish() (Run, error) {
-	deadlock := false
 	finals := make(map[string]map[string]int64, len(m.tasks))
 	for i := range m.tasks {
-		_, unfinished := m.currentStmt(i)
-		if unfinished || m.tasks[i].blocked {
-			deadlock = true
-		}
 		vars := make(map[string]int64, len(m.tasks[i].vars))
 		for k, v := range m.tasks[i].vars {
 			vars[k] = v
@@ -512,5 +525,5 @@ func (m *machine) Finish() (Run, error) {
 	if err != nil {
 		return Run{}, fmt.Errorf("ada: generated computation invalid: %w", err)
 	}
-	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
+	return Run{Comp: comp, FinalVars: finals, Deadlock: m.deadlocked()}, nil
 }

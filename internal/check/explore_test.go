@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gem/internal/ada"
-	"gem/internal/core"
 	"gem/internal/csp"
 	"gem/internal/explore"
 	"gem/internal/explore/exploretest"
@@ -89,30 +88,31 @@ func TestReadersPriorityVariantRuns(t *testing.T) {
 	}
 }
 
-// computations explores p with the given options and returns the
-// computations of its runs, in order.
-func computations[P, R any](t *testing.T, p P, exploreFn func(P, explore.Options) ([]R, bool, error),
-	comp func(R) *core.Computation, opts explore.Options) []*core.Computation {
+// runs explores p with the given options and returns its runs, in
+// order, as the reduction oracle compares them.
+func runs[P, R any](t *testing.T, p P, exploreFn func(P, explore.Options) ([]R, bool, error),
+	run func(R) exploretest.Run, opts explore.Options) []exploretest.Run {
 	t.Helper()
-	runs, truncated, err := exploreFn(p, opts)
+	got, truncated, err := exploreFn(p, opts)
 	if err != nil || truncated {
 		t.Fatalf("truncated=%v err=%v", truncated, err)
 	}
-	out := make([]*core.Computation, len(runs))
-	for i, r := range runs {
-		out[i] = comp(r)
+	out := make([]exploretest.Run, len(got))
+	for i, r := range got {
+		out[i] = run(r)
 	}
 	return out
 }
 
 // reductionOracle checks that the reduced exploration of p emits each
-// computation the unreduced exploration reaches exactly once.
+// run the unreduced exploration reaches, by computation and deadlock
+// flag, exactly once.
 func reductionOracle[P, R any](p P, exploreFn func(P, explore.Options) ([]R, bool, error),
-	comp func(R) *core.Computation) func(*testing.T) {
+	run func(R) exploretest.Run) func(*testing.T) {
 	return func(t *testing.T) {
-		reduced := computations(t, p, exploreFn, comp, explore.Options{MaxRuns: 60000})
-		full := computations(t, p, exploreFn, comp, explore.Options{MaxRuns: 60000, NoReduction: true})
-		if err := exploretest.SameComputations(reduced, full, false); err != nil {
+		reduced := runs(t, p, exploreFn, run, explore.Options{MaxRuns: 60000})
+		full := runs(t, p, exploreFn, run, explore.Options{MaxRuns: 60000, NoReduction: true})
+		if err := exploretest.SameRuns(reduced, full, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,17 +126,17 @@ func TestReductionPreservesComputations(t *testing.T) {
 	one := oneslot.Workload{Producers: 1, Consumers: 1, ItemsPerProducer: 2}
 	bb := boundedbuf.Workload{Producers: 2, Consumers: 1, ItemsPerProducer: 1, Capacity: 2}
 	rww := rw.Workload{Readers: 2, Writers: 1}
-	monComp := func(r monitor.Run) *core.Computation { return r.Comp }
-	cspComp := func(r csp.Run) *core.Computation { return r.Comp }
-	adaComp := func(r ada.Run) *core.Computation { return r.Comp }
+	monRun := func(r monitor.Run) exploretest.Run { return exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock} }
+	cspRun := func(r csp.Run) exploretest.Run { return exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock} }
+	adaRun := func(r ada.Run) exploretest.Run { return exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock} }
 
-	t.Run("monitor/one-slot-buffer", reductionOracle(oneslot.NewMonitorProgram(one), monitor.Explore, monComp))
-	t.Run("monitor/bounded-buffer", reductionOracle(boundedbuf.NewMonitorProgram(bb), monitor.Explore, monComp))
-	t.Run("csp/one-slot-buffer", reductionOracle(oneslot.NewCSPProgram(one), csp.Explore, cspComp))
-	t.Run("csp/bounded-buffer", reductionOracle(boundedbuf.NewCSPProgram(bb), csp.Explore, cspComp))
-	t.Run("csp/readers-writers", reductionOracle(rw.NewCSPProgram(rww), csp.Explore, cspComp))
-	t.Run("ada/one-slot-buffer", reductionOracle(oneslot.NewAdaProgram(one), ada.Explore, adaComp))
-	t.Run("ada/bounded-buffer", reductionOracle(boundedbuf.NewAdaProgram(bb), ada.Explore, adaComp))
+	t.Run("monitor/one-slot-buffer", reductionOracle(oneslot.NewMonitorProgram(one), monitor.Explore, monRun))
+	t.Run("monitor/bounded-buffer", reductionOracle(boundedbuf.NewMonitorProgram(bb), monitor.Explore, monRun))
+	t.Run("csp/one-slot-buffer", reductionOracle(oneslot.NewCSPProgram(one), csp.Explore, cspRun))
+	t.Run("csp/bounded-buffer", reductionOracle(boundedbuf.NewCSPProgram(bb), csp.Explore, cspRun))
+	t.Run("csp/readers-writers", reductionOracle(rw.NewCSPProgram(rww), csp.Explore, cspRun))
+	t.Run("ada/one-slot-buffer", reductionOracle(oneslot.NewAdaProgram(one), ada.Explore, adaRun))
+	t.Run("ada/bounded-buffer", reductionOracle(boundedbuf.NewAdaProgram(bb), ada.Explore, adaRun))
 
 	// Programs whose choices their computations do not record: the walk
 	// completes each of their computations once per choice, and the
@@ -147,39 +147,39 @@ func TestReductionPreservesComputations(t *testing.T) {
 		{Name: "server", Entries: []string{"Ping"}, Body: busy},
 		{Name: "a", Body: []ada.Stmt{ping}},
 		{Name: "b", Body: []ada.Stmt{ping}},
-	}}, ada.Explore, adaComp))
+	}}, ada.Explore, adaRun))
 	t.Run("ada/select-same-entry", reductionOracle(&ada.Program{Tasks: []ada.Task{
 		{Name: "server", Entries: []string{"Ping"}, Body: []ada.Stmt{ada.Select{Alts: []ada.SelectAlt{
 			{Accept: ada.Accept{Entry: "Ping", Body: busy}},
 			{Accept: ada.Accept{Entry: "Ping", Body: busy}},
 		}}}},
 		{Name: "a", Body: []ada.Stmt{ping}},
-	}}, ada.Explore, adaComp))
+	}}, ada.Explore, adaRun))
 	t.Run("ada/select-else-race", reductionOracle(&ada.Program{Tasks: []ada.Task{
 		{Name: "server", Entries: []string{"Ping"}, Body: []ada.Stmt{
 			ada.Select{Alts: []ada.SelectAlt{{Accept: ada.Accept{Entry: "Ping"}}}, Else: []ada.Stmt{}},
 			ada.Accept{Entry: "Ping"},
 		}},
 		{Name: "a", Body: []ada.Stmt{ping}},
-	}}, ada.Explore, adaComp))
+	}}, ada.Explore, adaRun))
 	op := []csp.Stmt{csp.Op{Class: "A"}}
 	recv := csp.Recv{From: "p", Var: "x"}
 	sendOne := csp.Process{Name: "p", Body: []csp.Stmt{csp.Send{To: "q", E: csp.IntLit(1)}}}
 	t.Run("csp/equal-boolean-branches", reductionOracle(&csp.Program{Processes: []csp.Process{
 		{Name: "q", Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{{Body: op}, {Body: op}}}}},
-	}}, csp.Explore, cspComp))
+	}}, csp.Explore, cspRun))
 	t.Run("csp/two-receives-from-one-sender", reductionOracle(&csp.Program{Processes: []csp.Process{
 		sendOne,
 		{Name: "q", Vars: []string{"x", "y"}, Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{
 			{Comm: recv},
 			{Comm: csp.Recv{From: "p", Var: "y"}},
 		}}}},
-	}}, csp.Explore, cspComp))
+	}}, csp.Explore, cspRun))
 	t.Run("csp/boolean-branch-then-receive", reductionOracle(&csp.Program{Processes: []csp.Process{
 		sendOne,
 		{Name: "q", Vars: []string{"x"}, Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{
 			{Comm: recv},
 			{Body: []csp.Stmt{recv}},
 		}}}},
-	}}, csp.Explore, cspComp))
+	}}, csp.Explore, cspRun))
 }

@@ -439,13 +439,31 @@ func (m *machine) stepComm(out, inp offer) error {
 	return nil
 }
 
-func (m *machine) Finish() (Run, error) {
-	deadlock := false
-	finals := make(map[string]map[string]int64, len(m.procs))
+// Key renders a marked run as explore.Log.Key does, with whether it
+// deadlocked: a choice the events do not record can end two runs of one
+// computation differently. Final variables stay out of the key, because
+// no verdict reads them.
+func (m *machine) Key() (string, bool, error) {
+	key, marked, err := m.Log.Key()
+	if marked && m.deadlocked() {
+		key += "\ndeadlock"
+	}
+	return key, marked, err
+}
+
+// deadlocked reports whether a process is left unfinished.
+func (m *machine) deadlocked() bool {
 	for i := range m.procs {
 		if _, unfinished := m.currentStmt(i); unfinished {
-			deadlock = true
+			return true
 		}
+	}
+	return false
+}
+
+func (m *machine) Finish() (Run, error) {
+	finals := make(map[string]map[string]int64, len(m.procs))
+	for i := range m.procs {
 		vars := make(map[string]int64, len(m.procs[i].vars))
 		for k, v := range m.procs[i].vars {
 			vars[k] = v
@@ -456,5 +474,5 @@ func (m *machine) Finish() (Run, error) {
 	if err != nil {
 		return Run{}, fmt.Errorf("csp: generated computation invalid: %w", err)
 	}
-	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
+	return Run{Comp: comp, FinalVars: finals, Deadlock: m.deadlocked()}, nil
 }

@@ -62,8 +62,8 @@ type Options struct {
 // that may not be (Log.Unrecorded). It decides by what every run of the
 // same computation sees alike, such as the choosing process's own state,
 // so that all the runs of a repeated computation are marked. Run emits
-// the first marked run of each computation and drops the later ones; it
-// emits unmarked runs without comparing them.
+// the first marked run of each key and drops the later ones; it emits
+// unmarked runs without comparing them.
 type Machine[M any, T comparable, R any] interface {
 	// Transitions lists the schedulable steps. Unless full is set, the
 	// machine may return one invisible transition as eager (ok true): a
@@ -88,7 +88,8 @@ type Machine[M any, T comparable, R any] interface {
 	// Clone returns an independent copy of the state.
 	Clone() M
 	// Key reports whether the run is marked and, if it is, renders its
-	// computation; see Log.Key.
+	// computation (Log.Key) and what of its end state a verdict reads,
+	// such as whether it deadlocked.
 	Key() (key string, marked bool, err error)
 	// Finish renders a state with no transitions as a run.
 	Finish() (R, error)

@@ -170,20 +170,24 @@ func TestSleepSetsKeepTheEmittedSequence(t *testing.T) {
 	}
 	for name, shared := range patterns {
 		t.Run(name, func(t *testing.T) {
-			explored := func(opts explore.Options) ([]*core.Computation, map[string]int64) {
+			explored := func(opts explore.Options) ([]exploretest.Run, map[string]int64) {
 				m := newToy(2, 1, 2, 1)
 				m.shared = shared
-				var runs []*core.Computation
+				var comps []*core.Computation
 				var err error
-				got := counters(func() { runs, _, err = collect(m, opts) })
+				got := counters(func() { comps, _, err = collect(m, opts) })
 				if err != nil {
 					t.Fatal(err)
+				}
+				runs := make([]exploretest.Run, len(comps))
+				for i, c := range comps {
+					runs[i] = exploretest.Run{Comp: c}
 				}
 				return runs, got
 			}
 			reduced, cr := explored(explore.Options{})
 			full, cf := explored(explore.Options{NoReduction: true})
-			if err := exploretest.SameComputations(reduced, full, true); err != nil {
+			if err := exploretest.SameRuns(reduced, full, true); err != nil {
 				t.Fatal(err)
 			}
 			if cr["leaves"] >= cf["leaves"] || cr["pruned"] == 0 {

@@ -1,7 +1,8 @@
 // Package exploretest holds what the explorer's tests check runs with:
-// SameComputations, which compares a reduced exploration with the
-// unreduced one through explore.Key, and Commutes, which checks a
-// machine's Independent relation against the machine's own semantics. A
+// SameRuns, which compares a reduced exploration with the unreduced one
+// through explore.Key and each run's deadlock flag, and Commutes, which
+// checks a machine's Independent relation against the machine's own
+// semantics. A
 // wrong "independent" answer would let the explorer's sleep sets prune
 // computations, and Commutes finds it directly rather than through a
 // missing run; the reduction tests count the runs of reduced and

@@ -20,6 +20,10 @@
 // adds GEM018–GEM020 from the may-happen-in-parallel relation of the
 // extracted partial order.
 //
+// Imports are read from the export data the go command keeps in its
+// build cache (see LoadDir), not type-checked from source in every
+// process.
+//
 // The analysis is intentionally flow-naive — every statement is assumed
 // to execute once, in source order — which makes it fast, deterministic,
 // and free of false GEM013s on the code shapes it models (straight-line

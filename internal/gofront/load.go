@@ -1,13 +1,17 @@
 package gofront
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -25,47 +29,98 @@ type Package struct {
 	Name  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	// TypeErrs are the type-checker's complaints, in reporting order.
-	// They are surfaced to the user as load warnings but do not stop the
-	// analysis.
+	// TypeErrs are the type-checker's complaints, in reporting order,
+	// among them every import that could not be read. They do not stop
+	// the analysis, but what it extracts may lack events (a failed
+	// "sync" import hides every lock), so gemgo reports a package with
+	// type errors as a load failure.
 	TypeErrs []error
 
 	info *types.Info
 }
 
-// cachingImporter wraps the source importer with a lock and a cache so
-// concurrent package loads (the -j fan-out) share one type-checked copy
-// of each dependency. The source importer compiles dependencies from
-// GOROOT source, so no pre-built export data is required.
+// cachingImporter reads imports through the gc importer, from export
+// data the go command names (lookupExport). The gc importer keeps every
+// package it has read; the wrapper adds a lock, so that the -j fan-out's
+// concurrent package loads share one importer, and a memo of failed
+// lookups, so that a failed import runs the go command once per process
+// rather than once per package that imports it.
 type cachingImporter struct {
-	mu    sync.Mutex
-	under types.Importer
-	pkgs  map[string]*types.Package
-	errs  map[string]error
+	mu   sync.Mutex
+	gc   types.Importer
+	errs map[string]error
 }
 
 var sharedImporter = &cachingImporter{
-	under: importer.ForCompiler(token.NewFileSet(), "source", nil),
-	pkgs:  make(map[string]*types.Package),
-	errs:  make(map[string]error),
+	gc:   importer.ForCompiler(token.NewFileSet(), "gc", lookupExport),
+	errs: make(map[string]error),
 }
 
 func (ci *cachingImporter) Import(path string) (*types.Package, error) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	if p, ok := ci.pkgs[path]; ok {
-		return p, nil
-	}
 	if err, ok := ci.errs[path]; ok {
 		return nil, err
 	}
-	p, err := ci.under.Import(path)
+	p, err := ci.gc.Import(path)
 	if err != nil {
 		ci.errs[path] = err
+	}
+	return p, err
+}
+
+// lookupExport opens the export data of the package at import path. It
+// runs the go command of GOROOT from the working directory, as go/build
+// does for every import outside GOROOT, which compiles the package into
+// the build cache on first use and names the file there. The path comes
+// from analyzed source, so one the go command would take for a flag or a
+// pattern is refused before it runs. Like go/build, it runs no go
+// command when GOROOT is unknown (a -trimpath binary with GOROOT unset),
+// rather than whatever bin/go the working directory holds.
+func lookupExport(path string) (io.ReadCloser, error) {
+	if err := checkImportPath(path); err != nil {
 		return nil, err
 	}
-	ci.pkgs[path] = p
-	return p, nil
+	if build.Default.GOROOT == "" {
+		return nil, errors.New("gofront: GOROOT is unknown, so there is no go command to read export data from; set GOROOT")
+	}
+	goCmd := filepath.Join(build.Default.GOROOT, "bin", "go")
+	out, err := exec.Command(goCmd, "list", "-export", "-f", "{{.Export}}", "--", path).Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) && len(ee.Stderr) > 0 {
+			err = errors.New(strings.TrimSpace(string(ee.Stderr)))
+		}
+		return nil, fmt.Errorf("go list -export %s: %v", path, err)
+	}
+	file, err := exportFile(out)
+	if err != nil {
+		return nil, fmt.Errorf("go list -export %s: %v", path, err)
+	}
+	return os.Open(file)
+}
+
+// checkImportPath refuses an import path that the go command would not
+// read as exactly one package: an empty path, a flag, a relative or
+// absolute path, a pattern with "...", or a name `go help packages`
+// reserves for a pattern ("all" lists the whole module, "std" the
+// standard library, and -export compiles everything it lists).
+func checkImportPath(path string) error {
+	reserved := path == "main" || path == "all" || path == "std" || path == "cmd" || path == "tool"
+	if path == "" || reserved || strings.ContainsAny(path[:1], "-./") || strings.Contains(path, "...") {
+		return fmt.Errorf("gofront: %q is not a package import path", path)
+	}
+	return nil
+}
+
+// exportFile returns the one export data file a go list -export reply
+// names.
+func exportFile(out []byte) (string, error) {
+	files := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(files) != 1 || files[0] == "" {
+		return "", fmt.Errorf("want one export data file, got %q", out)
+	}
+	return files[0], nil
 }
 
 // ExpandPatterns resolves gemgo's package patterns to package
@@ -144,8 +199,9 @@ func goSource(name string) bool {
 }
 
 // LoadDir parses and type-checks the non-test .go files of one
-// directory. Parse errors are fatal (the extractor needs syntax); type
-// errors are collected on the returned package.
+// directory, reading its imports through sharedImporter. Parse errors
+// are fatal (the extractor needs syntax); type errors, failed imports
+// among them, are collected on the returned package.
 func LoadDir(dir string) (*Package, error) {
 	_, sp := obs.StartSpan(nil, "gofront.load")
 	defer sp.End()

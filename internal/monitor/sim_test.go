@@ -443,7 +443,7 @@ func TestReductionPreservesComputations(t *testing.T) {
 	for name, prog := range programs {
 		prog := prog
 		t.Run(name, func(t *testing.T) {
-			collect := func(noReduction bool) []*core.Computation {
+			collect := func(noReduction bool) []exploretest.Run {
 				runs, truncated, err := Explore(prog, ExploreOptions{NoReduction: noReduction, MaxRuns: 60000})
 				if err != nil {
 					t.Fatal(err)
@@ -451,13 +451,13 @@ func TestReductionPreservesComputations(t *testing.T) {
 				if truncated {
 					t.Fatal("truncated")
 				}
-				out := make([]*core.Computation, len(runs))
+				out := make([]exploretest.Run, len(runs))
 				for i, r := range runs {
-					out[i] = r.Comp
+					out[i] = exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock}
 				}
 				return out
 			}
-			if err := exploretest.SameComputations(collect(false), collect(true), false); err != nil {
+			if err := exploretest.SameRuns(collect(false), collect(true), false); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -209,22 +209,22 @@ func TestReductionPreservesComputations(t *testing.T) {
 }
 
 func reductionOracle(t *testing.T, cfg Config) {
-	explored := func(opts explore.Options) ([]*core.Computation, int64) {
+	explored := func(opts explore.Options) ([]exploretest.Run, int64) {
 		obs.Enable()
 		defer obs.Disable()
 		runs, truncated, err := Explore(cfg, ExploreOptions{Options: opts})
 		if err != nil || truncated {
 			t.Fatalf("truncated=%v err=%v", truncated, err)
 		}
-		out := make([]*core.Computation, len(runs))
+		out := make([]exploretest.Run, len(runs))
 		for i, r := range runs {
-			out[i] = r.Comp
+			out[i] = exploretest.Run{Comp: r.Comp}
 		}
 		return out, obs.Snapshot().Counters["explore.leaves"]
 	}
 	reduced, reducedLeaves := explored(explore.Options{})
 	full, fullLeaves := explored(explore.Options{NoReduction: true})
-	if err := exploretest.SameComputations(reduced, full, true); err != nil {
+	if err := exploretest.SameRuns(reduced, full, true); err != nil {
 		t.Fatalf("%+v: %v", cfg, err)
 	}
 	if reducedLeaves >= fullLeaves {

@@ -369,7 +369,7 @@ func TestIntactMonitorDeadlockFree(t *testing.T) {
 // once.
 func TestExplorationReductionOnRW(t *testing.T) {
 	prog := NewProgram(ReadersPriority, Workload{Readers: 1, Writers: 1})
-	collect := func(noReduction bool) []*core.Computation {
+	collect := func(noReduction bool) []exploretest.Run {
 		runs, truncated, err := monitor.Explore(prog, monitor.ExploreOptions{
 			NoReduction: noReduction, MaxRuns: 60000,
 		})
@@ -379,14 +379,14 @@ func TestExplorationReductionOnRW(t *testing.T) {
 		if truncated {
 			t.Fatal("truncated")
 		}
-		out := make([]*core.Computation, len(runs))
+		out := make([]exploretest.Run, len(runs))
 		for i, r := range runs {
-			out[i] = r.Comp
+			out[i] = exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock}
 		}
 		return out
 	}
 	reduced, full := collect(false), collect(true)
-	if err := exploretest.SameComputations(reduced, full, false); err != nil {
+	if err := exploretest.SameRuns(reduced, full, false); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("%d computations, reached in %d unreduced runs", len(reduced), len(full))

@@ -93,6 +93,18 @@ cmp "$tracedir/race.j1.out" "$tracedir/race.j4.out"
 grep -q 'GEM018' "$tracedir/race.j1.out"
 grep -q 'GEM019' "$tracedir/race.j1.out"
 grep -q 'GEM020' "$tracedir/race.j1.out"
+echo "==> gemgo: an import the go command cannot serve fails loudly (GOCACHE=off)"
+# With GOCACHE=off the go command refuses to build, so gemgo cannot read
+# the export data of sync. Without sync the extraction finds no lock, and
+# the package would read as clean; it must fail with exit 2 instead.
+status=0
+GOCACHE=off "$tracedir/gemgo" internal/gofront/testdata/src/clean_gem014_ordered \
+	>"$tracedir/nocache.out" 2>"$tracedir/nocache.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q 'sync' "$tracedir/nocache.err"; then
+	echo "==> FAIL: gemgo with GOCACHE=off: want exit 2 naming sync, got exit $status:" >&2
+	cat "$tracedir/nocache.out" "$tracedir/nocache.err" >&2
+	exit 1
+fi
 echo "==> gemcheck rw: -j1 and -j4 output byte-identical"
 go build -o "$tracedir/gemcheck" ./cmd/gemcheck
 "$tracedir/gemcheck" -j 1 -cache off rw >"$tracedir/rw.j1.out"
