@@ -21,60 +21,63 @@ import (
 // cache-consulting paths satisfy this: they run strictly after
 // projection and thread labelling.
 func Fingerprint(c *Computation) string {
-	return c.Derived("core.fingerprint", func() any {
-		h := sha256.New()
-		var buf [binary.MaxVarintLen64]byte
-		writeUint := func(v uint64) {
-			n := binary.PutUvarint(buf[:], v)
-			h.Write(buf[:n])
-		}
-		writeInt := func(v int64) {
-			n := binary.PutVarint(buf[:], v)
-			h.Write(buf[:n])
-		}
-		writeStr := func(s string) {
-			writeUint(uint64(len(s)))
-			h.Write([]byte(s))
-		}
-		writeUint(uint64(len(c.events)))
-		for _, e := range c.events {
-			writeStr(e.Element)
-			writeStr(e.Class)
-			writeUint(uint64(e.Seq))
-			writeUint(uint64(e.Params.Len()))
-			for i := 0; i < e.Params.Len(); i++ {
-				p := e.Params.At(i)
-				v := p.Value
-				writeStr(p.Name)
-				writeUint(uint64(v.Kind))
-				switch v.Kind {
-				case KindInt:
-					writeInt(v.I)
-				case KindString:
-					writeStr(v.S)
-				case KindBool:
-					if v.B {
-						writeUint(1)
-					} else {
-						writeUint(0)
-					}
+	return c.Derived(fingerprintKey, func() any { return fingerprint(c) }).(string)
+}
+
+// fingerprintKey is the Derived key of the memoized fingerprint.
+const fingerprintKey = "core.fingerprint"
+
+// fingerprint renders the computation into one buffer — every integer
+// as a varint, every string as its uvarint length and bytes — and
+// hashes it once.
+func fingerprint(c *Computation) string {
+	buf := make([]byte, 0, 64*len(c.events)) // room for most events' fields and edges
+	appendStr := func(buf []byte, s string) []byte {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		return append(buf, s...)
+	}
+	var tids []string
+	buf = binary.AppendUvarint(buf, uint64(len(c.events)))
+	for _, e := range c.events {
+		buf = appendStr(buf, e.Element)
+		buf = appendStr(buf, e.Class)
+		buf = binary.AppendUvarint(buf, uint64(e.Seq))
+		buf = binary.AppendUvarint(buf, uint64(e.Params.Len()))
+		for i := 0; i < e.Params.Len(); i++ {
+			p := e.Params.At(i)
+			v := p.Value
+			buf = appendStr(buf, p.Name)
+			buf = binary.AppendUvarint(buf, uint64(v.Kind))
+			switch v.Kind {
+			case KindInt:
+				buf = binary.AppendVarint(buf, v.I)
+			case KindString:
+				buf = appendStr(buf, v.S)
+			case KindBool:
+				b := uint64(0)
+				if v.B {
+					b = 1
 				}
-			}
-			// Thread labels are sorted so the fingerprint does not depend
-			// on labelling order, only on the label set.
-			tids := append([]string(nil), e.Threads...)
-			sort.Strings(tids)
-			writeUint(uint64(len(tids)))
-			for _, tid := range tids {
-				writeStr(tid)
+				buf = binary.AppendUvarint(buf, b)
 			}
 		}
-		for _, targets := range c.enables {
-			writeUint(uint64(len(targets)))
-			for _, t := range targets {
-				writeUint(uint64(t))
-			}
+		// Thread labels are sorted so the fingerprint does not depend
+		// on labelling order, only on the label set.
+		tids = append(tids[:0], e.Threads...)
+		sort.Strings(tids)
+		buf = binary.AppendUvarint(buf, uint64(len(tids)))
+		for _, tid := range tids {
+			buf = appendStr(buf, tid)
 		}
-		return hex.EncodeToString(h.Sum(nil))
-	}).(string)
+	}
+	for _, targets := range c.enables {
+		buf = binary.AppendUvarint(buf, uint64(len(targets)))
+		for _, t := range targets {
+			buf = binary.AppendUvarint(buf, uint64(t))
+		}
+	}
+	sum := sha256.Sum256(buf)
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
 }

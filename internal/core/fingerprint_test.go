@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func fpComp(t *testing.T, label func(*Builder, EventID)) *Computation {
 	t.Helper()
@@ -85,5 +88,43 @@ func TestFingerprintGolden(t *testing.T) {
 	const want = "698c70239fea45d43933833584d5c18290209d961c519f6ca2ec05d1927d863a"
 	if got := Fingerprint(c); got != want {
 		t.Errorf("Fingerprint = %s, want %s", got, want)
+	}
+}
+
+// TestFingerprintAllocationCeiling bounds what fingerprinting a 40-event
+// computation allocates: the rendering buffer, the scratch slice the
+// thread labels are sorted in, the hex digest and the memo's boxed
+// value. Hashing field by field through a hash.Hash, with a string
+// conversion per write and a sorted copy of every event's labels, made
+// 366 allocations here.
+func TestFingerprintAllocationCeiling(t *testing.T) {
+	b := NewBuilder()
+	var prev EventID
+	for i := 0; i < 40; i++ {
+		id := b.Event(fmt.Sprintf("proc%d", i%4), "Step",
+			NewParams(P("n", Int(int64(i))), P("s", Str("item")), P("ok", Bool(i%2 == 0))))
+		b.Thread(id, fmt.Sprintf("t%d", i%3))
+		b.Thread(id, "main")
+		if i > 0 {
+			b.Enable(prev, id)
+		}
+		prev = id
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Fingerprint(c)
+	allocs := testing.AllocsPerRun(20, func() {
+		c.derivedMu.Lock()
+		delete(c.derived, fingerprintKey)
+		c.derivedMu.Unlock()
+		if Fingerprint(c) != want {
+			t.Fatal("fingerprint changed between runs")
+		}
+	})
+	t.Logf("%.0f allocations per fingerprint", allocs)
+	if allocs > 5 {
+		t.Errorf("%.0f allocations per fingerprint, ceiling 5", allocs)
 	}
 }

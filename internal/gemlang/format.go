@@ -3,6 +3,7 @@ package gemlang
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gem/internal/core"
@@ -86,82 +87,118 @@ func formatRestrictions(sb *strings.Builder, rs []spec.Restriction) {
 // shapes that have no surface syntax (there are none among the exported
 // constructors).
 func Source(f logic.Formula) string {
+	var b strings.Builder
+	writeSource(&b, f)
+	return b.String()
+}
+
+// writeSource appends Source(f) to b, so a formula renders into one
+// buffer instead of one string per subformula.
+func writeSource(b *strings.Builder, f logic.Formula) {
 	switch g := f.(type) {
 	case logic.TrueF:
-		return "TRUE"
+		b.WriteString("TRUE")
 	case logic.FalseF:
-		return "FALSE"
+		b.WriteString("FALSE")
 	case logic.Occurred:
-		return fmt.Sprintf("occurred(%s)", g.Var)
+		put(b, "occurred(", g.Var, ")")
 	case logic.New:
-		return fmt.Sprintf("new(%s)", g.Var)
+		put(b, "new(", g.Var, ")")
 	case logic.Potential:
-		return fmt.Sprintf("potential(%s)", g.Var)
+		put(b, "potential(", g.Var, ")")
 	case logic.AtElement:
-		return fmt.Sprintf("%s @ %s", g.Var, g.Element)
+		put(b, g.Var, " @ ", g.Element)
 	case logic.InClass:
-		return fmt.Sprintf("%s : %s", g.Var, g.Ref)
+		put(b, g.Var, " : ", g.Ref.String())
 	case logic.AtControl:
-		return fmt.Sprintf("%s at %s", g.Var, g.Ref)
+		put(b, g.Var, " at ", g.Ref.String())
 	case logic.OnThread:
-		return fmt.Sprintf("%s in %s", g.X, g.T)
+		put(b, g.X, " in ", g.T)
 	case logic.ThreadsDistinct:
-		return fmt.Sprintf("distinct(%s, %s)", g.T1, g.T2)
+		put(b, "distinct(", g.T1, ", ", g.T2, ")")
 	case logic.Enables:
-		return fmt.Sprintf("%s |> %s", g.X, g.Y)
+		put(b, g.X, " |> ", g.Y)
 	case logic.ElemOrdered:
-		return fmt.Sprintf("%s ~> %s", g.X, g.Y)
+		put(b, g.X, " ~> ", g.Y)
 	case logic.Precedes:
-		return fmt.Sprintf("%s => %s", g.X, g.Y)
+		put(b, g.X, " => ", g.Y)
 	case logic.ConcurrentWith:
-		return fmt.Sprintf("%s || %s", g.X, g.Y)
+		put(b, g.X, " || ", g.Y)
 	case logic.SameEvent:
-		return fmt.Sprintf("%s = %s", g.X, g.Y)
+		put(b, g.X, " = ", g.Y)
 	case logic.ParamCmp:
-		return fmt.Sprintf("%s.%s %s %s.%s", g.X, g.P, g.Op, g.Y, g.Q)
+		put(b, g.X, ".", g.P, " ", g.Op.String(), " ", g.Y, ".", g.Q)
 	case logic.ParamConst:
-		return fmt.Sprintf("%s.%s %s %s", g.X, g.P, g.Op, sourceValue(g.V))
+		put(b, g.X, ".", g.P, " ", g.Op.String(), " ", sourceValue(g.V))
 	case logic.CountDiff:
 		max := "*"
 		if !g.NoMax {
-			max = fmt.Sprint(g.Max)
+			max = strconv.Itoa(g.Max)
 		}
-		return fmt.Sprintf("COUNT(%s - %s IN %d .. %s)", g.A, g.B, g.Min, max)
+		put(b, "COUNT(", g.A.String(), " - ", g.B.String(), " IN ", strconv.Itoa(g.Min), " .. ", max, ")")
 	case logic.FIFOValues:
-		return fmt.Sprintf("FIFO(%s.%s -> %s.%s)", g.A, g.PA, g.B, g.PB)
+		put(b, "FIFO(", g.A.String(), ".", g.PA, " -> ", g.B.String(), ".", g.PB, ")")
 	case logic.Not:
-		return "~(" + Source(g.F) + ")"
+		b.WriteString("~(")
+		writeSource(b, g.F)
+		b.WriteString(")")
 	case logic.And:
-		return joinSource(g, " & ", "TRUE")
+		writeJoined(b, g, " & ", "TRUE")
 	case logic.Or:
-		return joinSource(g, " | ", "FALSE")
+		writeJoined(b, g, " | ", "FALSE")
 	case logic.Implies:
-		return "(" + Source(g.If) + " -> " + Source(g.Then) + ")"
+		b.WriteString("(")
+		writeSource(b, g.If)
+		b.WriteString(" -> ")
+		writeSource(b, g.Then)
+		b.WriteString(")")
 	case logic.Iff:
-		return "(" + Source(g.A) + " <-> " + Source(g.B) + ")"
+		b.WriteString("(")
+		writeSource(b, g.A)
+		b.WriteString(" <-> ")
+		writeSource(b, g.B)
+		b.WriteString(")")
 	case logic.Box:
-		return "[] (" + Source(g.F) + ")"
+		b.WriteString("[] (")
+		writeSource(b, g.F)
+		b.WriteString(")")
 	case logic.Diamond:
-		return "<> (" + Source(g.F) + ")"
+		b.WriteString("<> (")
+		writeSource(b, g.F)
+		b.WriteString(")")
 	case logic.ForAll:
-		return fmt.Sprintf("((FORALL %s: %s) %s)", g.Var, g.Ref, Source(g.Body))
+		writeQuantified(b, "FORALL", g.Var, g.Ref.String(), g.Body)
 	case logic.Exists:
-		return fmt.Sprintf("((EXISTS %s: %s) %s)", g.Var, g.Ref, Source(g.Body))
+		writeQuantified(b, "EXISTS", g.Var, g.Ref.String(), g.Body)
 	case logic.ExistsUnique:
-		return fmt.Sprintf("((EXISTS1 %s: %s) %s)", g.Var, g.Ref, Source(g.Body))
+		writeQuantified(b, "EXISTS1", g.Var, g.Ref.String(), g.Body)
 	case logic.AtMostOne:
-		return fmt.Sprintf("((ATMOST1 %s: %s) %s)", g.Var, g.Ref, Source(g.Body))
+		writeQuantified(b, "ATMOST1", g.Var, g.Ref.String(), g.Body)
 	case logic.ForAllThread:
-		return fmt.Sprintf("((FORALLTHREAD %s: %s) %s)", g.Var, g.Type, Source(g.Body))
+		writeQuantified(b, "FORALLTHREAD", g.Var, g.Type, g.Body)
 	case logic.ExistsThread:
-		return fmt.Sprintf("((EXISTSTHREAD %s: %s) %s)", g.Var, g.Type, Source(g.Body))
+		writeQuantified(b, "EXISTSTHREAD", g.Var, g.Type, g.Body)
 	case logic.ForAllIn:
-		return sourceUnion("FORALL", g.Var, g.Refs, g.Body)
+		b.WriteString(sourceUnion("FORALL", g.Var, g.Refs, g.Body))
 	case logic.ExistsUniqueIn:
-		return sourceUnion("EXISTS1", g.Var, g.Refs, g.Body)
+		b.WriteString(sourceUnion("EXISTS1", g.Var, g.Refs, g.Body))
 	default:
 		panic(fmt.Sprintf("gemlang: no surface syntax for %T", f))
 	}
+}
+
+// put appends each part to b.
+func put(b *strings.Builder, parts ...string) {
+	for _, p := range parts {
+		b.WriteString(p)
+	}
+}
+
+// writeQuantified appends "((KIND v: domain) body)".
+func writeQuantified(b *strings.Builder, kind, v, domain string, body logic.Formula) {
+	put(b, "((", kind, " ", v, ": ", domain, ") ")
+	writeSource(b, body)
+	b.WriteString(")")
 }
 
 // sourceUnion renders a union-domain quantifier as a conjunction or
@@ -200,15 +237,19 @@ func sourceUnion(kind, v string, refs []core.ClassRef, body logic.Formula) strin
 	return "(" + strings.Join(parts, " | ") + ")"
 }
 
-func joinSource(fs []logic.Formula, sep, empty string) string {
+func writeJoined(b *strings.Builder, fs []logic.Formula, sep, empty string) {
 	if len(fs) == 0 {
-		return empty
+		b.WriteString(empty)
+		return
 	}
-	var parts []string
-	for _, f := range fs {
-		parts = append(parts, Source(f))
+	b.WriteString("(")
+	for i, f := range fs {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		writeSource(b, f)
 	}
-	return "(" + strings.Join(parts, sep) + ")"
+	b.WriteString(")")
 }
 
 func sourceValue(v core.Value) string {

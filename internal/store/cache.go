@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"strconv"
 	"sync"
 
@@ -31,25 +30,26 @@ func hashSpec(sp *spec.Spec) string {
 	return h
 }
 
-// key derives a record key: the hex SHA-256 of the NUL-joined parts.
+// key derives a record key: the SHA-256 of the NUL-joined parts.
 // Every key embeds a record-type tag and the engine version, so a
 // version bump makes old records unreachable rather than mis-read.
-func key(parts ...string) string {
-	h := sha256.New()
+func key(parts ...string) digest {
+	var stack [1024]byte
+	buf := stack[:0]
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		buf = append(buf, p...)
+		buf = append(buf, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return sha256.Sum256(buf)
 }
 
 var engineVersionStr = strconv.Itoa(EngineVersion)
 
-func verdictKey(f logic.Formula, c *core.Computation) string {
+func verdictKey(f logic.Formula, c *core.Computation) digest {
 	return key("verdict", engineVersionStr, gemlang.HashFormula(f), core.Fingerprint(c))
 }
 
-func satKey(problem *spec.Spec, c *core.Computation, corrKey string) string {
+func satKey(problem *spec.Spec, c *core.Computation, corrKey string) digest {
 	return key("sat", engineVersionStr, hashSpec(problem), corrKey, core.Fingerprint(c))
 }
 

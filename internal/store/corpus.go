@@ -1,5 +1,7 @@
 package store
 
+import "encoding/hex"
+
 // The mutation-corpus record layer: campaign manifests and shrunk
 // counterexamples persisted by cmd/gemmut, so gemmut -replay can check a
 // campaign's corpus against the oracle without regenerating it. Payloads are
@@ -9,9 +11,21 @@ package store
 
 // CorpusKey derives the record key for one shrunk corpus entry from the
 // mutant spec's canonical hash and the shrunk computation's fingerprint —
-// the same (HashSpec × Fingerprint) identity the campaign dedups on.
+// the same (HashSpec × Fingerprint) identity the campaign dedups on. The
+// key is hex, since manifests list it.
 func CorpusKey(specHash, fingerprint string) string {
-	return key("corpus", engineVersionStr, specHash, fingerprint)
+	k := key("corpus", engineVersionStr, specHash, fingerprint)
+	return hex.EncodeToString(k[:])
+}
+
+// parseCorpusKey is CorpusKey's inverse; ok is false for a string that
+// is not 64 hex digits.
+func parseCorpusKey(corpusKey string) (k digest, ok bool) {
+	if len(corpusKey) != hex.EncodedLen(len(k)) {
+		return k, false
+	}
+	_, err := hex.Decode(k[:], []byte(corpusKey))
+	return k, err == nil
 }
 
 // GetCorpus fetches a corpus entry previously persisted under
@@ -20,7 +34,11 @@ func (s *Store) GetCorpus(corpusKey string) ([]byte, bool) {
 	if s == nil || s.mode == Off {
 		return nil, false
 	}
-	payload, ok := s.read(corpusKey, kindCorpus)
+	k, ok := parseCorpusKey(corpusKey)
+	var payload []byte
+	if ok {
+		payload, ok = s.read(k, kindCorpus)
+	}
 	if !ok {
 		s.miss()
 		return nil, false
@@ -31,11 +49,13 @@ func (s *Store) GetCorpus(corpusKey string) ([]byte, bool) {
 
 // PutCorpus persists one corpus entry under CorpusKey.
 func (s *Store) PutCorpus(corpusKey string, payload []byte) {
-	s.write(corpusKey, kindCorpus, payload)
+	if k, ok := parseCorpusKey(corpusKey); ok {
+		s.write(k, kindCorpus, payload)
+	}
 }
 
 // manifestKey addresses a campaign manifest by its campaign name.
-func manifestKey(name string) string {
+func manifestKey(name string) digest {
 	return key("manifest", engineVersionStr, name)
 }
 

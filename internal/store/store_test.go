@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"gem/internal/core"
 	"gem/internal/logic"
@@ -90,11 +91,7 @@ func randFormula(rng *rand.Rand) logic.Formula {
 
 func rwStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir(), ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return openStore(t, t.TempDir(), ReadWrite)
 }
 
 func cxString(cx *logic.Counterexample) string {
@@ -175,28 +172,41 @@ func TestVerdictRoundTripAcrossHandles(t *testing.T) {
 	}
 }
 
-// corruptEveryFile flips a byte in (or truncates) every record file.
-func corruptEveryFile(t *testing.T, dir string, truncate bool) int {
+// segmentFiles lists the segment files of the store rooted at dir.
+func segmentFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	n := 0
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if truncate {
-			data = data[:len(data)/2]
-		} else if len(data) > 0 {
-			data[len(data)/2] ^= 0xff
-		}
-		n++
-		return os.WriteFile(path, data, 0o666)
-	})
+	paths, err := filepath.Glob(filepath.Join(dir, layoutDir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	return paths
+}
+
+// corruptEveryFrame rewrites every segment with each of its frames
+// either cut to its first half or with the byte in its middle flipped,
+// and returns how many frames it corrupted.
+func corruptEveryFrame(t *testing.T, dir string, truncate bool) int {
+	t.Helper()
+	n := 0
+	for _, path := range segmentFiles(t, dir) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		scanSegment(data, func(_ recordID, off, size int) {
+			frame := data[off : off+size]
+			if truncate {
+				frame = frame[:size/2]
+			} else {
+				frame[size/2] ^= 0xff
+			}
+			out = append(out, frame...)
+			n++
+		})
+		if err := os.WriteFile(path, out, 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return n
 }
@@ -227,7 +237,7 @@ func TestCorruptRecordsDegradeToMiss(t *testing.T) {
 				f := randFormula(rng)
 				cases = append(cases, tc{c, f, cxString(logic.Holds(f, c, logic.CheckOptions{Cache: s}))})
 			}
-			if n := corruptEveryFile(t, dir, truncate); n == 0 {
+			if n := corruptEveryFrame(t, dir, truncate); n == 0 {
 				t.Fatal("no records written")
 			}
 			s2, err := Open(dir, ReadWrite)
@@ -262,26 +272,23 @@ func TestVerdictFormulaMismatchIsMiss(t *testing.T) {
 	}
 	// Graft the FALSE record onto TRUE's key: lookup must reject it.
 	other := logic.TrueF{}
-	data, err := os.ReadFile(s.path(verdictKey(fail, c), kindVerdict))
-	if err != nil {
-		t.Fatal(err)
+	payload, ok := s.read(verdictKey(fail, c), kindVerdict)
+	if !ok {
+		t.Fatal("FALSE's verdict was not stored")
 	}
-	target := s.path(verdictKey(other, c), kindVerdict)
-	if err := os.MkdirAll(filepath.Dir(target), 0o777); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(target, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	s.write(verdictKey(other, c), kindVerdict, payload)
 	if _, ok := s.Lookup(context.Background(), other, c); ok {
 		t.Fatal("verdict for a different formula was served")
 	}
 }
 
 // Concurrent writers and readers on one store must be race-free and
-// must never corrupt each other (ci.sh runs this under -race).
+// must never corrupt each other (ci.sh runs this under -race). A second
+// handle then reads the first one's segment, made stale, from as many
+// goroutines: each record it hits is copied forward exactly once.
 func TestConcurrentStoreTraffic(t *testing.T) {
-	s := rwStore(t)
+	dir := t.TempDir()
+	s := openStore(t, dir, ReadWrite)
 	rng := rand.New(rand.NewSource(11))
 	type work struct {
 		c *core.Computation
@@ -294,48 +301,73 @@ func TestConcurrentStoreTraffic(t *testing.T) {
 		f := randFormula(rng)
 		items = append(items, work{c, f, cxString(logic.Holds(f, c, logic.CheckOptions{}))})
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 5; rep++ {
-				for _, it := range items {
-					if got := logic.Holds(it.f, it.c, logic.CheckOptions{Cache: s}); cxString(got) != it.w {
-						t.Errorf("concurrent cached verdict differs: want %s, got %s", it.w, cxString(got))
-						return
+	traffic := func(s *Store) {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 5; rep++ {
+					for _, it := range items {
+						if got := logic.Holds(it.f, it.c, logic.CheckOptions{Cache: s}); cxString(got) != it.w {
+							t.Errorf("concurrent cached verdict differs: want %s, got %s", it.w, cxString(got))
+							return
+						}
 					}
 				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	traffic(s)
+	records := int64(len(s.index))
+	backdateSegments(t, dir, 2*time.Hour)
+	s2 := openStore(t, dir, ReadWrite)
+	traffic(s2)
+	if st := s2.Stats(); st.Misses != 0 || st.Writes != 0 {
+		t.Errorf("second handle: %+v; want hits only", st)
+	}
+	var copied int64
+	if s2.own != nil {
+		copied = s2.own.records
+	}
+	if copied != records {
+		t.Errorf("second handle copied %d records forward, want each of the %d once", copied, records)
+	}
 }
 
-// Trim must evict oldest-first down to the budget and count evictions.
+// Trim must delete every segment down to a budget nothing fits in, the
+// handle's own included, and count each of their records as evicted;
+// evicted records miss, and a later write starts a new segment.
 func TestTrimEvicts(t *testing.T) {
 	s := rwStore(t)
 	c := randComp(rand.New(rand.NewSource(5)), 6)
 	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 10; i++ {
-		logic.Holds(randFormula(rng), c, logic.CheckOptions{Cache: s})
+	formulas := make([]logic.Formula, 10)
+	for i := range formulas {
+		formulas[i] = randFormula(rng)
+		logic.Holds(formulas[i], c, logic.CheckOptions{Cache: s})
 	}
-	if s.Stats().Writes == 0 {
+	written := s.Stats().Writes
+	if written == 0 {
 		t.Fatal("no records written")
 	}
+	dir := filepath.Dir(s.dir)
 	s.Trim(1) // 1-byte budget: everything must go
-	if s.Stats().Evictions == 0 {
-		t.Error("Trim evicted nothing")
+	if got := s.Stats().Evictions; got != written {
+		t.Errorf("Trim evicted %d records, want all %d written", got, written)
 	}
-	left := 0
-	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			left++
+	if left := segmentFiles(t, dir); len(left) != 0 {
+		t.Errorf("%d segments left after Trim(1)", len(left))
+	}
+	for _, f := range formulas {
+		if _, ok := s.Lookup(context.Background(), f, c); ok {
+			t.Fatalf("evicted verdict of %s still served", f)
 		}
-		return nil
-	})
-	if left != 0 {
-		t.Errorf("%d records left after Trim(1)", left)
+	}
+	s.Store(formulas[0], c, nil)
+	if left := segmentFiles(t, dir); len(left) != 1 {
+		t.Errorf("a write after Trim left %d segments, want 1", len(left))
 	}
 }
 
@@ -360,7 +392,7 @@ func TestNilStoreIsInert(t *testing.T) {
 	}
 }
 
-// Record kinds name the record files, so retiring a kind must not
+// A record's kind is part of its identity, so retiring a kind must not
 // renumber the others: a renumbered kind would orphan every record of
 // it in existing stores.
 func TestRecordKindsKeepTheirNumbers(t *testing.T) {

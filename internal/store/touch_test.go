@@ -3,118 +3,103 @@ package store
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
 
-// recordPath locates the single on-disk file for a key/kind via the
-// store's layout (test-only helper; production code goes through path).
-func recordPath(t *testing.T, s *Store, key string, kind byte) string {
+// openStore opens the store rooted at dir.
+func openStore(t *testing.T, dir string, mode Mode) *Store {
 	t.Helper()
-	p := s.path(key, kind)
-	if _, err := os.Stat(p); err != nil {
-		t.Fatalf("record %s kind %d not on disk: %v", key, kind, err)
-	}
-	return p
-}
-
-func backdate(t *testing.T, path string, age time.Duration) {
-	t.Helper()
-	old := time.Now().Add(-age)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatalf("backdate %s: %v", path, err)
-	}
-}
-
-// A read hit on a record older than touchInterval must refresh its
-// mtime; Trim evicts by mtime, so without the touch the hottest records
-// are evicted first.
-func TestReadHitRefreshesMtime(t *testing.T) {
-	s, err := Open(t.TempDir(), ReadWrite)
+	s, err := Open(dir, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := CorpusKey("spec", "fp")
-	s.PutCorpus(k, []byte("payload"))
-	p := recordPath(t, s, k, kindCorpus)
-	backdate(t, p, 2*time.Hour)
+	return s
+}
 
+// backdateSegments renames every segment of the store rooted at dir as
+// if it had been created age ago, keeping their order.
+func backdateSegments(t *testing.T, dir string, age time.Duration) {
+	t.Helper()
+	for i, path := range segmentFiles(t, dir) {
+		old := filepath.Join(filepath.Dir(path), segmentName(time.Now().Add(-age+time.Duration(i))))
+		if err := os.Rename(path, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A read hit on a record whose segment is older than touchInterval
+// copies the record into the handle's own segment, once: the handle's
+// later hits read the copy.
+func TestStaleHitCopiesForward(t *testing.T) {
+	dir := t.TempDir()
+	k := CorpusKey("spec", "fp")
+	openStore(t, dir, ReadWrite).PutCorpus(k, []byte("payload"))
+	backdateSegments(t, dir, 2*time.Hour)
+
+	s := openStore(t, dir, ReadWrite)
+	for i := 0; i < 3; i++ {
+		if got, ok := s.GetCorpus(k); !ok || string(got) != "payload" {
+			t.Fatalf("read %d: GetCorpus = %q, %v; want payload, true", i, got, ok)
+		}
+	}
+	if n := len(segmentFiles(t, dir)); n != 2 {
+		t.Fatalf("%d segments after a stale hit, want the old one and the copy's", n)
+	}
+	if s.own == nil || s.own.records != 1 {
+		t.Fatal("the stale hit was not copied forward exactly once")
+	}
+	if st := s.Stats(); st.Writes != 0 || st.Hits != 3 {
+		t.Errorf("stats %+v: a copy is neither a write nor a miss", st)
+	}
+}
+
+// Hits on a segment younger than touchInterval copy nothing: a hot
+// record costs one append per interval, not one per read, and a handle
+// that only reads creates no file.
+func TestFreshHitIsNotCopied(t *testing.T) {
+	dir := t.TempDir()
+	k := CorpusKey("spec", "fp")
+	openStore(t, dir, ReadWrite).PutCorpus(k, []byte("payload"))
+	backdateSegments(t, dir, 30*time.Minute)
+	before := segmentFiles(t, dir)
+
+	s := openStore(t, dir, ReadWrite)
 	if _, ok := s.GetCorpus(k); !ok {
 		t.Fatal("expected corpus hit")
 	}
-	info, err := os.Stat(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if age := time.Since(info.ModTime()); age > time.Minute {
-		t.Fatalf("read hit did not refresh mtime: record still %v old", age)
+	if after := segmentFiles(t, dir); len(after) != 1 || after[0] != before[0] {
+		t.Fatalf("segments %v after a fresh hit, want %v", after, before)
 	}
 }
 
-// Reads younger than touchInterval must not touch: a hot record costs
-// one utimes per interval, not one per read.
-func TestReadHitTouchThrottled(t *testing.T) {
-	s, err := Open(t.TempDir(), ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := CorpusKey("spec", "fp")
-	s.PutCorpus(k, []byte("payload"))
-	p := recordPath(t, s, k, kindCorpus)
-	backdate(t, p, 30*time.Minute)
-	before, err := os.Stat(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetCorpus(k); !ok {
-		t.Fatal("expected corpus hit")
-	}
-	after, err := os.Stat(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.ModTime().Equal(before.ModTime()) {
-		t.Fatalf("mtime touched under throttle interval: %v -> %v", before.ModTime(), after.ModTime())
-	}
-}
-
-// The regression the bugfix is for: a just-read record survives a Trim
-// that evicts its never-read sibling, even though the survivor was
-// written first.
-func TestTrimKeepsJustReadRecord(t *testing.T) {
-	s, err := Open(t.TempDir(), ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+// A just-read record survives a Trim that evicts its never-read
+// neighbour, although both were written to the oldest segment.
+func TestTrimKeepsCopiedForwardRecord(t *testing.T) {
+	dir := t.TempDir()
 	hot := CorpusKey("spec", "hot")
 	cold := CorpusKey("spec", "cold")
-	s.PutCorpus(hot, bytes.Repeat([]byte("h"), 64))
-	s.PutCorpus(cold, bytes.Repeat([]byte("c"), 64))
-	hotPath := recordPath(t, s, hot, kindCorpus)
-	coldPath := recordPath(t, s, cold, kindCorpus)
-	// hot is the OLDER record — written first in mtime terms — so under
-	// the pre-fix LRU it would be evicted first despite being read.
-	backdate(t, hotPath, 3*time.Hour)
-	backdate(t, coldPath, 2*time.Hour)
+	w := openStore(t, dir, ReadWrite)
+	w.PutCorpus(hot, bytes.Repeat([]byte("h"), 64))
+	w.PutCorpus(cold, bytes.Repeat([]byte("c"), 64))
+	backdateSegments(t, dir, 3*time.Hour)
 
+	s := openStore(t, dir, ReadWrite)
 	if _, ok := s.GetCorpus(hot); !ok {
 		t.Fatal("expected corpus hit")
 	}
-	info, err := os.Stat(hotPath)
-	if err != nil {
-		t.Fatal(err)
+	s.Trim(s.own.size) // room for the copy's segment alone
+	if got := s.Stats().Evictions; got != 2 {
+		t.Fatalf("Evictions = %d, want 2 (the old segment's hot and cold)", got)
 	}
-	// Budget for exactly one record: Trim must evict one of the two.
-	s.Trim(info.Size())
-
-	if _, err := os.Stat(hotPath); err != nil {
-		t.Fatalf("Trim evicted the just-read record: %v", err)
+	r := openStore(t, dir, ReadOnly)
+	if _, ok := r.GetCorpus(hot); !ok {
+		t.Fatal("Trim evicted the just-read record")
 	}
-	if _, err := os.Stat(coldPath); !os.IsNotExist(err) {
-		t.Fatalf("Trim kept the never-read sibling (err=%v)", err)
-	}
-	if got := s.Stats().Evictions; got != 1 {
-		t.Fatalf("Evictions = %d, want 1", got)
+	if _, ok := r.GetCorpus(cold); ok {
+		t.Fatal("Trim kept the never-read neighbour")
 	}
 }
 
@@ -180,17 +165,9 @@ func TestCorpusRecords(t *testing.T) {
 	if !ok || string(got) != "manifest" {
 		t.Fatalf("GetManifest = %q, %v; want manifest, true", got, ok)
 	}
-	// Corrupt the corpus record on disk: must decode to a miss.
-	p := recordPath(t, s, k, kindCorpus)
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(p, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetCorpus(k); ok {
+	// Corrupt the corpus record on disk: a reopened store must miss it.
+	corruptEveryFrame(t, dir, false)
+	if _, ok := openStore(t, dir, ReadWrite).GetCorpus(k); ok {
 		t.Fatal("hit on corrupt corpus entry")
 	}
 	// Nil store: every corpus operation is a miss / no-op.

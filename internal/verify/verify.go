@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gem/internal/core"
@@ -77,22 +78,43 @@ type Correspondence struct {
 // program computation, the correspondence, and the engine version.
 func (corr Correspondence) CanonicalKey() string {
 	var sb strings.Builder
+	var keys []string
 	for _, r := range corr.Rules {
-		fmt.Fprintf(&sb, "rule|%s|", r.Match)
+		sb.WriteString("rule|")
+		sb.WriteString(r.Match.String())
+		sb.WriteByte('|')
 		for i := 0; i < r.Where.Len(); i++ {
 			w := r.Where.At(i)
-			fmt.Fprintf(&sb, "%s=%s;", w.Name, w.Value)
+			sb.WriteString(w.Name)
+			sb.WriteByte('=')
+			sb.WriteString(w.Value.String())
+			sb.WriteByte(';')
 		}
-		fmt.Fprintf(&sb, "|%s|%s|", r.Element, r.Class)
-		keys := make([]string, 0, len(r.CopyParams))
+		sb.WriteByte('|')
+		sb.WriteString(r.Element)
+		sb.WriteByte('|')
+		sb.WriteString(r.Class)
+		sb.WriteByte('|')
+		keys = keys[:0]
 		for k := range r.CopyParams {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&sb, "%s=%s;", k, r.CopyParams[k])
+			sb.WriteString(k)
+			sb.WriteByte('=')
+			sb.WriteString(r.CopyParams[k])
+			sb.WriteByte(';')
 		}
-		fmt.Fprintf(&sb, "|%s|%s|%d|%t\n", r.KeyParam, r.Chain, r.Stage, r.Relaxed)
+		sb.WriteByte('|')
+		sb.WriteString(r.KeyParam)
+		sb.WriteByte('|')
+		sb.WriteString(r.Chain)
+		sb.WriteByte('|')
+		sb.WriteString(strconv.Itoa(r.Stage))
+		sb.WriteByte('|')
+		sb.WriteString(strconv.FormatBool(r.Relaxed))
+		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
