@@ -14,94 +14,14 @@
 // A rendezvous emits: caller's Call ⊳ callee's AcceptStart, the accept
 // body's events, then AcceptEnd ⊳ caller's Return. The caller is blocked
 // for the whole interval — ADA's extended rendezvous.
+//
+// The integer expressions and the Op statement, with its external
+// shared elements, are package lang's, which the Monitor and CSP
+// simulators share; this package adds the tasking statements and their
+// Env, a task's state (accept parameters shadow task variables).
 package ada
 
-import "fmt"
-
-// Expr is an integer expression over task variables and accept formal
-// parameters.
-type Expr interface {
-	eval(env *evalEnv) int64
-	String() string
-}
-
-type evalEnv struct {
-	vars map[string]int64
-	args map[string]int64
-}
-
-// IntLit is an integer literal.
-type IntLit int64
-
-func (e IntLit) eval(*evalEnv) int64 { return int64(e) }
-func (e IntLit) String() string      { return fmt.Sprintf("%d", int64(e)) }
-
-// VarRef reads an accept parameter or task variable (parameters shadow
-// variables).
-type VarRef string
-
-func (e VarRef) eval(env *evalEnv) int64 {
-	if v, ok := env.args[string(e)]; ok {
-		return v
-	}
-	if v, ok := env.vars[string(e)]; ok {
-		return v
-	}
-	panic(fmt.Sprintf("ada: undefined name %q", string(e)))
-}
-func (e VarRef) String() string { return string(e) }
-
-// BinOp is a binary operator.
-type BinOp int
-
-// Binary operators.
-const (
-	OpAdd BinOp = iota + 1
-	OpSub
-	OpEq
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// Bin applies a binary operator.
-type Bin struct {
-	Op   BinOp
-	L, R Expr
-}
-
-func (e Bin) eval(env *evalEnv) int64 {
-	l, r := e.L.eval(env), e.R.eval(env)
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch e.Op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpEq:
-		return b2i(l == r)
-	case OpNe:
-		return b2i(l != r)
-	case OpLt:
-		return b2i(l < r)
-	case OpLe:
-		return b2i(l <= r)
-	case OpGt:
-		return b2i(l > r)
-	case OpGe:
-		return b2i(l >= r)
-	default:
-		panic(fmt.Sprintf("ada: unknown operator %d", e.Op))
-	}
-}
-func (e Bin) String() string { return fmt.Sprintf("(%s op%d %s)", e.L, e.Op, e.R) }
+import "gem/internal/lang"
 
 // Stmt is a task statement.
 type Stmt interface{ adaStmt() }
@@ -110,24 +30,18 @@ type Stmt interface{ adaStmt() }
 // variable's element.
 type Assign struct {
 	Var string
-	E   Expr
+	E   lang.Expr
 }
 
-// Op emits a local event. With Element == "" the event occurs at the
-// task element. With Element set it occurs at that external shared
-// element, with shared-variable semantics for the Assign (stores
-// "newval") and Getval (reports the cell as "oldval") classes.
-type Op struct {
-	Class   string
-	Params  map[string]Expr
-	Element string
-}
+// Op emits an event at the task element, or at an external shared
+// element (see lang.Op).
+type Op lang.Op
 
 // EntryCall calls Task.Entry with an optional integer argument.
 type EntryCall struct {
 	Task  string
 	Entry string
-	Arg   Expr // may be nil
+	Arg   lang.Expr // may be nil
 }
 
 // Accept waits for a caller on the entry and executes the body during the
@@ -141,7 +55,7 @@ type Accept struct {
 
 // Reply sets the result returned to the current rendezvous caller (an
 // out-parameter; carried on the caller's Return event).
-type Reply struct{ E Expr }
+type Reply struct{ E lang.Expr }
 
 // Select is ADA's selective wait over accept alternatives, with an
 // optional else-part taken when no alternative is ready.
@@ -152,7 +66,7 @@ type Select struct {
 
 // SelectAlt is one "when Guard => accept …" alternative.
 type SelectAlt struct {
-	Guard  Expr // nil = open
+	Guard  lang.Expr // nil = open
 	Accept Accept
 }
 

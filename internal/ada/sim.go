@@ -2,9 +2,11 @@ package ada
 
 import (
 	"fmt"
+	"maps"
 
 	"gem/internal/core"
 	"gem/internal/explore"
+	"gem/internal/lang"
 )
 
 // Run is one complete (or deadlocked) execution rendered as a GEM
@@ -65,6 +67,18 @@ type taskState struct {
 	frames  []frame
 	rendezv []rendezvous
 	blocked bool // waiting for a rendezvous to complete (caller side)
+}
+
+// Lookup makes a task's state the lang.Env of its expressions: accept
+// parameters shadow task variables.
+func (t *taskState) Lookup(name string) int64 {
+	if v, ok := t.args[name]; ok {
+		return v
+	}
+	if v, ok := t.vars[name]; ok {
+		return v
+	}
+	panic(fmt.Sprintf("ada: undefined name %q", name))
 }
 
 type caller struct {
@@ -171,10 +185,7 @@ func (m *machine) Clone() *machine {
 		tasks:  make([]taskState, len(m.tasks)),
 		byName: m.byName,
 		queues: make([]map[string][]caller, len(m.queues)),
-		ext:    make(map[string]int64, len(m.ext)),
-	}
-	for k, v := range m.ext {
-		next.ext[k] = v
+		ext:    maps.Clone(m.ext),
 	}
 	for i, t := range m.tasks {
 		cp := taskState{
@@ -271,10 +282,9 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 				ts = append(ts, transition{kind: "accept", task: i})
 			}
 		case Select:
-			env := &evalEnv{vars: t.vars, args: t.args}
 			ready := false
 			for a, alt := range s.Alts {
-				if alt.Guard != nil && alt.Guard.eval(env) == 0 {
+				if alt.Guard != nil && alt.Guard.Eval(t) == 0 {
 					continue
 				}
 				if len(m.queues[i][alt.Accept.Entry]) > 0 {
@@ -373,9 +383,9 @@ func (m *machine) Apply(t transition) error {
 // sameEntryOpen reports whether an open alternative of sel other than alt
 // accepts alt's entry.
 func (m *machine) sameEntryOpen(task int, sel Select, alt int) bool {
-	env := &evalEnv{vars: m.tasks[task].vars, args: m.tasks[task].args}
+	t := &m.tasks[task]
 	for a, other := range sel.Alts {
-		if a != alt && other.Accept.Entry == sel.Alts[alt].Accept.Entry && (other.Guard == nil || other.Guard.eval(env) != 0) {
+		if a != alt && other.Accept.Entry == sel.Alts[alt].Accept.Entry && (other.Guard == nil || other.Guard.Eval(t) != 0) {
 			return true
 		}
 	}
@@ -441,46 +451,27 @@ func (m *machine) step(task int) error {
 	st, _ := m.currentStmt(task)
 	m.consumeStmt(task)
 	t := &m.tasks[task]
-	env := &evalEnv{vars: t.vars, args: t.args}
 	taskName := m.prog.Tasks[task].Name
 	switch s := st.(type) {
 	case Assign:
-		t.vars[s.Var] = s.E.eval(env)
+		t.vars[s.Var] = s.E.Eval(t)
 		m.Emit(task, VarElement(taskName, s.Var), "Assign",
 			core.NewParams(core.P("newval", core.Int(t.vars[s.Var]))))
 	case Op:
-		list := make([]core.Param, 0, 4)
-		for k, e := range s.Params {
-			list = append(list, core.P(k, core.Int(e.eval(env))))
-		}
-		elem := taskName
-		if s.Element != "" {
-			elem = s.Element
-			list = append(list, core.P("proc", core.Str(taskName)))
-			if s.Class == "Getval" {
-				list = append(list, core.P("oldval", core.Int(m.ext[s.Element])))
-			}
-		}
-		params := core.NewParams(list...)
-		if s.Element != "" && s.Class == "Assign" {
-			if v, ok := params.Get("newval"); ok {
-				m.ext[s.Element] = v.I
-			}
-		}
-		m.Emit(task, elem, s.Class, params)
+		lang.Op(s).Exec(&m.Log, task, taskName, t, m.ext)
 	case Reply:
 		if len(t.rendezv) == 0 {
 			return fmt.Errorf("ada: Reply outside a rendezvous in task %s", taskName)
 		}
 		r := &t.rendezv[len(t.rendezv)-1]
-		r.result = s.E.eval(env)
+		r.result = s.E.Eval(t)
 		r.hasResult = true
 	case EntryCall:
 		callee := m.byName[s.Task]
 		params := append(make([]core.Param, 0, 3), core.P("task", core.Str(s.Task)), core.P("entry", core.Str(s.Entry)))
 		cl := caller{task: task}
 		if s.Arg != nil {
-			cl.arg = s.Arg.eval(env)
+			cl.arg = s.Arg.Eval(t)
 			cl.hasArg = true
 			params = append(params, core.P("v", core.Int(cl.arg)))
 		}

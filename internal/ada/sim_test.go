@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/lang"
 	"gem/internal/legal"
 )
 
@@ -17,14 +18,14 @@ func serverProgram() *Program {
 			Vars:    []string{"stored"},
 			Body: []Stmt{
 				Accept{Entry: "Put", Param: "v", Body: []Stmt{
-					Assign{Var: "stored", E: VarRef("v")},
+					Assign{Var: "stored", E: lang.VarRef("v")},
 				}},
 			},
 		},
 		{
 			Name: "client",
 			Body: []Stmt{
-				EntryCall{Task: "server", Entry: "Put", Arg: IntLit(42)},
+				EntryCall{Task: "server", Entry: "Put", Arg: lang.IntLit(42)},
 				Op{Class: "Done"},
 			},
 		},
@@ -98,13 +99,13 @@ func TestReplyCarriesResult(t *testing.T) {
 			Entries: []string{"Ask"},
 			Body: []Stmt{
 				Accept{Entry: "Ask", Param: "q", Body: []Stmt{
-					Reply{E: Bin{Op: OpAdd, L: VarRef("q"), R: IntLit(1)}},
+					Reply{E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("q"), R: lang.IntLit(1)}},
 				}},
 			},
 		},
 		{
 			Name: "asker",
-			Body: []Stmt{EntryCall{Task: "oracle", Entry: "Ask", Arg: IntLit(6)}},
+			Body: []Stmt{EntryCall{Task: "oracle", Entry: "Ask", Arg: lang.IntLit(6)}},
 		},
 	}}
 	runs, _, err := Explore(prog, ExploreOptions{})
@@ -126,14 +127,14 @@ func TestSelectTakesReadyAlternative(t *testing.T) {
 			Vars:    []string{"x"},
 			Body: []Stmt{
 				Select{Alts: []SelectAlt{
-					{Accept: Accept{Entry: "Put", Param: "v", Body: []Stmt{Assign{Var: "x", E: VarRef("v")}}}},
-					{Accept: Accept{Entry: "Get", Body: []Stmt{Reply{E: VarRef("x")}}}},
+					{Accept: Accept{Entry: "Put", Param: "v", Body: []Stmt{Assign{Var: "x", E: lang.VarRef("v")}}}},
+					{Accept: Accept{Entry: "Get", Body: []Stmt{Reply{E: lang.VarRef("x")}}}},
 				}},
 			},
 		},
 		{
 			Name: "writer",
-			Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: IntLit(9)}},
+			Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: lang.IntLit(9)}},
 		},
 	}}
 	runs, _, err := Explore(prog, ExploreOptions{})
@@ -159,10 +160,10 @@ func TestSelectGuards(t *testing.T) {
 			Entries: []string{"Put"},
 			Vars:    []string{"full"},
 			Body: []Stmt{
-				Assign{Var: "full", E: IntLit(1)},
+				Assign{Var: "full", E: lang.IntLit(1)},
 				Select{
 					Alts: []SelectAlt{
-						{Guard: Bin{Op: OpEq, L: VarRef("full"), R: IntLit(0)},
+						{Guard: lang.Bin{Op: lang.OpEq, L: lang.VarRef("full"), R: lang.IntLit(0)},
 							Accept: Accept{Entry: "Put"}},
 					},
 					Else: []Stmt{Op{Class: "Refused"}},
@@ -234,12 +235,12 @@ func TestTwoCallersFIFO(t *testing.T) {
 			Vars:    []string{"last"},
 			Body: []Stmt{
 				Repeat{N: 2, Body: []Stmt{
-					Accept{Entry: "Put", Param: "v", Body: []Stmt{Assign{Var: "last", E: VarRef("v")}}},
+					Accept{Entry: "Put", Param: "v", Body: []Stmt{Assign{Var: "last", E: lang.VarRef("v")}}},
 				}},
 			},
 		},
-		{Name: "a", Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: IntLit(1)}}},
-		{Name: "b", Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: IntLit(2)}}},
+		{Name: "a", Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: lang.IntLit(1)}}},
+		{Name: "b", Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: lang.IntLit(2)}}},
 	}}
 	runs, _, err := Explore(prog, ExploreOptions{})
 	if err != nil {
@@ -297,7 +298,7 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("duplicate task names must be rejected")
 	}
 	bad5 := &Program{Tasks: []Task{
-		{Name: "a", Body: []Stmt{Reply{E: IntLit(1)}}},
+		{Name: "a", Body: []Stmt{Reply{E: lang.IntLit(1)}}},
 	}}
 	if _, _, err := Explore(bad5, ExploreOptions{}); err == nil {
 		t.Error("Reply outside rendezvous must be rejected")
@@ -315,13 +316,13 @@ func TestNestedAccept(t *testing.T) {
 			Body: []Stmt{
 				Accept{Entry: "Outer", Param: "a", Body: []Stmt{
 					Accept{Entry: "Inner", Param: "b", Body: []Stmt{
-						Assign{Var: "sum", E: Bin{Op: OpAdd, L: VarRef("a"), R: VarRef("b")}},
+						Assign{Var: "sum", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("a"), R: lang.VarRef("b")}},
 					}},
 				}},
 			},
 		},
-		{Name: "c1", Body: []Stmt{EntryCall{Task: "server", Entry: "Outer", Arg: IntLit(10)}}},
-		{Name: "c2", Body: []Stmt{EntryCall{Task: "server", Entry: "Inner", Arg: IntLit(5)}}},
+		{Name: "c1", Body: []Stmt{EntryCall{Task: "server", Entry: "Outer", Arg: lang.IntLit(10)}}},
+		{Name: "c2", Body: []Stmt{EntryCall{Task: "server", Entry: "Inner", Arg: lang.IntLit(5)}}},
 	}}
 	runs, _, err := Explore(prog, ExploreOptions{})
 	if err != nil {
@@ -382,7 +383,7 @@ func TestExternalSharedElement(t *testing.T) {
 			Name:    "writer",
 			Entries: []string{"Done"},
 			Body: []Stmt{
-				Op{Element: "shared", Class: "Assign", Params: map[string]Expr{"newval": IntLit(5)}},
+				Op{Element: "shared", Class: "Assign", Params: map[string]lang.Expr{"newval": lang.IntLit(5)}},
 				Accept{Entry: "Done"},
 			},
 		},
@@ -421,35 +422,14 @@ func TestExternalSharedElement(t *testing.T) {
 }
 
 func TestAdaExprCoverage(t *testing.T) {
-	env := &evalEnv{vars: map[string]int64{"x": 3}, args: map[string]int64{"y": 1}}
-	tests := []struct {
-		e    Expr
-		want int64
-	}{
-		{Bin{Op: OpAdd, L: VarRef("x"), R: VarRef("y")}, 4},
-		{Bin{Op: OpSub, L: VarRef("x"), R: IntLit(1)}, 2},
-		{Bin{Op: OpEq, L: IntLit(1), R: IntLit(1)}, 1},
-		{Bin{Op: OpNe, L: IntLit(1), R: IntLit(1)}, 0},
-		{Bin{Op: OpLt, L: IntLit(1), R: IntLit(2)}, 1},
-		{Bin{Op: OpLe, L: IntLit(2), R: IntLit(2)}, 1},
-		{Bin{Op: OpGt, L: IntLit(3), R: IntLit(2)}, 1},
-		{Bin{Op: OpGe, L: IntLit(1), R: IntLit(2)}, 0},
-	}
-	for _, tt := range tests {
-		if got := tt.e.eval(env); got != tt.want {
-			t.Errorf("%s = %d, want %d", tt.e, got, tt.want)
-		}
-	}
-	if IntLit(7).String() != "7" || VarRef("x").String() != "x" {
-		t.Error("expr String wrong")
-	}
-	if (Bin{Op: OpAdd, L: IntLit(1), R: IntLit(2)}).String() == "" {
-		t.Error("Bin String empty")
+	task := &taskState{vars: map[string]int64{"x": 3, "y": 5}, args: map[string]int64{"y": 1}}
+	if got := (lang.Bin{Op: lang.OpAdd, L: lang.VarRef("x"), R: lang.VarRef("y")}).Eval(task); got != 4 {
+		t.Errorf("x + y = %d, want 4 (parameters shadow variables)", got)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("undefined name should panic")
 		}
 	}()
-	VarRef("ghost").eval(env)
+	lang.VarRef("ghost").Eval(task)
 }

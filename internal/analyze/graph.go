@@ -208,8 +208,7 @@ func (g *pairGraph) unproducible(ref core.ClassRef) bool {
 // computation contains pair p" refutes the whole specification's
 // satisfiability, not the individual restriction on an arbitrary
 // (possibly illegal) computation — an event of p with a proper enabler
-// satisfies the p-restriction even though the enabler is illegal. The
-// verify fast-path therefore never consults producibility.
+// satisfies the p-restriction even though the enabler is illegal.
 func (a *deepAnalysis) checkUnreachable(g *pairGraph, lr *lint.Result) {
 	for p, prod := range g.producible {
 		if prod {

@@ -10,6 +10,7 @@ import (
 	"gem/internal/csp"
 	"gem/internal/explore"
 	"gem/internal/explore/exploretest"
+	"gem/internal/lang"
 	"gem/internal/logic"
 	"gem/internal/monitor"
 	"gem/internal/problems/boundedbuf"
@@ -164,7 +165,7 @@ func TestReductionPreservesComputations(t *testing.T) {
 	}}, ada.Explore, adaRun))
 	op := []csp.Stmt{csp.Op{Class: "A"}}
 	recv := csp.Recv{From: "p", Var: "x"}
-	sendOne := csp.Process{Name: "p", Body: []csp.Stmt{csp.Send{To: "q", E: csp.IntLit(1)}}}
+	sendOne := csp.Process{Name: "p", Body: []csp.Stmt{csp.Send{To: "q", E: lang.IntLit(1)}}}
 	t.Run("csp/equal-boolean-branches", reductionOracle(&csp.Program{Processes: []csp.Process{
 		{Name: "q", Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{{Body: op}, {Body: op}}}}},
 	}}, csp.Explore, cspRun))

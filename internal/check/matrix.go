@@ -335,16 +335,10 @@ func Refutations() []Refutation {
 				if err != nil {
 					return nil, nil, verify.Correspondence{}, err
 				}
-				prog := boundedbuf.NewMonitorProgram(w)
-				for i, e := range prog.Monitor.Entries {
-					if e.Name == "deposit" {
-						prog.Monitor.Entries[i].Body = e.Body[1:] // drop the full-check
-					}
-				}
 				// The mutant can deadlock on some schedules (consumer done
 				// before the overflowing deposit); keep the non-deadlocked
 				// computations, which exhibit the overflow.
-				runs, _, err := monitor.Explore(prog, monitor.ExploreOptions{MaxRuns: 60000})
+				runs, _, err := monitor.Explore(unguardedDeposit(w), monitor.ExploreOptions{MaxRuns: 60000})
 				if err != nil {
 					return nil, nil, verify.Correspondence{}, err
 				}
@@ -358,6 +352,18 @@ func Refutations() []Refutation {
 			},
 		},
 	}
+}
+
+// unguardedDeposit is the bounded-buffer monitor program for w with the
+// full-check dropped from its deposit entry.
+func unguardedDeposit(w boundedbuf.Workload) *monitor.Program {
+	prog := boundedbuf.NewMonitorProgram(w)
+	for i, e := range prog.Monitor.Entries {
+		if e.Name == "deposit" {
+			prog.Monitor.Entries[i].Body = e.Body[1:]
+		}
+	}
+	return prog
 }
 
 // RunRefutations executes the negative controls: each must be refuted on

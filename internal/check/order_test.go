@@ -7,8 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"gem/internal/ada"
 	"gem/internal/core"
+	"gem/internal/csp"
+	"gem/internal/gemlang"
+	"gem/internal/monitor"
+	"gem/internal/problems/boundedbuf"
 	"gem/internal/problems/dbupdate"
+	"gem/internal/problems/oneslot"
+	"gem/internal/problems/rw"
+	"gem/internal/spec"
 )
 
 // renderInOrder renders a computation exactly as emitted: events in
@@ -94,5 +102,44 @@ func TestExplorationOrderPinned(t *testing.T) {
 	}
 	if len(want) != len(got) {
 		t.Errorf("pinned %d explorations, ran %d", len(want), len(got))
+	}
+}
+
+// TestProgramSpecsPinned pins the program specification (monitor.Spec,
+// csp.Spec or ada.Spec) of every program a CLI explores: the nine matrix
+// cells, the two refutations, and the five readers/writers variants of
+// `gemcheck rw` on both of its workloads, which include the examples'
+// programs. gemlang.HashSpec renders each spec whole through Format, so
+// a change to any element, class, parameter, group or restriction a
+// language declares moves the digest.
+func TestProgramSpecsPinned(t *testing.T) {
+	const want = "7b8e5ea729b28e2094137f43c126bb76ebff3b8d9f6010cdb1424c3ab20d4739"
+	one := oneslot.Workload{Producers: 1, Consumers: 1, ItemsPerProducer: 2}
+	buf := boundedbuf.Workload{Producers: 2, Consumers: 1, ItemsPerProducer: 1, Capacity: 2}
+	rw21 := rw.Workload{Readers: 2, Writers: 1}
+	specs := []*spec.Spec{
+		monitor.Spec(oneslot.NewMonitorProgram(one)),
+		monitor.Spec(boundedbuf.NewMonitorProgram(buf)),
+		monitor.Spec(rw.NewProgram(rw.ReadersPriority, rw21)),
+		csp.Spec(oneslot.NewCSPProgram(one)),
+		csp.Spec(boundedbuf.NewCSPProgram(buf)),
+		csp.Spec(rw.NewCSPProgram(rw21)),
+		ada.Spec(oneslot.NewAdaProgram(one)),
+		ada.Spec(boundedbuf.NewAdaProgram(buf)),
+		ada.Spec(rw.NewAdaProgram(rw21)),
+		monitor.Spec(rw.NewProgram(rw.WritersPriority, rw21)),
+		monitor.Spec(unguardedDeposit(boundedbuf.Workload{Producers: 2, Consumers: 1, ItemsPerProducer: 1, Capacity: 1})),
+	}
+	for _, w := range []rw.Workload{rw21, {Readers: 1, Writers: 2}} {
+		for _, v := range rw.Variants() {
+			specs = append(specs, monitor.Spec(rw.NewProgram(v, w)))
+		}
+	}
+	h := sha256.New()
+	for i, s := range specs {
+		fmt.Fprintf(h, "#%d %s\n", i, gemlang.HashSpec(s))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("program specs digest %s, want %s", got, want)
 	}
 }

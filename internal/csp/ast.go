@@ -17,85 +17,31 @@
 // P.out.Q.End and Q.inp.P.End(v), each enabled by BOTH requests — so
 // inp.Req ⊳ out.End ⟺ out.Req ⊳ inp.End, the paper's simultaneity
 // restriction, holds by construction and is checked by the spec.
+//
+// The integer expressions and the Op statement, with its external
+// shared elements, are package lang's, which the Monitor and ADA
+// simulators share; this package adds the CSP statements and their Env,
+// the process's local variables.
 package csp
 
-import "fmt"
+import (
+	"fmt"
 
-// Expr is an integer expression over process-local variables.
-type Expr interface {
-	eval(vars map[string]int64) int64
-	String() string
-}
+	"gem/internal/lang"
+)
 
-// IntLit is an integer literal.
-type IntLit int64
+// env holds a process's local variables; it is the lang.Env of the
+// process's expressions.
+type env map[string]int64
 
-func (e IntLit) eval(map[string]int64) int64 { return int64(e) }
-func (e IntLit) String() string              { return fmt.Sprintf("%d", int64(e)) }
-
-// VarRef reads a process-local variable.
-type VarRef string
-
-func (e VarRef) eval(vars map[string]int64) int64 {
-	v, ok := vars[string(e)]
+// Lookup returns a local variable.
+func (e env) Lookup(name string) int64 {
+	v, ok := e[name]
 	if !ok {
-		panic(fmt.Sprintf("csp: undefined variable %q", string(e)))
+		panic(fmt.Sprintf("csp: undefined variable %q", name))
 	}
 	return v
 }
-func (e VarRef) String() string { return string(e) }
-
-// BinOp is a binary operator.
-type BinOp int
-
-// Binary operators.
-const (
-	OpAdd BinOp = iota + 1
-	OpSub
-	OpEq
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// Bin applies a binary operator.
-type Bin struct {
-	Op   BinOp
-	L, R Expr
-}
-
-func (e Bin) eval(vars map[string]int64) int64 {
-	l, r := e.L.eval(vars), e.R.eval(vars)
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch e.Op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpEq:
-		return b2i(l == r)
-	case OpNe:
-		return b2i(l != r)
-	case OpLt:
-		return b2i(l < r)
-	case OpLe:
-		return b2i(l <= r)
-	case OpGt:
-		return b2i(l > r)
-	case OpGe:
-		return b2i(l >= r)
-	default:
-		panic(fmt.Sprintf("csp: unknown operator %d", e.Op))
-	}
-}
-func (e Bin) String() string { return fmt.Sprintf("(%s op%d %s)", e.L, e.Op, e.R) }
 
 // Stmt is a process statement.
 type Stmt interface{ cspStmt() }
@@ -103,7 +49,7 @@ type Stmt interface{ cspStmt() }
 // Send is the output command "To ! E".
 type Send struct {
 	To string
-	E  Expr
+	E  lang.Expr
 }
 
 // Recv is the input command "From ? Var".
@@ -116,20 +62,13 @@ type Recv struct {
 // state is private).
 type Assign struct {
 	Var string
-	E   Expr
+	E   lang.Expr
 }
 
-// Op emits a local event of the given class, with integer parameters
-// evaluated in the local state. With Element == "" the event occurs at
-// the process element. With Element set it occurs at that external
-// shared element, with shared-variable semantics for the Assign (stores
-// "newval") and Getval (reports the cell as "oldval") classes — the data
-// a CSP controller guards.
-type Op struct {
-	Class   string
-	Params  map[string]Expr
-	Element string
-}
+// Op emits an event at the process element, or at an external shared
+// element, the data a CSP controller guards (see lang.Op). Its
+// parameters are evaluated in the process's local state.
+type Op lang.Op
 
 // Alt is the guarded alternative: exactly one branch with a true boolean
 // guard and a ready communication is selected (nondeterministically).
@@ -140,7 +79,7 @@ type Alt struct {
 // Branch is one guarded command of an alternative. Guard may be nil
 // (true); Comm may be a Send or Recv, or nil for a purely boolean guard.
 type Branch struct {
-	Guard Expr
+	Guard lang.Expr
 	Comm  Stmt // Send or Recv, or nil
 	Body  []Stmt
 }

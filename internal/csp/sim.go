@@ -2,9 +2,11 @@ package csp
 
 import (
 	"fmt"
+	"maps"
 
 	"gem/internal/core"
 	"gem/internal/explore"
+	"gem/internal/lang"
 )
 
 // Run is one complete (or deadlocked) execution rendered as a GEM
@@ -47,7 +49,7 @@ type frame struct {
 }
 
 type procState struct {
-	vars   map[string]int64
+	vars   env
 	frames []frame
 }
 
@@ -74,7 +76,7 @@ func newMachine(p *Program) (*machine, error) {
 			return nil, fmt.Errorf("csp: duplicate process name %q", proc.Name)
 		}
 		m.byName[proc.Name] = i
-		vars := make(map[string]int64, len(proc.Vars))
+		vars := make(env, len(proc.Vars))
 		for _, v := range proc.Vars {
 			vars[v] = 0
 		}
@@ -129,14 +131,11 @@ func (m *machine) Clone() *machine {
 		prog:   m.prog,
 		procs:  make([]procState, len(m.procs)),
 		byName: m.byName,
-		ext:    make(map[string]int64, len(m.ext)),
-	}
-	for k, v := range m.ext {
-		next.ext[k] = v
+		ext:    maps.Clone(m.ext),
 	}
 	for i, p := range m.procs {
 		cp := procState{
-			vars:   make(map[string]int64, len(p.vars)),
+			vars:   make(env, len(p.vars)),
 			frames: make([]frame, len(p.frames)),
 		}
 		for k, v := range p.vars {
@@ -223,7 +222,7 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 			if q, ok := m.byName[s.To]; ok {
 				offers = append(offers, offer{
 					proc: i, send: true, partner: q,
-					value: s.E.eval(m.procs[i].vars), branch: -1,
+					value: s.E.Eval(m.procs[i].vars), branch: -1,
 				})
 			}
 		case Recv:
@@ -232,7 +231,7 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 			}
 		case Alt:
 			for b, br := range s.Branches {
-				if br.Guard != nil && br.Guard.eval(m.procs[i].vars) == 0 {
+				if br.Guard != nil && br.Guard.Eval(m.procs[i].vars) == 0 {
 					continue
 				}
 				switch comm := br.Comm.(type) {
@@ -242,7 +241,7 @@ func (m *machine) Transitions(full bool) (transition, bool, []transition) {
 					if q, ok := m.byName[comm.To]; ok {
 						offers = append(offers, offer{
 							proc: i, send: true, partner: q,
-							value:  comm.E.eval(m.procs[i].vars),
+							value:  comm.E.Eval(m.procs[i].vars),
 							branch: b,
 						})
 					}
@@ -322,7 +321,7 @@ func (m *machine) markUnrecorded(proc, branch int) {
 	branches := m.mustStmt(proc).(Alt).Branches
 	chosen := branches[branch].Comm
 	for i, br := range branches {
-		if i == branch || br.Guard != nil && br.Guard.eval(m.procs[proc].vars) == 0 {
+		if i == branch || br.Guard != nil && br.Guard.Eval(m.procs[proc].vars) == 0 {
 			continue
 		}
 		if !distinctComm(chosen, br.Comm) {
@@ -374,27 +373,9 @@ func (m *machine) stepLocal(proc int) error {
 	p := &m.procs[proc]
 	switch s := st.(type) {
 	case Assign:
-		p.vars[s.Var] = s.E.eval(p.vars)
+		p.vars[s.Var] = s.E.Eval(p.vars)
 	case Op:
-		list := make([]core.Param, 0, 4)
-		for k, e := range s.Params {
-			list = append(list, core.P(k, core.Int(e.eval(p.vars))))
-		}
-		elem := m.prog.Processes[proc].Name
-		if s.Element != "" {
-			elem = s.Element
-			list = append(list, core.P("proc", core.Str(m.prog.Processes[proc].Name)))
-			if s.Class == "Getval" {
-				list = append(list, core.P("oldval", core.Int(m.ext[s.Element])))
-			}
-		}
-		params := core.NewParams(list...)
-		if s.Element != "" && s.Class == "Assign" {
-			if v, ok := params.Get("newval"); ok {
-				m.ext[s.Element] = v.I
-			}
-		}
-		m.Emit(proc, elem, s.Class, params)
+		lang.Op(s).Exec(&m.Log, proc, m.prog.Processes[proc].Name, p.vars, m.ext)
 	case Repeat:
 		for k := 0; k < s.N; k++ {
 			p.frames = append(p.frames, frame{block: s.Body})

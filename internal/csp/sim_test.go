@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/lang"
 	"gem/internal/legal"
 )
 
 // pingProgram: P sends 42 to Q; Q receives and emits a Got event.
 func pingProgram() *Program {
 	return &Program{Processes: []Process{
-		{Name: "P", Body: []Stmt{Send{To: "Q", E: IntLit(42)}}},
+		{Name: "P", Body: []Stmt{Send{To: "Q", E: lang.IntLit(42)}}},
 		{Name: "Q", Vars: []string{"x"}, Body: []Stmt{
 			Recv{From: "P", Var: "x"},
-			Op{Class: "Got", Params: map[string]Expr{"v": VarRef("x")}},
+			Op{Class: "Got", Params: map[string]lang.Expr{"v": lang.VarRef("x")}},
 		}},
 	}}
 }
@@ -88,8 +89,8 @@ func TestCSPSpecLegality(t *testing.T) {
 
 func TestDeadlockBothSend(t *testing.T) {
 	prog := &Program{Processes: []Process{
-		{Name: "P", Body: []Stmt{Send{To: "Q", E: IntLit(1)}}},
-		{Name: "Q", Body: []Stmt{Send{To: "P", E: IntLit(2)}}},
+		{Name: "P", Body: []Stmt{Send{To: "Q", E: lang.IntLit(1)}}},
+		{Name: "Q", Body: []Stmt{Send{To: "P", E: lang.IntLit(2)}}},
 	}}
 	runs, _, err := Explore(prog, ExploreOptions{})
 	if err != nil {
@@ -104,15 +105,15 @@ func TestAltSelectsReadyBranch(t *testing.T) {
 	// R alternates over inputs from P and Q; both offer. Two selection
 	// orders exist; both complete. With Repeat(2), R consumes both.
 	prog := &Program{Processes: []Process{
-		{Name: "P", Body: []Stmt{Send{To: "R", E: IntLit(1)}}},
-		{Name: "Q", Body: []Stmt{Send{To: "R", E: IntLit(2)}}},
+		{Name: "P", Body: []Stmt{Send{To: "R", E: lang.IntLit(1)}}},
+		{Name: "Q", Body: []Stmt{Send{To: "R", E: lang.IntLit(2)}}},
 		{Name: "R", Vars: []string{"x", "sum"}, Body: []Stmt{
 			Repeat{N: 2, Body: []Stmt{
 				Alt{Branches: []Branch{
 					{Comm: Recv{From: "P", Var: "x"},
-						Body: []Stmt{Assign{Var: "sum", E: Bin{Op: OpAdd, L: VarRef("sum"), R: VarRef("x")}}}},
+						Body: []Stmt{Assign{Var: "sum", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("sum"), R: lang.VarRef("x")}}}},
 					{Comm: Recv{From: "Q", Var: "x"},
-						Body: []Stmt{Assign{Var: "sum", E: Bin{Op: OpAdd, L: VarRef("sum"), R: VarRef("x")}}}},
+						Body: []Stmt{Assign{Var: "sum", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("sum"), R: lang.VarRef("x")}}}},
 				}},
 			}},
 		}},
@@ -137,11 +138,11 @@ func TestAltSelectsReadyBranch(t *testing.T) {
 func TestAltBooleanGuards(t *testing.T) {
 	prog := &Program{Processes: []Process{
 		{Name: "P", Vars: []string{"x"}, Body: []Stmt{
-			Assign{Var: "x", E: IntLit(5)},
+			Assign{Var: "x", E: lang.IntLit(5)},
 			Alt{Branches: []Branch{
-				{Guard: Bin{Op: OpGt, L: VarRef("x"), R: IntLit(3)},
+				{Guard: lang.Bin{Op: lang.OpGt, L: lang.VarRef("x"), R: lang.IntLit(3)},
 					Body: []Stmt{Op{Class: "Big"}}},
-				{Guard: Bin{Op: OpLe, L: VarRef("x"), R: IntLit(3)},
+				{Guard: lang.Bin{Op: lang.OpLe, L: lang.VarRef("x"), R: lang.IntLit(3)},
 					Body: []Stmt{Op{Class: "Small"}}},
 			}},
 		}},
@@ -165,7 +166,7 @@ func TestAltAllGuardsFalseDeadlocks(t *testing.T) {
 	prog := &Program{Processes: []Process{
 		{Name: "P", Vars: []string{"x"}, Body: []Stmt{
 			Alt{Branches: []Branch{
-				{Guard: Bin{Op: OpGt, L: VarRef("x"), R: IntLit(0)}, Body: []Stmt{Op{Class: "Never"}}},
+				{Guard: lang.Bin{Op: lang.OpGt, L: lang.VarRef("x"), R: lang.IntLit(0)}, Body: []Stmt{Op{Class: "Never"}}},
 			}},
 		}},
 	}}
@@ -182,8 +183,8 @@ func TestRepeatUnrolls(t *testing.T) {
 	prog := &Program{Processes: []Process{
 		{Name: "P", Vars: []string{"i"}, Body: []Stmt{
 			Repeat{N: 3, Body: []Stmt{
-				Assign{Var: "i", E: Bin{Op: OpAdd, L: VarRef("i"), R: IntLit(1)}},
-				Op{Class: "Tick", Params: map[string]Expr{"i": VarRef("i")}},
+				Assign{Var: "i", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("i"), R: lang.IntLit(1)}},
+				Op{Class: "Tick", Params: map[string]lang.Expr{"i": lang.VarRef("i")}},
 			}},
 		}},
 	}}
@@ -211,7 +212,7 @@ func TestRepeatUnrolls(t *testing.T) {
 
 func TestUnknownPartnerRejected(t *testing.T) {
 	prog := &Program{Processes: []Process{
-		{Name: "P", Body: []Stmt{Send{To: "Ghost", E: IntLit(1)}}},
+		{Name: "P", Body: []Stmt{Send{To: "Ghost", E: lang.IntLit(1)}}},
 	}}
 	if _, _, err := Explore(prog, ExploreOptions{}); err == nil {
 		t.Fatal("unknown partner must be rejected")
@@ -277,27 +278,16 @@ func TestMissingCrossEnableDetectedBySpec(t *testing.T) {
 }
 
 func TestExprEvalAndErrors(t *testing.T) {
-	vars := map[string]int64{"x": 4}
-	if got := (Bin{Op: OpSub, L: VarRef("x"), R: IntLit(1)}).eval(vars); got != 3 {
+	vars := env{"x": 4}
+	if got := lang.VarRef("x").Eval(vars); got != 4 {
 		t.Errorf("eval = %d", got)
-	}
-	ops := []struct {
-		op   BinOp
-		want int64
-	}{
-		{OpEq, 0}, {OpNe, 1}, {OpLt, 1}, {OpLe, 1}, {OpGt, 0}, {OpGe, 0},
-	}
-	for _, tt := range ops {
-		if got := (Bin{Op: tt.op, L: IntLit(1), R: IntLit(2)}).eval(vars); got != tt.want {
-			t.Errorf("op %d = %d, want %d", tt.op, got, tt.want)
-		}
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("undefined variable should panic")
 		}
 	}()
-	VarRef("ghost").eval(vars)
+	lang.VarRef("ghost").Eval(vars)
 }
 
 func TestExternalSharedElement(t *testing.T) {
@@ -305,8 +295,8 @@ func TestExternalSharedElement(t *testing.T) {
 	// subsequent read after the write.
 	prog := &Program{Processes: []Process{
 		{Name: "W", Body: []Stmt{
-			Op{Element: "shared", Class: "Assign", Params: map[string]Expr{"newval": IntLit(9)}},
-			Send{To: "R", E: IntLit(1)},
+			Op{Element: "shared", Class: "Assign", Params: map[string]lang.Expr{"newval": lang.IntLit(9)}},
+			Send{To: "R", E: lang.IntLit(1)},
 		}},
 		{Name: "R", Vars: []string{"x"}, Body: []Stmt{
 			Recv{From: "W", Var: "x"},
@@ -333,14 +323,5 @@ func TestExternalSharedElement(t *testing.T) {
 		if got, _ := r.Comp.Event(gets[0]).Params.Get("oldval"); got != core.Int(9) {
 			t.Errorf("read %v, want 9", got)
 		}
-	}
-}
-
-func TestCSPExprStrings(t *testing.T) {
-	if IntLit(3).String() != "3" || VarRef("v").String() != "v" {
-		t.Error("expr String wrong")
-	}
-	if (Bin{Op: OpAdd, L: IntLit(1), R: IntLit(2)}).String() == "" {
-		t.Error("Bin String empty")
 	}
 }

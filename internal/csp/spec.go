@@ -1,9 +1,8 @@
 package csp
 
 import (
-	"slices"
-
 	"gem/internal/core"
+	"gem/internal/lang"
 	"gem/internal/logic"
 	"gem/internal/spec"
 )
@@ -24,8 +23,12 @@ func Spec(p *Program) *spec.Spec {
 	s := spec.New("csp-program")
 	pairs := communicationPairs(p)
 
-	for _, proc := range p.Processes {
-		s.AddElement(&spec.ElementDecl{Name: proc.Name, Events: opClasses(proc)})
+	var ops lang.Decls
+	external := make([][]string, len(p.Processes))
+	for i, proc := range p.Processes {
+		var local []spec.EventClassDecl
+		local, external[i] = ops.Process(procOps(proc.Body))
+		s.AddElement(&spec.ElementDecl{Name: proc.Name, Events: local})
 	}
 
 	procGroups := make(map[string][]string, len(p.Processes))
@@ -83,117 +86,32 @@ func Spec(p *Program) *spec.Spec {
 	// accesses them (overlapping groups, as in the paper's Section 4
 	// example), so a process's flow may pass through the shared element
 	// and back into its own communication endpoints.
-	for _, proc := range p.Processes {
-		for _, elem := range externalElementsOf(proc.Body) {
-			procGroups[proc.Name] = append(procGroups[proc.Name], elem)
-		}
+	for i, proc := range p.Processes {
+		procGroups[proc.Name] = append(procGroups[proc.Name], external[i]...)
 	}
 	for name, members := range procGroups {
 		s.AddGroup(&spec.GroupDecl{Name: "proc." + name, Members: members})
 	}
-	addExternalElements(s, p)
+	ops.Declare(s)
 	return s
 }
 
-// externalElementsOf lists the distinct external elements a body touches.
-func externalElementsOf(body []Stmt) []string {
-	seen := make(map[string]bool)
-	var out []string
-	var walk func(body []Stmt)
-	walk = func(body []Stmt) {
-		for _, st := range body {
-			switch s := st.(type) {
-			case Op:
-				if s.Element != "" && !seen[s.Element] {
-					seen[s.Element] = true
-					out = append(out, s.Element)
-				}
-			case Alt:
-				for _, br := range s.Branches {
-					walk(br.Body)
-				}
-			case Repeat:
-				walk(s.Body)
+// procOps lists the Op statements of a body in walk order.
+func procOps(body []Stmt) []lang.Op {
+	var out []lang.Op
+	for _, st := range body {
+		switch s := st.(type) {
+		case Op:
+			out = append(out, lang.Op(s))
+		case Alt:
+			for _, br := range s.Branches {
+				out = append(out, procOps(br.Body)...)
 			}
+		case Repeat:
+			out = append(out, procOps(s.Body)...)
 		}
 	}
-	walk(body)
 	return out
-}
-
-// addExternalElements declares the shared elements accessed via
-// Op{Element: …} with Variable-style classes, plus the reads-last-assign
-// restriction when both Assign and Getval appear.
-func addExternalElements(s *spec.Spec, p *Program) {
-	classes := make(map[string]map[string]map[string]bool)
-	var order []string
-	var walk func(body []Stmt)
-	walk = func(body []Stmt) {
-		for _, st := range body {
-			switch op := st.(type) {
-			case Op:
-				if op.Element == "" {
-					continue
-				}
-				if classes[op.Element] == nil {
-					classes[op.Element] = make(map[string]map[string]bool)
-					order = append(order, op.Element)
-				}
-				if classes[op.Element][op.Class] == nil {
-					classes[op.Element][op.Class] = make(map[string]bool)
-				}
-				for prm := range op.Params {
-					classes[op.Element][op.Class][prm] = true
-				}
-				classes[op.Element][op.Class]["proc"] = true
-				if op.Class == "Getval" {
-					classes[op.Element][op.Class]["oldval"] = true
-				}
-			case Alt:
-				for _, br := range op.Branches {
-					walk(br.Body)
-				}
-			case Repeat:
-				walk(op.Body)
-			}
-		}
-	}
-	for _, proc := range p.Processes {
-		walk(proc.Body)
-	}
-	for _, elem := range order {
-		decl := &spec.ElementDecl{Name: elem}
-		var classNames []string
-		for c := range classes[elem] {
-			classNames = append(classNames, c)
-		}
-		slices.Sort(classNames)
-		for _, c := range classNames {
-			var paramNames []string
-			for prm := range classes[elem][c] {
-				paramNames = append(paramNames, prm)
-			}
-			slices.Sort(paramNames)
-			ec := spec.EventClassDecl{Name: c}
-			for _, prm := range paramNames {
-				typ := "INTEGER"
-				if prm == "proc" {
-					typ = "NAME"
-				}
-				ec.Params = append(ec.Params, spec.ParamDecl{Name: prm, Type: typ})
-			}
-			decl.Events = append(decl.Events, ec)
-		}
-		if _, hasA := classes[elem]["Assign"]; hasA {
-			if _, hasG := classes[elem]["Getval"]; hasG {
-				decl.Restrictions = append(decl.Restrictions, spec.Restriction{
-					Name: elem + ".reads-last-assign",
-					F:    spec.ReadsLastAssign(elem),
-				})
-			}
-		}
-		s.AddElement(decl)
-	}
 }
 
 // valueTransfer: if an out.Req enables an inp.End, the transmitted values
@@ -245,55 +163,6 @@ func communicationPairs(p *Program) [][2]string {
 	}
 	for _, proc := range p.Processes {
 		walk(proc.Name, proc.Body)
-	}
-	return out
-}
-
-// opClasses collects the local Op classes of a process.
-func opClasses(proc Process) []spec.EventClassDecl {
-	seen := make(map[string]map[string]bool)
-	var order []string
-	var walk func(body []Stmt)
-	walk = func(body []Stmt) {
-		for _, st := range body {
-			switch s := st.(type) {
-			case Op:
-				if s.Element != "" {
-					continue // external ops are declared on their own elements
-				}
-				if seen[s.Class] == nil {
-					seen[s.Class] = make(map[string]bool)
-					order = append(order, s.Class)
-				}
-				for p := range s.Params {
-					seen[s.Class][p] = true
-				}
-			case Alt:
-				for _, br := range s.Branches {
-					walk(br.Body)
-				}
-			case Repeat:
-				walk(s.Body)
-			}
-		}
-	}
-	walk(proc.Body)
-	var out []spec.EventClassDecl
-	for _, class := range order {
-		var names []string
-		for p := range seen[class] {
-			names = append(names, p)
-		}
-		for i := 1; i < len(names); i++ {
-			for j := i; j > 0 && names[j] < names[j-1]; j-- {
-				names[j], names[j-1] = names[j-1], names[j]
-			}
-		}
-		var params []spec.ParamDecl
-		for _, p := range names {
-			params = append(params, spec.ParamDecl{Name: p, Type: "INTEGER"})
-		}
-		out = append(out, spec.EventClassDecl{Name: class, Params: params})
 	}
 	return out
 }

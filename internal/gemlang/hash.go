@@ -27,8 +27,8 @@ func HashFormula(f logic.Formula) string {
 // HashSpec returns a stable content hash of a whole compiled
 // specification: the SHA-256 of its canonical rendering (Format), which
 // Parse round-trips to an equivalent spec. Like HashFormula it is
-// position-independent; it keys whole-spec artifacts (the sat records
-// and fast-path guard vectors of the persistent store).
+// position-independent; it keys the persistent store's whole-check sat
+// records and gemmut's mutant dedup.
 func HashSpec(s *spec.Spec) string {
 	return hashString("gem.spec\x00" + specKey(s))
 }

@@ -19,117 +19,50 @@
 // the temporal order — the property the paper proves of monitors. A
 // condition Release is enabled by exactly one Signal, satisfying the
 // paper's prerequisite restriction.
+//
+// The integer expressions and the Op statement, with its external
+// shared elements, are package lang's, which the CSP and ADA simulators
+// share; this package adds the monitor's statements, its Env (entry
+// arguments shadow monitor variables) and QueueNonEmpty.
 package monitor
 
-import "fmt"
+import (
+	"fmt"
 
-// Expr is an integer-valued expression over monitor variables and entry
-// arguments. Booleans are 0/1.
-type Expr interface {
-	eval(env *evalEnv) int64
-	String() string
-}
+	"gem/internal/lang"
+)
 
+// evalEnv is the lang.Env of monitor code: the holder's entry arguments
+// shadow the monitor's variables, and m (nil in unit contexts) answers
+// QueueNonEmpty.
 type evalEnv struct {
 	vars map[string]int64
 	args map[string]int64
-	m    *machine // for queue() tests; nil in unit contexts
+	m    *machine
 }
 
-// IntLit is an integer literal.
-type IntLit int64
-
-func (e IntLit) eval(*evalEnv) int64 { return int64(e) }
-func (e IntLit) String() string      { return fmt.Sprintf("%d", int64(e)) }
-
-// VarRef reads a monitor variable or entry argument.
-type VarRef string
-
-func (e VarRef) eval(env *evalEnv) int64 {
-	if v, ok := env.args[string(e)]; ok {
+// Lookup returns an entry argument or monitor variable.
+func (e *evalEnv) Lookup(name string) int64 {
+	if v, ok := e.args[name]; ok {
 		return v
 	}
-	if v, ok := env.vars[string(e)]; ok {
+	if v, ok := e.vars[name]; ok {
 		return v
 	}
-	panic(fmt.Sprintf("monitor: undefined variable %q", string(e)))
-}
-func (e VarRef) String() string { return string(e) }
-
-// BinOp is a binary operator.
-type BinOp int
-
-// Binary operators.
-const (
-	OpAdd BinOp = iota + 1
-	OpSub
-	OpEq
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpAnd
-	OpOr
-)
-
-var binOpNames = map[BinOp]string{
-	OpAdd: "+", OpSub: "-", OpEq: "=", OpNe: "!=", OpLt: "<",
-	OpLe: "<=", OpGt: ">", OpGe: ">=", OpAnd: "&", OpOr: "|",
+	panic(fmt.Sprintf("monitor: undefined variable %q", name))
 }
 
-// Bin applies a binary operator.
-type Bin struct {
-	Op   BinOp
-	L, R Expr
-}
-
-func (e Bin) eval(env *evalEnv) int64 {
-	l, r := e.L.eval(env), e.R.eval(env)
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch e.Op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpEq:
-		return b2i(l == r)
-	case OpNe:
-		return b2i(l != r)
-	case OpLt:
-		return b2i(l < r)
-	case OpLe:
-		return b2i(l <= r)
-	case OpGt:
-		return b2i(l > r)
-	case OpGe:
-		return b2i(l >= r)
-	case OpAnd:
-		return b2i(l != 0 && r != 0)
-	case OpOr:
-		return b2i(l != 0 || r != 0)
-	default:
-		panic(fmt.Sprintf("monitor: unknown operator %d", e.Op))
-	}
-}
-func (e Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, binOpNames[e.Op], e.R)
-}
+// processEnv is the Env of a process's Op parameters: a process has no
+// variables, so they are constants.
+var processEnv = &evalEnv{}
 
 // QueueNonEmpty tests whether processes are waiting on a condition — the
 // paper's "IF queue(readqueue)".
 type QueueNonEmpty struct{ Cond string }
 
-func (e QueueNonEmpty) eval(env *evalEnv) int64 {
-	if env.m == nil {
-		return 0
-	}
-	if len(env.m.condQ[e.Cond]) > 0 {
+// Eval returns 1 if a process waits on the condition.
+func (e QueueNonEmpty) Eval(env lang.Env) int64 {
+	if m := env.(*evalEnv).m; m != nil && len(m.condQ[e.Cond]) > 0 {
 		return 1
 	}
 	return 0
@@ -142,19 +75,19 @@ type Stmt interface{ stmt() }
 // Assign writes a monitor variable.
 type Assign struct {
 	Var string
-	E   Expr
+	E   lang.Expr
 }
 
 // If branches on a condition; Else may be nil.
 type If struct {
-	Cond Expr
+	Cond lang.Expr
 	Then []Stmt
 	Else []Stmt
 }
 
 // While loops on a condition.
 type While struct {
-	Cond Expr
+	Cond lang.Expr
 	Body []Stmt
 }
 
@@ -178,7 +111,7 @@ type Entry struct {
 	Body []Stmt
 	// Result, when non-nil, is evaluated at entry end and carried on the
 	// caller's Return event as parameter "result".
-	Result Expr
+	Result lang.Expr
 }
 
 // Monitor is a complete monitor declaration.
@@ -209,21 +142,10 @@ type Call struct {
 	Args  []int64
 }
 
-// Op emits a local event of the given class, with optional integer
-// parameters. With Element == "" the event occurs at the process element,
-// modelling the process's own actions (computing, producing an item, …).
-//
-// With Element set, the event occurs at that external shared element —
-// the resource the monitor guards, which the paper keeps OUTSIDE the
-// monitor ("the data itself must be located outside of the monitor").
-// Two classes get shared-variable semantics there: Assign stores its
-// "newval" parameter in the element's cell, and Getval reads the cell,
-// reporting it as "oldval" on the event.
-type Op struct {
-	Class   string
-	Params  map[string]int64
-	Element string
-}
+// Op emits an event at the process element or at an external shared
+// element, the resource the monitor guards, which the paper keeps
+// OUTSIDE the monitor (see lang.Op).
+type Op lang.Op
 
 func (Call) procStmt() {}
 func (Op) procStmt()   {}

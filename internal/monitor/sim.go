@@ -2,9 +2,11 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 
 	"gem/internal/core"
 	"gem/internal/explore"
+	"gem/internal/lang"
 )
 
 // Run is one complete (or deadlocked) execution of a monitor program,
@@ -115,8 +117,7 @@ func newMachine(p *Program) (*machine, error) {
 	}
 	// Initialization runs to completion before any process step, holding
 	// the monitor conceptually.
-	env := &evalEnv{vars: m.vars, m: m}
-	if err := m.runInit(p.Monitor.Init, env); err != nil {
+	if err := m.runInit(p.Monitor.Init, &evalEnv{vars: m.vars, m: m}); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -135,7 +136,7 @@ func (m *machine) runInit(body []Stmt, env *evalEnv) error {
 	for _, st := range body {
 		switch s := st.(type) {
 		case Assign:
-			m.vars[s.Var] = s.E.eval(env)
+			m.vars[s.Var] = s.E.Eval(env)
 			m.emitInternal(-1, m.element(s.Var), "Assign",
 				core.NewParams(
 					core.P("newval", core.Int(m.vars[s.Var])),
@@ -144,7 +145,7 @@ func (m *machine) runInit(body []Stmt, env *evalEnv) error {
 				))
 		case If:
 			branch := s.Else
-			if s.Cond.eval(env) != 0 {
+			if s.Cond.Eval(env) != 0 {
 				branch = s.Then
 			}
 			if err := m.runInit(branch, env); err != nil {
@@ -169,10 +170,7 @@ func (m *machine) Clone() *machine {
 		condQ:     make(map[string][]int, len(m.condQ)),
 		entryQ:    append([]int(nil), m.entryQ...),
 		lastMonEv: m.lastMonEv,
-		ext:       make(map[string]int64, len(m.ext)),
-	}
-	for k, v := range m.ext {
-		next.ext[k] = v
+		ext:       maps.Clone(m.ext),
 	}
 	for k, v := range m.vars {
 		next.vars[k] = v
@@ -377,22 +375,7 @@ func (m *machine) stepOutside(proc int) error {
 		p.status = statusBlockedEntry
 		m.entryQ = append(m.entryQ, proc)
 	case Op:
-		params := make([]core.Param, 0, 4)
-		for k, v := range s.Params {
-			params = append(params, core.P(k, core.Int(v)))
-		}
-		elem := m.prog.Processes[proc].Name
-		if s.Element != "" {
-			elem = s.Element
-			params = append(params, core.P("proc", core.Str(m.prog.Processes[proc].Name)))
-			switch s.Class {
-			case "Assign":
-				m.ext[s.Element] = s.Params["newval"]
-			case "Getval":
-				params = append(params, core.P("oldval", core.Int(m.ext[s.Element])))
-			}
-		}
-		m.Emit(proc, elem, s.Class, core.NewParams(params...))
+		lang.Op(s).Exec(&m.Log, proc, m.prog.Processes[proc].Name, processEnv, m.ext)
 	default:
 		return fmt.Errorf("monitor: process statement %T not supported", st)
 	}
@@ -420,7 +403,7 @@ func (m *machine) stepInside(proc int) error {
 		}
 		switch s := st.(type) {
 		case Assign:
-			m.vars[s.Var] = s.E.eval(env)
+			m.vars[s.Var] = s.E.Eval(env)
 			m.emitInternal(proc, m.element(s.Var), "Assign",
 				core.NewParams(
 					core.P("newval", core.Int(m.vars[s.Var])),
@@ -430,14 +413,14 @@ func (m *machine) stepInside(proc int) error {
 			return nil
 		case If:
 			branch := s.Else
-			if s.Cond.eval(env) != 0 {
+			if s.Cond.Eval(env) != 0 {
 				branch = s.Then
 			}
 			if len(branch) > 0 {
 				p.frames = append(p.frames, frame{block: branch})
 			}
 		case While:
-			if s.Cond.eval(env) != 0 {
+			if s.Cond.Eval(env) != 0 {
 				// Re-test after the body: rewind this statement.
 				top := &p.frames[len(p.frames)-1]
 				top.idx--
@@ -498,7 +481,7 @@ func (m *machine) endEntry(proc int, env *evalEnv) error {
 		end = append(end, core.P(name, core.Int(v)))
 	}
 	if entry.Result != nil {
-		result := core.P("result", core.Int(entry.Result.eval(env)))
+		result := core.P("result", core.Int(entry.Result.Eval(env)))
 		ret = append(ret, result)
 		end = append(end, result)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/explore/exploretest"
+	"gem/internal/lang"
 	"gem/internal/legal"
 )
 
@@ -16,7 +17,7 @@ func counterProgram(n int) *Program {
 		Vars: []string{"count"},
 		Entries: []Entry{{
 			Name: "Inc",
-			Body: []Stmt{Assign{Var: "count", E: Bin{Op: OpAdd, L: VarRef("count"), R: IntLit(1)}}},
+			Body: []Stmt{Assign{Var: "count", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("count"), R: lang.IntLit(1)}}},
 		}},
 	}
 	var procs []Process
@@ -117,16 +118,16 @@ func waitSignalProgram() *Program {
 				Name: "Take",
 				Body: []Stmt{
 					If{
-						Cond: Bin{Op: OpEq, L: VarRef("count"), R: IntLit(0)},
+						Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("count"), R: lang.IntLit(0)},
 						Then: []Stmt{Wait{Cond: "nonempty"}},
 					},
-					Assign{Var: "count", E: Bin{Op: OpSub, L: VarRef("count"), R: IntLit(1)}},
+					Assign{Var: "count", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 				},
 			},
 			{
 				Name: "Put",
 				Body: []Stmt{
-					Assign{Var: "count", E: Bin{Op: OpAdd, L: VarRef("count"), R: IntLit(1)}},
+					Assign{Var: "count", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 					Signal{Cond: "nonempty"},
 				},
 			},
@@ -212,14 +213,14 @@ func TestWhileLoopInEntry(t *testing.T) {
 			Args: []string{"n"},
 			Body: []Stmt{
 				While{
-					Cond: Bin{Op: OpLt, L: VarRef("i"), R: VarRef("n")},
+					Cond: lang.Bin{Op: lang.OpLt, L: lang.VarRef("i"), R: lang.VarRef("n")},
 					Body: []Stmt{
-						Assign{Var: "i", E: Bin{Op: OpAdd, L: VarRef("i"), R: IntLit(1)}},
-						Assign{Var: "sum", E: Bin{Op: OpAdd, L: VarRef("sum"), R: VarRef("i")}},
+						Assign{Var: "i", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("i"), R: lang.IntLit(1)}},
+						Assign{Var: "sum", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("sum"), R: lang.VarRef("i")}},
 					},
 				},
 			},
-			Result: VarRef("sum"),
+			Result: lang.VarRef("sum"),
 		}},
 	}
 	prog := &Program{
@@ -247,9 +248,9 @@ func TestInitialization(t *testing.T) {
 		Name: "init",
 		Vars: []string{"x"},
 		Init: []Stmt{
-			Assign{Var: "x", E: IntLit(5)},
-			If{Cond: Bin{Op: OpGt, L: VarRef("x"), R: IntLit(3)},
-				Then: []Stmt{Assign{Var: "x", E: IntLit(9)}}},
+			Assign{Var: "x", E: lang.IntLit(5)},
+			If{Cond: lang.Bin{Op: lang.OpGt, L: lang.VarRef("x"), R: lang.IntLit(3)},
+				Then: []Stmt{Assign{Var: "x", E: lang.IntLit(9)}}},
 		},
 		Entries: []Entry{{Name: "Nop", Body: nil}},
 	}
@@ -282,7 +283,7 @@ func TestNonTerminatingProgramCaught(t *testing.T) {
 		Name: "inf",
 		Entries: []Entry{{
 			Name: "Spin",
-			Body: []Stmt{While{Cond: IntLit(1), Body: []Stmt{Assign{Var: "x", E: IntLit(1)}}}},
+			Body: []Stmt{While{Cond: lang.IntLit(1), Body: []Stmt{Assign{Var: "x", E: lang.IntLit(1)}}}},
 		}},
 		Vars: []string{"x"},
 	}
@@ -340,7 +341,7 @@ func TestEntryArgsAndBadCalls(t *testing.T) {
 		Vars: []string{"x"},
 		Entries: []Entry{{
 			Name: "Set", Args: []string{"v"},
-			Body: []Stmt{Assign{Var: "x", E: VarRef("v")}},
+			Body: []Stmt{Assign{Var: "x", E: lang.VarRef("v")}},
 		}},
 	}
 	good := &Program{
@@ -372,38 +373,23 @@ func TestEntryArgsAndBadCalls(t *testing.T) {
 }
 
 func TestExprEvaluation(t *testing.T) {
-	env := &evalEnv{vars: map[string]int64{"x": 5}, args: map[string]int64{"y": 2}}
+	env := &evalEnv{vars: map[string]int64{"x": 5, "y": 1}, args: map[string]int64{"y": 2}}
 	tests := []struct {
-		e    Expr
+		e    lang.Expr
 		want int64
 	}{
-		{IntLit(7), 7},
-		{VarRef("x"), 5},
-		{VarRef("y"), 2}, // args shadow vars
-		{Bin{Op: OpAdd, L: VarRef("x"), R: VarRef("y")}, 7},
-		{Bin{Op: OpSub, L: VarRef("x"), R: IntLit(1)}, 4},
-		{Bin{Op: OpEq, L: VarRef("x"), R: IntLit(5)}, 1},
-		{Bin{Op: OpNe, L: VarRef("x"), R: IntLit(5)}, 0},
-		{Bin{Op: OpLt, L: IntLit(1), R: IntLit(2)}, 1},
-		{Bin{Op: OpLe, L: IntLit(2), R: IntLit(2)}, 1},
-		{Bin{Op: OpGt, L: IntLit(1), R: IntLit(2)}, 0},
-		{Bin{Op: OpGe, L: IntLit(2), R: IntLit(3)}, 0},
-		{Bin{Op: OpAnd, L: IntLit(1), R: IntLit(0)}, 0},
-		{Bin{Op: OpOr, L: IntLit(1), R: IntLit(0)}, 1},
+		{lang.VarRef("x"), 5},
+		{lang.VarRef("y"), 2},         // args shadow vars
 		{QueueNonEmpty{Cond: "c"}, 0}, // nil machine: empty
 	}
 	for _, tt := range tests {
-		if got := tt.e.eval(env); got != tt.want {
+		if got := tt.e.Eval(env); got != tt.want {
 			t.Errorf("%s = %d, want %d", tt.e, got, tt.want)
 		}
 	}
 }
 
 func TestExprStrings(t *testing.T) {
-	e := Bin{Op: OpAdd, L: VarRef("x"), R: IntLit(1)}
-	if e.String() != "(x + 1)" {
-		t.Errorf("String = %q", e.String())
-	}
 	if (QueueNonEmpty{Cond: "q"}).String() != "queue(q)" {
 		t.Error("queue rendering wrong")
 	}
@@ -415,7 +401,7 @@ func TestUndefinedVariablePanics(t *testing.T) {
 			t.Error("undefined variable should panic")
 		}
 	}()
-	VarRef("ghost").eval(&evalEnv{vars: map[string]int64{}})
+	lang.VarRef("ghost").Eval(&evalEnv{vars: map[string]int64{}})
 }
 
 // TestReductionPreservesComputations validates the partial-order
@@ -431,7 +417,7 @@ func TestReductionPreservesComputations(t *testing.T) {
 				{Name: "p1", Body: []ProcStmt{
 					Op{Class: "Work"},
 					Call{Entry: "Inc"},
-					Op{Element: "cell", Class: "Assign", Params: map[string]int64{"newval": 1}},
+					Op{Element: "cell", Class: "Assign", Params: map[string]lang.Expr{"newval": lang.IntLit(1)}},
 				}},
 				{Name: "p2", Body: []ProcStmt{
 					Call{Entry: "Inc"},

@@ -1,9 +1,8 @@
 package monitor
 
 import (
-	"slices"
-
 	"gem/internal/core"
+	"gem/internal/lang"
 	"gem/internal/logic"
 	"gem/internal/spec"
 )
@@ -117,6 +116,9 @@ func Spec(p *Program) *spec.Spec {
 			}
 		}
 	}
+	// The shared elements accessed via Op{Element: …}, the data the
+	// monitor guards, lie outside the monitor group, as in the paper.
+	var ops lang.Decls
 	for _, proc := range p.Processes {
 		classes := []spec.EventClassDecl{
 			{Name: "Call", Params: callParams},
@@ -124,76 +126,22 @@ func Spec(p *Program) *spec.Spec {
 				{Name: "entry", Type: "NAME"}, {Name: "result", Type: "INTEGER"},
 			}},
 		}
-		classes = append(classes, opClasses(proc)...)
-		s.AddElement(&spec.ElementDecl{Name: proc.Name, Events: classes})
+		local, _ := ops.Process(procOps(proc))
+		s.AddElement(&spec.ElementDecl{Name: proc.Name, Events: append(classes, local...)})
 	}
-	addExternalElements(s, p)
+	ops.Declare(s)
 	return s
 }
 
-// addExternalElements declares the shared elements accessed via
-// Op{Element: …} — the data the monitor guards, located outside the
-// monitor group per the paper. Each gets Variable-style Assign/Getval
-// classes (with the accessing process recorded) and, for elements with
-// both classes, the paper's reads-last-assign restriction.
-func addExternalElements(s *spec.Spec, p *Program) {
-	classes := make(map[string]map[string]map[string]bool) // elem -> class -> params
-	var order []string
-	for _, proc := range p.Processes {
-		for _, st := range proc.Body {
-			op, ok := st.(Op)
-			if !ok || op.Element == "" {
-				continue
-			}
-			if classes[op.Element] == nil {
-				classes[op.Element] = make(map[string]map[string]bool)
-				order = append(order, op.Element)
-			}
-			if classes[op.Element][op.Class] == nil {
-				classes[op.Element][op.Class] = make(map[string]bool)
-			}
-			for prm := range op.Params {
-				classes[op.Element][op.Class][prm] = true
-			}
-			classes[op.Element][op.Class]["proc"] = true
-			if op.Class == "Getval" {
-				classes[op.Element][op.Class]["oldval"] = true
-			}
+// procOps lists a process's Op statements in program order.
+func procOps(proc Process) []lang.Op {
+	var out []lang.Op
+	for _, st := range proc.Body {
+		if op, ok := st.(Op); ok {
+			out = append(out, lang.Op(op))
 		}
 	}
-	for _, elem := range order {
-		decl := &spec.ElementDecl{Name: elem}
-		var classNames []string
-		for c := range classes[elem] {
-			classNames = append(classNames, c)
-		}
-		slices.Sort(classNames)
-		for _, c := range classNames {
-			var paramNames []string
-			for prm := range classes[elem][c] {
-				paramNames = append(paramNames, prm)
-			}
-			slices.Sort(paramNames)
-			ec := spec.EventClassDecl{Name: c}
-			for _, prm := range paramNames {
-				typ := "INTEGER"
-				if prm == "proc" {
-					typ = "NAME"
-				}
-				ec.Params = append(ec.Params, spec.ParamDecl{Name: prm, Type: typ})
-			}
-			decl.Events = append(decl.Events, ec)
-		}
-		if _, hasA := classes[elem]["Assign"]; hasA {
-			if _, hasG := classes[elem]["Getval"]; hasG {
-				decl.Restrictions = append(decl.Restrictions, spec.Restriction{
-					Name: elem + ".reads-last-assign",
-					F:    spec.ReadsLastAssign(elem),
-				})
-			}
-		}
-		s.AddElement(decl)
-	}
+	return out
 }
 
 // internalTotalOrder builds the restriction that any two events at the
@@ -256,43 +204,4 @@ func internalRefs(m *Monitor) []core.ClassRef {
 		add(m.CondElement(c), "Wait", "Signal", "Release")
 	}
 	return refs
-}
-
-// opClasses collects the distinct local Op classes a process uses, with
-// their integer parameters declared.
-func opClasses(proc Process) []spec.EventClassDecl {
-	seen := make(map[string]map[string]bool)
-	order := []string{}
-	for _, st := range proc.Body {
-		op, ok := st.(Op)
-		if !ok || op.Element != "" {
-			continue
-		}
-		if seen[op.Class] == nil {
-			seen[op.Class] = make(map[string]bool)
-			order = append(order, op.Class)
-		}
-		for p := range op.Params {
-			seen[op.Class][p] = true
-		}
-	}
-	var out []spec.EventClassDecl
-	for _, class := range order {
-		var params []spec.ParamDecl
-		var names []string
-		for p := range seen[class] {
-			names = append(names, p)
-		}
-		// deterministic order
-		for i := 1; i < len(names); i++ {
-			for j := i; j > 0 && names[j] < names[j-1]; j-- {
-				names[j], names[j-1] = names[j-1], names[j]
-			}
-		}
-		for _, p := range names {
-			params = append(params, spec.ParamDecl{Name: p, Type: "INTEGER"})
-		}
-		out = append(out, spec.EventClassDecl{Name: class, Params: params})
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 
 	"gem/internal/ada"
 	"gem/internal/csp"
+	"gem/internal/lang"
 	"gem/internal/monitor"
 )
 
@@ -29,45 +30,45 @@ func NewMonitorProgram(w Workload) *monitor.Program {
 	for k := 0; k < n; k++ {
 		cell := fmt.Sprintf("s%d", k)
 		storeChain = append(storeChain, monitor.If{
-			Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("wpos"), R: monitor.IntLit(int64(k))},
-			Then: []monitor.Stmt{monitor.Assign{Var: cell, E: monitor.VarRef("v")}},
+			Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("wpos"), R: lang.IntLit(int64(k))},
+			Then: []monitor.Stmt{monitor.Assign{Var: cell, E: lang.VarRef("v")}},
 		})
 		loadChain = append(loadChain, monitor.If{
-			Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("rpos"), R: monitor.IntLit(int64(k))},
-			Then: []monitor.Stmt{monitor.Assign{Var: "tmp", E: monitor.VarRef(cell)}},
+			Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("rpos"), R: lang.IntLit(int64(k))},
+			Then: []monitor.Stmt{monitor.Assign{Var: "tmp", E: lang.VarRef(cell)}},
 		})
 	}
 	bump := func(pos string) []monitor.Stmt {
 		return []monitor.Stmt{
-			monitor.Assign{Var: pos, E: monitor.Bin{Op: monitor.OpAdd, L: monitor.VarRef(pos), R: monitor.IntLit(1)}},
+			monitor.Assign{Var: pos, E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef(pos), R: lang.IntLit(1)}},
 			monitor.If{
-				Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef(pos), R: monitor.IntLit(int64(n))},
-				Then: []monitor.Stmt{monitor.Assign{Var: pos, E: monitor.IntLit(0)}},
+				Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef(pos), R: lang.IntLit(int64(n))},
+				Then: []monitor.Stmt{monitor.Assign{Var: pos, E: lang.IntLit(0)}},
 			},
 		}
 	}
 	depositBody := []monitor.Stmt{
 		monitor.If{
-			Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("count"), R: monitor.IntLit(int64(n))},
+			Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("count"), R: lang.IntLit(int64(n))},
 			Then: []monitor.Stmt{monitor.Wait{Cond: "notfull"}},
 		},
 	}
 	depositBody = append(depositBody, storeChain...)
 	depositBody = append(depositBody, bump("wpos")...)
 	depositBody = append(depositBody,
-		monitor.Assign{Var: "count", E: monitor.Bin{Op: monitor.OpAdd, L: monitor.VarRef("count"), R: monitor.IntLit(1)}},
+		monitor.Assign{Var: "count", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 		monitor.Signal{Cond: "notempty"},
 	)
 	fetchBody := []monitor.Stmt{
 		monitor.If{
-			Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("count"), R: monitor.IntLit(0)},
+			Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("count"), R: lang.IntLit(0)},
 			Then: []monitor.Stmt{monitor.Wait{Cond: "notempty"}},
 		},
 	}
 	fetchBody = append(fetchBody, loadChain...)
 	fetchBody = append(fetchBody, bump("rpos")...)
 	fetchBody = append(fetchBody,
-		monitor.Assign{Var: "count", E: monitor.Bin{Op: monitor.OpSub, L: monitor.VarRef("count"), R: monitor.IntLit(1)}},
+		monitor.Assign{Var: "count", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 		monitor.Signal{Cond: "notfull"},
 	)
 	mon := &monitor.Monitor{
@@ -76,7 +77,7 @@ func NewMonitorProgram(w Workload) *monitor.Program {
 		Conds: []string{"notfull", "notempty"},
 		Entries: []monitor.Entry{
 			{Name: "deposit", Args: []string{"v"}, Body: depositBody},
-			{Name: "fetch", Body: fetchBody, Result: monitor.VarRef("tmp")},
+			{Name: "fetch", Body: fetchBody, Result: lang.VarRef("tmp")},
 		},
 	}
 	prog := &monitor.Program{Monitor: mon}
@@ -107,7 +108,7 @@ func NewCSPProgram(w Workload) *csp.Program {
 	for i := 1; i <= w.Producers; i++ {
 		var body []csp.Stmt
 		for k := 1; k <= w.ItemsPerProducer; k++ {
-			body = append(body, csp.Send{To: BufferTask, E: csp.IntLit(ItemValue(i, k))})
+			body = append(body, csp.Send{To: BufferTask, E: lang.IntLit(ItemValue(i, k))})
 		}
 		prog.Processes = append(prog.Processes, csp.Process{Name: ProducerName(i), Body: body})
 	}
@@ -132,26 +133,26 @@ func NewCSPProgram(w Workload) *csp.Program {
 			branches = append(branches, csp.Branch{
 				// not full and writing into cell k
 				Guard: guardAnd(
-					csp.Bin{Op: csp.OpLt, L: csp.VarRef("count"), R: csp.IntLit(int64(n))},
-					csp.Bin{Op: csp.OpEq, L: csp.VarRef("wpos"), R: csp.IntLit(int64(k))},
+					lang.Bin{Op: lang.OpLt, L: lang.VarRef("count"), R: lang.IntLit(int64(n))},
+					lang.Bin{Op: lang.OpEq, L: lang.VarRef("wpos"), R: lang.IntLit(int64(k))},
 				),
 				Comm: csp.Recv{From: ProducerName(i), Var: cell},
 				Body: []csp.Stmt{
-					csp.Assign{Var: "wpos", E: csp.IntLit(next)},
-					csp.Assign{Var: "count", E: csp.Bin{Op: csp.OpAdd, L: csp.VarRef("count"), R: csp.IntLit(1)}},
+					csp.Assign{Var: "wpos", E: lang.IntLit(next)},
+					csp.Assign{Var: "count", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 				},
 			})
 		}
 		for j := 1; j <= w.Consumers; j++ {
 			branches = append(branches, csp.Branch{
 				Guard: guardAnd(
-					csp.Bin{Op: csp.OpGt, L: csp.VarRef("count"), R: csp.IntLit(0)},
-					csp.Bin{Op: csp.OpEq, L: csp.VarRef("rpos"), R: csp.IntLit(int64(k))},
+					lang.Bin{Op: lang.OpGt, L: lang.VarRef("count"), R: lang.IntLit(0)},
+					lang.Bin{Op: lang.OpEq, L: lang.VarRef("rpos"), R: lang.IntLit(int64(k))},
 				),
-				Comm: csp.Send{To: ConsumerName(j), E: csp.VarRef(cell)},
+				Comm: csp.Send{To: ConsumerName(j), E: lang.VarRef(cell)},
 				Body: []csp.Stmt{
-					csp.Assign{Var: "rpos", E: csp.IntLit(next)},
-					csp.Assign{Var: "count", E: csp.Bin{Op: csp.OpSub, L: csp.VarRef("count"), R: csp.IntLit(1)}},
+					csp.Assign{Var: "rpos", E: lang.IntLit(next)},
+					csp.Assign{Var: "count", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 				},
 			})
 		}
@@ -166,8 +167,8 @@ func NewCSPProgram(w Workload) *csp.Program {
 
 // guardAnd conjoins two 0/1 guards (both non-negative: product via
 // addition-equals-2 idiom avoided; use a*b-free encoding: g1+g2=2).
-func guardAnd(a, b csp.Expr) csp.Expr {
-	return csp.Bin{Op: csp.OpEq, L: csp.Bin{Op: csp.OpAdd, L: a, R: b}, R: csp.IntLit(2)}
+func guardAnd(a, b lang.Expr) lang.Expr {
+	return lang.Bin{Op: lang.OpEq, L: lang.Bin{Op: lang.OpAdd, L: a, R: b}, R: lang.IntLit(2)}
 }
 
 // NewAdaProgram builds the ADA bounded buffer: a buffer task with Put/Get
@@ -178,7 +179,7 @@ func NewAdaProgram(w Workload) *ada.Program {
 	for i := 1; i <= w.Producers; i++ {
 		var body []ada.Stmt
 		for k := 1; k <= w.ItemsPerProducer; k++ {
-			body = append(body, ada.EntryCall{Task: BufferTask, Entry: "Put", Arg: ada.IntLit(ItemValue(i, k))})
+			body = append(body, ada.EntryCall{Task: BufferTask, Entry: "Put", Arg: lang.IntLit(ItemValue(i, k))})
 		}
 		prog.Tasks = append(prog.Tasks, ada.Task{Name: ProducerName(i), Body: body})
 	}
@@ -200,24 +201,24 @@ func NewAdaProgram(w Workload) *ada.Program {
 		alts = append(alts,
 			ada.SelectAlt{
 				Guard: adaGuardAnd(
-					ada.Bin{Op: ada.OpLt, L: ada.VarRef("count"), R: ada.IntLit(int64(n))},
-					ada.Bin{Op: ada.OpEq, L: ada.VarRef("wpos"), R: ada.IntLit(int64(k))},
+					lang.Bin{Op: lang.OpLt, L: lang.VarRef("count"), R: lang.IntLit(int64(n))},
+					lang.Bin{Op: lang.OpEq, L: lang.VarRef("wpos"), R: lang.IntLit(int64(k))},
 				),
 				Accept: ada.Accept{Entry: "Put", Param: "v", Body: []ada.Stmt{
-					ada.Assign{Var: cell, E: ada.VarRef("v")},
-					ada.Assign{Var: "wpos", E: ada.IntLit(next)},
-					ada.Assign{Var: "count", E: ada.Bin{Op: ada.OpAdd, L: ada.VarRef("count"), R: ada.IntLit(1)}},
+					ada.Assign{Var: cell, E: lang.VarRef("v")},
+					ada.Assign{Var: "wpos", E: lang.IntLit(next)},
+					ada.Assign{Var: "count", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 				}},
 			},
 			ada.SelectAlt{
 				Guard: adaGuardAnd(
-					ada.Bin{Op: ada.OpGt, L: ada.VarRef("count"), R: ada.IntLit(0)},
-					ada.Bin{Op: ada.OpEq, L: ada.VarRef("rpos"), R: ada.IntLit(int64(k))},
+					lang.Bin{Op: lang.OpGt, L: lang.VarRef("count"), R: lang.IntLit(0)},
+					lang.Bin{Op: lang.OpEq, L: lang.VarRef("rpos"), R: lang.IntLit(int64(k))},
 				),
 				Accept: ada.Accept{Entry: "Get", Body: []ada.Stmt{
-					ada.Reply{E: ada.VarRef(cell)},
-					ada.Assign{Var: "rpos", E: ada.IntLit(next)},
-					ada.Assign{Var: "count", E: ada.Bin{Op: ada.OpSub, L: ada.VarRef("count"), R: ada.IntLit(1)}},
+					ada.Reply{E: lang.VarRef(cell)},
+					ada.Assign{Var: "rpos", E: lang.IntLit(next)},
+					ada.Assign{Var: "count", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("count"), R: lang.IntLit(1)}},
 				}},
 			},
 		)
@@ -231,6 +232,6 @@ func NewAdaProgram(w Workload) *ada.Program {
 	return prog
 }
 
-func adaGuardAnd(a, b ada.Expr) ada.Expr {
-	return ada.Bin{Op: ada.OpEq, L: ada.Bin{Op: ada.OpAdd, L: a, R: b}, R: ada.IntLit(2)}
+func adaGuardAnd(a, b lang.Expr) lang.Expr {
+	return lang.Bin{Op: lang.OpEq, L: lang.Bin{Op: lang.OpAdd, L: a, R: b}, R: lang.IntLit(2)}
 }

@@ -9,6 +9,7 @@ package rw
 import (
 	"fmt"
 
+	"gem/internal/lang"
 	"gem/internal/monitor"
 )
 
@@ -94,19 +95,19 @@ func readersPriorityMonitor() *monitor.Monitor {
 				Name: "StartRead",
 				Body: []monitor.Stmt{
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpLt, L: monitor.VarRef("readernum"), R: monitor.IntLit(0)},
+						Cond: lang.Bin{Op: lang.OpLt, L: lang.VarRef("readernum"), R: lang.IntLit(0)},
 						Then: []monitor.Stmt{monitor.Wait{Cond: "readqueue"}},
 					},
-					monitor.Assign{Var: "readernum", E: monitor.Bin{Op: monitor.OpAdd, L: monitor.VarRef("readernum"), R: monitor.IntLit(1)}},
+					monitor.Assign{Var: "readernum", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("readernum"), R: lang.IntLit(1)}},
 					monitor.Signal{Cond: "readqueue"},
 				},
 			},
 			{
 				Name: "EndRead",
 				Body: []monitor.Stmt{
-					monitor.Assign{Var: "readernum", E: monitor.Bin{Op: monitor.OpSub, L: monitor.VarRef("readernum"), R: monitor.IntLit(1)}},
+					monitor.Assign{Var: "readernum", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("readernum"), R: lang.IntLit(1)}},
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("readernum"), R: monitor.IntLit(0)},
+						Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("readernum"), R: lang.IntLit(0)},
 						Then: []monitor.Stmt{monitor.Signal{Cond: "writequeue"}},
 					},
 				},
@@ -115,16 +116,16 @@ func readersPriorityMonitor() *monitor.Monitor {
 				Name: "StartWrite",
 				Body: []monitor.Stmt{
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpNe, L: monitor.VarRef("readernum"), R: monitor.IntLit(0)},
+						Cond: lang.Bin{Op: lang.OpNe, L: lang.VarRef("readernum"), R: lang.IntLit(0)},
 						Then: []monitor.Stmt{monitor.Wait{Cond: "writequeue"}},
 					},
-					monitor.Assign{Var: "readernum", E: monitor.IntLit(-1)},
+					monitor.Assign{Var: "readernum", E: lang.IntLit(-1)},
 				},
 			},
 			{
 				Name: "EndWrite",
 				Body: []monitor.Stmt{
-					monitor.Assign{Var: "readernum", E: monitor.IntLit(0)},
+					monitor.Assign{Var: "readernum", E: lang.IntLit(0)},
 					monitor.If{
 						Cond: monitor.QueueNonEmpty{Cond: "readqueue"},
 						Then: []monitor.Stmt{monitor.Signal{Cond: "readqueue"}},
@@ -134,7 +135,7 @@ func readersPriorityMonitor() *monitor.Monitor {
 			},
 		},
 		Init: []monitor.Stmt{
-			monitor.Assign{Var: "readernum", E: monitor.IntLit(0)},
+			monitor.Assign{Var: "readernum", E: lang.IntLit(0)},
 		},
 	}
 }
@@ -151,14 +152,14 @@ func writersPriorityMonitor() *monitor.Monitor {
 				Name: "StartRead",
 				Body: []monitor.Stmt{
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpOr,
-							L: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("writing"), R: monitor.IntLit(1)},
-							R: monitor.Bin{Op: monitor.OpGt, L: monitor.VarRef("waitingwriters"), R: monitor.IntLit(0)}},
+						Cond: lang.Bin{Op: lang.OpOr,
+							L: lang.Bin{Op: lang.OpEq, L: lang.VarRef("writing"), R: lang.IntLit(1)},
+							R: lang.Bin{Op: lang.OpGt, L: lang.VarRef("waitingwriters"), R: lang.IntLit(0)}},
 						Then: []monitor.Stmt{monitor.Wait{Cond: "readqueue"}},
 					},
-					monitor.Assign{Var: "readernum", E: monitor.Bin{Op: monitor.OpAdd, L: monitor.VarRef("readernum"), R: monitor.IntLit(1)}},
+					monitor.Assign{Var: "readernum", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("readernum"), R: lang.IntLit(1)}},
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("waitingwriters"), R: monitor.IntLit(0)},
+						Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("waitingwriters"), R: lang.IntLit(0)},
 						Then: []monitor.Stmt{monitor.Signal{Cond: "readqueue"}},
 					},
 				},
@@ -166,9 +167,9 @@ func writersPriorityMonitor() *monitor.Monitor {
 			{
 				Name: "EndRead",
 				Body: []monitor.Stmt{
-					monitor.Assign{Var: "readernum", E: monitor.Bin{Op: monitor.OpSub, L: monitor.VarRef("readernum"), R: monitor.IntLit(1)}},
+					monitor.Assign{Var: "readernum", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("readernum"), R: lang.IntLit(1)}},
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("readernum"), R: monitor.IntLit(0)},
+						Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("readernum"), R: lang.IntLit(0)},
 						Then: []monitor.Stmt{monitor.Signal{Cond: "writequeue"}},
 					},
 				},
@@ -177,22 +178,22 @@ func writersPriorityMonitor() *monitor.Monitor {
 				Name: "StartWrite",
 				Body: []monitor.Stmt{
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpOr,
-							L: monitor.Bin{Op: monitor.OpGt, L: monitor.VarRef("readernum"), R: monitor.IntLit(0)},
-							R: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("writing"), R: monitor.IntLit(1)}},
+						Cond: lang.Bin{Op: lang.OpOr,
+							L: lang.Bin{Op: lang.OpGt, L: lang.VarRef("readernum"), R: lang.IntLit(0)},
+							R: lang.Bin{Op: lang.OpEq, L: lang.VarRef("writing"), R: lang.IntLit(1)}},
 						Then: []monitor.Stmt{
-							monitor.Assign{Var: "waitingwriters", E: monitor.Bin{Op: monitor.OpAdd, L: monitor.VarRef("waitingwriters"), R: monitor.IntLit(1)}},
+							monitor.Assign{Var: "waitingwriters", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("waitingwriters"), R: lang.IntLit(1)}},
 							monitor.Wait{Cond: "writequeue"},
-							monitor.Assign{Var: "waitingwriters", E: monitor.Bin{Op: monitor.OpSub, L: monitor.VarRef("waitingwriters"), R: monitor.IntLit(1)}},
+							monitor.Assign{Var: "waitingwriters", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("waitingwriters"), R: lang.IntLit(1)}},
 						},
 					},
-					monitor.Assign{Var: "writing", E: monitor.IntLit(1)},
+					monitor.Assign{Var: "writing", E: lang.IntLit(1)},
 				},
 			},
 			{
 				Name: "EndWrite",
 				Body: []monitor.Stmt{
-					monitor.Assign{Var: "writing", E: monitor.IntLit(0)},
+					monitor.Assign{Var: "writing", E: lang.IntLit(0)},
 					monitor.If{
 						Cond: monitor.QueueNonEmpty{Cond: "writequeue"},
 						Then: []monitor.Stmt{monitor.Signal{Cond: "writequeue"}},
@@ -209,15 +210,15 @@ func mutexOnlyMonitor() *monitor.Monitor {
 	lock := func() []monitor.Stmt {
 		return []monitor.Stmt{
 			monitor.If{
-				Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("busy"), R: monitor.IntLit(1)},
+				Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("busy"), R: lang.IntLit(1)},
 				Then: []monitor.Stmt{monitor.Wait{Cond: "q"}},
 			},
-			monitor.Assign{Var: "busy", E: monitor.IntLit(1)},
+			monitor.Assign{Var: "busy", E: lang.IntLit(1)},
 		}
 	}
 	unlock := func() []monitor.Stmt {
 		return []monitor.Stmt{
-			monitor.Assign{Var: "busy", E: monitor.IntLit(0)},
+			monitor.Assign{Var: "busy", E: lang.IntLit(0)},
 			monitor.Signal{Cond: "q"},
 		}
 	}
@@ -242,7 +243,7 @@ func weakPriorityMonitor() *monitor.Monitor {
 	for i, e := range m.Entries {
 		if e.Name == "EndWrite" {
 			m.Entries[i].Body = []monitor.Stmt{
-				monitor.Assign{Var: "readernum", E: monitor.IntLit(0)},
+				monitor.Assign{Var: "readernum", E: lang.IntLit(0)},
 				monitor.If{
 					Cond: monitor.QueueNonEmpty{Cond: "writequeue"},
 					Then: []monitor.Stmt{monitor.Signal{Cond: "writequeue"}},
@@ -267,16 +268,16 @@ func serialReadersPriorityMonitor() *monitor.Monitor {
 				Name: "StartRead",
 				Body: []monitor.Stmt{
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("busy"), R: monitor.IntLit(1)},
+						Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("busy"), R: lang.IntLit(1)},
 						Then: []monitor.Stmt{monitor.Wait{Cond: "readqueue"}},
 					},
-					monitor.Assign{Var: "busy", E: monitor.IntLit(1)},
+					monitor.Assign{Var: "busy", E: lang.IntLit(1)},
 				},
 			},
 			{
 				Name: "EndRead",
 				Body: []monitor.Stmt{
-					monitor.Assign{Var: "busy", E: monitor.IntLit(0)},
+					monitor.Assign{Var: "busy", E: lang.IntLit(0)},
 					monitor.If{
 						Cond: monitor.QueueNonEmpty{Cond: "readqueue"},
 						Then: []monitor.Stmt{monitor.Signal{Cond: "readqueue"}},
@@ -288,16 +289,16 @@ func serialReadersPriorityMonitor() *monitor.Monitor {
 				Name: "StartWrite",
 				Body: []monitor.Stmt{
 					monitor.If{
-						Cond: monitor.Bin{Op: monitor.OpEq, L: monitor.VarRef("busy"), R: monitor.IntLit(1)},
+						Cond: lang.Bin{Op: lang.OpEq, L: lang.VarRef("busy"), R: lang.IntLit(1)},
 						Then: []monitor.Stmt{monitor.Wait{Cond: "writequeue"}},
 					},
-					monitor.Assign{Var: "busy", E: monitor.IntLit(1)},
+					monitor.Assign{Var: "busy", E: lang.IntLit(1)},
 				},
 			},
 			{
 				Name: "EndWrite",
 				Body: []monitor.Stmt{
-					monitor.Assign{Var: "busy", E: monitor.IntLit(0)},
+					monitor.Assign{Var: "busy", E: lang.IntLit(0)},
 					monitor.If{
 						Cond: monitor.QueueNonEmpty{Cond: "readqueue"},
 						Then: []monitor.Stmt{monitor.Signal{Cond: "readqueue"}},
@@ -336,7 +337,7 @@ func NewProgram(v Variant, w Workload) *monitor.Program {
 			Name: fmt.Sprintf("w%d", j),
 			Body: []monitor.ProcStmt{
 				monitor.Call{Entry: "StartWrite"},
-				monitor.Op{Element: DataElement, Class: "Assign", Params: map[string]int64{"newval": int64(100 + j)}},
+				monitor.Op{Element: DataElement, Class: "Assign", Params: map[string]lang.Expr{"newval": lang.IntLit(100 + j)}},
 				monitor.Call{Entry: "EndWrite"},
 			},
 		})

@@ -5,6 +5,7 @@ import (
 
 	"gem/internal/ada"
 	"gem/internal/csp"
+	"gem/internal/lang"
 )
 
 // This file provides the CSP and ADA solutions of the (readers-priority)
@@ -42,9 +43,9 @@ func NewCSPProgram(w Workload) *csp.Program {
 		prog.Processes = append(prog.Processes, csp.Process{
 			Name: name,
 			Body: []csp.Stmt{
-				csp.Send{To: ControllerName, E: csp.IntLit(msgStartRead)},
+				csp.Send{To: ControllerName, E: lang.IntLit(msgStartRead)},
 				csp.Op{Element: DataElement, Class: "Getval"},
-				csp.Send{To: ControllerName, E: csp.IntLit(msgEndRead)},
+				csp.Send{To: ControllerName, E: lang.IntLit(msgEndRead)},
 			},
 		})
 	}
@@ -54,10 +55,10 @@ func NewCSPProgram(w Workload) *csp.Program {
 		prog.Processes = append(prog.Processes, csp.Process{
 			Name: name,
 			Body: []csp.Stmt{
-				csp.Send{To: ControllerName, E: csp.IntLit(msgStartWrite)},
+				csp.Send{To: ControllerName, E: lang.IntLit(msgStartWrite)},
 				csp.Op{Element: DataElement, Class: "Assign",
-					Params: map[string]csp.Expr{"newval": csp.IntLit(int64(100 + j))}},
-				csp.Send{To: ControllerName, E: csp.IntLit(msgEndWrite)},
+					Params: map[string]lang.Expr{"newval": lang.IntLit(int64(100 + j))}},
+				csp.Send{To: ControllerName, E: lang.IntLit(msgEndWrite)},
 			},
 		})
 	}
@@ -71,50 +72,50 @@ func NewCSPProgram(w Workload) *csp.Program {
 	var branches []csp.Branch
 	for i := 1; i <= w.Readers; i++ {
 		name := fmt.Sprintf("r%d", i)
-		got := csp.VarRef("got_" + name)
+		got := lang.VarRef("got_" + name)
 		branches = append(branches,
 			csp.Branch{ // StartRead: no write in progress
-				Guard: csp.Bin{Op: csp.OpEq,
-					L: csp.Bin{Op: csp.OpAdd, L: got, R: csp.VarRef("writing")}, R: csp.IntLit(0)},
+				Guard: lang.Bin{Op: lang.OpEq,
+					L: lang.Bin{Op: lang.OpAdd, L: got, R: lang.VarRef("writing")}, R: lang.IntLit(0)},
 				Comm: csp.Recv{From: name, Var: "m"},
 				Body: []csp.Stmt{
-					csp.Assign{Var: "readers", E: csp.Bin{Op: csp.OpAdd, L: csp.VarRef("readers"), R: csp.IntLit(1)}},
-					csp.Assign{Var: "got_" + name, E: csp.IntLit(1)},
+					csp.Assign{Var: "readers", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("readers"), R: lang.IntLit(1)}},
+					csp.Assign{Var: "got_" + name, E: lang.IntLit(1)},
 				},
 			},
 			csp.Branch{ // EndRead
-				Guard: csp.Bin{Op: csp.OpEq, L: got, R: csp.IntLit(1)},
+				Guard: lang.Bin{Op: lang.OpEq, L: got, R: lang.IntLit(1)},
 				Comm:  csp.Recv{From: name, Var: "m"},
 				Body: []csp.Stmt{
-					csp.Assign{Var: "readers", E: csp.Bin{Op: csp.OpSub, L: csp.VarRef("readers"), R: csp.IntLit(1)}},
-					csp.Assign{Var: "got_" + name, E: csp.IntLit(2)},
+					csp.Assign{Var: "readers", E: lang.Bin{Op: lang.OpSub, L: lang.VarRef("readers"), R: lang.IntLit(1)}},
+					csp.Assign{Var: "got_" + name, E: lang.IntLit(2)},
 				},
 			},
 		)
 	}
 	for j := 1; j <= w.Writers; j++ {
 		name := fmt.Sprintf("w%d", j)
-		got := csp.VarRef("got_" + name)
+		got := lang.VarRef("got_" + name)
 		branches = append(branches,
 			csp.Branch{ // StartWrite: first message, nothing active
 				// got, readers, and writing are all non-negative, so the
 				// zero sum means got=0 ∧ readers=0 ∧ writing=0.
-				Guard: csp.Bin{Op: csp.OpEq,
-					L: csp.Bin{Op: csp.OpAdd, L: got,
-						R: csp.Bin{Op: csp.OpAdd, L: csp.VarRef("readers"), R: csp.VarRef("writing")}},
-					R: csp.IntLit(0)},
+				Guard: lang.Bin{Op: lang.OpEq,
+					L: lang.Bin{Op: lang.OpAdd, L: got,
+						R: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("readers"), R: lang.VarRef("writing")}},
+					R: lang.IntLit(0)},
 				Comm: csp.Recv{From: name, Var: "m"},
 				Body: []csp.Stmt{
-					csp.Assign{Var: "writing", E: csp.IntLit(1)},
-					csp.Assign{Var: "got_" + name, E: csp.IntLit(1)},
+					csp.Assign{Var: "writing", E: lang.IntLit(1)},
+					csp.Assign{Var: "got_" + name, E: lang.IntLit(1)},
 				},
 			},
 			csp.Branch{ // EndWrite
-				Guard: csp.Bin{Op: csp.OpEq, L: got, R: csp.IntLit(1)},
+				Guard: lang.Bin{Op: lang.OpEq, L: got, R: lang.IntLit(1)},
 				Comm:  csp.Recv{From: name, Var: "m"},
 				Body: []csp.Stmt{
-					csp.Assign{Var: "writing", E: csp.IntLit(0)},
-					csp.Assign{Var: "got_" + name, E: csp.IntLit(2)},
+					csp.Assign{Var: "writing", E: lang.IntLit(0)},
+					csp.Assign{Var: "got_" + name, E: lang.IntLit(2)},
 				},
 			},
 		)
@@ -155,31 +156,31 @@ func NewAdaProgram(w Workload) *ada.Program {
 			Body: []ada.Stmt{
 				ada.EntryCall{Task: ControllerName, Entry: "StartWrite"},
 				ada.Op{Element: DataElement, Class: "Assign",
-					Params: map[string]ada.Expr{"newval": ada.IntLit(int64(100 + j))}},
+					Params: map[string]lang.Expr{"newval": lang.IntLit(int64(100 + j))}},
 				ada.EntryCall{Task: ControllerName, Entry: "EndWrite"},
 			},
 		})
 		total += 2
 	}
 	inc := func(v string, by int64) ada.Stmt {
-		return ada.Assign{Var: v, E: ada.Bin{Op: ada.OpAdd, L: ada.VarRef(v), R: ada.IntLit(by)}}
+		return ada.Assign{Var: v, E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef(v), R: lang.IntLit(by)}}
 	}
 	sel := ada.Select{Alts: []ada.SelectAlt{
 		{
-			Guard:  ada.Bin{Op: ada.OpEq, L: ada.VarRef("writing"), R: ada.IntLit(0)},
+			Guard:  lang.Bin{Op: lang.OpEq, L: lang.VarRef("writing"), R: lang.IntLit(0)},
 			Accept: ada.Accept{Entry: "StartRead", Body: []ada.Stmt{inc("readers", 1)}},
 		},
 		{
 			Accept: ada.Accept{Entry: "EndRead", Body: []ada.Stmt{inc("readers", -1)}},
 		},
 		{
-			Guard: ada.Bin{Op: ada.OpEq,
-				L: ada.Bin{Op: ada.OpAdd, L: ada.VarRef("readers"), R: ada.VarRef("writing")},
-				R: ada.IntLit(0)},
-			Accept: ada.Accept{Entry: "StartWrite", Body: []ada.Stmt{ada.Assign{Var: "writing", E: ada.IntLit(1)}}},
+			Guard: lang.Bin{Op: lang.OpEq,
+				L: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("readers"), R: lang.VarRef("writing")},
+				R: lang.IntLit(0)},
+			Accept: ada.Accept{Entry: "StartWrite", Body: []ada.Stmt{ada.Assign{Var: "writing", E: lang.IntLit(1)}}},
 		},
 		{
-			Accept: ada.Accept{Entry: "EndWrite", Body: []ada.Stmt{ada.Assign{Var: "writing", E: ada.IntLit(0)}}},
+			Accept: ada.Accept{Entry: "EndWrite", Body: []ada.Stmt{ada.Assign{Var: "writing", E: lang.IntLit(0)}}},
 		},
 	}}
 	prog.Tasks = append(prog.Tasks, ada.Task{

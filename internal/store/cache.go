@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"strconv"
-	"sync"
 
 	"gem/internal/core"
 	"gem/internal/gemlang"
@@ -16,17 +15,16 @@ import (
 	"gem/internal/spec"
 )
 
-// specHashes memoizes gemlang.HashSpec per live spec pointer: whole-spec
-// hashes key sat records and are requested once per checked computation,
-// but a spec's canonical rendering never changes.
-var specHashes sync.Map // *spec.Spec → string
-
-func hashSpec(sp *spec.Spec) string {
-	if h, ok := specHashes.Load(sp); ok {
+// hashSpec returns gemlang.HashSpec of sp, memoized per spec pointer in
+// the handle: whole-spec hashes key sat records and are requested once
+// per checked computation, but a spec's canonical rendering never
+// changes. The memo lives and dies with the handle.
+func (s *Store) hashSpec(sp *spec.Spec) string {
+	if h, ok := s.specHashes.Load(sp); ok {
 		return h.(string)
 	}
 	h := gemlang.HashSpec(sp)
-	specHashes.Store(sp, h)
+	s.specHashes.Store(sp, h)
 	return h
 }
 
@@ -49,8 +47,8 @@ func verdictKey(f logic.Formula, c *core.Computation) digest {
 	return key("verdict", engineVersionStr, gemlang.HashFormula(f), core.Fingerprint(c))
 }
 
-func satKey(problem *spec.Spec, c *core.Computation, corrKey string) digest {
-	return key("sat", engineVersionStr, hashSpec(problem), corrKey, core.Fingerprint(c))
+func (s *Store) satKey(problem *spec.Spec, c *core.Computation, corrKey string) digest {
+	return key("sat", engineVersionStr, s.hashSpec(problem), corrKey, core.Fingerprint(c))
 }
 
 // Lookup implements logic.VerdictCache: it serves a previously persisted
@@ -92,7 +90,7 @@ func (s *Store) LookupSat(ctx context.Context, problem *spec.Spec, c *core.Compu
 	}
 	_, sp := obs.StartSpan(ctx, "store.sat")
 	defer sp.End()
-	payload, ok := s.read(satKey(problem, c, corrKey), kindSat)
+	payload, ok := s.read(s.satKey(problem, c, corrKey), kindSat)
 	if !ok || len(payload) != 1 || payload[0] != 1 {
 		s.miss()
 		return false
@@ -107,7 +105,7 @@ func (s *Store) StoreSat(problem *spec.Spec, c *core.Computation, corrKey string
 	if s == nil || s.mode != ReadWrite {
 		return
 	}
-	s.write(satKey(problem, c, corrKey), kindSat, []byte{1})
+	s.write(s.satKey(problem, c, corrKey), kindSat, []byte{1})
 }
 
 // ---- verdict payload codec ----

@@ -8,7 +8,7 @@
 // restriction-granular: editing one restriction of a spec changes only
 // that restriction's formula hash, and every other restriction keeps
 // hitting. Results that cost less to recompute than to read, such as
-// fast-path guards and history lattices, are not persisted.
+// history lattices, are not persisted.
 //
 // The Store satisfies logic.VerdictCache and verify.SatCache
 // structurally — those packages define the interfaces, this package
@@ -30,6 +30,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -136,6 +137,8 @@ type Store struct {
 	// handle writes nothing more.
 	stuck bool
 	buf   []byte // frame buffer of appends, under mu
+
+	specHashes sync.Map // *spec.Spec → gemlang.HashSpec; see hashSpec
 
 	hits, misses, writes, evicts atomic.Int64
 }
@@ -320,19 +323,36 @@ func (s *Store) copyForward(id recordID, from *segment, payload []byte) {
 	}
 }
 
-// write appends a record to the handle's segment. Errors are swallowed:
-// the store is an accelerator, never a source of run failures.
+// write appends a record to the handle's segment, unless the index
+// already holds it with the same payload in a segment younger than
+// touchInterval: a rerun that puts what it read, such as a campaign's
+// corpus, then appends nothing. An identical record in an older segment
+// is appended, as a hit's copy-forward would append it, so Trim keeps
+// what a live campaign still puts. Errors are swallowed: the store is an
+// accelerator, never a source of run failures.
 func (s *Store) write(key digest, kind byte, payload []byte) {
 	if s == nil || s.mode != ReadWrite {
 		return
 	}
+	id := recordID{key, kind}
 	s.mu.Lock()
-	ok := s.appendLocked(recordID{key, kind}, payload)
+	ok := !s.holdsLocked(id, payload) && s.appendLocked(id, payload)
 	s.mu.Unlock()
 	if ok {
 		s.writes.Add(1)
 		obs.Count("store.write", 1)
 	}
+}
+
+// holdsLocked reports whether the index holds id with payload in a
+// segment younger than touchInterval. Callers hold mu.
+func (s *Store) holdsLocked(id recordID, payload []byte) bool {
+	loc, ok := s.index[id]
+	if !ok || loc.seg.gone || time.Since(loc.seg.created) >= touchInterval {
+		return false
+	}
+	old, ok := s.readFrame(id, loc)
+	return ok && bytes.Equal(old, payload)
 }
 
 // appendLocked appends one frame to the handle's segment, creating the

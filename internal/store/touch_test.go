@@ -103,6 +103,65 @@ func TestTrimKeepsCopiedForwardRecord(t *testing.T) {
 	}
 }
 
+// A put of a record the index holds with the same payload, in a
+// segment younger than touchInterval, appends nothing. A changed
+// payload is appended and wins. An identical put to a stale segment is
+// copied forward, as a hit would be, so Trim keeps what a live campaign
+// still puts.
+func TestIdenticalPutWritesNothing(t *testing.T) {
+	k := CorpusKey("spec", "fp")
+	payload := []byte("payload")
+	t.Run("identical", func(t *testing.T) {
+		dir := t.TempDir()
+		w := openStore(t, dir, ReadWrite)
+		w.PutCorpus(k, payload)
+		w.PutCorpus(k, payload)
+		if got := w.Stats().Writes; got != 1 {
+			t.Fatalf("writing handle: %d writes of one record put twice, want 1", got)
+		}
+		before := snapshot(t, dir)
+
+		s := openStore(t, dir, ReadWrite)
+		s.PutCorpus(k, payload)
+		if st := s.Stats(); st.Writes != 0 || s.own != nil {
+			t.Errorf("stats %+v: an identical put wrote or created a segment", st)
+		}
+		if after := snapshot(t, dir); after != before {
+			t.Errorf("store changed by an identical put:\n%s\nwant\n%s", after, before)
+		}
+	})
+	t.Run("changed", func(t *testing.T) {
+		dir := t.TempDir()
+		openStore(t, dir, ReadWrite).PutManifest("campaign", []byte("old"))
+		s := openStore(t, dir, ReadWrite)
+		s.PutManifest("campaign", []byte("new"))
+		if got := s.Stats().Writes; got != 1 {
+			t.Errorf("%d writes of a changed payload, want 1", got)
+		}
+		if got, ok := openStore(t, dir, ReadOnly).GetManifest("campaign"); !ok || string(got) != "new" {
+			t.Errorf("GetManifest = %q, %v; want new, true", got, ok)
+		}
+	})
+	t.Run("stale", func(t *testing.T) {
+		dir := t.TempDir()
+		openStore(t, dir, ReadWrite).PutCorpus(k, payload)
+		backdateSegments(t, dir, 2*time.Hour)
+		s := openStore(t, dir, ReadWrite)
+		s.PutCorpus(k, payload)
+		s.PutCorpus(k, payload)
+		if got := s.Stats().Writes; got != 1 {
+			t.Errorf("%d writes of a record put twice into a stale segment, want 1", got)
+		}
+		if n := len(segmentFiles(t, dir)); n != 2 || s.own == nil || s.own.records != 1 {
+			t.Fatalf("%d segments: the put was not copied forward exactly once", n)
+		}
+		s.Trim(s.own.size) // room for the copy's segment alone
+		if got, ok := openStore(t, dir, ReadOnly).GetCorpus(k); !ok || string(got) != "payload" {
+			t.Errorf("after Trim, GetCorpus = %q, %v; want payload, true", got, ok)
+		}
+	})
+}
+
 func TestEnvBudget(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -51,6 +51,24 @@ cmp examples/specs/boundedbuffer.gem "$tracedir/spec.gem"
 go run ./cmd/tracecheck -min-spans 1 "$tracedir/lint.json" "$tracedir/check.json" \
 	"$tracedir/verify.json" "$tracedir/mut.json" "$tracedir/gemgo.json" "$tracedir/gemc.json"
 grep -q '== spans ==' "$tracedir/check.stats"
+echo "==> examples: each exits 0, with the same output on two runs"
+# cspbuffer and readerswriters drive the CSP and monitor simulators and
+# csp.Spec end to end; no test runs the examples' main packages.
+for ex in quickstart cspbuffer readerswriters life; do
+	go build -o "$tracedir/example.$ex" "./examples/$ex"
+	for run in 1 2; do
+		if ! "$tracedir/example.$ex" >"$tracedir/example.$ex.$run.out" 2>&1; then
+			echo "==> FAIL: examples/$ex exited nonzero:" >&2
+			cat "$tracedir/example.$ex.$run.out" >&2
+			exit 1
+		fi
+	done
+	if ! cmp -s "$tracedir/example.$ex.1.out" "$tracedir/example.$ex.2.out"; then
+		echo "==> FAIL: examples/$ex printed different output on two runs:" >&2
+		diff "$tracedir/example.$ex.1.out" "$tracedir/example.$ex.2.out" >&2
+		exit 1
+	fi
+done
 echo "==> gemgo fixture corpora: defects report exactly their code, cleans report nothing"
 go build -o "$tracedir/gemgo" ./cmd/gemgo
 for dir in internal/gofront/testdata/src/*/ internal/race/testdata/src/*/; do
@@ -222,9 +240,25 @@ echo "==> mutation campaign gate: the benchmark's 2000-mutant campaign, zero fin
 # an evaluator change has; it takes about half a second.
 "$tracedir/gemmut" -n 2000 -seed 11 -j 2 -cache off >"$tracedir/mut2000.out"
 grep -q 'findings: none' "$tracedir/mut2000.out"
-echo "==> mutation corpus smoke: persisted campaign replays with production agreeing with the oracle"
-"$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache rw -cache-dir "$tracedir/mutcache" >/dev/null
-"$tracedir/gemmut" -replay gemmut -cache rw -cache-dir "$tracedir/mutcache" | grep -q 'production and oracle agree on all'
+echo "==> mutation corpus smoke: a warm rerun appends nothing, and the persisted campaign replays with production agreeing with the oracle"
+# The rerun is served from the store and puts the identical corpus
+# entries and manifest again; the store already holds them, so it must
+# write no record and leave the store's files as they were.
+mutcache="$tracedir/mutcache"
+"$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache rw -cache-dir "$mutcache" >/dev/null
+mutfiles="$(find "$mutcache" -type f -exec wc -c {} + | sort)"
+"$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache rw -cache-dir "$mutcache" -stats >/dev/null 2>"$tracedir/mutrerun.stats"
+if grep -q '^store\.write ' "$tracedir/mutrerun.stats"; then
+	echo "==> FAIL: warm campaign rerun wrote to the store:" >&2
+	grep '^store\.write ' "$tracedir/mutrerun.stats" >&2
+	exit 1
+fi
+if [ "$(find "$mutcache" -type f -exec wc -c {} + | sort)" != "$mutfiles" ]; then
+	echo "==> FAIL: the warm campaign rerun changed the store's files (want $mutfiles):" >&2
+	find "$mutcache" -type f -exec wc -c {} + >&2
+	exit 1
+fi
+"$tracedir/gemmut" -replay gemmut -cache rw -cache-dir "$mutcache" | grep -q 'production and oracle agree on all'
 echo "==> go test -race $* ./..."
 go test -race "$@" ./...
 echo "==> bench smoke (-short, one iteration per benchmark)"
