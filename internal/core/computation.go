@@ -189,14 +189,21 @@ func NewBuilder() *Builder {
 	return &Builder{seq: make(map[string]int)}
 }
 
-// Grow makes room for n more events, so a caller that knows how many
-// events it will add allocates them once and Build keeps that array.
-func (b *Builder) Grow(n int) {
-	if n > cap(b.events)-len(b.events) {
-		events := make([]Event, len(b.events), len(b.events)+n)
-		copy(events, b.events)
-		b.events = events
+// Grow makes room for n more events and m more enables, so a caller
+// that knows how many it will add allocates each list once, and Build
+// keeps the events' array.
+func (b *Builder) Grow(n, m int) {
+	b.events = grow(b.events, n)
+	b.enables = grow(b.enables, m)
+}
+
+// grow returns s with room for n more elements, in a new array of
+// exactly that capacity if s has less.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s)-len(s) {
+		return s
 	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // Event appends a new event at the named element with the given class and
@@ -262,7 +269,10 @@ func (b *Builder) Build() (*Computation, error) {
 		adj[src] = flat[off : off : off+d]
 		off += d
 	}
+	// Every event but the first at its element follows its predecessor
+	// there: n - len(b.seq) element edges besides the enables.
 	dag := order.NewDAG(n)
+	dag.Grow(len(b.enables) + n - len(b.seq))
 	for _, e := range b.enables {
 		src := int(e[0])
 		dag.AddEdge(src, int(e[1]))

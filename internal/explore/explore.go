@@ -85,7 +85,8 @@ type Machine[M any, T comparable, R any] interface {
 	Independent(a, b T) bool
 	// Apply executes one transition in place.
 	Apply(t T) error
-	// Clone returns an independent copy of the state.
+	// Clone returns an independent copy of the state: stepping either
+	// one never changes the other.
 	Clone() M
 	// Key reports whether the run is marked and, if it is, renders its
 	// computation (Log.Key) and what of its end state a verdict reads,
@@ -102,6 +103,11 @@ type Machine[M any, T comparable, R any] interface {
 // false the exploration stops early with truncated == false and a nil
 // error. Each call records the explore.leaves, explore.emitted,
 // explore.dedup and explore.pruned counters once.
+//
+// Run consumes m: a node of the walk steps its own state along the last
+// branch it explores and clones it for each earlier one, so a node with
+// k branches to explore clones k−1 times. The caller must not use m
+// after the call.
 //
 // Sleep sets never change which runs come out, or where: a path is
 // pruned only when an equivalent path precedes it in DFS order, so the
@@ -190,31 +196,41 @@ func (w *walker[M, T, R]) dfs(m M, steps int, sleep []T) {
 		w.leaf(m)
 		return
 	}
-	explored := false
-	for _, t := range branches {
+	// The branches are distinct, so the ones asleep now are the ones
+	// never explored from here: the last branch awake now is the last
+	// explored. It steps m itself, which nothing reads after it, and
+	// takes over m's sleep set; each earlier one steps a clone.
+	last := len(branches) - 1
+	for last >= 0 && slices.Contains(sleep, branches[last]) {
+		last--
+	}
+	if last < 0 {
+		w.pruned++
+		return
+	}
+	for i, t := range branches[:last+1] {
 		if slices.Contains(sleep, t) {
 			continue
 		}
-		explored = true
+		next, dst := m, sleep[:0]
+		if i < last {
+			next, dst = m.Clone(), make([]T, 0, len(sleep))
+		}
 		var child []T
 		if !w.opts.NoReduction {
-			child = independentOf(m, sleep, t, make([]T, 0, len(sleep)))
+			child = independentOf(m, sleep, t, dst)
 		}
-		next := m.Clone()
 		if err := next.Apply(t); err != nil {
 			w.err = err
 			return
 		}
 		w.dfs(next, steps+1, child)
-		if w.truncated || w.stopped || w.err != nil {
+		if w.truncated || w.stopped || w.err != nil || i == last {
 			return
 		}
 		if !w.opts.NoReduction {
 			sleep = append(sleep, t)
 		}
-	}
-	if !explored {
-		w.pruned++
 	}
 }
 

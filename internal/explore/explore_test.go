@@ -2,6 +2,8 @@ package explore_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -28,17 +30,17 @@ type toy struct {
 	// every interleaving; mark marks each run Unrecorded.
 	dependent, mark bool
 	finishErr       error
-	finishes        *finishLog
+	calls           *callLog
 }
 
-// finishLog counts a toy's Finish calls across all its clones.
-type finishLog struct{ calls, unfinished int }
+// callLog counts a toy's Finish and Clone calls across all its clones.
+type callLog struct{ finishes, unfinished, clones int }
 
 // step is a toy transition: the index of the process that moves.
 type step int
 
 func newToy(steps ...int) *toy {
-	return &toy{Log: explore.NewLog(len(steps)), total: steps, left: append([]int(nil), steps...), finishes: &finishLog{}}
+	return &toy{Log: explore.NewLog(len(steps)), total: steps, left: append([]int(nil), steps...), calls: &callLog{}}
 }
 
 // allShared puts every step at the shared element.
@@ -80,6 +82,7 @@ func (m *toy) Apply(s step) error {
 }
 
 func (m *toy) Clone() *toy {
+	m.calls.clones++
 	next := *m
 	next.Log = m.Log.Clone()
 	next.left = append([]int(nil), m.left...)
@@ -87,10 +90,10 @@ func (m *toy) Clone() *toy {
 }
 
 func (m *toy) Finish() (*core.Computation, error) {
-	m.finishes.calls++
+	m.calls.finishes++
 	for _, n := range m.left {
 		if n > 0 {
-			m.finishes.unfinished++
+			m.calls.unfinished++
 		}
 	}
 	if m.finishErr != nil {
@@ -226,8 +229,8 @@ func TestMarkedRunsAreCompared(t *testing.T) {
 				t.Errorf("mark=%v NoReduction=%v: explore.%s = %d, want %d", tc.mark, tc.opts.NoReduction, name, got[name], want)
 			}
 		}
-		if m.finishes.calls != len(runs) {
-			t.Errorf("mark=%v: Finish called %d times for %d runs", tc.mark, m.finishes.calls, len(runs))
+		if m.calls.finishes != len(runs) {
+			t.Errorf("mark=%v: Finish called %d times for %d runs", tc.mark, m.calls.finishes, len(runs))
 		}
 		if tc.mark && !tc.opts.NoReduction && runs[0].String() != firstInterleaving(t) {
 			t.Errorf("the first interleaving was not the one emitted:\n%s", runs[0])
@@ -259,9 +262,9 @@ func TestPrunedNodesAreNeverFinished(t *testing.T) {
 	if got["pruned"] == 0 {
 		t.Fatalf("no pruned node: %v", got)
 	}
-	if m.finishes.calls != len(runs) || m.finishes.unfinished != 0 {
+	if m.calls.finishes != len(runs) || m.calls.unfinished != 0 {
 		t.Errorf("Finish called %d times (%d on unfinished states), want %d, 0",
-			m.finishes.calls, m.finishes.unfinished, len(runs))
+			m.calls.finishes, m.calls.unfinished, len(runs))
 	}
 	if got["leaves"] != int64(len(runs)) {
 		t.Errorf("explore.leaves = %d, want one per run (%d)", got["leaves"], len(runs))
@@ -409,4 +412,97 @@ func TestLogCloneIsIndependent(t *testing.T) {
 			t.Fatalf("clones share emitted events: want A A A %s, got\n%s", tc.last, c)
 		}
 	}
+}
+
+// TestWalkClonesAllButTheLastBranch: a node with k awake branches
+// clones its machine k−1 times and steps it along the last one, and a
+// branch asleep costs no clone. The walk is a tree whose nodes are its
+// leaves, its pruned nodes and the k ≥ 1 nodes, so that is leaves +
+// pruned − 1 clones in all; a walk that cloned for every branch would
+// make one more per k ≥ 1 node. The runs, their order and the counters
+// are pinned at what the walk that cloned every branch produced.
+func TestWalkClonesAllButTheLastBranch(t *testing.T) {
+	want := map[string]struct {
+		leaves, emitted, dedup, pruned int64
+		digest                         string
+	}{
+		"p0;p0 ∥ p1":                     {1, 1, 0, 2, "7d8555a8e2bba244"},
+		"p0;p0 ∥ p1 unreduced":           {3, 3, 0, 0, "ec9c92d1b6147479"},
+		"three steps at x":               {6, 6, 0, 0, "d1e30abf5bd38f9b"},
+		"three steps at x unreduced":     {6, 6, 0, 0, "d1e30abf5bd38f9b"},
+		"alternating":                    {2, 2, 0, 24, "39ec31a4c5e6ca6c"},
+		"alternating unreduced":          {180, 180, 0, 0, "5c5e09655bf347a8"},
+		"eager":                          {1, 1, 0, 0, "6e8a769d8f43a024"},
+		"eager unreduced":                {12, 12, 0, 0, "79c1383d25082a80"},
+		"dependent and marked":           {12, 1, 11, 0, "6e8a769d8f43a024"},
+		"dependent and marked unreduced": {12, 12, 0, 0, "79c1383d25082a80"},
+	}
+	for _, tc := range []struct {
+		name string
+		toy  func() *toy
+	}{
+		{"p0;p0 ∥ p1", func() *toy { return newToy(2, 1) }},
+		{"three steps at x", func() *toy {
+			m := newToy(1, 1, 1)
+			m.shared = allShared
+			return m
+		}},
+		{"alternating", func() *toy {
+			m := newToy(2, 1, 2, 1)
+			m.shared = func(p, k int) bool { return (p+k)%2 == 0 }
+			return m
+		}},
+		{"eager", func() *toy {
+			m := newToy(2, 1, 1)
+			m.eager = true
+			return m
+		}},
+		{"dependent and marked", func() *toy {
+			m := newToy(2, 1, 1)
+			m.dependent, m.mark = true, true
+			return m
+		}},
+	} {
+		for _, opts := range []explore.Options{{}, {NoReduction: true}} {
+			name := tc.name
+			if opts.NoReduction {
+				name += " unreduced"
+			}
+			m := tc.toy()
+			var runs []*core.Computation
+			got := counters(func() {
+				var err error
+				if runs, _, err = collect(m, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			w := want[name]
+			if got["leaves"] != w.leaves || got["emitted"] != w.emitted || got["dedup"] != w.dedup || got["pruned"] != w.pruned {
+				t.Errorf("%s: counters %v, want leaves %d, emitted %d, dedup %d, pruned %d",
+					name, got, w.leaves, w.emitted, w.dedup, w.pruned)
+			}
+			if d := runsDigest(runs); d != w.digest {
+				t.Errorf("%s: runs digest %s, want %s", name, d, w.digest)
+			}
+			if clones := int64(m.calls.clones); clones != got["leaves"]+got["pruned"]-1 {
+				t.Errorf("%s: %d clones, want leaves + pruned − 1 = %d", name, clones, got["leaves"]+got["pruned"]-1)
+			}
+		}
+	}
+	// p0;p0 ∥ p1 by hand: the root and its first child each have two
+	// awake branches; the root's second branch and that child's second
+	// reach nodes whose one branch is asleep.
+	m := newToy(2, 1)
+	if _, _, err := collect(m, explore.Options{}); err != nil || m.calls.clones != 2 {
+		t.Errorf("p0;p0 ∥ p1: %d clones, err %v; want 2", m.calls.clones, err)
+	}
+}
+
+// runsDigest hashes the runs' renderings in order.
+func runsDigest(runs []*core.Computation) string {
+	h := sha256.New()
+	for _, c := range runs {
+		fmt.Fprintf(h, "%s\n", c)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -9,7 +9,20 @@ import (
 // Log is a run's event log: events in emission order and the enables
 // between them, with each process's events chained in program order.
 // Machines embed it, which gives them Emit, Unrecorded, Key and Build.
+//
+// A log shares what it has emitted with its clones instead of copying
+// it. Clone freezes the events emitted since the last clone into a
+// segment that the log and the clone both keep as their prefix, and each
+// goes on emitting into a tail of its own, so a clone copies only its
+// per-process chain heads.
 type Log struct {
+	prefix *segment // frozen and shared with clones; nil until a Clone
+	// numEvents and numEdges count the prefix's events and enables.
+	numEvents, numEdges int
+	// events and edges are the tail: what the log emitted since it last
+	// froze. After a freeze the tail goes on in the spare capacity of the
+	// frozen arrays, past the segment's length, where nothing reads it
+	// but this log.
 	events []event
 	edges  [][2]int
 	last   []int // per process: index of its latest event, -1 before any
@@ -23,6 +36,14 @@ type event struct {
 	params core.Params
 }
 
+// segment is a frozen stretch of a log: its events and the enables into
+// them, after its parent's. Nothing writes to a segment once it exists.
+type segment struct {
+	parent *segment
+	events []event
+	edges  [][2]int
+}
+
 // NewLog returns an empty log for procs processes.
 func NewLog(procs int) Log {
 	last := make([]int, procs)
@@ -32,14 +53,20 @@ func NewLog(procs int) Log {
 	return Log{last: last}
 }
 
-// Clone returns a copy that can keep emitting independently. The
-// emitted prefix is shared: capping the slices at their length makes the
-// first append on either side copy.
+// Clone returns a copy that can keep emitting independently. Both logs
+// share what l has emitted so far and never write to it again.
 func (l *Log) Clone() Log {
+	if n, e := len(l.events), len(l.edges); n > 0 {
+		l.prefix = &segment{parent: l.prefix, events: l.events, edges: l.edges}
+		l.numEvents += n
+		l.numEdges += e
+		l.events, l.edges = l.events[n:], l.edges[e:]
+	}
 	return Log{
-		events: l.events[:len(l.events):len(l.events)],
-		edges:  l.edges[:len(l.edges):len(l.edges)],
-		last:   append([]int(nil), l.last...),
+		prefix:    l.prefix,
+		numEvents: l.numEvents,
+		numEdges:  l.numEdges,
+		last:      append([]int(nil), l.last...),
 
 		unrecorded: l.unrecorded,
 	}
@@ -49,7 +76,7 @@ func (l *Log) Clone() Log {
 // < 0 is no process) and by every extra event index ≥ 0; it returns the
 // new event's index.
 func (l *Log) Emit(proc int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(l.events)
+	idx := l.numEvents + len(l.events)
 	l.events = append(l.events, event{elem: elem, class: class, params: params})
 	if proc >= 0 && l.last[proc] >= 0 {
 		l.edges = append(l.edges, [2]int{l.last[proc], idx})
@@ -68,14 +95,29 @@ func (l *Log) Emit(proc int, elem, class string, params core.Params, extra ...in
 // Build renders the log as a GEM computation.
 func (l *Log) Build() (*core.Computation, error) {
 	b := core.NewBuilder()
-	b.Grow(len(l.events))
-	for _, e := range l.events {
-		b.Event(e.elem, e.class, e.params) // ids follow emission order
+	b.Grow(l.numEvents+len(l.events), l.numEdges+len(l.edges))
+	l.prefix.addTo(b)
+	add(b, l.events, l.edges)
+	return b.Build()
+}
+
+// addTo adds s's ancestors' events and enables to b, then its own.
+func (s *segment) addTo(b *core.Builder) {
+	if s == nil {
+		return
 	}
-	for _, e := range l.edges {
+	s.parent.addTo(b)
+	add(b, s.events, s.edges)
+}
+
+// add adds events to b, whose ids follow emission order, and edges.
+func add(b *core.Builder, events []event, edges [][2]int) {
+	for _, e := range events {
+		b.Event(e.elem, e.class, e.params)
+	}
+	for _, e := range edges {
 		b.Enable(core.EventID(e[0]), core.EventID(e[1]))
 	}
-	return b.Build()
 }
 
 // Unrecorded marks the run as having taken a choice that its events may

@@ -92,6 +92,9 @@ type machine struct {
 	// ext holds the cells of external shared elements accessed via
 	// Op{Element: …}.
 	ext map[string]int64
+	// env is the holder's evaluation environment, refilled on every step
+	// inside the monitor; a clone starts with its own.
+	env evalEnv
 }
 
 func newMachine(p *Program) (*machine, error) {
@@ -395,7 +398,8 @@ func (m *machine) stepInside(proc int) error {
 		p.signalEv = -1
 		return nil
 	}
-	env := &evalEnv{vars: m.vars, args: p.args, m: m}
+	m.env = evalEnv{vars: m.vars, args: p.args, m: m}
+	env := &m.env
 	for {
 		st, ok := m.nextStmt(proc)
 		if !ok {

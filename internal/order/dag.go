@@ -29,6 +29,14 @@ func NewDAG(n int) *DAG {
 	return &DAG{n: n}
 }
 
+// Grow makes room for m more edges, so a caller that knows how many it
+// will add allocates the edge list once.
+func (d *DAG) Grow(m int) {
+	if m > cap(d.edges)-len(d.edges) {
+		d.edges = append(make([][2]int, 0, len(d.edges)+m), d.edges...)
+	}
+}
+
 // AddEdge adds a directed edge from u to v. Duplicate edges are ignored.
 func (d *DAG) AddEdge(u, v int) {
 	if u < 0 || u >= d.n || v < 0 || v >= d.n {

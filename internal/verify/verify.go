@@ -214,7 +214,7 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 	// Build the projected computation in the globally sorted order (which
 	// fixes each problem element's order).
 	b := core.NewBuilder()
-	b.Grow(len(hits))
+	b.Grow(len(hits), 0)
 	origin := make(map[core.EventID]core.EventID, len(hits))
 	type stageEv struct {
 		stage   int

@@ -261,6 +261,10 @@ fi
 "$tracedir/gemmut" -replay gemmut -cache rw -cache-dir "$mutcache" | grep -q 'production and oracle agree on all'
 echo "==> go test -race $* ./..."
 go test -race "$@" ./...
+echo "==> allocation ceilings without the race detector"
+# The race detector changes allocation sizes, so the heap and allocation
+# ceilings of the explorations do not build under -race; this runs them.
+go test -count=1 -run Ceiling "$@" ./...
 echo "==> bench smoke (-short, one iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x -short ./... >/dev/null
 echo "==> ok"
