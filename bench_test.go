@@ -746,9 +746,9 @@ func BenchmarkAblationClosureVsDFS(b *testing.B) {
 	// Rebuild the underlying DAG (enable ∪ element order) for the DFS
 	// baseline.
 	dag := order.NewDAG(n)
-	for _, e := range comp.Events() {
-		for _, succ := range comp.Enabled(e.ID) {
-			dag.AddEdge(int(e.ID), int(succ))
+	for e := 0; e < n; e++ {
+		for _, succ := range comp.Enabled(core.EventID(e)) {
+			dag.AddEdge(e, int(succ))
 		}
 	}
 	for _, elem := range comp.Elements() {

@@ -65,8 +65,8 @@ func TestRendezvousBasics(t *testing.T) {
 		t.Error("rendezvous ordering broken")
 	}
 	// Argument rides on both Call and AcceptStart.
-	callV, _ := c.Event(call[0]).Params.Get("v")
-	startV, _ := c.Event(start[0]).Params.Get("v")
+	callV, _ := c.Event(call[0]).Params().Get("v")
+	startV, _ := c.Event(start[0]).Params().Get("v")
 	if callV != core.Int(42) || startV != core.Int(42) {
 		t.Error("argument transfer broken")
 	}
@@ -113,7 +113,7 @@ func TestReplyCarriesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	ret := runs[0].Comp.EventsOf(core.Ref("asker", "Return"))
-	if got, _ := runs[0].Comp.Event(ret[0]).Params.Get("result"); got != core.Int(7) {
+	if got, _ := runs[0].Comp.Event(ret[0]).Params().Get("result"); got != core.Int(7) {
 		t.Errorf("result = %v, want 7", got)
 	}
 }
@@ -415,7 +415,7 @@ func TestExternalSharedElement(t *testing.T) {
 		if len(gets) != 1 {
 			t.Fatalf("gets = %d", len(gets))
 		}
-		if got, _ := r.Comp.Event(gets[0]).Params.Get("oldval"); got != core.Int(5) {
+		if got, _ := r.Comp.Event(gets[0]).Params().Get("oldval"); got != core.Int(5) {
 			t.Errorf("read %v, want 5 (ordered by the rendezvous)", got)
 		}
 	}

@@ -25,12 +25,13 @@ import (
 // no memoized state, so it can run before thread labels are assigned.
 func renderInOrder(c *core.Computation) string {
 	var sb strings.Builder
-	for _, e := range c.Events() {
-		fmt.Fprintf(&sb, "%d %s.%s^%d%s\n", e.ID, e.Element, e.Class, e.Seq, e.Params)
+	for i := 0; i < c.NumEvents(); i++ {
+		e := c.Event(core.EventID(i))
+		fmt.Fprintf(&sb, "%d %s.%s^%d%s\n", i, e.Element(), e.Class(), e.Seq(), e.Params())
 	}
-	for _, e := range c.Events() {
-		for _, succ := range c.Enabled(e.ID) {
-			fmt.Fprintf(&sb, "%d>%d\n", e.ID, succ)
+	for i := 0; i < c.NumEvents(); i++ {
+		for _, succ := range c.Enabled(core.EventID(i)) {
+			fmt.Fprintf(&sb, "%d>%d\n", i, succ)
 		}
 	}
 	return sb.String()

@@ -125,14 +125,15 @@ func keepFirst(err *error, f func() error) {
 
 // RunContext is Run for a tool whose work consumes a context: SIGINT
 // cancels body's context, and a run whose context was cancelled
-// returns Interrupted's error. Only such tools install the handler, so
-// Ctrl-C still ends the others at once.
+// returns Interrupted's error. The handler is installed before Run's
+// set-up and removed after its teardown, so a signal that lands once
+// body has returned leaves the profiles and the trace to be written
+// whole. Only such tools install the handler, so Ctrl-C still ends the
+// others at once.
 func (t *Tool) RunContext(body func(ctx context.Context) error) error {
-	return t.Run(func() error {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		return Interrupted(ctx, body(ctx))
-	})
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	return t.Run(func() error { return Interrupted(ctx, body(ctx)) })
 }
 
 // Interrupted returns err, unless ctx was cancelled: then the run was

@@ -77,11 +77,11 @@ func (u *Universe) RemoveMember(group, member string) {
 
 // ChangeEvent extracts the structural change described by a dynamic
 // group event, or ok=false if the event is not one.
-func ChangeEvent(e *Event) (group, member string, add, ok bool) {
-	if e.Element != AdminElement {
+func ChangeEvent(e Event) (group, member string, add, ok bool) {
+	if e.Element() != AdminElement {
 		return "", "", false, false
 	}
-	switch e.Class {
+	switch e.Class() {
 	case AddMemberClass:
 		add = true
 	case RemoveMemberClass:
@@ -89,8 +89,8 @@ func ChangeEvent(e *Event) (group, member string, add, ok bool) {
 	default:
 		return "", "", false, false
 	}
-	g, gok := e.Params.Get("group")
-	m, mok := e.Params.Get("member")
+	g, gok := e.Params().Get("group")
+	m, mok := e.Params().Get("member")
 	if !gok || !mok || g.Kind != KindString || m.Kind != KindString {
 		return "", "", false, false
 	}

@@ -47,25 +47,23 @@ func TestAddRemoveMember(t *testing.T) {
 }
 
 func TestChangeEvent(t *testing.T) {
-	good := &Event{Element: AdminElement, Class: AddMemberClass,
-		Params: NewParams(P("group", Str("G")), P("member", Str("A")))}
+	good := lone(t, AdminElement, AddMemberClass, NewParams(P("group", Str("G")), P("member", Str("A"))))
 	g, m, add, ok := ChangeEvent(good)
 	if !ok || g != "G" || m != "A" || !add {
 		t.Errorf("ChangeEvent = (%q, %q, %v, %v)", g, m, add, ok)
 	}
-	rem := &Event{Element: AdminElement, Class: RemoveMemberClass,
-		Params: NewParams(P("group", Str("G")), P("member", Str("A")))}
+	rem := lone(t, AdminElement, RemoveMemberClass, NewParams(P("group", Str("G")), P("member", Str("A"))))
 	if _, _, add, ok := ChangeEvent(rem); !ok || add {
 		t.Error("remove event wrong")
 	}
-	if _, _, _, ok := ChangeEvent(&Event{Element: "other", Class: AddMemberClass}); ok {
+	if _, _, _, ok := ChangeEvent(lone(t, "other", AddMemberClass, Params{})); ok {
 		t.Error("non-admin element is not a change event")
 	}
-	if _, _, _, ok := ChangeEvent(&Event{Element: AdminElement, Class: "Other"}); ok {
+	if _, _, _, ok := ChangeEvent(lone(t, AdminElement, "Other", Params{})); ok {
 		t.Error("unknown class is not a change event")
 	}
-	if _, _, _, ok := ChangeEvent(&Event{Element: AdminElement, Class: AddMemberClass,
-		Params: NewParams(P("group", Str("G")))}); ok {
+	if _, _, _, ok := ChangeEvent(lone(t, AdminElement, AddMemberClass,
+		NewParams(P("group", Str("G"))))); ok {
 		t.Error("missing member param must be rejected")
 	}
 }

@@ -38,13 +38,13 @@ func fingerprint(c *Computation) string {
 	}
 	var tids []string
 	buf = binary.AppendUvarint(buf, uint64(len(c.events)))
-	for _, e := range c.events {
-		buf = appendStr(buf, e.Element)
-		buf = appendStr(buf, e.Class)
-		buf = binary.AppendUvarint(buf, uint64(e.Seq))
-		buf = binary.AppendUvarint(buf, uint64(e.Params.Len()))
-		for i := 0; i < e.Params.Len(); i++ {
-			p := e.Params.At(i)
+	for i, e := range c.events {
+		buf = appendStr(buf, c.names[e.elem])
+		buf = appendStr(buf, c.names[e.class])
+		buf = binary.AppendUvarint(buf, uint64(e.seq))
+		params := c.params[e.params]
+		buf = binary.AppendUvarint(buf, uint64(params.Len()))
+		for _, p := range params.list {
 			v := p.Value
 			buf = appendStr(buf, p.Name)
 			buf = binary.AppendUvarint(buf, uint64(v.Kind))
@@ -63,14 +63,19 @@ func fingerprint(c *Computation) string {
 		}
 		// Thread labels are sorted so the fingerprint does not depend
 		// on labelling order, only on the label set.
-		tids = append(tids[:0], e.Threads...)
+		tids = tids[:0]
+		labels := c.Event(EventID(i)).Threads()
+		for k := 0; k < labels.Len(); k++ {
+			tids = append(tids, labels.At(k))
+		}
 		sort.Strings(tids)
 		buf = binary.AppendUvarint(buf, uint64(len(tids)))
 		for _, tid := range tids {
 			buf = appendStr(buf, tid)
 		}
 	}
-	for _, targets := range c.enables {
+	for i := range c.events {
+		targets := c.Enabled(EventID(i))
 		buf = binary.AppendUvarint(buf, uint64(len(targets)))
 		for _, t := range targets {
 			buf = binary.AppendUvarint(buf, uint64(t))

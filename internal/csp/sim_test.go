@@ -55,14 +55,14 @@ func TestPingCommunication(t *testing.T) {
 		t.Error("requests should be concurrent")
 	}
 	// The received value rides on inp.End.
-	if got, _ := c.Event(inpEnd[0]).Params.Get("v"); got != core.Int(42) {
+	if got, _ := c.Event(inpEnd[0]).Params().Get("v"); got != core.Int(42) {
 		t.Errorf("inp.End v = %v", got)
 	}
 	got := c.EventsOf(core.Ref("Q", "Got"))
 	if len(got) != 1 {
 		t.Fatalf("Got events = %v, want one:\n%s", got, c)
 	}
-	if v, _ := c.Event(got[0]).Params.Get("v"); v != core.Int(42) {
+	if v, _ := c.Event(got[0]).Params().Get("v"); v != core.Int(42) {
 		t.Errorf("Got event wrong:\n%s", c)
 	}
 }
@@ -204,7 +204,7 @@ func TestRepeatUnrolls(t *testing.T) {
 	}
 	// Tick params must be 1, 2, 3 in element order.
 	for k, id := range ticks {
-		if got, _ := runs[0].Comp.Event(id).Params.Get("i"); got != core.Int(int64(k+1)) {
+		if got, _ := runs[0].Comp.Event(id).Params().Get("i"); got != core.Int(int64(k+1)) {
 			t.Errorf("tick %d param = %v", k, got)
 		}
 	}
@@ -320,7 +320,7 @@ func TestExternalSharedElement(t *testing.T) {
 			t.Fatalf("external-element run illegal: %v", res.Error())
 		}
 		gets := r.Comp.EventsOf(core.Ref("shared", "Getval"))
-		if got, _ := r.Comp.Event(gets[0]).Params.Get("oldval"); got != core.Int(9) {
+		if got, _ := r.Comp.Event(gets[0]).Params().Get("oldval"); got != core.Int(9) {
 			t.Errorf("read %v, want 9", got)
 		}
 	}

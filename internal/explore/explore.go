@@ -86,7 +86,10 @@ type Machine[M any, T comparable, R any] interface {
 	// Apply executes one transition in place.
 	Apply(t T) error
 	// Clone returns an independent copy of the state: stepping either
-	// one never changes the other.
+	// one never changes the other's state. A machine that embeds Log
+	// shares its name table with its clones (see Log.Clone), so a
+	// machine and its clones must be stepped on one goroutine; only the
+	// computations they build may cross goroutines.
 	Clone() M
 	// Key reports whether the run is marked and, if it is, renders its
 	// computation (Log.Key) and what of its end state a verdict reads,

@@ -408,7 +408,7 @@ func TestLogCloneIsIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.NumEvents() != 4 || c.Events()[3].Class != tc.last {
+		if c.NumEvents() != 4 || c.Event(3).Class() != tc.last {
 			t.Fatalf("clones share emitted events: want A A A %s, got\n%s", tc.last, c)
 		}
 	}

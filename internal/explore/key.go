@@ -17,13 +17,14 @@ import (
 // the tests compare every run through it.
 func Key(c *core.Computation) string {
 	labels := make([]string, c.NumEvents())
-	for _, e := range c.Events() {
-		labels[e.ID] = fmt.Sprintf("%s^%d:%s%s", e.Element, e.Seq, e.Class, e.Params)
+	for i := range labels {
+		e := c.Event(core.EventID(i))
+		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.Element(), e.Seq(), e.Class(), e.Params())
 	}
 	lines := append([]string(nil), labels...)
-	for _, e := range c.Events() {
-		for _, succ := range c.Enabled(e.ID) {
-			lines = append(lines, labels[e.ID]+">"+labels[succ])
+	for i := range labels {
+		for _, succ := range c.Enabled(core.EventID(i)) {
+			lines = append(lines, labels[i]+">"+labels[succ])
 		}
 	}
 	sort.Strings(lines)

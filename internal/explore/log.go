@@ -15,7 +15,12 @@ import (
 // segment that the log and the clone both keep as their prefix, and each
 // goes on emitting into a tail of its own, so a clone copies only its
 // per-process chain heads.
+//
+// A log and all its clones intern their events' names and parameter
+// lists in one table as they emit them, so every computation of one
+// exploration shares that table, and Build looks nothing up.
 type Log struct {
+	names  *core.NameTable
 	prefix *segment // frozen and shared with clones; nil until a Clone
 	// numEvents and numEdges count the prefix's events and enables.
 	numEvents, numEdges int
@@ -30,10 +35,9 @@ type Log struct {
 	unrecorded bool
 }
 
+// event is an emitted event: indices into the log's table.
 type event struct {
-	elem   string
-	class  string
-	params core.Params
+	elem, class, params int32
 }
 
 // segment is a frozen stretch of a log: its events and the enables into
@@ -50,11 +54,14 @@ func NewLog(procs int) Log {
 	for i := range last {
 		last[i] = -1
 	}
-	return Log{last: last}
+	return Log{names: core.NewNameTable(), last: last}
 }
 
 // Clone returns a copy that can keep emitting independently. Both logs
-// share what l has emitted so far and never write to it again.
+// share what l has emitted so far and never write to it again. They also
+// share l's name table, which Emit appends to, so a log and its clones
+// must emit on one goroutine; a computation that Build returns reads only
+// its own snapshot of the table and may go to any goroutine.
 func (l *Log) Clone() Log {
 	if n, e := len(l.events), len(l.edges); n > 0 {
 		l.prefix = &segment{parent: l.prefix, events: l.events, edges: l.edges}
@@ -63,6 +70,7 @@ func (l *Log) Clone() Log {
 		l.events, l.edges = l.events[n:], l.edges[e:]
 	}
 	return Log{
+		names:     l.names,
 		prefix:    l.prefix,
 		numEvents: l.numEvents,
 		numEdges:  l.numEdges,
@@ -77,7 +85,8 @@ func (l *Log) Clone() Log {
 // new event's index.
 func (l *Log) Emit(proc int, elem, class string, params core.Params, extra ...int) int {
 	idx := l.numEvents + len(l.events)
-	l.events = append(l.events, event{elem: elem, class: class, params: params})
+	t := l.names
+	l.events = append(l.events, event{elem: t.Intern(elem), class: t.Intern(class), params: t.InternParams(params)})
 	if proc >= 0 && l.last[proc] >= 0 {
 		l.edges = append(l.edges, [2]int{l.last[proc], idx})
 	}
@@ -92,9 +101,9 @@ func (l *Log) Emit(proc int, elem, class string, params core.Params, extra ...in
 	return idx
 }
 
-// Build renders the log as a GEM computation.
+// Build renders the log as a GEM computation on the log's table.
 func (l *Log) Build() (*core.Computation, error) {
-	b := core.NewBuilder()
+	b := l.names.Builder()
 	b.Grow(l.numEvents+len(l.events), l.numEdges+len(l.edges))
 	l.prefix.addTo(b)
 	add(b, l.events, l.edges)
@@ -113,7 +122,7 @@ func (s *segment) addTo(b *core.Builder) {
 // add adds events to b, whose ids follow emission order, and edges.
 func add(b *core.Builder, events []event, edges [][2]int) {
 	for _, e := range events {
-		b.Event(e.elem, e.class, e.params)
+		b.Interned(e.elem, e.class, e.params)
 	}
 	for _, e := range edges {
 		b.Enable(core.EventID(e[0]), core.EventID(e[1]))

@@ -74,7 +74,7 @@ func rebuildWithoutEdge(t *testing.T, m *gofront.Model, drop [2]core.EventID) *c
 	b := core.NewBuilder()
 	for _, id := range m.EventOf {
 		ev := m.Comp.Event(id)
-		b.Event(ev.Element, ev.Class, core.Params{})
+		b.Event(ev.Element(), ev.Class(), core.Params{})
 	}
 	dropped := false
 	for _, e := range m.Enables {

@@ -60,7 +60,7 @@ func (h History) New(id core.EventID) bool {
 	if !h.Has(id) {
 		return false
 	}
-	return !h.c.Reach()[int(id)].Intersects(h.set)
+	return !h.c.Reach().Row(int(id)).Intersects(h.set)
 }
 
 // Potential reports whether e could legally extend this history: e has not
@@ -69,7 +69,7 @@ func (h History) Potential(id core.EventID) bool {
 	if h.Has(id) {
 		return false
 	}
-	return h.c.Preds()[int(id)].SubsetOf(h.set)
+	return h.c.Preds().Row(int(id)).SubsetOf(h.set)
 }
 
 // At implements the paper's intermediate-control-point predicate

@@ -37,7 +37,7 @@ func prefix(t *testing.T, c *core.Computation, ids ...core.EventID) History {
 	set := order.NewBitset(c.NumEvents())
 	for _, id := range ids {
 		set.Set(int(id))
-		set.OrWith(c.Preds()[int(id)])
+		set.OrWith(c.Preds().Row(int(id)))
 	}
 	h, err := FromSet(c, set)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gem/internal/core"
 	"gem/internal/explore"
 )
 
@@ -88,20 +89,20 @@ func TestOpExec(t *testing.T) {
 		`d.Assign^2(proc="p")`,
 		`d.Getval^3(oldval=4, proc="p")`,
 	}
-	events := c.Events()
-	if len(events) != len(want) {
-		t.Fatalf("%d events, want %d", len(events), len(want))
+	if c.NumEvents() != len(want) {
+		t.Fatalf("%d events, want %d", c.NumEvents(), len(want))
 	}
-	for i, e := range events {
-		if got := fmt.Sprintf("%s.%s^%d%s", e.Element, e.Class, e.Seq, e.Params); got != want[i] {
+	for i := range want {
+		e := c.Event(core.EventID(i))
+		if got := fmt.Sprintf("%s.%s^%d%s", e.Element(), e.Class(), e.Seq(), e.Params()); got != want[i] {
 			t.Errorf("event %d = %s, want %s", i, got, want[i])
 		}
 	}
 	if cells["d"] != 4 {
 		t.Errorf("cell = %d, want 4", cells["d"])
 	}
-	for i := 1; i < len(events); i++ {
-		if !slices.Contains(c.Enabled(events[i-1].ID), events[i].ID) {
+	for i := 1; i < len(want); i++ {
+		if !slices.Contains(c.Enabled(core.EventID(i-1)), core.EventID(i)) {
 			t.Errorf("event %d does not enable event %d: one process's events chain", i-1, i)
 		}
 	}

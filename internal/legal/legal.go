@@ -157,25 +157,27 @@ func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 }
 
 func checkEvents(s *spec.Spec, c *core.Computation, add func(Violation)) {
-	for _, e := range c.Events() {
-		d, ok := s.Element(e.Element)
+	for i := 0; i < c.NumEvents(); i++ {
+		e := c.Event(core.EventID(i))
+		d, ok := s.Element(e.Element())
 		if !ok {
 			add(Violation{
 				Kind:    UndeclaredElement,
-				Message: fmt.Sprintf("event %s occurs at undeclared element %s", e.Name(), e.Element),
+				Message: fmt.Sprintf("event %s occurs at undeclared element %s", e.Name(), e.Element()),
 			})
 			continue
 		}
-		ec, ok := d.EventDecl(e.Class)
+		ec, ok := d.EventDecl(e.Class())
 		if !ok {
 			add(Violation{
 				Kind:    UndeclaredClass,
-				Message: fmt.Sprintf("event %s has undeclared class %s at element %s", e.Name(), e.Class, e.Element),
+				Message: fmt.Sprintf("event %s has undeclared class %s at element %s", e.Name(), e.Class(), e.Element()),
 			})
 			continue
 		}
-		for i := 0; i < e.Params.Len(); i++ {
-			if p := e.Params.At(i).Name; !ec.HasParam(p) {
+		params := e.Params()
+		for i := 0; i < params.Len(); i++ {
+			if p := params.At(i).Name; !ec.HasParam(p) {
 				add(Violation{
 					Kind:    UndeclaredParam,
 					Message: fmt.Sprintf("event %s carries undeclared parameter %s", e.Name(), p),
@@ -192,25 +194,26 @@ func checkEnables(s *spec.Spec, c *core.Computation, add func(Violation)) {
 		return
 	}
 	dynamic := core.HasDynamicChanges(c)
-	for _, e := range c.Events() {
+	for i := 0; i < c.NumEvents(); i++ {
+		e := c.Event(core.EventID(i))
 		u := static
 		if dynamic {
 			// Dynamic group structure: the edge is judged by the group
 			// structure in the source event's causal past (the paper's
 			// footnote: structure changes are themselves events).
-			u, err = core.UniverseAt(static, c, e.ID)
+			u, err = core.UniverseAt(static, c, e.ID())
 			if err != nil {
 				add(Violation{Kind: IllegalEnable, Message: err.Error()})
 				return
 			}
 		}
-		for _, succ := range c.Enabled(e.ID) {
+		for _, succ := range c.Enabled(e.ID()) {
 			tgt := c.Event(succ)
-			if !u.MayEnable(e.Element, tgt.Element, tgt.Class) {
+			if !u.MayEnable(e.Element(), tgt.Element(), tgt.Class()) {
 				add(Violation{
 					Kind: IllegalEnable,
 					Message: fmt.Sprintf("%s may not enable %s: no access from %s to %s",
-						e.Name(), tgt.Name(), e.Element, tgt.Element),
+						e.Name(), tgt.Name(), e.Element(), tgt.Element()),
 				})
 			}
 		}

@@ -36,7 +36,7 @@ type AtElement struct {
 
 // Eval implements Formula.
 func (f AtElement) Eval(env *Env) bool {
-	return env.C.Event(mustEvent(env, f.Var)).Element == f.Element
+	return env.C.Event(mustEvent(env, f.Var)).Element() == f.Element
 }
 func (f AtElement) String() string { return fmt.Sprintf("%s @ %s", f.Var, f.Element) }
 
@@ -162,8 +162,8 @@ type ParamCmp struct {
 
 // Eval implements Formula.
 func (f ParamCmp) Eval(env *Env) bool {
-	a, _ := env.C.Event(mustEvent(env, f.X)).Params.Get(f.P)
-	b, _ := env.C.Event(mustEvent(env, f.Y)).Params.Get(f.Q)
+	a, _ := env.C.Event(mustEvent(env, f.X)).Params().Get(f.P)
+	b, _ := env.C.Event(mustEvent(env, f.Y)).Params().Get(f.Q)
 	if a.IsZero() || b.IsZero() {
 		return false
 	}
@@ -182,7 +182,7 @@ type ParamConst struct {
 
 // Eval implements Formula.
 func (f ParamConst) Eval(env *Env) bool {
-	a, _ := env.C.Event(mustEvent(env, f.X)).Params.Get(f.P)
+	a, _ := env.C.Event(mustEvent(env, f.X)).Params().Get(f.P)
 	if a.IsZero() {
 		return false
 	}

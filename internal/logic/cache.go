@@ -15,7 +15,9 @@ import (
 // logic does not import the store.
 //
 // Lookup's ctx is the caller's (CheckOptions.Ctx), so a lookup's span
-// nests under the evaluation that made it.
+// nests under the evaluation that made it. Lookup returns the key it
+// derived, and Holds hands it to Store after a miss, so a verdict's key
+// is derived once.
 //
 // Contract: Lookup must return (verdict, true) only for an entry written
 // by Store with the same key on a semantically identical evaluation —
@@ -25,6 +27,9 @@ import (
 // internal failure (missing, corrupt, truncated, version-skewed entry)
 // to a miss, never a wrong verdict.
 type VerdictCache interface {
-	Lookup(ctx context.Context, f Formula, c *core.Computation) (*Counterexample, bool)
-	Store(f Formula, c *core.Computation, cx *Counterexample)
+	Lookup(ctx context.Context, f Formula, c *core.Computation) (cx *Counterexample, key VerdictKey, ok bool)
+	Store(key VerdictKey, cx *Counterexample)
 }
+
+// VerdictKey is the key a VerdictCache stores one verdict under.
+type VerdictKey [32]byte

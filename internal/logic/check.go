@@ -102,15 +102,16 @@ type CheckOptions struct {
 func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 	if cache := opts.Cache; cache != nil {
 		opts.Cache = nil
-		if cx, ok := cache.Lookup(opts.Ctx, f, c); ok {
+		cx, key, ok := cache.Lookup(opts.Ctx, f, c)
+		if ok {
 			return cx
 		}
-		cx := Holds(f, c, opts)
+		cx = Holds(f, c, opts)
 		// A cancelled context may have truncated the evaluation (the
 		// checks poll it between units of work); a truncated "pass" is
 		// not a verdict, so skip the write-behind entirely.
 		if !Cancelled(Done(opts.Ctx)) {
-			cache.Store(f, c, cx)
+			cache.Store(key, cx)
 		}
 		return cx
 	}

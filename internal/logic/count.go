@@ -71,8 +71,8 @@ func (f FIFOValues) Eval(env *Env) bool {
 		if k >= len(as) {
 			return false // a B event with no matching A event
 		}
-		av, _ := env.C.Event(as[k]).Params.Get(f.PA)
-		bv, _ := env.C.Event(bs[k]).Params.Get(f.PB)
+		av, _ := env.C.Event(as[k]).Params().Get(f.PA)
+		bv, _ := env.C.Event(bs[k]).Params().Get(f.PB)
 		if av.IsZero() || bv.IsZero() || av != bv {
 			return false
 		}

@@ -18,14 +18,11 @@ func classDomain(env *Env, ref core.ClassRef) []core.EventID {
 // threadDomain returns the distinct thread-instance identifiers of the
 // given thread type present in the computation, in first-appearance order.
 func threadDomain(env *Env, threadType string) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, e := range env.C.Events() {
-		for _, tid := range e.Threads {
-			if !seen[tid] && thread.TypeOf(tid) == threadType {
-				seen[tid] = true
-				out = append(out, tid)
-			}
+	all := env.C.Instances()
+	out := all[:0]
+	for _, tid := range all {
+		if thread.TypeOf(tid) == threadType {
+			out = append(out, tid)
 		}
 	}
 	return out

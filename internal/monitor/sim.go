@@ -78,9 +78,11 @@ type machine struct {
 	explore.Log
 	prog *Program
 	// elem names the elements of the monitor's lock, entries, variables
-	// and conditions, built once per exploration and shared by its
-	// clones, so every event at an element carries one shared string.
+	// and conditions, and byProc[i] is the parameter list proc=<name of
+	// process i> of its Acq, Rel, Wait, Signal and Release events. Both
+	// are built once per exploration and shared by its clones.
 	elem   map[string]string
+	byProc []core.Params
 	vars   map[string]int64
 	procs  []procState
 	holder int
@@ -102,6 +104,7 @@ func newMachine(p *Program) (*machine, error) {
 		Log:       explore.NewLog(len(p.Processes)),
 		prog:      p,
 		elem:      elementNames(p.Monitor),
+		byProc:    make([]core.Params, len(p.Processes)),
 		vars:      make(map[string]int64, len(p.Monitor.Vars)),
 		procs:     make([]procState, len(p.Processes)),
 		holder:    -1,
@@ -117,6 +120,7 @@ func newMachine(p *Program) (*machine, error) {
 	}
 	for i := range m.procs {
 		m.procs[i] = procState{status: statusReady, signalEv: -1}
+		m.byProc[i] = core.NewParams(core.P("proc", core.Str(p.Processes[i].Name)))
 	}
 	// Initialization runs to completion before any process step, holding
 	// the monitor conceptually.
@@ -166,6 +170,7 @@ func (m *machine) Clone() *machine {
 		Log:       m.Log.Clone(),
 		prog:      m.prog,
 		elem:      m.elem,
+		byProc:    m.byProc,
 		vars:      make(map[string]int64, len(m.vars)),
 		procs:     make([]procState, len(m.procs)),
 		holder:    m.holder,
@@ -328,7 +333,7 @@ func (m *machine) applyGrant(proc int) error {
 		return fmt.Errorf("monitor: unknown entry %q", p.entry)
 	}
 	procName := m.prog.Processes[proc].Name
-	m.emitInternal(proc, m.element("lock"), "Acq", core.NewParams(core.P("proc", core.Str(procName))))
+	m.emitInternal(proc, m.element("lock"), "Acq", m.byProc[proc])
 	begin := append(make([]core.Param, 0, 4), core.P("proc", core.Str(procName)))
 	for name, v := range p.args {
 		begin = append(begin, core.P(name, core.Int(v)))
@@ -345,8 +350,7 @@ func (m *machine) applyUrgentResume() error {
 	m.holder = proc
 	p := &m.procs[proc]
 	p.status = statusReady
-	m.emitInternal(proc, m.element("lock"), "Acq",
-		core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name))))
+	m.emitInternal(proc, m.element("lock"), "Acq", m.byProc[proc])
 	return nil
 }
 
@@ -390,8 +394,7 @@ func (m *machine) stepOutside(proc int) error {
 func (m *machine) stepInside(proc int) error {
 	p := &m.procs[proc]
 	if p.resuming {
-		procName := m.prog.Processes[proc].Name
-		by := core.NewParams(core.P("proc", core.Str(procName)))
+		by := m.byProc[proc]
 		rel := m.emitInternal(proc, m.element(p.resumeCond()), "Release", by, p.signalEv)
 		m.emitInternal(proc, m.element("lock"), "Acq", by, rel)
 		p.resuming = false
@@ -431,7 +434,7 @@ func (m *machine) stepInside(proc int) error {
 				p.frames = append(p.frames, frame{block: s.Body})
 			}
 		case Wait:
-			by := core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name)))
+			by := m.byProc[proc]
 			w := m.emitInternal(proc, m.element(s.Cond), "Wait", by)
 			m.emitInternal(proc, m.element("lock"), "Rel", by, w)
 			m.condQ[s.Cond] = append(m.condQ[s.Cond], proc)
@@ -440,8 +443,7 @@ func (m *machine) stepInside(proc int) error {
 			m.holder = -1
 			return nil
 		case Signal:
-			sig := m.emitInternal(proc, m.element(s.Cond), "Signal",
-				core.NewParams(core.P("proc", core.Str(m.prog.Processes[proc].Name))))
+			sig := m.emitInternal(proc, m.element(s.Cond), "Signal", m.byProc[proc])
 			if q := m.condQ[s.Cond]; len(q) > 0 {
 				waiter := q[0]
 				m.condQ[s.Cond] = q[1:]
@@ -490,7 +492,7 @@ func (m *machine) endEntry(proc int, env *evalEnv) error {
 		end = append(end, result)
 	}
 	m.emitInternal(proc, m.element(p.entry), "End", core.NewParams(end...))
-	rel := m.emitInternal(proc, m.element("lock"), "Rel", core.NewParams(core.P("proc", procName)))
+	rel := m.emitInternal(proc, m.element("lock"), "Rel", m.byProc[proc])
 	m.Emit(proc, m.prog.Processes[proc].Name, "Return", core.NewParams(ret...), rel)
 	m.holder = -1
 	p.frames = nil

@@ -75,10 +75,10 @@ func TestCounterComputationShape(t *testing.T) {
 	if !c.Temporal(call[0], assign[0]) || !c.Temporal(assign[0], ret[0]) {
 		t.Error("call must precede assign must precede return")
 	}
-	if got, _ := c.Event(assign[0]).Params.Get("newval"); got != core.Int(1) {
+	if got, _ := c.Event(assign[0]).Params().Get("newval"); got != core.Int(1) {
 		t.Errorf("assign newval = %v", got)
 	}
-	if got, _ := c.Event(ret[0]).Params.Get("entry"); got != core.Str("Inc") {
+	if got, _ := c.Event(ret[0]).Params().Get("entry"); got != core.Str("Inc") {
 		t.Errorf("return entry = %v", got)
 	}
 }
@@ -238,7 +238,7 @@ func TestWhileLoopInEntry(t *testing.T) {
 		t.Errorf("sum = %d, want 6", runs[0].FinalVars["sum"])
 	}
 	ret := runs[0].Comp.EventsOf(core.Ref("p1", "Return"))
-	if got, _ := runs[0].Comp.Event(ret[0]).Params.Get("result"); got != core.Int(6) {
+	if got, _ := runs[0].Comp.Event(ret[0]).Params().Get("result"); got != core.Int(6) {
 		t.Errorf("result param = %v, want 6", got)
 	}
 }

@@ -23,13 +23,16 @@ func EncodeComputation(c *core.Computation) []byte {
 		out = binary.AppendUvarint(out, uint64(len(s)))
 		out = append(out, s...)
 	}
-	out = binary.AppendUvarint(out, uint64(c.NumEvents()))
-	for _, e := range c.Events() {
-		str(e.Element)
-		str(e.Class)
-		out = binary.AppendUvarint(out, uint64(e.Params.Len()))
-		for j := 0; j < e.Params.Len(); j++ {
-			p := e.Params.At(j)
+	n := c.NumEvents()
+	out = binary.AppendUvarint(out, uint64(n))
+	for i := 0; i < n; i++ {
+		e := c.Event(core.EventID(i))
+		str(e.Element())
+		str(e.Class())
+		params := e.Params()
+		out = binary.AppendUvarint(out, uint64(params.Len()))
+		for j := 0; j < params.Len(); j++ {
+			p := params.At(j)
 			str(p.Name)
 			v := p.Value
 			out = append(out, byte(v.Kind))
@@ -46,19 +49,20 @@ func EncodeComputation(c *core.Computation) []byte {
 				}
 			}
 		}
-		out = binary.AppendUvarint(out, uint64(len(e.Threads)))
-		for _, t := range e.Threads {
-			str(t)
+		labels := e.Threads()
+		out = binary.AppendUvarint(out, uint64(labels.Len()))
+		for k := 0; k < labels.Len(); k++ {
+			str(labels.At(k))
 		}
 	}
 	edges := 0
-	for _, e := range c.Events() {
-		edges += len(c.Enabled(e.ID))
+	for i := 0; i < n; i++ {
+		edges += len(c.Enabled(core.EventID(i)))
 	}
 	out = binary.AppendUvarint(out, uint64(edges))
-	for _, e := range c.Events() {
-		for _, dst := range c.Enabled(e.ID) {
-			out = binary.AppendUvarint(out, uint64(e.ID))
+	for i := 0; i < n; i++ {
+		for _, dst := range c.Enabled(core.EventID(i)) {
+			out = binary.AppendUvarint(out, uint64(i))
 			out = binary.AppendUvarint(out, uint64(dst))
 		}
 	}

@@ -539,12 +539,13 @@ type eventIR struct {
 // id, adjacency order) — deterministic, matching the builder's dedup.
 func irOf(c *core.Computation) compIR {
 	var ir compIR
-	for _, e := range c.Events() {
-		ir.events = append(ir.events, eventIR{element: e.Element, class: e.Class, params: e.Params})
+	for i := 0; i < c.NumEvents(); i++ {
+		e := c.Event(core.EventID(i))
+		ir.events = append(ir.events, eventIR{element: e.Element(), class: e.Class(), params: e.Params()})
 	}
-	for _, e := range c.Events() {
-		for _, dst := range c.Enabled(e.ID) {
-			ir.edges = append(ir.edges, [2]int{int(e.ID), int(dst)})
+	for i := 0; i < c.NumEvents(); i++ {
+		for _, dst := range c.Enabled(core.EventID(i)) {
+			ir.edges = append(ir.edges, [2]int{i, int(dst)})
 		}
 	}
 	return ir

@@ -50,9 +50,9 @@ func TestOperatorProperty(t *testing.T) {
 		if m.Comp.NumEvents() == 0 {
 			t.Fatalf("index %d (%s): mutant computation has no events", i, m.Op)
 		}
-		for _, e := range m.Comp.Events() {
-			if e.Element == "" || e.Class == "" {
-				t.Fatalf("index %d (%s): event %d lost element/class", i, m.Op, e.ID)
+		for id := 0; id < m.Comp.NumEvents(); id++ {
+			if e := m.Comp.Event(core.EventID(id)); e.Element() == "" || e.Class() == "" {
+				t.Fatalf("index %d (%s): event %d lost element/class", i, m.Op, id)
 			}
 		}
 	}

@@ -26,13 +26,18 @@ var nodeTypes = map[string]bool{
 
 // coreNames are the core declarations the oracle may name, and
 // coreMethods the only core methods it may call: the raw accessors of a
-// computation and of an event's parameter list.
+// computation, of one of its events and of an event's parameter list.
+// Nothing derived (reach, preds, domains, concurrency) is among them.
 var (
 	coreNames = map[string]bool{
-		"Computation": true, "Event": true, "ClassRef": true, "Value": true,
+		"Computation": true, "EventID": true, "ClassRef": true, "Params": true, "Value": true,
 		"KindInt": true, "KindString": true, "KindBool": true,
 	}
-	coreMethods = map[string]bool{"Events": true, "Enabled": true, "Len": true, "At": true}
+	coreMethods = map[string]bool{
+		"NumEvents": true, "Event": true, "Enabled": true,
+		"Element": true, "Class": true, "Seq": true, "Params": true, "Threads": true,
+		"Len": true, "At": true,
+	}
 )
 
 // exportedMethods returns the names of the exported methods declared in

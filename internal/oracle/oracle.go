@@ -88,11 +88,11 @@ func conjuncts(f logic.Formula, out []logic.Formula) []logic.Formula {
 	return out
 }
 
-// model is the oracle's view of a computation: events by id, and the
-// direct enable and temporal order relations as event sets, one bit per
-// event id.
+// model is the oracle's view of a computation: its own copy of the
+// events' raw fields by id, and the direct enable and temporal order
+// relations as event sets, one bit per event id.
 type model struct {
-	events  []*core.Event
+	events  []event
 	full    uint64
 	enables []uint64 // enables[e]: the events e directly enables
 	after   []uint64 // after[e]: the events e temporally precedes
@@ -101,24 +101,37 @@ type model struct {
 	hist []uint64 // the histories, built on first use
 }
 
+// event is one event's raw fields, as the computation reports them.
+type event struct {
+	Element, Class string
+	Seq            int
+	Params         core.Params
+	Threads        []string
+}
+
 func bit(e int) uint64 { return 1 << uint(e) }
 
 // newModel derives the temporal order of c: the transitive closure of
 // the enable relation and the element order, where events at one element
 // are ordered by their occurrence index.
 func newModel(c *core.Computation) *model {
-	events := c.Events()
-	n := len(events)
+	n := c.NumEvents()
 	if n > MaxEvents {
 		refuse("%d events, above the limit of %d", n, MaxEvents)
 	}
+	events := make([]event, n)
+	for i := range events {
+		e := c.Event(core.EventID(i))
+		events[i] = event{Element: e.Element(), Class: e.Class(), Seq: e.Seq(), Params: e.Params()}
+		labels := e.Threads()
+		for k := 0; k < labels.Len(); k++ {
+			events[i].Threads = append(events[i].Threads, labels.At(k))
+		}
+	}
 	m := &model{events: events, enables: make([]uint64, n), after: make([]uint64, n), before: make([]uint64, n)}
 	for i, e := range events {
-		if int(e.ID) != i {
-			refuse("event %d has id %d", i, e.ID)
-		}
 		m.full |= bit(i)
-		for _, t := range c.Enabled(e.ID) {
+		for _, t := range c.Enabled(core.EventID(i)) {
 			m.enables[i] |= bit(int(t))
 		}
 		m.after[i] = m.enables[i]
@@ -333,7 +346,7 @@ func someOf(fs []logic.Formula, pred func(logic.Formula) bool) bool {
 
 // matches reports that e belongs to the class ref names: an empty
 // element or class name matches any.
-func matches(ref core.ClassRef, e *core.Event) bool {
+func matches(ref core.ClassRef, e event) bool {
 	return (ref.Element == "" || ref.Element == e.Element) && (ref.Class == "" || ref.Class == e.Class)
 }
 
@@ -347,7 +360,7 @@ func threadType(tid string) string {
 
 // param returns e's value of the named parameter; a missing parameter,
 // or one without a kind, is absent.
-func param(e *core.Event, name string) (core.Value, bool) {
+func param(e event, name string) (core.Value, bool) {
 	for i := 0; i < e.Params.Len(); i++ {
 		if p := e.Params.At(i); p.Name == name {
 			return p.Value, p.Value.Kind != 0

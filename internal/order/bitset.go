@@ -28,17 +28,39 @@ func NewBitset(n int) Bitset {
 	return Bitset{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// NewRows returns n empty sets of capacity n, the rows of a relation over
-// n elements, backed by one array: a relation costs two allocations
-// whatever its size.
-func NewRows(n int) []Bitset {
-	w := (n + wordBits - 1) / wordBits
-	words := make([]uint64, n*w)
-	rows := make([]Bitset, n)
-	for i := range rows {
-		rows[i] = Bitset{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+// Rows is a relation over n elements: n bit rows of one stride, in one
+// array. It holds no pointer per row, so a relation costs one allocation
+// and the collector never scans it whatever its size. Row hands out a
+// row as a Bitset that shares the array.
+type Rows struct {
+	words  []uint64
+	n      int
+	stride int // words per row
+}
+
+// NewRows returns the empty relation over n elements.
+func NewRows(n int) Rows {
+	if n < 0 {
+		n = 0
 	}
-	return rows
+	w := (n + wordBits - 1) / wordBits
+	return Rows{words: make([]uint64, n*w), n: n, stride: w}
+}
+
+// Row returns row i as a set over [0, n) backed by r's array: writes to
+// it change r. It allocates nothing.
+func (r Rows) Row(i int) Bitset {
+	lo := i * r.stride
+	return Bitset{words: r.words[lo : lo+r.stride : lo+r.stride], n: r.n}
+}
+
+// Has reports whether row i holds j. Out-of-range values of j are never
+// members.
+func (r Rows) Has(i, j int) bool {
+	if j < 0 || j >= r.n {
+		return false
+	}
+	return r.words[i*r.stride+j/wordBits]&(1<<(uint(j)%wordBits)) != 0
 }
 
 // Set adds i to the set. It panics if i is out of range, since that always
@@ -220,17 +242,17 @@ func (b Bitset) String() string {
 }
 
 // IsClique reports whether every pair of distinct members of set is
-// related under the symmetric relation rows, where rows[v] is the set of
+// related under the symmetric relation rows, where row v is the set of
 // partners of v. Empty and singleton sets are cliques. In GEM terms, with
 // rows the per-event concurrency rows of a computation, it decides in
 // O(|set| × words) whether a step's delta is pairwise potentially
 // concurrent — replacing the O(|delta|²) member-pair loop.
-func IsClique(rows []Bitset, set Bitset) bool {
+func IsClique(rows Rows, set Bitset) bool {
 	clique := true
 	set.ForEach(func(v int) bool {
-		row := rows[v]
+		row := rows.words[v*rows.stride : (v+1)*rows.stride]
 		for i, w := range set.words {
-			rem := w &^ row.words[i]
+			rem := w &^ row[i]
 			if i == v/wordBits {
 				rem &^= 1 << (uint(v) % wordBits)
 			}

@@ -255,15 +255,12 @@ func TestBitsetCopyFromResetFill(t *testing.T) {
 func TestIsCliqueBruteForce(t *testing.T) {
 	f := func(edges []uint16, members []uint8) bool {
 		const n = 70
-		rows := make([]Bitset, n)
-		for i := range rows {
-			rows[i] = NewBitset(n)
-		}
+		rows := NewRows(n)
 		for _, e := range edges {
 			u, v := int(e)%n, int(e/uint16(n))%n
 			if u != v {
-				rows[u].Set(v)
-				rows[v].Set(u)
+				rows.Row(u).Set(v)
+				rows.Row(v).Set(u)
 			}
 		}
 		set := NewBitset(n)
@@ -274,7 +271,7 @@ func TestIsCliqueBruteForce(t *testing.T) {
 		want := true
 		for i := 0; i < len(ms); i++ {
 			for j := i + 1; j < len(ms); j++ {
-				if !rows[ms[i]].Has(ms[j]) {
+				if !rows.Row(ms[i]).Has(ms[j]) {
 					want = false
 				}
 			}
@@ -294,4 +291,32 @@ func assertPanics(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestRowsShareOneArray checks that a relation's rows are views of one
+// array: Row allocates nothing, a write through one view shows through
+// another and through Has, and rows do not overlap.
+func TestRowsShareOneArray(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		r := NewRows(n)
+		for i := 0; i < n; i++ {
+			r.Row(i).Set((i * 7) % n)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := j == (i*7)%n
+				if r.Has(i, j) != want || r.Row(i).Has(j) != want {
+					t.Fatalf("n=%d: row %d has %d = %v, want %v", n, i, j, r.Has(i, j), want)
+				}
+			}
+			if r.Has(i, n) || r.Has(i, -1) {
+				t.Fatalf("n=%d: row %d holds an out-of-range value", n, i)
+			}
+		}
+		if n > 0 {
+			if allocs := testing.AllocsPerRun(10, func() { r.Row(n - 1).Set(0) }); allocs != 0 {
+				t.Errorf("n=%d: Row allocates %.0f times", n, allocs)
+			}
+		}
+	}
 }

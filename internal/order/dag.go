@@ -29,14 +29,6 @@ func NewDAG(n int) *DAG {
 	return &DAG{n: n}
 }
 
-// Grow makes room for m more edges, so a caller that knows how many it
-// will add allocates the edge list once.
-func (d *DAG) Grow(m int) {
-	if m > cap(d.edges)-len(d.edges) {
-		d.edges = append(make([][2]int, 0, len(d.edges)+m), d.edges...)
-	}
-}
-
 // AddEdge adds a directed edge from u to v. Duplicate edges are ignored.
 func (d *DAG) AddEdge(u, v int) {
 	if u < 0 || u >= d.n || v < 0 || v >= d.n {
@@ -88,66 +80,91 @@ func (d *DAG) index() {
 
 // TopoSort returns a topological ordering of the vertices, or ErrCycle.
 func (d *DAG) TopoSort() ([]int, error) {
-	indeg := make([]int, d.n)
-	for v := 0; v < d.n; v++ {
-		for _, w := range d.successors(v) {
+	topo, _, err := topoSort(d.n, func(v int, buf []int) []int { return append(buf, d.successors(v)...) })
+	return topo, err
+}
+
+// topoSort orders the vertices of the graph on 0..n-1 whose edges out of
+// v succ(v, buf) appends to buf topologically (Kahn, sources in
+// increasing order, first found first expanded), or returns ErrCycle. It
+// also returns an empty buffer for further calls of succ.
+func topoSort(n int, succ func(v int, buf []int) []int) (topo, buf []int, err error) {
+	work := make([]int, 3*n)
+	indeg := work[:n]
+	topo, buf = work[n:n:2*n], work[2*n:2*n]
+	for v := 0; v < n; v++ {
+		buf = succ(v, buf[:0])
+		for _, w := range buf {
 			indeg[w]++
 		}
 	}
-	// out doubles as the FIFO queue: out[head:] is still to be expanded.
-	out := make([]int, 0, d.n)
-	for v := 0; v < d.n; v++ {
+	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			out = append(out, v)
+			topo = append(topo, v)
 		}
 	}
-	for head := 0; head < len(out); head++ {
-		for _, w := range d.successors(out[head]) {
-			indeg[w]--
-			if indeg[w] == 0 {
-				out = append(out, w)
+	// topo doubles as the FIFO queue: topo[head:] is still to be expanded.
+	for head := 0; head < len(topo); head++ {
+		buf = succ(topo[head], buf[:0])
+		for _, w := range buf {
+			if indeg[w]--; indeg[w] == 0 {
+				topo = append(topo, w)
 			}
 		}
 	}
-	if len(out) != d.n {
-		return nil, ErrCycle
+	if len(topo) != n {
+		return nil, nil, ErrCycle
 	}
-	return out, nil
+	return topo, buf[:0], nil
 }
 
-// TransitiveClosure returns reach, where reach[v] is the set of vertices
-// strictly reachable from v (v itself is excluded unless v lies on a cycle,
-// in which case ErrCycle is returned). Computed in reverse topological
-// order so each vertex's reach set is the union of its successors' sets.
-// The rows share one array (NewRows).
-func (d *DAG) TransitiveClosure() ([]Bitset, error) {
-	topo, err := d.TopoSort()
+// Closure returns reach, where row v is the set of vertices strictly
+// reachable from v in the graph on vertices 0..n-1 whose edges out of v
+// succ(v, buf) appends to buf, and preds, its inverse, where row v is the
+// set of vertices that reach v; or ErrCycle if some vertex reaches
+// itself. It orders the vertices topologically, then takes them in
+// reverse, so each vertex's row is the union of its successors' rows and
+// the successors themselves. succ must list the same edges on every
+// call; repeats are harmless. The two relations share one array.
+func Closure(n int, succ func(v int, buf []int) []int) (reach, preds Rows, err error) {
+	topo, buf, err := topoSort(n, succ)
 	if err != nil {
-		return nil, err
+		return Rows{}, Rows{}, err
 	}
-	reach := NewRows(d.n)
-	for i := len(topo) - 1; i >= 0; i-- {
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, 2*n*w)
+	reach = Rows{words: words[: n*w : n*w], n: n, stride: w}
+	preds = Rows{words: words[n*w:], n: n, stride: w}
+	for i := n - 1; i >= 0; i-- {
 		v := topo[i]
-		for _, w := range d.successors(v) {
-			reach[v].Set(w)
-			reach[v].OrWith(reach[w])
+		row := reach.Row(v)
+		buf = succ(v, buf[:0])
+		for _, w := range buf {
+			row.Set(w)
+			row.OrWith(reach.Row(w))
 		}
 	}
-	return reach, nil
+	invert(reach, preds)
+	return reach, preds, nil
 }
 
-// Invert returns preds, where preds[v] is the set of vertices that reach v,
-// given the forward reach sets. The rows share one array (NewRows).
-func Invert(reach []Bitset) []Bitset {
-	n := len(reach)
-	preds := NewRows(n)
-	for u := 0; u < n; u++ {
-		reach[u].ForEach(func(v int) bool {
-			preds[v].Set(u)
+// Invert returns preds, where row v of preds is the set of vertices that
+// reach v, given the forward reach rows.
+func Invert(reach Rows) Rows {
+	preds := NewRows(reach.n)
+	invert(reach, preds)
+	return preds
+}
+
+// invert sets in preds, an empty relation the size of reach, row v to
+// the vertices whose reach rows hold v.
+func invert(reach, preds Rows) {
+	for u := 0; u < reach.n; u++ {
+		reach.Row(u).ForEach(func(v int) bool {
+			preds.Row(v).Set(u)
 			return true
 		})
 	}
-	return preds
 }
 
 // LinearExtensions enumerates every linear extension of the partial order
@@ -155,8 +172,8 @@ func Invert(reach []Bitset) []Bitset {
 // ordering. The callback's slice is reused between invocations; copy it if
 // retained. If fn returns false, enumeration stops. Returns the number of
 // extensions produced.
-func LinearExtensions(reach []Bitset, fn func(ext []int) bool) int {
-	n := len(reach)
+func LinearExtensions(reach Rows, fn func(ext []int) bool) int {
+	n := reach.n
 	preds := Invert(reach)
 	placed := NewBitset(n)
 	ext := make([]int, 0, n)
@@ -171,7 +188,7 @@ func LinearExtensions(reach []Bitset, fn func(ext []int) bool) int {
 			if placed.Has(v) {
 				continue
 			}
-			if !preds[v].SubsetOf(placed) {
+			if !preds.Row(v).SubsetOf(placed) {
 				continue
 			}
 			placed.Set(v)

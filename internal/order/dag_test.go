@@ -9,6 +9,12 @@ import (
 	"testing/quick"
 )
 
+// TransitiveClosure is the reach half of Closure over d's edges.
+func (d *DAG) TransitiveClosure() (Rows, error) {
+	reach, _, err := Closure(d.n, func(v int, buf []int) []int { return append(buf, d.successors(v)...) })
+	return reach, err
+}
+
 // diamond builds the paper's Section 7 example: e1 enables e2 and e3, each
 // of which enables e4 (vertex i = event e(i+1)).
 func diamond() *DAG {
@@ -78,7 +84,7 @@ func TestTransitiveClosureDiamond(t *testing.T) {
 		{},        // from e4
 	}
 	for v, members := range want {
-		got := reach[v].Members()
+		got := reach.Row(v).Members()
 		if len(members) == 0 && len(got) == 0 {
 			continue
 		}
@@ -94,11 +100,11 @@ func TestInvert(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := Invert(reach)
-	if got, want := preds[3].Members(), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+	if got, want := preds.Row(3).Members(), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("preds[3] = %v, want %v", got, want)
 	}
-	if preds[0].Count() != 0 {
-		t.Errorf("preds[0] = %v, want empty", preds[0].Members())
+	if preds.Row(0).Count() != 0 {
+		t.Errorf("preds[0] = %v, want empty", preds.Row(0).Members())
 	}
 }
 
@@ -126,10 +132,7 @@ func TestLinearExtensionsDiamond(t *testing.T) {
 
 func TestLinearExtensionsLimit(t *testing.T) {
 	// Antichain of 5 vertices: 5! = 120 extensions; the callback caps it.
-	reach := make([]Bitset, 5)
-	for i := range reach {
-		reach[i] = NewBitset(5)
-	}
+	reach := NewRows(5)
 	calls := 0
 	n := LinearExtensions(reach, func([]int) bool { calls++; return calls < 7 })
 	if n != 7 {
@@ -142,10 +145,7 @@ func TestLinearExtensionsLimit(t *testing.T) {
 }
 
 func TestLinearExtensionsEarlyStop(t *testing.T) {
-	reach := make([]Bitset, 4)
-	for i := range reach {
-		reach[i] = NewBitset(4)
-	}
+	reach := NewRows(4)
 	calls := 0
 	LinearExtensions(reach, func([]int) bool {
 		calls++
@@ -161,7 +161,7 @@ func TestAntichainsDiamond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp := func(u, v int) bool { return reach[u].Has(v) || reach[v].Has(u) }
+	cmp := func(u, v int) bool { return reach.Row(u).Has(v) || reach.Row(v).Has(u) }
 	var chains [][]int
 	Antichains([]int{0, 1, 2, 3}, cmp, func(chain []int) bool {
 		cp := make([]int, len(chain))
@@ -211,12 +211,12 @@ func TestQuickClosureIsStrictPartialOrder(t *testing.T) {
 			return false
 		}
 		for u := 0; u < n; u++ {
-			if reach[u].Has(u) {
+			if reach.Row(u).Has(u) {
 				return false // not irreflexive
 			}
 			ok := true
-			reach[u].ForEach(func(v int) bool {
-				if !reach[v].SubsetOf(reach[u]) {
+			reach.Row(u).ForEach(func(v int) bool {
+				if !reach.Row(v).SubsetOf(reach.Row(u)) {
 					ok = false
 					return false
 				}
@@ -251,7 +251,7 @@ func TestQuickLinearExtensionsRespectOrder(t *testing.T) {
 				pos[v] = i
 			}
 			for u := 0; u < n; u++ {
-				reach[u].ForEach(func(v int) bool {
+				reach.Row(u).ForEach(func(v int) bool {
 					if pos[u] >= pos[v] {
 						ok = false
 						return false
@@ -279,7 +279,7 @@ func TestReachesDFSMatchesClosure(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				if d.ReachesDFS(u, v) != reach[u].Has(v) {
+				if d.ReachesDFS(u, v) != reach.Row(u).Has(v) {
 					return false
 				}
 			}

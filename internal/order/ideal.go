@@ -11,8 +11,8 @@ package order
 // The enumeration walks the lattice of ideals by repeatedly adding
 // minimal elements of the complement, deduplicating via a visited set,
 // so each ideal is produced exactly once.
-func IdealsPre(reach, preds []Bitset, fn func(ideal Bitset) bool) int {
-	n := len(reach)
+func IdealsPre(reach, preds Rows, fn func(ideal Bitset) bool) int {
+	n := reach.n
 	seen := make(map[string]bool)
 	count := 0
 	stop := false
@@ -33,7 +33,7 @@ func IdealsPre(reach, preds []Bitset, fn func(ideal Bitset) bool) int {
 			return
 		}
 		for v := 0; v < n; v++ {
-			if cur.Has(v) || !preds[v].SubsetOf(cur) {
+			if cur.Has(v) || !preds.Row(v).SubsetOf(cur) {
 				continue
 			}
 			next := cur.Clone()
@@ -53,10 +53,9 @@ func IdealsPre(reach, preds []Bitset, fn func(ideal Bitset) bool) int {
 // individually extend the ideal. Hot enumeration loops reuse one buffer
 // per recursion depth instead of allocating a fresh slice per visited
 // ideal.
-func MinimalOutsideAppend(reach []Bitset, preds []Bitset, cur Bitset, buf []int) []int {
-	n := len(reach)
-	for v := 0; v < n; v++ {
-		if !cur.Has(v) && preds[v].SubsetOf(cur) {
+func MinimalOutsideAppend(reach, preds Rows, cur Bitset, buf []int) []int {
+	for v := 0; v < reach.n; v++ {
+		if !cur.Has(v) && preds.Row(v).SubsetOf(cur) {
 			buf = append(buf, v)
 		}
 	}
@@ -65,10 +64,10 @@ func MinimalOutsideAppend(reach []Bitset, preds []Bitset, cur Bitset, buf []int)
 
 // IsIdeal reports whether the set is downward closed under the partial
 // order described by preds.
-func IsIdeal(preds []Bitset, set Bitset) bool {
+func IsIdeal(preds Rows, set Bitset) bool {
 	ok := true
 	set.ForEach(func(v int) bool {
-		if !preds[v].SubsetOf(set) {
+		if !preds.Row(v).SubsetOf(set) {
 			ok = false
 			return false
 		}

@@ -34,10 +34,7 @@ func TestIdealsDiamond(t *testing.T) {
 }
 
 func TestIdealsLimitAndEarlyStop(t *testing.T) {
-	reach := make([]Bitset, 6)
-	for i := range reach {
-		reach[i] = NewBitset(6)
-	}
+	reach := NewRows(6)
 	// Empty order: 2^6 = 64 ideals.
 	if n := IdealsPre(reach, Invert(reach), func(Bitset) bool { return true }); n != 64 {
 		t.Errorf("got %d ideals, want 64", n)
@@ -83,7 +80,7 @@ func TestDownClosureAndIsIdeal(t *testing.T) {
 	}
 	closed := s.Clone()
 	s.ForEach(func(v int) bool {
-		closed.OrWith(preds[v])
+		closed.OrWith(preds.Row(v))
 		return true
 	})
 	if got := closed.Members(); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {

@@ -135,10 +135,10 @@ func TestWinnerIsVersionMaximal(t *testing.T) {
 		for i := 0; i < cfg.Sites; i++ {
 			for _, id := range r.Comp.EventsOf(core.Ref(SiteElement(i), "Apply")) {
 				e := r.Comp.Event(id)
-				ts, _ := e.Params.Get("ts")
-				origin, _ := e.Params.Get("origin")
+				ts, _ := e.Params().Get("ts")
+				origin, _ := e.Params().Get("origin")
 				if ts.I > maxTS || (ts.I == maxTS && origin.I > maxOrigin) {
-					val, _ := e.Params.Get("val")
+					val, _ := e.Params().Get("val")
 					maxTS, maxOrigin, maxVal = ts.I, origin.I, val.I
 				}
 			}

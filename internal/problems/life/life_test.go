@@ -119,15 +119,15 @@ func TestAsyncCellsDriftButStayCausal(t *testing.T) {
 		// Look for a Compute(g) event concurrent with a Compute(g-2) of
 		// another cell: possible only without a global barrier.
 		var events []core.EventID
-		for _, e := range run.Comp.Events() {
-			if e.Class == "Compute" {
-				events = append(events, e.ID)
+		for i := 0; i < run.Comp.NumEvents(); i++ {
+			if id := core.EventID(i); run.Comp.Event(id).Class() == "Compute" {
+				events = append(events, id)
 			}
 		}
 		for _, a := range events {
 			for _, b := range events {
-				ga, _ := run.Comp.Event(a).Params.Get("gen")
-				gb, _ := run.Comp.Event(b).Params.Get("gen")
+				ga, _ := run.Comp.Event(a).Params().Get("gen")
+				gb, _ := run.Comp.Event(b).Params().Get("gen")
 				if ga.I >= gb.I+2 && run.Comp.Concurrent(a, b) {
 					drifted = true
 				}

@@ -121,22 +121,23 @@ func TestCounterexampleAllocationCeiling(t *testing.T) {
 
 // TestBuildAllocationCeiling pins what building one computation
 // allocates, from a prepared list of events over four elements. Each
-// part of a built computation (its events, per-element lists, enable
-// lists, reach rows and pred rows) is one allocation, and so is the
-// edge list of its order graph, sized before it is filled; only the
-// builder's events and enables, which this caller does not size with
-// Grow, grow by doubling. So going from 8 to 64 events adds a few
+// part of a built computation (its events, its offsets, its enable and
+// element lists, and its reach and pred rows together) is one
+// allocation, and Build's scratch is two more; only the builder's
+// events and enables, which this caller does not size with Grow, and
+// its name table grow by doubling. So going from 8 to 64 events adds a few
 // allocations per doubling, not one or more per event. The per-event
-// layout this replaced made 84 and 550, and a graph edge list that grew
-// by doubling 32 and 41.
+// layout this replaced made 84 and 550, a graph edge list that grew by
+// doubling 32 and 41, and a separate order graph and per-element map 28
+// and 34.
 func TestBuildAllocationCeiling(t *testing.T) {
 	elements := []string{"a", "b", "c", "d"}
 	for _, tt := range []struct {
 		events  int
 		ceiling float64
 	}{
-		{8, 28},
-		{64, 34},
+		{8, 17},
+		{64, 31},
 	} {
 		params := make([]core.Params, tt.events)
 		for i := range params {

@@ -4,6 +4,7 @@ package rw
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"gem/internal/explore"
@@ -15,9 +16,14 @@ import (
 // long-lived checker keeps them all, and the collector marks them on
 // every cycle. They took 188 MB in 1.63 M objects while every event
 // carried its own parameter map and every computation allocated per
-// event, and 224 k objects while every monitor event carried its own copy
-// of its element name; a layout that brings any of these back fails
-// here. It also bounds what the exploration allocates on the way: 598 MB
+// event, 224 k objects while every monitor event carried its own copy
+// of its element name, and 72.6 MB in 148 k objects, 56.7 MB of them
+// scannable, while each event was an object of its own that pointed at
+// its names and each relation row was a slice; a layout that brings any
+// of these back fails here. The runs' events and rows now hold no
+// pointers, so at most a tenth of their bytes is scannable
+// (/gc/scan/heap:bytes). It also bounds what the exploration allocates
+// on the way: 140 MB while the runs held pointers, 598 MB
 // in 3.54 M allocations while every leaf rendered and hashed a canonical
 // key of its run to drop repeats that sleep sets never reach, and 320 MB
 // in 694 k while the walker cloned the machine for every branch and each
@@ -30,21 +36,27 @@ func TestExploredHeapCeiling(t *testing.T) {
 		t.Skip("explores 3,480 runs")
 	}
 	const (
-		maxMB      = 110
-		maxObjects = 290_000
+		maxMB         = 32
+		maxObjects    = 48_000
+		maxScanFactor = 0.10 // of the retained bytes
 
-		maxAllocMB = 160
+		maxAllocMB = 75
 		maxAllocs  = 560_000
 	)
 	var before, after runtime.MemStats
+	scan := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	metrics.Read(scan)
+	scanBefore := scan[0].Value.Uint64()
 	runs, _, err := monitor.Explore(NewProgram(ReadersPriority, Workload{Readers: 3, Writers: 1}), monitor.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	metrics.Read(scan)
+	scanMB := (float64(scan[0].Value.Uint64()) - float64(scanBefore)) / (1 << 20)
 	events := 0
 	for _, r := range runs {
 		events += r.Comp.NumEvents()
@@ -56,9 +68,12 @@ func TestExploredHeapCeiling(t *testing.T) {
 	objects := after.HeapObjects - before.HeapObjects
 	allocMB := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	allocs := after.Mallocs - before.Mallocs
-	t.Logf("retained runs: %.1f MB in %d heap objects; exploring allocated %.1f MB in %d allocations", mb, objects, allocMB, allocs)
+	t.Logf("retained runs: %.1f MB (%.1f MB scannable) in %d heap objects; exploring allocated %.1f MB in %d allocations", mb, scanMB, objects, allocMB, allocs)
 	if mb > maxMB {
 		t.Errorf("retained runs take %.1f MB, ceiling %d MB", mb, maxMB)
+	}
+	if scanMB > maxScanFactor*mb {
+		t.Errorf("retained runs hold %.1f MB the collector scans, ceiling %.0f%% of their %.1f MB", scanMB, 100*maxScanFactor, mb)
 	}
 	if objects > maxObjects {
 		t.Errorf("retained runs take %d heap objects, ceiling %d", objects, maxObjects)

@@ -166,19 +166,21 @@ func TestProblemSpecRefutesStaleRead(t *testing.T) {
 	// Corrupt the read: report a value that was never the last assign.
 	// A built computation is immutable, so rebuild it with the bad read.
 	b := core.NewBuilder()
-	for _, e := range c.Events() {
-		params := e.Params
-		if e.Element == "db.data" && e.Class == "Getval" {
+	for i := 0; i < c.NumEvents(); i++ {
+		e := c.Event(core.EventID(i))
+		params := e.Params()
+		if e.Element() == "db.data" && e.Class() == "Getval" {
 			params = core.NewParams(core.P("oldval", core.Int(999)))
 		}
-		b.Event(e.Element, e.Class, params)
-		for _, tid := range e.Threads {
-			b.Thread(e.ID, tid)
+		b.Event(e.Element(), e.Class(), params)
+		labels := e.Threads()
+		for k := 0; k < labels.Len(); k++ {
+			b.Thread(e.ID(), labels.At(k))
 		}
 	}
-	for _, e := range c.Events() {
-		for _, dst := range c.Enabled(e.ID) {
-			b.Enable(e.ID, dst)
+	for i := 0; i < c.NumEvents(); i++ {
+		for _, dst := range c.Enabled(core.EventID(i)) {
+			b.Enable(core.EventID(i), dst)
 		}
 	}
 	stale, err := b.Build()
@@ -291,7 +293,7 @@ func TestReadsSeeLastWrite(t *testing.T) {
 		}
 		// Every Getval must report 0, 101, or 102.
 		for _, id := range r.Comp.EventsOf(core.Ref(DataElement, "Getval")) {
-			got, _ := r.Comp.Event(id).Params.Get("oldval")
+			got, _ := r.Comp.Event(id).Params().Get("oldval")
 			if got != core.Int(0) && got != core.Int(101) && got != core.Int(102) {
 				t.Errorf("read saw impossible value %v", got)
 			}

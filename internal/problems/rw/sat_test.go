@@ -164,7 +164,7 @@ func TestCSPSolutionMutualExclusionOnData(t *testing.T) {
 	// Every Getval must see 0 or the writer's value — never a torn state.
 	for _, r := range runs {
 		for _, id := range r.Comp.EventsOf(core.Ref(DataElement, "Getval")) {
-			got, _ := r.Comp.Event(id).Params.Get("oldval")
+			got, _ := r.Comp.Event(id).Params().Get("oldval")
 			if got != core.Int(0) && got != core.Int(101) {
 				t.Fatalf("impossible read %v", got)
 			}

@@ -90,7 +90,7 @@ func Pairs(m *gofront.Model) []Pair {
 	defer sp.End()
 	rows := m.Comp.Concurrency()
 	mhp := func(i, j int) bool {
-		return rows[int(m.EventOf[i])].Has(int(m.EventOf[j]))
+		return rows.Has(int(m.EventOf[i]), int(m.EventOf[j]))
 	}
 	var pairs []Pair
 	for _, id := range order {

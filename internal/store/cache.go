@@ -54,30 +54,32 @@ func (s *Store) satKey(problem *spec.Spec, c *core.Computation, corrKey string) 
 // Lookup implements logic.VerdictCache: it serves a previously persisted
 // restriction verdict for (f, c), rehydrating the failing
 // witness against the live computation. Any decode or validation failure
-// is a miss.
-func (s *Store) Lookup(ctx context.Context, f logic.Formula, c *core.Computation) (*logic.Counterexample, bool) {
+// is a miss. It returns the verdict's key either way (the zero key when
+// the store is off, which Store then ignores).
+func (s *Store) Lookup(ctx context.Context, f logic.Formula, c *core.Computation) (*logic.Counterexample, logic.VerdictKey, bool) {
 	if s == nil || s.mode == Off {
-		return nil, false
+		return nil, logic.VerdictKey{}, false
 	}
 	_, sp := obs.StartSpan(ctx, "store.lookup")
 	defer sp.End()
-	if payload, ok := s.read(verdictKey(f, c), kindVerdict); ok {
+	k := verdictKey(f, c)
+	if payload, ok := s.read(k, kindVerdict); ok {
 		if cx, err := decodeVerdict(payload, f, c); err == nil {
 			s.hit()
-			return cx, true
+			return cx, logic.VerdictKey(k), true
 		}
 	}
 	s.miss()
-	return nil, false
+	return nil, logic.VerdictKey(k), false
 }
 
 // Store implements logic.VerdictCache's write-behind: it persists the
-// verdict just computed for (f, c).
-func (s *Store) Store(f logic.Formula, c *core.Computation, cx *logic.Counterexample) {
+// verdict just computed under the key Lookup returned for it.
+func (s *Store) Store(key logic.VerdictKey, cx *logic.Counterexample) {
 	if s == nil || s.mode != ReadWrite {
 		return
 	}
-	s.write(verdictKey(f, c), kindVerdict, encodeVerdict(cx))
+	s.write(digest(key), kindVerdict, encodeVerdict(cx))
 }
 
 // LookupSat implements verify.SatCache: a hit means a prior complete,

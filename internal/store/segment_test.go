@@ -191,7 +191,7 @@ func TestReadOnlyChangesNothing(t *testing.T) {
 	}
 	s.PutCorpus(CorpusKey("spec", "new"), []byte("entry"))
 	s.PutManifest("campaign", []byte("manifest"))
-	s.Store(logic.TrueF{}, randComp(rand.New(rand.NewSource(1)), 4), nil)
+	s.Store(logic.VerdictKey(verdictKey(logic.TrueF{}, randComp(rand.New(rand.NewSource(1)), 4))), nil)
 	s.Trim(1)
 	if after := snapshot(t, dir); after != before {
 		t.Fatalf("a read-only handle changed the store:\n--- before\n%s--- after\n%s", before, after)

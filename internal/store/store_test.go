@@ -159,7 +159,7 @@ func TestVerdictRoundTripAcrossHandles(t *testing.T) {
 		if core.Fingerprint(c1) != core.Fingerprint(c2) {
 			t.Fatal("identical builds fingerprint differently")
 		}
-		got, ok := s2.Lookup(context.Background(), f, c2)
+		got, _, ok := s2.Lookup(context.Background(), f, c2)
 		if !ok {
 			t.Fatalf("case %d: fresh handle missed a just-written verdict", i)
 		}
@@ -277,7 +277,7 @@ func TestVerdictFormulaMismatchIsMiss(t *testing.T) {
 		t.Fatal("FALSE's verdict was not stored")
 	}
 	s.write(verdictKey(other, c), kindVerdict, payload)
-	if _, ok := s.Lookup(context.Background(), other, c); ok {
+	if _, _, ok := s.Lookup(context.Background(), other, c); ok {
 		t.Fatal("verdict for a different formula was served")
 	}
 }
@@ -361,13 +361,35 @@ func TestTrimEvicts(t *testing.T) {
 		t.Errorf("%d segments left after Trim(1)", len(left))
 	}
 	for _, f := range formulas {
-		if _, ok := s.Lookup(context.Background(), f, c); ok {
+		if _, _, ok := s.Lookup(context.Background(), f, c); ok {
 			t.Fatalf("evicted verdict of %s still served", f)
 		}
 	}
-	s.Store(formulas[0], c, nil)
+	s.Store(logic.VerdictKey(verdictKey(formulas[0], c)), nil)
 	if left := segmentFiles(t, dir); len(left) != 1 {
 		t.Errorf("a write after Trim left %d segments, want 1", len(left))
+	}
+}
+
+// TestLookupKeysTheWriteBehind checks that a miss hands back the key the
+// verdict belongs under, so Holds' write-behind derives none of its own:
+// a verdict stored under it is the one the next lookup serves.
+func TestLookupKeysTheWriteBehind(t *testing.T) {
+	s := rwStore(t)
+	c := randComp(rand.New(rand.NewSource(3)), 6)
+	f := logic.FalseF{}
+	_, key, ok := s.Lookup(context.Background(), f, c)
+	if ok {
+		t.Fatal("an empty store hit")
+	}
+	if key != logic.VerdictKey(verdictKey(f, c)) {
+		t.Fatal("a miss returned another key than the verdict's")
+	}
+	cx := logic.Holds(f, c, logic.CheckOptions{})
+	s.Store(key, cx)
+	got, again, ok := s.Lookup(context.Background(), f, c)
+	if !ok || again != key || cxString(got) != cxString(cx) {
+		t.Fatalf("the stored verdict was not served under its key: hit %v, %s", ok, cxString(got))
 	}
 }
 
@@ -382,10 +404,10 @@ func TestNilStoreIsInert(t *testing.T) {
 		t.Fatal("Off mode returned a non-nil store")
 	}
 	c := randComp(rand.New(rand.NewSource(2)), 4)
-	if _, ok := s.Lookup(context.Background(), logic.TrueF{}, c); ok {
+	if _, _, ok := s.Lookup(context.Background(), logic.TrueF{}, c); ok {
 		t.Error("nil store hit")
 	}
-	s.Store(logic.TrueF{}, c, nil)
+	s.Store(logic.VerdictKey{}, nil)
 	s.Trim(0)
 	if st := s.Stats(); st != (Stats{}) {
 		t.Errorf("nil store counted traffic: %+v", st)

@@ -56,7 +56,7 @@ func Apply(c *core.Computation, types ...Type) []Instance {
 			inst := Instance{ID: ID(tt.Name, counters[tt.Name])}
 			inst.Events = traceFrom(c, tt, head)
 			for _, id := range inst.Events {
-				addLabel(c.Event(id), inst.ID)
+				c.Label(id, inst.ID)
 			}
 			out = append(out, inst)
 		}
@@ -141,13 +141,16 @@ func Validate(c *core.Computation, types ...Type) error {
 	for _, tt := range types {
 		declared[tt.Name] = true
 	}
-	for _, e := range c.Events() {
-		for _, tid := range e.Threads {
+	for i := 0; i < c.NumEvents(); i++ {
+		e := c.Event(core.EventID(i))
+		labels := e.Threads()
+		for k := 0; k < labels.Len(); k++ {
+			tid := labels.At(k)
 			typ := TypeOf(tid)
 			if !declared[typ] {
 				continue // labels of undeclared types are out of scope
 			}
-			if !expected[e.ID][tid] {
+			if !expected[e.ID()][tid] {
 				return fmt.Errorf("thread: event %s carries %s but is not on that thread's path", e.Name(), tid)
 			}
 		}
@@ -170,12 +173,6 @@ func TypeOf(tid string) string {
 		}
 	}
 	return tid
-}
-
-func addLabel(e *core.Event, tid string) {
-	if !e.HasThread(tid) {
-		e.Threads = append(e.Threads, tid)
-	}
 }
 
 func dedupe(ids []core.EventID) []core.EventID {

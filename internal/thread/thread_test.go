@@ -145,8 +145,7 @@ func TestValidateRejectsForgedLabel(t *testing.T) {
 	c, chains := rwChain(t)
 	Apply(c, rwType())
 	// Forge: put chain 1's identifier on a chain 2 event.
-	ev := c.Event(chains[1][3])
-	ev.Threads = append(ev.Threads, "piRW#1")
+	c.Label(chains[1][3], "piRW#1")
 	err := Validate(c, rwType())
 	if err == nil || !strings.Contains(err.Error(), "not on that thread's path") {
 		t.Errorf("want forged-label error, got %v", err)
@@ -154,11 +153,17 @@ func TestValidateRejectsForgedLabel(t *testing.T) {
 }
 
 func TestValidateRejectsMissingLabel(t *testing.T) {
-	c, chains := rwChain(t)
-	Apply(c, rwType())
-	// Drop a label from the middle of chain 1.
-	ev := c.Event(chains[0][2])
-	ev.Threads = nil
+	applied, chains := rwChain(t)
+	insts := Apply(applied, rwType())
+	// Label a fresh copy as Apply did, but for the middle of chain 1.
+	c, _ := rwChain(t)
+	for _, inst := range insts {
+		for _, id := range inst.Events {
+			if id != chains[0][2] {
+				c.Label(id, inst.ID)
+			}
+		}
+	}
 	err := Validate(c, rwType())
 	if err == nil || !strings.Contains(err.Error(), "should carry") {
 		t.Errorf("want missing-label error, got %v", err)
@@ -168,7 +173,7 @@ func TestValidateRejectsMissingLabel(t *testing.T) {
 func TestValidateIgnoresUndeclaredTypes(t *testing.T) {
 	c, chains := rwChain(t)
 	Apply(c, rwType())
-	c.Event(chains[0][0]).Threads = append(c.Event(chains[0][0]).Threads, "other#1")
+	c.Label(chains[0][0], "other#1")
 	if err := Validate(c, rwType()); err != nil {
 		t.Errorf("labels of undeclared types must be ignored: %v", err)
 	}
@@ -192,12 +197,12 @@ func TestApplyIdempotentLabels(t *testing.T) {
 	Apply(c, rwType()) // relabel: identifiers repeat, HasThread dedupes
 	ev := c.Event(chains[0][0])
 	count := 0
-	for _, tid := range ev.Threads {
-		if tid == "piRW#1" {
+	for k := 0; k < ev.Threads().Len(); k++ {
+		if ev.Threads().At(k) == "piRW#1" {
 			count++
 		}
 	}
 	if count != 1 {
-		t.Errorf("duplicate labels after re-Apply: %v", ev.Threads)
+		t.Errorf("%d labels piRW#1 after re-Apply, want 1", count)
 	}
 }

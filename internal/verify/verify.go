@@ -154,19 +154,20 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 		class string
 	}
 	var hits []hit
-	for _, e := range c.Events() {
+	for id := 0; id < c.NumEvents(); id++ {
+		e := c.Event(core.EventID(id))
 		for i := range corr.Rules {
 			r := &corr.Rules[i]
-			if !r.Match.Matches(e) || !whereMatches(e, r.Where) {
+			if !r.Match.Matches(e) || !whereMatches(e.Params(), r.Where) {
 				continue
 			}
 			key := ""
 			switch r.KeyParam {
 			case "":
 			case "@element":
-				key = e.Element
+				key = e.Element()
 			default:
-				v, ok := e.Params.Get(r.KeyParam)
+				v, ok := e.Params().Get(r.KeyParam)
 				if !ok || v.Kind != core.KindString {
 					return nil, fmt.Errorf("verify: event %s lacks string key parameter %q", e.Name(), r.KeyParam)
 				}
@@ -176,7 +177,7 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 			if err != nil {
 				return nil, err
 			}
-			hits = append(hits, hit{prog: e.ID, rule: r, key: key, elem: elem, class: r.Class})
+			hits = append(hits, hit{prog: e.ID(), rule: r, key: key, elem: elem, class: r.Class})
 			break // first matching rule wins
 		}
 	}
@@ -228,7 +229,7 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 	for _, h := range hits {
 		params := make([]core.Param, 0, 4)
 		for problemParam, progParam := range h.rule.CopyParams {
-			if v, ok := c.Event(h.prog).Params.Get(progParam); ok {
+			if v, ok := c.Event(h.prog).Params().Get(progParam); ok {
 				params = append(params, core.P(problemParam, v))
 			}
 		}
@@ -375,10 +376,10 @@ func CheckAll(problem *spec.Spec, comps []*core.Computation, corr Correspondence
 	return idx, res
 }
 
-func whereMatches(e *core.Event, where core.Params) bool {
+func whereMatches(params, where core.Params) bool {
 	for i := 0; i < where.Len(); i++ {
 		w := where.At(i)
-		if v, _ := e.Params.Get(w.Name); v != w.Value {
+		if v, _ := params.Get(w.Name); v != w.Value {
 			return false
 		}
 	}

@@ -86,11 +86,11 @@ func TestProjectBasics(t *testing.T) {
 	if !proj.Comp.EnablesDirect(ping[0], served[0]) {
 		t.Error("chain stages must be wired with an enable edge")
 	}
-	if v, _ := proj.Comp.Event(ping[0]).Params.Get("v"); v != core.Int(5) {
+	if v, _ := proj.Comp.Event(ping[0]).Params().Get("v"); v != core.Int(5) {
 		t.Error("CopyParams failed")
 	}
 	// Origin maps back to program events.
-	if orig := proj.Origin[ping[0]]; c.Event(orig).Class != "Request" {
+	if orig := proj.Origin[ping[0]]; c.Event(orig).Class() != "Request" {
 		t.Error("Origin mapping wrong")
 	}
 }

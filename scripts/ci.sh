@@ -155,21 +155,25 @@ echo "==> exploration redundancy gate: each computation reached once, not once p
 # MaxRuns stops a walk, and a computation reached twice shows as one
 # leaf too many, dropped or not. An edit to the explorer or to a
 # language's Independent method that lets redundant interleavings back
-# in fails here, as does one that loses a computation.
-explore_gate() { # explore_gate WANT COMMAND...: COMMAND -stats must show WANT runs
+# in fails here, as does one that loses a computation. The number of
+# branches the sleep sets prune pins the walk's shape as well: a change
+# that visits the same leaves along other paths moves it.
+explore_gate() { # explore_gate WANT PRUNED COMMAND...: COMMAND -stats must show WANT runs and PRUNED pruned branches
 	want="$1"
-	shift
+	wantpruned="$2"
+	shift 2
 	"$@" >/dev/null 2>"$tracedir/explore.stats"
 	leaves="$(awk '$1 == "explore.leaves" {print $2}' "$tracedir/explore.stats")"
 	emitted="$(awk '$1 == "explore.emitted" {print $2}' "$tracedir/explore.stats")"
-	if [ "${emitted:-0}" -ne "$want" ] || [ "${leaves:-999999}" -gt "$want" ]; then
-		echo "==> FAIL: $*: explore.leaves = ${leaves:-missing}, explore.emitted = ${emitted:-missing}; want $want and $want" >&2
+	pruned="$(awk '$1 == "explore.pruned" {print $2}' "$tracedir/explore.stats")"
+	if [ "${emitted:-0}" -ne "$want" ] || [ "${leaves:-999999}" -gt "$want" ] || [ "${pruned:-0}" -ne "$wantpruned" ]; then
+		echo "==> FAIL: $*: explore.leaves = ${leaves:-missing}, explore.emitted = ${emitted:-missing}, explore.pruned = ${pruned:-missing}; want $want, $want and $wantpruned" >&2
 		exit 1
 	fi
 }
-explore_gate 217 go run ./cmd/gemverify -j 1 -cache off -stats
-explore_gate 420 "$tracedir/gemcheck" -j 1 -cache off -stats rw
-explore_gate 6 "$tracedir/gemcheck" -j 1 -cache off -stats distributed
+explore_gate 217 140 go run ./cmd/gemverify -j 1 -cache off -stats
+explore_gate 420 226 "$tracedir/gemcheck" -j 1 -cache off -stats rw
+explore_gate 6 14 "$tracedir/gemcheck" -j 1 -cache off -stats distributed
 echo "==> store write gate: a priming run writes the two check layers only, under unchanged keys; a warm rerun nothing"
 # A -j 1 priming run of the matrix and its refutations writes 1,400
 # records: 1,253 per-restriction verdicts and 147 whole-check sat
