@@ -10,12 +10,14 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gem/internal/ada"
 	"gem/internal/check"
 	"gem/internal/core"
 	"gem/internal/csp"
+	"gem/internal/explore"
 	"gem/internal/fanout"
 	"gem/internal/gofront"
 	"gem/internal/history"
@@ -199,7 +201,7 @@ func BenchmarkE5Primitives(b *testing.B) {
 				b.Fatal(res.Error())
 			}
 		}
-		aruns, _, err := ada.Explore(adaProg, ada.ExploreOptions{})
+		aruns, _, err := explore.Collect(ada.ExploreStream, adaProg, ada.ExploreOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,7 +302,7 @@ func BenchmarkE8Distributed(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range runs {
-			if !r.Converged {
+			if finals := dbupdate.Finals(r.Comp, cfg.Sites); slices.Min(finals) != slices.Max(finals) {
 				b.Fatal("dbupdate diverged")
 			}
 		}

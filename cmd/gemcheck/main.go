@@ -23,11 +23,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"gem/internal/cli"
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/fanout"
 	"gem/internal/history"
 	"gem/internal/lint"
@@ -183,7 +185,7 @@ func rwMatrix(ctx context.Context, w io.Writer, j int, cache logic.VerdictCache)
 		for _, w := range workloads {
 			var err error
 			_, _, runs := fanout.First(ctx, j, func(yield func(*core.Computation) bool) {
-				_, err = monitor.ExploreStream(rw.NewProgram(v, w), monitor.ExploreOptions{Ctx: ctx}, func(r monitor.Run) bool {
+				_, err = monitor.ExploreStream(rw.NewProgram(v, w), monitor.ExploreOptions{Ctx: ctx}, func(r explore.Run) bool {
 					return yield(r.Comp)
 				})
 			}, func(_ int, comp *core.Computation) (struct{}, bool) {
@@ -224,7 +226,7 @@ func distributed(w io.Writer) error {
 	}
 	converged := 0
 	for _, r := range runs {
-		if r.Converged {
+		if finals := dbupdate.Finals(r.Comp, cfg.Sites); slices.Min(finals) == slices.Max(finals) {
 			converged++
 		}
 	}

@@ -9,38 +9,23 @@ import (
 	"gem/internal/lang"
 )
 
-// Run is one complete (or deadlocked) execution rendered as a GEM
-// computation.
-type Run struct {
-	Comp      *core.Computation
-	FinalVars map[string]map[string]int64
-	Deadlock  bool
-}
-
 // ExploreOptions bounds the exploration.
 type ExploreOptions = explore.Options
 
-// Explore exhaustively enumerates interleavings and returns distinct GEM
-// computations (distinct as partial orders: the walk completes one
-// interleaving per trace, and compares the runs whose select choices or
-// queued calls the events may not record; see explore.Machine). The bool
-// reports truncation by MaxRuns. It is the collect-all form of
-// ExploreStream.
-func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
-	return explore.Collect(ExploreStream, p, opts)
-}
-
-// ExploreStream enumerates the distinct runs like Explore but hands each
-// one to yield as soon as it completes, in deterministic DFS order, so
-// checkers can consume runs while exploration is still in progress. If
-// yield returns false the exploration stops early with truncated ==
-// false and a nil error.
-func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
+// ExploreStream exhaustively enumerates interleavings and hands yield a
+// run for each distinct GEM computation (distinct as partial orders: the
+// walk completes one interleaving per trace, and compares the runs whose
+// select choices or queued calls the events may not record; see
+// explore.Machine) as soon as it completes, in deterministic DFS order,
+// so checkers can consume runs while exploration is still in progress.
+// It reports truncation by MaxRuns. If yield returns false the
+// exploration stops early with truncated == false and a nil error.
+func ExploreStream(p *Program, opts ExploreOptions, yield func(explore.Run) bool) (bool, error) {
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	return explore.Run[*machine, transition](m, opts, yield)
+	return explore.Walk[*machine, transition](m, opts, yield)
 }
 
 type frame struct {
@@ -352,8 +337,8 @@ func (m *machine) Independent(a, b transition) bool {
 // explore.Machine) when a task resolves a select that has an else part,
 // whose taking emits nothing and depends on when calls arrive, or
 // accepts an entry that another open alternative also accepts, with the
-// same AcceptStart. Key marks a run that leaves two calls queued on one
-// entry, whose order no event records.
+// same AcceptStart. Deadlocked marks a run that leaves two calls queued
+// on one entry, whose order no event records.
 func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "accept":
@@ -392,13 +377,11 @@ func (m *machine) sameEntryOpen(task int, sel Select, alt int) bool {
 	return false
 }
 
-// Key marks the run Unrecorded if it leaves two calls queued on one
-// entry, then renders it as explore.Log.Key does, with whether it
-// deadlocked: a choice the events do not record can end two runs of one
-// computation differently (a select that accepts a call at once leaves
-// a later accept waiting; one that takes its else part first does not).
-// Final variables stay out of the key, because no verdict reads them.
-func (m *machine) Key() (string, bool, error) {
+// Deadlocked reports whether a state with no transitions left a task
+// blocked or unfinished. It also marks the run Unrecorded if it leaves
+// two calls queued on one entry, whose order no event records; the
+// driver asks before it keys the run.
+func (m *machine) Deadlocked() bool {
 	for _, q := range m.queues {
 		for _, cs := range q {
 			if len(cs) > 1 {
@@ -406,15 +389,6 @@ func (m *machine) Key() (string, bool, error) {
 			}
 		}
 	}
-	key, marked, err := m.Log.Key()
-	if marked && m.deadlocked() {
-		key += "\ndeadlock"
-	}
-	return key, marked, err
-}
-
-// deadlocked reports whether a task is left blocked or unfinished.
-func (m *machine) deadlocked() bool {
 	for i := range m.tasks {
 		if _, unfinished := m.currentStmt(i); unfinished || m.tasks[i].blocked {
 			return true
@@ -501,20 +475,4 @@ func (m *machine) step(task int) error {
 		return fmt.Errorf("ada: statement %T not supported as a step", st)
 	}
 	return nil
-}
-
-func (m *machine) Finish() (Run, error) {
-	finals := make(map[string]map[string]int64, len(m.tasks))
-	for i := range m.tasks {
-		vars := make(map[string]int64, len(m.tasks[i].vars))
-		for k, v := range m.tasks[i].vars {
-			vars[k] = v
-		}
-		finals[m.prog.Tasks[i].Name] = vars
-	}
-	comp, err := m.Build()
-	if err != nil {
-		return Run{}, fmt.Errorf("ada: generated computation invalid: %w", err)
-	}
-	return Run{Comp: comp, FinalVars: finals, Deadlock: m.deadlocked()}, nil
 }

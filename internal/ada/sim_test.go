@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore"
+	"gem/internal/explore/exploretest"
 	"gem/internal/lang"
 	"gem/internal/legal"
 )
@@ -32,8 +34,15 @@ func serverProgram() *Program {
 	}}
 }
 
+// finalValue reads task's variable v's final value off c: the newval of
+// the last Assign at its element, which every assignment emits.
+func finalValue(c *core.Computation, task, v string) int64 {
+	val, _ := exploretest.Last(c, core.Ref(VarElement(task, v), "Assign"), "newval")
+	return val
+}
+
 func TestRendezvousBasics(t *testing.T) {
-	runs, truncated, err := Explore(serverProgram(), ExploreOptions{})
+	runs, truncated, err := explore.Collect(ExploreStream, serverProgram(), ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +53,8 @@ func TestRendezvousBasics(t *testing.T) {
 	if r.Deadlock {
 		t.Fatal("rendezvous must complete")
 	}
-	if r.FinalVars["server"]["stored"] != 42 {
-		t.Errorf("stored = %d, want 42", r.FinalVars["server"]["stored"])
+	if stored := finalValue(r.Comp, "server", "stored"); stored != 42 {
+		t.Errorf("stored = %d, want 42", stored)
 	}
 	c := r.Comp
 	call := c.EventsOf(core.Ref("client", "Call"))
@@ -80,7 +89,7 @@ func TestAdaSpecLegality(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestReplyCarriesResult(t *testing.T) {
 			Body: []Stmt{EntryCall{Task: "oracle", Entry: "Ask", Arg: lang.IntLit(6)}},
 		},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +146,7 @@ func TestSelectTakesReadyAlternative(t *testing.T) {
 			Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: lang.IntLit(9)}},
 		},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +156,8 @@ func TestSelectTakesReadyAlternative(t *testing.T) {
 	if runs[0].Deadlock {
 		t.Fatal("select must take the ready Put")
 	}
-	if runs[0].FinalVars["server"]["x"] != 9 {
-		t.Errorf("x = %d", runs[0].FinalVars["server"]["x"])
+	if x := finalValue(runs[0].Comp, "server", "x"); x != 9 {
+		t.Errorf("x = %d, want 9", x)
 	}
 }
 
@@ -175,7 +184,7 @@ func TestSelectGuards(t *testing.T) {
 			Body: []Stmt{Op{Class: "Idle"}},
 		},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +215,7 @@ func TestSelectElseOnlyWhenNothingReady(t *testing.T) {
 			Body: []Stmt{EntryCall{Task: "server", Entry: "Ping"}},
 		},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +251,7 @@ func TestTwoCallersFIFO(t *testing.T) {
 		{Name: "a", Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: lang.IntLit(1)}}},
 		{Name: "b", Body: []Stmt{EntryCall{Task: "server", Entry: "Put", Arg: lang.IntLit(2)}}},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +259,7 @@ func TestTwoCallersFIFO(t *testing.T) {
 		if r.Deadlock {
 			t.Error("both callers must be served")
 		}
-		if last := r.FinalVars["server"]["last"]; last != 1 && last != 2 {
+		if last := finalValue(r.Comp, "server", "last"); last != 1 && last != 2 {
 			t.Errorf("last = %d", last)
 		}
 	}
@@ -264,7 +273,7 @@ func TestDeadlockNoAccept(t *testing.T) {
 		{Name: "server", Entries: []string{"Ping"}, Body: []Stmt{Op{Class: "Busy"}}},
 		{Name: "caller", Body: []Stmt{EntryCall{Task: "server", Entry: "Ping"}}},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,30 +286,30 @@ func TestValidationErrors(t *testing.T) {
 	bad1 := &Program{Tasks: []Task{
 		{Name: "a", Body: []Stmt{EntryCall{Task: "ghost", Entry: "X"}}},
 	}}
-	if _, _, err := Explore(bad1, ExploreOptions{}); err == nil {
+	if _, _, err := explore.Collect(ExploreStream, bad1, ExploreOptions{}); err == nil {
 		t.Error("unknown task must be rejected")
 	}
 	bad2 := &Program{Tasks: []Task{
 		{Name: "a", Entries: []string{"X"}, Body: nil},
 		{Name: "b", Body: []Stmt{EntryCall{Task: "a", Entry: "Y"}}},
 	}}
-	if _, _, err := Explore(bad2, ExploreOptions{}); err == nil {
+	if _, _, err := explore.Collect(ExploreStream, bad2, ExploreOptions{}); err == nil {
 		t.Error("unknown entry must be rejected")
 	}
 	bad3 := &Program{Tasks: []Task{
 		{Name: "a", Body: []Stmt{Accept{Entry: "Undeclared"}}},
 	}}
-	if _, _, err := Explore(bad3, ExploreOptions{}); err == nil {
+	if _, _, err := explore.Collect(ExploreStream, bad3, ExploreOptions{}); err == nil {
 		t.Error("undeclared accept entry must be rejected")
 	}
 	bad4 := &Program{Tasks: []Task{{Name: "x"}, {Name: "x"}}}
-	if _, _, err := Explore(bad4, ExploreOptions{}); err == nil {
+	if _, _, err := explore.Collect(ExploreStream, bad4, ExploreOptions{}); err == nil {
 		t.Error("duplicate task names must be rejected")
 	}
 	bad5 := &Program{Tasks: []Task{
 		{Name: "a", Body: []Stmt{Reply{E: lang.IntLit(1)}}},
 	}}
-	if _, _, err := Explore(bad5, ExploreOptions{}); err == nil {
+	if _, _, err := explore.Collect(ExploreStream, bad5, ExploreOptions{}); err == nil {
 		t.Error("Reply outside rendezvous must be rejected")
 	}
 }
@@ -324,7 +333,7 @@ func TestNestedAccept(t *testing.T) {
 		{Name: "c1", Body: []Stmt{EntryCall{Task: "server", Entry: "Outer", Arg: lang.IntLit(10)}}},
 		{Name: "c2", Body: []Stmt{EntryCall{Task: "server", Entry: "Inner", Arg: lang.IntLit(5)}}},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +341,8 @@ func TestNestedAccept(t *testing.T) {
 		if r.Deadlock {
 			t.Fatal("nested rendezvous must complete")
 		}
-		if r.FinalVars["server"]["sum"] != 15 {
-			t.Errorf("sum = %d, want 15", r.FinalVars["server"]["sum"])
+		if sum := finalValue(r.Comp, "server", "sum"); sum != 15 {
+			t.Errorf("sum = %d, want 15", sum)
 		}
 	}
 }
@@ -395,7 +404,7 @@ func TestExternalSharedElement(t *testing.T) {
 			},
 		},
 	}}
-	runs, _, err := Explore(prog, ExploreOptions{})
+	runs, _, err := explore.Collect(ExploreStream, prog, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,28 +91,23 @@ func TestReadersPriorityVariantRuns(t *testing.T) {
 
 // runs explores p with the given options and returns its runs, in
 // order, as the reduction oracle compares them.
-func runs[P, R any](t *testing.T, p P, exploreFn func(P, explore.Options) ([]R, bool, error),
-	run func(R) exploretest.Run, opts explore.Options) []exploretest.Run {
+func runs[P any](t *testing.T, p P, stream func(P, explore.Options, func(explore.Run) bool) (bool, error),
+	opts explore.Options) []explore.Run {
 	t.Helper()
-	got, truncated, err := exploreFn(p, opts)
+	got, truncated, err := explore.Collect(stream, p, opts)
 	if err != nil || truncated {
 		t.Fatalf("truncated=%v err=%v", truncated, err)
 	}
-	out := make([]exploretest.Run, len(got))
-	for i, r := range got {
-		out[i] = run(r)
-	}
-	return out
+	return got
 }
 
 // reductionOracle checks that the reduced exploration of p emits each
 // run the unreduced exploration reaches, by computation and deadlock
 // flag, exactly once.
-func reductionOracle[P, R any](p P, exploreFn func(P, explore.Options) ([]R, bool, error),
-	run func(R) exploretest.Run) func(*testing.T) {
+func reductionOracle[P any](p P, stream func(P, explore.Options, func(explore.Run) bool) (bool, error)) func(*testing.T) {
 	return func(t *testing.T) {
-		reduced := runs(t, p, exploreFn, run, explore.Options{MaxRuns: 60000})
-		full := runs(t, p, exploreFn, run, explore.Options{MaxRuns: 60000, NoReduction: true})
+		reduced := runs(t, p, stream, explore.Options{MaxRuns: 60000})
+		full := runs(t, p, stream, explore.Options{MaxRuns: 60000, NoReduction: true})
 		if err := exploretest.SameRuns(reduced, full, false); err != nil {
 			t.Fatal(err)
 		}
@@ -127,17 +122,14 @@ func TestReductionPreservesComputations(t *testing.T) {
 	one := oneslot.Workload{Producers: 1, Consumers: 1, ItemsPerProducer: 2}
 	bb := boundedbuf.Workload{Producers: 2, Consumers: 1, ItemsPerProducer: 1, Capacity: 2}
 	rww := rw.Workload{Readers: 2, Writers: 1}
-	monRun := func(r monitor.Run) exploretest.Run { return exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock} }
-	cspRun := func(r csp.Run) exploretest.Run { return exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock} }
-	adaRun := func(r ada.Run) exploretest.Run { return exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock} }
 
-	t.Run("monitor/one-slot-buffer", reductionOracle(oneslot.NewMonitorProgram(one), monitor.Explore, monRun))
-	t.Run("monitor/bounded-buffer", reductionOracle(boundedbuf.NewMonitorProgram(bb), monitor.Explore, monRun))
-	t.Run("csp/one-slot-buffer", reductionOracle(oneslot.NewCSPProgram(one), csp.Explore, cspRun))
-	t.Run("csp/bounded-buffer", reductionOracle(boundedbuf.NewCSPProgram(bb), csp.Explore, cspRun))
-	t.Run("csp/readers-writers", reductionOracle(rw.NewCSPProgram(rww), csp.Explore, cspRun))
-	t.Run("ada/one-slot-buffer", reductionOracle(oneslot.NewAdaProgram(one), ada.Explore, adaRun))
-	t.Run("ada/bounded-buffer", reductionOracle(boundedbuf.NewAdaProgram(bb), ada.Explore, adaRun))
+	t.Run("monitor/one-slot-buffer", reductionOracle(oneslot.NewMonitorProgram(one), monitor.ExploreStream))
+	t.Run("monitor/bounded-buffer", reductionOracle(boundedbuf.NewMonitorProgram(bb), monitor.ExploreStream))
+	t.Run("csp/one-slot-buffer", reductionOracle(oneslot.NewCSPProgram(one), csp.ExploreStream))
+	t.Run("csp/bounded-buffer", reductionOracle(boundedbuf.NewCSPProgram(bb), csp.ExploreStream))
+	t.Run("csp/readers-writers", reductionOracle(rw.NewCSPProgram(rww), csp.ExploreStream))
+	t.Run("ada/one-slot-buffer", reductionOracle(oneslot.NewAdaProgram(one), ada.ExploreStream))
+	t.Run("ada/bounded-buffer", reductionOracle(boundedbuf.NewAdaProgram(bb), ada.ExploreStream))
 
 	// Programs whose choices their computations do not record: the walk
 	// completes each of their computations once per choice, and the
@@ -148,39 +140,39 @@ func TestReductionPreservesComputations(t *testing.T) {
 		{Name: "server", Entries: []string{"Ping"}, Body: busy},
 		{Name: "a", Body: []ada.Stmt{ping}},
 		{Name: "b", Body: []ada.Stmt{ping}},
-	}}, ada.Explore, adaRun))
+	}}, ada.ExploreStream))
 	t.Run("ada/select-same-entry", reductionOracle(&ada.Program{Tasks: []ada.Task{
 		{Name: "server", Entries: []string{"Ping"}, Body: []ada.Stmt{ada.Select{Alts: []ada.SelectAlt{
 			{Accept: ada.Accept{Entry: "Ping", Body: busy}},
 			{Accept: ada.Accept{Entry: "Ping", Body: busy}},
 		}}}},
 		{Name: "a", Body: []ada.Stmt{ping}},
-	}}, ada.Explore, adaRun))
+	}}, ada.ExploreStream))
 	t.Run("ada/select-else-race", reductionOracle(&ada.Program{Tasks: []ada.Task{
 		{Name: "server", Entries: []string{"Ping"}, Body: []ada.Stmt{
 			ada.Select{Alts: []ada.SelectAlt{{Accept: ada.Accept{Entry: "Ping"}}}, Else: []ada.Stmt{}},
 			ada.Accept{Entry: "Ping"},
 		}},
 		{Name: "a", Body: []ada.Stmt{ping}},
-	}}, ada.Explore, adaRun))
+	}}, ada.ExploreStream))
 	op := []csp.Stmt{csp.Op{Class: "A"}}
 	recv := csp.Recv{From: "p", Var: "x"}
 	sendOne := csp.Process{Name: "p", Body: []csp.Stmt{csp.Send{To: "q", E: lang.IntLit(1)}}}
 	t.Run("csp/equal-boolean-branches", reductionOracle(&csp.Program{Processes: []csp.Process{
 		{Name: "q", Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{{Body: op}, {Body: op}}}}},
-	}}, csp.Explore, cspRun))
+	}}, csp.ExploreStream))
 	t.Run("csp/two-receives-from-one-sender", reductionOracle(&csp.Program{Processes: []csp.Process{
 		sendOne,
 		{Name: "q", Vars: []string{"x", "y"}, Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{
 			{Comm: recv},
 			{Comm: csp.Recv{From: "p", Var: "y"}},
 		}}}},
-	}}, csp.Explore, cspRun))
+	}}, csp.ExploreStream))
 	t.Run("csp/boolean-branch-then-receive", reductionOracle(&csp.Program{Processes: []csp.Process{
 		sendOne,
 		{Name: "q", Vars: []string{"x"}, Body: []csp.Stmt{csp.Alt{Branches: []csp.Branch{
 			{Comm: recv},
 			{Body: []csp.Stmt{recv}},
 		}}}},
-	}}, csp.Explore, cspRun))
+	}}, csp.ExploreStream))
 }

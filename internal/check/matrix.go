@@ -149,23 +149,20 @@ func Matrix() []Scenario {
 }
 
 // stream adapts a simulator's ExploreStream to the scenario streaming
-// shape; run unpacks the language's Run type. Deadlocked runs surface as
-// errors.
-func stream[P, R any](lang Language, p P,
-	exploreStream func(P, explore.Options, func(R) bool) (bool, error),
-	run func(R) (comp *core.Computation, deadlock bool),
+// shape. Deadlocked runs surface as errors.
+func stream[P any](lang Language, p P,
+	exploreStream func(P, explore.Options, func(explore.Run) bool) (bool, error),
 ) func(yield func(*core.Computation) bool) (bool, error) {
 	return func(yield func(*core.Computation) bool) (bool, error) {
 		i := 0
 		var deadlock error
-		trunc, err := exploreStream(p, explore.Options{MaxRuns: 60000}, func(r R) bool {
-			c, dead := run(r)
-			if dead {
+		trunc, err := exploreStream(p, explore.Options{MaxRuns: 60000}, func(r explore.Run) bool {
+			if r.Deadlock {
 				deadlock = fmt.Errorf("check: %s run %d deadlocked", lang, i)
 				return false
 			}
 			i++
-			return yield(c)
+			return yield(r.Comp)
 		})
 		if err == nil {
 			err = deadlock
@@ -174,36 +171,24 @@ func stream[P, R any](lang Language, p P,
 	}
 }
 
-func streamMonitor(p *monitor.Program) func(yield func(*core.Computation) bool) (bool, error) {
-	return stream(Monitor, p, monitor.ExploreStream, func(r monitor.Run) (*core.Computation, bool) { return r.Comp, r.Deadlock })
-}
-
-func streamCSP(p *csp.Program) func(yield func(*core.Computation) bool) (bool, error) {
-	return stream(CSP, p, csp.ExploreStream, func(r csp.Run) (*core.Computation, bool) { return r.Comp, r.Deadlock })
-}
-
-func streamAda(p *ada.Program) func(yield func(*core.Computation) bool) (bool, error) {
-	return stream(Ada, p, ada.ExploreStream, func(r ada.Run) (*core.Computation, bool) { return r.Comp, r.Deadlock })
-}
-
 func oneslotScenario(lang Language) Scenario {
 	w := oneslot.Workload{Producers: 1, Consumers: 1, ItemsPerProducer: 2}
 	s := Scenario{Problem: "one-slot-buffer", Language: lang}
 	switch lang {
 	case Monitor:
-		s.Stream = streamMonitor(oneslot.NewMonitorProgram(w))
+		s.Stream = stream(Monitor, oneslot.NewMonitorProgram(w), monitor.ExploreStream)
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := oneslot.ProblemSpec(w)
 			return problem, oneslot.MonitorCorrespondence(), err
 		}
 	case CSP:
-		s.Stream = streamCSP(oneslot.NewCSPProgram(w))
+		s.Stream = stream(CSP, oneslot.NewCSPProgram(w), csp.ExploreStream)
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := oneslot.ProblemSpec(w)
 			return problem, oneslot.CSPCorrespondence(w), err
 		}
 	default:
-		s.Stream = streamAda(oneslot.NewAdaProgram(w))
+		s.Stream = stream(Ada, oneslot.NewAdaProgram(w), ada.ExploreStream)
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := oneslot.ProblemSpec(w)
 			return problem, oneslot.AdaCorrespondence(), err
@@ -217,19 +202,19 @@ func boundedbufScenario(lang Language) Scenario {
 	s := Scenario{Problem: "bounded-buffer", Language: lang}
 	switch lang {
 	case Monitor:
-		s.Stream = streamMonitor(boundedbuf.NewMonitorProgram(w))
+		s.Stream = stream(Monitor, boundedbuf.NewMonitorProgram(w), monitor.ExploreStream)
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := boundedbuf.ProblemSpec(w)
 			return problem, boundedbuf.MonitorCorrespondence(w.Capacity), err
 		}
 	case CSP:
-		s.Stream = streamCSP(boundedbuf.NewCSPProgram(w))
+		s.Stream = stream(CSP, boundedbuf.NewCSPProgram(w), csp.ExploreStream)
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := boundedbuf.ProblemSpec(w)
 			return problem, boundedbuf.CSPCorrespondence(w), err
 		}
 	default:
-		s.Stream = streamAda(boundedbuf.NewAdaProgram(w))
+		s.Stream = stream(Ada, boundedbuf.NewAdaProgram(w), ada.ExploreStream)
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := boundedbuf.ProblemSpec(w)
 			return problem, boundedbuf.AdaCorrespondence(), err
@@ -250,13 +235,13 @@ func rwScenario(lang Language) Scenario {
 	}
 	switch lang {
 	case Monitor:
-		s.Stream = streamMonitor(rw.NewProgram(rw.ReadersPriority, w))
+		s.Stream = stream(Monitor, rw.NewProgram(rw.ReadersPriority, w), monitor.ExploreStream)
 		s.Setup = setup(rw.MonitorCorrespondence())
 	case CSP:
-		s.Stream = streamCSP(rw.NewCSPProgram(w))
+		s.Stream = stream(CSP, rw.NewCSPProgram(w), csp.ExploreStream)
 		s.Setup = setup(rw.CSPCorrespondence(w))
 	default:
-		s.Stream = streamAda(rw.NewAdaProgram(w))
+		s.Stream = stream(Ada, rw.NewAdaProgram(w), ada.ExploreStream)
 		s.Setup = setup(rw.AdaCorrespondence())
 	}
 	return s
@@ -317,7 +302,7 @@ func Refutations() []Refutation {
 					return nil, nil, verify.Correspondence{}, err
 				}
 				var comps []*core.Computation
-				truncated, err := streamMonitor(rw.NewProgram(rw.WritersPriority, w))(func(c *core.Computation) bool {
+				truncated, err := stream(Monitor, rw.NewProgram(rw.WritersPriority, w), monitor.ExploreStream)(func(c *core.Computation) bool {
 					comps = append(comps, c)
 					return true
 				})

@@ -10,6 +10,7 @@ import (
 	"gem/internal/history"
 	"gem/internal/legal"
 	"gem/internal/logic"
+	"gem/internal/monitor"
 	"gem/internal/problems/rw"
 	"gem/internal/spec"
 	"gem/internal/thread"
@@ -130,7 +131,7 @@ func TestFailingCellDeterminism(t *testing.T) {
 		problem, err := rw.ProblemSpec([]string{"r1", "r2", "w1"}, true)
 		return problem, rw.MonitorCorrespondence(), err
 	}
-	writersPriority := streamMonitor(rw.NewProgram(rw.WritersPriority, rw.Workload{Readers: 2, Writers: 1}))
+	writersPriority := stream(Monitor, rw.NewProgram(rw.WritersPriority, rw.Workload{Readers: 2, Writers: 1}), monitor.ExploreStream)
 	var comps []*core.Computation
 	if _, err := writersPriority(func(c *core.Computation) bool {
 		comps = append(comps, c)

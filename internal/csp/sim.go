@@ -9,24 +9,16 @@ import (
 	"gem/internal/lang"
 )
 
-// Run is one complete (or deadlocked) execution rendered as a GEM
-// computation.
-type Run struct {
-	Comp      *core.Computation
-	FinalVars map[string]map[string]int64 // per process
-	Deadlock  bool
-}
-
 // ExploreOptions bounds the exploration.
 type ExploreOptions = explore.Options
 
-// Explore exhaustively enumerates the program's executions and returns
-// the distinct GEM computations (distinct as partial orders: the walk
-// completes one execution per trace, and after a guarded alternative
-// whose choice the events may not record it compares the runs; see
-// explore.Machine). The bool reports truncation by MaxRuns. It is the
-// collect-all form of ExploreStream.
-func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
+// Explore exhaustively enumerates the program's executions and returns a
+// run for each distinct GEM computation (distinct as partial orders: the
+// walk completes one execution per trace, and after a guarded
+// alternative whose choice the events may not record it compares the
+// runs; see explore.Machine). The bool reports truncation by MaxRuns.
+// It is the collect-all form of ExploreStream.
+func Explore(p *Program, opts ExploreOptions) ([]explore.Run, bool, error) {
 	return explore.Collect(ExploreStream, p, opts)
 }
 
@@ -35,12 +27,12 @@ func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 // checkers can consume runs while exploration is still in progress. If
 // yield returns false the exploration stops early with truncated ==
 // false and a nil error.
-func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
+func ExploreStream(p *Program, opts ExploreOptions, yield func(explore.Run) bool) (bool, error) {
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	return explore.Run[*machine, transition](m, opts, yield)
+	return explore.Walk[*machine, transition](m, opts, yield)
 }
 
 type frame struct {
@@ -420,40 +412,13 @@ func (m *machine) stepComm(out, inp offer) error {
 	return nil
 }
 
-// Key renders a marked run as explore.Log.Key does, with whether it
-// deadlocked: a choice the events do not record can end two runs of one
-// computation differently. Final variables stay out of the key, because
-// no verdict reads them.
-func (m *machine) Key() (string, bool, error) {
-	key, marked, err := m.Log.Key()
-	if marked && m.deadlocked() {
-		key += "\ndeadlock"
-	}
-	return key, marked, err
-}
-
-// deadlocked reports whether a process is left unfinished.
-func (m *machine) deadlocked() bool {
+// Deadlocked reports whether a state with no transitions left a process
+// unfinished.
+func (m *machine) Deadlocked() bool {
 	for i := range m.procs {
 		if _, unfinished := m.currentStmt(i); unfinished {
 			return true
 		}
 	}
 	return false
-}
-
-func (m *machine) Finish() (Run, error) {
-	finals := make(map[string]map[string]int64, len(m.procs))
-	for i := range m.procs {
-		vars := make(map[string]int64, len(m.procs[i].vars))
-		for k, v := range m.procs[i].vars {
-			vars[k] = v
-		}
-		finals[m.prog.Processes[i].Name] = vars
-	}
-	comp, err := m.Build()
-	if err != nil {
-		return Run{}, fmt.Errorf("csp: generated computation invalid: %w", err)
-	}
-	return Run{Comp: comp, FinalVars: finals, Deadlock: m.deadlocked()}, nil
 }

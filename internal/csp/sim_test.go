@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore/exploretest"
 	"gem/internal/lang"
 	"gem/internal/legal"
 )
@@ -30,9 +31,6 @@ func TestPingCommunication(t *testing.T) {
 	r := runs[0]
 	if r.Deadlock {
 		t.Fatal("ping must not deadlock")
-	}
-	if r.FinalVars["Q"]["x"] != 42 {
-		t.Errorf("Q.x = %d, want 42", r.FinalVars["Q"]["x"])
 	}
 	c := r.Comp
 	// 4 communication events + 1 local op.
@@ -64,6 +62,11 @@ func TestPingCommunication(t *testing.T) {
 	}
 	if v, _ := c.Event(got[0]).Params().Get("v"); v != core.Int(42) {
 		t.Errorf("Got event wrong:\n%s", c)
+	}
+	// Q's last receive into x, the last communication at its input
+	// element from P, leaves Q.x at the value it carried.
+	if x, _ := exploretest.Last(c, core.Ref(InpElement("Q", "P"), "End"), "v"); x != 42 {
+		t.Errorf("Q.x = %d, want 42", x)
 	}
 }
 
@@ -116,6 +119,7 @@ func TestAltSelectsReadyBranch(t *testing.T) {
 						Body: []Stmt{Assign{Var: "sum", E: lang.Bin{Op: lang.OpAdd, L: lang.VarRef("sum"), R: lang.VarRef("x")}}}},
 				}},
 			}},
+			Op{Class: "Sum", Params: map[string]lang.Expr{"sum": lang.VarRef("sum")}},
 		}},
 	}}
 	runs, _, err := Explore(prog, ExploreOptions{})
@@ -129,8 +133,8 @@ func TestAltSelectsReadyBranch(t *testing.T) {
 		if r.Deadlock {
 			t.Error("alt program must not deadlock")
 		}
-		if r.FinalVars["R"]["sum"] != 3 {
-			t.Errorf("R.sum = %d, want 3", r.FinalVars["R"]["sum"])
+		if sum, ok := exploretest.Last(r.Comp, core.Ref("R", "Sum"), "sum"); !ok || sum != 3 {
+			t.Errorf("R.sum = %d (reported: %v), want 3", sum, ok)
 		}
 	}
 }
@@ -199,8 +203,8 @@ func TestRepeatUnrolls(t *testing.T) {
 	if len(ticks) != 3 {
 		t.Fatalf("got %d ticks, want 3", len(ticks))
 	}
-	if runs[0].FinalVars["P"]["i"] != 3 {
-		t.Errorf("i = %d", runs[0].FinalVars["P"]["i"])
+	if i, _ := exploretest.Last(runs[0].Comp, core.Ref("P", "Tick"), "i"); i != 3 {
+		t.Errorf("i = %d at the last Tick, want 3", i)
 	}
 	// Tick params must be 1, 2, 3 in element order.
 	for k, id := range ticks {

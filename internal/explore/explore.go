@@ -1,16 +1,16 @@
 // Package explore is the one exhaustive-exploration driver behind the
 // Monitor, CSP and ADA simulators and the distributed-database
 // algorithm. A language supplies only its operational semantics as a
-// Machine; the driver walks the schedules depth first and hands each
-// computation to the caller. Two partial-order reductions keep the walk
-// small: invisible transitions run eagerly without branching, and sleep
-// sets (Godefroid 1996) prune a branch whenever an earlier path of the
-// walk already covered an equivalent interleaving, so each trace is
-// completed once instead of once per interleaving. Different traces are
-// different computations unless a machine took a choice its events do
-// not record; the machine marks such runs, and the driver compares those
-// alone at the leaves, so the runs it emits are distinct as partial
-// orders.
+// Machine; the driver walks the schedules depth first and hands each run,
+// a computation and a deadlock flag, to the caller. Two partial-order
+// reductions keep the walk small: invisible transitions run eagerly
+// without branching, and sleep sets (Godefroid 1996) prune a branch
+// whenever an earlier path of the walk already covered an equivalent
+// interleaving, so each trace is completed once instead of once per
+// interleaving. Different traces are different computations unless a
+// machine took a choice its events do not record; the machine marks such
+// runs, and the driver compares those alone at the leaves, so no two
+// runs it emits have the same computation and the same deadlock flag.
 package explore
 
 import (
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 
+	"gem/internal/core"
 	"gem/internal/obs"
 )
 
@@ -42,15 +43,35 @@ type Options struct {
 	Ctx context.Context
 }
 
+// Run is one complete or deadlocked execution: its computation, and
+// whether it ended in deadlock, the one fact of its end state that a
+// verdict reads.
+type Run struct {
+	Comp     *core.Computation
+	Deadlock bool
+}
+
+// Key renders r's computation as Key does, with its deadlock flag: a
+// choice the events do not record can end two runs of one computation
+// differently, and both must come out. Walk compares the runs a Machine
+// marks by this key.
+func (r Run) Key() string {
+	k := Key(r.Comp)
+	if r.Deadlock {
+		k += "\ndeadlock"
+	}
+	return k
+}
+
 // Machine is one language's operational semantics: a mutable state M
 // (normally a pointer to the language's machine) stepped by transitions
-// T, whose completed runs render as R. T stays the language's own type,
-// so branches are never boxed; it is comparable so that a sleeping
-// branch can be recognised among a later state's branches. A transition
-// value must therefore name the same step for as long as its process
-// does not move.
+// T. T stays the language's own type, so branches are never boxed; it is
+// comparable so that a sleeping branch can be recognised among a later
+// state's branches. A transition value must therefore name the same step
+// for as long as its process does not move. A machine embeds a Log, from
+// which the driver builds each run's computation.
 //
-// Run compares only the runs a machine marks. Sleep sets complete at
+// Walk compares only the runs a machine marks. Sleep sets complete at
 // most one run per trace of Independent (Godefroid 1996), and the
 // machine takes its eager steps in a fixed order, so two runs of the
 // reduced walk give one computation only through a choice the events do
@@ -61,10 +82,10 @@ type Options struct {
 // event at its element. A machine marks each run that takes a choice
 // that may not be (Log.Unrecorded). It decides by what every run of the
 // same computation sees alike, such as the choosing process's own state,
-// so that all the runs of a repeated computation are marked. Run emits
-// the first marked run of each key and drops the later ones; it emits
-// unmarked runs without comparing them.
-type Machine[M any, T comparable, R any] interface {
+// so that all the runs of a repeated computation are marked. Walk emits
+// the first marked run of each Run.Key and drops the later ones; it
+// emits unmarked runs without comparing them.
+type Machine[M any, T comparable] interface {
 	// Transitions lists the schedulable steps. Unless full is set, the
 	// machine may return one invisible transition as eager (ok true): a
 	// step that commutes with every other enabled transition and leads to
@@ -86,20 +107,21 @@ type Machine[M any, T comparable, R any] interface {
 	// Apply executes one transition in place.
 	Apply(t T) error
 	// Clone returns an independent copy of the state: stepping either
-	// one never changes the other's state. A machine that embeds Log
-	// shares its name table with its clones (see Log.Clone), so a
-	// machine and its clones must be stepped on one goroutine; only the
-	// computations they build may cross goroutines.
+	// one never changes the other's state. A machine shares its Log's
+	// name table with its clones (see Log.Clone), so a machine and its
+	// clones must be stepped on one goroutine; only the computations
+	// they build may cross goroutines.
 	Clone() M
-	// Key reports whether the run is marked and, if it is, renders its
-	// computation (Log.Key) and what of its end state a verdict reads,
-	// such as whether it deadlocked.
-	Key() (key string, marked bool, err error)
-	// Finish renders a state with no transitions as a run.
-	Finish() (R, error)
+	// Deadlocked reports whether a state with no transitions left a
+	// process blocked or unfinished. The driver asks once per leaf,
+	// before it builds and keys the run, so a machine may mark the run
+	// there on what only its end state shows.
+	Deadlocked() bool
+	// eventLog returns the machine's Log, which it has by embedding one.
+	eventLog() *Log
 }
 
-// Run enumerates the runs reachable from m in deterministic DFS order,
+// Walk enumerates the runs reachable from m in deterministic DFS order,
 // handing each to yield as soon as its terminal state is reached. It
 // reports whether the exploration was truncated by MaxRuns, that is
 // whether a run beyond the first MaxRuns was reached. If yield returns
@@ -107,7 +129,7 @@ type Machine[M any, T comparable, R any] interface {
 // error. Each call records the explore.leaves, explore.emitted,
 // explore.dedup and explore.pruned counters once.
 //
-// Run consumes m: a node of the walk steps its own state along the last
+// Walk consumes m: a node of the walk steps its own state along the last
 // branch it explores and clones it for each earlier one, so a node with
 // k branches to explore clones k−1 times. The caller must not use m
 // after the call.
@@ -117,14 +139,14 @@ type Machine[M any, T comparable, R any] interface {
 // first interleaving of every partial order is still reached, and each
 // run comes out in the order, and with the event IDs, in which the walk
 // without sleep sets first reaches its computation.
-func Run[M Machine[M, T, R], T comparable, R any](m M, opts Options, yield func(R) bool) (truncated bool, err error) {
+func Walk[M Machine[M, T], T comparable](m M, opts Options, yield func(Run) bool) (truncated bool, err error) {
 	if opts.MaxRuns == 0 {
 		opts.MaxRuns = 100000
 	}
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 10000
 	}
-	w := &walker[M, T, R]{opts: opts, yield: yield, seen: make(map[[sha256.Size]byte]bool)}
+	w := &walker[M, T]{opts: opts, yield: yield, seen: make(map[[sha256.Size]byte]bool)}
 	if opts.Ctx != nil {
 		w.done = opts.Ctx.Done()
 	}
@@ -141,9 +163,9 @@ func Run[M Machine[M, T, R], T comparable, R any](m M, opts Options, yield func(
 
 // Collect is the collect-all form of a streaming exploration: it runs
 // stream on p and returns every run in order, or nil on error.
-func Collect[P, R any](stream func(P, Options, func(R) bool) (bool, error), p P, opts Options) ([]R, bool, error) {
-	var runs []R
-	truncated, err := stream(p, opts, func(r R) bool {
+func Collect[P any](stream func(P, Options, func(Run) bool) (bool, error), p P, opts Options) ([]Run, bool, error) {
+	var runs []Run
+	truncated, err := stream(p, opts, func(r Run) bool {
 		runs = append(runs, r)
 		return true
 	})
@@ -154,9 +176,9 @@ func Collect[P, R any](stream func(P, Options, func(R) bool) (bool, error), p P,
 }
 
 // walker is the state of one exploration.
-type walker[M Machine[M, T, R], T comparable, R any] struct {
+type walker[M Machine[M, T], T comparable] struct {
 	opts  Options
-	yield func(R) bool
+	yield func(Run) bool
 	done  <-chan struct{}
 	seen  map[[sha256.Size]byte]bool // digests of emitted marked runs' keys
 
@@ -170,7 +192,7 @@ type walker[M Machine[M, T, R], T comparable, R any] struct {
 // each was taken at an ancestor before the branch leading here, and
 // commutes with every step since, so any path starting with it is
 // equivalent to one already walked. The slice belongs to this call.
-func (w *walker[M, T, R]) dfs(m M, steps int, sleep []T) {
+func (w *walker[M, T]) dfs(m M, steps int, sleep []T) {
 	select {
 	case <-w.done:
 		w.err = w.opts.Ctx.Err()
@@ -239,7 +261,7 @@ func (w *walker[M, T, R]) dfs(m M, steps int, sleep []T) {
 
 // independentOf appends to dst the members of sleep that are independent
 // of t in m's state; dst may alias sleep.
-func independentOf[M Machine[M, T, R], T comparable, R any](m M, sleep []T, t T, dst []T) []T {
+func independentOf[M Machine[M, T], T comparable](m M, sleep []T, t T, dst []T) []T {
 	for _, u := range sleep {
 		if m.Independent(u, t) {
 			dst = append(dst, u)
@@ -248,18 +270,29 @@ func independentOf[M Machine[M, T, R], T comparable, R any](m M, sleep []T, t T,
 	return dst
 }
 
-// leaf emits m's run unless m is marked and its computation was already
-// emitted.
-func (w *walker[M, T, R]) leaf(m M) {
+// leaf builds m's run and emits it, unless m is marked and a run of the
+// same Run.Key was already emitted. Under NoReduction no run counts as
+// marked.
+func (w *walker[M, T]) leaf(m M) {
 	w.leaves++
-	digest, marked, err := w.digest(m)
+	deadlock := m.Deadlocked()
+	log := m.eventLog()
+	comp, err := log.Build()
 	if err != nil {
-		w.err = err
+		w.err = fmt.Errorf("explore: building a run: %w", err)
 		return
 	}
-	if marked && w.seen[digest] {
-		w.dedup++
-		return
+	run := Run{Comp: comp, Deadlock: deadlock}
+	// The walk remembers a marked run by the SHA-256 of its key, at 32
+	// bytes each instead of a string as long as the run.
+	marked := log.unrecorded && !w.opts.NoReduction
+	var digest [sha256.Size]byte
+	if marked {
+		digest = sha256.Sum256([]byte(run.Key()))
+		if w.seen[digest] {
+			w.dedup++
+			return
+		}
 	}
 	if w.emitted >= w.opts.MaxRuns {
 		w.truncated = true
@@ -268,27 +301,8 @@ func (w *walker[M, T, R]) leaf(m M) {
 	if marked {
 		w.seen[digest] = true
 	}
-	run, err := m.Finish()
-	if err != nil {
-		w.err = err
-		return
-	}
 	w.emitted++
 	if !w.yield(run) {
 		w.stopped = true
 	}
-}
-
-// digest returns the SHA-256 of a marked run's key; the walk remembers
-// runs by it, at 32 bytes each instead of a string as long as the run.
-// Under NoReduction no run counts as marked.
-func (w *walker[M, T, R]) digest(m M) (d [sha256.Size]byte, marked bool, err error) {
-	if w.opts.NoReduction {
-		return d, false, nil
-	}
-	key, marked, err := m.Key()
-	if marked {
-		d = sha256.Sum256([]byte(key))
-	}
-	return d, marked, err
 }

@@ -29,18 +29,26 @@ type toy struct {
 	// dependent makes every two steps dependent, so the walk completes
 	// every interleaving; mark marks each run Unrecorded.
 	dependent, mark bool
-	finishErr       error
-	calls           *callLog
+	// first is the process that took the first step, -1 before any;
+	// with deadlockFirst0 the runs whose first step was process 0's
+	// report a deadlock, which no event records.
+	first          int
+	deadlockFirst0 bool
+	// dangling makes every step name an enabler that is never emitted,
+	// so the log does not build.
+	dangling bool
+	calls    *callLog
 }
 
-// callLog counts a toy's Finish and Clone calls across all its clones.
-type callLog struct{ finishes, unfinished, clones int }
+// callLog counts a toy's Deadlocked and Clone calls across all its
+// clones, and the Deadlocked calls on states with steps left.
+type callLog struct{ reports, unfinished, clones int }
 
 // step is a toy transition: the index of the process that moves.
 type step int
 
 func newToy(steps ...int) *toy {
-	return &toy{Log: explore.NewLog(len(steps)), total: steps, left: append([]int(nil), steps...), calls: &callLog{}}
+	return &toy{Log: explore.NewLog(len(steps)), total: steps, left: append([]int(nil), steps...), first: -1, calls: &callLog{}}
 }
 
 // allShared puts every step at the shared element.
@@ -76,7 +84,14 @@ func (m *toy) Apply(s step) error {
 	if m.mark {
 		m.Unrecorded()
 	}
-	m.Emit(int(s), m.elem(s), "Step", core.NewParams(core.P("proc", core.Int(int64(s)))))
+	if m.first < 0 {
+		m.first = int(s)
+	}
+	enabler := -1
+	if m.dangling {
+		enabler = 1 << 20
+	}
+	m.Emit(int(s), m.elem(s), "Step", core.NewParams(core.P("proc", core.Int(int64(s)))), enabler)
 	m.left[s]--
 	return nil
 }
@@ -89,21 +104,18 @@ func (m *toy) Clone() *toy {
 	return &next
 }
 
-func (m *toy) Finish() (*core.Computation, error) {
-	m.calls.finishes++
+func (m *toy) Deadlocked() bool {
+	m.calls.reports++
 	for _, n := range m.left {
 		if n > 0 {
 			m.calls.unfinished++
 		}
 	}
-	if m.finishErr != nil {
-		return nil, m.finishErr
-	}
-	return m.Build()
+	return m.deadlockFirst0 && m.first == 0
 }
 
-func collect(m *toy, opts explore.Options) ([]*core.Computation, bool, error) {
-	return explore.Collect(explore.Run[*toy, step], m, opts)
+func collect(m *toy, opts explore.Options) ([]explore.Run, bool, error) {
+	return explore.Collect(explore.Walk[*toy, step], m, opts)
 }
 
 // counters runs f with a fresh obs collector and returns the explore.*
@@ -131,7 +143,7 @@ func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
 		// emitted.
 		{explore.Options{NoReduction: true}, map[string]int64{"leaves": 3, "emitted": 3, "dedup": 0, "pruned": 0}},
 	} {
-		var runs []*core.Computation
+		var runs []explore.Run
 		var err error
 		var truncated bool
 		got := counters(func() { runs, truncated, err = collect(newToy(2, 1), tc.opts) })
@@ -141,12 +153,12 @@ func TestInterleavingsOfOnePartialOrderCollapse(t *testing.T) {
 		if int64(len(runs)) != tc.want["emitted"] {
 			t.Fatalf("NoReduction=%v: got %d runs, want %d", tc.opts.NoReduction, len(runs), tc.want["emitted"])
 		}
-		for _, c := range runs {
-			if explore.Key(c) != explore.Key(runs[0]) {
-				t.Fatalf("NoReduction=%v: interleavings of one partial order differ:\n%s\n%s", tc.opts.NoReduction, c, runs[0])
+		for _, r := range runs {
+			if r.Key() != runs[0].Key() {
+				t.Fatalf("NoReduction=%v: interleavings of one partial order differ:\n%s\n%s", tc.opts.NoReduction, r.Comp, runs[0].Comp)
 			}
 		}
-		c := runs[0]
+		c := runs[0].Comp
 		p0 := c.EventsOf(core.Ref("p0", "Step"))
 		p1 := c.EventsOf(core.Ref("p1", "Step"))
 		if !c.Temporal(p0[0], p0[1]) || !c.Concurrent(p0[0], p1[0]) {
@@ -173,18 +185,14 @@ func TestSleepSetsKeepTheEmittedSequence(t *testing.T) {
 	}
 	for name, shared := range patterns {
 		t.Run(name, func(t *testing.T) {
-			explored := func(opts explore.Options) ([]exploretest.Run, map[string]int64) {
+			explored := func(opts explore.Options) ([]explore.Run, map[string]int64) {
 				m := newToy(2, 1, 2, 1)
 				m.shared = shared
-				var comps []*core.Computation
+				var runs []explore.Run
 				var err error
-				got := counters(func() { comps, _, err = collect(m, opts) })
+				got := counters(func() { runs, _, err = collect(m, opts) })
 				if err != nil {
 					t.Fatal(err)
-				}
-				runs := make([]exploretest.Run, len(comps))
-				for i, c := range comps {
-					runs[i] = exploretest.Run{Comp: c}
 				}
 				return runs, got
 			}
@@ -217,7 +225,7 @@ func TestMarkedRunsAreCompared(t *testing.T) {
 	} {
 		m := newToy(2, 1)
 		m.dependent, m.mark = true, tc.mark
-		var runs []*core.Computation
+		var runs []explore.Run
 		got := counters(func() {
 			var err error
 			if runs, _, err = collect(m, tc.opts); err != nil {
@@ -229,11 +237,11 @@ func TestMarkedRunsAreCompared(t *testing.T) {
 				t.Errorf("mark=%v NoReduction=%v: explore.%s = %d, want %d", tc.mark, tc.opts.NoReduction, name, got[name], want)
 			}
 		}
-		if m.calls.finishes != len(runs) {
-			t.Errorf("mark=%v: Finish called %d times for %d runs", tc.mark, m.calls.finishes, len(runs))
+		if int64(m.calls.reports) != got["leaves"] {
+			t.Errorf("mark=%v: Deadlocked called %d times at %d leaves", tc.mark, m.calls.reports, got["leaves"])
 		}
-		if tc.mark && !tc.opts.NoReduction && runs[0].String() != firstInterleaving(t) {
-			t.Errorf("the first interleaving was not the one emitted:\n%s", runs[0])
+		if tc.mark && !tc.opts.NoReduction && runs[0].Comp.String() != firstInterleaving(t) {
+			t.Errorf("the first interleaving was not the one emitted:\n%s", runs[0].Comp)
 		}
 	}
 }
@@ -244,15 +252,15 @@ func firstInterleaving(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runs[0].String()
+	return runs[0].Comp.String()
 }
 
 // TestPrunedNodesAreNeverFinished: a node whose branches are all asleep
-// is not a leaf; Finish is called once per emitted run, always on a
-// terminal state.
+// is not a leaf; Deadlocked is asked once per leaf, always on a terminal
+// state, and here every leaf is an emitted run.
 func TestPrunedNodesAreNeverFinished(t *testing.T) {
 	m := newToy(2, 1, 1)
-	var runs []*core.Computation
+	var runs []explore.Run
 	got := counters(func() {
 		var err error
 		if runs, _, err = collect(m, explore.Options{}); err != nil {
@@ -262,9 +270,9 @@ func TestPrunedNodesAreNeverFinished(t *testing.T) {
 	if got["pruned"] == 0 {
 		t.Fatalf("no pruned node: %v", got)
 	}
-	if m.calls.finishes != len(runs) || m.calls.unfinished != 0 {
-		t.Errorf("Finish called %d times (%d on unfinished states), want %d, 0",
-			m.calls.finishes, m.calls.unfinished, len(runs))
+	if m.calls.reports != len(runs) || m.calls.unfinished != 0 {
+		t.Errorf("Deadlocked called %d times (%d on unfinished states), want %d, 0",
+			m.calls.reports, m.calls.unfinished, len(runs))
 	}
 	if got["leaves"] != int64(len(runs)) {
 		t.Errorf("explore.leaves = %d, want one per run (%d)", got["leaves"], len(runs))
@@ -301,8 +309,8 @@ func TestDistinctOrdersAtASharedElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := map[string]bool{}
-	for _, c := range runs {
-		keys[explore.Key(c)] = true
+	for _, r := range runs {
+		keys[r.Key()] = true
 	}
 	if len(runs) != 6 || len(keys) != 6 {
 		t.Fatalf("got %d runs of %d computations, want 3! = 6 of each", len(runs), len(keys))
@@ -339,7 +347,7 @@ func TestYieldFalseStops(t *testing.T) {
 	m := newToy(1, 1, 1)
 	m.shared = allShared
 	n := 0
-	truncated, err := explore.Run[*toy, step](m, explore.Options{}, func(*core.Computation) bool {
+	truncated, err := explore.Walk[*toy, step](m, explore.Options{}, func(explore.Run) bool {
 		n++
 		return false
 	})
@@ -360,13 +368,55 @@ func TestMaxStepsIsAnError(t *testing.T) {
 	}
 }
 
-func TestFinishErrorReachesCaller(t *testing.T) {
-	boom := errors.New("boom")
+// TestBuildErrorReachesCaller: a leaf whose log does not build stops the
+// walk with the Build error, and nothing is emitted.
+func TestBuildErrorReachesCaller(t *testing.T) {
 	m := newToy(1, 1)
-	m.finishErr = boom
+	m.dangling = true
 	runs, truncated, err := collect(m, explore.Options{})
-	if !errors.Is(err, boom) || truncated || len(runs) != 0 {
-		t.Fatalf("runs=%d truncated=%v err=%v, want the Finish error", len(runs), truncated, err)
+	if err == nil || !strings.Contains(err.Error(), "references unknown event") || truncated || len(runs) != 0 {
+		t.Fatalf("runs=%d truncated=%v err=%v, want the Build error", len(runs), truncated, err)
+	}
+}
+
+// TestMarkedRunsKeepTheirDeadlockFlag: the toy marks its runs but has no
+// key of its own, and one computation of three dependent steps ends
+// deadlocked when process 0 stepped first, which no event records. The
+// walk completes that computation six times; it emits one deadlocked
+// and one finished run and drops the repeats of either. Unreduced, all
+// six come out.
+func TestMarkedRunsKeepTheirDeadlockFlag(t *testing.T) {
+	for _, tc := range []struct {
+		opts      explore.Options
+		deadlocks []bool
+		dedup     int64
+	}{
+		{explore.Options{}, []bool{true, false}, 4},
+		{explore.Options{NoReduction: true}, []bool{true, true, false, false, false, false}, 0},
+	} {
+		m := newToy(1, 1, 1)
+		m.dependent, m.mark, m.deadlockFirst0 = true, true, true
+		var runs []explore.Run
+		got := counters(func() {
+			var err error
+			if runs, _, err = collect(m, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var deadlocks []bool
+		for _, r := range runs {
+			deadlocks = append(deadlocks, r.Deadlock)
+			if explore.Key(r.Comp) != explore.Key(runs[0].Comp) {
+				t.Fatalf("NoReduction=%v: runs of different computations:\n%s\n%s", tc.opts.NoReduction, r.Comp, runs[0].Comp)
+			}
+		}
+		if fmt.Sprint(deadlocks) != fmt.Sprint(tc.deadlocks) || got["leaves"] != 6 || got["dedup"] != tc.dedup {
+			t.Errorf("NoReduction=%v: deadlock flags %v, counters %v; want %v, 6 leaves, dedup %d",
+				tc.opts.NoReduction, deadlocks, got, tc.deadlocks, tc.dedup)
+		}
+		if m.calls.reports != 6 {
+			t.Errorf("NoReduction=%v: Deadlocked called %d times at 6 leaves", tc.opts.NoReduction, m.calls.reports)
+		}
 	}
 }
 
@@ -382,7 +432,7 @@ func TestContextCancellation(t *testing.T) {
 	m := newToy(1, 1, 1)
 	m.shared = allShared
 	n := 0
-	_, err := explore.Run[*toy, step](m, explore.Options{Ctx: ctx}, func(*core.Computation) bool {
+	_, err := explore.Walk[*toy, step](m, explore.Options{Ctx: ctx}, func(explore.Run) bool {
 		n++
 		cancel()
 		return true
@@ -469,7 +519,7 @@ func TestWalkClonesAllButTheLastBranch(t *testing.T) {
 				name += " unreduced"
 			}
 			m := tc.toy()
-			var runs []*core.Computation
+			var runs []explore.Run
 			got := counters(func() {
 				var err error
 				if runs, _, err = collect(m, opts); err != nil {
@@ -498,11 +548,11 @@ func TestWalkClonesAllButTheLastBranch(t *testing.T) {
 	}
 }
 
-// runsDigest hashes the runs' renderings in order.
-func runsDigest(runs []*core.Computation) string {
+// runsDigest hashes the runs' computations' renderings in order.
+func runsDigest(runs []explore.Run) string {
 	h := sha256.New()
-	for _, c := range runs {
-		fmt.Fprintf(h, "%s\n", c)
+	for _, r := range runs {
+		fmt.Fprintf(h, "%s\n", r.Comp)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -2,11 +2,11 @@
 // SameRuns, which compares a reduced exploration with the unreduced one
 // through explore.Key and each run's deadlock flag, and Commutes, which
 // checks a machine's Independent relation against the machine's own
-// semantics. A
-// wrong "independent" answer would let the explorer's sleep sets prune
-// computations, and Commutes finds it directly rather than through a
-// missing run; the reduction tests count the runs of reduced and
-// unreduced explorations by key, so a run emitted twice fails them too.
+// semantics. A wrong "independent" answer would let the explorer's sleep
+// sets prune computations, and Commutes finds it directly rather than
+// through a missing run; the reduction tests count the runs of reduced
+// and unreduced explorations by key, so a run emitted twice fails them
+// too.
 package exploretest
 
 import (
@@ -27,10 +27,9 @@ const (
 	horizon = 40
 )
 
-// machine is an explore.Machine whose event log builds a computation,
-// as every machine that embeds explore.Log does.
-type machine[M any, T comparable, R any] interface {
-	explore.Machine[M, T, R]
+// machine is an explore.Machine with its embedded explore.Log's Build.
+type machine[M any, T comparable] interface {
+	explore.Machine[M, T]
 	Build() (*core.Computation, error)
 }
 
@@ -41,7 +40,7 @@ type machine[M any, T comparable, R any] interface {
 // states that nothing tells apart — logs of the same explore.Key with
 // the same transitions enabled, and so on along a random continuation
 // applied to both. It returns the first violation.
-func Commutes[M machine[M, T, R], T comparable, R any](m M, walks int) error {
+func Commutes[M machine[M, T], T comparable](m M, walks int) error {
 	rng := rand.New(rand.NewSource(1))
 	for w := 0; w < walks; w++ {
 		s := m.Clone()
@@ -49,13 +48,13 @@ func Commutes[M machine[M, T, R], T comparable, R any](m M, walks int) error {
 			if step > maxSteps {
 				return fmt.Errorf("walk %d exceeded %d steps", w, maxSteps)
 			}
-			ts := enabled[M, T, R](s)
+			ts := enabled[M, T](s)
 			if len(ts) == 0 {
 				break
 			}
 			for i, a := range ts {
 				for _, b := range ts[i+1:] {
-					if err := commute[M, T, R](s, a, b, rng); err != nil {
+					if err := commute[M, T](s, a, b, rng); err != nil {
 						return fmt.Errorf("walk %d, step %d: %w", w, step, err)
 					}
 				}
@@ -69,13 +68,13 @@ func Commutes[M machine[M, T, R], T comparable, R any](m M, walks int) error {
 }
 
 // enabled lists every transition enabled in s, unreduced.
-func enabled[M machine[M, T, R], T comparable, R any](s M) []T {
+func enabled[M machine[M, T], T comparable](s M) []T {
 	_, _, ts := s.Clone().Transitions(true)
 	return ts
 }
 
 // commute checks one pair of transitions enabled in s.
-func commute[M machine[M, T, R], T comparable, R any](s M, a, b T, rng *rand.Rand) error {
+func commute[M machine[M, T], T comparable](s M, a, b T, rng *rand.Rand) error {
 	ab, ba := s.Independent(a, b), s.Independent(b, a)
 	if ab != ba {
 		return fmt.Errorf("Independent(%+v, %+v) = %v, but %v the other way round", a, b, ab, ba)
@@ -89,7 +88,7 @@ func commute[M machine[M, T, R], T comparable, R any](s M, a, b T, rng *rand.Ran
 		if err := ends[i].Apply(order[0]); err != nil {
 			return err
 		}
-		if !slices.Contains(enabled[M, T, R](ends[i]), order[1]) {
+		if !slices.Contains(enabled[M, T](ends[i]), order[1]) {
 			return fmt.Errorf("independent %+v disables %+v", order[0], order[1])
 		}
 		if err := ends[i].Apply(order[1]); err != nil {
@@ -97,7 +96,7 @@ func commute[M machine[M, T, R], T comparable, R any](s M, a, b T, rng *rand.Ran
 		}
 	}
 	for step := 0; ; step++ {
-		ea, eb := enabled[M, T, R](ends[0]), enabled[M, T, R](ends[1])
+		ea, eb := enabled[M, T](ends[0]), enabled[M, T](ends[1])
 		if len(ea) != len(eb) || !subset(ea, eb) {
 			return fmt.Errorf("independent %+v and %+v enable %+v in one order, %+v in the other", a, b, ea, eb)
 		}

@@ -13,8 +13,9 @@ import (
 // such labels, sorted. Computations that differ only in the order their
 // concurrent events were built in, and so in their event IDs, share a
 // key; any difference in events, parameters, element order or enables
-// shows in it. Run compares the runs a Machine marks by this key, and
-// the tests compare every run through it.
+// shows in it. Walk compares the runs a Machine marks by this key and
+// their deadlock flags (Run.Key), and the tests compare every run
+// through it.
 func Key(c *core.Computation) string {
 	labels := make([]string, c.NumEvents())
 	for i := range labels {

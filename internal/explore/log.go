@@ -1,14 +1,10 @@
 package explore
 
-import (
-	"fmt"
-
-	"gem/internal/core"
-)
+import "gem/internal/core"
 
 // Log is a run's event log: events in emission order and the enables
 // between them, with each process's events chained in program order.
-// Machines embed it, which gives them Emit, Unrecorded, Key and Build.
+// Machines embed it, which gives them Emit, Unrecorded and Build.
 //
 // A log shares what it has emitted with its clones instead of copying
 // it. Clone freezes the events emitted since the last clone into a
@@ -134,15 +130,6 @@ func add(b *core.Builder, events []event, edges [][2]int) {
 // computation (see Machine).
 func (l *Log) Unrecorded() { l.unrecorded = true }
 
-// Key reports whether the run is marked Unrecorded and, if it is,
-// renders its computation (see Key).
-func (l *Log) Key() (key string, marked bool, err error) {
-	if !l.unrecorded {
-		return "", false, nil
-	}
-	c, err := l.Build()
-	if err != nil {
-		return "", false, fmt.Errorf("explore: keying a marked run: %w", err)
-	}
-	return Key(c), true, nil
-}
+// eventLog returns l, so that a machine that embeds a Log implements
+// Machine's eventLog.
+func (l *Log) eventLog() *Log { return l }

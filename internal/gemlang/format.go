@@ -201,12 +201,14 @@ func writeQuantified(b *strings.Builder, kind, v, domain string, body logic.Form
 	b.WriteString(")")
 }
 
-// sourceUnion renders a union-domain quantifier as a conjunction or
-// counting over the member classes. ForAllIn distributes over the union;
-// ExistsUniqueIn does not distribute, so it is rendered via the
-// NDPREREQ-style expansion below only when the body is an Enables atom
-// (its only use in the abbreviation library); anything else falls back
-// to per-class quantifiers combined to preserve semantics.
+// sourceUnion renders a union-domain quantifier over the member
+// classes. ForAllIn distributes over the union: a conjunction of one
+// quantifier per class. ExistsUniqueIn does not; it is rendered as a
+// disjunction over the classes of "exactly one in this class and none in
+// the others", which means "exactly one in the union" only when no event
+// belongs to two of the classes. Over overlapping classes it has no
+// rendering, and sourceUnion panics as Source does on any shape without
+// surface syntax.
 func sourceUnion(kind, v string, refs []core.ClassRef, body logic.Formula) string {
 	if kind == "FORALL" {
 		var parts []string
@@ -215,10 +217,9 @@ func sourceUnion(kind, v string, refs []core.ClassRef, body logic.Formula) strin
 		}
 		return "(" + strings.Join(parts, " & ") + ")"
 	}
-	// EXISTS1 over a union: exactly one across all classes. Expressible
-	// as: some class has exactly one and the others none, for each
-	// partition — compact form: sum of counts equals one. Render via the
-	// disjunction-of-unique-with-others-empty form.
+	if a, b, ok := overlapping(refs); ok {
+		panic(fmt.Sprintf("gemlang: no surface syntax for EXISTS1 over the overlapping classes %s and %s", a, b))
+	}
 	var parts []string
 	for i, ref := range refs {
 		var conj []string
@@ -235,6 +236,21 @@ func sourceUnion(kind, v string, refs []core.ClassRef, body logic.Formula) strin
 	}
 	sort.Strings(parts)
 	return "(" + strings.Join(parts, " | ") + ")"
+}
+
+// overlapping returns two members of refs that one event can match, and
+// whether there are such: their elements are equal or either is empty
+// (any element), and so are their classes.
+func overlapping(refs []core.ClassRef) (a, b core.ClassRef, ok bool) {
+	meet := func(x, y string) bool { return x == y || x == "" || y == "" }
+	for j := range refs {
+		for i := range refs[:j] {
+			if meet(refs[i].Element, refs[j].Element) && meet(refs[i].Class, refs[j].Class) {
+				return refs[i], refs[j], true
+			}
+		}
+	}
+	return a, b, false
 }
 
 func writeJoined(b *strings.Builder, fs []logic.Formula, sep, empty string) {

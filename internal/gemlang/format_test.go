@@ -177,6 +177,40 @@ func TestSourceUnionQuantifiers(t *testing.T) {
 	if _, err := gemlang.ParseFormula(gemlang.Source(eu)); err != nil {
 		t.Errorf("ExistsUniqueIn source does not reparse: %v", err)
 	}
+
+	// A spec-level Read matches u1's Read too. The NDPREREQ below holds
+	// on u1.Read |> c.Req, whose one enabler is in both classes; a
+	// rendering as "exactly one in one class and none in the others"
+	// fails there. Source must refuse it, so that HashFormula falls back
+	// to the String form instead of giving both formulas one hash.
+	over := logic.NDPrereq([]core.ClassRef{core.Ref("", "Read"), core.Ref("u1", "Read")}, core.Ref("c", "Req"))
+	b := core.NewBuilder()
+	read := b.Event("u1", "Read", core.Params{})
+	b.Enable(read, b.Event("c", "Req", core.Params{}))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cx := logic.HoldsAtFull(over, c); cx != nil {
+		t.Fatalf("NDPREREQ over overlapping classes fails on u1.Read |> c.Req: %v", cx.Error())
+	}
+	if src, ok := source(over); ok {
+		t.Errorf("Source renders NDPREREQ over overlapping classes as %s", src)
+		if g, err := gemlang.ParseFormula(src); err == nil && logic.HoldsAtFull(g, c) != nil &&
+			gemlang.HashFormula(g) == gemlang.HashFormula(over) {
+			t.Error("and that rendering fails on u1.Read |> c.Req under the formula's own hash")
+		}
+	}
+}
+
+// source returns Source(f), and false if Source refuses f.
+func source(f logic.Formula) (src string, ok bool) {
+	defer func() {
+		if recover() != nil {
+			src, ok = "", false
+		}
+	}()
+	return gemlang.Source(f), true
 }
 
 func TestFormatElementWithoutEvents(t *testing.T) {

@@ -443,6 +443,11 @@ func (p *parser) parseNDPrereq(owner string) (logic.Formula, error) {
 	if err != nil {
 		return nil, err
 	}
+	// An event of two overlapping classes is one enabler, not two, and
+	// Source has no rendering of that union (see sourceUnion).
+	if a, b, ok := overlapping(set); ok {
+		return nil, p.errf("NDPREREQ classes %s and %s overlap", a, b)
+	}
 	if err := p.expect("->"); err != nil {
 		return nil, err
 	}

@@ -178,6 +178,8 @@ func TestParseFormulaErrors(t *testing.T) {
 		{"3 = 4", "invalid comparison"},
 		{"PREREQ(a.B)", "at least two"},
 		{"NDPREREQ(a.B -> c.D)", `expected "{"`},
+		{"NDPREREQ({Read, u1.Read} -> c.Req)", "classes Read and u1.Read overlap"},
+		{"NDPREREQ({u1.Read, a.B, u1.Read} -> c.Req)", "classes u1.Read and u1.Read overlap"},
 		{"TRUE TRUE", "after formula"},
 		{"distinct(t1 t2)", `expected ","`},
 	}

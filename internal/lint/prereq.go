@@ -7,7 +7,6 @@ import (
 
 	"gem/internal/core"
 	"gem/internal/logic"
-	"gem/internal/order"
 )
 
 // EnableConstraint is a required-enable-edge constraint extracted from a
@@ -119,12 +118,11 @@ func (a *analysis) checkConstraints() {
 
 // checkCycles decides which constraint targets are supportable: an event
 // class is supportable when every constraint targeting it can draw an
-// enabler from a supportable class, well-foundedly. The mandatory
-// (single-source) edges form a graph whose acyclicity is decided with
-// the order.DAG machinery; choice sets are handled by a least-fixpoint
-// supportability computation. Unsupportable targets can have no event in
-// any legal computation, so every constraint targeting them is doomed
-// (GEM004).
+// enabler from a supportable class, well-foundedly, which a
+// least-fixpoint supportability computation decides. Without choice sets
+// that is the acyclicity of the source→target graph. Unsupportable
+// targets can have no event in any legal computation, so every
+// constraint targeting them is doomed (GEM004).
 func (a *analysis) checkCycles(cs []EnableConstraint, valid []bool) {
 	nodeIdx := make(map[string]int)
 	var nodes []string
@@ -138,7 +136,6 @@ func (a *analysis) checkCycles(cs []EnableConstraint, valid []bool) {
 		return len(nodes) - 1
 	}
 	var edges []conEdge
-	hasChoice := false
 	for i, c := range cs {
 		if !valid[i] {
 			continue
@@ -147,29 +144,11 @@ func (a *analysis) checkCycles(cs []EnableConstraint, valid []bool) {
 		for _, s := range c.Sources {
 			e.sources = append(e.sources, idOf(s))
 		}
-		if len(e.sources) > 1 {
-			hasChoice = true
-		}
 		edges = append(edges, e)
 	}
-	if len(edges) == 0 {
-		return
-	}
 
-	// Fast path: with mandatory edges only, satisfiability is exactly
-	// acyclicity of the source→target graph.
-	dag := order.NewDAG(len(nodes))
-	for _, e := range edges {
-		if len(e.sources) == 1 {
-			dag.AddEdge(e.sources[0], e.target)
-		}
-	}
-	if _, err := dag.TopoSort(); err == nil && !hasChoice {
-		return
-	}
-
-	// General case: least fixpoint of supportability. Non-target classes
-	// are supportable outright (their events need no enabler under these
+	// Least fixpoint of supportability. Non-target classes are
+	// supportable outright (their events need no enabler under these
 	// constraints); a target becomes supportable when each constraint
 	// targeting it has a supportable source.
 	isTarget := make([]bool, len(nodes))

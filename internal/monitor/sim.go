@@ -9,24 +9,16 @@ import (
 	"gem/internal/lang"
 )
 
-// Run is one complete (or deadlocked) execution of a monitor program,
-// rendered as a GEM computation.
-type Run struct {
-	Comp      *core.Computation
-	FinalVars map[string]int64
-	Deadlock  bool
-}
-
 // ExploreOptions bounds the exhaustive exploration.
 type ExploreOptions = explore.Options
 
 // Explore exhaustively enumerates the interleavings of the program under
-// Hoare monitor semantics and returns the distinct GEM computations
-// reached (distinct as partial orders: the walk completes one of the
-// interleavings that differ only in the order of concurrent events, see
-// explore.Machine). The second result reports whether exploration was
+// Hoare monitor semantics and returns a run for each distinct GEM
+// computation reached (distinct as partial orders: the walk completes one
+// of the interleavings that differ only in the order of concurrent
+// events, see explore.Machine). The second result reports whether exploration was
 // truncated by MaxRuns. It is the collect-all form of ExploreStream.
-func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
+func Explore(p *Program, opts ExploreOptions) ([]explore.Run, bool, error) {
 	return explore.Collect(ExploreStream, p, opts)
 }
 
@@ -36,12 +28,12 @@ func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 // exploration is still in progress. Enumeration order is deterministic
 // (the DFS order Explore uses). If yield returns false the exploration
 // stops early with truncated == false and a nil error.
-func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
+func ExploreStream(p *Program, opts ExploreOptions, yield func(explore.Run) bool) (bool, error) {
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	return explore.Run[*machine, transition](m, opts, yield)
+	return explore.Walk[*machine, transition](m, opts, yield)
 }
 
 type procStatus int
@@ -501,23 +493,14 @@ func (m *machine) endEntry(proc int, env *evalEnv) error {
 	return nil
 }
 
-// Finish builds the Run for a state with no transitions.
-func (m *machine) Finish() (Run, error) {
-	deadlock := false
+// Deadlocked reports whether a state with no transitions left a process
+// inside the monitor, waiting, or short of the end of its body.
+func (m *machine) Deadlocked() bool {
 	for i := range m.procs {
 		p := &m.procs[i]
-		done := p.status == statusReady && m.holder != i && p.bodyIdx >= len(m.prog.Processes[i].Body)
-		if !done {
-			deadlock = true
+		if p.status != statusReady || m.holder == i || p.bodyIdx < len(m.prog.Processes[i].Body) {
+			return true
 		}
 	}
-	comp, err := m.Build()
-	if err != nil {
-		return Run{}, fmt.Errorf("monitor: generated computation invalid: %w", err)
-	}
-	finals := make(map[string]int64, len(m.vars))
-	for k, v := range m.vars {
-		finals[k] = v
-	}
-	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/explore/exploretest"
 	"gem/internal/lang"
 	"gem/internal/legal"
@@ -30,6 +31,13 @@ func counterProgram(n int) *Program {
 	return &Program{Monitor: mon, Processes: procs}
 }
 
+// finalValue reads a monitor variable's final value off c: the newval of
+// the last Assign at its element, which every assignment emits.
+func finalValue(c *core.Computation, elem string) int64 {
+	v, _ := exploretest.Last(c, core.Ref(elem, "Assign"), "newval")
+	return v
+}
+
 func TestCounterExploration(t *testing.T) {
 	runs, truncated, err := Explore(counterProgram(2), ExploreOptions{})
 	if err != nil {
@@ -46,8 +54,8 @@ func TestCounterExploration(t *testing.T) {
 		if r.Deadlock {
 			t.Error("counter program should not deadlock")
 		}
-		if r.FinalVars["count"] != 2 {
-			t.Errorf("final count = %d, want 2", r.FinalVars["count"])
+		if count := finalValue(r.Comp, "ctr.count"); count != 2 {
+			t.Errorf("final count = %d, want 2", count)
 		}
 	}
 }
@@ -157,8 +165,8 @@ func TestWaitSignal(t *testing.T) {
 		if r.Deadlock {
 			t.Errorf("unexpected deadlock:\n%s", r.Comp)
 		}
-		if r.FinalVars["count"] != 0 {
-			t.Errorf("final count = %d, want 0", r.FinalVars["count"])
+		if count := finalValue(r.Comp, "ws.count"); count != 0 {
+			t.Errorf("final count = %d, want 0", count)
 		}
 		res := legal.Check(s, r.Comp, legal.Options{})
 		if !res.Legal() {
@@ -234,8 +242,8 @@ func TestWhileLoopInEntry(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("got %d runs", len(runs))
 	}
-	if runs[0].FinalVars["sum"] != 6 {
-		t.Errorf("sum = %d, want 6", runs[0].FinalVars["sum"])
+	if sum := finalValue(runs[0].Comp, "loop.sum"); sum != 6 {
+		t.Errorf("sum = %d, want 6", sum)
 	}
 	ret := runs[0].Comp.EventsOf(core.Ref("p1", "Return"))
 	if got, _ := runs[0].Comp.Event(ret[0]).Params().Get("result"); got != core.Int(6) {
@@ -262,8 +270,8 @@ func TestInitialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs[0].FinalVars["x"] != 9 {
-		t.Errorf("x = %d, want 9", runs[0].FinalVars["x"])
+	if x := finalValue(runs[0].Comp, "init.x"); x != 9 {
+		t.Errorf("x = %d, want 9", x)
 	}
 	// Init events must temporally precede entry events (total internal
 	// order through the chain).
@@ -352,8 +360,8 @@ func TestEntryArgsAndBadCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs[0].FinalVars["x"] != 42 {
-		t.Errorf("x = %d, want 42", runs[0].FinalVars["x"])
+	if x := finalValue(runs[0].Comp, "m.x"); x != 42 {
+		t.Errorf("x = %d, want 42", x)
 	}
 
 	badArity := &Program{
@@ -429,7 +437,7 @@ func TestReductionPreservesComputations(t *testing.T) {
 	for name, prog := range programs {
 		prog := prog
 		t.Run(name, func(t *testing.T) {
-			collect := func(noReduction bool) []exploretest.Run {
+			collect := func(noReduction bool) []explore.Run {
 				runs, truncated, err := Explore(prog, ExploreOptions{NoReduction: noReduction, MaxRuns: 60000})
 				if err != nil {
 					t.Fatal(err)
@@ -437,11 +445,7 @@ func TestReductionPreservesComputations(t *testing.T) {
 				if truncated {
 					t.Fatal("truncated")
 				}
-				out := make([]exploretest.Run, len(runs))
-				for i, r := range runs {
-					out[i] = exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock}
-				}
-				return out
+				return runs
 			}
 			if err := exploretest.SameRuns(collect(false), collect(true), false); err != nil {
 				t.Fatal(err)

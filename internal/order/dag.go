@@ -78,12 +78,6 @@ func (d *DAG) index() {
 	d.start, d.succ = start, succ[:kept]
 }
 
-// TopoSort returns a topological ordering of the vertices, or ErrCycle.
-func (d *DAG) TopoSort() ([]int, error) {
-	topo, _, err := topoSort(d.n, func(v int, buf []int) []int { return append(buf, d.successors(v)...) })
-	return topo, err
-}
-
 // topoSort orders the vertices of the graph on 0..n-1 whose edges out of
 // v succ(v, buf) appends to buf topologically (Kahn, sources in
 // increasing order, first found first expanded), or returns ErrCycle. It

@@ -7,6 +7,7 @@ import (
 	"gem/internal/ada"
 	"gem/internal/core"
 	"gem/internal/csp"
+	"gem/internal/explore"
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/monitor"
@@ -191,7 +192,7 @@ func TestSatAda(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog := NewAdaProgram(w)
-		runs, truncated, err := ada.Explore(prog, ada.ExploreOptions{MaxRuns: 60000})
+		runs, truncated, err := explore.Collect(ada.ExploreStream, prog, ada.ExploreOptions{MaxRuns: 60000})
 		if err != nil {
 			t.Fatal(err)
 		}

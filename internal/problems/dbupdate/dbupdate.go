@@ -64,15 +64,6 @@ func SiteElement(i int) string { return fmt.Sprintf("site%d", i) }
 // ChanElement names the channel element from site i to site j.
 func ChanElement(i, j int) string { return fmt.Sprintf("chan.%d.%d", i, j) }
 
-// Run is one complete execution.
-type Run struct {
-	Comp *core.Computation
-	// Final per-site applied values.
-	Finals []int64
-	// Converged reports whether all sites ended equal.
-	Converged bool
-}
-
 // version orders updates: Lamport timestamp, then site id.
 type version struct {
 	ts   int64
@@ -98,7 +89,6 @@ type state struct {
 	opts    *ExploreOptions
 	clock   []int64
 	applied []version
-	value   []int64
 	// pendingUpdates[i] = updates not yet originated at site i, in order.
 	pendingUpdates [][]Update
 	// inflight messages per channel (FIFO).
@@ -116,9 +106,9 @@ type ExploreOptions struct {
 }
 
 // Explore enumerates the algorithm's schedules (which update originates
-// when, and message delivery order across channels) and returns the
-// distinct complete computations.
-func Explore(cfg Config, opts ExploreOptions) ([]Run, bool, error) {
+// when, and message delivery order across channels) and returns a run
+// for each distinct complete computation.
+func Explore(cfg Config, opts ExploreOptions) ([]explore.Run, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -127,7 +117,6 @@ func Explore(cfg Config, opts ExploreOptions) ([]Run, bool, error) {
 		opts:           &opts,
 		clock:          make([]int64, cfg.Sites),
 		applied:        make([]version, cfg.Sites),
-		value:          make([]int64, cfg.Sites),
 		pendingUpdates: make([][]Update, cfg.Sites),
 		inflight:       make(map[[2]int][]message),
 	}
@@ -137,7 +126,7 @@ func Explore(cfg Config, opts ExploreOptions) ([]Run, bool, error) {
 	for _, u := range cfg.Updates {
 		init.pendingUpdates[u.Site] = append(init.pendingUpdates[u.Site], u)
 	}
-	return explore.Collect(explore.Run[*state, transition], init, opts.Options)
+	return explore.Collect(explore.Walk[*state, transition], init, opts.Options)
 }
 
 // transition originates a site's next update or delivers the head of a
@@ -212,7 +201,6 @@ func (st *state) Clone() *state {
 		opts:           st.opts,
 		clock:          append([]int64(nil), st.clock...),
 		applied:        append([]version(nil), st.applied...),
-		value:          append([]int64(nil), st.value...),
 		pendingUpdates: make([][]Update, len(st.pendingUpdates)),
 		inflight:       make(map[[2]int][]message, len(st.inflight)),
 	}
@@ -271,7 +259,6 @@ func (st *state) deliver(ch [2]int) {
 
 func (st *state) applyUpdate(site int, ver version, val int64, cause int) {
 	st.applied[site] = ver
-	st.value[site] = val
 	st.Emit(site, SiteElement(site), "Apply", core.NewParams(
 		core.P("val", core.Int(val)),
 		core.P("ts", core.Int(ver.ts)),
@@ -279,19 +266,25 @@ func (st *state) applyUpdate(site int, ver version, val int64, cause int) {
 	), cause)
 }
 
-func (st *state) Finish() (Run, error) {
-	comp, err := st.Build()
-	if err != nil {
-		return Run{}, err
-	}
-	finals := append([]int64(nil), st.value...)
-	converged := true
-	for i := 1; i < len(finals); i++ {
-		if finals[i] != finals[0] {
-			converged = false
+// Deadlocked is false: a state with no transitions has originated every
+// update and delivered every message in flight.
+func (st *state) Deadlocked() bool { return false }
+
+// Finals reads the sites' final values off c: a site ends at the val of
+// its last Apply event, or at 0 if it applied none.
+func Finals(c *core.Computation, sites int) []int64 {
+	finals := make([]int64, sites)
+	for i := range finals {
+		last := -1
+		for _, id := range c.EventsOf(core.Ref(SiteElement(i), "Apply")) {
+			if e := c.Event(id); e.Seq() > last {
+				last = e.Seq()
+				v, _ := e.Params().Get("val")
+				finals[i] = v.I
+			}
 		}
 	}
-	return Run{Comp: comp, Finals: finals, Converged: converged}, nil
+	return finals
 }
 
 // Spec builds the GEM specification of the algorithm: site elements

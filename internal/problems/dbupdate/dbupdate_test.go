@@ -3,6 +3,7 @@ package dbupdate
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"gem/internal/core"
@@ -17,6 +18,9 @@ func stdConfig() Config {
 	return Config{Sites: 3, Updates: []Update{{Site: 0, Value: 7}, {Site: 1, Value: 9}}}
 }
 
+// converged reports whether every site ended at one value.
+func converged(finals []int64) bool { return slices.Min(finals) == slices.Max(finals) }
+
 func TestConvergenceAcrossAllSchedules(t *testing.T) {
 	cfg := stdConfig()
 	runs, truncated, err := Explore(cfg, ExploreOptions{})
@@ -28,8 +32,8 @@ func TestConvergenceAcrossAllSchedules(t *testing.T) {
 	}
 	conv := ConvergenceFormula(cfg)
 	for i, r := range runs {
-		if !r.Converged {
-			t.Fatalf("run %d diverged: finals=%v\n%s", i, r.Finals, r.Comp)
+		if finals := Finals(r.Comp, cfg.Sites); !converged(finals) {
+			t.Fatalf("run %d diverged: finals=%v\n%s", i, finals, r.Comp)
 		}
 		if cx := logic.HoldsAtFull(conv, r.Comp); cx != nil {
 			t.Fatalf("run %d fails the convergence restriction: %v", i, cx.Error())
@@ -90,8 +94,8 @@ func TestLostMessageCausesDivergence(t *testing.T) {
 	for _, r := range runs {
 		// A site that never hears of the winning update either disagrees
 		// on its last Apply (formula violation) or has applied nothing at
-		// all; the Converged flag covers both.
-		if !r.Converged {
+		// all and is left at 0; Finals covers both.
+		if !converged(Finals(r.Comp, cfg.Sites)) {
 			diverged = true
 			break
 		}
@@ -110,8 +114,15 @@ func TestIgnoringVersionsCausesDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	diverged := false
-	for _, r := range runs {
-		if !r.Converged {
+	conv := ConvergenceFormula(cfg)
+	for i, r := range runs {
+		// Every site applies both updates, so the restriction judges the
+		// last Applies that Finals reads.
+		ok := converged(Finals(r.Comp, cfg.Sites))
+		if holds := logic.HoldsAtFull(conv, r.Comp) == nil; holds != ok {
+			t.Errorf("run %d: convergence restriction holds=%v, final values converge=%v", i, holds, ok)
+		}
+		if !ok {
 			diverged = true
 		}
 	}
@@ -143,7 +154,7 @@ func TestWinnerIsVersionMaximal(t *testing.T) {
 				}
 			}
 		}
-		for i, v := range r.Finals {
+		for i, v := range Finals(r.Comp, cfg.Sites) {
 			if v != maxVal {
 				t.Fatalf("site %d final %d, want version-maximal %d", i, v, maxVal)
 			}
@@ -169,8 +180,11 @@ func TestSingleSiteTrivial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 1 || runs[0].Finals[0] != 3 || !runs[0].Converged {
-		t.Fatalf("single-site run wrong: %+v", runs)
+	if len(runs) != 1 {
+		t.Fatalf("single site: %d runs, want 1", len(runs))
+	}
+	if finals := Finals(runs[0].Comp, 1); finals[0] != 3 || !converged(finals) {
+		t.Fatalf("single-site run wrong: finals %v\n%s", finals, runs[0].Comp)
 	}
 }
 
@@ -209,18 +223,14 @@ func TestReductionPreservesComputations(t *testing.T) {
 }
 
 func reductionOracle(t *testing.T, cfg Config) {
-	explored := func(opts explore.Options) ([]exploretest.Run, int64) {
+	explored := func(opts explore.Options) ([]explore.Run, int64) {
 		obs.Enable()
 		defer obs.Disable()
 		runs, truncated, err := Explore(cfg, ExploreOptions{Options: opts})
 		if err != nil || truncated {
 			t.Fatalf("truncated=%v err=%v", truncated, err)
 		}
-		out := make([]exploretest.Run, len(runs))
-		for i, r := range runs {
-			out[i] = exploretest.Run{Comp: r.Comp}
-		}
-		return out, obs.Snapshot().Counters["explore.leaves"]
+		return runs, obs.Snapshot().Counters["explore.leaves"]
 	}
 	reduced, reducedLeaves := explored(explore.Options{})
 	full, fullLeaves := explored(explore.Options{NoReduction: true})

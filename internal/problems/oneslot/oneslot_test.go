@@ -6,6 +6,7 @@ import (
 	"gem/internal/ada"
 	"gem/internal/core"
 	"gem/internal/csp"
+	"gem/internal/explore"
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/monitor"
@@ -108,7 +109,7 @@ func TestSatAllLanguages(t *testing.T) {
 		t.Logf("verified %d CSP computations", len(runs))
 	})
 	t.Run("ada", func(t *testing.T) {
-		runs, _, err := ada.Explore(NewAdaProgram(w), ada.ExploreOptions{MaxRuns: 60000})
+		runs, _, err := explore.Collect(ada.ExploreStream, NewAdaProgram(w), ada.ExploreOptions{MaxRuns: 60000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/history"
 	"gem/internal/logic"
 	"gem/internal/monitor"
@@ -71,7 +72,7 @@ func TestCounterexampleAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c *core.Computation
-	_, err = monitor.ExploreStream(NewProgram(ReadersPriority, Workload{Readers: 3, Writers: 1}), monitor.ExploreOptions{}, func(r monitor.Run) bool {
+	_, err = monitor.ExploreStream(NewProgram(ReadersPriority, Workload{Readers: 3, Writers: 1}), monitor.ExploreOptions{}, func(r explore.Run) bool {
 		proj, err := verify.Project(r.Comp, MonitorCorrespondence())
 		if err != nil {
 			t.Fatal(err)

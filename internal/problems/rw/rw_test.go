@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/explore/exploretest"
 	"gem/internal/legal"
 	"gem/internal/logic"
@@ -196,7 +197,7 @@ func TestProblemSpecRefutesStaleRead(t *testing.T) {
 // --- E4: the five monitor variants ------------------------------------
 
 // exploreVariant runs the workload exhaustively and returns the runs.
-func exploreVariant(t *testing.T, v Variant, w Workload) []monitor.Run {
+func exploreVariant(t *testing.T, v Variant, w Workload) []explore.Run {
 	t.Helper()
 	prog := NewProgram(v, w)
 	runs, truncated, err := monitor.Explore(prog, monitor.ExploreOptions{MaxRuns: 60000})
@@ -371,7 +372,7 @@ func TestIntactMonitorDeadlockFree(t *testing.T) {
 // once.
 func TestExplorationReductionOnRW(t *testing.T) {
 	prog := NewProgram(ReadersPriority, Workload{Readers: 1, Writers: 1})
-	collect := func(noReduction bool) []exploretest.Run {
+	collect := func(noReduction bool) []explore.Run {
 		runs, truncated, err := monitor.Explore(prog, monitor.ExploreOptions{
 			NoReduction: noReduction, MaxRuns: 60000,
 		})
@@ -381,11 +382,7 @@ func TestExplorationReductionOnRW(t *testing.T) {
 		if truncated {
 			t.Fatal("truncated")
 		}
-		out := make([]exploretest.Run, len(runs))
-		for i, r := range runs {
-			out[i] = exploretest.Run{Comp: r.Comp, Deadlock: r.Deadlock}
-		}
-		return out
+		return runs
 	}
 	reduced, full := collect(false), collect(true)
 	if err := exploretest.SameRuns(reduced, full, false); err != nil {

@@ -7,6 +7,7 @@ import (
 	"gem/internal/ada"
 	"gem/internal/core"
 	"gem/internal/csp"
+	"gem/internal/explore"
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/verify"
@@ -131,7 +132,7 @@ func TestSatAda(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := NewAdaProgram(w)
-	runs, truncated, err := ada.Explore(prog, ada.ExploreOptions{MaxRuns: 60000})
+	runs, truncated, err := explore.Collect(ada.ExploreStream, prog, ada.ExploreOptions{MaxRuns: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestCSPAndAdaSolutionsSatisfyPrimitiveSpecs(t *testing.T) {
 	if err := adaSpec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	adaRuns, _, err := ada.Explore(adaProg, ada.ExploreOptions{MaxRuns: 60000})
+	adaRuns, _, err := explore.Collect(ada.ExploreStream, adaProg, ada.ExploreOptions{MaxRuns: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}

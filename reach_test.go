@@ -27,7 +27,6 @@ import (
 var testOnlyAllowlist = map[string]string{
 	"internal/monitor.Spec": "reference spec of the monitor primitive (E5)",
 	"internal/ada.Spec":     "reference spec of the ADA rendezvous primitive (E5)",
-	"internal/ada.Explore":  "explores ADA programs for the E5 reference-spec checks",
 
 	"internal/order.DAG.ReachesDFS":      "the DFS arm of BenchmarkAblationClosureVsDFS",
 	"internal/core.Computation.Elements": "used by BenchmarkAblationClosureVsDFS",
