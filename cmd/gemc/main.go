@@ -22,7 +22,6 @@ import (
 	"os"
 	"strings"
 
-	"gem/internal/analyze"
 	"gem/internal/cli"
 	"gem/internal/gemlang"
 	"gem/internal/lint"
@@ -81,28 +80,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		if *lintFlag || *deepFlag {
-			var diags []lint.Diagnostic
-			if *deepFlag {
-				res, err := analyze.AnalyzeSource(string(src))
-				if err != nil {
-					return err
-				}
-				diags = res.All()
-			} else {
-				res, err := lint.AnalyzeSource(string(src))
-				if err != nil {
-					return err
-				}
-				diags = res.Diags
+			res, err := lint.AnalyzeSource(string(src), *deepFlag)
+			if err != nil {
+				return err
 			}
-			lint.Print(stdout, file, diags)
-			errs := 0
-			for _, d := range diags {
-				if d.Severity >= lint.SeverityError {
-					errs++
-				}
-			}
-			if errs > 0 {
+			lint.Print(stdout, file, res.Diags)
+			if errs := len(res.Errors()); errs > 0 {
 				return fmt.Errorf("lint: %d error(s) in %s", errs, file)
 			}
 		}

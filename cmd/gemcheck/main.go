@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // before any exploration: a statically defective spec fails fast with
 // its diagnostics instead of paying for the exhaustive enumeration.
 func prelint(name string, s *spec.Spec) error {
-	res := lint.Analyze(s)
+	res := lint.Analyze(s, false)
 	if errs := res.Errors(); len(errs) > 0 {
 		msgs := make([]string, len(errs))
 		for i, d := range errs {

@@ -1,8 +1,8 @@
 // Command gemlint runs the static well-formedness and consistency
 // analyses of internal/lint over GEM specification source files and
 // reports position-annotated diagnostics. With -deep it additionally
-// runs the whole-specification semantic analyses of internal/analyze
-// (GEM009–GEM012: contradiction, deadlock, unreachability, redundancy).
+// runs lint's whole-specification semantic analyses (GEM009–GEM012:
+// contradiction, deadlock, unreachability, redundancy).
 //
 // Usage:
 //
@@ -30,7 +30,6 @@ import (
 	"os"
 	"runtime"
 
-	"gem/internal/analyze"
 	"gem/internal/cli"
 	"gem/internal/fanout"
 	"gem/internal/lint"
@@ -84,14 +83,7 @@ func analyzeFile(file string, deep bool) fileResult {
 	if err != nil {
 		return fileResult{errMsg: err.Error()}
 	}
-	if deep {
-		res, err := analyze.AnalyzeSource(string(src))
-		if err != nil {
-			return fileResult{errMsg: fmt.Sprintf("%s: %v", file, err)}
-		}
-		return fileResult{diags: res.All()}
-	}
-	res, err := lint.AnalyzeSource(string(src))
+	res, err := lint.AnalyzeSource(string(src), deep)
 	if err != nil {
 		return fileResult{errMsg: fmt.Sprintf("%s: %v", file, err)}
 	}

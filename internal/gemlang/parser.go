@@ -743,10 +743,3 @@ func substituteTokens(body []Token, subst map[string][]Token) []Token {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -3,7 +3,6 @@ package gofront
 import (
 	"fmt"
 
-	"gem/internal/analyze"
 	"gem/internal/lint"
 )
 
@@ -99,13 +98,13 @@ func (m *Model) checkUnpaired() {
 
 // waitGraph builds the operation-level wait-for graph: an edge op → dep
 // reads "op cannot complete until dep has completed".
-func (m *Model) waitGraph() *analyze.WaitGraph {
-	g := analyze.NewWaitGraph(len(m.Ops))
+func (m *Model) waitGraph() *lint.WaitGraph {
+	g := lint.NewWaitGraph(len(m.Ops))
 	edge := func(from, to, kind int, format string, args ...any) {
 		if from < 0 || to < 0 || from == to {
 			return
 		}
-		g.AddEdge(analyze.WaitEdge{
+		g.AddEdge(lint.WaitEdge{
 			From: from, To: to, Kind: kind, Rank: from,
 			Label: fmt.Sprintf(format, args...),
 		})
@@ -272,7 +271,7 @@ func (m *Model) checkLockOrder() {
 	if len(keys) < 2 {
 		return
 	}
-	g := analyze.NewWaitGraph(len(keys))
+	g := lint.NewWaitGraph(len(keys))
 	// anchors[a][b] is the acquire operation that created edge a → b
 	// (first one wins, for deterministic reporting).
 	anchors := make(map[[2]int]int)
@@ -296,7 +295,7 @@ func (m *Model) checkLockOrder() {
 				}
 				if _, ok := anchors[[2]int{a, b}]; !ok {
 					anchors[[2]int{a, b}] = i
-					g.AddEdge(analyze.WaitEdge{
+					g.AddEdge(lint.WaitEdge{
 						From: a, To: b, Kind: 0, Rank: i,
 						Label: fmt.Sprintf("%s locks %s at %s while holding %s",
 							m.Gors[op.G].Name, m.objName(op.Key), posOf(m, i), m.objName(h)),

@@ -2,6 +2,7 @@ package gofront
 
 import (
 	"fmt"
+	"slices"
 
 	"gem/internal/core"
 	"gem/internal/lint"
@@ -343,8 +344,8 @@ func (m *Model) collectMutexes() {
 		}
 	}
 	for _, mi := range m.mutexes {
-		sortInts(mi.unmatchedLocks)
-		sortInts(mi.unmatchedRLocks)
+		slices.Sort(mi.unmatchedLocks)
+		slices.Sort(mi.unmatchedRLocks)
 	}
 	for _, p := range pending {
 		released := -1
@@ -365,14 +366,6 @@ func (m *Model) collectMutexes() {
 		p.mi.doubles = append(p.mi.doubles, doubleLock{
 			lock: p.lock, heldSince: p.top, releasedBy: released,
 		})
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
 

@@ -157,7 +157,7 @@ func TestCheckAgreesWithOracleOnRandomComputations(t *testing.T) {
 // wantLintError fails unless lint reports an error with the given code.
 func wantLintError(t *testing.T, name string, s *spec.Spec, code lint.Code) {
 	t.Helper()
-	for _, d := range lint.Analyze(s).Errors() {
+	for _, d := range lint.Analyze(s, false).Errors() {
 		if d.Code == code {
 			return
 		}

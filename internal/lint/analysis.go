@@ -8,13 +8,24 @@ import (
 	"gem/internal/spec"
 )
 
-// analysis carries the shared state of one Analyze run.
+// analysis carries the shared state of one Analyze run, shallow and deep
+// passes alike.
 type analysis struct {
 	s        *spec.Spec
 	marks    *gemlang.SourceMap
 	universe *core.Universe // nil when the group structure is invalid
-	res      *Result
-	seen     map[string]bool // diagnostic dedupe: code+subject+message
+	// dynamic is set when the spec declares core.AdminElement: its
+	// group-change events alter the access relation at run time
+	// (Section 4's footnote, core/dynamic.go), so enablePossible admits
+	// every edge.
+	dynamic bool
+	res     *Result
+	seen    map[string]bool // diagnostic dedupe: code+subject+message
+
+	// cons are the enable-edge constraints extracted from the
+	// restriction formulae, including the ones the shallow passes proved
+	// doomed; the deep passes build on them.
+	cons []enableConstraint
 
 	// Usage records for the dead-declaration analysis.
 	usedRefs     []core.ClassRef

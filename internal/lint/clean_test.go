@@ -35,7 +35,7 @@ func TestShippedSpecsLintClean(t *testing.T) {
 		}),
 	}
 	for name, s := range specs {
-		res := lint.Analyze(s)
+		res := lint.Analyze(s, false)
 		if errs := res.Errors(); len(errs) > 0 {
 			for _, d := range errs {
 				t.Errorf("%s: unexpected lint error: %s", name, d)

@@ -1,9 +1,8 @@
-package analyze
+package lint
 
 import (
-	"sort"
+	"slices"
 
-	"gem/internal/lint"
 	"gem/internal/thread"
 )
 
@@ -32,27 +31,34 @@ const (
 	waitKindThread
 )
 
-func (a *deepAnalysis) checkDeadlock(g *pairGraph, lr *lint.Result) {
+func (a *analysis) checkDeadlock(g *pairGraph) {
 	wg := NewWaitGraph(len(g.pairs))
-	for _, c := range g.cons {
-		if c.doomed || !c.mandatory {
+	for _, e := range g.edges {
+		// Only a single source pair forces the wait (a PREREQ between
+		// uniquely resolved classes); a choice set can be satisfied
+		// off-cycle, and a doomed constraint's edge has no source.
+		if len(e.sources) != 1 {
 			continue
 		}
-		src := c.sources[0]
-		for _, t := range c.targets {
-			if t == src || !g.edgeOK(src, t) {
-				continue
-			}
-			ec := lr.Constraints[c.ci]
-			wg.AddEdge(WaitEdge{
-				From: t, To: src, Kind: waitKindConstraint, Rank: c.ci,
-				Label: g.pairs[t].String() + " waits for prior " + g.pairs[src].String() +
-					" (" + restrictionSubject(ec.Owner, ec.Restriction) + ")",
-			})
+		src, t := e.sources[0], e.target
+		if t == src || !a.enablePossible(g.pairs[src], g.pairs[t]) {
+			continue
 		}
+		ec := a.cons[e.con]
+		wg.AddEdge(WaitEdge{
+			From: t, To: src, Kind: waitKindConstraint, Rank: e.con,
+			Label: g.pairs[t].String() + " waits for prior " + g.pairs[src].String() +
+				" (" + restrictionSubject(ec.Owner, ec.Restriction) + ")",
+		})
 	}
-	for _, name := range sortedTypeNames(a.s.Threads()) {
-		for _, path := range thread.PathsByType(a.s.Threads())[name] {
+	paths := thread.PathsByType(a.s.Threads())
+	names := make([]string, 0, len(paths))
+	for name := range paths {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		for _, path := range paths[name] {
 			for i := 0; i+1 < len(path); i++ {
 				from, to := g.resolve(path[i+1]), g.resolve(path[i])
 				// Only uniquely resolved stages give a mandatory wait; an
@@ -76,23 +82,9 @@ func (a *deepAnalysis) checkDeadlock(g *pairGraph, lr *lint.Result) {
 		}
 		// Anchor the diagnostic at the first (lowest-index) restriction
 		// participating in the cycle.
-		firstCI := cycle.MinRankOfKind(waitKindConstraint)
-		ec := lr.Constraints[firstCI]
-		a.warnAt(a.restrictionPos(ec.Restriction), lint.CodeDeadlock,
+		ec := a.cons[cycle.MinRankOfKind(waitKindConstraint)]
+		a.warnAt(a.posOf(inRestriction, ec.Restriction), CodeDeadlock,
 			restrictionSubject(ec.Owner, ec.Restriction),
 			"possible static deadlock: %s", cycle.Describe())
 	}
-}
-
-func sortedTypeNames(types []thread.Type) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, tt := range types {
-		if !seen[tt.Name] {
-			seen[tt.Name] = true
-			out = append(out, tt.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

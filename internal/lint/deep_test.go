@@ -1,11 +1,10 @@
-package analyze
+package lint
 
 import (
 	"strings"
 	"testing"
 
 	"gem/internal/core"
-	"gem/internal/lint"
 	"gem/internal/logic"
 )
 
@@ -117,18 +116,24 @@ func containsAlt(gs []guardSet, want string) bool {
 	return false
 }
 
-// deepSource runs the deep analyzer over inline GEM source and returns
-// the deep diagnostics only.
-func deepSource(t *testing.T, src string) []lint.Diagnostic {
+// deepSource runs the deep analyses over inline GEM source and returns
+// the deep diagnostics (GEM009–GEM012) only.
+func deepSource(t *testing.T, src string) []Diagnostic {
 	t.Helper()
-	res, err := AnalyzeSource(src)
+	res, err := AnalyzeSource(src, true)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return res.Deep
+	var out []Diagnostic
+	for _, d := range res.Diags {
+		if IsDeep(d.Code) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
-func wantOneCode(t *testing.T, diags []lint.Diagnostic, code lint.Code, msgFragment string) {
+func wantOneCode(t *testing.T, diags []Diagnostic, code Code, msgFragment string) {
 	t.Helper()
 	n := 0
 	for _, d := range diags {
@@ -162,7 +167,7 @@ RESTRICTION "one": PREREQ(a.Go -> b.Go) ;
 RESTRICTION "two": PREREQ(b.Go -> a.Go) ;
 RESTRICTION "must": (EXISTS e: b.Go) occurred(e) ;
 `)
-		wantOneCode(t, diags, lint.CodeContradiction, "statically unsatisfiable")
+		wantOneCode(t, diags, CodeContradiction, "statically unsatisfiable")
 	})
 	t.Run("GEM010", func(t *testing.T) {
 		diags := deepSource(t, `SPEC s
@@ -181,7 +186,7 @@ THREAD piB = (b.Req :: b.Go)
 RESTRICTION "w1": PREREQ(b.Go -> a.Go) ;
 RESTRICTION "w2": PREREQ(a.Go -> b.Req) ;
 `)
-		wantOneCode(t, diags, lint.CodeDeadlock, "possible static deadlock")
+		wantOneCode(t, diags, CodeDeadlock, "possible static deadlock")
 	})
 	t.Run("GEM011", func(t *testing.T) {
 		diags := deepSource(t, `SPEC s
@@ -201,7 +206,7 @@ GROUP box MEMBERS(inner) END
 RESTRICTION "blocked": PREREQ(outside.Poke -> inner.Work) ;
 RESTRICTION "chained": PREREQ(inner.Work -> next.Act) ;
 `)
-		wantOneCode(t, diags, lint.CodeUnreachable, "no legal enable chain")
+		wantOneCode(t, diags, CodeUnreachable, "no legal enable chain")
 	})
 	t.Run("GEM012", func(t *testing.T) {
 		diags := deepSource(t, `SPEC s
@@ -216,6 +221,6 @@ END
 RESTRICTION "first": PREREQ(a.Go -> b.Go) ;
 RESTRICTION "second": PREREQ(a.Go -> b.Go) ;
 `)
-		wantOneCode(t, diags, lint.CodeRedundant, "redundant")
+		wantOneCode(t, diags, CodeRedundant, "redundant")
 	})
 }

@@ -1,12 +1,23 @@
-package analyze_test
+package lint_test
 
 import (
 	"testing"
 
-	"gem/internal/analyze"
+	"gem/internal/lint"
 	"gem/internal/problems/boundedbuf"
 	"gem/internal/problems/rw"
 )
+
+// deepDiags returns the deep findings (GEM009–GEM012) of a result.
+func deepDiags(res *lint.Result) []lint.Diagnostic {
+	var out []lint.Diagnostic
+	for _, d := range res.Diags {
+		if lint.IsDeep(d.Code) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
 
 // TestShippedSpecsDeepClean: the problem specs the repo verifies must
 // produce no deep diagnostics — the analyzer must not cry wolf on the
@@ -23,20 +34,20 @@ func TestShippedSpecsDeepClean(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		res  *analyze.Result
+		res  *lint.Result
 	}{
-		{"boundedbuf", analyze.AnalyzeMarked(bufSpec, nil)},
-		{"rw", analyze.AnalyzeMarked(rwSpec, nil)},
+		{"boundedbuf", lint.Analyze(bufSpec, true)},
+		{"rw", lint.Analyze(rwSpec, true)},
 	} {
-		if len(tc.res.Deep) != 0 {
-			t.Errorf("%s: deep analyzer flagged a shipped spec: %v", tc.name, tc.res.Deep)
+		if deep := deepDiags(tc.res); len(deep) != 0 {
+			t.Errorf("%s: deep analyzer flagged a shipped spec: %v", tc.name, deep)
 		}
 	}
 }
 
 // BenchmarkDeepAnalyze measures a full deep analysis of the bounded
-// buffer problem spec (graph build, producibility fixpoint, deadlock
-// SCC, redundancy scan).
+// buffer problem spec (the shallow passes, graph build, producibility
+// fixpoint, deadlock SCC, redundancy scan).
 func BenchmarkDeepAnalyze(b *testing.B) {
 	s, err := boundedbuf.ProblemSpec(boundedbuf.Workload{
 		Producers: 2, Consumers: 2, ItemsPerProducer: 4, Capacity: 3})
@@ -46,8 +57,8 @@ func BenchmarkDeepAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := analyze.AnalyzeMarked(s, nil); len(res.Deep) != 0 {
-			b.Fatalf("unexpected deep diagnostics: %v", res.Deep)
+		if deep := deepDiags(lint.Analyze(s, true)); len(deep) != 0 {
+			b.Fatalf("unexpected deep diagnostics: %v", deep)
 		}
 	}
 }

@@ -318,9 +318,6 @@ func (a *analysis) unsat(f logic.Formula, env binders) string {
 		return fmt.Sprintf("%s and %s always occur at different elements, so %s ~> %s never holds",
 			g.X, g.Y, g.X, g.Y)
 	case logic.Enables:
-		if a.universe == nil {
-			return ""
-		}
 		xs, ys := env.events[g.X], env.events[g.Y]
 		if len(xs) == 0 || len(ys) == 0 {
 			return ""
@@ -358,8 +355,16 @@ func incompatibleAll(xs, ys []core.ClassRef) bool {
 }
 
 // enablePossible reports whether some resolution of the two references
-// admits a legal enable edge under the access relation.
+// admits an enable edge under the Section 4 access relation. It is the
+// one access rule of every pass: GEM005, GEM007's `|>` vacuity, and the
+// producibility and deadlock edges of the deep passes (which ask it of
+// two (element, class) pairs). Every edge is possible when the group
+// structure is invalid, and when the spec declares core.AdminElement,
+// whose group-change events alter the relation at run time.
 func (a *analysis) enablePossible(src, dst core.ClassRef) bool {
+	if a.universe == nil || a.dynamic {
+		return true
+	}
 	ses, tes := a.resolveElems(src), a.resolveElems(dst)
 	if len(ses) == 0 || len(tes) == 0 {
 		return true // dangling: reported elsewhere, assume possible

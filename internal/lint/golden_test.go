@@ -1,13 +1,14 @@
 package lint_test
 
 import (
+	"cmp"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
-	"gem/internal/analyze"
 	"gem/internal/lint"
 )
 
@@ -35,21 +36,11 @@ func fixtureDiags(t *testing.T, path string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := strings.TrimSuffix(filepath.Base(path), ".gem")
-	var diags []lint.Diagnostic
-	if deepFixture(name) {
-		res, err := analyze.AnalyzeSource(string(src))
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		diags = res.All()
-	} else {
-		res, err := lint.AnalyzeSource(string(src))
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		diags = res.Diags
+	res, err := lint.AnalyzeSource(string(src), deepFixture(strings.TrimSuffix(filepath.Base(path), ".gem")))
+	if err != nil {
+		t.Fatalf("parse %s: %v", path, err)
 	}
+	diags := res.Diags
 	var sb strings.Builder
 	lint.Print(&sb, filepath.Base(path), diags)
 	return sb.String()
@@ -102,5 +93,49 @@ func TestGolden(t *testing.T) {
 				t.Errorf("diagnostics mismatch for %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestDeepExtendsShallow pins what a deep run adds over every fixture: a
+// shallow run reports no GEM009–GEM012, and a deep run reports exactly
+// the shallow findings plus the deep ones, in canonical order.
+func TestDeepExtendsShallow(t *testing.T) {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.gem"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range fixtures {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shallow, err := lint.AnalyzeSource(string(src), false)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		deep, err := lint.AnalyzeSource(string(src), true)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		if found := deepDiags(shallow); len(found) != 0 {
+			t.Errorf("%s: a shallow run reported deep findings: %v", path, found)
+		}
+		// Merge as a caller of two separate analyses would: the shallow
+		// findings, then the deep ones, sorted canonically.
+		want := append(append([]lint.Diagnostic(nil), shallow.Diags...), deepDiags(deep)...)
+		slices.SortStableFunc(want, func(a, b lint.Diagnostic) int {
+			if a.Pos.IsZero() != b.Pos.IsZero() {
+				if a.Pos.IsZero() {
+					return 1
+				}
+				return -1
+			}
+			return cmp.Or(cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Col, b.Pos.Col),
+				strings.Compare(string(a.Code), string(b.Code)), strings.Compare(a.Subject, b.Subject))
+		})
+		if !slices.Equal(deep.Diags, want) {
+			t.Errorf("%s: deep run is not the shallow findings plus the deep ones in canonical order\n got: %v\nwant: %v",
+				path, deep.Diags, want)
+		}
 	}
 }

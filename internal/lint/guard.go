@@ -1,11 +1,14 @@
-package analyze
+package lint
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 	"strings"
 
 	"gem/internal/core"
 	"gem/internal/logic"
+	"gem/internal/thread"
 )
 
 // This file implements the emptiness-guard calculus: a syntactic analysis
@@ -49,38 +52,13 @@ func (g guardSet) withThread(t string) guardSet {
 
 // normalize sorts and dedups, so structurally equal guards compare equal.
 func (g guardSet) normalize() guardSet {
-	sort.Slice(g.refs, func(i, j int) bool { return refLess(g.refs[i], g.refs[j]) })
-	g.refs = dedupRefs(g.refs)
-	sort.Strings(g.threads)
-	g.threads = dedupStrings(g.threads)
+	slices.SortFunc(g.refs, func(a, b core.ClassRef) int {
+		return cmp.Or(strings.Compare(a.Element, b.Element), strings.Compare(a.Class, b.Class))
+	})
+	g.refs = slices.Compact(g.refs)
+	slices.Sort(g.threads)
+	g.threads = slices.Compact(g.threads)
 	return g
-}
-
-func refLess(a, b core.ClassRef) bool {
-	if a.Element != b.Element {
-		return a.Element < b.Element
-	}
-	return a.Class < b.Class
-}
-
-func dedupRefs(rs []core.ClassRef) []core.ClassRef {
-	out := rs[:0]
-	for i, r := range rs {
-		if i == 0 || r != rs[i-1] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func dedupStrings(ss []string) []string {
-	out := ss[:0]
-	for i, s := range ss {
-		if i == 0 || s != ss[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // mergeGuards unions two emptiness conditions (both must hold).
@@ -247,4 +225,56 @@ func (gs guardSet) String() string {
 		return "{}"
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
+}
+
+// checkContradiction reports GEM009: a restriction that is false on
+// every legal computation, because some emptiness guard falsifying it
+// names only classes (and thread types) the producibility fixpoint
+// proved no legal computation can contain. The specification then has no
+// satisfying computation at all — every verification against it is
+// vacuously "correct", which is worth an error, not a warning.
+func (a *analysis) checkContradiction(g *pairGraph) {
+	paths := thread.PathsByType(a.s.Threads())
+	for _, r := range a.s.Restrictions() {
+		for _, alt := range falseGuards(r.F) {
+			if !guardUnsatisfiable(g, paths, alt) {
+				continue
+			}
+			msg := "statically unsatisfiable restriction set: the formula is false in every computation"
+			if len(alt.refs) > 0 || len(alt.threads) > 0 {
+				msg = fmt.Sprintf("statically unsatisfiable restriction set: requires %s, but no legal computation contains such events",
+					alt.String())
+			}
+			a.errAt(a.posOf(inRestriction, r.Name), CodeContradiction,
+				restrictionSubject(r.Owner, r.Name), "%s", msg)
+			break
+		}
+	}
+}
+
+// guardUnsatisfiable reports whether the emptiness condition necessarily
+// holds on every legal computation: each guarded class resolves only to
+// unproducible pairs, and each guarded thread type is declared with
+// every alternative path headed by an unproducible class (so no instance
+// can ever start). Dangling references and undeclared thread types are
+// excluded — their defects are GEM001/GEM002/GEM007 territory and they
+// say nothing about legal computations.
+func guardUnsatisfiable(g *pairGraph, paths map[string][][]core.ClassRef, gs guardSet) bool {
+	for _, ref := range gs.refs {
+		if !g.unproducible(ref) {
+			return false
+		}
+	}
+	for _, t := range gs.threads {
+		alts, declared := paths[t]
+		if !declared {
+			return false
+		}
+		for _, path := range alts {
+			if !g.unproducible(path[0]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -1,20 +1,38 @@
-// Package lint implements gemlint, the static well-formedness and
-// consistency analyzer for GEM specifications. It checks properties of a
-// specification σ that the paper (Sections 3, 4, 6 and 8.2) fixes
-// statically — declaration consistency, satisfiability of the
-// prerequisite structure, access legality of required enable edges — and
-// reports them as structured diagnostics with stable codes, without
-// enumerating a single history. The analysis only reports: gemlint, gemc
-// and gemcheck's pre-flight lint run it, and no verdict of the sat check
-// depends on it.
+// Package lint implements gemlint, the static analyzer for GEM
+// specifications. It checks properties of a specification σ that the
+// paper (Sections 3, 4, 6 and 8.2) fixes statically — declaration
+// consistency, satisfiability of the prerequisite structure, access
+// legality of required enable edges — and reports them as structured
+// diagnostics with stable codes, without enumerating a single history.
+//
+// The shallow checks (GEM001–GEM008) judge each restriction in
+// isolation. The deep ones (GEM009–GEM012, gemlint -deep) judge their
+// interactions over an abstract enable graph of the declared (element,
+// event-class) pairs and a wait-for graph over the Section 8.3 thread
+// chains:
+//
+//	GEM009  contradictory restriction set — the spec admits no legal
+//	        computation at all, so every verification against it is
+//	        vacuous (error);
+//	GEM010  static deadlock — a circular mandatory wait among
+//	        prerequisites threaded across chains (warning);
+//	GEM011  unreachable event — a class no legal enable chain can
+//	        produce, transitively, under the access relation (error);
+//	GEM012  subsumed/redundant restriction (warning).
+//
+// The analysis only reports: gemlint, gemc and gemcheck's pre-flight
+// lint run it, and no verdict of the sat check depends on it.
 package lint
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
+	"gem/internal/core"
 	"gem/internal/gemlang"
 	"gem/internal/obs"
 	"gem/internal/spec"
@@ -55,10 +73,9 @@ const (
 	// enclosing quantifier binds (dynamic evaluation would panic).
 	CodeUnboundVar Code = "GEM008"
 
-	// The deep-analysis codes below are produced by internal/analyze
-	// (gemlint -deep), which reasons about *interactions between*
-	// restrictions over the abstract enable graph, rather than about one
-	// restriction in isolation.
+	// The deep-analysis codes below (gemlint -deep) reason about
+	// *interactions between* restrictions over the abstract enable graph,
+	// rather than about one restriction in isolation.
 
 	// CodeContradiction: the restriction set is statically unsatisfiable —
 	// one restriction demands an event of a class the other restrictions
@@ -135,10 +152,6 @@ func (d Diagnostic) String() string {
 // Result is the outcome of analyzing one specification.
 type Result struct {
 	Diags []Diagnostic
-	// Constraints are the enable-edge constraints extracted from the
-	// restriction formulae (the prerequisite structure), including the
-	// ones the analyses proved unsatisfiable.
-	Constraints []EnableConstraint
 }
 
 // Errors returns the error-severity diagnostics.
@@ -152,86 +165,66 @@ func (r *Result) Errors() []Diagnostic {
 	return out
 }
 
-// Analyze runs every analysis over the specification IR. Diagnostics
-// carry no positions; use AnalyzeSource for position-annotated output.
-func Analyze(s *spec.Spec) *Result { return analyze(s, nil) }
+// Analyze runs the shallow analyses over the specification IR, and the
+// deep ones too when deep is set. Diagnostics carry no positions; use
+// AnalyzeSource for position-annotated output.
+func Analyze(s *spec.Spec, deep bool) *Result { return analyze(s, nil, deep) }
 
-// AnalyzeSource parses GEM source and analyzes it, attaching source
-// positions to the diagnostics. A parse error is returned as-is (lint
-// requires a syntactically valid specification).
-func AnalyzeSource(src string) (*Result, error) {
+// AnalyzeSource parses GEM source and analyzes it as Analyze does,
+// attaching source positions to the diagnostics. A parse error is
+// returned as-is (lint requires a syntactically valid specification).
+func AnalyzeSource(src string, deep bool) (*Result, error) {
 	s, marks, err := gemlang.ParseWithPositions(src)
 	if err != nil {
 		return nil, err
 	}
-	return analyze(s, marks), nil
+	return analyze(s, marks, deep), nil
 }
 
-// AnalyzeMarked analyzes an already-parsed specification, attaching
-// source positions from the given map (which may be nil). It is the
-// entry point for downstream analyses — internal/analyze — that need
-// the extracted constraints and positioned diagnostics for an IR they
-// already hold.
-func AnalyzeMarked(s *spec.Spec, marks *gemlang.SourceMap) *Result {
-	return analyze(s, marks)
-}
+// sortDiagnostics orders diagnostics canonically (see
+// compareDiagnostics). The sort is stable, so findings with equal keys
+// keep the order the passes reported them in.
+func sortDiagnostics(ds []Diagnostic) { slices.SortStableFunc(ds, compareDiagnostics) }
 
-// PosOf resolves the source position recorded for a named construct of
-// the given kind ("element", "group", "thread" or "restriction").
-// Returns the zero Pos when the map is nil or has no entry. Exposed so
-// downstream analyzers position their diagnostics identically to lint.
-func PosOf(marks *gemlang.SourceMap, kind, name string) Pos {
-	a := analysis{marks: marks}
-	switch kind {
-	case "element":
-		return a.posOf(inElement, name)
-	case "group":
-		return a.posOf(inGroup, name)
-	case "thread":
-		return a.posOf(inThread, name)
-	case "restriction":
-		return a.posOf(inRestriction, name)
+// compareDiagnostics is the canonical order every producer of
+// diagnostics uses: by position (unknown positions last), then code,
+// then subject.
+func compareDiagnostics(a, b Diagnostic) int {
+	if a.Pos.IsZero() != b.Pos.IsZero() {
+		if a.Pos.IsZero() {
+			return 1
+		}
+		return -1
 	}
-	return Pos{}
+	return cmp.Or(
+		cmp.Compare(a.Pos.Line, b.Pos.Line),
+		cmp.Compare(a.Pos.Col, b.Pos.Col),
+		strings.Compare(string(a.Code), string(b.Code)),
+		strings.Compare(a.Subject, b.Subject))
 }
 
-// SortDiagnostics orders diagnostics by position (unknown positions
-// last), then code, then subject — the canonical stable order every
-// producer of diagnostics uses.
-func SortDiagnostics(ds []Diagnostic) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		pi, pj := ds[i].Pos, ds[j].Pos
-		if pi.IsZero() != pj.IsZero() {
-			return !pi.IsZero()
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Col != pj.Col {
-			return pi.Col < pj.Col
-		}
-		if ds[i].Code != ds[j].Code {
-			return ds[i].Code < ds[j].Code
-		}
-		return ds[i].Subject < ds[j].Subject
-	})
-}
-
-func analyze(s *spec.Spec, marks *gemlang.SourceMap) *Result {
+func analyze(s *spec.Spec, marks *gemlang.SourceMap, deep bool) *Result {
 	_, sp := obs.StartSpan(nil, "lint.analyze")
-	defer sp.End()
 	a := &analysis{s: s, marks: marks, res: &Result{}, seen: make(map[string]bool)}
 	a.universe, _ = s.Universe()
+	_, a.dynamic = s.Element(core.AdminElement)
 	a.checkStructure()
 	a.checkRestrictions()
 	a.checkConstraints()
 	a.checkDead()
-	a.sortDiags()
+	sp.End()
+	if deep {
+		_, sp := obs.StartSpan(nil, "analyze.deep")
+		g := a.buildPairGraph()
+		a.checkUnreachable(g)
+		a.checkContradiction(g)
+		a.checkDeadlock(g)
+		a.checkRedundant()
+		sp.End()
+	}
+	sortDiagnostics(a.res.Diags)
 	return a.res
 }
-
-// sortDiags orders diagnostics canonically (see SortDiagnostics).
-func (a *analysis) sortDiags() { SortDiagnostics(a.res.Diags) }
 
 // Print writes the diagnostics in the canonical one-line-per-finding
 // text format, prefixing each line with the file name when non-empty.

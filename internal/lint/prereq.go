@@ -1,7 +1,7 @@
 package lint
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,7 +9,7 @@ import (
 	"gem/internal/logic"
 )
 
-// EnableConstraint is a required-enable-edge constraint extracted from a
+// enableConstraint is a required-enable-edge constraint extracted from a
 // restriction: every event of Target must be enabled by exactly one event
 // drawn from Sources. PREREQ / FORK / JOIN produce single-source
 // constraints; NDPREREQ produces a choice set. The shape is recognized
@@ -17,20 +17,14 @@ import (
 // the sources with an Enables atom linking the two variables), so
 // hand-written equivalents of the Section 8.2 abbreviations are found
 // too.
-type EnableConstraint struct {
+type enableConstraint struct {
 	Owner       string
 	Restriction string
 	Sources     []core.ClassRef
 	Target      core.ClassRef
 	// Doomed marks constraints the analysis proved statically
-	// unsatisfiable, with the code and reason of the proof.
+	// unsatisfiable (GEM004/GEM005).
 	Doomed bool
-	Code   Code
-	Reason string
-}
-
-func (ec EnableConstraint) String() string {
-	return fmt.Sprintf("%s -> %s", refsString(ec.Sources), ec.Target)
 }
 
 // conjuncts applies fn to every conjunct of f, descending through And
@@ -51,8 +45,8 @@ func conjuncts(f logic.Formula, fn func(logic.Formula)) {
 
 // extractConstraints recognizes the prerequisite shapes in one
 // restriction formula.
-func extractConstraints(owner, name string, f logic.Formula) []EnableConstraint {
-	var out []EnableConstraint
+func extractConstraints(owner, name string, f logic.Formula) []enableConstraint {
+	var out []enableConstraint
 	conjuncts(f, func(node logic.Formula) {
 		fa, ok := node.(logic.ForAll)
 		if !ok {
@@ -62,14 +56,14 @@ func extractConstraints(owner, name string, f logic.Formula) []EnableConstraint 
 			switch q := inner.(type) {
 			case logic.ExistsUnique:
 				if enablesIn(q.Body, q.Var, fa.Var) {
-					out = append(out, EnableConstraint{
+					out = append(out, enableConstraint{
 						Owner: owner, Restriction: name,
 						Sources: []core.ClassRef{q.Ref}, Target: fa.Ref,
 					})
 				}
 			case logic.ExistsUniqueIn:
 				if enablesIn(q.Body, q.Var, fa.Var) {
-					out = append(out, EnableConstraint{
+					out = append(out, enableConstraint{
 						Owner: owner, Restriction: name,
 						Sources: append([]core.ClassRef(nil), q.Refs...), Target: fa.Ref,
 					})
@@ -95,7 +89,7 @@ func enablesIn(f logic.Formula, src, dst string) bool {
 // satisfiability analyses over it: GEM004 (cycles / no well-founded
 // start) and GEM005 (access-forbidden edges).
 func (a *analysis) checkConstraints() {
-	var cs []EnableConstraint
+	var cs []enableConstraint
 	for _, r := range a.s.Restrictions() {
 		cs = append(cs, extractConstraints(r.Owner, r.Name, r.F)...)
 	}
@@ -113,17 +107,62 @@ func (a *analysis) checkConstraints() {
 
 	a.checkCycles(cs, valid)
 	a.checkAccess(cs, valid)
-	a.res.Constraints = cs
+	a.cons = cs
+}
+
+// groundEdge is one constraint on a node of a groundability graph: an
+// event of target needs an enabler drawn from sources.
+type groundEdge struct {
+	con     int // index of the constraint the edge lowers
+	target  int
+	sources []int
+}
+
+// grounded computes the least fixpoint of groundability over nodes
+// 0..n-1: a node no edge targets is grounded outright (its events need no
+// particular enabler), and a targeted node becomes grounded once every
+// edge targeting it has a grounded source s with admits(s, target). GEM004
+// admits every edge; producibility (GEM009/GEM011) admits the edges the
+// access relation does. A least fixpoint is unique, so neither the order
+// of the edges nor that of the sweeps changes the answer.
+func grounded(n int, edges []groundEdge, admits func(s, t int) bool) []bool {
+	g := make([]bool, n)
+	for v := range g {
+		g[v] = true
+	}
+	for _, e := range edges {
+		g[e.target] = false
+	}
+	for changed := true; changed; {
+		changed = false
+		for v := range g {
+			if g[v] {
+				continue
+			}
+			ok := true
+			for _, e := range edges {
+				if e.target == v && !slices.ContainsFunc(e.sources, func(s int) bool { return g[s] && admits(s, v) }) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				g[v] = true
+				changed = true
+			}
+		}
+	}
+	return g
 }
 
 // checkCycles decides which constraint targets are supportable: an event
 // class is supportable when every constraint targeting it can draw an
-// enabler from a supportable class, well-foundedly, which a
-// least-fixpoint supportability computation decides. Without choice sets
-// that is the acyclicity of the source→target graph. Unsupportable
-// targets can have no event in any legal computation, so every
-// constraint targeting them is doomed (GEM004).
-func (a *analysis) checkCycles(cs []EnableConstraint, valid []bool) {
+// enabler from a supportable class, well-foundedly — the least fixpoint
+// grounded computes. Without choice sets that is the acyclicity of the
+// source→target graph. Unsupportable targets can have no event in any
+// legal computation, so every constraint targeting them is doomed
+// (GEM004).
+func (a *analysis) checkCycles(cs []enableConstraint, valid []bool) {
 	nodeIdx := make(map[string]int)
 	var nodes []string
 	idOf := func(ref core.ClassRef) int {
@@ -135,90 +174,38 @@ func (a *analysis) checkCycles(cs []EnableConstraint, valid []bool) {
 		nodes = append(nodes, k)
 		return len(nodes) - 1
 	}
-	var edges []conEdge
+	var edges []groundEdge
 	for i, c := range cs {
 		if !valid[i] {
 			continue
 		}
-		e := conEdge{target: idOf(c.Target), ci: i}
+		e := groundEdge{con: i, target: idOf(c.Target)}
 		for _, s := range c.Sources {
 			e.sources = append(e.sources, idOf(s))
 		}
 		edges = append(edges, e)
 	}
-
-	// Least fixpoint of supportability. Non-target classes are
-	// supportable outright (their events need no enabler under these
-	// constraints); a target becomes supportable when each constraint
-	// targeting it has a supportable source.
-	isTarget := make([]bool, len(nodes))
-	for _, e := range edges {
-		isTarget[e.target] = true
-	}
-	supportable := make([]bool, len(nodes))
-	for v := range nodes {
-		supportable[v] = !isTarget[v]
-	}
-	for changed := true; changed; {
-		changed = false
-		for v := range nodes {
-			if supportable[v] {
-				continue
-			}
-			ok := true
-			for _, e := range edges {
-				if e.target != v {
-					continue
-				}
-				some := false
-				for _, s := range e.sources {
-					if supportable[s] {
-						some = true
-						break
-					}
-				}
-				if !some {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				supportable[v] = true
-				changed = true
-			}
-		}
-	}
+	supportable := grounded(len(nodes), edges, func(int, int) bool { return true })
 
 	// Every constraint targeting an unsupportable class is doomed; the
 	// diagnostic is reported once per (restriction, target).
-	for k := range edges {
-		e := edges[k]
+	for _, e := range edges {
 		if supportable[e.target] {
 			continue
 		}
-		c := &cs[e.ci]
+		c := &cs[e.con]
 		c.Doomed = true
-		c.Code = CodePrereqCycle
-		c.Reason = fmt.Sprintf("no event of %s can ever be legally enabled: %s",
-			nodes[e.target], cycleString(nodes, edges, supportable, e.target))
 		a.errAt(a.posOf(inRestriction, c.Restriction), CodePrereqCycle,
-			restrictionSubject(c.Owner, c.Restriction), "%s", c.Reason)
+			restrictionSubject(c.Owner, c.Restriction), "no event of %s can ever be legally enabled: %s",
+			nodes[e.target], cycleString(nodes, edges, supportable, e.target))
 	}
-}
-
-// conEdge is one constraint lowered onto the node indices of the
-// supportability graph.
-type conEdge struct {
-	target  int
-	sources []int
-	ci      int // constraint index
 }
 
 // cycleString walks the unsupportable subgraph from start, at each step
 // following some constraint all of whose sources are unsupportable,
 // until a class repeats — producing the concrete requires-chain shown to
 // the user, e.g. "a.Go requires prior b.Go requires prior a.Go".
-func cycleString(nodes []string, edges []conEdge, supportable []bool, start int) string {
+func cycleString(nodes []string, edges []groundEdge, supportable []bool, start int) string {
 	path := []int{start}
 	onPath := map[int]bool{start: true}
 	cur := start
@@ -261,32 +248,20 @@ func cycleString(nodes []string, edges []conEdge, supportable []bool, start int)
 // forbidden by the group/port access relation (GEM005): any computation
 // exercising the constraint either violates it or contains an
 // IllegalEnable.
-func (a *analysis) checkAccess(cs []EnableConstraint, valid []bool) {
-	if a.universe == nil {
-		return
-	}
+func (a *analysis) checkAccess(cs []enableConstraint, valid []bool) {
 	for i := range cs {
 		c := &cs[i]
 		if !valid[i] || c.Doomed {
 			continue
 		}
-		possible := false
-		for _, s := range c.Sources {
-			if a.enablePossible(s, c.Target) {
-				possible = true
-				break
-			}
-		}
-		if possible {
+		if slices.ContainsFunc(c.Sources, func(s core.ClassRef) bool { return a.enablePossible(s, c.Target) }) {
 			continue
 		}
 		c.Doomed = true
-		c.Code = CodeAccessForbidden
-		c.Reason = fmt.Sprintf(
+		a.errAt(a.posOf(inRestriction, c.Restriction), CodeAccessForbidden,
+			restrictionSubject(c.Owner, c.Restriction),
 			"requires %s to enable %s, but the group access relation forbids every such edge",
 			refsString(c.Sources), c.Target)
-		a.errAt(a.posOf(inRestriction, c.Restriction), CodeAccessForbidden,
-			restrictionSubject(c.Owner, c.Restriction), "%s", c.Reason)
 	}
 }
 

@@ -1,11 +1,9 @@
-package analyze
+package lint
 
 import (
 	"reflect"
 	"sort"
 	"strings"
-
-	"gem/internal/lint"
 )
 
 // The redundancy analysis (GEM012) flags restrictions another restriction
@@ -19,7 +17,7 @@ import (
 //
 // Duplicates are warnings: the spec's meaning is unchanged, but every
 // copy costs a full enumeration pass per computation checked.
-func (a *deepAnalysis) checkRedundant(lr *lint.Result) {
+func (a *analysis) checkRedundant() {
 	rs := a.s.Restrictions()
 	key := func(i int) string { return rs[i].Owner + "\x00" + rs[i].Name }
 	// reportedPair dedupes (1) against (2): an identical formula already
@@ -33,7 +31,7 @@ func (a *deepAnalysis) checkRedundant(lr *lint.Result) {
 			}
 			if reflect.DeepEqual(rs[i].F, rs[j].F) {
 				reportedPair[key(i)+"\x01"+key(j)] = true
-				a.warnAt(a.restrictionPos(rs[j].Name), lint.CodeRedundant,
+				a.warnAt(a.posOf(inRestriction, rs[j].Name), CodeRedundant,
 					restrictionSubject(rs[j].Owner, rs[j].Name),
 					"redundant: identical to %s", restrictionSubject(rs[i].Owner, rs[i].Name))
 				break
@@ -51,7 +49,7 @@ func (a *deepAnalysis) checkRedundant(lr *lint.Result) {
 	}
 	byShape := make(map[string][]conOwner)
 	var shapes []string
-	for _, c := range lr.Constraints {
+	for _, c := range a.cons {
 		srcs := make([]string, len(c.Sources))
 		for k, s := range c.Sources {
 			srcs[k] = s.String()
@@ -77,7 +75,7 @@ func (a *deepAnalysis) checkRedundant(lr *lint.Result) {
 				continue
 			}
 			flagged[kj+shape] = true
-			a.warnAt(a.restrictionPos(o.name), lint.CodeRedundant,
+			a.warnAt(a.posOf(inRestriction, o.name), CodeRedundant,
 				restrictionSubject(o.owner, o.name),
 				"redundant: prerequisite %s is already imposed by %s",
 				shapeString(shape), restrictionSubject(first.owner, first.name))

@@ -1,9 +1,12 @@
 package lint
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // FileDiagnostic pairs a diagnostic with the file it was found in (empty
@@ -17,24 +20,8 @@ type FileDiagnostic struct {
 // canonical per-file order (position with unknown last, code, subject) —
 // the deterministic presentation every front end promises.
 func SortFileDiagnostics(ds []FileDiagnostic) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].File != ds[j].File {
-			return ds[i].File < ds[j].File
-		}
-		pi, pj := ds[i].Pos, ds[j].Pos
-		if pi.IsZero() != pj.IsZero() {
-			return !pi.IsZero()
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Col != pj.Col {
-			return pi.Col < pj.Col
-		}
-		if ds[i].Code != ds[j].Code {
-			return ds[i].Code < ds[j].Code
-		}
-		return ds[i].Subject < ds[j].Subject
+	slices.SortStableFunc(ds, func(a, b FileDiagnostic) int {
+		return cmp.Or(strings.Compare(a.File, b.File), compareDiagnostics(a.Diagnostic, b.Diagnostic))
 	})
 }
 

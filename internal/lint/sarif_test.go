@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"gem/internal/analyze"
 	"gem/internal/lint"
 )
 
@@ -27,11 +26,11 @@ func TestSARIFCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := analyze.AnalyzeSource(string(src))
+		res, err := lint.AnalyzeSource(string(src), true)
 		if err != nil {
 			t.Fatalf("parse %s: %v", path, err)
 		}
-		for _, d := range res.All() {
+		for _, d := range res.Diags {
 			all = append(all, lint.FileDiagnostic{File: filepath.Base(path), Diagnostic: d})
 		}
 	}

@@ -1,5 +1,10 @@
 package order
 
+import (
+	"cmp"
+	"slices"
+)
+
 // SCC returns the strongly connected components of the graph (which,
 // despite the type's name, may be cyclic — DAG is the repo's adjacency
 // representation). Components are returned with vertices sorted
@@ -71,32 +76,14 @@ func (d *DAG) SCC() [][]int {
 				}
 				// Tarjan pops in reverse discovery order; sort for a
 				// canonical presentation.
-				for i, j := 0, len(comp)-1; i < j; i, j = i+1, j-1 {
-					comp[i], comp[j] = comp[j], comp[i]
-				}
-				insertSorted(comp)
+				slices.Sort(comp)
 				comps = append(comps, comp)
 			}
 		}
 	}
 	// Tarjan emits components in reverse topological order; present them
-	// by smallest member instead (stable across edge orderings).
-	for i := 0; i < len(comps); i++ {
-		for j := i + 1; j < len(comps); j++ {
-			if comps[j][0] < comps[i][0] {
-				comps[i], comps[j] = comps[j], comps[i]
-			}
-		}
-	}
+	// by smallest member instead (stable across edge orderings; the
+	// components are disjoint, so no two have the same one).
+	slices.SortFunc(comps, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 	return comps
-}
-
-// insertSorted sorts a small int slice in place (components are tiny;
-// insertion sort avoids an import for the hot empty/singleton cases).
-func insertSorted(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

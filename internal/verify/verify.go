@@ -27,6 +27,7 @@ import (
 	"gem/internal/legal"
 	"gem/internal/logic"
 	"gem/internal/obs"
+	"gem/internal/order"
 	"gem/internal/spec"
 	"gem/internal/thread"
 )
@@ -185,17 +186,28 @@ func Project(c *core.Computation, corr Correspondence) (*Projection, error) {
 		return nil, fmt.Errorf("verify: no significant events matched")
 	}
 
-	// Sort hits by a linear extension of the program's temporal order
-	// (stable by event id, which the simulators emit in causal order).
-	sort.SliceStable(hits, func(i, j int) bool {
-		if c.Temporal(hits[i].prog, hits[j].prog) {
-			return true
+	// Order the hits by the linear extension of the program's temporal
+	// order that places next, each time, the lowest-id hit no unplaced hit
+	// precedes. The unplaced hits stay in id order behind the placed ones,
+	// so on a computation whose ids extend its temporal order, as every
+	// explored run's do (Log.Emit enables only events already emitted),
+	// each step takes the first of them and the hits keep their id order.
+	// The temporal order is acyclic, so the scan always finds one.
+	unplaced := order.NewBitset(c.NumEvents())
+	for _, h := range hits {
+		unplaced.Set(int(h.prog))
+	}
+	preds := c.Preds()
+	for i := range hits {
+		k := i
+		for preds.Row(int(hits[k].prog)).Intersects(unplaced) {
+			k++
 		}
-		if c.Temporal(hits[j].prog, hits[i].prog) {
-			return false
-		}
-		return hits[i].prog < hits[j].prog
-	})
+		h := hits[k]
+		copy(hits[i+1:k+1], hits[i:k])
+		hits[i] = h
+		unplaced.Clear(int(h.prog))
+	}
 
 	// Events at one problem element must be totally ordered in the
 	// program: concurrent events cannot share an element.

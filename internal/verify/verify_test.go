@@ -355,3 +355,36 @@ func TestWhereFilter(t *testing.T) {
 		t.Fatalf("Where filter failed: %d events", proj.Comp.NumEvents())
 	}
 }
+
+// TestProjectFollowsTemporalOrderNotIDs: a computation built by hand
+// need not number its events in temporal order. Here p3.Go (id 2)
+// enables p1.Go (id 0), both map to problem element x, and p2.Go (id 1)
+// maps elsewhere, concurrent with both. x's element order must follow
+// the program's temporal order, p3.Go first.
+func TestProjectFollowsTemporalOrderNotIDs(t *testing.T) {
+	b := core.NewBuilder()
+	p1 := b.Event("p1", "Go", core.Params{})
+	b.Event("p2", "Go", core.Params{})
+	p3 := b.Event("p3", "Go", core.Params{})
+	b.Enable(p3, p1)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr := Correspondence{Rules: []Rule{
+		{Match: core.Ref("p1", "Go"), Element: "x", Class: "E", KeyParam: "@element", Chain: "x"},
+		{Match: core.Ref("p2", "Go"), Element: "y", Class: "F", KeyParam: "@element", Chain: "y"},
+		{Match: core.Ref("p3", "Go"), Element: "x", Class: "E", KeyParam: "@element", Chain: "x"},
+	}}
+	proj, err := Project(c, corr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []core.EventID
+	for _, id := range proj.Comp.EventsAt("x") {
+		got = append(got, proj.Origin[id])
+	}
+	if len(got) != 2 || got[0] != p3 || got[1] != p1 {
+		t.Fatalf("x's events project program events %v, want [%d %d] (p3.Go precedes p1.Go)", got, p3, p1)
+	}
+}

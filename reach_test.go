@@ -38,7 +38,7 @@ var testOnlyAllowlist = map[string]string{
 	"internal/gofront.LoadSource":    "entry point of the fuzz targets and of tests in other packages",
 	"internal/gofront.AnalyzeSource": "entry point of the fuzz targets and of tests in other packages",
 
-	"internal/logic.Env.Bindings": "renders the bindings of a witness (ROADMAP item 7)",
+	"internal/logic.Env.Bindings": "renders the bindings of a witness (ROADMAP item 8)",
 
 	"internal/cli/clitest":         "test helper package of the CLI tests",
 	"internal/explore/exploretest": "test helper package of the explorer tests",

@@ -51,6 +51,10 @@ cmp examples/specs/boundedbuffer.gem "$tracedir/spec.gem"
 go run ./cmd/tracecheck -min-spans 1 "$tracedir/lint.json" "$tracedir/check.json" \
 	"$tracedir/verify.json" "$tracedir/mut.json" "$tracedir/gemgo.json" "$tracedir/gemc.json"
 grep -q '== spans ==' "$tracedir/check.stats"
+# gemlint -deep times each file's shallow and deep passes in their own
+# spans; a merge that drops or renames either fails here.
+grep -q '^lint\.analyze ' "$tracedir/lint.stats"
+grep -q '^analyze\.deep ' "$tracedir/lint.stats"
 echo "==> examples: each exits 0, with the same output on two runs"
 # cspbuffer and readerswriters drive the CSP and monitor simulators and
 # csp.Spec end to end; no test runs the examples' main packages.
