@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"cmp"
 	"flag"
 	"os"
 	"path/filepath"
@@ -122,17 +121,15 @@ func TestDeepExtendsShallow(t *testing.T) {
 		}
 		// Merge as a caller of two separate analyses would: the shallow
 		// findings, then the deep ones, sorted canonically.
-		want := append(append([]lint.Diagnostic(nil), shallow.Diags...), deepDiags(deep)...)
-		slices.SortStableFunc(want, func(a, b lint.Diagnostic) int {
-			if a.Pos.IsZero() != b.Pos.IsZero() {
-				if a.Pos.IsZero() {
-					return 1
-				}
-				return -1
-			}
-			return cmp.Or(cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Col, b.Pos.Col),
-				strings.Compare(string(a.Code), string(b.Code)), strings.Compare(a.Subject, b.Subject))
-		})
+		var merged []lint.FileDiagnostic
+		for _, d := range append(append([]lint.Diagnostic(nil), shallow.Diags...), deepDiags(deep)...) {
+			merged = append(merged, lint.FileDiagnostic{Diagnostic: d})
+		}
+		lint.SortFileDiagnostics(merged)
+		want := make([]lint.Diagnostic, len(merged))
+		for i, d := range merged {
+			want[i] = d.Diagnostic
+		}
 		if !slices.Equal(deep.Diags, want) {
 			t.Errorf("%s: deep run is not the shallow findings plus the deep ones in canonical order\n got: %v\nwant: %v",
 				path, deep.Diags, want)

@@ -87,7 +87,7 @@ type sarifRegion struct {
 // gemgo emit the same log format under their own names). Only the rules
 // that actually fired are listed, sorted by id, with descriptions from
 // the shared code registry; results keep the input order (callers sort
-// with SortDiagnostics first).
+// with SortFileDiagnostics first).
 func WriteSARIFAs(w io.Writer, tool string, diags []FileDiagnostic) error {
 	fired := map[Code]bool{}
 	results := make([]sarifResult, 0, len(diags))
